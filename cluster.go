@@ -308,6 +308,7 @@ type engineSlot struct {
 	store     *checkpoint.ReplicaStore
 	fstore    *checkpoint.FileStore // durable checkpoint store (WithDurableStore)
 	log       wal.Log
+	flog      *wal.FileLog            // the file log under log's wrappers, if any
 	sinks     map[string]func(Output) // sink name -> user callback
 	rec       *trace.Recorder         // shared across engine generations
 	audit     *trace.AuditLog         // shared across engine generations
@@ -505,6 +506,7 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
+		slot.flog, _ = slot.log.(*wal.FileLog)
 		if c.arch != nil {
 			// Inside the fault injector: what the injector admits (or
 			// corrupts) is what both the base log and the archive persist,
@@ -658,6 +660,19 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 	if c.cfg.netem != nil {
 		// Wrap after any TCP copy so fault decisions see finished frames.
 		tr = c.cfg.netem.For(slot.name, tr)
+	}
+	if slot.flog != nil {
+		// Like the checkpoint store's, the log's commit accounting lands in
+		// this incarnation's registry.
+		m := metrics.Registry().WAL()
+		slot.flog.SetObserver(func(st wal.BatchStats) {
+			m.Inputs.Add(int64(st.Inputs))
+			m.Faults.Add(int64(st.Faults))
+			m.Trims.Add(int64(st.Trims))
+			m.Fsyncs.Inc()
+			m.FsyncSeconds.Observe(st.Sync.Seconds())
+			m.BatchRecords.Observe(float64(st.Inputs + st.Faults + st.Trims))
+		})
 	}
 	cfg := engine.Config{
 		Name:               slot.name,

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -41,7 +42,7 @@ func main() {
 		fs := flag.NewFlagSet("wal", flag.ExitOnError)
 		file := fs.String("file", "", "log file to dump")
 		_ = fs.Parse(os.Args[2:])
-		err = dumpWAL(*file)
+		err = dumpWAL(os.Stdout, *file)
 	case "demo":
 		fs := flag.NewFlagSet("demo", flag.ExitOnError)
 		d := fs.Duration("d", 3*time.Second, "demo duration")
@@ -162,20 +163,21 @@ func showTopo() error {
 	return nil
 }
 
-func dumpWAL(path string) error {
+// dumpWAL prints a log's live records. It scans read-only — no create, no
+// truncate, no write handle — so it is safe against a running engine's log:
+// a torn tail there may be a batch still being written, and is reported,
+// not repaired.
+func dumpWAL(w io.Writer, path string) error {
 	if path == "" {
 		return fmt.Errorf("wal: -file is required")
 	}
-	l, err := wal.OpenFileLog(path)
+	l, torn, err := wal.ScanFile(path)
 	if err != nil {
 		return err
 	}
-	defer l.Close()
 	// Sources are not enumerable from the log interface; dump known record
-	// streams by probing every source name seen in inputs. The MemLog
-	// index inside FileLog keeps per-source slices, so we iterate the
-	// common names and fall back to a full scan marker.
-	fmt.Printf("log %s:\n", path)
+	// streams by probing the common source and component names.
+	fmt.Fprintf(w, "log %s:\n", path)
 	printed := 0
 	for _, source := range []string{"in", "in1", "in2", "trades", "requests"} {
 		recs, err := l.Inputs(source, 0)
@@ -183,7 +185,7 @@ func dumpWAL(path string) error {
 			return err
 		}
 		for _, r := range recs {
-			fmt.Printf("  input  source=%-8s seq=%-6d vt=%-14d payload=%v\n", r.Source, r.Seq, int64(r.VT), r.Payload)
+			fmt.Fprintf(w, "  input  source=%-8s seq=%-6d vt=%-14d payload=%v\n", r.Source, r.Seq, int64(r.VT), r.Payload)
 			printed++
 		}
 	}
@@ -194,14 +196,17 @@ func dumpWAL(path string) error {
 		}
 		for _, f := range faults {
 			if f.Silence != nil {
-				fmt.Printf("  fault  component=%-8s effective=%v silence=%v\n", f.Component, f.Silence.EffectiveVT, f.Silence.Config.Strategy)
+				fmt.Fprintf(w, "  fault  component=%-8s effective=%v silence=%v\n", f.Component, f.Silence.EffectiveVT, f.Silence.Config.Strategy)
 			} else {
-				fmt.Printf("  fault  component=%-8s effective=%v coeffs=%v\n", f.Component, f.Fault.EffectiveVT, f.Fault.Coeffs)
+				fmt.Fprintf(w, "  fault  component=%-8s effective=%v coeffs=%v\n", f.Component, f.Fault.EffectiveVT, f.Fault.Coeffs)
 			}
 			printed++
 		}
 	}
-	fmt.Printf("%d records shown (well-known source/component names only)\n", printed)
+	fmt.Fprintf(w, "%d records shown (well-known source/component names only)\n", printed)
+	if torn > 0 {
+		fmt.Fprintf(w, "torn tail: %d bytes (not repaired)\n", torn)
+	}
 	return nil
 }
 

@@ -65,6 +65,7 @@ func status(addr string, last int) error {
 	printStatusWireTable(samples)
 	printStatusBlameTable(samples)
 	printStatusTotals(samples)
+	fmt.Println(walStatusRow(samples))
 	if err := printSupervisor(client, base, samples); err != nil {
 		return err
 	}
@@ -417,6 +418,24 @@ func printSupervisor(client *http.Client, base string, samples []promSample) err
 			f.SuspectedAt.Format("15:04:05.000"), f.Engine, f.Cause, outcome)
 	}
 	return nil
+}
+
+// walStatusRow summarizes the durable log: what it made durable, how many
+// fsyncs that took (group commit shows as fewer than one per record) and
+// what one fsync costs.
+func walStatusRow(samples []promSample) string {
+	fsyncs := sumSamples(samples, trace.MetricWALFsyncs)
+	if fsyncs == 0 {
+		return "  wal: no file-log commits (in-memory log, or nothing logged yet)"
+	}
+	records := sumSamples(samples, trace.MetricWALRecords)
+	meanSync := sumSamples(samples, trace.MetricWALFsyncSeconds+"_sum") / fsyncs
+	return fmt.Sprintf("  wal: %.0f records durable (%.0f inputs, %.0f faults, %.0f trims) in %.0f fsyncs: %.2f fsyncs/record, mean fsync %s",
+		records,
+		sumSamples(samples, trace.MetricWALRecords, "kind", "input"),
+		sumSamples(samples, trace.MetricWALRecords, "kind", "fault"),
+		sumSamples(samples, trace.MetricWALRecords, "kind", "trim"),
+		fsyncs, fsyncs/records, time.Duration(meanSync*float64(time.Second)).Round(time.Microsecond))
 }
 
 // printStatusTotals summarizes the engine-wide recovery counters.

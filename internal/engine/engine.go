@@ -319,6 +319,7 @@ func New(cfg Config) (*Engine, error) {
 		"fsync calls issued by the durable checkpoint store.")
 	reg.Counter(trace.MetricSourceShed,
 		"External inputs refused at sources because buffered replay state hit its bound.")
+	reg.WAL()
 	if cfg.Clock != nil {
 		e.clock = cfg.Clock
 	} else {

@@ -554,7 +554,40 @@ const (
 	MetricCkptStoreWrites   = "tart_ckpt_store_writes_total"
 	MetricCkptStoreFsyncs   = "tart_ckpt_store_fsyncs_total"
 	MetricSourceShed        = "tart_source_shed_total"
+	// Stable-log families (file WAL group commit): records made durable by
+	// kind, the fsyncs that covered them — fsyncs per record is the ratio —
+	// and the distributions of one fsync's duration and one batch's size.
+	MetricWALRecords      = "tart_wal_records_total"
+	MetricWALFsyncs       = "tart_wal_fsyncs_total"
+	MetricWALFsyncSeconds = "tart_wal_fsync_seconds"
+	MetricWALBatchRecords = "tart_wal_batch_records"
 )
+
+// BatchRecordsBuckets spans 1 to 64 records per group-committed WAL batch.
+var BatchRecordsBuckets = []float64{1, 2, 3, 4, 6, 8, 16, 32, 64}
+
+// WALMetrics bundles the handles a file log's commit observer updates.
+type WALMetrics struct {
+	Inputs, Faults, Trims *Counter
+	Fsyncs                *Counter
+	FsyncSeconds          *Histogram
+	BatchRecords          *Histogram
+}
+
+// WAL resolves the stable-log handles. Resolving them also seeds the
+// families at zero, so they are scrapeable on engines whose log is in
+// memory.
+func (r *Registry) WAL() *WALMetrics {
+	const recordsHelp = "Records made durable by the file WAL, by kind."
+	return &WALMetrics{
+		Inputs:       r.Counter(MetricWALRecords, recordsHelp, L("kind", "input")),
+		Faults:       r.Counter(MetricWALRecords, recordsHelp, L("kind", "fault")),
+		Trims:        r.Counter(MetricWALRecords, recordsHelp, L("kind", "trim")),
+		Fsyncs:       r.Counter(MetricWALFsyncs, "fsync calls issued by the file WAL: one per committed batch."),
+		FsyncSeconds: r.Histogram(MetricWALFsyncSeconds, "Duration of one file WAL fsync.", SecondsBuckets),
+		BatchRecords: r.Histogram(MetricWALBatchRecords, "Records covered by one file WAL fsync.", BatchRecordsBuckets),
+	}
+}
 
 // InWireMetrics bundles the receiver-side per-wire handles a scheduler
 // updates on its hot path. All fields are nil (valid no-ops) when resolved

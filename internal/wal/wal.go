@@ -20,9 +20,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/estimator"
 	"repro/internal/msg"
@@ -173,16 +177,6 @@ func (l *MemLog) validateInput(rec InputRecord) error {
 	return nil
 }
 
-// checkOpen reports whether the log still accepts appends.
-func (l *MemLog) checkOpen() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errLogClosed
-	}
-	return nil
-}
-
 // TrimInputs implements Log.
 func (l *MemLog) TrimInputs(source string, throughSeq uint64) error {
 	l.mu.Lock()
@@ -221,28 +215,118 @@ type fileEntry struct {
 	Through uint64 // for trim entries
 }
 
-// FileLog is a file-backed Log: a sequence of length-prefixed,
-// CRC-guarded, self-contained gob frames, fsynced on every append
-// (determinism faults require synchronous logging; inputs get the same
-// treatment for simplicity). Self-contained frames — each with its own gob
-// type descriptors — survive process restarts and compaction, at a modest
-// space cost. On open, the file is scanned to rebuild the in-memory index,
-// making recovery a pure replay of the log; a torn or corrupt tail is
+// FileLog is a file-backed Log: a sequence of length-prefixed, CRC-guarded
+// binary frames (legacy gob frames still decode), made durable by a
+// leader-based group commit.
+//
+// Commit protocol. Every appender — input, determinism fault or trim —
+// validates its record and encodes its frame into the shared pending batch
+// under the log mutex, then waits for that batch. One of the batch's own
+// appenders commits it: a single WriteAt at the tracked end-of-file offset
+// and a single Sync for the whole batch, after which the records are
+// admitted to the in-memory index in file order and every waiter is
+// released. While a commit is in flight new arrivals collect in the next
+// batch. A call therefore returns only after the fsync covering its record,
+// and the index never runs ahead of the disk. Determinism faults stay
+// synchronous by riding the same commit.
+//
+// Gather rule. An appender that finds the log idle commits at once when the
+// pending batch holds at least `gather` records, which is 1 — no wait, no
+// goroutine hop — unless the last gatherWindow commits all saw more than one
+// appender in the log at once (the just-committed batch plus what had queued
+// behind it). Then the batch is held open until that many records have
+// arrived: the arrival that completes the batch commits it itself, and the
+// first arrival parks on a timer of a quarter of the usual fsync time (observeSync) so
+// a sibling that stopped appending costs one bounded wait (Go timers can
+// fire about a millisecond late on an idle process, so the bound is the
+// larger of the two). A gather that runs past its budget counts as a lone
+// commit, which turns gathering off until the evidence returns. Without the
+// hold, two closed-loop appenders fall out of phase by one fsync and
+// alternate one-record batches forever.
+//
+// Failure contract. A batch whose write or sync fails is rewound to the
+// pre-batch offset (the truncation is retried before the next write if it
+// fails too); every waiter of the batch gets the error, none of its
+// records reaches the index, and every sequence number may be retried. On
+// open the file is scanned to rebuild the index; a torn or corrupt tail is
 // truncated to the last intact frame so later appends extend the good
 // prefix instead of being orphaned behind garbage.
 type FileLog struct {
 	mu        sync.Mutex
 	mem       *MemLog
-	f         *os.File
+	f         logFile
 	path      string
 	truncated int64
-	// healTo, when >= 0, is the offset of a torn frame a failed append
-	// left on disk; the next append truncates back to it before writing,
-	// so an in-process retry never orphans good frames behind garbage.
-	healTo int64
-	// shortArmed makes the next append physically tear mid-frame (chaos:
+	closed    bool
+	// off is the end of the durable prefix: where the next batch is written.
+	off int64
+	// dirty records that bytes may lie beyond off (an injected tear, or a
+	// failed batch whose rewind failed too); the next commit truncates first.
+	dirty bool
+	// shortArmed makes the next commit physically tear mid-frame (chaos:
 	// power loss under the pen). Armed via ArmShortWrite.
 	shortArmed bool
+
+	pending  *batch   // accepting frames; nil when empty
+	inflight *batch   // being written and synced; nil when the log is idle
+	free     []*batch // recycled batches
+	// widths holds, for the last gatherWindow commits, how many appenders
+	// were in the log when the commit finished; gather is their minimum.
+	widths [gatherWindow]int
+	gather int
+	syncNs int64 // the usual duration of one Sync (see observeSync)
+	obs    func(BatchStats)
+}
+
+// gatherWindow is how many consecutive commits must have seen concurrent
+// appenders before a batch is held open for them. A closed loop arms it in
+// four fsyncs; independent producers that merely coincide rarely do so four
+// times running (at a quarter utilisation, under one commit in two hundred),
+// which keeps a hold nobody joins out of their latency percentiles.
+const gatherWindow = 4
+
+// logFile is what FileLog needs of its file; tests substitute one whose
+// Sync stalls or fails.
+type logFile interface {
+	io.WriterAt
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// BatchStats describes one committed batch to the observer.
+type BatchStats struct {
+	Inputs, Faults, Trims int
+	// Sync is how long the batch's one fsync took.
+	Sync time.Duration
+}
+
+// SetObserver installs a hook called once per committed batch, after the
+// fsync and outside the log mutex; the cluster routes it into the engine's
+// metric registry.
+func (l *FileLog) SetObserver(fn func(BatchStats)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.obs = fn
+}
+
+// batch is one group commit: the encoded frames, the records to admit to
+// the index once they are durable, and the state its appenders wait on.
+type batch struct {
+	done    sync.Cond // broadcast when committed is set; L is the log mutex
+	buf     []byte
+	recs    []fileEntry
+	err     error
+	waiters int // appenders (and Close/Compact) still reading this batch
+	// committed: err is final and the appenders may return.
+	committed bool
+	// holder: an appender is parked on timer/wake, holding the batch open.
+	holder bool
+	// expired: the hold is over; the batch commits at the next look.
+	expired bool
+	heldAt  time.Time
+	timer   *time.Timer
+	wake    chan struct{} // capacity 1: ends the holder's park early
 }
 
 var _ Log = (*FileLog)(nil)
@@ -251,53 +335,97 @@ var _ Log = (*FileLog)(nil)
 // contents into memory. A torn final frame (crash mid-append) or a frame
 // whose CRC32 does not match its body (disk corruption) ends the usable
 // log: everything after the last intact frame is truncated away, so the
-// next append lands where the scan stopped.
+// next append lands where the scan stopped. A newly created log's directory
+// entry is fsynced before the log is handed out.
 func OpenFileLog(path string) (*FileLog, error) {
+	_, statErr := os.Stat(path)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	l := &FileLog{mem: NewMemLog(), f: f, path: path, healTo: -1}
-	r := bufio.NewReader(f)
-	var good int64 // offset just past the last intact frame
-	for {
-		e, n, err := readFrame(r)
-		if err != nil {
-			// io.EOF is a clean end; anything else is a torn or corrupt
-			// tail, truncated below.
-			break
-		}
-		good += n
-		switch e.Kind {
-		case entryInput:
-			if err := l.mem.AppendInput(e.Input); err != nil {
-				f.Close()
-				return nil, err
-			}
-		case entryFault:
-			if err := l.mem.AppendFault(e.Fault); err != nil {
-				f.Close()
-				return nil, err
-			}
-		case entryTrim:
-			if err := l.mem.TrimInputs(e.Source, e.Through); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
+	mem, good, size, err := scan(f)
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > good {
-		l.truncated = fi.Size() - good
+	l := &FileLog{mem: mem, f: f, path: path, off: good, gather: 1}
+	if size > good {
+		l.truncated = size - good
 		if err := f.Truncate(good); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
 		}
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: seek %s: %w", path, err)
+	if errors.Is(statErr, fs.ErrNotExist) {
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: open %s: %w", path, err)
+		}
 	}
 	return l, nil
+}
+
+// ScanFile replays the log at path into an in-memory index without
+// repairing it: the file is opened read-only, never created, truncated or
+// written. It also reports how many bytes of torn or corrupt tail follow
+// the last intact frame. Safe to run against a live engine's log.
+func ScanFile(path string) (*MemLog, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: open %s: %w", path, err)
+	}
+	defer f.Close()
+	mem, good, size, err := scan(f)
+	if err != nil {
+		return nil, 0, err
+	}
+	return mem, size - good, nil
+}
+
+// scan replays every intact frame of f into a fresh index and returns it
+// with the offset just past the last intact frame and the file's size.
+// io.EOF is a clean end; any other frame error is a torn or corrupt tail.
+func scan(f *os.File) (mem *MemLog, good, size int64, err error) {
+	mem = NewMemLog()
+	r := bufio.NewReader(f)
+	for {
+		e, n, err := readFrame(r)
+		if err != nil {
+			break
+		}
+		if err := mem.admit(&e); err != nil {
+			return nil, 0, 0, err
+		}
+		good += n
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("wal: stat %s: %w", f.Name(), err)
+	}
+	return mem, good, fi.Size(), nil
+}
+
+// admit applies one durable entry to the index.
+func (l *MemLog) admit(e *fileEntry) error {
+	switch e.Kind {
+	case entryInput:
+		return l.AppendInput(e.Input)
+	case entryFault:
+		return l.AppendFault(e.Fault)
+	default:
+		return l.TrimInputs(e.Source, e.Through)
+	}
+}
+
+// syncDir fsyncs a directory, so a file creation or rename inside it
+// survives power loss.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // TruncatedBytes reports how many bytes of torn or corrupt tail the last
@@ -429,7 +557,7 @@ var errCorruptFrame = errors.New("wal: frame CRC mismatch")
 const maxFrameSize = 64 << 20
 
 // appendEntry appends e's binary body encoding to dst.
-func appendEntry(dst []byte, e fileEntry) ([]byte, error) {
+func appendEntry(dst []byte, e *fileEntry) ([]byte, error) {
 	dst = append(dst, walMagic, walVersion, byte(e.Kind))
 	appendLenString := func(dst []byte, s string) ([]byte, error) {
 		if len(s) > 0xFFFF {
@@ -481,61 +609,37 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// writeFrame appends one length-prefixed, CRC-guarded binary frame,
-// encoding through the shared codec buffer pool.
-func writeFrame(w io.Writer, e fileEntry) error {
-	buf := msg.GetBuffer()
-	body, err := appendEntry((*buf)[:0], e)
+// appendFrame appends e's whole frame — length, CRC, body — to dst. On
+// error dst is returned unchanged in length.
+func appendFrame(dst []byte, e *fileEntry) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	out, err := appendEntry(dst, e)
 	if err != nil {
-		msg.PutBuffer(buf)
-		return err
+		return dst[:start], err
 	}
+	body := out[start+frameHeaderSize:]
 	if len(body) > maxFrameSize {
-		msg.PutBuffer(buf)
-		return fmt.Errorf("wal: frame size %d exceeds limit", len(body))
+		return out[:start], fmt.Errorf("wal: frame size %d exceeds limit", len(body))
 	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		msg.PutBuffer(buf)
-		return err
-	}
-	_, err = w.Write(body)
-	*buf = body[:0]
-	msg.PutBuffer(buf)
-	return err
+	binary.BigEndian.PutUint32(out[start:], uint32(len(body)))
+	binary.BigEndian.PutUint32(out[start+4:], crc32.Checksum(body, castagnoli))
+	return out, nil
 }
 
 // AppendInput implements Log. Disk first, index second: the record is
-// validated, durably framed, and only then admitted to the in-memory
-// index. A failed disk write therefore leaves the log exactly as it was —
-// the same sequence number can be retried (the source's retry-safety
-// contract) instead of tripping the monotonicity check against an index
-// entry the disk never got.
+// validated, durably framed by its batch's commit, and only then admitted
+// to the in-memory index. A failed commit therefore leaves the log exactly
+// as it was — the same sequence number can be retried (the source's
+// retry-safety contract) instead of tripping the monotonicity check against
+// an index entry the disk never got.
 func (l *FileLog) AppendInput(rec InputRecord) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.mem.validateInput(rec); err != nil {
-		return err
-	}
-	if err := l.appendLocked(fileEntry{Kind: entryInput, Input: rec}); err != nil {
-		return err
-	}
-	return l.mem.AppendInput(rec)
+	return l.append(&fileEntry{Kind: entryInput, Input: rec})
 }
 
 // AppendFault implements Log. Same disk-first discipline as AppendInput.
 func (l *FileLog) AppendFault(rec FaultRecord) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.mem.checkOpen(); err != nil {
-		return err
-	}
-	if err := l.appendLocked(fileEntry{Kind: entryFault, Fault: rec}); err != nil {
-		return err
-	}
-	return l.mem.AppendFault(rec)
+	return l.append(&fileEntry{Kind: entryFault, Fault: rec})
 }
 
 // Inputs implements Log.
@@ -551,168 +655,378 @@ func (l *FileLog) Faults(component string) ([]FaultRecord, error) {
 // TrimInputs implements Log. The trim is recorded as a log entry (disk
 // first, like appends); space is reclaimed only by Compact.
 func (l *FileLog) TrimInputs(source string, throughSeq uint64) error {
+	return l.append(&fileEntry{Kind: entryTrim, Source: source, Through: throughSeq})
+}
+
+// append joins e to the pending batch and returns once that batch is
+// committed (see the FileLog doc for the protocol).
+func (l *FileLog) append(e *fileEntry) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.appendLocked(fileEntry{Kind: entryTrim, Source: source, Through: throughSeq}); err != nil {
+	if l.closed {
+		return errLogClosed
+	}
+	if e.Kind == entryInput {
+		if err := l.validateInput(&e.Input); err != nil {
+			return err
+		}
+	}
+	b := l.pending
+	if b == nil {
+		b = l.newBatch()
+		l.pending = b
+	}
+	var err error
+	if b.buf, err = appendFrame(b.buf, e); err != nil {
 		return err
 	}
-	return l.mem.TrimInputs(source, throughSeq)
+	b.recs = append(b.recs, *e)
+	b.waiters++
+	for !b.committed {
+		// ours: b is still pending and no commit is in flight, so it is up
+		// to b's own appenders to commit it.
+		ours := l.inflight == nil && b == l.pending
+		switch {
+		case ours && (len(b.recs) >= l.gather || b.expired):
+			l.commit(b)
+		case ours && !b.holder:
+			l.hold(b)
+		default:
+			// Being committed, held open by another appender, or queued
+			// behind a commit whose finisher will wake one of us.
+			b.done.Wait()
+		}
+	}
+	err = b.err
+	l.release(b)
+	return err
+}
+
+// validateInput checks rec against the index and against every record
+// queued but not yet indexed, so two batches can never put a regressing
+// sequence number on disk.
+func (l *FileLog) validateInput(rec *InputRecord) error {
+	if err := l.mem.validateInput(*rec); err != nil {
+		return err
+	}
+	for _, b := range [2]*batch{l.inflight, l.pending} {
+		if b == nil {
+			continue
+		}
+		for i := range b.recs {
+			q := &b.recs[i]
+			if q.Kind == entryInput && q.Input.Source == rec.Source && rec.Seq <= q.Input.Seq {
+				return fmt.Errorf("wal: input seq %d for %q not increasing (queued %d)", rec.Seq, rec.Source, q.Input.Seq)
+			}
+		}
+	}
+	return nil
+}
+
+// hold parks the caller as b's holder until the gather budget runs out or
+// the batch is finished for it, whichever is first. Appenders arriving
+// meanwhile join b; the one that completes it commits it.
+func (l *FileLog) hold(b *batch) {
+	b.holder = true
+	b.heldAt = time.Now()
+	b.timer.Reset(l.gatherBudget())
+	l.mu.Unlock()
+	select {
+	case <-b.wake:
+	case <-b.timer.C:
+	}
+	b.timer.Stop()
+	l.mu.Lock()
+	b.expired = true
+}
+
+// gatherBudget is how long a batch may be held open for missing appenders.
+func (l *FileLog) gatherBudget() time.Duration { return time.Duration(l.syncNs / 4) }
+
+// observeSync folds one fsync's duration into the estimate the gather
+// budget derives from, which tracks the disk's usual fsync from below: it
+// follows faster samples quickly and slower ones slowly, each counting for
+// at most twice the estimate. The sibling a hold waits for returns in CPU
+// time, not disk time, so a stretch of fsyncs stuck behind a checkpoint's
+// writeback must not stretch the budget: a budget of milliseconds lets
+// independent producers that arrive milliseconds apart keep satisfying the
+// hold, and every append then waits for the next one.
+func (l *FileLog) observeSync(took time.Duration) {
+	d := int64(took)
+	switch {
+	case l.syncNs == 0:
+		l.syncNs = d
+	case d < l.syncNs:
+		l.syncNs -= (l.syncNs - d) / 4
+	default:
+		l.syncNs += (min(d, 2*l.syncNs) - l.syncNs) / 64
+	}
+}
+
+// commit writes and syncs b, which must be the pending batch with no commit
+// in flight, admits its records to the index, releases its waiters and
+// hands the log to the batch that queued behind it. Called and returns with
+// l.mu held; the disk work runs unlocked.
+func (l *FileLog) commit(b *batch) {
+	l.pending, l.inflight = nil, b
+	// A gather that ran past its budget did not pay for itself: count it as
+	// a lone commit so the hold is dropped until concurrency shows again.
+	late := b.holder && (len(b.recs) < l.gather || time.Since(b.heldAt) > l.gatherBudget())
+	obs, tear, heal := l.obs, l.shortArmed, l.dirty
+	l.shortArmed = false
+	l.mu.Unlock()
+
+	syncTook, err := l.writeBatch(b.buf, tear, heal)
+	if err == nil && obs != nil {
+		obs(batchStats(b.recs, syncTook))
+	}
+
+	l.mu.Lock()
+	switch {
+	case err == nil:
+		l.dirty = false
+		l.off += int64(len(b.buf))
+		l.observeSync(syncTook)
+		for i := range b.recs {
+			if aerr := l.mem.admit(&b.recs[i]); aerr != nil && err == nil {
+				err = aerr
+			}
+		}
+	case tear:
+		l.dirty = true
+	default:
+		// Rewind to the pre-batch offset now; if even that fails, the next
+		// commit retries it before writing.
+		l.dirty = l.f.Truncate(l.off) != nil
+	}
+	width := len(b.recs)
+	if l.pending != nil {
+		width += len(l.pending.recs)
+		// One of the queued appenders takes over from here.
+		l.pending.done.Signal()
+	}
+	if late {
+		width = 1
+	}
+	copy(l.widths[:], l.widths[1:])
+	l.widths[gatherWindow-1] = width
+	l.gather = max(1, slices.Min(l.widths[:]))
+	l.inflight = nil
+	l.finish(b, err)
+}
+
+func batchStats(recs []fileEntry, syncTook time.Duration) BatchStats {
+	st := BatchStats{Sync: syncTook}
+	for i := range recs {
+		switch recs[i].Kind {
+		case entryInput:
+			st.Inputs++
+		case entryFault:
+			st.Faults++
+		default:
+			st.Trims++
+		}
+	}
+	return st
+}
+
+// finish publishes b's outcome and releases everyone waiting on it.
+func (l *FileLog) finish(b *batch, err error) {
+	b.err, b.committed = err, true
+	b.done.Broadcast()
+	if b.holder {
+		select {
+		case b.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// writeBatch puts one batch on disk at the tracked offset: one WriteAt, one
+// Sync. With tear set it instead leaves exactly what a crash mid-write
+// would — a valid header and about half of the first frame's body, synced —
+// and fails with ErrShortWrite.
+func (l *FileLog) writeBatch(buf []byte, tear, heal bool) (syncTook time.Duration, err error) {
+	if heal {
+		if err := l.f.Truncate(l.off); err != nil {
+			return 0, fmt.Errorf("wal: heal torn frame: %w", err)
+		}
+	}
+	if tear {
+		// Best effort: the commit fails whatever these two return.
+		first := int(binary.BigEndian.Uint32(buf[:4]))
+		_, _ = l.f.WriteAt(buf[:frameHeaderSize+first/2], l.off)
+		_ = l.f.Sync()
+		return 0, fmt.Errorf("wal: append: %w", ErrShortWrite)
+	}
+	if _, err := l.f.WriteAt(buf, l.off); err != nil {
+		return 0, fmt.Errorf("wal: append: %w", err)
+	}
+	t0 := time.Now()
+	if err := l.f.Sync(); err != nil {
+		return 0, fmt.Errorf("wal: sync: %w", err)
+	}
+	return time.Since(t0), nil
+}
+
+// maxRecycledBatchBytes bounds the frame buffer a recycled batch keeps.
+const maxRecycledBatchBytes = 1 << 20
+
+func (l *FileLog) newBatch() *batch {
+	if n := len(l.free); n > 0 {
+		b := l.free[n-1]
+		l.free = l.free[:n-1]
+		return b
+	}
+	b := &batch{wake: make(chan struct{}, 1), timer: time.NewTimer(time.Hour)}
+	b.timer.Stop()
+	b.done.L = &l.mu
+	return b
+}
+
+// release drops one reference to b; the last one out resets it and returns
+// it to the free list.
+func (l *FileLog) release(b *batch) {
+	if b.waiters--; b.waiters > 0 {
+		return
+	}
+	select {
+	case <-b.wake:
+	default:
+	}
+	clear(b.recs)
+	b.recs = b.recs[:0]
+	b.buf = b.buf[:0]
+	if cap(b.buf) > maxRecycledBatchBytes {
+		b.buf = nil
+	}
+	b.err = nil
+	b.committed, b.holder, b.expired = false, false, false
+	l.free = append(l.free, b)
+}
+
+// quiesce waits, with l.mu held, until no commit is in flight.
+func (l *FileLog) quiesce() {
+	for l.inflight != nil {
+		b := l.inflight
+		b.waiters++
+		for !b.committed {
+			b.done.Wait()
+		}
+		l.release(b)
+	}
 }
 
 // Compact rewrites the log file retaining only live records, reclaiming
-// the space of trimmed inputs.
+// the space of trimmed inputs. The replacement is written and fsynced
+// beside the log, renamed over it, and the directory fsynced, so a crash
+// leaves either the old file or the new one — never the old one missing
+// later acknowledged appends. Appends wait while it runs.
 func (l *FileLog) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.quiesce()
+	if l.closed {
+		return errLogClosed
+	}
 	tmpPath := l.path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	w := bufio.NewWriter(tmp)
+	size, err := l.writeLive(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		// The handle stays valid across the rename and becomes the log's, so
+		// a failed rename leaves the old file open and in use.
+		err = os.Rename(tmpPath, l.path)
+	}
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmpPath)
+		return fmt.Errorf("wal: compact: %w", err)
+	}
+	old := l.f
+	l.f, l.off, l.dirty = tmp, size, false
+	old.Close() // superseded; nothing of it is referenced any more
+	if err := syncDir(filepath.Dir(l.path)); err != nil {
+		return fmt.Errorf("wal: compact: sync directory: %w", err)
+	}
+	return nil
+}
+
+// writeLive writes every indexed record to w — inputs by source, then
+// faults — and returns the bytes written.
+func (l *FileLog) writeLive(w io.Writer) (int64, error) {
 	l.mem.mu.Lock()
+	defer l.mem.mu.Unlock()
 	sources := make([]string, 0, len(l.mem.inputs))
 	for s := range l.mem.inputs {
 		sources = append(sources, s)
 	}
 	sort.Strings(sources)
-	var writeErr error
+	bw := bufio.NewWriter(w)
+	var size int64
+	var frame []byte
+	put := func(e *fileEntry) error {
+		var err error
+		if frame, err = appendFrame(frame[:0], e); err != nil {
+			return err
+		}
+		size += int64(len(frame))
+		_, err = bw.Write(frame)
+		return err
+	}
 	for _, s := range sources {
 		for _, rec := range l.mem.inputs[s] {
-			if err := writeFrame(w, fileEntry{Kind: entryInput, Input: rec}); err != nil {
-				writeErr = err
-				break
+			if err := put(&fileEntry{Kind: entryInput, Input: rec}); err != nil {
+				return 0, err
 			}
 		}
 	}
-	if writeErr == nil {
-		for _, f := range l.mem.faults {
-			if err := writeFrame(w, fileEntry{Kind: entryFault, Fault: f}); err != nil {
-				writeErr = err
-				break
-			}
+	for _, f := range l.mem.faults {
+		if err := put(&fileEntry{Kind: entryFault, Fault: f}); err != nil {
+			return 0, err
 		}
 	}
-	l.mem.mu.Unlock()
-	if writeErr == nil {
-		writeErr = w.Flush()
-	}
-	if writeErr != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("wal: compact: %w", writeErr)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: compact sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: compact close: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: compact swap: %w", err)
-	}
-	if err := os.Rename(tmpPath, l.path); err != nil {
-		return fmt.Errorf("wal: compact rename: %w", err)
-	}
-	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: compact reopen: %w", err)
-	}
-	l.f = f
-	return nil
+	return size, bw.Flush()
 }
 
-// Close implements Log.
+// Close implements Log. Appenders still queued get errLogClosed; a commit
+// already in flight finishes first.
 func (l *FileLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return nil
+	}
+	l.closed = true
+	if b := l.pending; b != nil {
+		l.pending = nil
+		l.finish(b, errLogClosed)
+	}
+	l.quiesce()
 	if err := l.mem.Close(); err != nil {
 		return err
 	}
 	return l.f.Close()
 }
 
-// ErrShortWrite reports an append that physically tore mid-frame (the
+// ErrShortWrite reports a commit that physically tore mid-frame (the
 // injected power-loss fault). The frame is garbage on disk; the log heals
-// it — by truncation — before the next append, and open-time truncation
+// it — by truncation — before the next write, and open-time truncation
 // discards it if the process dies first.
 var ErrShortWrite = errors.New("wal: short write (torn frame)")
 
-// ArmShortWrite makes the next append tear mid-frame: the header and a
-// partial body reach the disk, then the append fails. This simulates
-// power loss during the write itself — the one failure open-time
-// truncation exists for — while keeping the log usable for retries.
+// ArmShortWrite makes the next commit tear mid-frame: the header and a
+// partial body of its first record reach the disk, then the whole batch
+// fails. This simulates power loss during the write itself — the one
+// failure open-time truncation exists for — while keeping the log usable
+// for retries.
 func (l *FileLog) ArmShortWrite() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.shortArmed = true
-}
-
-func (l *FileLog) appendLocked(e fileEntry) error {
-	if l.healTo >= 0 {
-		if err := l.rewindTo(l.healTo); err != nil {
-			return fmt.Errorf("wal: heal torn frame: %w", err)
-		}
-		l.healTo = -1
-	}
-	fi, err := l.f.Stat()
-	if err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	pre := fi.Size()
-	if l.shortArmed {
-		l.shortArmed = false
-		l.tearFrame(e)
-		l.healTo = pre
-		return fmt.Errorf("wal: append: %w", ErrShortWrite)
-	}
-	if err := writeFrame(l.f, e); err != nil {
-		l.recoverTo(pre)
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		l.recoverTo(pre)
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	return nil
-}
-
-// tearFrame writes a deliberately truncated copy of e's frame — valid
-// header, roughly half the body — and syncs it, leaving exactly the
-// on-disk state a crash mid-write would.
-func (l *FileLog) tearFrame(e fileEntry) {
-	buf := msg.GetBuffer()
-	body, err := appendEntry((*buf)[:0], e)
-	if err != nil {
-		msg.PutBuffer(buf)
-		return
-	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
-	_, _ = l.f.Write(hdr[:])
-	_, _ = l.f.Write(body[:len(body)/2])
-	_ = l.f.Sync()
-	*buf = body[:0]
-	msg.PutBuffer(buf)
-}
-
-// recoverTo undoes a failed append immediately; if even the truncate
-// fails, the torn offset is remembered so the next append heals first.
-func (l *FileLog) recoverTo(pre int64) {
-	if err := l.rewindTo(pre); err != nil {
-		l.healTo = pre
-	}
-}
-
-// rewindTo truncates the file to off and repositions the write cursor.
-func (l *FileLog) rewindTo(off int64) error {
-	if err := l.f.Truncate(off); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	return nil
 }

@@ -114,6 +114,8 @@ func TestMetricsExpositionAudit(t *testing.T) {
 		"tart_coldstart_replayed_records",
 		"tart_ckpt_store_writes_total", "tart_ckpt_store_fsyncs_total",
 		"tart_source_shed_total",
+		"tart_wal_records_total", "tart_wal_fsyncs_total",
+		"tart_wal_fsync_seconds", "tart_wal_batch_records",
 	} {
 		if !audited[want] {
 			t.Errorf("family %s missing from /metrics exposition", want)
