@@ -208,7 +208,7 @@ func (e *Engine) afterCheckpoint(ck *checkpoint.Checkpoint) {
 			}
 			w := e.tp.Wire(wid)
 			if e.tp.EngineOf(w.From) == e.name {
-				e.buffers.trimReplies(wid, cs.Sched.NextCall)
+				e.buffers.trim(wid, cs.Sched.NextCall)
 			} else {
 				acks = append(acks, ackTarget{
 					engine: e.tp.EngineOf(w.From),

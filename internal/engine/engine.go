@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -202,8 +204,11 @@ type Engine struct {
 	comps   map[string]*hosted
 	byID    map[topo.ComponentID]*hosted
 	sources map[string]*Source
+	// sinks maps sink wires to their consumer callbacks, published
+	// copy-on-write (registrations serialize on sinksMu) so forward reads it
+	// without a lock on every output.
 	sinksMu sync.Mutex
-	sinks   map[msg.WireID]func(env msg.Envelope)
+	sinks   atomic.Pointer[map[msg.WireID]func(env msg.Envelope)]
 	buffers *bufferSet
 	peers   *peerSet
 	log     wal.Log
@@ -294,7 +299,6 @@ func New(cfg Config) (*Engine, error) {
 		comps:   make(map[string]*hosted),
 		byID:    make(map[topo.ComponentID]*hosted),
 		sources: make(map[string]*Source),
-		sinks:   make(map[msg.WireID]func(msg.Envelope)),
 		log:     cfg.Log,
 		metrics: cfg.Metrics,
 		rec:     cfg.Metrics.Recorder(),
@@ -383,16 +387,6 @@ func (e *Engine) host(comp *topo.Component, spec ComponentSpec) error {
 	h.sch = sc
 	e.comps[comp.Name] = h
 	e.byID[comp.ID] = h
-	// Register replay buffers for every outgoing message wire.
-	for _, w := range e.tp.Wires() {
-		if w.From != comp.ID {
-			continue
-		}
-		switch w.Kind {
-		case topo.WireSend, topo.WireCallRequest, topo.WireCallReply:
-			e.buffers.register(w.ID)
-		}
-	}
 	return nil
 }
 
@@ -517,7 +511,12 @@ func (e *Engine) Sink(name string, fn func(env msg.Envelope)) error {
 	}
 	e.sinksMu.Lock()
 	defer e.sinksMu.Unlock()
-	e.sinks[w.ID] = fn
+	next := map[msg.WireID]func(msg.Envelope){w.ID: fn}
+	if old := e.sinks.Load(); old != nil {
+		next = maps.Clone(*old)
+		next[w.ID] = fn
+	}
+	e.sinks.Store(&next)
 	return nil
 }
 

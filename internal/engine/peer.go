@@ -2,8 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/msg"
@@ -20,14 +22,22 @@ import (
 type peerSet struct {
 	e *Engine
 
-	mu        sync.Mutex
-	conns     map[string]transport.Conn
-	needed    map[string]bool
-	lastHeard map[string]time.Time
-	gens      map[string]uint64 // highest handshake generation seen per peer
-	listener  transport.Listener
-	stopped   bool
-	wg        sync.WaitGroup
+	// conns is the live connection per peer, published copy-on-write so
+	// send reads it without a lock on every outbound envelope; writers hold
+	// mu and swap in a modified clone.
+	conns atomic.Pointer[map[string]transport.Conn]
+	// needed maps each peer this engine shares wires with (fixed at
+	// construction) to the time a frame was last received from it, as
+	// nanoseconds since born (0: never) — a plain atomic store per inbound
+	// envelope.
+	needed map[string]*atomic.Int64
+	born   time.Time
+
+	mu       sync.Mutex
+	gens     map[string]uint64 // highest handshake generation seen per peer
+	listener transport.Listener
+	stopped  bool
+	wg       sync.WaitGroup
 
 	// Silence-promise coalescing: promises bound for peers park here for
 	// one flush window, keeping only the newest watermark per wire (the
@@ -54,11 +64,25 @@ func newPeerSet(e *Engine) *peerSet {
 	for peer, g := range e.cfg.PeerGens {
 		gens[peer] = g
 	}
+	needed := make(map[string]*atomic.Int64)
+	for _, w := range e.tp.Wires() {
+		if w.From == topo.External || w.To == topo.External {
+			continue
+		}
+		fromEng, toEng := e.tp.EngineOf(w.From), e.tp.EngineOf(w.To)
+		if fromEng != e.name && toEng != e.name {
+			continue
+		}
+		for _, peer := range [2]string{fromEng, toEng} {
+			if peer != e.name && needed[peer] == nil {
+				needed[peer] = new(atomic.Int64)
+			}
+		}
+	}
 	return &peerSet{
 		e:          e,
-		conns:      make(map[string]transport.Conn),
-		needed:     make(map[string]bool),
-		lastHeard:  make(map[string]time.Time),
+		needed:     needed,
+		born:       time.Now(),
 		gens:       gens,
 		silPending: make(map[string]map[msg.WireID]pendingSilence),
 		silCoalesced: e.metrics.Registry().Counter(trace.MetricSilenceCoalesce,
@@ -93,22 +117,9 @@ func (p *peerSet) admit(peer string, gen uint64) bool {
 	return true
 }
 
-// start computes the peer set from the topology and brings up the listener
-// and dialer loops.
+// start brings up the listener and dialer loops.
 func (p *peerSet) start() error {
 	e := p.e
-	for _, w := range e.tp.Wires() {
-		if w.From == topo.External || w.To == topo.External {
-			continue
-		}
-		fromEng, toEng := e.tp.EngineOf(w.From), e.tp.EngineOf(w.To)
-		if fromEng == e.name && toEng != e.name {
-			p.needed[toEng] = true
-		}
-		if toEng == e.name && fromEng != e.name {
-			p.needed[fromEng] = true
-		}
-	}
 	if len(p.needed) == 0 {
 		return nil
 	}
@@ -154,11 +165,8 @@ func (p *peerSet) stop() {
 	if p.listener != nil {
 		p.listener.Close()
 	}
-	conns := make([]transport.Conn, 0, len(p.conns))
-	for _, c := range p.conns {
-		conns = append(conns, c)
-	}
-	p.conns = make(map[string]transport.Conn)
+	conns := p.connTable()
+	p.conns.Store(nil)
 	p.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
@@ -166,12 +174,34 @@ func (p *peerSet) stop() {
 	p.wg.Wait()
 }
 
+// connTable returns the published connection table; it must not be
+// modified.
+func (p *peerSet) connTable() map[string]transport.Conn {
+	if m := p.conns.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// setConnLocked publishes a connection table with peer bound to c, or
+// unbound when c is nil. The caller holds p.mu.
+func (p *peerSet) setConnLocked(peer string, c transport.Conn) {
+	next := maps.Clone(p.connTable())
+	if next == nil {
+		next = make(map[string]transport.Conn, 1)
+	}
+	if c != nil {
+		next[peer] = c
+	} else {
+		delete(next, peer)
+	}
+	p.conns.Store(&next)
+}
+
 // send transmits an envelope to a named peer engine, dropping it if the
 // link is down (replay buffers and retry loops provide recovery).
 func (p *peerSet) send(peer string, env msg.Envelope) {
-	p.mu.Lock()
-	c := p.conns[peer]
-	p.mu.Unlock()
+	c := p.connTable()[peer]
 	if c == nil {
 		return
 	}
@@ -259,19 +289,9 @@ func (p *peerSet) flushSilence() {
 
 // heartbeat sends a hello on every live connection.
 func (p *peerSet) heartbeat() {
-	p.mu.Lock()
-	type pc struct {
-		name string
-		c    transport.Conn
-	}
-	var conns []pc
-	for name, c := range p.conns {
-		conns = append(conns, pc{name: name, c: c})
-	}
-	p.mu.Unlock()
-	for _, x := range conns {
-		if err := x.c.Send(p.hello()); err != nil {
-			p.dropConn(x.name, x.c)
+	for peer, c := range p.connTable() {
+		if err := c.Send(p.hello()); err != nil {
+			p.dropConn(peer, c)
 		}
 	}
 }
@@ -412,10 +432,10 @@ func (p *peerSet) register(peer string, conn transport.Conn) transport.Conn {
 		conn.Close()
 		return conn
 	}
-	if old, ok := p.conns[peer]; ok && old != conn {
+	if old, ok := p.connTable()[peer]; ok && old != conn {
 		old.Close()
 	}
-	p.conns[peer] = conn
+	p.setConnLocked(peer, conn)
 	p.mu.Unlock()
 	p.e.rec.Record(trace.Event{Kind: trace.EvPeerUp, VT: vt.Never, Wire: -1, Note: "peer " + peer})
 	p.e.onPeerConnected(peer)
@@ -439,15 +459,14 @@ func (e *Engine) observePeer(peer string, conn transport.Conn) transport.Conn {
 }
 
 func (p *peerSet) readLoop(peer string, conn transport.Conn) {
+	heard := p.needed[peer]
 	for {
 		env, err := conn.Recv()
 		if err != nil {
 			p.dropConn(peer, conn)
 			return
 		}
-		p.mu.Lock()
-		p.lastHeard[peer] = time.Now()
-		p.mu.Unlock()
+		heard.Store(int64(time.Since(p.born)))
 		if env.Kind == msg.KindHello {
 			continue
 		}
@@ -458,9 +477,9 @@ func (p *peerSet) readLoop(peer string, conn transport.Conn) {
 func (p *peerSet) dropConn(peer string, conn transport.Conn) {
 	conn.Close()
 	p.mu.Lock()
-	active := p.conns[peer] == conn
+	active := p.connTable()[peer] == conn
 	if active {
-		delete(p.conns, peer)
+		p.setConnLocked(peer, nil)
 	}
 	p.mu.Unlock()
 	if active {
@@ -469,9 +488,7 @@ func (p *peerSet) dropConn(peer string, conn transport.Conn) {
 }
 
 func (p *peerSet) neededPeer(name string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.needed[name]
+	return p.needed[name] != nil
 }
 
 func (p *peerSet) isStopped() bool {
@@ -482,15 +499,14 @@ func (p *peerSet) isStopped() bool {
 
 // health summarizes per-peer connectivity.
 func (p *peerSet) health() map[string]PeerHealth {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	conns := p.connTable()
 	out := make(map[string]PeerHealth, len(p.needed))
-	for peer := range p.needed {
-		_, connected := p.conns[peer]
-		out[peer] = PeerHealth{
-			Connected: connected,
-			LastHeard: p.lastHeard[peer],
+	for peer, heard := range p.needed {
+		ph := PeerHealth{Connected: conns[peer] != nil}
+		if since := heard.Load(); since != 0 {
+			ph.LastHeard = p.born.Add(time.Duration(since))
 		}
+		out[peer] = ph
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -17,14 +18,16 @@ import (
 //
 // Forward traffic (data, silence, calls, replies) goes to the wire's
 // receiver; backward traffic (probes, replay requests, acks) goes to the
-// wire's sender. Data-bearing envelopes on component output wires are
+// wire's sender. Data-bearing envelopes on wires between components are
 // appended to the wire's replay buffer before delivery, so replays and
 // reconnects can re-send them.
 func (e *Engine) Route(env msg.Envelope) {
 	w := e.tp.Wire(env.Wire)
 	switch env.Kind {
 	case msg.KindData, msg.KindCallRequest:
-		e.buffers.append(env)
+		if w.To != topo.External {
+			e.buffers.append(env)
+		}
 		e.forward(w, env)
 	case msg.KindCallReply:
 		e.buffers.appendReply(env)
@@ -42,11 +45,10 @@ func (e *Engine) Route(env msg.Envelope) {
 func (e *Engine) forward(w *topo.Wire, env msg.Envelope) {
 	if w.To == topo.External {
 		if w.Kind == topo.WireSink && env.IsMessage() {
-			e.sinksMu.Lock()
-			fn := e.sinks[w.ID]
-			e.sinksMu.Unlock()
-			if fn != nil {
-				fn(env)
+			if sinks := e.sinks.Load(); sinks != nil {
+				if fn := (*sinks)[w.ID]; fn != nil {
+					fn(env)
+				}
 			}
 		}
 		return
@@ -145,11 +147,6 @@ func (e *Engine) noteReplayRequest(wid msg.WireID, fromSeq uint64) {
 // handleAck trims a wire's replay buffer after the receiver durably
 // checkpointed delivery (stability acknowledgement).
 func (e *Engine) handleAck(ack msg.Envelope) {
-	w := e.tp.Wire(ack.Wire)
-	if w.Kind == topo.WireCallReply {
-		e.buffers.trimReplies(ack.Wire, ack.Seq)
-		return
-	}
 	e.buffers.trim(ack.Wire, ack.Seq)
 }
 
@@ -213,60 +210,131 @@ func (e *Engine) sortedHosted() []*hosted {
 	return out
 }
 
-// bufferSet holds per-wire replay buffers: data/call envelopes indexed by
-// sequence number, call replies indexed by call ID. Buffers are trimmed by
+// bufferSet holds per-wire replay buffers: data/call envelopes ordered by
+// sequence number, call replies ordered by call ID. Buffers are trimmed by
 // stability acks and are included in checkpoints so a restored engine can
 // still serve replay requests for pre-crash sends.
+//
+// Wires whose receiver is the external world (sinks) have no buffer:
+// nothing can request a replay on them and no ack would ever trim one, so
+// Route never appends them and restore drops them from older checkpoints.
 type bufferSet struct {
-	mu      sync.Mutex
-	data    map[msg.WireID][]msg.Envelope // ordered by Seq
-	replies map[msg.WireID][]msg.Envelope // ordered by CallID
+	mu    sync.Mutex
+	wires map[msg.WireID]*wireBuf
+	n     int // envelopes buffered across all wires
+}
+
+// chunkLen is the number of envelopes per replay-buffer chunk (a power of
+// two; a chunk is ~26 KB, inside the allocator's small size classes).
+const chunkLen = 256
+
+// wireBuf is one wire's replay buffer: a deque of fixed-size chunks ordered
+// by key. Appending never moves or clears what is already buffered, and
+// trimming drops whole chunks and advances head instead of copying the
+// survivors.
+type wireBuf struct {
+	chunks []*[chunkLen]msg.Envelope
+	head   int  // offset of the oldest envelope within chunks[0]
+	n      int  // buffered envelopes
+	byCall bool // a call-reply wire: keyed by CallID rather than Seq
+}
+
+func (wb *wireBuf) at(i int) *msg.Envelope {
+	i += wb.head
+	return &wb.chunks[i/chunkLen][i%chunkLen]
+}
+
+func (wb *wireBuf) key(env *msg.Envelope) uint64 {
+	if wb.byCall {
+		return env.CallID
+	}
+	return env.Seq
+}
+
+// push appends env unless its key does not advance the buffer: a component
+// re-executing after a restore regenerates sends that are already buffered.
+func (wb *wireBuf) push(env msg.Envelope) bool {
+	if wb.n > 0 && wb.key(&env) <= wb.key(wb.at(wb.n-1)) {
+		return false
+	}
+	if wb.head+wb.n == len(wb.chunks)*chunkLen {
+		wb.chunks = append(wb.chunks, new([chunkLen]msg.Envelope))
+	}
+	wb.n++
+	*wb.at(wb.n - 1) = env
+	return true
+}
+
+// search returns the index of the first envelope whose key satisfies pred,
+// which must be monotone in the key.
+func (wb *wireBuf) search(pred func(key uint64) bool) int {
+	return sort.Search(wb.n, func(i int) bool { return pred(wb.key(wb.at(i))) })
+}
+
+// dropFront discards the oldest k <= n envelopes.
+func (wb *wireBuf) dropFront(k int) {
+	head := wb.head + k
+	whole := head / chunkLen // chunks entirely behind the new head
+	if whole < len(wb.chunks) {
+		// Release the payloads trimmed out of the chunk that stays in front.
+		from := 0
+		if whole == 0 {
+			from = wb.head
+		}
+		clear(wb.chunks[whole][from : head%chunkLen])
+	}
+	rest := copy(wb.chunks, wb.chunks[whole:])
+	clear(wb.chunks[rest:])
+	wb.chunks = wb.chunks[:rest]
+	wb.head = head % chunkLen
+	wb.n -= k
+}
+
+// appendTo appends the buffered envelopes from index i on to dst.
+func (wb *wireBuf) appendTo(dst []msg.Envelope, i int) []msg.Envelope {
+	for i < wb.n {
+		at := wb.head + i
+		c := wb.chunks[at/chunkLen][at%chunkLen:]
+		if len(c) > wb.n-i {
+			c = c[:wb.n-i]
+		}
+		dst = append(dst, c...)
+		i += len(c)
+	}
+	return dst
 }
 
 func newBufferSet() *bufferSet {
-	return &bufferSet{
-		data:    make(map[msg.WireID][]msg.Envelope),
-		replies: make(map[msg.WireID][]msg.Envelope),
+	return &bufferSet{wires: make(map[msg.WireID]*wireBuf)}
+}
+
+func (b *bufferSet) push(env msg.Envelope, byCall bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	wb := b.wires[env.Wire]
+	if wb == nil {
+		wb = &wireBuf{byCall: byCall}
+		b.wires[env.Wire] = wb
+	}
+	if wb.push(env) {
+		b.n++
 	}
 }
 
-func (b *bufferSet) register(w msg.WireID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.data[w]; !ok {
-		b.data[w] = nil
-	}
-}
+func (b *bufferSet) append(env msg.Envelope) { b.push(env, false) }
 
-func (b *bufferSet) append(env msg.Envelope) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	buf := b.data[env.Wire]
-	if n := len(buf); n > 0 && env.Seq <= buf[n-1].Seq {
-		return // regenerated duplicate after restore; already buffered
-	}
-	b.data[env.Wire] = append(buf, env)
-}
-
-func (b *bufferSet) appendReply(env msg.Envelope) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	buf := b.replies[env.Wire]
-	if n := len(buf); n > 0 && env.CallID <= buf[n-1].CallID {
-		return
-	}
-	b.replies[env.Wire] = append(buf, env)
-}
+func (b *bufferSet) appendReply(env msg.Envelope) { b.push(env, true) }
 
 // from returns buffered envelopes of the wire with Seq >= fromSeq.
 func (b *bufferSet) from(w msg.WireID, fromSeq uint64) []msg.Envelope {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	buf := b.data[w]
-	i := sort.Search(len(buf), func(i int) bool { return buf[i].Seq >= fromSeq })
-	out := make([]msg.Envelope, len(buf)-i)
-	copy(out, buf[i:])
-	return out
+	wb := b.wires[w]
+	if wb == nil {
+		return nil
+	}
+	i := wb.search(func(seq uint64) bool { return seq >= fromSeq })
+	return wb.appendTo(make([]msg.Envelope, 0, wb.n-i), i)
 }
 
 // unacked returns every buffered envelope of every wire (for full resend on
@@ -274,23 +342,14 @@ func (b *bufferSet) from(w msg.WireID, fromSeq uint64) []msg.Envelope {
 func (b *bufferSet) unacked() []msg.Envelope {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var wires []msg.WireID
-	for w := range b.data {
+	wires := make([]msg.WireID, 0, len(b.wires))
+	for w := range b.wires {
 		wires = append(wires, w)
 	}
-	for w := range b.replies {
-		wires = append(wires, w)
-	}
-	sort.Slice(wires, func(i, j int) bool { return wires[i] < wires[j] })
-	var out []msg.Envelope
-	seen := make(map[msg.WireID]bool)
+	slices.Sort(wires)
+	out := make([]msg.Envelope, 0, b.n)
 	for _, w := range wires {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		out = append(out, b.data[w]...)
-		out = append(out, b.replies[w]...)
+		out = b.wires[w].appendTo(out, 0)
 	}
 	return out
 }
@@ -298,19 +357,28 @@ func (b *bufferSet) unacked() []msg.Envelope {
 func (b *bufferSet) replyByCallID(w msg.WireID, callID uint64) (msg.Envelope, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	buf := b.replies[w]
-	i := sort.Search(len(buf), func(i int) bool { return buf[i].CallID >= callID })
-	if i < len(buf) && buf[i].CallID == callID {
-		return buf[i], true
+	wb := b.wires[w]
+	if wb == nil || !wb.byCall {
+		return msg.Envelope{}, false
+	}
+	if i := wb.search(func(id uint64) bool { return id >= callID }); i < wb.n && wb.at(i).CallID == callID {
+		return *wb.at(i), true
 	}
 	return msg.Envelope{}, false
 }
 
-// count returns the number of buffered envelopes (data + replies) on a wire.
+// count returns the number of buffered envelopes on a wire.
 func (b *bufferSet) count(w msg.WireID) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.data[w]) + len(b.replies[w])
+	return b.countLocked(w)
+}
+
+func (b *bufferSet) countLocked(w msg.WireID) int {
+	if wb := b.wires[w]; wb != nil {
+		return wb.n
+	}
+	return 0
 }
 
 // total returns the number of buffered envelopes across all wires — the
@@ -318,45 +386,31 @@ func (b *bufferSet) count(w msg.WireID) int {
 func (b *bufferSet) total() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := 0
-	for _, buf := range b.data {
-		n += len(buf)
-	}
-	for _, buf := range b.replies {
-		n += len(buf)
-	}
-	return n
+	return b.n
 }
 
-func (b *bufferSet) trim(w msg.WireID, throughSeq uint64) {
+// trim discards the wire's envelopes with key (Seq, or CallID on a
+// call-reply wire) <= through.
+func (b *bufferSet) trim(w msg.WireID, through uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	buf := b.data[w]
-	i := sort.Search(len(buf), func(i int) bool { return buf[i].Seq > throughSeq })
-	b.data[w] = append([]msg.Envelope(nil), buf[i:]...)
-}
-
-func (b *bufferSet) trimReplies(w msg.WireID, throughCallID uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	buf := b.replies[w]
-	i := sort.Search(len(buf), func(i int) bool { return buf[i].CallID > throughCallID })
-	b.replies[w] = append([]msg.Envelope(nil), buf[i:]...)
+	wb := b.wires[w]
+	if wb == nil {
+		return
+	}
+	k := wb.search(func(key uint64) bool { return key > through })
+	b.n -= k
+	wb.dropFront(k)
 }
 
 // snapshot captures all buffers for inclusion in a checkpoint.
 func (b *bufferSet) snapshot() map[msg.WireID][]msg.Envelope {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make(map[msg.WireID][]msg.Envelope, len(b.data)+len(b.replies))
-	for w, buf := range b.data {
-		if len(buf) > 0 {
-			out[w] = append([]msg.Envelope(nil), buf...)
-		}
-	}
-	for w, buf := range b.replies {
-		if len(buf) > 0 {
-			out[w] = append([]msg.Envelope(nil), buf...)
+	out := make(map[msg.WireID][]msg.Envelope, len(b.wires))
+	for w, wb := range b.wires {
+		if wb.n > 0 {
+			out[w] = wb.appendTo(make([]msg.Envelope, 0, wb.n), 0)
 		}
 	}
 	return out
@@ -367,14 +421,14 @@ func (b *bufferSet) restore(tp *topo.Topology, bufs map[msg.WireID][]msg.Envelop
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for w, buf := range bufs {
-		if int(w) < 0 || int(w) >= len(tp.Wires()) {
+		if int(w) < 0 || int(w) >= len(tp.Wires()) || tp.Wire(w).To == topo.External {
 			continue
 		}
-		cp := append([]msg.Envelope(nil), buf...)
-		if tp.Wire(w).Kind == topo.WireCallReply {
-			b.replies[w] = cp
-		} else {
-			b.data[w] = cp
+		wb := &wireBuf{byCall: tp.Wire(w).Kind == topo.WireCallReply}
+		for _, env := range buf {
+			wb.push(env)
 		}
+		b.n += wb.n - b.countLocked(w)
+		b.wires[w] = wb
 	}
 }

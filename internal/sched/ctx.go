@@ -15,7 +15,10 @@ import (
 // randomness, and the output operations (one-way Send, two-way Call).
 //
 // A Ctx is valid only for the duration of the OnMessage invocation it was
-// created for and must not be retained or shared across goroutines.
+// passed to and must not be retained or shared across goroutines. The
+// scheduler enforces this by reuse: it owns a single Ctx and resets it for
+// every delivery, so a retained pointer observes the next message's time
+// and provenance, never its own.
 type Ctx struct {
 	s *Scheduler
 	// dequeue is the virtual time at which the message was dequeued.

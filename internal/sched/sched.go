@@ -22,6 +22,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -154,6 +155,9 @@ type Scheduler struct {
 	quietWaiters     int
 	byPort           map[string]*outWire
 	outputs          map[msg.WireID]*outWire
+	silenceWires     []msg.WireID      // Comp.Outputs' wires (never reply wires), ascending; fixed at New
+	promises         []silence.Promise // scratch the governor appends into
+	ctx              Ctx               // the one handler context, reset per delivery
 	gov              *silence.Governor
 	rng              *stats.RNG
 	waiters          map[uint64]chan msg.Envelope
@@ -259,7 +263,9 @@ func New(cfg Config) (*Scheduler, error) {
 		ow := &outWire{w: w, lastSentVT: vt.Never, m: reg.OutWire(cfg.Comp.Name, WireName(cfg.Topo, w))}
 		s.byPort[port] = ow
 		s.outputs[wid] = ow
+		s.silenceWires = append(s.silenceWires, wid)
 	}
+	slices.Sort(s.silenceWires)
 	if s.rec != nil {
 		name := cfg.Comp.Name
 		s.gov.SetTrace(func(event string, w msg.WireID, target vt.Time) {

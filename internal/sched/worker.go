@@ -25,8 +25,10 @@ func (s *Scheduler) loop() {
 	defer close(s.done)
 	timer := time.NewTimer(s.cfg.ProbeRetry)
 	defer timer.Stop()
+	var control []msg.Envelope // reused across steps; control envelopes carry no payload
 	for {
-		delivered, control := s.step()
+		var delivered bool
+		delivered, control = s.step(control[:0])
 		for _, env := range control {
 			s.cfg.Router.Route(env)
 		}
@@ -63,14 +65,15 @@ func (s *Scheduler) loop() {
 
 // step drains a batch of deliverable messages. It returns whether any
 // message was handled and any control envelopes (curiosity probes, silence
-// promises triggered by frontier advances) to send.
+// promises triggered by frontier advances) to send, appended to control.
 //
 // The lock is held across the per-delivery bookkeeping and the next
 // candidate selection — with the heap index both are O(log W) — and
 // released only around the handler itself, so draining an already-
 // deliverable run costs one lock round-trip per handler instead of the old
 // full frontier rescan.
-func (s *Scheduler) step() (delivered bool, control []msg.Envelope) {
+func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
+	delivered := false
 	n := 0
 	s.mu.Lock()
 	for {
@@ -81,10 +84,7 @@ func (s *Scheduler) step() (delivered bool, control []msg.Envelope) {
 		s.applyDueSilenceLocked()
 		if s.advanceFrontierLocked() {
 			s.applyDueSilenceLocked()
-			for _, p := range s.gov.OnAdvance(s.viewsLocked()) {
-				s.noteSilence(s.outputs[p.Wire], p.Through)
-				control = append(control, msg.NewSilenceAfter(p.Wire, p.Through, s.outputs[p.Wire].seq))
-			}
+			control = s.promiseLocked(control)
 			// End of stream: when every input has promised silence forever,
 			// the component will never send again. Flush a final promise on
 			// every output wire regardless of strategy — even Lazy — so
@@ -92,10 +92,8 @@ func (s *Scheduler) step() (delivered bool, control []msg.Envelope) {
 			// to carry the silence implicitly).
 			if s.clock == vt.Max && !s.finalSilenceSent {
 				s.finalSilenceSent = true
-				for id, ow := range s.outputs {
-					if ow.w.Kind == topo.WireCallReply {
-						continue
-					}
+				for _, id := range s.silenceWires {
+					ow := s.outputs[id]
 					s.gov.NoteData(id, vt.Max)
 					s.noteSilence(ow, vt.Max)
 					control = append(control, msg.NewSilenceAfter(id, vt.Max, ow.seq))
@@ -247,7 +245,8 @@ func (s *Scheduler) step() (delivered bool, control []msg.Envelope) {
 
 		// Run the handler without holding the lock: it may Send (which locks
 		// briefly) and Call (which blocks awaiting a reply).
-		ctx := &Ctx{s: s, dequeue: d, handlerVT: d.Add(cost), origin: q.env.Origin, hops: q.env.Hops, trace: q.env.Trace}
+		ctx := &s.ctx
+		*ctx = Ctx{s: s, dequeue: d, handlerVT: d.Add(cost), origin: q.env.Origin, hops: q.env.Hops, trace: q.env.Trace}
 		start := time.Now()
 		reply, err := s.cfg.Handler.OnMessage(ctx, port, q.env.Payload)
 		elapsed := time.Since(start)
@@ -274,10 +273,7 @@ func (s *Scheduler) step() (delivered bool, control []msg.Envelope) {
 		if s.quietWaiters > 0 {
 			s.quiet.Broadcast()
 		}
-		for _, p := range s.gov.OnAdvance(s.viewsLocked()) {
-			s.noteSilence(s.outputs[p.Wire], p.Through)
-			control = append(control, msg.NewSilenceAfter(p.Wire, p.Through, s.outputs[p.Wire].seq))
-		}
+		control = s.promiseLocked(control)
 		delivered = true
 		n++
 
@@ -409,18 +405,31 @@ func (s *Scheduler) blockersScanLocked(t vt.Time, w msg.WireID) []msg.WireID {
 	return out
 }
 
-// viewsLocked builds the governor's view of every output wire. Call-reply
-// wires are excluded: receivers never merge on them (exactly one reply per
-// call), so silence promises there would be useless traffic.
-func (s *Scheduler) viewsLocked() map[msg.WireID]silence.View {
-	views := make(map[msg.WireID]silence.View, len(s.outputs))
-	for id, ow := range s.outputs {
-		if ow.w.Kind == topo.WireCallReply {
-			continue
-		}
-		views[id] = s.viewLocked(ow)
+// promiseLocked asks the governor which silence promises the clock's new
+// position is worth, accounts them, and appends their envelopes to control.
+func (s *Scheduler) promiseLocked(control []msg.Envelope) []msg.Envelope {
+	s.promises = s.gov.Advance((*outViews)(s), s.silenceWires, s.promises[:0])
+	for _, p := range s.promises {
+		ow := s.outputs[p.Wire]
+		s.noteSilence(ow, p.Through)
+		control = append(control, msg.NewSilenceAfter(p.Wire, p.Through, ow.seq))
 	}
-	return views
+	return control
+}
+
+// outViews is the scheduler as the governor's silence.ViewSource. Call-reply
+// wires have no view: receivers never merge on them (exactly one reply per
+// call), so silence promises there would be useless traffic. The scheduler
+// lock must be held.
+type outViews Scheduler
+
+func (v *outViews) View(w msg.WireID) (silence.View, bool) {
+	s := (*Scheduler)(v)
+	ow, ok := s.outputs[w]
+	if !ok || ow.w.Kind == topo.WireCallReply {
+		return silence.View{}, false
+	}
+	return s.viewLocked(ow), true
 }
 
 // sendReply emits the reply to a two-way call. The reply's virtual time is

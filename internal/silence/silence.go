@@ -26,8 +26,10 @@
 package silence
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/vt"
@@ -133,11 +135,37 @@ type Promise struct {
 // Governor is not safe for concurrent use; the owning scheduler serializes
 // access.
 type Governor struct {
-	cfg       Config
-	promised  map[msg.WireID]vt.Time // highest promise sent per wire
-	curiosity map[msg.WireID]vt.Time // standing probe targets
-	floor     vt.Time                // hyper: future outputs must be > floor
+	cfg      Config
+	promised map[msg.WireID]vt.Time // highest promise sent per wire
+	// curiosity holds the standing probe targets in ascending wire order. It
+	// is almost always empty and never longer than the component's output
+	// fan-out, so a sorted slice beats a map: Advance walks it in promise
+	// order without collecting and sorting keys.
+	curiosity []standing
+	floor     vt.Time // hyper: future outputs must be > floor
 	trace     TraceFunc
+}
+
+// standing is one outstanding curiosity target.
+type standing struct {
+	wire   msg.WireID
+	target vt.Time
+}
+
+// ViewSource supplies the current View of one output wire on demand, and
+// whether the wire takes silence promises at all. The governor pulls a
+// view only for a wire it is about to promise on, so a clock advance with
+// nothing to promise costs the owner nothing.
+type ViewSource interface {
+	View(w msg.WireID) (View, bool)
+}
+
+// mapViews adapts a prebuilt view table to ViewSource.
+type mapViews map[msg.WireID]View
+
+func (m mapViews) View(w msg.WireID) (View, bool) {
+	v, ok := m[w]
+	return v, ok
 }
 
 // TraceFunc observes governor lifecycle events for flight recording. It is
@@ -164,10 +192,9 @@ func (g *Governor) traceEvent(event string, w msg.WireID, target vt.Time) {
 // NewGovernor creates a governor for a component's output wires.
 func NewGovernor(cfg Config) *Governor {
 	return &Governor{
-		cfg:       cfg.withDefaults(),
-		promised:  make(map[msg.WireID]vt.Time),
-		curiosity: make(map[msg.WireID]vt.Time),
-		floor:     vt.Never,
+		cfg:      cfg.withDefaults(),
+		promised: make(map[msg.WireID]vt.Time),
+		floor:    vt.Never,
 	}
 }
 
@@ -223,8 +250,13 @@ func (g *Governor) ApplyFault(cfg Config) {
 func (g *Governor) OnProbe(w msg.WireID, target vt.Time, view View) *Promise {
 	p := g.promiseFor(view)
 	if p < target {
-		if cur, ok := g.curiosity[w]; !ok || target > cur {
-			g.curiosity[w] = target
+		i, ok := g.findCuriosity(w)
+		switch {
+		case !ok:
+			g.curiosity = slices.Insert(g.curiosity, i, standing{wire: w, target: target})
+			g.traceEvent(TraceStandingCuriosity, w, target)
+		case target > g.curiosity[i].target:
+			g.curiosity[i].target = target
 			g.traceEvent(TraceStandingCuriosity, w, target)
 		}
 	}
@@ -234,44 +266,44 @@ func (g *Governor) OnProbe(w msg.WireID, target vt.Time, view View) *Promise {
 	return &Promise{Wire: w, Through: g.promised[w]}
 }
 
-// OnAdvance is called after the component's clock advances (it finished
-// processing a message, went idle, or sent data). views supplies the
-// current View per output wire. It returns the promises the strategy wants
-// pushed now.
+// Advance is called after the component's clock advances (it finished
+// processing a message, went idle, or sent data). src supplies the current
+// View of an output wire; wires lists, in ascending order, the wires src
+// has views for. The promises the strategy wants pushed now are appended
+// to out, in ascending wire order.
 //
 // Data messages themselves count as promises (a data message at VT t
 // implies silence through t); the scheduler reports them via NoteData so
 // the governor doesn't redundantly re-promise.
-func (g *Governor) OnAdvance(views map[msg.WireID]View) []Promise {
-	var out []Promise
+func (g *Governor) Advance(src ViewSource, wires []msg.WireID, out []Promise) []Promise {
 	switch g.cfg.Strategy {
-	case Lazy:
-		return nil
 	case Curiosity:
-		// Answer only standing curiosity targets.
-		for _, w := range sortedWires(g.curiosity) {
-			target := g.curiosity[w]
-			view, ok := views[w]
+		// Answer only standing curiosity targets; satisfied ones are
+		// filtered out in place.
+		keep := g.curiosity[:0]
+		for _, c := range g.curiosity {
+			if view, ok := src.View(c.wire); ok {
+				if p := g.promiseFor(view); p > g.promised[c.wire] {
+					g.promised[c.wire] = p
+					out = append(out, Promise{Wire: c.wire, Through: p})
+					if p >= c.target {
+						g.traceEvent(TraceCuriositySatisfied, c.wire, c.target)
+						continue
+					}
+				}
+			}
+			keep = append(keep, c)
+		}
+		g.curiosity = keep
+	case Aggressive, HyperAggressive:
+		for _, w := range wires {
+			view, ok := src.View(w)
 			if !ok {
 				continue
 			}
 			p := g.promiseFor(view)
-			if p <= g.promised[w] {
-				continue
-			}
-			g.promised[w] = p
-			out = append(out, Promise{Wire: w, Through: p})
-			if p >= target {
-				delete(g.curiosity, w)
-				g.traceEvent(TraceCuriositySatisfied, w, target)
-			}
-		}
-	case Aggressive, HyperAggressive:
-		for _, w := range sortedViewWires(views) {
-			view := views[w]
-			p := g.promiseFor(view)
 			prev, promised := g.promised[w]
-			target, curious := g.curiosity[w]
+			ci, curious := g.findCuriosity(w)
 			due := !promised || p >= prev.Add(g.cfg.Stride)
 			if curious && p > prev {
 				due = true
@@ -281,13 +313,22 @@ func (g *Governor) OnAdvance(views map[msg.WireID]View) []Promise {
 			}
 			g.promised[w] = p
 			out = append(out, Promise{Wire: w, Through: p})
-			if curious && p >= target {
-				delete(g.curiosity, w)
-				g.traceEvent(TraceCuriositySatisfied, w, target)
+			if curious && p >= g.curiosity[ci].target {
+				g.dropCuriosity(ci)
 			}
 		}
 	}
 	return out
+}
+
+// OnAdvance is Advance over a prebuilt view of every output wire, for
+// callers that have one at hand.
+func (g *Governor) OnAdvance(views map[msg.WireID]View) []Promise {
+	var wires []msg.WireID // only the pushing strategies walk the wire list
+	if g.cfg.Strategy == Aggressive || g.cfg.Strategy == HyperAggressive {
+		wires = slices.Sorted(maps.Keys(views))
+	}
+	return g.Advance(mapViews(views), wires, nil)
 }
 
 // NoteData records that a data message with the given VT was sent on the
@@ -297,9 +338,8 @@ func (g *Governor) NoteData(w msg.WireID, t vt.Time) {
 	if t > g.promised[w] {
 		g.promised[w] = t
 	}
-	if target, ok := g.curiosity[w]; ok && g.promised[w] >= target {
-		delete(g.curiosity, w)
-		g.traceEvent(TraceCuriositySatisfied, w, target)
+	if i, ok := g.findCuriosity(w); ok && g.promised[w] >= g.curiosity[i].target {
+		g.dropCuriosity(i)
 	}
 }
 
@@ -334,24 +374,23 @@ func (g *Governor) Promised(w msg.WireID) vt.Time { return g.promised[w] }
 // PendingCuriosity returns the standing curiosity target for the wire and
 // whether one exists.
 func (g *Governor) PendingCuriosity(w msg.WireID) (vt.Time, bool) {
-	t, ok := g.curiosity[w]
-	return t, ok
+	if i, ok := g.findCuriosity(w); ok {
+		return g.curiosity[i].target, true
+	}
+	return 0, false
 }
 
-func sortedWires(m map[msg.WireID]vt.Time) []msg.WireID {
-	out := make([]msg.WireID, 0, len(m))
-	for w := range m {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// findCuriosity returns the wire's slot in the standing-curiosity list, or
+// where it would be inserted.
+func (g *Governor) findCuriosity(w msg.WireID) (int, bool) {
+	return slices.BinarySearchFunc(g.curiosity, w, func(c standing, w msg.WireID) int {
+		return cmp.Compare(c.wire, w)
+	})
 }
 
-func sortedViewWires(m map[msg.WireID]View) []msg.WireID {
-	out := make([]msg.WireID, 0, len(m))
-	for w := range m {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// dropCuriosity retires the satisfied standing target in slot i.
+func (g *Governor) dropCuriosity(i int) {
+	c := g.curiosity[i]
+	g.curiosity = slices.Delete(g.curiosity, i, i+1)
+	g.traceEvent(TraceCuriositySatisfied, c.wire, c.target)
 }
