@@ -101,12 +101,13 @@ func WithLoopbackFastPath() ClusterOption {
 
 // WithDurableStore roots each engine's recovery state in dir: the stable
 // input log moves to <dir>/<engine>/wal.log and every soft checkpoint is
-// additionally persisted — full-state, fsync-disciplined, atomically
-// manifested — under <dir>/<engine>/checkpoints. The directory then
-// survives OS-process death: a new process pointed at the same dir with
-// Reopen restores the newest durable checkpoint, replays the WAL suffix,
-// and rejoins its peers under a freshly bumped (and durably recorded)
-// generation. Launch treats the directory as a fresh deployment's state
+// additionally persisted — as shipped, a full capture or the delta since
+// the last one, fsync-disciplined and atomically manifested — under
+// <dir>/<engine>/checkpoints. The directory then survives OS-process
+// death: a new process pointed at the same dir with Reopen restores the
+// newest durable chain (a full capture plus at most nine deltas), replays
+// the WAL suffix, and rejoins its peers under a freshly bumped (and durably
+// recorded) generation. Launch treats the directory as a fresh deployment's state
 // root; use Reopen to restart over an existing one.
 func WithDurableStore(dir string) ClusterOption {
 	return clusterOptionFunc(func(c *clusterConfig) { c.durableDir = dir })
@@ -518,15 +519,18 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 		}
 		if reopen && slot.fstore != nil && slot.fstore.Seq() > 0 {
 			// Cold restart: seed the in-process replica from the newest
-			// durable checkpoint, then build the replacement engine from it
-			// exactly as a warm failover would — Start replays the WAL suffix
-			// past the checkpoint's cursors and re-drives remote replay.
-			ck, err := slot.fstore.Latest()
+			// durable chain (a full capture and the deltas since), then build
+			// the replacement engine from it exactly as a warm failover would —
+			// Start replays the WAL suffix past the newest entry's cursors and
+			// re-drives remote replay.
+			chain, err := slot.fstore.Chain()
 			if err != nil {
 				return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
 			}
-			if err := slot.store.Apply(ck); err != nil {
-				return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
+			for _, ck := range chain {
+				if err := slot.store.Apply(ck); err != nil {
+					return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
+				}
 			}
 			ecfg := c.engineConfig(slot)
 			ecfg.ColdStart = true
@@ -712,17 +716,10 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 	}
 	cfg.ExtraMetrics = c.extraMetrics()
 	if c.arch != nil {
-		// Checkpoints tee into the rewind-point archive, must be full
-		// captures (an archived point restores standalone), and the debug
+		// Checkpoints tee into the rewind-point archive, and the debug
 		// listener answers /rewind through the inspector.
 		cfg.Backup = c.arch.Tee(slot.name, cfg.Backup)
-		cfg.ForceFullCheckpoints = true
 		cfg.RewindInfo = c.rewindInfo
-	}
-	if slot.fstore != nil {
-		// A durable checkpoint must restore standalone in a fresh process:
-		// no delta chains, every capture full.
-		cfg.ForceFullCheckpoints = true
 	}
 	return cfg
 }
@@ -931,7 +928,8 @@ func (c *Cluster) Recover(engineName string) error {
 		}
 	}
 	if err := eng.Start(); err != nil {
-		return err
+		eng.Stop()
+		return fmt.Errorf("tart: recover %q: %w", engineName, err)
 	}
 	c.mu.Lock()
 	slot.eng = eng

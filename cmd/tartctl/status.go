@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -66,6 +67,7 @@ func status(addr string, last int) error {
 	printStatusBlameTable(samples)
 	printStatusTotals(samples)
 	fmt.Println(walStatusRow(samples))
+	fmt.Println(ckptStatusRow(samples))
 	if err := printSupervisor(client, base, samples); err != nil {
 		return err
 	}
@@ -436,6 +438,69 @@ func walStatusRow(samples []promSample) string {
 		sumSamples(samples, trace.MetricWALRecords, "kind", "fault"),
 		sumSamples(samples, trace.MetricWALRecords, "kind", "trim"),
 		fsyncs, fsyncs/records, time.Duration(meanSync*float64(time.Second)).Round(time.Microsecond))
+}
+
+// ckptStatusRow summarizes what soft checkpoints cost: how many shipped
+// full state and how many only deltas, and their mean size; how long a
+// component's delivery loop was held for one (median and worst, as the
+// bounds of the histogram buckets they fell in); the encode + store time
+// and durable-store fsyncs spent behind the loop's back; and how many
+// checkpoints a restore would fold right now (the longest chain among the
+// engines scraped).
+func ckptStatusRow(samples []promSample) string {
+	full := sumSamples(samples, trace.MetricCheckpoints, "kind", "full")
+	delta := sumSamples(samples, trace.MetricCheckpoints, "kind", "delta")
+	if full+delta == 0 {
+		return "  ckpt: no checkpoints taken"
+	}
+	mean := func(kind string, n float64) string {
+		if n == 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%.0f B", sumSamples(samples, trace.MetricCheckpointBytes+"_sum", "kind", kind)/n)
+	}
+	dur := func(seconds float64) time.Duration {
+		return time.Duration(seconds * float64(time.Second)).Round(time.Microsecond)
+	}
+	store := sumSamples(samples, trace.MetricCheckpointStore+"_sum") / (full + delta)
+	var chain float64
+	for _, s := range samples {
+		if s.name == trace.MetricCheckpointChain {
+			chain = max(chain, s.value)
+		}
+	}
+	return fmt.Sprintf("  ckpt: %.0f full (mean %s), %.0f delta (mean %s); loop held p50 <=%s, max <=%s; off-loop encode+store mean %s, %.0f store fsyncs; chain %.0f",
+		full, mean("full", full), delta, mean("delta", delta),
+		dur(bucketBound(samples, trace.MetricCheckpointHold, 0.5)), dur(bucketBound(samples, trace.MetricCheckpointHold, 1)),
+		dur(store), sumSamples(samples, trace.MetricCkptStoreFsyncs), chain)
+}
+
+// bucketBound returns the upper bound of the histogram bucket the q-th
+// quantile of a family's observations falls in (all series pooled); +Inf
+// when it lies beyond the last finite bucket, 0 without observations.
+func bucketBound(samples []promSample, family string, q float64) float64 {
+	cum := make(map[float64]float64) // le -> cumulative count, summed over series
+	for _, s := range samples {
+		if s.name != family+"_bucket" {
+			continue
+		}
+		le, err := strconv.ParseFloat(s.label("le"), 64)
+		if err != nil {
+			continue
+		}
+		cum[le] += s.value
+	}
+	total := cum[math.Inf(1)]
+	if total == 0 {
+		return 0
+	}
+	bound := math.Inf(1)
+	for le, n := range cum {
+		if n >= q*total && le < bound {
+			bound = le
+		}
+	}
+	return bound
 }
 
 // printStatusTotals summarizes the engine-wide recovery counters.

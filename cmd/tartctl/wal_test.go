@@ -78,3 +78,35 @@ tart_wal_fsync_seconds_count{engine="e0"} 505
 		t.Errorf("row without a file log = %q", got)
 	}
 }
+
+func TestCkptStatusRow(t *testing.T) {
+	samples, err := parsePrometheus(strings.NewReader(`
+tart_checkpoints_total{engine="e0",kind="full"} 2
+tart_checkpoints_total{engine="e0",kind="delta"} 18
+tart_checkpoint_bytes_sum{engine="e0",kind="full"} 8000000
+tart_checkpoint_bytes_count{engine="e0",kind="full"} 2
+tart_checkpoint_bytes_sum{engine="e0",kind="delta"} 720000
+tart_checkpoint_bytes_count{engine="e0",kind="delta"} 18
+tart_checkpoint_hold_seconds_bucket{engine="e0",le="0.0001"} 50
+tart_checkpoint_hold_seconds_bucket{engine="e0",le="0.001"} 72
+tart_checkpoint_hold_seconds_bucket{engine="e0",le="0.01"} 80
+tart_checkpoint_hold_seconds_bucket{engine="e0",le="+Inf"} 80
+tart_checkpoint_hold_seconds_sum{engine="e0"} 0.04
+tart_checkpoint_hold_seconds_count{engine="e0"} 80
+tart_checkpoint_store_seconds_sum{engine="e0"} 0.25
+tart_checkpoint_store_seconds_count{engine="e0"} 20
+tart_ckpt_store_fsyncs_total{engine="e0"} 80
+tart_checkpoint_chain_length{engine="e0"} 9
+tart_checkpoint_chain_length{engine="e1"} 4
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "  ckpt: 2 full (mean 4000000 B), 18 delta (mean 40000 B); loop held p50 <=100µs, max <=10ms; off-loop encode+store mean 12.5ms, 80 store fsyncs; chain 9"
+	if got := ckptStatusRow(samples); got != want {
+		t.Errorf("row = %q\nwant  %q", got, want)
+	}
+	if got := ckptStatusRow(nil); !strings.Contains(got, "no checkpoints") {
+		t.Errorf("row without checkpoints = %q", got)
+	}
+}

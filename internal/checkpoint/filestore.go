@@ -14,21 +14,23 @@ import (
 // validation falls back past any entry whose bytes no longer match.
 var storeCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// retainCheckpoints is how many durable checkpoints a FileStore keeps.
-// More than one, so a torn newest write can fall back to its predecessor;
-// few, because every retained file was a full capture.
-const retainCheckpoints = 3
-
 // manifestName is the atomically rewritten index of a FileStore directory.
 const manifestName = "MANIFEST"
 
-// manifestEntry describes one durable checkpoint file.
+// manifestEntry describes one durable checkpoint file. Delta is set on an
+// entry that extends the one before it; an entry without it is a base, so
+// a manifest written before deltas were stored reads as chains of one.
 type manifestEntry struct {
-	Seq  uint64 `json:"seq"`
-	File string `json:"file"`
-	Size int64  `json:"size"`
-	CRC  uint32 `json:"crc"`
+	Seq   uint64 `json:"seq"`
+	File  string `json:"file"`
+	Size  int64  `json:"size"`
+	CRC   uint32 `json:"crc"`
+	Delta bool   `json:"delta,omitempty"`
 }
+
+// entryFile names the file holding the checkpoint with the given sequence
+// number. Manifest entries naming anything else are not trusted.
+func entryFile(seq uint64) string { return fmt.Sprintf("ckpt-%016d.bin", seq) }
 
 // manifest is the FileStore's on-disk index: the engine's durable
 // generation plus the retained checkpoints, oldest first.
@@ -43,7 +45,8 @@ type manifest struct {
 // leaves either the old manifest (new checkpoint invisible, predecessor
 // intact) or the new one (new checkpoint fully durable); a torn or
 // corrupted checkpoint file is detected by its CRC at open time and the
-// store falls back to the previous manifest entry.
+// store falls back to the entries before it: the intact prefix of the
+// newest chain, or the previous chain when the base itself is lost.
 //
 // The manifest also carries the engine's durable generation — the fencing
 // token a cold restart bumps and persists before rejoining, so a zombie
@@ -63,10 +66,10 @@ type FileStore struct {
 var _ Store = (*FileStore)(nil)
 
 // OpenFileStore opens (creating if needed) the durable checkpoint store
-// rooted at dir and validates its newest checkpoint. Manifest entries
-// whose file is missing, short, or fails its CRC are discarded newest-
-// first until a valid checkpoint (or an empty store) remains — the
-// torn-write fallback.
+// rooted at dir and validates its newest chain. A manifest entry whose
+// file is missing, short, or fails its CRC is discarded together with
+// everything after it — the torn-write fallback — so what remains always
+// ends in an intact chain (or is empty).
 func OpenFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: open store %s: %w", dir, err)
@@ -82,17 +85,29 @@ func OpenFileStore(dir string) (*FileStore, error) {
 	if err := json.Unmarshal(data, &s.man); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode manifest %s: %w", dir, err)
 	}
-	// Validate newest-first; everything newer than the first valid entry
-	// is a casualty of a torn write and is dropped (file removed
-	// best-effort — the manifest rewrite is what makes the drop durable).
+	// Validate the newest chain base-first; its first bad entry and all
+	// after it are casualties (files removed best-effort — the manifest
+	// rewrite is what makes the drop durable). If that was the base, the
+	// chain before it is now the newest and is validated in turn.
 	for len(s.man.Entries) > 0 {
-		e := s.man.Entries[len(s.man.Entries)-1]
-		if s.validate(e) {
+		base := chainStart(1, len(s.man.Entries), s.isDelta)
+		bad := base // a chain that does not start with a base is bad throughout
+		if !s.isDelta(base) {
+			for bad < len(s.man.Entries) && s.validate(bad, base) {
+				bad++
+			}
+		}
+		if bad == len(s.man.Entries) {
 			break
 		}
-		s.fellBack++
-		_ = os.Remove(filepath.Join(dir, e.File))
-		s.man.Entries = s.man.Entries[:len(s.man.Entries)-1]
+		for _, e := range s.man.Entries[bad:] {
+			s.fellBack++
+			s.remove(e)
+		}
+		s.man.Entries = s.man.Entries[:bad]
+		if bad > base {
+			break // the intact prefix base‥bad-1 is the newest chain
+		}
 	}
 	if s.fellBack > 0 {
 		if err := s.writeManifestLocked(); err != nil {
@@ -102,14 +117,42 @@ func OpenFileStore(dir string) (*FileStore, error) {
 	return s, nil
 }
 
-// validate checks one manifest entry's file against its recorded size and
-// CRC.
-func (s *FileStore) validate(e manifestEntry) bool {
-	data, err := os.ReadFile(filepath.Join(s.dir, e.File))
-	if err != nil || int64(len(data)) != e.Size {
+func (s *FileStore) isDelta(i int) bool { return s.man.Entries[i].Delta }
+
+// validate checks manifest entry i, a member of the chain starting at
+// base: a delta must directly follow its predecessor, and the file must
+// match the recorded size and CRC.
+func (s *FileStore) validate(i, base int) bool {
+	e := s.man.Entries[i]
+	if i > base && e.Seq != s.man.Entries[i-1].Seq+1 {
 		return false
 	}
-	return crc32.Checksum(data, storeCastagnoli) == e.CRC
+	_, err := s.read(e)
+	return err == nil
+}
+
+// read returns one entry's file content after checking it against the
+// manifest's size and CRC.
+func (s *FileStore) read(e manifestEntry) ([]byte, error) {
+	if e.File != entryFile(e.Seq) {
+		return nil, fmt.Errorf("checkpoint: manifest entry seq %d names unexpected file %q", e.Seq, e.File)
+	}
+	data, err := os.ReadFile(filepath.Join(s.dir, e.File))
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: read %s: %w", e.File, err)
+	}
+	if int64(len(data)) != e.Size || crc32.Checksum(data, storeCastagnoli) != e.CRC {
+		return nil, fmt.Errorf("checkpoint: %s failed size/CRC validation", e.File)
+	}
+	return data, nil
+}
+
+// remove deletes an entry's file, best-effort, once no manifest refers to
+// it — unless the name is not one this store would have given it.
+func (s *FileStore) remove(e manifestEntry) {
+	if e.File == entryFile(e.Seq) {
+		_ = os.Remove(filepath.Join(s.dir, e.File))
+	}
 }
 
 // TornFallbacks reports how many manifest entries the last Open discarded
@@ -134,7 +177,8 @@ func (s *FileStore) SetObserver(onWrite func(bytes int64), onFsync func()) {
 
 // Apply implements Store: encode, temp-write, fsync, rename, fsync the
 // directory, then durably record the new entry in the manifest. Only
-// after the manifest rename is the checkpoint visible to a restart.
+// after the manifest rename is the checkpoint visible to a restart. A new
+// base retires every chain but the one it succeeds.
 func (s *FileStore) Apply(c *Checkpoint) error {
 	data, err := c.Encode()
 	if err != nil {
@@ -145,29 +189,27 @@ func (s *FileStore) Apply(c *Checkpoint) error {
 	if s.closed {
 		return ErrStoreClosed
 	}
-	if n := len(s.man.Entries); n > 0 && c.Seq <= s.man.Entries[n-1].Seq {
-		return nil // duplicate or stale; idempotent
+	if skip, err := admit(s.seqLocked(), c); skip || err != nil {
+		return err
 	}
-	name := fmt.Sprintf("ckpt-%016d.bin", c.Seq)
+	name := entryFile(c.Seq)
 	if err := s.writeFileAtomic(name, data); err != nil {
 		return fmt.Errorf("checkpoint: persist seq %d: %w", c.Seq, err)
 	}
 	s.man.Entries = append(s.man.Entries, manifestEntry{
 		Seq: c.Seq, File: name, Size: int64(len(data)),
-		CRC: crc32.Checksum(data, storeCastagnoli),
+		CRC: crc32.Checksum(data, storeCastagnoli), Delta: !c.IsBase(),
 	})
-	var evicted []manifestEntry
-	if n := len(s.man.Entries); n > retainCheckpoints {
-		evicted = append(evicted, s.man.Entries[:n-retainCheckpoints]...)
-		s.man.Entries = append([]manifestEntry(nil), s.man.Entries[n-retainCheckpoints:]...)
-	}
+	keep := chainStart(retainChains, len(s.man.Entries), s.isDelta)
+	evicted := s.man.Entries[:keep]
+	s.man.Entries = append([]manifestEntry(nil), s.man.Entries[keep:]...)
 	if err := s.writeManifestLocked(); err != nil {
 		return err
 	}
 	// Old files are unreferenced once the manifest rename landed; their
 	// removal needs no durability ceremony.
 	for _, e := range evicted {
-		_ = os.Remove(filepath.Join(s.dir, e.File))
+		s.remove(e)
 	}
 	if s.onWrite != nil {
 		s.onWrite(int64(len(data)))
@@ -177,27 +219,64 @@ func (s *FileStore) Apply(c *Checkpoint) error {
 
 // Latest implements Store.
 func (s *FileStore) Latest() (*Checkpoint, error) {
+	newest, err := s.load(false)
+	if err != nil || len(newest) == 0 {
+		return nil, err
+	}
+	return newest[0], nil
+}
+
+// Chain implements Store. The result always starts with a base and runs
+// contiguously to the newest entry; anything else on disk is an error.
+func (s *FileStore) Chain() ([]*Checkpoint, error) {
+	chain, err := s.load(true)
+	if err != nil || len(chain) == 0 {
+		return nil, err
+	}
+	if !chain[0].IsBase() {
+		return nil, fmt.Errorf("checkpoint: chain in %s starts at seq %d, which is not a base", s.dir, chain[0].Seq)
+	}
+	for i, ck := range chain[1:] {
+		if ck.Seq != chain[i].Seq+1 {
+			return nil, fmt.Errorf("checkpoint: chain in %s jumps from seq %d to %d", s.dir, chain[i].Seq, ck.Seq)
+		}
+	}
+	return chain, nil
+}
+
+// load reads, validates and decodes the newest manifest entry, or with
+// chain set every entry of the newest chain.
+func (s *FileStore) load(chain bool) ([]*Checkpoint, error) {
 	s.mu.Lock()
-	if len(s.man.Entries) == 0 {
-		s.mu.Unlock()
-		return nil, nil
+	from := max(len(s.man.Entries)-1, 0)
+	if chain {
+		from = chainStart(1, len(s.man.Entries), s.isDelta)
 	}
-	e := s.man.Entries[len(s.man.Entries)-1]
+	entries := append([]manifestEntry(nil), s.man.Entries[from:]...)
 	s.mu.Unlock()
-	data, err := os.ReadFile(filepath.Join(s.dir, e.File))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read %s: %w", e.File, err)
+	var out []*Checkpoint
+	for _, e := range entries {
+		data, err := s.read(e)
+		if err != nil {
+			return nil, err
+		}
+		ck, err := Decode(data)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ck)
 	}
-	if crc32.Checksum(data, storeCastagnoli) != e.CRC {
-		return nil, fmt.Errorf("checkpoint: %s failed CRC validation", e.File)
-	}
-	return Decode(data)
+	return out, nil
 }
 
 // Seq implements Store.
 func (s *FileStore) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.seqLocked()
+}
+
+func (s *FileStore) seqLocked() uint64 {
 	if n := len(s.man.Entries); n > 0 {
 		return s.man.Entries[n-1].Seq
 	}

@@ -2,8 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 )
 
@@ -81,20 +84,77 @@ type entry[K ordered, V any] struct {
 	Deleted bool
 }
 
+// Stage implements Stager. It copies what the capture needs — every entry,
+// or for a delta only the ones written or deleted since the last capture —
+// and resets the dirty set, which is all that has to happen while the
+// owning component is quiescent. The returned function sorts and encodes
+// the copy and may run after the component has resumed: its output is what
+// Snapshot (or Delta) would have produced at the moment of the copy.
+//
+// After a delta the dirty set is cleared in place rather than replaced, so
+// from one delta to the next marking a key dirty allocates nothing. A full
+// capture drops it instead: that is when it can be as large as the table
+// (every key is dirty after a preload), and memory sized for that would
+// otherwise stay with the set for good.
+func (m *Map[K, V]) Stage(delta bool) func() ([]byte, error) {
+	var entries []entry[K, V]
+	if delta {
+		entries = make([]entry[K, V], 0, len(m.dirty))
+		for k := range m.dirty {
+			v, ok := m.data[k]
+			entries = append(entries, entry[K, V]{Key: k, Value: v, Deleted: !ok})
+		}
+		clear(m.dirty)
+	} else {
+		entries = m.entries()
+		m.dirty = make(map[K]bool)
+	}
+	if !shallowCopyIsDeep(reflect.TypeFor[V]()) {
+		// The copied values share memory with the live ones, which the
+		// handler may write through once it resumes: encode now.
+		data, err := encodeSorted(entries)
+		return func() ([]byte, error) { return data, err }
+	}
+	return func() ([]byte, error) { return encodeSorted(entries) }
+}
+
+// entries copies the table, in map order.
+func (m *Map[K, V]) entries() []entry[K, V] {
+	entries := make([]entry[K, V], 0, len(m.data))
+	for k, v := range m.data {
+		entries = append(entries, entry[K, V]{Key: k, Value: v})
+	}
+	return entries
+}
+
+// shallowCopyIsDeep reports whether assigning a value of type t copies
+// everything reachable from it: no pointers, slices, maps, interfaces,
+// channels or functions anywhere inside (strings are immutable, so they
+// count as values).
+func shallowCopyIsDeep(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return shallowCopyIsDeep(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !shallowCopyIsDeep(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
+}
+
 // Snapshot implements Snapshotter: it encodes the full table and clears
 // the dirty set.
-func (m *Map[K, V]) Snapshot() ([]byte, error) {
-	entries := make([]entry[K, V], 0, len(m.data))
-	for _, k := range m.SortedKeys() {
-		entries = append(entries, entry[K, V]{Key: k, Value: m.data[k]})
-	}
-	data, err := encodeEntries(entries)
-	if err != nil {
-		return nil, err
-	}
-	m.dirty = make(map[K]bool)
-	return data, nil
-}
+func (m *Map[K, V]) Snapshot() ([]byte, error) { return m.Stage(false)() }
 
 // Restore implements Snapshotter.
 func (m *Map[K, V]) Restore(data []byte) error {
@@ -113,25 +173,11 @@ func (m *Map[K, V]) Restore(data []byte) error {
 }
 
 // Delta implements DeltaSnapshotter: it encodes only the dirty keys and
-// clears the dirty set. ok is false when nothing has been captured yet
-// (callers should take a full Snapshot first); an empty delta is valid.
+// clears the dirty set. A Map can always produce one (an empty delta is
+// valid), so ok is false only beside an error.
 func (m *Map[K, V]) Delta() ([]byte, bool, error) {
-	keys := make([]K, 0, len(m.dirty))
-	for k := range m.dirty {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	entries := make([]entry[K, V], 0, len(keys))
-	for _, k := range keys {
-		v, ok := m.data[k]
-		entries = append(entries, entry[K, V]{Key: k, Value: v, Deleted: !ok})
-	}
-	data, err := encodeEntries(entries)
-	if err != nil {
-		return nil, false, err
-	}
-	m.dirty = make(map[K]bool)
-	return data, true, nil
+	data, err := m.Stage(true)()
+	return data, err == nil, err
 }
 
 // ApplyDelta implements DeltaSnapshotter.
@@ -153,13 +199,7 @@ func (m *Map[K, V]) ApplyDelta(data []byte) error {
 // GobEncode lets a Map field inside a gob-auto-captured component struct
 // serialize transparently. Unlike Snapshot it does not clear the dirty set
 // (encoding must not mutate).
-func (m *Map[K, V]) GobEncode() ([]byte, error) {
-	entries := make([]entry[K, V], 0, len(m.data))
-	for _, k := range m.SortedKeys() {
-		entries = append(entries, entry[K, V]{Key: k, Value: m.data[k]})
-	}
-	return encodeEntries(entries)
-}
+func (m *Map[K, V]) GobEncode() ([]byte, error) { return encodeSorted(m.entries()) }
 
 // GobDecode restores a Map encoded by GobEncode.
 func (m *Map[K, V]) GobDecode(data []byte) error {
@@ -167,13 +207,15 @@ func (m *Map[K, V]) GobDecode(data []byte) error {
 }
 
 var (
-	_ Snapshotter      = (*Map[string, int])(nil)
-	_ DeltaSnapshotter = (*Map[string, int])(nil)
-	_ gob.GobEncoder   = (*Map[string, int])(nil)
-	_ gob.GobDecoder   = (*Map[string, int])(nil)
+	_ Stager         = (*Map[string, int])(nil)
+	_ gob.GobEncoder = (*Map[string, int])(nil)
+	_ gob.GobDecoder = (*Map[string, int])(nil)
 )
 
-func encodeEntries[K ordered, V any](entries []entry[K, V]) ([]byte, error) {
+// encodeSorted orders entries by key — the deterministic encoding order —
+// and serializes them.
+func encodeSorted[K ordered, V any](entries []entry[K, V]) ([]byte, error) {
+	slices.SortFunc(entries, func(a, b entry[K, V]) int { return cmp.Compare(a.Key, b.Key) })
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
 		return nil, fmt.Errorf("checkpoint: encode map entries: %w", err)

@@ -39,6 +39,49 @@ type DeltaSnapshotter interface {
 	ApplyDelta(data []byte) error
 }
 
+// Stager is a DeltaSnapshotter that can split a capture in two: a copy
+// taken while the owning component is quiescent, and an encode of that copy
+// that no longer needs the component to hold still. Map implements it; the
+// engine's checkpoint then stalls a delivery loop for a copy of the touched
+// entries instead of for their serialization.
+type Stager interface {
+	DeltaSnapshotter
+	// Stage copies the full state, or with delta only the changes since
+	// the last capture, and returns the function that encodes the copy.
+	// Like Snapshot and Delta it resets the change tracking.
+	Stage(delta bool) (encode func() ([]byte, error))
+}
+
+// Stage captures a component's state at a quiescent moment: full, or with
+// delta set only the changes since the last capture when the component
+// tracks them (kind reports which it was). The returned encode produces
+// the capture's bytes and may be called after the component has resumed.
+// For a Stager only a copy happens inside Stage; any other component is
+// serialized here, by Capture or CaptureDelta, and encode just hands the
+// bytes over.
+func Stage(comp any, delta bool) (kind HandlerKind, encode func() ([]byte, error), err error) {
+	kindOf := func(full bool) HandlerKind {
+		if full {
+			return HandlerFull
+		}
+		return HandlerDelta
+	}
+	if s, ok := comp.(Stager); ok {
+		return kindOf(!delta), s.Stage(delta), nil
+	}
+	var data []byte
+	full := true
+	if delta {
+		data, full, err = CaptureDelta(comp)
+	} else {
+		data, err = Capture(comp)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return kindOf(full), func() ([]byte, error) { return data, nil }, nil
+}
+
 // Capture serializes a component's state. Components implementing
 // Snapshotter are asked directly; anything else is gob-encoded, which
 // captures its exported fields transparently.

@@ -14,16 +14,24 @@ import (
 	"repro/internal/vt"
 )
 
-// fullCheckpointEvery bounds delta chains: every Nth checkpoint captures
-// full handler state even for incremental components, so a replica's
-// restore cost stays bounded.
+// fullCheckpointEvery bounds delta chains: a chain is one base — a
+// checkpoint in which every component ships full handler state — and at
+// most N-1 checkpoints after it, so a restore — by the passive replica,
+// from the durable store's chain, or of a rewind point — folds at most N-1
+// deltas onto a full capture. The bound is the engine's, not a
+// component's: the holders of the checkpoints start a new chain only at a
+// base, and components each counting to their own next full capture would
+// drift apart and never produce one.
 const fullCheckpointEvery = 10
 
 // Checkpoint takes one soft checkpoint: a quiescent capture of every
 // hosted component plus the replay buffers, applied to the configured
-// backup. On success it trims the stable log and local buffers and sends
-// stability acks to remote senders. It returns the checkpoint sequence
-// number.
+// backup. A component's delivery loop is held only while its state is
+// staged (for a checkpoint.Map, a copy of the touched entries); encoding
+// and the backup's Apply — with a durable store, its fsyncs — run after the
+// loop is released. On success it trims the stable log and local buffers
+// and sends stability acks to remote senders. It returns the checkpoint
+// sequence number.
 func (e *Engine) Checkpoint() (uint64, error) {
 	if e.cfg.Backup == nil {
 		return 0, fmt.Errorf("engine: %q has no backup configured", e.name)
@@ -33,44 +41,37 @@ func (e *Engine) Checkpoint() (uint64, error) {
 
 	start := time.Now()
 	comps := make(map[string]checkpoint.ComponentState, len(e.comps))
-	var captureErr error
 	var bytesTotal int
+	var offLoop time.Duration
 	maxClock := vt.Zero
+	// A component may still answer with a full capture; that does not start
+	// a chain, so it does not restart the count either.
+	wantDelta := e.chainLen > 0 && e.chainLen < fullCheckpointEvery
 	for _, h := range e.sortedHosted() {
 		var cs checkpoint.ComponentState
+		var encode func() ([]byte, error)
+		var err error
+		var held time.Duration
 		h.sch.WithQuiescent(func(st sched.State) {
+			t := time.Now()
 			cs.Sched = st
-			if st.Clock > maxClock {
-				maxClock = st.Clock
-			}
-			wantFull := e.cfg.ForceFullCheckpoints || !h.shippedFull || h.deltasSince >= fullCheckpointEvery
-			if wantFull {
-				data, err := checkpoint.Capture(h.spec.State)
-				if err != nil {
-					captureErr = err
-					return
-				}
-				cs.Kind = checkpoint.HandlerFull
-				cs.Handler = data
-				return
-			}
-			data, full, err := checkpoint.CaptureDelta(h.spec.State)
-			if err != nil {
-				captureErr = err
-				return
-			}
-			if full {
-				cs.Kind = checkpoint.HandlerFull
-			} else {
-				cs.Kind = checkpoint.HandlerDelta
-			}
-			cs.Handler = data
+			cs.Kind, encode, err = checkpoint.Stage(h.spec.State, wantDelta)
+			held = time.Since(t)
 		})
-		if captureErr != nil {
-			// A failed capture may have consumed dirty sets; force the next
-			// checkpoint to be full for every component.
-			e.forceFullNext()
-			return 0, fmt.Errorf("engine: checkpoint %q: %w", h.name, captureErr)
+		e.ckpt.Held(held)
+		if err == nil {
+			t := time.Now()
+			cs.Handler, err = encode()
+			offLoop += time.Since(t)
+		}
+		if err != nil {
+			// A failed capture may have consumed dirty sets: the next
+			// checkpoint has to be a base.
+			e.chainLen = 0
+			return 0, fmt.Errorf("engine: checkpoint %q: %w", h.name, err)
+		}
+		if cs.Sched.Clock > maxClock {
+			maxClock = cs.Sched.Clock
 		}
 		if h.cal != nil {
 			st := h.cal.State()
@@ -80,36 +81,32 @@ func (e *Engine) Checkpoint() (uint64, error) {
 		comps[h.name] = cs
 	}
 
+	// A sequence number names an attempt, not a success: a backup that took
+	// in part of a failed checkpoint (the warm replica of a tee whose
+	// durable half failed) must not mistake the full retry for a duplicate.
+	e.ckptSeq++
 	ck := &checkpoint.Checkpoint{
 		Engine:     e.name,
-		Seq:        e.ckptSeq + 1,
+		Seq:        e.ckptSeq,
 		VT:         maxClock,
 		Components: comps,
 		Buffers:    e.buffers.snapshot(),
 	}
+	applyStart := time.Now()
 	if err := e.cfg.Backup.Apply(ck); err != nil {
-		e.forceFullNext()
+		e.chainLen = 0 // deltas may be lost with it
 		return 0, fmt.Errorf("engine: apply checkpoint: %w", err)
 	}
-	e.ckptSeq = ck.Seq
+	offLoop += time.Since(applyStart)
 	e.lastCkptVT = maxClock
-	for _, h := range e.comps {
-		cs := comps[h.name]
-		if cs.Kind == checkpoint.HandlerFull {
-			h.shippedFull = true
-			h.deltasSince = 0
-		} else {
-			h.deltasSince++
-		}
+	if ck.IsBase() {
+		e.chainLen = 1
+	} else {
+		e.chainLen++
 	}
 	e.metrics.AddCheckpoint(bytesTotal)
+	e.ckpt.Applied(ck.IsBase(), e.chainLen, bytesTotal, offLoop)
 	elapsed := time.Since(start)
-	reg := e.metrics.Registry()
-	reg.Counter(trace.MetricCheckpoints, "Soft checkpoints applied to the backup.").Inc()
-	reg.Histogram(trace.MetricCheckpointBytes,
-		"Encoded handler-state bytes per soft checkpoint.", trace.BytesBuckets).Observe(float64(bytesTotal))
-	reg.Histogram(trace.MetricCheckpointSecs,
-		"Real time to capture and apply one soft checkpoint.", trace.SecondsBuckets).Observe(elapsed.Seconds())
 	e.rec.Record(trace.Event{Kind: trace.EvCheckpoint, VT: maxClock, Wire: -1, MsgSeq: ck.Seq,
 		Note: fmt.Sprintf("%d bytes in %v", bytesTotal, elapsed.Round(time.Microsecond))})
 	e.afterCheckpoint(ck)
@@ -151,14 +148,6 @@ func (e *Engine) refreshCheckpointGauges() {
 	}
 	reg.Gauge(trace.MetricCheckpointAgeVT,
 		"Virtual-time distance from the live clock frontier to the newest checkpoint — the bound on any rewind's replay distance.").Set(age)
-}
-
-// forceFullNext marks every component so the next checkpoint ships full
-// handler state (after a failed capture or apply, deltas may be lost).
-func (e *Engine) forceFullNext() {
-	for _, h := range e.comps {
-		h.shippedFull = false
-	}
 }
 
 // afterCheckpoint performs the stability housekeeping a durable checkpoint
@@ -299,7 +288,6 @@ func NewFromBackup(cfg Config, store *checkpoint.ReplicaStore) (*Engine, error) 
 			}
 			h.sch.ApplySilenceEpoch(f.Silence.Config, f.Silence.EffectiveVT)
 		}
-		h.shippedFull = false // first post-recovery checkpoint ships full state
 		if schedState.Clock > e.lastCkptVT {
 			e.lastCkptVT = schedState.Clock // restored from a checkpoint at this VT
 		}
@@ -322,7 +310,7 @@ func lastEpochStart(cal *estimator.Calibrated) vt.Time {
 // buffered local-wire messages are re-delivered (duplicates discard), and
 // each source's logged suffix is re-injected. Remote replay is driven by
 // the connection hooks (onPeerConnected).
-func (e *Engine) replayAfterRestore() {
+func (e *Engine) replayAfterRestore() error {
 	// Record activation before replay so the flight dump reads in causal
 	// order: checkpoint → failover → replay → duplicate drops.
 	e.metrics.Registry().Counter(trace.MetricFailovers, "Passive-replica activations.").Inc()
@@ -362,9 +350,9 @@ func (e *Engine) replayAfterRestore() {
 				e.rec.Record(trace.Event{Kind: trace.EvReplayRequest, VT: vt.Never,
 					Component: src.name, Wire: wid, MsgSeq: ist.NextSeq, Note: "source log replay"})
 				if err := src.restoreCursor(ist.NextSeq, ist.LastVT); err != nil {
-					// Log replay failure leaves the component waiting for the
-					// missing range; surfaced via metrics rather than a crash.
-					continue
+					// Running on would leave the component short of inputs it
+					// had acknowledged: silent loss, not recovery.
+					return fmt.Errorf("engine: %q: replay source %q: %w", e.name, src.name, err)
 				}
 			}
 		}
@@ -373,4 +361,5 @@ func (e *Engine) replayAfterRestore() {
 	// Persist the recovery story immediately: the dump now shows the
 	// pre-crash checkpoints and sends followed by failover and replay.
 	e.dumpFlight()
+	return nil
 }

@@ -165,11 +165,6 @@ type Config struct {
 	// receives the raw query values and returns a JSON-encodable result or
 	// an error (surfaced as HTTP 400). Optional.
 	RewindInfo func(q map[string][]string) (any, error)
-	// ForceFullCheckpoints makes every checkpoint carry full handler state
-	// for every component, never deltas. Time travel requires it: an
-	// archived checkpoint must be restorable on its own, without the delta
-	// chain the passive replica accumulated before it.
-	ForceFullCheckpoints bool
 	// DisableCalibration keeps calibrated estimators from proposing *new*
 	// recalibration faults; faults already in the stable log are still
 	// re-applied on restore. Replay sandboxes set this: a fresh proposal
@@ -215,8 +210,14 @@ type Engine struct {
 	metrics *trace.Metrics
 	rec     *trace.Recorder
 	debug   *debugServer
+	ckpt    *trace.CheckpointMetrics
 	ckptSeq uint64
 	ckptMu  sync.Mutex
+	// chainLen counts the checkpoints of the current chain the backup holds:
+	// the newest base and everything applied since. Zero — at birth, after a
+	// restore, after a failed checkpoint — makes the next one a base
+	// (guarded by ckptMu).
+	chainLen int
 	// lastCkptVT is the VT of the newest checkpoint (guarded by ckptMu).
 	lastCkptVT vt.Time
 	epoch      time.Time
@@ -237,10 +238,7 @@ type hosted struct {
 	sch  *sched.Scheduler
 	cal  *estimator.Calibrated // non-nil when Est is calibrated
 
-	// Checkpoint bookkeeping (guarded by Engine.ckptMu).
-	shippedFull   bool
-	deltasSince   int
-	restoredState sched.State
+	restoredState sched.State // set by NewFromBackup; replayAfterRestore resumes sources from it
 }
 
 // New builds an engine. The engine is inert until Start.
@@ -324,6 +322,7 @@ func New(cfg Config) (*Engine, error) {
 	reg.Counter(trace.MetricSourceShed,
 		"External inputs refused at sources because buffered replay state hit its bound.")
 	reg.WAL()
+	e.ckpt = reg.Checkpoint()
 	if cfg.Clock != nil {
 		e.clock = cfg.Clock
 	} else {
@@ -574,7 +573,9 @@ func (e *Engine) Start() error {
 		return err
 	}
 	if e.restored {
-		e.replayAfterRestore()
+		if err := e.replayAfterRestore(); err != nil {
+			return err
+		}
 	}
 	e.startLoops()
 	return nil

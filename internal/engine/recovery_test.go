@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -354,5 +355,100 @@ func TestAcksTrimReplayBuffers(t *testing.T) {
 			t.Fatalf("buffer not trimmed: %d entries", c.engA.BufferedCount(wireS1))
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// halfFailingBackup is a tee whose second half fails once: the replica takes
+// the checkpoint in, then the caller is told the checkpoint failed — what a
+// full disk under the durable store does to the cluster's tee.
+type halfFailingBackup struct {
+	replica *checkpoint.ReplicaStore
+	fail    bool
+}
+
+func (b *halfFailingBackup) Apply(c *checkpoint.Checkpoint) error {
+	if err := b.replica.Apply(c); err != nil {
+		return err
+	}
+	if b.fail {
+		b.fail = false
+		return errors.New("durable half failed")
+	}
+	return nil
+}
+
+// TestRetriedCheckpointSupersedesFailedOne: after a checkpoint that failed
+// halfway, the retry must replace what the replica took in of the failed
+// attempt — it trims the log through its own cursors, so a replica still
+// holding the failed attempt's older state could no longer be recovered
+// from. The retry therefore carries a fresh sequence number.
+func TestRetriedCheckpointSupersedesFailedOne(t *testing.T) {
+	tp := fig1Topo(t, false)
+	log := wal.NewMemLog()
+	backup := &halfFailingBackup{replica: checkpoint.NewReplicaStore()}
+	sink := newSinkCollector()
+	cfg := Config{Name: "A", Topo: tp, Components: fig1Specs(), Log: log, Backup: backup}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Sink("out", sink.fn); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	in1, _ := e.Source("in1")
+	in2, _ := e.Source("in2")
+	round := func(i int) {
+		t.Helper()
+		if err := in1.EmitAt(vt.Time(i*1_000_000), []string{"a"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := in2.EmitAt(vt.Time(i*1_000_000+500_000), []string{"b"}); err != nil {
+			t.Fatal(err)
+		}
+		in1.Quiesce(vt.Time(i*1_000_000 + 600_000))
+		in2.Quiesce(vt.Time(i*1_000_000 + 600_000))
+		sink.await(t, 2*i, 10*time.Second)
+	}
+	round(1)
+	backup.fail = true
+	if _, err := e.Checkpoint(); err == nil {
+		t.Fatal("checkpoint through a failing backup succeeded")
+	}
+	round(2)
+	seq, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := backup.replica.Seq(); got != seq {
+		t.Fatalf("replica holds checkpoint %d after the retry returned %d: it kept the failed attempt", got, seq)
+	}
+	round(3)
+	before := recordsOf(sink.await(t, 6, 10*time.Second))
+	e.Kill()
+
+	// Recovery from the replica: restores the retry's state, replays round 3.
+	sink2 := newSinkCollector()
+	cfg.Components = fig1Specs()
+	e2, err := NewFromBackup(cfg, backup.replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Sink("out", sink2.fn); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Start(); err != nil {
+		t.Fatalf("recovery after a retried checkpoint: %v", err)
+	}
+	defer e2.Stop()
+	in1b, _ := e2.Source("in1")
+	in2b, _ := e2.Source("in2")
+	in1b.Quiesce(3_600_000)
+	in2b.Quiesce(3_600_000)
+	after := recordsOf(sink2.await(t, 2, 10*time.Second))
+	if !reflect.DeepEqual(before[4:6], after[:2]) {
+		t.Errorf("post-recovery stutter differs from original:\n  want %+v\n  got  %+v", before[4:6], after[:2])
 	}
 }

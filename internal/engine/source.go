@@ -136,8 +136,13 @@ func (s *Source) End() { s.Quiesce(vt.Max) }
 // trim the log, so the log alone may under-state how far emission got —
 // re-using those sequence numbers would make fresh emissions look like
 // duplicates downstream.
+//
+// The log refuses a fromSeq at or below what it has trimmed: trims follow
+// the newest checkpoint, so a restore that landed on an older one (a torn
+// newest entry in the durable store) would otherwise replay the suffix and
+// never notice that the inputs in between are gone.
 func (s *Source) restoreCursor(fromSeq uint64, lastVT vt.Time) error {
-	recs, err := s.e.log.Inputs(s.name, 0)
+	recs, err := s.e.log.Inputs(s.name, fromSeq)
 	if err != nil {
 		return err
 	}
@@ -159,9 +164,6 @@ func (s *Source) restoreCursor(fromSeq uint64, lastVT vt.Time) error {
 	s.mu.Unlock()
 	replayed := 0
 	for _, r := range recs {
-		if r.Seq < fromSeq {
-			continue
-		}
 		env := msg.NewData(s.wire.ID, r.Seq, r.VT, r.Payload)
 		env.Origin = msg.NewOrigin(s.wire.ID, r.Seq)
 		// Re-stamp the sampling decision from the logged (origin, VT) pair;

@@ -21,6 +21,7 @@ package inspect
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -48,19 +49,37 @@ type PointInfo struct {
 	Bytes int     `json:"bytes"`
 }
 
-// point is one archived rewind point: a self-contained (full-capture)
-// encoded checkpoint plus the per-source input cursors a replay starting
-// here resumes from.
+// point is one archived rewind point: an encoded checkpoint plus the
+// per-source input cursors a replay starting here resumes from. A point
+// whose checkpoint carries deltas links to the point it extends, so its
+// chain back to a full capture stays reachable — and so retained — for as
+// long as the point itself is, however many older points are evicted.
 type point struct {
 	seq     uint64
 	vtime   vt.Time
 	data    []byte
 	cursors map[string]uint64 // source -> first input seq a replay from here needs
+	prev    *point            // the point this one's deltas apply to; nil for a full capture
+}
+
+// chain decodes the checkpoints that restore the point, full capture
+// first.
+func (pt *point) chain() ([]*checkpoint.Checkpoint, error) {
+	var out []*checkpoint.Checkpoint
+	for p := pt; p != nil; p = p.prev {
+		ck, err := checkpoint.Decode(p.data)
+		if err != nil {
+			return nil, fmt.Errorf("inspect: decoding rewind point seq %d: %w", p.seq, err)
+		}
+		out = append(out, ck)
+	}
+	slices.Reverse(out)
+	return out, nil
 }
 
 // engineArchive is one engine's retained history.
 type engineArchive struct {
-	points []point // ascending seq
+	points []*point // ascending seq
 	inputs map[string][]wal.InputRecord
 	faults []wal.FaultRecord
 }
@@ -198,21 +217,16 @@ func (t *teeBackup) Apply(c *checkpoint.Checkpoint) error {
 	return nil
 }
 
-// addPoint archives one checkpoint as a rewind point. Delta checkpoints
-// are skipped (not standalone-restorable); the cluster forces full
-// checkpoints whenever time travel is on, so this is a safety valve, not a
-// normal path.
+// addPoint archives one checkpoint as a rewind point. A checkpoint
+// carrying deltas is kept only if it directly extends the newest archived
+// point (it always does unless archiving its predecessor failed); the next
+// full capture starts a fresh chain.
 func (a *Archive) addPoint(engineName string, c *checkpoint.Checkpoint) {
-	for _, cs := range c.Components {
-		if cs.Kind != checkpoint.HandlerFull {
-			return
-		}
-	}
 	data, err := c.Encode()
 	if err != nil {
 		return // unarchivable; live checkpointing already succeeded
 	}
-	pt := point{seq: c.Seq, vtime: c.VT, data: data, cursors: make(map[string]uint64)}
+	pt := &point{seq: c.Seq, vtime: c.VT, data: data, cursors: make(map[string]uint64)}
 	for _, cs := range c.Components {
 		for wid, ist := range cs.Sched.Inputs {
 			src, ok := a.srcOf[wid]
@@ -228,8 +242,16 @@ func (a *Archive) addPoint(engineName string, c *checkpoint.Checkpoint) {
 	if n := len(ea.points); n > 0 && pt.seq <= ea.points[n-1].seq {
 		return // duplicate apply; keep the first
 	}
+	if !c.IsBase() {
+		n := len(ea.points)
+		if n == 0 || ea.points[n-1].seq+1 != pt.seq {
+			return
+		}
+		pt.prev = ea.points[n-1]
+	}
 	ea.points = append(ea.points, pt)
 	for len(ea.points) > a.history {
+		ea.points[0] = nil // evicted: only points extending it keep it alive
 		ea.points = ea.points[1:]
 		a.pruneLocked(ea)
 	}
@@ -285,23 +307,23 @@ func (a *Archive) oldestSeq(engineName string) (uint64, error) {
 // is non-zero — the retained point with exactly that checkpoint sequence
 // (it must still be at or before target). Errors wrap ErrBeforeHistory
 // when history no longer reaches the target.
-func (a *Archive) pointFor(engineName string, target vt.Time, fromSeq uint64) (point, error) {
+func (a *Archive) pointFor(engineName string, target vt.Time, fromSeq uint64) (*point, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ea, ok := a.engines[engineName]
 	if !ok || len(ea.points) == 0 {
-		return point{}, fmt.Errorf("%w: engine %q has no archived rewind points (take a checkpoint first)", ErrBeforeHistory, engineName)
+		return nil, fmt.Errorf("%w: engine %q has no archived rewind points (take a checkpoint first)", ErrBeforeHistory, engineName)
 	}
 	if fromSeq != 0 {
 		for _, pt := range ea.points {
 			if pt.seq == fromSeq {
 				if pt.vtime > target {
-					return point{}, fmt.Errorf("inspect: rewind point seq %d of %q is at VT %d, after target VT %d", fromSeq, engineName, pt.vtime, target)
+					return nil, fmt.Errorf("inspect: rewind point seq %d of %q is at VT %d, after target VT %d", fromSeq, engineName, pt.vtime, target)
 				}
 				return pt, nil
 			}
 		}
-		return point{}, fmt.Errorf("%w: engine %q retains no rewind point with seq %d", ErrBeforeHistory, engineName, fromSeq)
+		return nil, fmt.Errorf("%w: engine %q retains no rewind point with seq %d", ErrBeforeHistory, engineName, fromSeq)
 	}
 	// Newest point with vtime <= target.
 	best := -1
@@ -311,7 +333,7 @@ func (a *Archive) pointFor(engineName string, target vt.Time, fromSeq uint64) (p
 		}
 	}
 	if best < 0 {
-		return point{}, fmt.Errorf("%w: engine %q oldest retained point is at VT %d (seq %d), target VT %d — raise TimeTravel.History or checkpoint more often",
+		return nil, fmt.Errorf("%w: engine %q oldest retained point is at VT %d (seq %d), target VT %d — raise TimeTravel.History or checkpoint more often",
 			ErrBeforeHistory, engineName, ea.points[0].vtime, ea.points[0].seq, target)
 	}
 	return ea.points[best], nil

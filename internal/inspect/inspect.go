@@ -507,15 +507,18 @@ func (r *sandboxRun) hook(d sched.Delivery) {
 
 // buildSandbox restores one engine from a rewind point into an isolated
 // sandbox engine (not yet started).
-func (i *Inspector) buildSandbox(en string, pt point, target vt.Time, tr transport.Transport, addrs map[string]string, run *sandboxRun, want map[string]bool) (*engine.Engine, error) {
-	ck, err := checkpoint.Decode(pt.data)
+func (i *Inspector) buildSandbox(en string, pt *point, target vt.Time, tr transport.Transport, addrs map[string]string, run *sandboxRun, want map[string]bool) (*engine.Engine, error) {
+	chain, err := pt.chain()
 	if err != nil {
-		return nil, fmt.Errorf("inspect: decoding rewind point seq %d of %q: %w", pt.seq, en, err)
+		return nil, fmt.Errorf("inspect: rewind point seq %d of %q: %w", pt.seq, en, err)
 	}
 	store := checkpoint.NewReplicaStore()
-	if err := store.Apply(ck); err != nil {
-		return nil, fmt.Errorf("inspect: staging rewind point seq %d of %q: %w", pt.seq, en, err)
+	for _, ck := range chain {
+		if err := store.Apply(ck); err != nil {
+			return nil, fmt.Errorf("inspect: staging rewind point seq %d of %q: %w", pt.seq, en, err)
+		}
 	}
+	ck := chain[len(chain)-1]
 	specs := make(map[string]engine.ComponentSpec)
 	clones := make(map[string]any)
 	for _, id := range i.cfg.Topo.ComponentsOn(en) {

@@ -82,7 +82,9 @@ type Log interface {
 	// synchronous: the fault may not take effect before this returns.
 	AppendFault(rec FaultRecord) error
 	// Inputs returns the logged inputs of one source with Seq >= fromSeq,
-	// in sequence order.
+	// in sequence order. From 0 it lists whatever is retained; from a
+	// sequence number at or below what TrimInputs discarded it is an error,
+	// because the range asked for can no longer be complete.
 	Inputs(source string, fromSeq uint64) ([]InputRecord, error)
 	// Faults returns all logged faults of one component in log order.
 	Faults(component string) ([]FaultRecord, error)
@@ -98,15 +100,18 @@ type Log interface {
 type MemLog struct {
 	mu     sync.Mutex
 	inputs map[string][]InputRecord
-	faults []FaultRecord
-	closed bool
+	// trimmed is, per source, the highest Seq TrimInputs has discarded
+	// through: what tells an emptied log from one that never held a range.
+	trimmed map[string]uint64
+	faults  []FaultRecord
+	closed  bool
 }
 
 var _ Log = (*MemLog)(nil)
 
 // NewMemLog returns an empty in-memory log.
 func NewMemLog() *MemLog {
-	return &MemLog{inputs: make(map[string][]InputRecord)}
+	return &MemLog{inputs: make(map[string][]InputRecord), trimmed: make(map[string]uint64)}
 }
 
 // AppendInput implements Log.
@@ -139,6 +144,10 @@ func (l *MemLog) AppendFault(rec FaultRecord) error {
 func (l *MemLog) Inputs(source string, fromSeq uint64) ([]InputRecord, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if through := l.trimmed[source]; fromSeq != 0 && fromSeq <= through {
+		return nil, fmt.Errorf("wal: source %q: inputs %d..%d were trimmed, so a replay from %d would silently skip them",
+			source, fromSeq, through, fromSeq)
+	}
 	recs := l.inputs[source]
 	i := sort.Search(len(recs), func(i int) bool { return recs[i].Seq >= fromSeq })
 	out := make([]InputRecord, len(recs)-i)
@@ -184,6 +193,7 @@ func (l *MemLog) TrimInputs(source string, throughSeq uint64) error {
 	recs := l.inputs[source]
 	i := sort.Search(len(recs), func(i int) bool { return recs[i].Seq > throughSeq })
 	l.inputs[source] = append([]InputRecord(nil), recs[i:]...)
+	l.trimmed[source] = max(l.trimmed[source], throughSeq)
 	return nil
 }
 
@@ -957,8 +967,9 @@ func (l *FileLog) Compact() error {
 	return nil
 }
 
-// writeLive writes every indexed record to w — inputs by source, then
-// faults — and returns the bytes written.
+// writeLive writes every indexed record to w — per source its trim
+// watermark and retained inputs, then faults — and returns the bytes
+// written.
 func (l *FileLog) writeLive(w io.Writer) (int64, error) {
 	l.mem.mu.Lock()
 	defer l.mem.mu.Unlock()
@@ -980,6 +991,11 @@ func (l *FileLog) writeLive(w io.Writer) (int64, error) {
 		return err
 	}
 	for _, s := range sources {
+		if through := l.mem.trimmed[s]; through > 0 {
+			if err := put(&fileEntry{Kind: entryTrim, Source: s, Through: through}); err != nil {
+				return 0, err
+			}
+		}
 		for _, rec := range l.mem.inputs[s] {
 			if err := put(&fileEntry{Kind: entryInput, Input: rec}); err != nil {
 				return 0, err

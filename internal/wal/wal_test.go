@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/estimator"
@@ -339,6 +340,53 @@ func TestFileLogCompactReclaimsTrimmed(t *testing.T) {
 	if len(recs) != 2 {
 		t.Errorf("compacted file reload: %d records, want 2", len(recs))
 	}
+}
+
+// TestInputsBelowTrimIsAnError: a replay that starts at or below what was
+// trimmed cannot be complete, and the log says so instead of returning the
+// surviving suffix — also when every record is gone, after a reopen, and
+// after a compaction dropped the trim entries' records.
+func TestInputsBelowTrimIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trim.wal")
+	l, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 10; i++ {
+		if err := l.AppendInput(InputRecord{Source: "s", Seq: i, Payload: "p"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.TrimInputs("s", 10); err != nil { // everything
+		t.Fatal(err)
+	}
+	check := func(l Log, when string) {
+		t.Helper()
+		if _, err := l.Inputs("s", 6); err == nil || !strings.Contains(err.Error(), `"s"`) || !strings.Contains(err.Error(), "6..10") {
+			t.Errorf("%s: Inputs from 6 after a trim through 10: err = %v, want one naming the source and 6..10", when, err)
+		}
+		if recs, err := l.Inputs("s", 11); err != nil || len(recs) != 0 {
+			t.Errorf("%s: Inputs from 11 = %d records, %v; want none and no error", when, len(recs), err)
+		}
+		if _, err := l.Inputs("s", 0); err != nil {
+			t.Errorf("%s: listing what is retained: %v", when, err)
+		}
+		if _, err := l.Inputs("other", 1); err != nil {
+			t.Errorf("%s: an untrimmed source: %v", when, err)
+		}
+	}
+	check(l, "live")
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(l, "compacted")
+	l.Close()
+	l2, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	check(l2, "reopened")
 }
 
 func TestFileLogOpenBadPath(t *testing.T) {

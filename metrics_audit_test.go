@@ -116,6 +116,9 @@ func TestMetricsExpositionAudit(t *testing.T) {
 		"tart_source_shed_total",
 		"tart_wal_records_total", "tart_wal_fsyncs_total",
 		"tart_wal_fsync_seconds", "tart_wal_batch_records",
+		"tart_checkpoints_total", "tart_checkpoint_bytes",
+		"tart_checkpoint_hold_seconds", "tart_checkpoint_store_seconds",
+		"tart_checkpoint_chain_length",
 	} {
 		if !audited[want] {
 			t.Errorf("family %s missing from /metrics exposition", want)

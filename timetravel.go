@@ -35,8 +35,9 @@ type TimeTravel struct {
 }
 
 // WithTimeTravel enables the time-travel inspector: every checkpoint is
-// archived as a rewind point (forcing full captures, never deltas) and the
-// engine's WAL appends are retained until no archived point needs them.
+// archived as a rewind point (a delta checkpoint keeps the points it
+// extends alive, back to its full capture) and the engine's WAL appends
+// are retained until no archived point needs them.
 // Cluster.Rewind/RewindDiff/Bisect/RewindRun answer state questions about
 // the past, `tartctl rewind`/`tartctl bisect` and the /rewind debug
 // endpoint expose the same over HTTP.

@@ -372,6 +372,122 @@ func TestStateWatchpoint(t *testing.T) {
 	}
 }
 
+// ttLedger keeps per-key counts in a StateMap and checkpoints them
+// incrementally by implementing the delta half of the snapshot contract
+// itself, so with time travel on most of its rewind points are deltas.
+type ttLedger struct{ tab *tart.StateMap[string, int] }
+
+func (l *ttLedger) table() *tart.StateMap[string, int] {
+	if l.tab == nil { // a sandbox clone starts from the zero value
+		l.tab = tart.NewStateMap[string, int]()
+	}
+	return l.tab
+}
+
+func (l *ttLedger) OnMessage(ctx *tart.Context, _ string, p any) (any, error) {
+	n, _ := l.table().Get(p.(string))
+	l.table().Put(p.(string), n+1)
+	return nil, ctx.Send("out", p)
+}
+
+func (l *ttLedger) Snapshot() ([]byte, error)    { return l.table().Snapshot() }
+func (l *ttLedger) Restore(d []byte) error       { return l.table().Restore(d) }
+func (l *ttLedger) Delta() ([]byte, bool, error) { return l.table().Delta() }
+func (l *ttLedger) ApplyDelta(d []byte) error    { return l.table().ApplyDelta(d) }
+func (l ttLedger) String() (s string) {
+	for _, k := range l.table().SortedKeys() {
+		v, _ := l.tab.Get(k)
+		s += fmt.Sprintf("%s=%d ", k, v)
+	}
+	return s
+}
+
+// TestRewindAcrossDeltaPoints: rewind points archived from delta
+// checkpoints reconstruct exactly what the live component held — from the
+// point itself (its chain folded, nothing replayed) and from every older
+// retained point (chain folded, inputs replayed) — including after history
+// has evicted the full capture those deltas extend, and across the next
+// full capture.
+func TestRewindAcrossDeltaPoints(t *testing.T) {
+	app := tart.NewApp()
+	live := &ttLedger{}
+	app.Register("ledger", live, tart.WithConstantCost(30*time.Microsecond))
+	app.SourceInto("in", "ledger", "in")
+	app.SinkFrom("out", "ledger", "out")
+	app.PlaceAll("main")
+	cluster, err := tart.Launch(app,
+		tart.WithManualClock(func() tart.VirtualTime { return 0 }),
+		tart.WithTimeTravel(tart.TimeTravel{History: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	out := newOutputs()
+	if err := cluster.Sink("out", out.fn); err != nil {
+		t.Fatal(err)
+	}
+	src, err := cluster.Source("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held := make(map[uint64]string) // checkpoint seq -> what the live ledger held
+	check := func() {
+		t.Helper()
+		points := cluster.RewindPoints()["main"]
+		if len(points) != 4 {
+			t.Fatalf("history 4 retains %d points", len(points))
+		}
+		for li, later := range points {
+			for _, earlier := range points[:li+1] {
+				res, err := cluster.RewindRun(tart.RewindOptions{
+					Target: later.VT, FromSeq: map[string]uint64{"main": earlier.Seq}})
+				if err != nil {
+					t.Fatalf("rewind to point %d from point %d: %v", later.Seq, earlier.Seq, err)
+				}
+				if got := res.States["ledger"].Render; got != held[later.Seq] {
+					t.Fatalf("rewind to point %d from point %d: ledger %q, live run held %q", later.Seq, earlier.Seq, got, held[later.Seq])
+				}
+			}
+		}
+	}
+	step := func(i int) {
+		t.Helper()
+		if err := src.EmitAt(tart.VirtualTime(i)*1_000_000, fmt.Sprintf("k%d", i%3)); err != nil {
+			t.Fatal(err)
+		}
+		out.await(t, i)
+		seq, err := cluster.Checkpoint("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[seq] = live.String()
+	}
+	// The launch checkpoint (seq 1) is the full capture; 2..10 are deltas.
+	for i := 1; i <= 8; i++ {
+		step(i)
+	}
+	check() // points 6..9: all deltas, their base evicted from the listing
+	for i := 9; i <= 11; i++ {
+		step(i)
+	}
+	check() // points 9..12 straddle the full capture at seq 11
+	fams, err := cluster.MetricFamilies("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fams {
+		for _, s := range f.Series {
+			if f.Name == "tart_checkpoints_total" && s.Get("kind") == "delta" && s.Value != 10 {
+				t.Errorf("%v of the 12 checkpoints were deltas, want 10", s.Value)
+			}
+		}
+	}
+	if _, err := cluster.Rewind("ledger", 1_000_000); !errors.Is(err, tart.ErrRewindTooOld) {
+		t.Fatalf("rewind before the oldest listed point: want ErrRewindTooOld, got %v", err)
+	}
+}
+
 // TestRewindBeforeHistory asserts a target older than the oldest retained
 // rewind point fails promptly with ErrRewindTooOld instead of hanging.
 func TestRewindBeforeHistory(t *testing.T) {
