@@ -104,7 +104,6 @@ func (e *Engine) Checkpoint() (uint64, error) {
 	} else {
 		e.chainLen++
 	}
-	e.metrics.AddCheckpoint(bytesTotal)
 	e.ckpt.Applied(ck.IsBase(), e.chainLen, bytesTotal, offLoop)
 	elapsed := time.Since(start)
 	e.rec.Record(trace.Event{Kind: trace.EvCheckpoint, VT: maxClock, Wire: -1, MsgSeq: ck.Seq,
@@ -246,7 +245,6 @@ func NewFromBackup(cfg Config, store *checkpoint.ReplicaStore) (*Engine, error) 
 		// the replica witnessed — a determinism fault.
 		if audit := e.metrics.Audit(); audit != nil && schedState.AuditCount > 0 {
 			if entry, ok := audit.At(h.name, schedState.AuditCount-1); ok && entry.Chain != schedState.AuditChain {
-				e.metrics.AddDeterminismFault()
 				e.metrics.Registry().DeterminismFaults(h.name, "checkpoint-chain").Inc()
 				e.rec.Record(trace.Event{Kind: trace.EvDeterminismFault, VT: schedState.Clock, Component: h.name, Wire: -1,
 					Note: fmt.Sprintf("checkpoint audit chain mismatch at delivery %d", schedState.AuditCount-1)})
@@ -357,7 +355,6 @@ func (e *Engine) replayAfterRestore() error {
 			}
 		}
 	}
-	e.metrics.AddFailover()
 	// Persist the recovery story immediately: the dump now shows the
 	// pre-crash checkpoints and sends followed by failover and replay.
 	e.dumpFlight()

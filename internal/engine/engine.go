@@ -482,7 +482,7 @@ func (e *Engine) Hosted() []string {
 // Name returns the engine name.
 func (e *Engine) Name() string { return e.name }
 
-// Metrics returns the engine's counters.
+// Metrics returns the engine's observability attachments.
 func (e *Engine) Metrics() *trace.Metrics { return e.metrics }
 
 // Source returns the handle for a named external source whose component is
@@ -498,7 +498,7 @@ func (e *Engine) Source(name string) (*Source, error) {
 // Sink registers the consumer callback for a named external sink whose
 // component is hosted on this engine. Must be called before Start.
 // The callback receives raw envelopes and may see re-deliveries after a
-// failover (output stutter); wrap it with DedupSink to suppress them.
+// failover (output stutter); tart.DedupOutputs suppresses them.
 func (e *Engine) Sink(name string, fn func(env msg.Envelope)) error {
 	sink, ok := e.tp.SinkByName(name)
 	if !ok {

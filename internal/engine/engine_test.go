@@ -252,23 +252,6 @@ func TestSourceValidation(t *testing.T) {
 	}
 }
 
-func TestDedupSink(t *testing.T) {
-	var got []uint64
-	fn := DedupSink(func(env msg.Envelope) { got = append(got, env.Seq) })
-	for _, seq := range []uint64{1, 2, 2, 1, 3, 3, 4} {
-		fn(msg.Envelope{Seq: seq})
-	}
-	want := []uint64{1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("dedup = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dedup = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestStopIdempotentAndKill(t *testing.T) {
 	tp := fig1Topo(t, false)
 	e, err := New(Config{Name: "A", Topo: tp, Components: fig1Specs()})

@@ -311,6 +311,67 @@ func TestCallerFailoverGetsBufferedReply(t *testing.T) {
 	}
 }
 
+// TestReissuedCallCountsOneDuplicate delivers an already-answered call
+// request to the callee's engine a second time — the frame a recovering
+// caller re-issues — and checks that the callee counts one duplicate, not
+// one in its scheduler and another when the engine re-sends the reply.
+func TestReissuedCallCountsOneDuplicate(t *testing.T) {
+	tp := callSplitTopo(t)
+	net := transport.NewInproc()
+	addrs := map[string]string{"A": "a", "B": "b"}
+	mk := func(name, comp string, h sched.Handler) *Engine {
+		e, err := New(Config{
+			Name: name, Topo: tp,
+			Components: map[string]ComponentSpec{comp: spec(h, 10_000)},
+			Transport:  net, Addrs: addrs,
+			RedialEvery: 5 * time.Millisecond, GapRepairEvery: 10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	engA := mk("A", "client", &callClient{})
+	engB := mk("B", "server", &callServer{})
+	sink := newSinkCollector()
+	if err := engA.Sink("out", sink.fn); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Engine{engB, engA} {
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer e.Stop()
+	}
+	in, _ := engA.Source("in")
+	if err := in.EmitAt(1_000_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	sink.await(t, 1, 10*time.Second)
+
+	// The call may already have reached the callee twice (sent on a link that
+	// came up while the reconnect resend was running), so count the delta.
+	dups := func(e *Engine) int64 { return e.Metrics().Snapshot().DuplicatesDropped }
+	calleeBefore, callerBefore := dups(engB), dups(engA)
+	client, _ := tp.ComponentByName("client")
+	reqs := engA.buffers.from(client.Outputs["lookup"], 1)
+	if len(reqs) != 1 {
+		t.Fatalf("caller buffered %d call requests, want 1", len(reqs))
+	}
+	engB.deliverInbound(reqs[0])
+	if got := dups(engB) - calleeBefore; got != 1 {
+		t.Errorf("callee counted %d duplicates for one re-issued call, want 1", got)
+	}
+	// The re-sent reply finds no waiter at the caller: one stale reply.
+	deadline := time.Now().Add(5 * time.Second)
+	for dups(engA)-callerBefore < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("caller never saw the re-sent reply")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestSourceProbeAnswering verifies that probes addressed to a source wire
 // are answered by the engine with the source's silence knowledge.
 func TestSourceProbeAnswering(t *testing.T) {

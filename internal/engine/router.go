@@ -123,7 +123,6 @@ func (e *Engine) deliverInbound(env msg.Envelope) {
 // sequence number (paper §II.F.4: "the sender or senders will be prompted
 // to resend the range of ticks for which there is a gap").
 func (e *Engine) serveReplay(req msg.Envelope) {
-	e.metrics.AddReplayRequest()
 	resent := e.buffers.from(req.Wire, req.Seq)
 	e.metrics.Registry().Counter(trace.MetricReplayServes,
 		"Replay-range requests served from replay buffers.",
@@ -158,7 +157,6 @@ func (e *Engine) resendBufferedReply(req msg.Envelope) {
 		return
 	}
 	if reply, ok := e.buffers.replyByCallID(w.Peer, req.CallID); ok {
-		e.metrics.AddDuplicateDropped()
 		e.forward(e.tp.Wire(reply.Wire), reply)
 	}
 }

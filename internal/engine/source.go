@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/msg"
+	"repro/internal/sched"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/vt"
@@ -30,14 +31,16 @@ type Source struct {
 	lastVT   vt.Time
 	promised vt.Time
 
-	emits *trace.Counter
+	emits, silences *trace.Counter
 }
 
 func newSource(e *Engine, name string, w *topo.Wire, target *hosted) *Source {
+	reg := e.metrics.Registry()
 	return &Source{
 		e: e, name: name, wire: w, target: target, lastVT: vt.Never, promised: vt.Never,
-		emits: e.metrics.Registry().Counter(trace.MetricSourceEmits,
+		emits: reg.Counter(trace.MetricSourceEmits,
 			"External messages logged and injected by a source.", trace.L("source", name)),
+		silences: reg.Silences(name, sched.WireName(e.tp, w)),
 	}
 }
 
@@ -200,7 +203,7 @@ func (e *Engine) answerSourceProbe(w *topo.Wire) {
 		s.promised = promise
 		seq := s.seq
 		s.mu.Unlock()
-		e.metrics.AddSilence()
+		s.silences.Inc()
 		e.rec.Record(trace.Event{Kind: trace.EvSilence, VT: promise, Component: s.name, Wire: w.ID, Note: "source probe answer"})
 		s.target.sch.Deliver(msg.NewSilenceAfter(w.ID, promise, seq))
 		return
@@ -224,7 +227,7 @@ func (e *Engine) advanceSourceSilence() {
 		s.promised = promise
 		seq := s.seq
 		s.mu.Unlock()
-		e.metrics.AddSilence()
+		s.silences.Inc()
 		s.target.sch.Deliver(msg.NewSilenceAfter(s.wire.ID, promise, seq))
 	}
 }
@@ -240,22 +243,4 @@ func (e *Engine) sortedSources() []*Source {
 		}
 	}
 	return out
-}
-
-// DedupSink wraps a sink callback, suppressing output stutter: envelopes
-// whose sequence number was already delivered are dropped, so downstream
-// consumers observe exactly-once delivery even across failovers.
-func DedupSink(fn func(env msg.Envelope)) func(env msg.Envelope) {
-	var mu sync.Mutex
-	next := uint64(1)
-	return func(env msg.Envelope) {
-		mu.Lock()
-		if env.Seq < next {
-			mu.Unlock()
-			return
-		}
-		next = env.Seq + 1
-		mu.Unlock()
-		fn(env)
-	}
 }

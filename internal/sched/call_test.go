@@ -8,7 +8,6 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/msg"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/vt"
 )
 
@@ -169,7 +168,7 @@ func TestCallUnblocksOnStop(t *testing.T) {
 func TestDuplicateCallReplyDropped(t *testing.T) {
 	tp := callTopo(t)
 	f := newFabric(t, tp)
-	mm := &trace.Metrics{}
+	mm := registryMetrics()
 	client := HandlerFunc(func(ctx *Ctx, port string, payload any) (any, error) {
 		reply, err := ctx.Call("lookup", payload)
 		if err != nil {
@@ -199,7 +198,7 @@ func TestDuplicateCallReplyDropped(t *testing.T) {
 func TestCalibrationCommitsDeterminismFault(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
-	mm := &trace.Metrics{}
+	mm := registryMetrics()
 
 	extract := func(any) estimator.Features { return estimator.Features{1} }
 	cal := estimator.NewCalibrated(

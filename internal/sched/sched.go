@@ -83,7 +83,8 @@ type Config struct {
 	// Silence configures the component's silence-propagation governor.
 	Silence silence.Config
 	Router  Router
-	// Metrics receives counters; optional.
+	// Metrics carries the registry, recorder, audit log and span collector
+	// the scheduler reports into; optional, and each absent one is a no-op.
 	Metrics *trace.Metrics
 	// Seed seeds the component's deterministic PRNG.
 	Seed uint64
@@ -184,12 +185,11 @@ type Scheduler struct {
 
 	// Observability handles, resolved once at construction; all are valid
 	// no-ops when the Metrics carries no registry/recorder.
-	rec         *trace.Recorder
-	reg         *trace.Registry
-	spans       *span.Collector
-	handlerHist *trace.Histogram
-	estErrHist  *trace.Histogram
-	detFaults   *trace.Counter
+	rec        *trace.Recorder
+	reg        *trace.Registry
+	spans      *span.Collector
+	estErrHist *trace.Histogram
+	detFaults  *trace.Counter
 
 	poke    chan struct{}
 	stop    chan struct{}
@@ -211,9 +211,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.Router == nil {
 		return nil, errors.New("sched: Router is required")
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = &trace.Metrics{}
 	}
 	if cfg.ProbeRetry <= 0 {
 		cfg.ProbeRetry = 50 * time.Millisecond
@@ -249,7 +246,6 @@ func New(cfg Config) (*Scheduler, error) {
 	s.rec = cfg.Metrics.Recorder()
 	s.audit = cfg.Metrics.Audit()
 	s.spans = cfg.Metrics.Spans()
-	s.handlerHist = reg.HandlerSeconds(cfg.Comp.Name)
 	s.estErrHist = reg.EstimatorError(cfg.Comp.Name)
 	s.detFaults = reg.DeterminismFaults(cfg.Comp.Name, "replay-divergence")
 	for _, wid := range cfg.Comp.Inputs {
@@ -423,7 +419,6 @@ func (s *Scheduler) deliverMessage(env msg.Envelope) {
 		in.noteDepth()
 		s.front.update(in)
 	} else {
-		s.cfg.Metrics.AddDuplicateDropped()
 		if verdict == acceptOverflow {
 			in.m.HoldbackDrops.Inc()
 		} else {
@@ -501,7 +496,6 @@ func (s *Scheduler) deliverProbe(env msg.Envelope) {
 
 // noteSilence accounts one silence promise emitted on an output wire.
 func (s *Scheduler) noteSilence(ow *outWire, through vt.Time) {
-	s.cfg.Metrics.AddSilence()
 	ow.m.Silences.Inc()
 	s.rec.Record(trace.Event{Kind: trace.EvSilence, VT: through, Component: s.comp.Name, Wire: ow.w.ID})
 }
@@ -515,7 +509,7 @@ func (s *Scheduler) deliverReply(env msg.Envelope) {
 	s.mu.Unlock()
 	if !ok {
 		// No waiter: a duplicate reply after replay. Discard.
-		s.cfg.Metrics.AddDuplicateDropped()
+		s.reg.Duplicates(s.comp.Name, WireName(s.cfg.Topo, s.cfg.Topo.Wire(env.Wire))).Inc()
 		s.rec.Record(trace.Event{Kind: trace.EvDuplicateDrop, VT: env.VT, Component: s.comp.Name, Wire: env.Wire, MsgSeq: env.Seq, Note: "duplicate call reply"})
 		return
 	}

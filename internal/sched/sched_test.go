@@ -154,10 +154,19 @@ func TestTieBreakByWireID(t *testing.T) {
 	}
 }
 
+// registryMetrics returns a Metrics with a registry attached: Snapshot reads
+// the registry, so a bare Metrics would report zero for everything and make
+// assertions such as "no probes sent" pass vacuously.
+func registryMetrics() *trace.Metrics {
+	m := &trace.Metrics{}
+	m.SetRegistry(trace.NewRegistry())
+	return m
+}
+
 func TestPessimismDelayMeteredAndProbesSent(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
-	mergerMetrics := &trace.Metrics{}
+	mergerMetrics := registryMetrics()
 	f.add("sender1", passthrough("out"))
 	f.add("sender2", passthrough("out"))
 	f.add("merger", passthrough("out"), func(c *Config) {
@@ -202,7 +211,7 @@ func TestPessimismDelayMeteredAndProbesSent(t *testing.T) {
 func TestLazyStrategySendsNoProbes(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
-	mm := &trace.Metrics{}
+	mm := registryMetrics()
 	lazy := func(c *Config) {
 		c.Silence = silence.Config{Strategy: silence.Lazy}
 		c.ProbeRetry = 5 * time.Millisecond
@@ -232,7 +241,7 @@ func TestLazyStrategySendsNoProbes(t *testing.T) {
 func TestDuplicateSequencesDropped(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
-	mm := &trace.Metrics{}
+	mm := registryMetrics()
 	f.add("sender1", passthrough("out"), func(c *Config) { c.Metrics = mm })
 	f.add("sender2", passthrough("out"))
 	f.add("merger", passthrough("out"))
@@ -298,7 +307,7 @@ func TestSequenceGapHeldBackAndReleased(t *testing.T) {
 func TestOutOfRealTimeOrderCounted(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
-	mm := &trace.Metrics{}
+	mm := registryMetrics()
 	f.add("sender1", passthrough("out"))
 	f.add("sender2", passthrough("out"))
 	f.add("merger", passthrough("out"), func(c *Config) { c.Metrics = mm })

@@ -127,7 +127,6 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 				for _, w := range blockers {
 					if s.probed[w] < cand.env.VT {
 						s.probed[w] = cand.env.VT
-						s.cfg.Metrics.AddProbe()
 						s.inputs[w].m.Probes.Inc()
 						s.rec.Record(trace.Event{Kind: trace.EvProbe, VT: cand.env.VT, Component: s.comp.Name, Wire: w})
 						control = append(control, msg.NewProbe(w, cand.env.VT))
@@ -151,7 +150,6 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		in.noteDepth()
 		if !s.pessStart.IsZero() {
 			wait := time.Since(s.pessStart)
-			s.cfg.Metrics.AddPessimismDelay(wait)
 			in.m.Pessimism.Observe(wait.Seconds())
 			ev := trace.Event{Kind: trace.EvPessimismEnd, VT: q.env.VT, Component: s.comp.Name, Wire: candWire, MsgSeq: q.env.Seq, WaitNanos: int64(wait)}
 			if blamed, ok := s.inputs[s.pessBlame]; ok {
@@ -173,7 +171,6 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		if q.arrival > s.maxDlvd {
 			s.maxDlvd = q.arrival
 		}
-		s.cfg.Metrics.AddDelivered(outOfOrder)
 		in.m.Delivered.Inc()
 		if outOfOrder {
 			in.m.OutOfOrder.Inc()
@@ -208,7 +205,6 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 				}
 				if ok, want := s.audit.Check(s.comp.Name, idx, q.env.VT, s.auditChain); !ok {
 					s.auditChain = want
-					s.cfg.Metrics.AddDeterminismFault()
 					s.detFaults.Inc()
 					s.rec.Record(trace.Event{Kind: trace.EvDeterminismFault, VT: q.env.VT, Component: s.comp.Name, Wire: candWire, MsgSeq: q.env.Seq, Origin: q.env.Origin, Hops: q.env.Hops, Note: "replay divergence: delivered payload differs from recorded chain"})
 				}
@@ -251,7 +247,6 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		reply, err := s.cfg.Handler.OnMessage(ctx, port, q.env.Payload)
 		elapsed := time.Since(start)
 		_ = err // handler errors are the application's concern; state advances regardless
-		s.handlerHist.Observe(elapsed.Seconds())
 		s.estErrHist.Observe((time.Duration(cost) - elapsed).Seconds())
 		if !spanPop.IsZero() {
 			// The VT extent is the estimator's charged cost (plus any Call
@@ -490,7 +485,6 @@ func (s *Scheduler) observe(payload any, measured vt.Ticks) {
 	fault.EffectiveVT = s.clock.Add(1)
 	s.mu.Unlock()
 	if err := cal.Commit(*fault); err == nil {
-		s.cfg.Metrics.AddDeterminismFault()
 		s.reg.DeterminismFaults(s.comp.Name, "recalibration").Inc()
 		s.rec.Record(trace.Event{Kind: trace.EvDeterminismFault, VT: fault.EffectiveVT, Component: s.comp.Name, Wire: -1, Note: "estimator recalibration"})
 	}

@@ -371,6 +371,31 @@ func (r *Registry) Gather() []MetricFamily {
 	return out
 }
 
+// Sum folds a counter or histogram family across all of its label sets:
+// the total of the counters, or of the histograms' observation sums plus,
+// as count, the number of observations. An absent family sums to zero.
+func (r *Registry) Sum(name string) (sum float64, count int64) {
+	if r == nil {
+		return 0, 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fam := r.fams[name]
+	if fam == nil {
+		return 0, 0
+	}
+	for _, s := range fam.series {
+		switch {
+		case s.c != nil:
+			sum += float64(s.c.Value())
+		case s.h != nil:
+			sum += math.Float64frombits(s.h.sumBits.Load())
+			count += s.h.count.Load()
+		}
+	}
+	return sum, count
+}
+
 // WritePrometheus renders the registry in Prometheus text exposition
 // format 0.0.4. Output is deterministic: families sorted by name, series
 // by label signature.
@@ -490,7 +515,6 @@ const (
 	MetricDuplicates      = "tart_duplicates_dropped_total"
 	MetricPessimism       = "tart_pessimism_delay_seconds"
 	MetricQueueDepth      = "tart_queue_depth"
-	MetricHandlerSeconds  = "tart_handler_seconds"
 	MetricCheckpoints     = "tart_checkpoints_total"
 	MetricCheckpointBytes = "tart_checkpoint_bytes"
 	MetricCheckpointHold  = "tart_checkpoint_hold_seconds"
@@ -673,7 +697,7 @@ func (r *Registry) InWire(component, wire string) *InWireMetrics {
 		Delivered:     r.Counter(MetricDelivered, "Messages delivered to handlers.", lbls...),
 		OutOfOrder:    r.Counter(MetricOutOfOrder, "Messages delivered in VT order that arrived out of real-time order.", lbls...),
 		Probes:        r.Counter(MetricProbes, "Curiosity probes sent to the wire's sender.", lbls...),
-		Duplicates:    r.Counter(MetricDuplicates, "Duplicate messages discarded by sequence/timestamp.", lbls...),
+		Duplicates:    r.Duplicates(component, wire),
 		Pessimism:     r.Histogram(MetricPessimism, "Pessimism delay: real time spent holding a deliverable message awaiting other senders' silence.", SecondsBuckets, lbls...),
 		QueueDepth:    r.Gauge(MetricQueueDepth, "Messages currently queued on the wire.", lbls...),
 		Blame:         r.Counter(MetricBlame, "Pessimism episodes where this wire's silence frontier was the last holdout.", lbls...),
@@ -691,16 +715,23 @@ type OutWireMetrics struct {
 
 // OutWire resolves the sender-side handles for one (component, wire).
 func (r *Registry) OutWire(component, wire string) *OutWireMetrics {
-	lbls := []Label{L("component", component), L("wire", wire)}
 	return &OutWireMetrics{
-		Sent:     r.Counter(MetricSent, "Data, call, and reply envelopes emitted on the wire.", lbls...),
-		Silences: r.Counter(MetricSilences, "Silence promises emitted on the wire.", lbls...),
+		Sent:     r.Counter(MetricSent, "Data, call, and reply envelopes emitted on the wire.", L("component", component), L("wire", wire)),
+		Silences: r.Silences(component, wire),
 	}
 }
 
-// HandlerSeconds resolves the per-component handler-duration histogram.
-func (r *Registry) HandlerSeconds(component string) *Histogram {
-	return r.Histogram(MetricHandlerSeconds, "Measured real-time handler execution duration.", SecondsBuckets, L("component", component))
+// Silences resolves the silence-promise counter for one sending (component,
+// wire); a source's promises count under its own name.
+func (r *Registry) Silences(component, wire string) *Counter {
+	return r.Counter(MetricSilences, "Silence promises emitted on the wire.", L("component", component), L("wire", wire))
+}
+
+// Duplicates resolves the duplicate-discard counter for one (component,
+// wire): an input wire's, or a call-reply wire's whose stale replies the
+// caller drops.
+func (r *Registry) Duplicates(component, wire string) *Counter {
+	return r.Counter(MetricDuplicates, "Duplicate messages discarded by sequence/timestamp.", L("component", component), L("wire", wire))
 }
 
 // EstimatorError resolves the per-component signed estimator-error

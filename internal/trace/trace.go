@@ -5,36 +5,21 @@
 package trace
 
 import (
+	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
 	"repro/internal/trace/span"
 )
 
-// Metrics is a set of runtime counters. The zero value is ready for use.
-// All methods are safe for concurrent use.
-//
-// A Metrics may optionally carry a labeled Registry and a flight Recorder
-// (see SetRegistry/SetRecorder); instrumented code resolves both through
-// the Metrics so existing call sites keep compiling and a bare Metrics
-// keeps working as plain engine-global counters.
+// Metrics bundles an engine's observability attachments: the labeled
+// Registry every counter lives in, the flight Recorder, the determinism
+// AuditLog and the span Collector. Instrumented code resolves all four
+// through it. The zero value has none attached, and every handle it hands
+// out is then a valid no-op.
 type Metrics struct {
-	delivered         atomic.Int64
-	outOfOrder        atomic.Int64
-	probesSent        atomic.Int64
-	silencesSent      atomic.Int64
-	pessimismDelayNs  atomic.Int64
-	pessimismEpisodes atomic.Int64
-	checkpoints       atomic.Int64
-	checkpointBytes   atomic.Int64
-	replayRequests    atomic.Int64
-	duplicatesDropped atomic.Int64
-	determinismFaults atomic.Int64
-	failovers         atomic.Int64
-
 	reg   *Registry
 	rec   *Recorder
 	audit *AuditLog
@@ -95,83 +80,44 @@ func (m *Metrics) Spans() *span.Collector {
 	return m.spans
 }
 
-// Snapshot is a point-in-time copy of all counters.
+// Snapshot is the engine-wide fold of the registry's paper-level families:
+// each field sums one family over every label set (see Metrics.Snapshot).
 type Snapshot struct {
-	Delivered         int64
-	OutOfOrder        int64
-	ProbesSent        int64
-	SilencesSent      int64
-	PessimismDelay    time.Duration
-	PessimismEpisodes int64
-	Checkpoints       int64
-	CheckpointBytes   int64
-	ReplayRequests    int64
-	DuplicatesDropped int64
-	DeterminismFaults int64
-	Failovers         int64
+	Delivered         int64         // tart_delivered_total
+	OutOfOrder        int64         // tart_out_of_rt_order_total
+	ProbesSent        int64         // tart_probes_total
+	SilencesSent      int64         // tart_silences_total
+	PessimismDelay    time.Duration // sum of tart_pessimism_delay_seconds
+	PessimismEpisodes int64         // count of tart_pessimism_delay_seconds
+	Checkpoints       int64         // tart_checkpoints_total
+	CheckpointBytes   int64         // sum of tart_checkpoint_bytes
+	ReplayRequests    int64         // tart_replay_serves_total
+	DuplicatesDropped int64         // tart_duplicates_dropped_total + tart_holdback_dropped_total
+	DeterminismFaults int64         // tart_determinism_faults_total, every cause
+	Failovers         int64         // tart_failovers_total
 }
 
-// AddDelivered counts one message delivered to a handler; outOfOrder marks
-// messages that were delivered in virtual-time order but had arrived out of
-// real-time order (Fig. 4's "# Msgs Received out of RT-order").
-func (m *Metrics) AddDelivered(outOfOrder bool) {
-	m.delivered.Add(1)
-	if outOfOrder {
-		m.outOfOrder.Add(1)
-	}
-}
-
-// AddProbe counts one curiosity probe sent.
-func (m *Metrics) AddProbe() { m.probesSent.Add(1) }
-
-// AddSilence counts one silence promise sent.
-func (m *Metrics) AddSilence() { m.silencesSent.Add(1) }
-
-// AddPessimismDelay accumulates time spent holding a queued message while
-// waiting for other senders' silence. Zero-delay episodes still count: the
-// episode counter is the denominator of the mean pessimism delay and must
-// match the number of delivered-while-waiting messages.
-func (m *Metrics) AddPessimismDelay(d time.Duration) {
-	m.pessimismEpisodes.Add(1)
-	if d > 0 {
-		m.pessimismDelayNs.Add(int64(d))
-	}
-}
-
-// AddCheckpoint counts one soft checkpoint of the given encoded size.
-func (m *Metrics) AddCheckpoint(bytes int) {
-	m.checkpoints.Add(1)
-	m.checkpointBytes.Add(int64(bytes))
-}
-
-// AddReplayRequest counts one replay-range request served or issued.
-func (m *Metrics) AddReplayRequest() { m.replayRequests.Add(1) }
-
-// AddDuplicateDropped counts one duplicate message discarded by timestamp.
-func (m *Metrics) AddDuplicateDropped() { m.duplicatesDropped.Add(1) }
-
-// AddDeterminismFault counts one logged determinism fault: an estimator
-// recalibration or an audit-chain divergence (paper §II.G.4).
-func (m *Metrics) AddDeterminismFault() { m.determinismFaults.Add(1) }
-
-// AddFailover counts one passive-replica activation.
-func (m *Metrics) AddFailover() { m.failovers.Add(1) }
-
-// Snapshot returns a copy of all counters.
+// Snapshot reads the attached registry (all zeros without one).
 func (m *Metrics) Snapshot() Snapshot {
+	r := m.Registry()
+	count := func(name string) int64 {
+		sum, _ := r.Sum(name)
+		return int64(sum)
+	}
+	pessimism, episodes := r.Sum(MetricPessimism)
 	return Snapshot{
-		Delivered:         m.delivered.Load(),
-		OutOfOrder:        m.outOfOrder.Load(),
-		ProbesSent:        m.probesSent.Load(),
-		SilencesSent:      m.silencesSent.Load(),
-		PessimismDelay:    time.Duration(m.pessimismDelayNs.Load()),
-		PessimismEpisodes: m.pessimismEpisodes.Load(),
-		Checkpoints:       m.checkpoints.Load(),
-		CheckpointBytes:   m.checkpointBytes.Load(),
-		ReplayRequests:    m.replayRequests.Load(),
-		DuplicatesDropped: m.duplicatesDropped.Load(),
-		DeterminismFaults: m.determinismFaults.Load(),
-		Failovers:         m.failovers.Load(),
+		Delivered:         count(MetricDelivered),
+		OutOfOrder:        count(MetricOutOfOrder),
+		ProbesSent:        count(MetricProbes),
+		SilencesSent:      count(MetricSilences),
+		PessimismDelay:    time.Duration(math.Round(pessimism * 1e9)),
+		PessimismEpisodes: episodes,
+		Checkpoints:       count(MetricCheckpoints),
+		CheckpointBytes:   count(MetricCheckpointBytes),
+		ReplayRequests:    count(MetricReplayServes),
+		DuplicatesDropped: count(MetricDuplicates) + count(MetricHoldbackDrops),
+		DeterminismFaults: count(MetricDetFaults),
+		Failovers:         count(MetricFailovers),
 	}
 }
 

@@ -3,8 +3,13 @@ package tart_test
 import (
 	"bufio"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -192,4 +197,70 @@ func mustObjectives(t *testing.T, spec string) []tart.SLOObjective {
 		t.Fatal(err)
 	}
 	return obj
+}
+
+// TestMetricFamilyCensus holds the README's *Metric families* table and the
+// Metric* constants of internal/trace/registry.go to the same list: every
+// constant has a row, every row a constant, and every row names a reader.
+func TestMetricFamilyCensus(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "internal/trace/registry.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := make(map[string]string) // family -> constant
+	for _, decl := range file.Decls {
+		gen, ok := decl.(*ast.GenDecl)
+		if !ok || gen.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gen.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !strings.HasPrefix(name.Name, "Metric") || !ok || lit.Kind != token.STRING {
+					continue
+				}
+				family, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				declared[family] = name.Name
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("no Metric* constants found in registry.go")
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "\n### Metric families\n")
+	if !ok {
+		t.Fatal("README has no \"### Metric families\" section")
+	}
+	rows := make(map[string]bool)
+	for _, line := range strings.Split(table, "\n") {
+		if strings.HasPrefix(line, "#") {
+			break // the next section
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 4 || !strings.HasPrefix(strings.TrimSpace(cells[0]), "`tart_") {
+			continue
+		}
+		family := strings.Trim(strings.TrimSpace(cells[0]), "`")
+		rows[family] = true
+		if _, ok := declared[family]; !ok {
+			t.Errorf("README row %s has no Metric* constant in registry.go", family)
+		}
+		if reader := strings.TrimSpace(cells[3]); reader == "" || reader == "—" {
+			t.Errorf("README row %s names no reader", family)
+		}
+	}
+	for family, name := range declared {
+		if !rows[family] {
+			t.Errorf("%s (%s) has no row in the README Metric families table", name, family)
+		}
+	}
 }

@@ -331,6 +331,11 @@ func (c *Cluster) adaptiveLoop() {
 		if dt <= 0 {
 			continue
 		}
+		if delivered < lastDelivered {
+			// A slot restarted with a fresh count: no rate this poll.
+			lastDelivered, lastAt = delivered, now
+			continue
+		}
 		rate := float64(delivered-lastDelivered) / dt
 		lastDelivered, lastAt = delivered, now
 
@@ -551,7 +556,6 @@ func (c *Cluster) applyAdaptDecision(d AdaptDecision, slots []liveEngine) {
 		}
 		c.obsReg.Counter(trace.MetricAdaptRecalibrations,
 			"Span-driven estimator recalibrations committed as determinism faults.").Inc()
-		le.eng.Metrics().AddDeterminismFault()
 		le.eng.Metrics().Registry().DeterminismFaults(d.Component, "adapt-recalibrate").Inc()
 		if le.slot.rec != nil {
 			le.slot.rec.Record(trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Component: d.Component, Wire: -1, Note: note})
@@ -564,7 +568,6 @@ func (c *Cluster) applyAdaptDecision(d AdaptDecision, slots []liveEngine) {
 		if err := le.eng.CommitSilenceFault(d.Component, d.Silence, vt.Time(d.EffectiveVT)); err != nil {
 			return
 		}
-		le.eng.Metrics().AddDeterminismFault()
 		le.eng.Metrics().Registry().DeterminismFaults(d.Component, "adapt-silence").Inc()
 		if le.slot.rec != nil {
 			le.slot.rec.Record(trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Component: d.Component, Wire: -1, Note: note})
@@ -620,8 +623,10 @@ func (c *Cluster) AdaptDecisions() []AdaptDecision {
 	return c.adaptCtl.Decisions()
 }
 
-// totalDelivered sums delivered-message counts across all engines
-// (generations included — the counters live in slot-shared Metrics).
+// totalDelivered sums delivered-message counts across all engines. Each
+// count covers only the engine's current incarnation (Launch, Recover and
+// Reopen each start a fresh registry), so the total drops when a slot is
+// recovered.
 func (c *Cluster) totalDelivered() int64 {
 	c.mu.Lock()
 	engines := make([]*engine.Engine, 0, len(c.engines))

@@ -12,7 +12,7 @@
 // only external inputs are logged, checkpoints are shipped asynchronously
 // to passive replicas, and a recovered component replays its input suffix
 // to reach the identical state — the only externally visible artifact is
-// possible output stutter (re-delivered outputs), which DedupSink removes.
+// possible output stutter (re-delivered outputs), which DedupOutputs removes.
 //
 // Quick start:
 //
@@ -119,8 +119,24 @@ type Output struct {
 	Payload any
 }
 
-// Metrics is a snapshot of an engine's runtime counters (pessimism delay,
-// probes, out-of-order arrivals, checkpoints, recovery activity).
+// Metrics is a snapshot of an engine's runtime counters, folded from its
+// labeled metric registry: each field sums one family over every label set,
+// for the current engine incarnation only (Recover and Reopen start from
+// zero).
+//
+//   - Delivered: tart_delivered_total
+//   - OutOfOrder: tart_out_of_rt_order_total
+//   - ProbesSent: tart_probes_total
+//   - SilencesSent: tart_silences_total
+//   - PessimismDelay, PessimismEpisodes: the sum and the count of the
+//     tart_pessimism_delay_seconds histogram
+//   - Checkpoints: tart_checkpoints_total
+//   - CheckpointBytes: the sum of tart_checkpoint_bytes
+//   - ReplayRequests: tart_replay_serves_total (replay ranges served)
+//   - DuplicatesDropped: tart_duplicates_dropped_total plus
+//     tart_holdback_dropped_total
+//   - DeterminismFaults: tart_determinism_faults_total, every cause
+//   - Failovers: tart_failovers_total
 type Metrics = trace.Snapshot
 
 // TraceEvent is one flight-recorder record: an event kind plus virtual and
