@@ -59,7 +59,6 @@ type clusterConfig struct {
 	adaptive           *AdaptiveSampling
 	adaptRuntime       *AdaptiveRuntime
 	timetravel         *TimeTravel
-	loopbackFast       bool
 	durableDir         string
 	hostSet            map[string]bool
 	shedLimit          int
@@ -83,20 +82,6 @@ func WithTCP(addrs map[string]string) ClusterOption {
 // flushing every envelope immediately.
 func WithFlushDelay(d time.Duration) ClusterOption {
 	return clusterOptionFunc(func(c *clusterConfig) { c.flushDelay = d })
-}
-
-// WithLoopbackFastPath opts a TCP cluster into the in-process transport
-// fast path: a dial that targets another engine's listener in the same
-// process hands envelopes across by pointer (no serialization, no socket)
-// under a copy-on-write payload discipline — payloads must not be mutated
-// after Send, the same rule the in-process transport already imposes.
-// Replay and the determinism audit are unaffected: payload digests are
-// computed from the registered codec, never from the transport
-// representation, so socket and loopback hops produce identical
-// (wire, seq, VT, digest) tuples. Dials to listeners in other processes
-// fall back to real sockets automatically. No effect without WithTCP.
-func WithLoopbackFastPath() ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) { c.loopbackFast = true })
 }
 
 // WithDurableStore roots each engine's recovery state in dir: the stable
@@ -281,14 +266,14 @@ type Cluster struct {
 	sup     *supervisor
 	closed  bool
 
-	// Cluster-level observability (see observability.go): the adaptive
-	// span-sampling schedule + controller registry, the OTLP exporter, and
-	// the background goroutines that drive them.
-	schedule *span.Schedule
-	obsReg   *trace.Registry
-	otlp     *otlp.Exporter
+	// The control plane (see control.go): the loops started by every, the
+	// registry of their metric families, the adaptive span-sampling
+	// schedule and the OTLP exporter.
+	ctl      *controlMetrics
 	bg       sync.WaitGroup
 	bgStop   chan struct{}
+	schedule *span.Schedule
+	otlp     *otlp.Exporter
 
 	// Time travel (see timetravel.go): the rewind-point archive and the
 	// sandboxed replay inspector built over it.
@@ -317,6 +302,12 @@ type engineSlot struct {
 	gen       uint64                  // incarnation fencing token, bumped on Recover
 	startedAt time.Time               // when the current incarnation started
 	failed    bool
+
+	// Span-ID watermarks of the control loops that read spans: the newest
+	// span handed to the OTLP exporter and the newest one the adaptive
+	// runtime harvested. Each is touched only by its own loop (and by Stop's
+	// final drain once the loops have exited).
+	exported, harvested uint64
 }
 
 // Launch builds and starts a cluster from the application.
@@ -404,11 +395,8 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 			quantum = cfg.adaptRuntime.Quantum
 		}
 		c.schedule = span.NewSchedule(cfg.spanSample, quantum)
-		c.obsReg = trace.NewRegistry()
-		c.obsReg.Gauge(trace.MetricSampleN,
-			"Current adaptive head-sampling modulus (1 traced origin in N).").
-			Set(int64(c.schedule.Current().N))
 	}
+	c.ctl = newControlMetrics(c.schedule, cfg.adaptRuntime != nil)
 	if cfg.adaptRuntime != nil {
 		// Baseline strategies the controller escalates from (and quiet
 		// periods return to), plus the wire-label → upstream index that maps
@@ -437,7 +425,7 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 	if cfg.supervisor != nil {
 		// Created before the engines so their debug surfaces (/supervisor,
 		// appended /metrics families) can reference it; started after.
-		c.sup = newSupervisor(c, *cfg.supervisor)
+		c.sup = &supervisor{c: c, cfg: cfg.supervisor.withDefaults(), lastAction: make(map[string]time.Time)}
 	}
 	if cfg.timetravel != nil {
 		// Created before the engines: the archive wraps their logs and tees
@@ -571,15 +559,12 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 			}
 		}
 	}
-	if c.sup != nil {
-		c.sup.start()
-	}
 	if cfg.otlpURL != "" {
 		// Created only after every engine started, so failed Launches never
 		// leak the exporter's background goroutine.
 		c.otlp = otlp.New(otlp.Config{URL: cfg.otlpURL})
 	}
-	c.startObservers()
+	c.startControlPlane()
 	return c, nil
 }
 
@@ -658,7 +643,6 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 		// wire-level metrics into this engine's registry.
 		t.Spans = slot.spans
 		t.Meter = meter
-		t.Loopback = c.cfg.loopbackFast
 		tr = t
 	}
 	if c.cfg.netem != nil {
@@ -841,24 +825,24 @@ func DedupOutputs(fn func(Output)) func(Output) {
 // Checkpoint takes an immediate soft checkpoint of the named engine and
 // returns its sequence number.
 func (c *Cluster) Checkpoint(engineName string) (uint64, error) {
-	slot, err := c.slot(engineName)
+	v, err := c.slot(engineName)
 	if err != nil {
 		return 0, err
 	}
-	return slot.eng.Checkpoint()
+	return v.eng.Checkpoint()
 }
 
 // Fail simulates a fail-stop crash of the named engine: all volatile state
 // is lost; the stable log and passive replica survive.
 func (c *Cluster) Fail(engineName string) error {
-	slot, err := c.slot(engineName)
+	v, err := c.slot(engineName)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	slot.failed = true
+	v.slot.failed = true
 	c.mu.Unlock()
-	slot.eng.Kill()
+	v.eng.Kill()
 	return nil
 }
 
@@ -868,18 +852,14 @@ func (c *Cluster) Fail(engineName string) error {
 // Fail/Recover. Chaos harnesses use Crash to exercise detection end to
 // end; tests that want an immediately recoverable engine use Fail.
 func (c *Cluster) Crash(engineName string) error {
-	slot, err := c.slot(engineName)
+	v, err := c.liveEngine(engineName)
+	if errors.Is(err, ErrEngineDown) {
+		return nil // already down and known to be down
+	}
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	eng := slot.eng
-	failed := slot.failed
-	c.mu.Unlock()
-	if failed {
-		return nil // already down and known to be down
-	}
-	eng.Kill()
+	v.eng.Kill()
 	return nil
 }
 
@@ -888,10 +868,11 @@ func (c *Cluster) Crash(engineName string) error {
 // stable input log's suffix, reconnects to its peers (which re-drives
 // remote replay), and re-registers the cluster's sinks and sources.
 func (c *Cluster) Recover(engineName string) error {
-	slot, err := c.slot(engineName)
+	v, err := c.slot(engineName)
 	if err != nil {
 		return err
 	}
+	slot := v.slot
 	c.mu.Lock()
 	if !slot.failed {
 		c.mu.Unlock()
@@ -945,24 +926,9 @@ func (c *Cluster) Recover(engineName string) error {
 // hyper-aggressive bias on or off is rejected because it changes output
 // virtual times (it would need a logged determinism fault).
 func (c *Cluster) SetSilenceStrategy(component string, strategy SilenceStrategy) error {
-	comp, ok := c.tp.ComponentByName(component)
-	if !ok {
-		return fmt.Errorf("tart: unknown component %q", component)
-	}
-	slot, err := c.slot(comp.Engine)
+	sch, err := c.scheduler(component)
 	if err != nil {
 		return err
-	}
-	c.mu.Lock()
-	failed := slot.failed
-	eng := slot.eng
-	c.mu.Unlock()
-	if failed {
-		return fmt.Errorf("tart: component %q: %w", component, ErrEngineDown)
-	}
-	sch, ok := eng.Scheduler(component)
-	if !ok {
-		return fmt.Errorf("tart: component %q not hosted on %q", component, comp.Engine)
 	}
 	return sch.SetSilence(silence.Config{Strategy: strategy})
 }
@@ -973,88 +939,70 @@ func (c *Cluster) SetSilenceStrategy(component string, strategy SilenceStrategy)
 // configuration from the stable log, so comparing this across a failover
 // is the replica-consistency check for adaptive decisions.
 func (c *Cluster) SilenceConfigOf(component string) (SilenceConfig, error) {
-	comp, ok := c.tp.ComponentByName(component)
-	if !ok {
-		return SilenceConfig{}, fmt.Errorf("tart: unknown component %q", component)
-	}
-	slot, err := c.slot(comp.Engine)
+	sch, err := c.scheduler(component)
 	if err != nil {
 		return SilenceConfig{}, err
 	}
-	c.mu.Lock()
-	failed := slot.failed
-	eng := slot.eng
-	c.mu.Unlock()
-	if failed {
-		return SilenceConfig{}, fmt.Errorf("tart: component %q: %w", component, ErrEngineDown)
-	}
-	sch, ok := eng.Scheduler(component)
-	if !ok {
-		return SilenceConfig{}, fmt.Errorf("tart: component %q not hosted on %q", component, comp.Engine)
-	}
 	return sch.SilenceConfig(), nil
+}
+
+// scheduler returns a component's scheduler in its engine's current
+// incarnation.
+func (c *Cluster) scheduler(component string) (*sched.Scheduler, error) {
+	v, err := c.componentEngine(component)
+	if err != nil {
+		return nil, err
+	}
+	sch, ok := v.eng.Scheduler(component)
+	if !ok {
+		return nil, fmt.Errorf("tart: component %q not hosted on %q", component, v.slot.name)
+	}
+	return sch, nil
 }
 
 // EstimatorCoeffs reports the coefficients a component's calibrated
 // estimator has in force at its engine's current virtual time (nil when
 // the component uses a static estimator).
 func (c *Cluster) EstimatorCoeffs(component string) ([]float64, error) {
-	comp, ok := c.tp.ComponentByName(component)
-	if !ok {
-		return nil, fmt.Errorf("tart: unknown component %q", component)
-	}
-	slot, err := c.slot(comp.Engine)
+	v, err := c.componentEngine(component)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	failed := slot.failed
-	eng := slot.eng
-	c.mu.Unlock()
-	if failed {
-		return nil, fmt.Errorf("tart: component %q: %w", component, ErrEngineDown)
-	}
-	cal, ok := eng.Calibrated(component)
+	cal, ok := v.eng.Calibrated(component)
 	if !ok {
 		return nil, nil
 	}
-	return cal.Coeffs(eng.ComponentVT(component)), nil
+	return cal.Coeffs(v.eng.ComponentVT(component)), nil
 }
 
 // Metrics returns the named engine's runtime counters.
 func (c *Cluster) Metrics(engineName string) (Metrics, error) {
-	slot, err := c.slot(engineName)
+	v, err := c.slot(engineName)
 	if err != nil {
 		return Metrics{}, err
 	}
-	return slot.eng.Metrics().Snapshot(), nil
+	return v.eng.Metrics().Snapshot(), nil
 }
 
 // MetricFamilies returns the named engine's labeled metrics (per-wire and
 // per-component series) as a gathered snapshot.
 func (c *Cluster) MetricFamilies(engineName string) ([]MetricFamily, error) {
-	slot, err := c.slot(engineName)
+	v, err := c.slot(engineName)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	eng := slot.eng
-	c.mu.Unlock()
-	return eng.Metrics().Registry().Gather(), nil
+	return v.eng.Metrics().Registry().Gather(), nil
 }
 
 // MetricsText renders the named engine's labeled metrics in Prometheus
 // text exposition format — the same bytes its /metrics endpoint serves.
 func (c *Cluster) MetricsText(engineName string) (string, error) {
-	slot, err := c.slot(engineName)
+	v, err := c.slot(engineName)
 	if err != nil {
 		return "", err
 	}
-	c.mu.Lock()
-	eng := slot.eng
-	c.mu.Unlock()
 	var b strings.Builder
-	if err := eng.Metrics().Registry().WritePrometheus(&b); err != nil {
+	if err := v.eng.Metrics().Registry().WritePrometheus(&b); err != nil {
 		return "", err
 	}
 	return b.String(), nil
@@ -1064,11 +1012,11 @@ func (c *Cluster) MetricsText(engineName string) (string, error) {
 // events (chronological; last <= 0 returns everything retained). Requires
 // WithFlightRecorder; returns nil otherwise.
 func (c *Cluster) TraceEvents(engineName string, last int) ([]TraceEvent, error) {
-	slot, err := c.slot(engineName)
+	v, err := c.slot(engineName)
 	if err != nil {
 		return nil, err
 	}
-	return slot.rec.Last(last), nil
+	return v.slot.rec.Last(last), nil
 }
 
 // Spans returns the named engine's retained spans in record order.
@@ -1076,28 +1024,24 @@ func (c *Cluster) TraceEvents(engineName string, last int) ([]TraceEvent, error)
 // Fail/Recover, so after a failover the result holds both the pre-crash
 // spans and the replayed=true re-deliveries.
 func (c *Cluster) Spans(engineName string) ([]Span, error) {
-	slot, err := c.slot(engineName)
+	v, err := c.slot(engineName)
 	if err != nil {
 		return nil, err
 	}
-	return slot.spans.Spans(), nil
+	return v.slot.spans.Spans(), nil
 }
 
 // DebugAddr returns the bound debug HTTP address of the named engine ("" if
 // no listener was configured or the engine is down).
 func (c *Cluster) DebugAddr(engineName string) (string, error) {
-	slot, err := c.slot(engineName)
+	v, err := c.liveEngine(engineName)
+	if errors.Is(err, ErrEngineDown) {
+		return "", nil
+	}
 	if err != nil {
 		return "", err
 	}
-	c.mu.Lock()
-	failed := slot.failed
-	eng := slot.eng
-	c.mu.Unlock()
-	if failed {
-		return "", nil
-	}
-	return eng.DebugAddr(), nil
+	return v.eng.DebugAddr(), nil
 }
 
 // FlightDumpPath returns where the named engine writes its flight-recorder
@@ -1124,18 +1068,11 @@ type PeerHealth = engine.PeerHealth
 // Health reports the named engine's connectivity to each of its peers.
 // A failed engine reports ErrEngineDown.
 func (c *Cluster) Health(engineName string) (map[string]PeerHealth, error) {
-	slot, err := c.slot(engineName)
+	v, err := c.liveEngine(engineName)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	failed := slot.failed
-	eng := slot.eng
-	c.mu.Unlock()
-	if failed {
-		return nil, fmt.Errorf("tart: engine %q: %w", engineName, ErrEngineDown)
-	}
-	return eng.PeerHealth(), nil
+	return v.eng.PeerHealth(), nil
 }
 
 // SupervisorStatus reports the failover supervisor's activity (Enabled
@@ -1149,33 +1086,29 @@ func (c *Cluster) SupervisorStatus() SupervisorStatus {
 
 // Stop shuts every engine down. Idempotent.
 func (c *Cluster) Stop() {
-	if c.sup != nil {
-		// Stop supervision first so engine shutdowns below are not mistaken
-		// for crashes and "recovered".
-		c.sup.stopLoop()
-	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return
 	}
 	c.closed = true
-	slots := make([]*engineSlot, 0, len(c.engines))
-	for _, s := range c.engines {
-		slots = append(slots, s)
-	}
 	c.mu.Unlock()
-	// Stop the observability goroutines before the engines so the OTLP
-	// loop's final drain sees every collector's last spans.
+	// The control plane stops before any engine: the supervisor must not
+	// mistake the shutdowns below for crashes and "recover" them, and the
+	// final OTLP drain must see every collector's last spans.
 	close(c.bgStop)
 	c.bg.Wait()
-	for _, s := range slots {
+	if c.otlp != nil {
+		c.drainOTLP()
+		c.otlp.Close()
+	}
+	for _, s := range c.slots() {
 		if !s.failed {
 			s.eng.Stop()
 		}
-		_ = s.log.Close()
-		if s.fstore != nil {
-			_ = s.fstore.Close()
+		_ = s.slot.log.Close()
+		if s.slot.fstore != nil {
+			_ = s.slot.fstore.Close()
 		}
 	}
 }
@@ -1189,14 +1122,9 @@ func (c *Cluster) DumpFlightRecorders(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	slots := make([]*engineSlot, 0, len(c.engines))
-	for _, s := range c.engines {
-		slots = append(slots, s)
-	}
-	c.mu.Unlock()
 	var firstErr error
-	for _, s := range slots {
+	for _, v := range c.slots() {
+		s := v.slot
 		if s.rec == nil {
 			continue
 		}
@@ -1214,14 +1142,68 @@ func (c *Cluster) DumpFlightRecorders(dir string) error {
 	return firstErr
 }
 
-func (c *Cluster) slot(engineName string) (*engineSlot, error) {
+// slotView is one engine slot with its current incarnation and failed flag
+// read under the cluster lock. Recover swaps slot.eng, so holders use eng,
+// never slot.eng: reading the field unlocked races the failover.
+type slotView struct {
+	slot   *engineSlot
+	eng    *engine.Engine
+	failed bool
+}
+
+func viewOf(s *engineSlot) slotView { return slotView{slot: s, eng: s.eng, failed: s.failed} }
+
+// slot looks up one hosted engine.
+func (c *Cluster) slot(engineName string) (slotView, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	slot, ok := c.engines[engineName]
+	s, ok := c.engines[engineName]
 	if !ok {
-		return nil, fmt.Errorf("tart: unknown engine %q", engineName)
+		return slotView{}, fmt.Errorf("tart: unknown engine %q", engineName)
 	}
-	return slot, nil
+	return viewOf(s), nil
+}
+
+// slots snapshots every hosted engine slot.
+func (c *Cluster) slots() []slotView {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	views := make([]slotView, 0, len(c.engines))
+	for _, s := range c.engines {
+		views = append(views, viewOf(s))
+	}
+	return views
+}
+
+// liveSlots is slots without the failed ones.
+func (c *Cluster) liveSlots() []slotView {
+	views := c.slots()
+	live := views[:0]
+	for _, v := range views {
+		if !v.failed {
+			live = append(live, v)
+		}
+	}
+	return live
+}
+
+// liveEngine is slot for an engine that must be running: while the slot is
+// failed it returns an error wrapping ErrEngineDown.
+func (c *Cluster) liveEngine(engineName string) (slotView, error) {
+	v, err := c.slot(engineName)
+	if err == nil && v.failed {
+		err = fmt.Errorf("tart: engine %q: %w", engineName, ErrEngineDown)
+	}
+	return v, err
+}
+
+// componentEngine is liveEngine for the engine hosting a component.
+func (c *Cluster) componentEngine(component string) (slotView, error) {
+	comp, ok := c.tp.ComponentByName(component)
+	if !ok {
+		return slotView{}, fmt.Errorf("tart: unknown component %q", component)
+	}
+	return c.liveEngine(comp.Engine)
 }
 
 // Source is an external producer handle. It stays valid across failovers
@@ -1236,18 +1218,11 @@ type Source struct {
 func (s *Source) Name() string { return s.name }
 
 func (s *Source) current() (*engine.Source, error) {
-	slot, err := s.c.slot(s.engine)
+	v, err := s.c.liveEngine(s.engine)
 	if err != nil {
 		return nil, err
 	}
-	s.c.mu.Lock()
-	failed := slot.failed
-	eng := slot.eng
-	s.c.mu.Unlock()
-	if failed {
-		return nil, fmt.Errorf("tart: source %q on engine %q: %w", s.name, s.engine, ErrEngineDown)
-	}
-	return eng.Source(s.name)
+	return v.eng.Source(s.name)
 }
 
 // Emit ingests one message stamped with the current time, returning the

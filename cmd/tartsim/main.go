@@ -15,7 +15,7 @@
 //	tartsim -exp slo         SLO scenario sweep: open-loop arrival shapes vs the latency tail
 //	tartsim -exp rewind      Time-travel rewind latency vs VT checkpoint cadence
 //	tartsim -exp coldstart   Cold-restart reopen latency vs durable checkpoint cadence
-//	tartsim -exp wirespeed   Codec/transport throughput: gob vs binary vs loopback fast path
+//	tartsim -exp wirespeed   Codec/transport throughput: gob vs binary codec, TCP socket pair
 //	tartsim -exp adapt       Closed-loop adaptation: blame-driven bias arming vs static policies
 //	tartsim -exp all         Everything above
 package main

@@ -112,14 +112,13 @@ func wirespeedPair(tr transport.Transport, addr string, payload []byte, msgs int
 // wirespeed sweeps payload size across the codec and transport lanes and
 // prints envelopes/sec: the legacy gob stream vs the binary frame codec
 // (pure serialization cost), then a real TCP socket pair with
-// scatter-gather batching vs the co-located loopback fast path (delivery
-// cost). The binary/gob column is the tentpole speedup; the loopback
-// column shows what co-located engine pairs get for free.
+// scatter-gather batching (delivery cost). The binary/gob column is the
+// codec speedup.
 func wirespeed() error {
-	fmt.Println("== Wire-speed sweep: gob vs binary codec, socket vs loopback fast path ==")
+	fmt.Println("== Wire-speed sweep: gob vs binary codec, and a TCP socket pair ==")
 	fmt.Printf("   %d messages per cell, []byte payloads, envelopes/sec\n\n", wirespeedMsgs)
-	fmt.Printf("   %-10s %-12s %-12s %-9s %-12s %-12s\n",
-		"payload", "gob/s", "binary/s", "speedup", "tcp/s", "loopback/s")
+	fmt.Printf("   %-10s %-12s %-12s %-9s %-12s\n",
+		"payload", "gob/s", "binary/s", "speedup", "tcp/s")
 	for _, size := range []int{1, 64, 512} {
 		payload := make([]byte, size)
 		for i := range payload {
@@ -137,12 +136,8 @@ func wirespeed() error {
 		if err != nil {
 			return err
 		}
-		loop, err := wirespeedPair(transport.TCP{Loopback: true}, "127.0.0.1:0", payload, wirespeedMsgs)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("   %-10s %-12.0f %-12.0f %8.1fx %-12.0f %-12.0f\n",
-			fmt.Sprintf("%dB", size), gob, bin, bin/gob, tcp, loop)
+		fmt.Printf("   %-10s %-12.0f %-12.0f %8.1fx %-12.0f\n",
+			fmt.Sprintf("%dB", size), gob, bin, bin/gob, tcp)
 	}
 	fmt.Println()
 	return nil

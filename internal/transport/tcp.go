@@ -65,14 +65,6 @@ type TCP struct {
 	// transport creates: socket bytes by direction, frames per writev
 	// batch, and gob-fallback envelopes.
 	Meter *Meter
-
-	// Loopback opts into the in-process fast path: a Dial that targets a
-	// loopback-enabled listener in the same process hands envelopes across
-	// by pointer (no serialization, no socket) under a copy-on-write
-	// payload discipline — neither side may mutate a payload after Send.
-	// Replay and audit chains are unaffected: payload digests are computed
-	// from the registered codec, not the transport representation.
-	Loopback bool
 }
 
 var _ Transport = TCP{}
@@ -103,22 +95,13 @@ func (t TCP) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	l := &tcpListener{nl: nl, flushDelay: t.flushDelay(), spans: t.Spans, meter: t.Meter}
-	if t.Loopback {
-		l.enableLoopback(addr)
-	}
-	return l, nil
+	return &tcpListener{nl: nl, flushDelay: t.flushDelay(), spans: t.Spans, meter: t.Meter}, nil
 }
 
 // Dial implements Transport, bounding connection establishment by the
 // configured DialTimeout so a black-holed peer address fails fast enough
 // for the caller's redial cadence.
 func (t TCP) Dial(addr string) (Conn, error) {
-	if t.Loopback {
-		if c, ok := dialLoopback(addr); ok {
-			return c, nil
-		}
-	}
 	d := net.Dialer{Timeout: t.dialTimeout()}
 	nc, err := d.Dial("tcp", addr)
 	if err != nil {
@@ -132,54 +115,22 @@ type tcpListener struct {
 	flushDelay time.Duration
 	spans      *span.Collector
 	meter      *Meter
-
-	// Loopback fast-path state (nil/unused unless enableLoopback ran):
-	// dials from co-located loopback-enabled transports inject an inproc
-	// endpoint instead of opening a socket; a pump goroutine forwards real
-	// socket accepts so Accept can select across both sources.
-	loopKeys []string
-	injected chan Conn
-	sockets  chan Conn
-	stop     chan struct{}
-	pumpErr  error
-	pumpDone chan struct{}
-	closeOne sync.Once
 }
 
 func (l *tcpListener) Accept() (Conn, error) {
-	if l.injected == nil {
-		nc, err := l.nl.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil, ErrClosed
-			}
-			return nil, fmt.Errorf("transport: accept: %w", err)
+	nc, err := l.nl.Accept()
+	if err != nil {
+		if errors.Is(err, net.ErrClosed) {
+			return nil, ErrClosed
 		}
-		return newTCPConn(nc, l.flushDelay, l.spans, l.meter), nil
+		return nil, fmt.Errorf("transport: accept: %w", err)
 	}
-	select {
-	case c := <-l.injected:
-		return c, nil
-	case c := <-l.sockets:
-		return c, nil
-	case <-l.pumpDone:
-		return nil, l.pumpErr
-	case <-l.stop:
-		return nil, ErrClosed
-	}
+	return newTCPConn(nc, l.flushDelay, l.spans, l.meter), nil
 }
 
 func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
 
-func (l *tcpListener) Close() error {
-	l.closeOne.Do(func() {
-		if l.stop != nil {
-			close(l.stop)
-			unregisterLoopback(l)
-		}
-	})
-	return l.nl.Close()
-}
+func (l *tcpListener) Close() error { return l.nl.Close() }
 
 // CoalesceStats counts a connection's outgoing envelopes and the socket
 // flushes that carried them; Flushes/Envelopes is the coalescing ratio

@@ -135,37 +135,13 @@ func benchInprocPair(b *testing.B, size int) {
 	benchPairThroughput(b, a, c, size)
 }
 
-func benchLoopbackPair(b *testing.B, size int) {
-	tr := TCP{Loopback: true}
-	l, err := tr.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	acc := acceptOne(b, l)
-	client, err := tr.Dial(l.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	server := <-acc
-	if server == nil {
-		b.Fatal("accept failed")
-	}
-	defer server.Close()
-	if _, ok := client.(*inprocConn); !ok {
-		b.Fatalf("loopback pair dialed %T, want *inprocConn", client)
-	}
-	benchPairThroughput(b, client, server, size)
-}
-
 var benchSizes = []int{1, 64, 512}
 
 // BenchmarkTransportThroughput is the wire-speed gate: envelopes/sec for
 // the codec alone, a real TCP socket pair with scatter-gather batching,
-// a raw in-process channel pair, and the co-located loopback fast path.
-// Baselines live in BENCH_transport.json; the CI gate
-// (TestTransportThroughputGate) fails on >15% regression.
+// and a raw in-process channel pair. Baselines live in
+// BENCH_transport.json; the CI gate (TestTransportThroughputGate) fails on
+// >15% regression.
 func BenchmarkTransportThroughput(b *testing.B) {
 	kinds := []struct {
 		name string
@@ -174,7 +150,6 @@ func BenchmarkTransportThroughput(b *testing.B) {
 		{"codec", benchCodecThroughput},
 		{"tcp", benchTCPPair},
 		{"inproc", benchInprocPair},
-		{"loopback", benchLoopbackPair},
 	}
 	for _, k := range kinds {
 		for _, size := range benchSizes {
@@ -218,10 +193,9 @@ func TestTransportThroughputGate(t *testing.T) {
 		t.Fatal("BENCH_transport.json has no throughput baselines")
 	}
 	lanes := map[string]func(*testing.B, int){
-		"codec":    benchCodecThroughput,
-		"tcp":      benchTCPPair,
-		"inproc":   benchInprocPair,
-		"loopback": benchLoopbackPair,
+		"codec":  benchCodecThroughput,
+		"tcp":    benchTCPPair,
+		"inproc": benchInprocPair,
 	}
 	for lane, sizes := range base.Throughput {
 		fn := lanes[lane]

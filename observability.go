@@ -2,12 +2,10 @@ package tart
 
 import (
 	"fmt"
-	"io"
 	"math/bits"
 	"time"
 
 	"repro/internal/adapt"
-	"repro/internal/engine"
 	"repro/internal/estimator"
 	"repro/internal/silence"
 	"repro/internal/slo"
@@ -189,6 +187,9 @@ func (a AdaptiveRuntime) withDefaults() AdaptiveRuntime {
 	if a.PollEvery <= 0 {
 		a.PollEvery = 250 * time.Millisecond
 	}
+	if a.DegradedSampleN <= 0 {
+		a.DegradedSampleN = 64
+	}
 	return a
 }
 
@@ -203,7 +204,7 @@ func (a AdaptiveRuntime) controllerConfig() adapt.Config {
 		Bias:              vt.Ticks(a.Bias),
 		MaxStrategy:       a.MaxStrategy,
 		BurnThreshold:     a.BurnThreshold,
-		DegradedSampleN:   uint64(max(a.DegradedSampleN, 0)),
+		DegradedSampleN:   uint64(a.DegradedSampleN),
 		History:           a.History,
 	}
 }
@@ -253,88 +254,41 @@ func (c *Cluster) SampleEpochs() []SampleRateEpoch {
 // WithOTLPExport).
 func (c *Cluster) OTLPStats() OTLPStats { return c.otlp.Stats() }
 
-// startObservers launches the cluster-level observability goroutines: the
-// adaptive-sampling controller and the OTLP drain. Called at the end of
-// Launch; stopped (and final-drained) by Stop.
-func (c *Cluster) startObservers() {
-	if c.cfg.adaptive != nil {
-		c.bg.Add(1)
-		go c.adaptiveLoop()
-	}
-	if c.adaptCtl != nil {
-		c.seedAdaptMetrics()
-		c.bg.Add(1)
-		go c.adaptRuntimeLoop()
-	}
-	if c.otlp != nil {
-		c.bg.Add(1)
-		go c.otlpLoop()
-	}
-	if c.cfg.timetravel != nil && c.cfg.timetravel.CheckpointEveryVT > 0 {
-		c.bg.Add(1)
-		go c.vtCheckpointLoop()
-	}
-}
-
-// seedAdaptMetrics registers every adaptive-runtime metric family with a
-// zero-valued series at launch, so dashboards and exposition audits see the
+// seedAdaptMetrics gives the adaptive runtime's per-component and per-wire
+// gauges a series at launch, so dashboards and exposition audits see the
 // families before (and whether or not) the first decision fires.
 func (c *Cluster) seedAdaptMetrics() {
-	for _, kind := range []adapt.Kind{adapt.KindSampling, adapt.KindRecalibrate, adapt.KindSilence} {
-		c.obsReg.Counter(trace.MetricAdaptDecisions,
-			"Closed-loop adaptive-runtime decisions taken, by kind.",
-			trace.L("kind", string(kind)))
-	}
-	c.obsReg.Counter(trace.MetricAdaptRecalibrations,
-		"Span-driven estimator recalibrations committed as determinism faults.")
 	for _, s := range c.liveSlots() {
 		for _, comp := range s.eng.Hosted() {
 			if _, ok := s.eng.Calibrated(comp); ok {
-				c.obsReg.FloatGauge(trace.MetricEstResidual,
-					"Relative estimator residual over the recent compute-span window (|wall-charged|/wall).",
-					trace.L("component", comp))
+				c.ctl.residual(comp)
 			}
 		}
 	}
 	for wire, up := range c.wireUp {
 		// Before the controller's first escalation the effective strategy is
 		// the upstream governor's own configuration.
-		cfg, err := c.SilenceConfigOf(up)
-		if err != nil {
-			continue
+		if cfg, err := c.SilenceConfigOf(up); err == nil {
+			c.ctl.strategy(wire).Set(int64(cfg.Strategy))
 		}
-		c.obsReg.Gauge(trace.MetricAdaptSilenceStrategy,
-			"Silence strategy selected for the wire's upstream component (1=lazy 2=curiosity 3=aggressive 4=hyper-aggressive).",
-			trace.L("wire", wire)).Set(int64(cfg.Strategy))
 	}
 }
 
-// adaptiveLoop is the sampling-rate controller: it polls the cluster-wide
+// rateController returns the sampling-rate tick: it polls the cluster-wide
 // delivery rate and proposes a new 1/N whenever the budget-implied modulus
 // (rounded to a power of two for hysteresis) differs from the current one.
-func (c *Cluster) adaptiveLoop() {
-	defer c.bg.Done()
-	a := *c.cfg.adaptive
-	t := time.NewTicker(a.PollEvery)
-	defer t.Stop()
-	lastDelivered := c.totalDelivered()
-	lastAt := time.Now()
-	for {
-		select {
-		case <-c.bgStop:
-			return
-		case <-t.C:
-		}
-		delivered := c.totalDelivered()
-		now := time.Now()
+func (c *Cluster) rateController(a AdaptiveSampling) func() {
+	lastDelivered, lastAt := c.totalDelivered(), time.Now()
+	return func() {
+		delivered, now := c.totalDelivered(), time.Now()
 		dt := now.Sub(lastAt).Seconds()
 		if dt <= 0 {
-			continue
+			return
 		}
 		if delivered < lastDelivered {
 			// A slot restarted with a fresh count: no rate this poll.
 			lastDelivered, lastAt = delivered, now
-			continue
+			return
 		}
 		rate := float64(delivered-lastDelivered) / dt
 		lastDelivered, lastAt = delivered, now
@@ -347,81 +301,48 @@ func (c *Cluster) adaptiveLoop() {
 		if need := rate * spansPerDelivery / a.SpansPerSec; need > 1 {
 			want = nextPow2(uint64(need))
 		}
-		if want < a.MinN {
-			want = a.MinN
-		}
-		if want > a.MaxN {
-			want = a.MaxN
+		want = min(max(want, a.MinN), a.MaxN)
+		if c.adaptCtl != nil {
+			// While SLO burn holds sampling degraded the budget may thin it
+			// further but never undo the degradation. Deciding under the
+			// controller's lock orders this proposal against its own.
+			c.adaptMu.Lock()
+			defer c.adaptMu.Unlock()
+			if c.adaptCtl.Degraded() {
+				want = max(want, uint64(c.cfg.adaptRuntime.DegradedSampleN))
+			}
 		}
 		cur := c.schedule.Current().N
 		if want == cur {
-			continue
+			return
 		}
-		ep, ok := c.schedule.Propose(want, c.maxNowVT())
+		ep, ok := c.proposeSampleN(want)
 		if !ok {
-			continue
+			return
 		}
 		note := fmt.Sprintf("1/%d -> 1/%d at %.0f deliveries/s", cur, ep.N, rate)
-		c.obsReg.Gauge(trace.MetricSampleN,
-			"Current adaptive head-sampling modulus (1 traced origin in N).").Set(int64(ep.N))
-		c.obsReg.Counter(trace.MetricSampleEpochs,
-			"Adaptive sampling-rate epoch switches proposed by the controller.").Inc()
-		c.mu.Lock()
-		slots := make([]*engineSlot, 0, len(c.engines))
-		for _, s := range c.engines {
-			slots = append(slots, s)
-		}
-		c.mu.Unlock()
-		for _, s := range slots {
-			if s.rec != nil {
-				s.rec.Record(trace.Event{Kind: trace.EvSampleEpoch, VT: ep.Start, Wire: -1, Note: note})
+		for _, s := range c.slots() {
+			if s.slot.rec != nil {
+				s.slot.rec.Record(trace.Event{Kind: trace.EvSampleEpoch, VT: ep.Start, Wire: -1, Note: note})
 			}
 		}
 	}
 }
 
-// adaptRuntimeLoop drives the closed-loop controller: harvest an
-// observation, step the policy, route the decisions.
-func (c *Cluster) adaptRuntimeLoop() {
-	defer c.bg.Done()
-	t := time.NewTicker(c.cfg.adaptRuntime.PollEvery)
-	defer t.Stop()
-	marks := make(map[string]uint64) // per-engine span-ID harvest watermark
-	for {
-		select {
-		case <-c.bgStop:
-			return
-		case <-t.C:
-			c.adaptStep(marks)
-		}
+// proposeSampleN schedules a new sampling modulus past the live VT frontier
+// and publishes it.
+func (c *Cluster) proposeSampleN(n uint64) (span.RateEpoch, bool) {
+	ep, ok := c.schedule.Propose(n, c.maxNowVT())
+	if ok {
+		c.ctl.sampleN.Set(int64(ep.N))
+		c.ctl.sampleEpochs.Inc()
 	}
+	return ep, ok
 }
 
-// liveEngine pairs a non-failed slot with the engine incarnation observed
-// under the cluster lock. Callers must use the captured eng rather than
-// re-reading slot.eng: a concurrent supervisor Recover swaps the slot's
-// engine pointer, and reading it unlocked races the failover.
-type liveEngine struct {
-	slot *engineSlot
-	eng  *engine.Engine
-}
-
-// liveSlots snapshots the non-failed engine slots and their current engine
-// incarnations.
-func (c *Cluster) liveSlots() []liveEngine {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	slots := make([]liveEngine, 0, len(c.engines))
-	for _, s := range c.engines {
-		if !s.failed {
-			slots = append(slots, liveEngine{slot: s, eng: s.eng})
-		}
-	}
-	return slots
-}
-
-// adaptStep performs one control iteration: harvest → Step → route.
-func (c *Cluster) adaptStep(marks map[string]uint64) {
+// adaptStep is the adaptive runtime's tick: harvest an observation, step
+// the policy, route the decisions.
+func (c *Cluster) adaptStep() {
 	obs := adapt.Observation{
 		Now:     c.maxNowVT(),
 		Compute: make(map[string][]adapt.ComputeSample),
@@ -435,26 +356,21 @@ func (c *Cluster) adaptStep(marks map[string]uint64) {
 		// Compute samples: new (ID past the watermark), non-replayed compute
 		// spans of calibrated components. Wall is what the handler measured;
 		// Charged is what the estimator billed in virtual time.
-		if s.slot.spans != nil {
-			mark := marks[s.slot.name]
-			for _, sp := range s.slot.spans.Spans() {
-				if sp.ID <= mark {
-					continue
-				}
-				if sp.ID > marks[s.slot.name] {
-					marks[s.slot.name] = sp.ID
-				}
-				if sp.Phase != span.PhaseCompute || sp.Replayed || sp.Component == "" {
-					continue
-				}
-				if _, ok := eng.Calibrated(sp.Component); !ok {
-					continue
-				}
-				obs.Compute[sp.Component] = append(obs.Compute[sp.Component], adapt.ComputeSample{
-					WallNanos: float64(sp.End.Sub(sp.Start).Nanoseconds()),
-					Charged:   float64(sp.EndVT - sp.StartVT),
-				})
+		for _, sp := range s.slot.spans.Spans() {
+			if sp.ID <= s.slot.harvested {
+				continue
 			}
+			s.slot.harvested = sp.ID
+			if sp.Phase != span.PhaseCompute || sp.Replayed || sp.Component == "" {
+				continue
+			}
+			if _, ok := eng.Calibrated(sp.Component); !ok {
+				continue
+			}
+			obs.Compute[sp.Component] = append(obs.Compute[sp.Component], adapt.ComputeSample{
+				WallNanos: float64(sp.End.Sub(sp.Start).Nanoseconds()),
+				Charged:   float64(sp.EndVT - sp.StartVT),
+			})
 		}
 		for _, comp := range eng.Hosted() {
 			if cal, ok := eng.Calibrated(comp); ok {
@@ -494,9 +410,7 @@ func (c *Cluster) adaptStep(marks map[string]uint64) {
 	c.adaptMu.Unlock()
 
 	for _, comp := range status.Components {
-		c.obsReg.FloatGauge(trace.MetricEstResidual,
-			"Relative estimator residual over the recent compute-span window (|wall-charged|/wall).",
-			trace.L("component", comp.Component)).Set(comp.Residual)
+		c.ctl.residual(comp.Component).Set(comp.Residual)
 	}
 	c.publishStrategyGauges()
 	for _, d := range decisions {
@@ -508,13 +422,9 @@ func (c *Cluster) adaptStep(marks map[string]uint64) {
 // every inter-component wire's upstream (value = strategy enum).
 func (c *Cluster) publishStrategyGauges() {
 	for wire, up := range c.wireUp {
-		cfg, ok := c.strategyOfLocked(up)
-		if !ok {
-			continue
+		if cfg, ok := c.strategyOfLocked(up); ok {
+			c.ctl.strategy(wire).Set(int64(cfg.Strategy))
 		}
-		c.obsReg.Gauge(trace.MetricAdaptSilenceStrategy,
-			"Silence strategy selected for the wire's upstream component (1=lazy 2=curiosity 3=aggressive 4=hyper-aggressive).",
-			trace.L("wire", wire)).Set(int64(cfg.Strategy))
 	}
 }
 
@@ -527,69 +437,44 @@ func (c *Cluster) strategyOfLocked(component string) (silence.Config, bool) {
 // applyAdaptDecision routes one controller decision to the engines,
 // counting it and recording an adapt-decision flight event on the hosting
 // engine (or every engine for cluster-wide sampling steps).
-func (c *Cluster) applyAdaptDecision(d AdaptDecision, slots []liveEngine) {
-	c.obsReg.Counter(trace.MetricAdaptDecisions,
-		"Closed-loop adaptive-runtime decisions taken, by kind.",
-		trace.L("kind", string(d.Kind))).Inc()
+func (c *Cluster) applyAdaptDecision(d AdaptDecision, slots []slotView) {
+	c.ctl.decisions(d.Kind).Inc()
 	note := fmt.Sprintf("%s: %s", d.Kind, d.Cause)
 	switch d.Kind {
 	case adapt.KindSampling:
-		if ep, ok := c.schedule.Propose(d.SampleN, c.maxNowVT()); ok {
-			c.obsReg.Gauge(trace.MetricSampleN,
-				"Current adaptive head-sampling modulus (1 traced origin in N).").Set(int64(ep.N))
-			c.obsReg.Counter(trace.MetricSampleEpochs,
-				"Adaptive sampling-rate epoch switches proposed by the controller.").Inc()
-		}
+		c.proposeSampleN(d.SampleN)
 		for _, s := range slots {
 			if s.slot.rec != nil {
 				s.slot.rec.Record(trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Wire: -1, Note: note})
 			}
 		}
 	case adapt.KindRecalibrate:
-		le, ok := c.slotOfComponent(d.Component)
-		if !ok {
+		v, err := c.componentEngine(d.Component)
+		if err != nil {
 			return
 		}
 		fault := estimator.Fault{EffectiveVT: vt.Time(d.EffectiveVT), Coeffs: d.Coeffs}
-		if err := le.eng.CommitEstimatorFault(d.Component, fault); err != nil {
+		if err := v.eng.CommitEstimatorFault(d.Component, fault); err != nil {
 			return // e.g. racing an earlier fault at a later VT; next poll retries
 		}
-		c.obsReg.Counter(trace.MetricAdaptRecalibrations,
-			"Span-driven estimator recalibrations committed as determinism faults.").Inc()
-		le.eng.Metrics().Registry().DeterminismFaults(d.Component, "adapt-recalibrate").Inc()
-		if le.slot.rec != nil {
-			le.slot.rec.Record(trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Component: d.Component, Wire: -1, Note: note})
+		c.ctl.recalibrations.Inc()
+		v.eng.Metrics().Registry().DeterminismFaults(d.Component, "adapt-recalibrate").Inc()
+		if v.slot.rec != nil {
+			v.slot.rec.Record(trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Component: d.Component, Wire: -1, Note: note})
 		}
 	case adapt.KindSilence:
-		le, ok := c.slotOfComponent(d.Component)
-		if !ok {
+		v, err := c.componentEngine(d.Component)
+		if err != nil {
 			return
 		}
-		if err := le.eng.CommitSilenceFault(d.Component, d.Silence, vt.Time(d.EffectiveVT)); err != nil {
+		if err := v.eng.CommitSilenceFault(d.Component, d.Silence, vt.Time(d.EffectiveVT)); err != nil {
 			return
 		}
-		le.eng.Metrics().Registry().DeterminismFaults(d.Component, "adapt-silence").Inc()
-		if le.slot.rec != nil {
-			le.slot.rec.Record(trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Component: d.Component, Wire: -1, Note: note})
+		v.eng.Metrics().Registry().DeterminismFaults(d.Component, "adapt-silence").Inc()
+		if v.slot.rec != nil {
+			v.slot.rec.Record(trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Component: d.Component, Wire: -1, Note: note})
 		}
 	}
-}
-
-// slotOfComponent returns the live slot hosting a component, with the
-// engine incarnation captured under the cluster lock (false when the
-// component is unknown or its engine is down).
-func (c *Cluster) slotOfComponent(component string) (liveEngine, bool) {
-	comp, ok := c.tp.ComponentByName(component)
-	if !ok {
-		return liveEngine{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	slot := c.engines[comp.Engine]
-	if slot == nil || slot.failed {
-		return liveEngine{}, false
-	}
-	return liveEngine{slot: slot, eng: slot.eng}, true
 }
 
 // AdaptStatus snapshots the adaptive runtime: per-component residuals and
@@ -628,15 +513,9 @@ func (c *Cluster) AdaptDecisions() []AdaptDecision {
 // Reopen each start a fresh registry), so the total drops when a slot is
 // recovered.
 func (c *Cluster) totalDelivered() int64 {
-	c.mu.Lock()
-	engines := make([]*engine.Engine, 0, len(c.engines))
-	for _, s := range c.engines {
-		engines = append(engines, s.eng)
-	}
-	c.mu.Unlock()
 	var total int64
-	for _, e := range engines {
-		total += e.Metrics().Snapshot().Delivered
+	for _, s := range c.slots() {
+		total += s.eng.Metrics().Snapshot().Delivered
 	}
 	return total
 }
@@ -646,20 +525,11 @@ func (c *Cluster) totalDelivered() int64 {
 // clocks are included because manual-clock deployments keep the engine
 // clock pinned while schedulers advance with processed messages.
 func (c *Cluster) maxNowVT() vt.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	now := vt.Zero
-	for _, s := range c.engines {
-		if s.failed {
-			continue
-		}
-		if t := s.eng.NowVT(); t > now {
-			now = t
-		}
+	for _, s := range c.liveSlots() {
+		now = max(now, s.eng.NowVT())
 		for _, comp := range s.eng.Hosted() {
-			if t := s.eng.ComponentVT(comp); t > now {
-				now = t
-			}
+			now = max(now, s.eng.ComponentVT(comp))
 		}
 	}
 	return now
@@ -672,69 +542,17 @@ func nextPow2(v uint64) uint64 {
 	return 1 << bits.Len64(v-1)
 }
 
-// otlpLoop incrementally drains every collector into the exporter: spans
-// carry monotonically increasing per-collector IDs, so a watermark per
-// engine exports each span exactly once (modulo ring overwrite under
-// extreme backlog, which loses oldest-first — matching the collector's own
-// retention).
-func (c *Cluster) otlpLoop() {
-	defer c.bg.Done()
-	t := time.NewTicker(500 * time.Millisecond)
-	defer t.Stop()
-	marks := make(map[string]uint64)
-	for {
-		select {
-		case <-c.bgStop:
-			c.drainOTLP(marks)
-			c.otlp.Close()
-			return
-		case <-t.C:
-			c.drainOTLP(marks)
-		}
-	}
-}
-
-func (c *Cluster) drainOTLP(marks map[string]uint64) {
-	c.mu.Lock()
-	slots := make([]*engineSlot, 0, len(c.engines))
-	for _, s := range c.engines {
-		slots = append(slots, s)
-	}
-	c.mu.Unlock()
-	for _, s := range slots {
-		mark := marks[s.name]
-		for _, sp := range s.spans.Spans() {
-			if sp.ID <= mark {
-				continue
+// drainOTLP hands the exporter every span past each collector's watermark:
+// span IDs increase per collector, so each span is exported exactly once
+// (modulo ring overwrite under extreme backlog, which loses oldest-first —
+// matching the collector's own retention).
+func (c *Cluster) drainOTLP() {
+	for _, s := range c.slots() {
+		for _, sp := range s.slot.spans.Spans() {
+			if sp.ID > s.slot.exported {
+				c.otlp.Enqueue(sp)
+				s.slot.exported = sp.ID
 			}
-			c.otlp.Enqueue(sp)
-			if sp.ID > marks[s.name] {
-				marks[s.name] = sp.ID
-			}
-		}
-	}
-}
-
-// extraMetrics composes the cluster-level series appended to every
-// engine's /metrics exposition: supervisor families, adaptive-sampling
-// families, and the live SLO families. Returns nil when none apply so the
-// debug handler skips the extra pass entirely.
-func (c *Cluster) extraMetrics() func(io.Writer) {
-	sup := c.sup
-	obs := c.obsReg
-	tracker := c.cfg.slo
-	if sup == nil && obs == nil && tracker == nil {
-		return nil
-	}
-	return func(w io.Writer) {
-		if sup != nil {
-			_ = sup.reg.WritePrometheus(w)
-		}
-		if obs != nil {
-			_ = obs.WritePrometheus(w)
-		}
-		if tracker != nil {
-			_ = tracker.WriteMetrics(w)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package tart
 import (
 	"sync"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // SupervisorConfig tunes the automatic failover supervisor (see
@@ -71,56 +69,15 @@ const maxFailoverRecords = 64
 // false-positive — a stalled-but-alive engine gets needlessly replaced —
 // and that is fine: recovery is deterministic and generation fencing locks
 // the replaced incarnation out, so a wrong call costs latency, never
-// correctness.
+// correctness. The cluster's control plane runs tick every PollEvery.
 type supervisor struct {
 	c   *Cluster
 	cfg SupervisorConfig
-	reg *trace.Registry // cluster-level series, appended to engine /metrics
-
-	stop chan struct{}
-	done sync.WaitGroup
 
 	mu         sync.Mutex
 	suspicions uint64
 	records    []FailoverRecord
 	lastAction map[string]time.Time
-}
-
-func newSupervisor(c *Cluster, cfg SupervisorConfig) *supervisor {
-	return &supervisor{
-		c:          c,
-		cfg:        cfg.withDefaults(),
-		reg:        trace.NewRegistry(),
-		stop:       make(chan struct{}),
-		lastAction: make(map[string]time.Time),
-	}
-}
-
-func (s *supervisor) start() {
-	s.done.Add(1)
-	go func() {
-		defer s.done.Done()
-		t := time.NewTicker(s.cfg.PollEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.tick()
-			}
-		}
-	}()
-}
-
-func (s *supervisor) stopLoop() {
-	select {
-	case <-s.stop:
-		return // already stopped
-	default:
-	}
-	close(s.stop)
-	s.done.Wait()
 }
 
 func (s *supervisor) tick() {
@@ -212,9 +169,7 @@ func (s *supervisor) failover(name, cause string) {
 	s.suspicions++
 	s.lastAction[name] = suspectedAt
 	s.mu.Unlock()
-	s.reg.Counter(trace.MetricSuspicions,
-		"Engines suspected fail-stopped by the failover supervisor.",
-		trace.L("engine", name), trace.L("cause", cause)).Inc()
+	s.c.ctl.suspicions(name, cause).Inc()
 
 	if cause != "fail-stop" {
 		if err := s.c.Fail(name); err != nil {
@@ -239,13 +194,8 @@ func (s *supervisor) failover(name, cause string) {
 	if err != nil {
 		rec.Err = err.Error()
 	} else {
-		s.reg.Counter(trace.MetricSupFailovers,
-			"Completed supervisor-driven failovers.",
-			trace.L("engine", name)).Inc()
-		s.reg.Histogram(trace.MetricTimeToRecover,
-			"Suspicion-to-recovered latency of supervisor-driven failovers.",
-			trace.SecondsBuckets, trace.L("engine", name)).
-			Observe(rec.TimeToRecover.Seconds())
+		s.c.ctl.failovers(name).Inc()
+		s.c.ctl.timeToRecover(name).Observe(rec.TimeToRecover.Seconds())
 	}
 
 	s.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/inspect"
 	"repro/internal/vt"
 )
@@ -47,21 +46,10 @@ type TimeTravel struct {
 func WithTimeTravel(cfg TimeTravel) ClusterOption {
 	return clusterOptionFunc(func(c *clusterConfig) {
 		tt := cfg
-		c.timetravel = &tt
-	})
-}
-
-// WithCheckpointEveryVT enables time travel with a virtual-time checkpoint
-// cadence: a rewind point every interval ticks of VT, bounding every
-// reconstruction's replay to one interval. Shorthand for WithTimeTravel;
-// combine with WithTimeTravel to also set History or Timeout (the cadence
-// set last wins).
-func WithCheckpointEveryVT(interval Ticks) ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) {
-		if c.timetravel == nil {
-			c.timetravel = &TimeTravel{}
+		if tt.PollEvery <= 0 {
+			tt.PollEvery = 5 * time.Millisecond
 		}
-		c.timetravel.CheckpointEveryVT = interval
+		c.timetravel = &tt
 	})
 }
 
@@ -216,39 +204,14 @@ func parseVTParam(s, name string) (vt.Time, error) {
 	return vt.Time(n), nil
 }
 
-// vtCheckpointLoop drives the VT-cadence checkpoints: whenever a live
-// engine's clock frontier runs CheckpointEveryVT past its newest
-// checkpoint, take one. Failures are best-effort — the next tick retries.
-func (c *Cluster) vtCheckpointLoop() {
-	defer c.bg.Done()
-	tt := *c.cfg.timetravel
-	poll := tt.PollEvery
-	if poll <= 0 {
-		poll = 5 * time.Millisecond
-	}
-	interval := vt.Ticks(tt.CheckpointEveryVT)
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.bgStop:
-			return
-		case <-t.C:
-		}
-		// Engine pointers are captured under the lock: Recover swaps
-		// slot.eng, and a dying incarnation must not be checkpointed.
-		c.mu.Lock()
-		engs := make([]*engine.Engine, 0, len(c.engines))
-		for _, s := range c.engines {
-			if !s.failed {
-				engs = append(engs, s.eng)
-			}
-		}
-		c.mu.Unlock()
-		for _, eng := range engs {
-			if eng.MaxComponentClock() >= eng.LastCheckpointVT().Add(interval) {
-				_, _ = eng.Checkpoint()
-			}
+// vtCheckpoint is the VT-cadence tick: it checkpoints every live engine
+// whose clock frontier has run CheckpointEveryVT past its newest
+// checkpoint. Failures are best-effort — the next tick retries.
+func (c *Cluster) vtCheckpoint() {
+	interval := vt.Ticks(c.cfg.timetravel.CheckpointEveryVT)
+	for _, v := range c.liveSlots() {
+		if v.eng.MaxComponentClock() >= v.eng.LastCheckpointVT().Add(interval) {
+			_, _ = v.eng.Checkpoint()
 		}
 	}
 }
