@@ -25,7 +25,7 @@ type App struct {
 type componentSpec struct {
 	comp       Component
 	state      any
-	est        Estimator
+	est        estimator.Estimator
 	silenceCfg silence.Config
 	extract    FeatureFunc
 	calCfg     *estimator.Config
@@ -80,25 +80,9 @@ func WithCalibration(minSamples int) ComponentOption {
 	})
 }
 
-// WithEstimator attaches a custom estimator implementation.
-func WithEstimator(est Estimator) ComponentOption {
-	return componentOptionFunc(func(s *componentSpec) { s.est = est })
-}
-
 // WithSilence selects the component's silence-propagation strategy.
 func WithSilence(strategy SilenceStrategy) ComponentOption {
 	return componentOptionFunc(func(s *componentSpec) { s.silenceCfg.Strategy = strategy })
-}
-
-// WithSilenceBias configures the hyper-aggressive bias algorithm: the
-// component eagerly promises `bias` extra silence, constraining its own
-// future output times (useful for the slower of several senders, §II.G.1).
-func WithSilenceBias(bias time.Duration, stride time.Duration) ComponentOption {
-	return componentOptionFunc(func(s *componentSpec) {
-		s.silenceCfg.Strategy = silence.HyperAggressive
-		s.silenceCfg.Bias = vt.FromDuration(bias)
-		s.silenceCfg.Stride = vt.FromDuration(stride)
-	})
 }
 
 // WithState nominates the object captured by checkpoints when it is not

@@ -41,9 +41,6 @@ type clusterConfig struct {
 	addrs              map[string]string
 	checkpointEvery    time.Duration
 	sourceSilenceEvery time.Duration
-	flushDelay         time.Duration
-	dialTimeout        time.Duration
-	logDir             string
 	manualClock        func() VirtualTime
 	debugAddrs         map[string]string
 	flightOn           bool
@@ -72,16 +69,6 @@ func WithTCP(addrs map[string]string) ClusterOption {
 		c.transport = transport.TCP{}
 		c.addrs = addrs
 	})
-}
-
-// WithFlushDelay tunes the cluster's write-coalescing windows: the TCP
-// sender's bounded linger (envelopes encoded within the window share one
-// syscall) and the engines' silence-promise coalescing window (only the
-// newest watermark per wire is transmitted per window). Zero keeps the
-// defaults (50µs linger, 100µs silence window); negative disables both,
-// flushing every envelope immediately.
-func WithFlushDelay(d time.Duration) ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) { c.flushDelay = d })
 }
 
 // WithDurableStore roots each engine's recovery state in dir: the stable
@@ -135,12 +122,6 @@ func WithCheckpointEvery(d time.Duration) ClusterOption {
 // deterministic tests driving EmitAt/Quiesce explicitly.
 func WithSourceSilenceEvery(d time.Duration) ClusterOption {
 	return clusterOptionFunc(func(c *clusterConfig) { c.sourceSilenceEvery = d })
-}
-
-// WithFileLogs stores each engine's stable log (external inputs and
-// determinism faults) under dir instead of in memory.
-func WithFileLogs(dir string) ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) { c.logDir = dir })
 }
 
 // WithManualClock replaces the real-time source clock — test and
@@ -202,15 +183,6 @@ func WithSpanTracing(sampleN int) ClusterOption {
 // HTTP listener (requires WithDebugHTTP). Off by default.
 func WithDebugPprof() ClusterOption {
 	return clusterOptionFunc(func(c *clusterConfig) { c.pprofOn = true })
-}
-
-// WithDialTimeout bounds how long TCP inter-engine dials wait for a
-// connection before failing (black-holed peers otherwise stall the redial
-// loop for the kernel's SYN patience). Zero keeps the default
-// (transport.DefaultDialTimeout); negative disables the bound. No effect
-// on non-TCP transports.
-func WithDialTimeout(d time.Duration) ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) { c.dialTimeout = d })
 }
 
 // WithNetworkChaos threads a link-fault emulator into every inter-engine
@@ -353,17 +325,6 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 			}
 		}
 	}
-	if cfg.flushDelay != 0 || cfg.dialTimeout != 0 {
-		if t, ok := cfg.transport.(transport.TCP); ok {
-			if cfg.flushDelay != 0 {
-				t.FlushDelay = cfg.flushDelay
-			}
-			if cfg.dialTimeout != 0 {
-				t.DialTimeout = cfg.dialTimeout
-			}
-			cfg.transport = t
-		}
-	}
 	if cfg.transport == nil && len(tp.Engines()) > 1 {
 		cfg.transport = transport.NewInproc()
 		cfg.addrs = make(map[string]string, len(tp.Engines()))
@@ -442,7 +403,6 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 				}
 				return nil
 			},
-			Timeout: cfg.timetravel.Timeout,
 		})
 		if err != nil {
 			return nil, err
@@ -595,18 +555,17 @@ func peersOf(tp *topo.Topology) map[string][]string {
 	return peers
 }
 
+// newLog opens an engine's stable log: the file WAL under its durable
+// state directory with WithDurableStore, an in-memory log otherwise.
 func (c *Cluster) newLog(engineName string) (wal.Log, error) {
-	if c.cfg.durableDir != "" {
-		dir := filepath.Join(c.cfg.durableDir, engineName)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("tart: durable state dir for %q: %w", engineName, err)
-		}
-		return wal.OpenFileLog(filepath.Join(dir, "wal.log"))
-	}
-	if c.cfg.logDir == "" {
+	if c.cfg.durableDir == "" {
 		return wal.NewMemLog(), nil
 	}
-	return wal.OpenFileLog(fmt.Sprintf("%s/%s.wal", c.cfg.logDir, engineName))
+	dir := filepath.Join(c.cfg.durableDir, engineName)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("tart: durable state dir for %q: %w", engineName, err)
+	}
+	return wal.OpenFileLog(filepath.Join(dir, "wal.log"))
 }
 
 // hosts reports whether this process hosts the named engine (WithEngines
@@ -674,7 +633,6 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 		CheckpointEvery:    c.cfg.checkpointEvery,
 		ShedBufferedLimit:  c.cfg.shedLimit,
 		SourceSilenceEvery: silenceEvery,
-		SilenceFlushEvery:  c.cfg.flushDelay,
 		Clock:              c.cfg.manualClock,
 		Recorder:           slot.rec,
 		Audit:              slot.audit,

@@ -5,11 +5,16 @@
 //   - non-deterministic execution — a conventional implementation (plain
 //     goroutines and sockets, arrival-order processing);
 //   - deterministic execution with lazy silence propagation;
-//   - deterministic execution with curiosity-driven silence propagation.
+//   - deterministic execution with curiosity-driven silence propagation;
+//   - deterministic execution with aggressive silence propagation.
 //
 // The paper's result: lazy silence is far slower (the merger can only
 // learn silence from the next data message), while curiosity-based
 // propagation stays within ~20% of non-deterministic execution.
+//
+// With -spans 1 every deterministic run also prints where its end-to-end
+// latency goes, phase by phase (queueing, pessimism, compute, transport,
+// linger), so -mode all -spans 1 is the per-strategy critical-path sweep.
 //
 // Both engines run in this process but communicate over real TCP on
 // localhost, exercising serialization, the reliable-FIFO recovery layer,
@@ -37,7 +42,7 @@ import (
 
 func main() {
 	var (
-		mode     = flag.String("mode", "all", "mode: nondet|lazy|curiosity|all")
+		mode     = flag.String("mode", "all", "mode: nondet|lazy|curiosity|aggressive|all")
 		requests = flag.Int("requests", 3000, "total web requests (split across two senders)")
 		rate     = flag.Float64("rate", 100, "requests/second per sender")
 		buckets  = flag.Int("buckets", 10, "latency buckets printed per run")
@@ -57,7 +62,7 @@ func run(mode string, requests int, rate float64, buckets, portBase int, debug b
 	fmt.Println("== Figure 5: real two-engine distributed run over TCP ==")
 	fmt.Printf("   %d web requests, %.0f req/s/sender, senders on engine A, merger on engine B\n\n",
 		requests, rate)
-	modes := []string{"nondet", "lazy", "curiosity"}
+	modes := []string{"nondet", "lazy", "curiosity", "aggressive"}
 	if mode != "all" {
 		modes = []string{mode}
 	}
@@ -73,6 +78,8 @@ func run(mode string, requests int, rate float64, buckets, portBase int, debug b
 			rec, err = runTART(tart.Lazy, requests, rate, port, debug, hold, spansN)
 		case "curiosity":
 			rec, err = runTART(tart.Curiosity, requests, rate, port, debug, hold, spansN)
+		case "aggressive":
+			rec, err = runTART(tart.Aggressive, requests, rate, port, debug, hold, spansN)
 		default:
 			return fmt.Errorf("unknown mode %q", m)
 		}
@@ -224,9 +231,9 @@ func printWireTable(cluster *tart.Cluster, engines []string) {
 }
 
 // printSpanSummary merges both engines' span collectors and prints the
-// aggregate critical-path shares plus a sample of traced origins to feed
-// into `tartctl timeline`.
-func printSpanSummary(cluster *tart.Cluster) {
+// aggregate critical-path shares of one strategy's run plus a sample of
+// traced origins to feed into `tartctl timeline`.
+func printSpanSummary(cluster *tart.Cluster, strategy tart.SilenceStrategy) {
 	spansA, _ := cluster.Spans("A")
 	spansB, _ := cluster.Spans("B")
 	all := append(spansA, spansB...)
@@ -236,7 +243,7 @@ func printSpanSummary(cluster *tart.Cluster) {
 	}
 	table := tart.CriticalPathTable(all)
 	agg := span.Aggregate(table)
-	fmt.Printf("   -- critical path over %d traced origins (%d spans) --\n", len(table), len(all))
+	fmt.Printf("   -- %s: critical path over %d traced origins (%d spans) --\n", strategy, len(table), len(all))
 	for _, p := range span.Phases() {
 		d := agg.ByPhase[p]
 		if d == 0 {
@@ -401,7 +408,7 @@ func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int
 	}
 	printWireTable(cluster, []string{"A", "B"})
 	if spansN > 0 {
-		printSpanSummary(cluster)
+		printSpanSummary(cluster, strategy)
 	}
 	if hold > 0 {
 		fmt.Printf("   holding cluster for %v (curl the debug endpoints now)...\n", hold)

@@ -9,8 +9,6 @@
 //	tartsim -exp bias        §II.G.1 bias algorithm under asymmetric rates
 //	tartsim -exp wires       Per-wire registry table for one deterministic run
 //	tartsim -exp blame       Pessimism blame attribution across sender configs
-//	tartsim -exp fanin       Merge fan-in sweep: heap fast path vs linear scan
-//	tartsim -exp critpath    Critical-path phase shares vs silence strategy (TCP + spans)
 //	tartsim -exp chaos       Chaos seed sweep: exact-replay oracle under supervised failover
 //	tartsim -exp slo         SLO scenario sweep: open-loop arrival shapes vs the latency tail
 //	tartsim -exp rewind      Time-travel rewind latency vs VT checkpoint cadence
@@ -32,7 +30,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig2|fig3|fig4|throughput|dumb|bias|wires|blame|fanin|critpath|chaos|slo|rewind|coldstart|wirespeed|adapt|all")
+		exp      = flag.String("exp", "all", "experiment: fig2|fig3|fig4|throughput|dumb|bias|wires|blame|chaos|slo|rewind|coldstart|wirespeed|adapt|all")
 		duration = flag.Duration("duration", 20*time.Second, "simulated time per run")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		samples  = flag.Int("fig2n", 10000, "Figure-2 sample count")
@@ -63,10 +61,6 @@ func run(exp string, duration time.Duration, seed uint64, fig2n, fig2reps int) e
 		wires(duration, seed)
 	case "blame":
 		blame(duration, seed)
-	case "fanin":
-		return fanin(seed)
-	case "critpath":
-		return critpath(600, 300, 39700)
 	case "chaos":
 		return chaosExp(3, 12)
 	case "slo":
@@ -88,12 +82,6 @@ func run(exp string, duration time.Duration, seed uint64, fig2n, fig2reps int) e
 		bias(duration, seed)
 		wires(duration, seed)
 		blame(duration, seed)
-		if err := fanin(seed); err != nil {
-			return err
-		}
-		if err := critpath(600, 300, 39700); err != nil {
-			return err
-		}
 		if err := chaosExp(3, 12); err != nil {
 			return err
 		}

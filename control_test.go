@@ -167,20 +167,26 @@ func TestStopStopsControlPlane(t *testing.T) {
 
 	// A Launch that fails after starting one engine stops it again itself
 	// and never starts the control plane. The squatter on the second
-	// engine's address hangs up on every dial, so the first engine's dialer
-	// is never left waiting for a handshake reply.
+	// engine's address holds every dial open and never answers, so if the
+	// first engine started, its dialer waits on a handshake Stop must bound.
 	busy, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer busy.Close()
+	held := make(chan net.Conn, 16) // room for the failed Launch's dial and any redial
 	go func() {
 		for {
 			c, err := busy.Accept()
 			if err != nil {
 				return
 			}
-			c.Close()
+			held <- c
+		}
+	}()
+	defer func() {
+		for len(held) > 0 {
+			(<-held).Close()
 		}
 	}()
 	free, err := net.Listen("tcp", "127.0.0.1:0")

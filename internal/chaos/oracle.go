@@ -55,9 +55,6 @@ type RunOptions struct {
 	// Nil produces the clean reference run (still supervised, so the two
 	// runs differ only in injected faults).
 	Chaos *Config
-	// LogDir, when non-empty, puts each engine's stable log in files under
-	// it (exercising the torn-tail/CRC recovery path); empty uses memory.
-	LogDir string
 	// Timeout bounds the whole run (default 60s).
 	Timeout time.Duration
 	// ExtraOptions appends cluster options to the standard set — e.g.
@@ -160,9 +157,6 @@ func Run(opts RunOptions) (*Result, error) {
 			PollEvery:    50 * time.Millisecond,
 			Cooldown:     800 * time.Millisecond,
 		}),
-	}
-	if opts.LogDir != "" {
-		clusterOpts = append(clusterOpts, tart.WithFileLogs(opts.LogDir))
 	}
 	clusterOpts = append(clusterOpts, opts.ExtraOptions...)
 	var nc *tart.NetworkChaos

@@ -93,12 +93,6 @@ type Config struct {
 	HeartbeatEvery time.Duration
 	// RedialEvery is the reconnection retry cadence. Default 100ms.
 	RedialEvery time.Duration
-	// SilenceFlushEvery is the coalescing window for silence promises bound
-	// for peer engines: within a window only the newest watermark per wire
-	// is transmitted (lossless — promises are monotone, so the newest
-	// subsumes the ones it replaced). Zero means 100µs; negative disables
-	// coalescing (every promise is sent immediately).
-	SilenceFlushEvery time.Duration
 	// Metrics receives runtime counters; optional. New attaches a labeled
 	// registry (const label engine=<Name>) if the Metrics has none, so
 	// per-wire series are always available.
@@ -286,9 +280,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.RedialEvery <= 0 {
 		cfg.RedialEvery = 100 * time.Millisecond
-	}
-	if cfg.SilenceFlushEvery == 0 {
-		cfg.SilenceFlushEvery = 100 * time.Microsecond
 	}
 	e := &Engine{
 		cfg:     cfg,

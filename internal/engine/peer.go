@@ -51,6 +51,12 @@ type peerSet struct {
 	silCoalesced *trace.Counter
 }
 
+// silenceFlushWindow is the coalescing window for silence promises bound
+// for peer engines: within a window only the newest watermark per wire is
+// transmitted (lossless — promises are monotone, so the newest subsumes the
+// ones it replaced).
+const silenceFlushWindow = 100 * time.Microsecond
+
 // pendingSilence is one coalesced peer-bound promise: the watermark plus the
 // sender's data-prefix attestation (both monotone per wire, so coalescing
 // keeps the max of each).
@@ -218,11 +224,6 @@ func (p *peerSet) send(peer string, env msg.Envelope) {
 // Lossless, because a newer promise on the same wire strictly subsumes an
 // older one.
 func (p *peerSet) sendSilence(peer string, env msg.Envelope) {
-	window := p.e.cfg.SilenceFlushEvery
-	if window <= 0 {
-		p.send(peer, env)
-		return
-	}
 	p.silMu.Lock()
 	m := p.silPending[peer]
 	if m == nil {
@@ -244,7 +245,7 @@ func (p *peerSet) sendSilence(peer string, env msg.Envelope) {
 		}
 	}
 	m[env.Wire] = next
-	if time.Since(p.silLast) >= window {
+	if time.Since(p.silLast) >= silenceFlushWindow {
 		p.silMu.Unlock()
 		p.flushSilence()
 		return
@@ -252,9 +253,9 @@ func (p *peerSet) sendSilence(peer string, env msg.Envelope) {
 	if !p.silArmed {
 		p.silArmed = true
 		if p.silTimer == nil {
-			p.silTimer = time.AfterFunc(window, p.flushSilence)
+			p.silTimer = time.AfterFunc(silenceFlushWindow, p.flushSilence)
 		} else {
-			p.silTimer.Reset(window)
+			p.silTimer.Reset(silenceFlushWindow)
 		}
 	}
 	p.silMu.Unlock()
@@ -316,8 +317,9 @@ func (p *peerSet) acceptLoop(l transport.Listener) {
 // fenced (zombie dialer), an admitted one gets our hello back and the
 // connection joins the peer set.
 func (p *peerSet) handleInbound(conn transport.Conn) {
+	inTime := boundHandshake(conn)
 	env, err := conn.Recv()
-	if err != nil || env.Kind != msg.KindHello {
+	if !inTime() || err != nil || env.Kind != msg.KindHello {
 		conn.Close()
 		return
 	}
@@ -401,12 +403,13 @@ func (p *peerSet) tryDial(peer string) transport.Conn {
 	if err != nil {
 		return nil
 	}
-	if err := conn.Send(p.hello()); err != nil {
-		conn.Close()
-		return nil
+	inTime := boundHandshake(conn)
+	err = conn.Send(p.hello())
+	var reply msg.Envelope
+	if err == nil {
+		reply, err = conn.Recv()
 	}
-	reply, err := conn.Recv()
-	if err != nil || reply.Kind != msg.KindHello {
+	if !inTime() || err != nil || reply.Kind != msg.KindHello {
 		conn.Close()
 		return nil
 	}
@@ -417,6 +420,15 @@ func (p *peerSet) tryDial(peer string) transport.Conn {
 		return nil
 	}
 	return conn
+}
+
+// boundHandshake closes conn unless the returned func is called within
+// transport.DefaultDialTimeout, and that func reports whether it was. A
+// counterpart that accepts the connection but never answers our hello, or
+// dials in and never sends one, would otherwise park the handshake in Recv
+// for good — and stop waits for every handshake.
+func boundHandshake(conn transport.Conn) (inTime func() bool) {
+	return time.AfterFunc(transport.DefaultDialTimeout, func() { conn.Close() }).Stop
 }
 
 // register wraps a (re)established connection with frame metering,

@@ -19,11 +19,10 @@ import (
 	"repro/internal/vt"
 )
 
-// DefaultTimeout bounds a reconstruction's replay when neither the
-// inspector config nor the per-call options set one. A drained replay
-// finishes in milliseconds; the timeout exists so a sandbox that cannot
-// drain (e.g. cross-engine rewind points too far apart to bridge) reports
-// a clear error instead of hanging.
+// DefaultTimeout bounds a reconstruction's replay when the per-call options
+// set none. A drained replay finishes in milliseconds; the timeout exists so
+// a sandbox that cannot drain (e.g. cross-engine rewind points too far apart
+// to bridge) reports a clear error instead of hanging.
 const DefaultTimeout = 30 * time.Second
 
 // Predicate is a state watchpoint: it receives a component's (sandboxed)
@@ -47,8 +46,6 @@ type Config struct {
 	// result disables Bisect (which needs the live chain record to compare
 	// replays against).
 	Audits func(engineName string) *trace.AuditLog
-	// Timeout bounds each reconstruction's replay (DefaultTimeout if zero).
-	Timeout time.Duration
 }
 
 // Inspector reconstructs component states at arbitrary virtual times by
@@ -66,9 +63,6 @@ type Inspector struct {
 func New(cfg Config) (*Inspector, error) {
 	if cfg.Topo == nil || cfg.Specs == nil || cfg.Archive == nil {
 		return nil, errors.New("inspect: Topo, Specs, and Archive are required")
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
 	}
 	return &Inspector{cfg: cfg}, nil
 }
@@ -92,7 +86,7 @@ type Options struct {
 	// Tape lists components whose full replayed delivery sequence is
 	// returned (bisection uses this).
 	Tape []string
-	// Timeout overrides the inspector's replay timeout.
+	// Timeout bounds the run's replay (DefaultTimeout if zero).
 	Timeout time.Duration
 }
 
@@ -157,7 +151,7 @@ func (i *Inspector) Run(opts Options) (*Result, error) {
 	}
 	timeout := opts.Timeout
 	if timeout <= 0 {
-		timeout = i.cfg.Timeout
+		timeout = DefaultTimeout
 	}
 	for _, name := range opts.Components {
 		if _, ok := i.cfg.Specs[name]; !ok {

@@ -18,8 +18,7 @@ func (nopRouter) Route(msg.Envelope) {}
 
 // benchMergeWide drives one merger scheduler with a W-way round-robin
 // in-order stream and measures the per-delivery cost of the merge step.
-// reference selects the linear-scan oracle over the indexed heap.
-func benchMergeWide(b *testing.B, wires int, reference bool) {
+func benchMergeWide(b *testing.B, wires int) {
 	tp := fanInTopo(b, wires)
 	comp, _ := tp.ComponentByName("merger")
 	target := int64(b.N)
@@ -32,15 +31,14 @@ func benchMergeWide(b *testing.B, wires int, reference bool) {
 		return nil, nil
 	})
 	s, err := New(Config{
-		Comp:           comp,
-		Topo:           tp,
-		Handler:        handler,
-		Est:            estimator.Constant{C: 50},
-		Silence:        silence.Config{Strategy: silence.Lazy},
-		Router:         nopRouter{},
-		Metrics:        &trace.Metrics{},
-		Seed:           1,
-		ReferenceMerge: reference,
+		Comp:    comp,
+		Topo:    tp,
+		Handler: handler,
+		Est:     estimator.Constant{C: 50},
+		Silence: silence.Config{Strategy: silence.Lazy},
+		Router:  nopRouter{},
+		Metrics: &trace.Metrics{},
+		Seed:    1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -67,12 +65,10 @@ func benchMergeWide(b *testing.B, wires int, reference bool) {
 	b.StopTimer()
 }
 
-// BenchmarkSchedulerMergeWide compares the indexed-heap merge against the
-// reference linear scan at widening fan-in. The heap should win by a
-// growing factor as wire count rises (O(log W) vs O(W) per delivery).
+// BenchmarkSchedulerMergeWide measures the indexed-heap merge at widening
+// fan-in; per delivery it should grow only as O(log W).
 func BenchmarkSchedulerMergeWide(b *testing.B) {
 	for _, w := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("heap-%d", w), func(b *testing.B) { benchMergeWide(b, w, false) })
-		b.Run(fmt.Sprintf("scan-%d", w), func(b *testing.B) { benchMergeWide(b, w, true) })
+		b.Run(fmt.Sprintf("heap-%d", w), func(b *testing.B) { benchMergeWide(b, w) })
 	}
 }

@@ -30,9 +30,9 @@ import (
 //
 // Determinism: the heap replaces only *how* the minimum is found, never
 // *which* element is minimal. The ordering function is identical to the
-// reference scan's (VT first, wire ID on ties), which the differential
-// property test in property_test.go checks bit-for-bit against the kept
-// linear-scan implementation.
+// linear scan's it replaced (VT first, wire ID on ties); the property test
+// in reference_test.go checks every answer against that scan, kept there as
+// the oracle.
 
 // Heap membership markers for inWire.hset.
 const (

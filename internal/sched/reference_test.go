@@ -1,0 +1,186 @@
+package sched
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/msg"
+	"repro/internal/stats"
+	"repro/internal/topo"
+	"repro/internal/vt"
+)
+
+// refMerge is the merge as it was before the frontier's heaps: a linear
+// scan over every input wire, in ascending wire-ID order, on each question.
+// It is kept as the oracle the frontier must agree with exactly.
+type refMerge []*inWire
+
+// candidate is the wire holding the earliest queued message in delivery
+// order (msg.Less), or nil when nothing is queued.
+func (r refMerge) candidate() *inWire {
+	var best *inWire
+	for _, in := range r {
+		if h := in.head(); h != nil && (best == nil || msg.Less(h.env, best.head().env)) {
+			best = in
+		}
+	}
+	return best
+}
+
+// bound is the earliest virtual time at which a yet-unknown input message
+// could still occur: the minimum over wires of the head VT, or of
+// watermark+1 (Zero for an unknown watermark) on a headless wire.
+func (r refMerge) bound() vt.Time {
+	b := vt.Max
+	for _, in := range r {
+		var h vt.Time
+		switch {
+		case in.head() != nil:
+			h = in.head().env.VT
+		case in.watermark == vt.Never:
+			h = vt.Zero
+		default:
+			h = in.watermark.Add(1)
+		}
+		b = min(b, h)
+	}
+	return b
+}
+
+// minWatermark is the smallest watermark among headless wires, and whether
+// there is a headless wire at all.
+func (r refMerge) minWatermark() (vt.Time, bool) {
+	wm, ok := vt.Never, false
+	for _, in := range r {
+		if in.head() == nil && (!ok || in.watermark < wm) {
+			wm, ok = in.watermark, true
+		}
+	}
+	return wm, ok
+}
+
+// blockers lists, in ascending wire-ID order, the headless wires whose
+// watermark has not reached t.
+func (r refMerge) blockers(t vt.Time) []msg.WireID {
+	var out []msg.WireID
+	for _, in := range r {
+		if in.head() == nil && in.watermark < t {
+			out = append(out, in.w.ID)
+		}
+	}
+	return out
+}
+
+// TestHeapMergeMatchesReferenceMerge drives the frontier and the reference
+// scan over the same inWire set through random accept, pop and
+// watermark-advance steps on 1–256 wires, and after every step requires
+// the same candidate, bound, minimum watermark and blockers. Virtual times
+// sit on a coarse lattice so that head and watermark ties between wires —
+// where only the wire-ID tie-break decides — are common.
+func TestHeapMergeMatchesReferenceMerge(t *testing.T) {
+	const (
+		seeds = 100
+		steps = 400
+		grain = 500 // lattice spacing of every VT and watermark
+	)
+	// above returns a lattice VT strictly past t.
+	above := func(rng *stats.RNG, t vt.Time) vt.Time {
+		base := vt.Time(0)
+		if t != vt.Never {
+			base = t/grain*grain + grain
+		}
+		return base + vt.Time(rng.Int63n(3)*grain)
+	}
+	for seed := uint64(1); seed <= seeds; seed++ {
+		rng := stats.NewRNG(seed * 977)
+		n := 1 + rng.Intn(256)
+		if seed%4 == 0 {
+			n = 1 + rng.Intn(4) // narrow fan-in, where every step moves a heap top
+		}
+		ref := make(refMerge, n)
+		for i := range ref {
+			ref[i] = newInWire(&topo.Wire{ID: msg.WireID(i)})
+		}
+		var f frontier
+		for _, i := range rng.Perm(n) {
+			f.add(ref[i])
+		}
+		arrival := uint64(0)
+		for step := 0; step < steps; step++ {
+			in := ref[rng.Intn(n)]
+			var op string
+			switch k := rng.Intn(10); {
+			case k < 4: // accept data, sometimes out of order through holdback
+				// Between steps nothing is held back, so the watermark is at
+				// or past every queued VT and new data must come after it.
+				if in.watermark >= vt.Max-4*grain {
+					continue
+				}
+				v0 := above(rng, in.watermark)
+				if rng.Intn(4) == 0 {
+					v1 := above(rng, v0)
+					arrival++
+					in.accept(msg.NewData(in.w.ID, in.nextSeq+1, v1, nil), arrival, 0, 0)
+					f.update(in)
+					op = fmt.Sprintf("accept w%d seq %d@%d and seq %d@%d behind a gap", in.w.ID, in.nextSeq, v0, in.nextSeq+1, v1)
+				} else {
+					op = fmt.Sprintf("accept w%d seq %d@%d", in.w.ID, in.nextSeq, v0)
+				}
+				arrival++
+				in.accept(msg.NewData(in.w.ID, in.nextSeq, v0, nil), arrival, 0, 0)
+			case k < 7: // pop a head: the candidate's, or any wire's
+				if rng.Intn(2) == 0 {
+					if c := f.candidate(); c != nil {
+						in = c
+					}
+				}
+				if in.head() == nil {
+					continue
+				}
+				op = fmt.Sprintf("pop w%d@%d", in.w.ID, in.head().env.VT)
+				in.pop()
+			default: // silence promise
+				if in.watermark >= vt.Max-4*grain {
+					continue
+				}
+				wm := above(rng, in.watermark)
+				if rng.Intn(20) == 0 {
+					wm = vt.Max // end of stream
+				}
+				op = fmt.Sprintf("silence w%d through %d", in.w.ID, wm)
+				in.watermark = wm
+			}
+			f.update(in)
+
+			where := func() string { return fmt.Sprintf("seed %d, %d wires, step %d (%s)", seed, n, step, op) }
+			if got, want := f.candidate(), ref.candidate(); got != want {
+				t.Fatalf("%s: candidate %s, reference %s", where(), wireOf(got), wireOf(want))
+			}
+			if got, want := f.bound(), ref.bound(); got != want {
+				t.Fatalf("%s: bound %d, reference %d", where(), got, want)
+			}
+			gotWM, gotOK := f.minWatermark()
+			wantWM, wantOK := ref.minWatermark()
+			if gotWM != wantWM || gotOK != wantOK {
+				t.Fatalf("%s: minWatermark (%d, %v), reference (%d, %v)", where(), gotWM, gotOK, wantWM, wantOK)
+			}
+			probes := []vt.Time{vt.Time(rng.Int63n(int64(step+2) * grain))}
+			if c := ref.candidate(); c != nil {
+				probes = append(probes, c.head().env.VT)
+			}
+			for _, at := range probes {
+				if got, want := f.blockers(at), ref.blockers(at); !slices.Equal(got, want) {
+					t.Fatalf("%s: blockers at %d %v, reference %v", where(), at, got, want)
+				}
+			}
+		}
+	}
+}
+
+func wireOf(in *inWire) string {
+	if in == nil {
+		return "none"
+	}
+	return fmt.Sprintf("w%d@%d", in.w.ID, in.head().env.VT)
+}

@@ -108,11 +108,6 @@ type Config struct {
 	// Deliver. The time-travel inspector uses it to observe replayed state
 	// transitions delivery by delivery.
 	OnDelivered func(d Delivery)
-	// ReferenceMerge selects the O(W) linear-scan merge instead of the
-	// indexed-heap fast path. The two are bit-for-bit equivalent (enforced
-	// by the differential property test); the scan is kept as the oracle
-	// and for benchmark comparison.
-	ReferenceMerge bool
 	// HoldbackLimit caps the per-wire hold-back area for out-of-gap
 	// arrivals. 0 means DefaultHoldbackLimit; negative means unbounded.
 	HoldbackLimit int

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/msg"
 	"repro/internal/topo"
@@ -63,9 +62,8 @@ type inWire struct {
 
 	// holdback parks messages that arrived with a sequence gap (possible
 	// transiently around reconnects) until the gap fills. Bounded by the
-	// scheduler's holdback limit; holdHigh is the high-water depth.
+	// scheduler's holdback limit.
 	holdback map[uint64]queued
-	holdHigh int
 
 	// watermark: the sender will never send another message on this wire
 	// with VT <= watermark.
@@ -100,11 +98,9 @@ type inWire struct {
 	m *trace.InWireMetrics
 }
 
-// noteDepth publishes the wire's current queue depth (pending + held-back)
-// and the holdback high-water mark.
+// noteDepth publishes the wire's current queue depth (pending + held-back).
 func (in *inWire) noteDepth() {
 	in.m.QueueDepth.Set(int64(in.q.n + len(in.holdback)))
-	in.m.Holdback.Set(int64(in.holdHigh))
 }
 
 // queued pairs an envelope with its real-time arrival index (for
@@ -147,9 +143,6 @@ func (in *inWire) accept(env msg.Envelope, arrival uint64, enq int64, limit int)
 			return acceptOverflow
 		}
 		in.holdback[env.Seq] = queued{env: env, arrival: arrival, enq: enq}
-		if d := len(in.holdback); d > in.holdHigh {
-			in.holdHigh = d
-		}
 		return acceptQueued
 	}
 	in.enqueue(queued{env: env, arrival: arrival, enq: enq})
@@ -275,15 +268,4 @@ func (ow *outWire) next(t vt.Time) (seq uint64, stamped vt.Time) {
 	ow.seq++
 	ow.lastSentVT = t
 	return ow.seq, t
-}
-
-// sortedInputIDs returns the scheduler's input wire IDs in ascending order
-// (used for deterministic iteration).
-func (s *Scheduler) sortedInputIDs() []msg.WireID {
-	ids := make([]msg.WireID, 0, len(s.inputs))
-	for id := range s.inputs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

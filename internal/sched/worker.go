@@ -100,13 +100,13 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 				}
 			}
 		}
-		in := s.candidateLocked()
+		in := s.front.candidate()
 		if in == nil {
 			break
 		}
 		cand := in.head()
 		candWire := in.w.ID
-		if blockers := s.blockersLocked(cand.env.VT, candWire); len(blockers) > 0 {
+		if blockers := s.blockersLocked(cand.env.VT); len(blockers) > 0 {
 			if s.pessStart.IsZero() {
 				s.pessStart = time.Now()
 				s.rec.Record(trace.Event{Kind: trace.EvPessimismStart, VT: cand.env.VT, Component: s.comp.Name, Wire: candWire, MsgSeq: cand.env.Seq})
@@ -306,98 +306,24 @@ func (s *Scheduler) advanceFrontierLocked() bool {
 	if s.inFlight != vt.Never || len(s.inputs) == 0 {
 		return false
 	}
-	var bound vt.Time
-	if s.cfg.ReferenceMerge {
-		bound = s.frontierBoundScanLocked()
-	} else {
-		bound = s.front.bound()
-	}
-	if bound > s.clock {
+	if bound := s.front.bound(); bound > s.clock {
 		s.clock = bound
 		return true
 	}
 	return false
 }
 
-// frontierBoundScanLocked is the reference linear-scan frontier bound,
-// equivalent to frontier.bound.
-func (s *Scheduler) frontierBoundScanLocked() vt.Time {
-	bound := vt.Max
-	for _, in := range s.inputs {
-		var h vt.Time
-		switch {
-		case in.head() != nil:
-			h = in.head().env.VT
-		case in.watermark == vt.Never:
-			h = vt.Zero
-		default:
-			h = in.watermark.Add(1)
-		}
-		if h < bound {
-			bound = h
-		}
-	}
-	return bound
-}
-
-// candidateLocked returns the input wire holding the earliest queued
-// message (by VT, tie-broken by wire ID), or nil if nothing is queued.
-func (s *Scheduler) candidateLocked() *inWire {
-	if s.cfg.ReferenceMerge {
-		return s.candidateScanLocked()
-	}
-	return s.front.candidate()
-}
-
-// candidateScanLocked is the reference linear-scan candidate selection the
-// heap fast path must agree with bit-for-bit.
-func (s *Scheduler) candidateScanLocked() *inWire {
-	var best *inWire
-	for _, id := range s.sortedInputIDs() {
-		in := s.inputs[id]
-		h := in.head()
-		if h == nil {
-			continue
-		}
-		if best == nil || msg.Less(h.env, best.head().env) {
-			best = in
-		}
-	}
-	return best
-}
-
 // blockersLocked returns the input wires that prevent delivering a message
-// with virtual time t on wire w: wires with no queued message whose
-// watermark has not reached t. (A wire with a queued message cannot hide an
-// earlier message: per-wire VTs are strictly increasing and delivery is
-// FIFO, so its head bounds everything behind it.) The common case — no
-// blockers — is answered by one heap-top watermark compare.
-func (s *Scheduler) blockersLocked(t vt.Time, w msg.WireID) []msg.WireID {
-	if s.cfg.ReferenceMerge {
-		return s.blockersScanLocked(t, w)
-	}
+// with virtual time t: wires with no queued message whose watermark has not
+// reached t. (A wire with a queued message cannot hide an earlier message:
+// per-wire VTs are strictly increasing and delivery is FIFO, so its head
+// bounds everything behind it.) The common case — no blockers — is answered
+// by one heap-top watermark compare.
+func (s *Scheduler) blockersLocked(t vt.Time) []msg.WireID {
 	if wm, ok := s.front.minWatermark(); !ok || wm >= t {
 		return nil
 	}
 	return s.front.blockers(t)
-}
-
-// blockersScanLocked is the reference linear-scan blocker computation.
-func (s *Scheduler) blockersScanLocked(t vt.Time, w msg.WireID) []msg.WireID {
-	var out []msg.WireID
-	for _, id := range s.sortedInputIDs() {
-		if id == w {
-			continue
-		}
-		in := s.inputs[id]
-		if in.head() != nil {
-			continue
-		}
-		if in.watermark < t {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // promiseLocked asks the governor which silence promises the clock's new

@@ -529,7 +529,6 @@ const (
 	MetricBlame           = "tart_pessimism_blame_total"
 	MetricBlameSeconds    = "tart_pessimism_blame_seconds"
 	MetricEstErr          = "tart_estimator_error_seconds"
-	MetricHoldbackDepth   = "tart_holdback_depth"
 	MetricHoldbackDrops   = "tart_holdback_dropped_total"
 	MetricSilenceCoalesce = "tart_silences_coalesced_total"
 	MetricCriticalPath    = "tart_critical_path_seconds"
@@ -683,10 +682,8 @@ type InWireMetrics struct {
 	// episodes cost (paper §II.H attribution).
 	Blame        *Counter
 	BlameSeconds *Histogram
-	// Holdback is the high-water count of envelopes ever parked behind a
-	// sequence gap at once; HoldbackDrops counts arrivals shed because the
-	// hold-back area was at its cap (recovered later via gap repair).
-	Holdback      *Gauge
+	// HoldbackDrops counts arrivals shed because the hold-back area was at
+	// its cap (recovered later via gap repair).
 	HoldbackDrops *Counter
 }
 
@@ -702,7 +699,6 @@ func (r *Registry) InWire(component, wire string) *InWireMetrics {
 		QueueDepth:    r.Gauge(MetricQueueDepth, "Messages currently queued on the wire.", lbls...),
 		Blame:         r.Counter(MetricBlame, "Pessimism episodes where this wire's silence frontier was the last holdout.", lbls...),
 		BlameSeconds:  r.Histogram(MetricBlameSeconds, "Real time pessimism episodes blamed on this wire cost the receiver.", SecondsBuckets, lbls...),
-		Holdback:      r.Gauge(MetricHoldbackDepth, "High-water count of envelopes parked behind a sequence gap at once.", lbls...),
 		HoldbackDrops: r.Counter(MetricHoldbackDrops, "Arrivals shed because the hold-back area was at its cap.", lbls...),
 	}
 }

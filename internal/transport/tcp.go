@@ -18,10 +18,10 @@ import (
 // for companions before the buffer is flushed to the socket.
 const DefaultFlushDelay = 50 * time.Microsecond
 
-// DefaultDialTimeout bounds connection establishment when TCP.DialTimeout
-// is zero. A bare dial against a black-holed address (packets dropped, no
-// RST) hangs until the kernel gives up — minutes — while the peer redial
-// loop expects to retry on a sub-second cadence.
+// DefaultDialTimeout bounds connection establishment. A bare dial against
+// a black-holed address (packets dropped, no RST) hangs until the kernel
+// gives up — minutes — while the peer redial loop expects to retry on a
+// sub-second cadence.
 const DefaultDialTimeout = 2 * time.Second
 
 const (
@@ -57,10 +57,6 @@ type TCP struct {
 	// encode, End at the flush that put it on the socket.
 	Spans *span.Collector
 
-	// DialTimeout bounds Dial's connection establishment. Zero means
-	// DefaultDialTimeout; negative disables the bound (bare net.Dial).
-	DialTimeout time.Duration
-
 	// Meter, when set, observes wire-level metrics on every connection this
 	// transport creates: socket bytes by direction, frames per writev
 	// batch, and gob-fallback envelopes.
@@ -79,16 +75,6 @@ func (t TCP) flushDelay() time.Duration {
 	return t.FlushDelay
 }
 
-func (t TCP) dialTimeout() time.Duration {
-	if t.DialTimeout == 0 {
-		return DefaultDialTimeout
-	}
-	if t.DialTimeout < 0 {
-		return 0
-	}
-	return t.DialTimeout
-}
-
 // Listen implements Transport.
 func (t TCP) Listen(addr string) (Listener, error) {
 	nl, err := net.Listen("tcp", addr)
@@ -98,11 +84,11 @@ func (t TCP) Listen(addr string) (Listener, error) {
 	return &tcpListener{nl: nl, flushDelay: t.flushDelay(), spans: t.Spans, meter: t.Meter}, nil
 }
 
-// Dial implements Transport, bounding connection establishment by the
-// configured DialTimeout so a black-holed peer address fails fast enough
-// for the caller's redial cadence.
+// Dial implements Transport, bounding connection establishment by
+// DefaultDialTimeout so a black-holed peer address fails fast enough for
+// the caller's redial cadence.
 func (t TCP) Dial(addr string) (Conn, error) {
-	d := net.Dialer{Timeout: t.dialTimeout()}
+	d := net.Dialer{Timeout: DefaultDialTimeout}
 	nc, err := d.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)

@@ -2,7 +2,7 @@
 //
 // Three implementations are provided: an in-process transport (channel
 // pairs, for single-process clusters and tests), a TCP transport
-// (length-delimited gob frames over sockets, used by the distributed
+// (length-prefixed binary frames over sockets, used by the distributed
 // experiments), and a fault-injecting wrapper that drops, duplicates,
 // delays, and reorders frames to exercise the recovery protocol (the
 // paper's link-failure model: "loss, re-ordering, or duplication of

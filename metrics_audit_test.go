@@ -252,24 +252,40 @@ func TestMetricFamilyCensus(t *testing.T) {
 // to its "Read by" cell.
 func censusFamilies(t *testing.T) map[string]string {
 	t.Helper()
+	rows := make(map[string]string)
+	for _, cells := range readmeTable(t, "### Metric families") {
+		if len(cells) == 4 && strings.HasPrefix(cells[0], "`tart_") {
+			rows[strings.Trim(cells[0], "`")] = cells[3]
+		}
+	}
+	return rows
+}
+
+// readmeTable returns the trimmed cells of every table row in the README
+// section under heading, up to the next heading.
+func readmeTable(t *testing.T, heading string) [][]string {
+	t.Helper()
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, table, ok := strings.Cut(string(readme), "\n### Metric families\n")
+	_, section, ok := strings.Cut(string(readme), "\n"+heading+"\n")
 	if !ok {
-		t.Fatal("README has no \"### Metric families\" section")
+		t.Fatalf("README has no %q section", heading)
 	}
-	rows := make(map[string]string)
-	for _, line := range strings.Split(table, "\n") {
+	var rows [][]string
+	for _, line := range strings.Split(section, "\n") {
 		if strings.HasPrefix(line, "#") {
 			break // the next section
 		}
-		cells := strings.Split(strings.Trim(line, "|"), "|")
-		if len(cells) != 4 || !strings.HasPrefix(strings.TrimSpace(cells[0]), "`tart_") {
+		if !strings.HasPrefix(line, "|") {
 			continue
 		}
-		rows[strings.Trim(strings.TrimSpace(cells[0]), "`")] = strings.TrimSpace(cells[3])
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		rows = append(rows, cells)
 	}
 	return rows
 }

@@ -74,6 +74,10 @@ func WithOTLPExport(url string) ClusterOption {
 	})
 }
 
+// maxSampleN caps the adaptive sampling modulus: even the busiest
+// cluster keeps tracing one origin in about a million.
+const maxSampleN = 1 << 20
+
 // AdaptiveSampling tunes WithAdaptiveSpanSampling. Zero values pick
 // defaults.
 type AdaptiveSampling struct {
@@ -81,8 +85,6 @@ type AdaptiveSampling struct {
 	// sampling modulus N so observed deliveries/sec / N stays under it.
 	// Default 1000.
 	SpansPerSec float64
-	// MinN / MaxN clamp the modulus (defaults 1 and 1<<20).
-	MinN, MaxN uint64
 	// Quantum is the VT grain epoch boundaries are aligned to (default
 	// span.DefaultQuantum, 250ms of virtual time).
 	Quantum Ticks
@@ -93,12 +95,6 @@ type AdaptiveSampling struct {
 func (a AdaptiveSampling) withDefaults() AdaptiveSampling {
 	if a.SpansPerSec <= 0 {
 		a.SpansPerSec = 1000
-	}
-	if a.MinN == 0 {
-		a.MinN = 1
-	}
-	if a.MaxN == 0 {
-		a.MaxN = 1 << 20
 	}
 	if a.PollEvery <= 0 {
 		a.PollEvery = time.Second
@@ -154,33 +150,19 @@ type AdaptiveRuntime struct {
 	// MinSamples gates recalibration on a minimum compute-span window
 	// (default 16).
 	MinSamples int
-	// ResidualThreshold is the relative estimator residual
-	// (Σ|wall−charged|/Σwall over the window) above which a recalibration
-	// fires (default 0.25).
-	ResidualThreshold float64
 	// MinBlame is the windowed pessimism blame below which no silence
 	// escalation happens (default 10ms).
 	MinBlame time.Duration
-	// BlameShare is the fraction of windowed blame the dominant wire must
-	// hold to escalate its upstream (default 0.5).
-	BlameShare float64
 	// QuietWindows is how many blame-free polls an escalated component
 	// needs before stepping back down (default 8).
 	QuietWindows int
-	// Bias is the promise bias installed at the HyperAggressive step
-	// (default 2ms of virtual time).
-	Bias Ticks
 	// MaxStrategy caps escalation (default HyperAggressive). Cap at
 	// Aggressive to keep output virtual times bias-free — required when
 	// byte-identical replay of outputs matters more than won-back latency.
 	MaxStrategy SilenceStrategy
-	// BurnThreshold is the SLO burn rate above which sampling degrades
-	// (default 1.0; recovery below half of it). Needs WithSLO to matter.
-	BurnThreshold float64
-	// DegradedSampleN is the sampling modulus while degraded (default 64).
+	// DegradedSampleN is the sampling modulus while SLO burn degrades
+	// sampling (default 64). Needs WithSLO to matter.
 	DegradedSampleN int
-	// History bounds the retained decision ring (default 64).
-	History int
 }
 
 func (a AdaptiveRuntime) withDefaults() AdaptiveRuntime {
@@ -195,17 +177,12 @@ func (a AdaptiveRuntime) withDefaults() AdaptiveRuntime {
 
 func (a AdaptiveRuntime) controllerConfig() adapt.Config {
 	return adapt.Config{
-		Quantum:           vt.Ticks(a.Quantum),
-		MinSamples:        a.MinSamples,
-		ResidualThreshold: a.ResidualThreshold,
-		MinBlameSeconds:   a.MinBlame.Seconds(),
-		BlameShare:        a.BlameShare,
-		QuietWindows:      a.QuietWindows,
-		Bias:              vt.Ticks(a.Bias),
-		MaxStrategy:       a.MaxStrategy,
-		BurnThreshold:     a.BurnThreshold,
-		DegradedSampleN:   uint64(a.DegradedSampleN),
-		History:           a.History,
+		Quantum:         vt.Ticks(a.Quantum),
+		MinSamples:      a.MinSamples,
+		MinBlameSeconds: a.MinBlame.Seconds(),
+		QuietWindows:    a.QuietWindows,
+		MaxStrategy:     a.MaxStrategy,
+		DegradedSampleN: uint64(a.DegradedSampleN),
 	}
 }
 
@@ -299,9 +276,8 @@ func (c *Cluster) rateController(a AdaptiveSampling) func() {
 		const spansPerDelivery = 3
 		want := uint64(1)
 		if need := rate * spansPerDelivery / a.SpansPerSec; need > 1 {
-			want = nextPow2(uint64(need))
+			want = min(nextPow2(uint64(need)), maxSampleN)
 		}
-		want = min(max(want, a.MinN), a.MaxN)
 		if c.adaptCtl != nil {
 			// While SLO burn holds sampling degraded the budget may thin it
 			// further but never undo the degradation. Deciding under the

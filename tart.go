@@ -76,10 +76,6 @@ func (f ComponentFunc) OnMessage(ctx *Context, port string, payload any) (any, e
 	return f(ctx, port, payload)
 }
 
-// Estimator predicts a handler's compute cost in virtual ticks; see the
-// estimator options on Register.
-type Estimator = estimator.Estimator
-
 // Features is a deterministic per-message feature vector (the paper's
 // basic-block execution counts).
 type Features = estimator.Features

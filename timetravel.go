@@ -29,8 +29,6 @@ type TimeTravel struct {
 	// PollEvery is the VT-cadence loop's clock-sampling interval (default
 	// 5ms; only used when CheckpointEveryVT > 0).
 	PollEvery time.Duration
-	// Timeout bounds each reconstruction's replay (default 30s).
-	Timeout time.Duration
 }
 
 // WithTimeTravel enables the time-travel inspector: every checkpoint is
