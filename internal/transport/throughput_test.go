@@ -139,7 +139,7 @@ var benchSizes = []int{1, 64, 512}
 
 // BenchmarkTransportThroughput is the wire-speed gate: envelopes/sec for
 // the codec alone, a real TCP socket pair with scatter-gather batching,
-// and a raw in-process channel pair. Baselines live in
+// and the in-process swap-buffer link. Baselines live in
 // BENCH_transport.json; the CI gate (TestTransportThroughputGate) fails on
 // >15% regression.
 func BenchmarkTransportThroughput(b *testing.B) {

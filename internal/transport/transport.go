@@ -1,7 +1,8 @@
 // Package transport moves envelopes between TART engines.
 //
-// Three implementations are provided: an in-process transport (channel
-// pairs, for single-process clusters and tests), a TCP transport
+// Three implementations are provided: an in-process transport (a
+// swap-buffer link per connection, one lock round-trip per receiver wake,
+// for single-process clusters and tests), a TCP transport
 // (length-prefixed binary frames over sockets, used by the distributed
 // experiments), and a fault-injecting wrapper that drops, duplicates,
 // delays, and reorders frames to exercise the recovery protocol (the
@@ -77,12 +78,8 @@ func (t *Inproc) Listen(addr string) (Listener, error) {
 	if _, dup := t.listeners[addr]; dup {
 		return nil, fmt.Errorf("transport: address %q already bound", addr)
 	}
-	l := &inprocListener{
-		addr:    addr,
-		backlog: make(chan *inprocConn, 16),
-		closed:  make(chan struct{}),
-		net:     t,
-	}
+	l := &inprocListener{addr: addr, net: t}
+	l.ready.L = &l.mu
 	t.listeners[addr] = l
 	return l, nil
 }
@@ -96,105 +93,163 @@ func (t *Inproc) Dial(addr string) (Conn, error) {
 		return nil, fmt.Errorf("transport: no listener at %q", addr)
 	}
 	local, remote := newInprocPair()
-	select {
-	case l.backlog <- remote:
-		return local, nil
-	case <-l.closed:
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
 		return nil, ErrClosed
 	}
+	l.backlog = append(l.backlog, remote)
+	l.ready.Signal()
+	return local, nil
 }
 
+// inprocListener queues dialled connections until Accept takes them. The
+// queue is unbounded, so Dial never blocks.
 type inprocListener struct {
-	addr    string
-	backlog chan *inprocConn
-	closed  chan struct{}
-	once    sync.Once
-	net     *Inproc
+	addr string
+	net  *Inproc
+
+	mu      sync.Mutex
+	ready   sync.Cond // on mu: a connection was queued or the listener closed
+	backlog []*inprocConn
+	closed  bool
 }
 
 func (l *inprocListener) Accept() (Conn, error) {
-	select {
-	case c := <-l.backlog:
-		return c, nil
-	case <-l.closed:
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.backlog) == 0 && !l.closed {
+		l.ready.Wait()
+	}
+	if l.closed {
 		return nil, ErrClosed
 	}
+	c := l.backlog[0]
+	l.backlog[0] = nil
+	l.backlog = l.backlog[1:]
+	return c, nil
 }
 
 func (l *inprocListener) Addr() string { return l.addr }
 
+// Close stops listening and resets every dialled connection Accept has not
+// taken, as a TCP listener's close resets its queue: the dialer's Recv
+// returns ErrClosed instead of waiting for an acceptor that never comes.
 func (l *inprocListener) Close() error {
-	l.once.Do(func() {
-		close(l.closed)
-		l.net.mu.Lock()
-		delete(l.net.listeners, l.addr)
-		l.net.mu.Unlock()
-	})
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil
+	}
+	l.closed = true
+	for _, c := range l.backlog {
+		c.Close()
+	}
+	l.backlog = nil
+	l.ready.Broadcast()
+	l.mu.Unlock()
+	l.net.mu.Lock()
+	delete(l.net.listeners, l.addr)
+	l.net.mu.Unlock()
 	return nil
 }
 
-// inprocConn is one endpoint of an in-process connection.
+// inprocDepth bounds the envelopes queued in one direction of an
+// in-process connection; Send blocks beyond it.
+const inprocDepth = 256
+
+// inprocLink is the state two inprocConn endpoints share: one mutex over
+// both directions and the closed flag. Closing either end closes the link.
+type inprocLink struct {
+	mu     sync.Mutex
+	closed bool
+	dir    [2]inprocQueue
+}
+
+// inprocQueue is one direction of a link. Its receiver waits on ready only
+// while q is empty and its senders only while q is full, and every drain of
+// a full q broadcasts, so a signal on ready never lands on the wrong kind
+// of waiter.
+type inprocQueue struct {
+	q     []msg.Envelope
+	ready sync.Cond // on the link's mu
+}
+
+// inprocConn is one endpoint of an in-process connection. Recv swaps the
+// whole queued slice for its drained batch under one lock acquisition and
+// hands the batch out without the lock.
 type inprocConn struct {
-	out    chan msg.Envelope
-	in     chan msg.Envelope
-	closed chan struct{}
-	peer   *inprocConn
-	once   sync.Once
+	link    *inprocLink
+	in, out *inprocQueue
+	batch   []msg.Envelope // taken from in, owned by the Recv goroutine
+	next    int            // first undelivered index of batch
 }
 
 func newInprocPair() (a, b *inprocConn) {
-	ab := make(chan msg.Envelope, 256)
-	ba := make(chan msg.Envelope, 256)
-	a = &inprocConn{out: ab, in: ba, closed: make(chan struct{})}
-	b = &inprocConn{out: ba, in: ab, closed: make(chan struct{})}
-	a.peer, b.peer = b, a
+	l := &inprocLink{}
+	for i := range l.dir {
+		l.dir[i].ready.L = &l.mu
+	}
+	a = &inprocConn{link: l, out: &l.dir[0], in: &l.dir[1]}
+	b = &inprocConn{link: l, out: &l.dir[1], in: &l.dir[0]}
 	return a, b
 }
 
 func (c *inprocConn) Send(env msg.Envelope) error {
-	// Check closure first: with buffer space available the select below
-	// has multiple ready cases and picks among them at random, which
-	// would let a send on an already-closed endpoint succeed.
-	select {
-	case <-c.closed:
-		return ErrClosed
-	case <-c.peer.closed:
-		return ErrClosed
-	default:
+	l, d := c.link, c.out
+	l.mu.Lock()
+	for len(d.q) >= inprocDepth && !l.closed {
+		d.ready.Wait()
 	}
-	select {
-	case <-c.closed:
+	if l.closed {
+		l.mu.Unlock()
 		return ErrClosed
-	case <-c.peer.closed:
-		return ErrClosed
-	case c.out <- env:
-		return nil
 	}
+	d.q = append(d.q, env)
+	if len(d.q) == 1 {
+		d.ready.Signal() // the receiver waits only on an empty queue
+	}
+	l.mu.Unlock()
+	return nil
 }
 
 func (c *inprocConn) Recv() (msg.Envelope, error) {
-	select {
-	case env := <-c.in:
+	if c.next < len(c.batch) {
+		env := c.batch[c.next]
+		c.next++
 		return env, nil
-	case <-c.closed:
-		// Drain anything already buffered before reporting closure.
-		select {
-		case env := <-c.in:
-			return env, nil
-		default:
-			return msg.Envelope{}, ErrClosed
-		}
-	case <-c.peer.closed:
-		select {
-		case env := <-c.in:
-			return env, nil
-		default:
-			return msg.Envelope{}, ErrClosed
-		}
 	}
+	// Drop the delivered payloads before the slice goes back to the
+	// senders, so the queue does not keep them reachable.
+	clear(c.batch)
+	l, d := c.link, c.in
+	l.mu.Lock()
+	for len(d.q) == 0 && !l.closed {
+		d.ready.Wait()
+	}
+	if len(d.q) == 0 {
+		// Closed, and everything queued before the close was delivered.
+		l.mu.Unlock()
+		return msg.Envelope{}, ErrClosed
+	}
+	if len(d.q) >= inprocDepth {
+		d.ready.Broadcast() // wake every sender blocked on the full queue
+	}
+	c.batch, d.q = d.q, c.batch[:0]
+	l.mu.Unlock()
+	c.next = 1
+	return c.batch[0], nil
 }
 
 func (c *inprocConn) Close() error {
-	c.once.Do(func() { close(c.closed) })
+	l := c.link
+	l.mu.Lock()
+	if !l.closed {
+		l.closed = true
+		for i := range l.dir {
+			l.dir[i].ready.Broadcast()
+		}
+	}
+	l.mu.Unlock()
 	return nil
 }
