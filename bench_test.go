@@ -31,6 +31,7 @@ import (
 	tart "repro"
 	"repro/internal/checkpoint"
 	"repro/internal/sim"
+	"repro/internal/slo"
 	"repro/internal/stats"
 )
 
@@ -216,8 +217,8 @@ func buildFig1(strategy tart.SilenceStrategy, split bool) *tart.App {
 }
 
 // runCluster pushes n messages through a cluster and returns the mean
-// end-to-end latency (from a LatencyRecorder, so callers can share the
-// same summary machinery as the cmd harnesses).
+// end-to-end latency (from an slo.Hist, the summariser the cmd harnesses
+// share).
 func runCluster(b *testing.B, app *tart.App, n int, gap time.Duration, opts ...tart.ClusterOption) time.Duration {
 	b.Helper()
 	cluster, err := tart.Launch(app, opts...)
@@ -228,7 +229,7 @@ func runCluster(b *testing.B, app *tart.App, n int, gap time.Duration, opts ...t
 
 	var (
 		mu   sync.Mutex
-		rec  tart.LatencyRecorder
+		rec  = slo.NewHist()
 		got  int
 		done = make(chan struct{})
 		t0   = make(map[int]time.Time, n)
@@ -236,7 +237,7 @@ func runCluster(b *testing.B, app *tart.App, n int, gap time.Duration, opts ...t
 	if err := cluster.Sink("out", func(o tart.Output) {
 		mu.Lock()
 		if s, ok := t0[o.Payload.(int)]; ok {
-			rec.Record(time.Since(s))
+			rec.Observe(time.Since(s))
 		}
 		got++
 		if got == n {
@@ -269,7 +270,7 @@ func runCluster(b *testing.B, app *tart.App, n int, gap time.Duration, opts ...t
 	case <-time.After(60 * time.Second):
 		b.Fatalf("timed out: %d of %d", got, n)
 	}
-	return rec.Summary().Mean
+	return rec.Snapshot().Mean()
 }
 
 // BenchmarkFig5Distributed runs the real two-engine TCP configuration per

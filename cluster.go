@@ -275,11 +275,13 @@ type engineSlot struct {
 	startedAt time.Time               // when the current incarnation started
 	failed    bool
 
-	// Span-ID watermarks of the control loops that read spans: the newest
-	// span handed to the OTLP exporter and the newest one the adaptive
-	// runtime harvested. Each is touched only by its own loop (and by Stop's
-	// final drain once the loops have exited).
+	// Control-loop state, each touched only by its own loop (and by Stop's
+	// final drain once the loops have exited): the span-ID watermarks of the
+	// OTLP exporter and of the adaptive runtime's harvest, and the clock
+	// frontier at the VT-cadence loop's last failed checkpoint (inherited
+	// across Recover: it can only delay one checkpoint by one interval).
 	exported, harvested uint64
+	ckptFailedVT        vt.Time
 }
 
 // Launch builds and starts a cluster from the application.

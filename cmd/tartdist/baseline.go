@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	tart "repro"
 	"repro/internal/msg"
 	"repro/internal/transport"
 )
@@ -17,7 +16,7 @@ import (
 // mode — a synchronized method invoked by competing threads). Like the
 // TART components it is compared against, the handlers are pure
 // forwarding: the measured latency is infrastructure cost only.
-func runBaseline(requests int, rate float64, port int) (*tart.LatencyRecorder, error) {
+func runBaseline(requests int, rate float64, port int) ([]time.Duration, error) {
 	tcp := transport.TCP{}
 	addr := fmt.Sprintf("127.0.0.1:%d", port)
 	l, err := tcp.Listen(addr)
@@ -29,7 +28,7 @@ func runBaseline(requests int, rate float64, port int) (*tart.LatencyRecorder, e
 	var (
 		mu       sync.Mutex
 		emitted  = make(map[uint64]time.Time)
-		rec      tart.LatencyRecorder
+		lat      []time.Duration
 		done     = make(chan struct{})
 		received int
 	)
@@ -57,7 +56,7 @@ func runBaseline(requests int, rate float64, port int) (*tart.LatencyRecorder, e
 					id, _ := env.Payload.(uint64)
 					mu.Lock()
 					if t0, ok := emitted[id]; ok {
-						rec.Record(time.Since(t0))
+						lat = append(lat, time.Since(t0))
 						delete(emitted, id)
 					}
 					received++
@@ -109,5 +108,5 @@ func runBaseline(requests int, rate float64, port int) (*tart.LatencyRecorder, e
 	case <-time.After(60 * time.Second):
 		return nil, fmt.Errorf("baseline timed out: %d of %d", received, requests)
 	}
-	return &rec, nil
+	return lat, nil
 }

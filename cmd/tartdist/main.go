@@ -36,6 +36,7 @@ import (
 	"time"
 
 	tart "repro"
+	"repro/internal/slo"
 	"repro/internal/trace"
 	"repro/internal/trace/span"
 )
@@ -67,19 +68,19 @@ func run(mode string, requests int, rate float64, buckets, portBase int, debug b
 		modes = []string{mode}
 	}
 	port := portBase
-	var rows []resultRow
+	means := make(map[string]time.Duration)
 	for _, m := range modes {
-		var rec *tart.LatencyRecorder
+		var lat []time.Duration
 		var err error
 		switch m {
 		case "nondet":
-			rec, err = runBaseline(requests, rate, port)
+			lat, err = runBaseline(requests, rate, port)
 		case "lazy":
-			rec, err = runTART(tart.Lazy, requests, rate, port, debug, hold, spansN)
+			lat, err = runTART(tart.Lazy, requests, rate, port, debug, hold, spansN)
 		case "curiosity":
-			rec, err = runTART(tart.Curiosity, requests, rate, port, debug, hold, spansN)
+			lat, err = runTART(tart.Curiosity, requests, rate, port, debug, hold, spansN)
 		case "aggressive":
-			rec, err = runTART(tart.Aggressive, requests, rate, port, debug, hold, spansN)
+			lat, err = runTART(tart.Aggressive, requests, rate, port, debug, hold, spansN)
 		default:
 			return fmt.Errorf("unknown mode %q", m)
 		}
@@ -87,65 +88,63 @@ func run(mode string, requests int, rate float64, buckets, portBase int, debug b
 			return fmt.Errorf("%s: %w", m, err)
 		}
 		port += 4
-		rows = append(rows, resultRow{mode: m, rec: rec})
-		printSeries(m, rec, buckets)
+		s := summary(lat)
+		means[m] = s.Mean()
+		printSeries(m, lat, s, buckets)
 	}
-	if len(rows) > 1 {
-		printComparison(rows)
+	if len(modes) > 1 {
+		printComparison(modes, means)
 	}
 	return nil
 }
 
-type resultRow struct {
-	mode string
-	rec  *tart.LatencyRecorder
+// summary folds latencies into a histogram: count, mean and max exact,
+// quantiles as bucket upper bounds.
+func summary(lat []time.Duration) slo.Snapshot {
+	h := slo.NewHist()
+	for _, d := range lat {
+		h.Observe(d)
+	}
+	return h.Snapshot()
 }
 
-func printSeries(mode string, rec *tart.LatencyRecorder, buckets int) {
-	lat := rec.Samples() // output order: the Figure-5 x-axis
+// printSeries prints one run's summary s and its latencies, in completion
+// order, averaged over buckets: the Figure-5 x-axis.
+func printSeries(mode string, lat []time.Duration, s slo.Snapshot, buckets int) {
 	if len(lat) == 0 {
 		fmt.Printf("   %s: no measurements\n", mode)
 		return
 	}
-	s := rec.Summary()
 	fmt.Printf("   -- %s: avg %.2f ms, p50 %.2f ms, p95 %.2f ms, p99 %.2f ms over %d requests --\n",
-		mode, ms(s.Mean), ms(s.P50), ms(s.P95), ms(s.P99), s.Count)
-	per := len(lat) / buckets
-	if per == 0 {
-		per = 1
-	}
+		mode, ms(s.Mean()), ms(s.Quantile(0.50)), ms(s.Quantile(0.95)), ms(s.Quantile(0.99)), s.Count)
+	per := max(len(lat)/buckets, 1)
 	fmt.Printf("   %-16s %-12s\n", "request range", "avg ms")
 	for i := 0; i < len(lat); i += per {
 		end := i + per
 		if end > len(lat) {
 			end = len(lat)
 		}
-		var sum float64
+		var sum time.Duration
 		for _, v := range lat[i:end] {
 			sum += v
 		}
-		fmt.Printf("   %6d..%-8d %8.2f\n", i+1, end, sum/float64(end-i)/1e6)
+		fmt.Printf("   %6d..%-8d %8.2f\n", i+1, end, ms(sum)/float64(end-i))
 	}
 	fmt.Println()
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-func printComparison(rows []resultRow) {
-	base := time.Duration(-1)
-	for _, r := range rows {
-		if r.mode == "nondet" {
-			base = r.rec.Summary().Mean
-		}
-	}
+func printComparison(modes []string, means map[string]time.Duration) {
+	base := means["nondet"]
 	fmt.Println("   -- comparison (paper: lazy >> curiosity; curiosity < 20% over non-det) --")
-	for _, r := range rows {
-		mean := r.rec.Summary().Mean
-		if base > 0 && r.mode != "nondet" {
-			fmt.Printf("   %-10s %8.2f ms   (%+.0f%% vs non-det)\n", r.mode, ms(mean),
+	for _, m := range modes {
+		mean := means[m]
+		if base > 0 && m != "nondet" {
+			fmt.Printf("   %-10s %8.2f ms   (%+.0f%% vs non-det)\n", m, ms(mean),
 				100*float64(mean-base)/float64(base))
 		} else {
-			fmt.Printf("   %-10s %8.2f ms\n", r.mode, ms(mean))
+			fmt.Printf("   %-10s %8.2f ms\n", m, ms(mean))
 		}
 	}
 }
@@ -272,7 +271,7 @@ func (f *forward) OnMessage(ctx *tart.Context, port string, payload any) (any, e
 
 // runTART measures per-request latency through a two-engine TART cluster
 // over TCP with the given silence strategy.
-func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int, debug bool, hold time.Duration, spansN int) (*tart.LatencyRecorder, error) {
+func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int, debug bool, hold time.Duration, spansN int) ([]time.Duration, error) {
 	app := tart.NewApp()
 	// Ad-hoc constant estimators, constant-time services (§III.C).
 	for _, name := range []string{"sender1", "sender2"} {
@@ -356,7 +355,7 @@ func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int
 	var (
 		mu       sync.Mutex
 		emitted  = make(map[uint64]time.Time) // request id -> emit time
-		rec      tart.LatencyRecorder
+		lat      []time.Duration
 		done     = make(chan struct{})
 		received int
 	)
@@ -364,7 +363,7 @@ func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int
 		id, _ := o.Payload.(uint64)
 		mu.Lock()
 		if t0, ok := emitted[id]; ok {
-			rec.Record(time.Since(t0))
+			lat = append(lat, time.Since(t0))
 			delete(emitted, id)
 		}
 		received++
@@ -416,5 +415,5 @@ func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int
 	}
 	// Latencies were recorded in output order — the paper's Figure-5 x-axis
 	// is the request number in completion order.
-	return &rec, nil
+	return lat, nil
 }

@@ -74,31 +74,11 @@ func run(exp string, duration time.Duration, seed uint64, fig2n, fig2reps int) e
 	case "adapt":
 		return adaptExp(duration, seed)
 	case "all":
-		fig2(fig2n, fig2reps, seed)
-		fig3(duration, seed, 0)
-		fig3(duration, seed, 600*time.Microsecond)
-		fig4(duration, seed, fig2n, fig2reps)
-		throughput(duration, seed)
-		bias(duration, seed)
-		wires(duration, seed)
-		blame(duration, seed)
-		if err := chaosExp(3, 12); err != nil {
-			return err
-		}
-		if err := sloExp(400, 4*time.Second, seed); err != nil {
-			return err
-		}
-		if err := rewindExp(seed); err != nil {
-			return err
-		}
-		if err := coldstartExp(seed); err != nil {
-			return err
-		}
-		if err := wirespeed(); err != nil {
-			return err
-		}
-		if err := adaptExp(duration, seed); err != nil {
-			return err
+		for _, e := range []string{"fig2", "fig3", "dumb", "fig4", "throughput", "bias", "wires", "blame",
+			"chaos", "slo", "rewind", "coldstart", "wirespeed", "adapt"} {
+			if err := run(e, duration, seed, fig2n, fig2reps); err != nil {
+				return err
+			}
 		}
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -19,21 +20,22 @@ func wirespeedEnv(payload []byte, seq uint64) msg.Envelope {
 	return msg.NewData(1, seq, vt.Time(seq*100), payload)
 }
 
-// wirespeedGob round-trips envelopes through the legacy gob stream codec
-// (the wire format this repo used before the binary codec): encode all into
-// a buffer, then decode all back.
+// wirespeedGob round-trips envelopes through an encoding/gob stream (the
+// wire format this repo used before the binary codec): encode all into a
+// buffer, then decode all back.
 func wirespeedGob(payload []byte, msgs int) (float64, error) {
 	var buf bytes.Buffer
-	enc := msg.NewEncoder(&buf)
+	enc := gob.NewEncoder(&buf)
 	start := time.Now()
 	for i := 1; i <= msgs; i++ {
 		if err := enc.Encode(wirespeedEnv(payload, uint64(i))); err != nil {
 			return 0, err
 		}
 	}
-	dec := msg.NewDecoder(&buf)
+	dec := gob.NewDecoder(&buf)
 	for i := 1; i <= msgs; i++ {
-		if _, err := dec.Decode(); err != nil {
+		var env msg.Envelope
+		if err := dec.Decode(&env); err != nil {
 			return 0, err
 		}
 	}
@@ -110,7 +112,7 @@ func wirespeedPair(tr transport.Transport, addr string, payload []byte, msgs int
 }
 
 // wirespeed sweeps payload size across the codec and transport lanes and
-// prints envelopes/sec: the legacy gob stream vs the binary frame codec
+// prints envelopes/sec: an encoding/gob stream vs the binary frame codec
 // (pure serialization cost), then a real TCP socket pair with
 // scatter-gather batching (delivery cost). The binary/gob column is the
 // codec speedup.
@@ -124,7 +126,7 @@ func wirespeed() error {
 		for i := range payload {
 			payload[i] = byte(i)
 		}
-		gob, err := wirespeedGob(payload, wirespeedMsgs)
+		viaGob, err := wirespeedGob(payload, wirespeedMsgs)
 		if err != nil {
 			return err
 		}
@@ -137,7 +139,7 @@ func wirespeed() error {
 			return err
 		}
 		fmt.Printf("   %-10s %-12.0f %-12.0f %8.1fx %-12.0f\n",
-			fmt.Sprintf("%dB", size), gob, bin, bin/gob, tcp)
+			fmt.Sprintf("%dB", size), viaGob, bin, bin/viaGob, tcp)
 	}
 	fmt.Println()
 	return nil

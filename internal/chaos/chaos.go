@@ -177,9 +177,6 @@ func (c *Controller) schedule() []Event {
 	return plan
 }
 
-// Plan returns the schedule the controller will (or did) execute.
-func (c *Controller) Plan() []Event { return append([]Event(nil), c.plan...) }
-
 // Start arms link fault plans and begins executing the schedule.
 func (c *Controller) Start() {
 	if c.cfg.LinkFaults && c.nc != nil {
@@ -188,7 +185,6 @@ func (c *Controller) Start() {
 			c.nc.SetLinkPlan(l[0], l[1], tart.FaultPlan{
 				DupProb: 0.05 + 0.10*rng.Float64(),
 				Delay:   time.Duration(1+rng.Intn(2)) * time.Millisecond,
-				Seed:    rng.Uint64(),
 			})
 		}
 	}

@@ -42,7 +42,7 @@ func TestControllerScheduleDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, pb := a.Plan(), b.Plan()
+	pa, pb := a.plan, b.plan
 	if len(pa) != 5 {
 		t.Fatalf("plan has %d events, want 5", len(pa))
 	}

@@ -39,14 +39,25 @@ type manifest struct {
 	Entries    []manifestEntry `json:"entries"`
 }
 
-// FileStore is a durable Store: each checkpoint is written to its own
-// file under dir with a temp-write + fsync + rename discipline, then
-// recorded in an atomically rewritten manifest. A crash at any point
-// leaves either the old manifest (new checkpoint invisible, predecessor
-// intact) or the new one (new checkpoint fully durable); a torn or
-// corrupted checkpoint file is detected by its CRC at open time and the
-// store falls back to the entries before it: the intact prefix of the
-// newest chain, or the previous chain when the base itself is lost.
+// FileStore is the durable checkpoint store. It accepts checkpoints the way
+// a passive replica does (Apply is engine.Backup-compatible) and hands them
+// back after an arbitrary amount of time, including to a different OS
+// process. It persists what the engine ships, full captures and deltas
+// alike, as chains: an entry whose every component is a full capture is a
+// base and starts a chain; any other entry extends the entry before it.
+// Chain returns the newest chain, which a ReplicaStore folds back into
+// restorable state. The store retains the newest chain and the one before
+// it, so a newest chain that turns out unreadable still leaves a
+// restorable predecessor. It is safe for concurrent use.
+//
+// Each checkpoint is written to its own file under dir with a temp-write +
+// fsync + rename discipline, then recorded in an atomically rewritten
+// manifest. A crash at any point leaves either the old manifest (new
+// checkpoint invisible, predecessor intact) or the new one (new checkpoint
+// fully durable); a torn or corrupted checkpoint file is detected by its
+// CRC at open time and the store falls back to the entries before it: the
+// intact prefix of the newest chain, or the previous chain when the base
+// itself is lost.
 //
 // The manifest also carries the engine's durable generation — the fencing
 // token a cold restart bumps and persists before rejoining, so a zombie
@@ -62,8 +73,6 @@ type FileStore struct {
 	onWrite func(bytes int64)
 	onFsync func()
 }
-
-var _ Store = (*FileStore)(nil)
 
 // OpenFileStore opens (creating if needed) the durable checkpoint store
 // rooted at dir and validates its newest chain. A manifest entry whose
@@ -163,9 +172,6 @@ func (s *FileStore) TornFallbacks() int {
 	return s.fellBack
 }
 
-// Dir returns the store's root directory.
-func (s *FileStore) Dir() string { return s.dir }
-
 // SetObserver installs write/fsync accounting hooks (both optional); the
 // cluster routes them into the engine's metric registry.
 func (s *FileStore) SetObserver(onWrite func(bytes int64), onFsync func()) {
@@ -175,10 +181,13 @@ func (s *FileStore) SetObserver(onWrite func(bytes int64), onFsync func()) {
 	s.onFsync = onFsync
 }
 
-// Apply implements Store: encode, temp-write, fsync, rename, fsync the
-// directory, then durably record the new entry in the manifest. Only
-// after the manifest rename is the checkpoint visible to a restart. A new
-// base retires every chain but the one it succeeds.
+// Apply persists one checkpoint: encode, temp-write, fsync, rename, fsync
+// the directory, then durably record the new entry in the manifest. Only
+// after the manifest rename is the checkpoint visible to a restart. Stale
+// or duplicate sequence numbers are ignored (idempotent), matching
+// ReplicaStore; a delta must directly extend the newest entry, because no
+// chain containing it could be restored otherwise. A new base retires
+// every chain but the one it succeeds.
 func (s *FileStore) Apply(c *Checkpoint) error {
 	data, err := c.Encode()
 	if err != nil {
@@ -217,7 +226,8 @@ func (s *FileStore) Apply(c *Checkpoint) error {
 	return nil
 }
 
-// Latest implements Store.
+// Latest returns the newest persisted checkpoint (on its own restorable
+// only when it is a base), or nil when the store is empty.
 func (s *FileStore) Latest() (*Checkpoint, error) {
 	newest, err := s.load(false)
 	if err != nil || len(newest) == 0 {
@@ -226,7 +236,8 @@ func (s *FileStore) Latest() (*Checkpoint, error) {
 	return newest[0], nil
 }
 
-// Chain implements Store. The result always starts with a base and runs
+// Chain returns the newest chain, base first, newest entry last; nil when
+// the store is empty. The result always starts with a base and runs
 // contiguously to the newest entry; anything else on disk is an error.
 func (s *FileStore) Chain() ([]*Checkpoint, error) {
 	chain, err := s.load(true)
@@ -269,7 +280,8 @@ func (s *FileStore) load(chain bool) ([]*Checkpoint, error) {
 	return out, nil
 }
 
-// Seq implements Store.
+// Seq returns the sequence number of the newest persisted checkpoint (0
+// when empty).
 func (s *FileStore) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -305,7 +317,7 @@ func (s *FileStore) SetGeneration(gen uint64) error {
 	return s.writeManifestLocked()
 }
 
-// Close implements Store.
+// Close releases the store; applying after Close is an error.
 func (s *FileStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

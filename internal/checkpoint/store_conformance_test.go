@@ -81,27 +81,27 @@ func seqsOf(chain []*Checkpoint) []uint64 {
 	return out
 }
 
-// retainedSeqs lists every entry a backend currently holds, oldest first.
-func retainedSeqs(s Store) []uint64 {
+// retainedSeqs lists every entry the store currently holds, oldest first.
+func retainedSeqs(s *FileStore) []uint64 {
 	var out []uint64
-	switch s := s.(type) {
-	case *MemStore:
-		for _, e := range s.entries {
-			out = append(out, e.seq)
-		}
-	case *FileStore:
-		for _, e := range s.man.Entries {
-			out = append(out, e.Seq)
-		}
+	for _, e := range s.man.Entries {
+		out = append(out, e.Seq)
 	}
 	return out
 }
 
-// storeConformance is the shared Store contract suite, run against every
-// backend. open returns a fresh store and a function that closes it and
-// opens it again over the same state (the identity for a memory backend).
-func storeConformance(t *testing.T, openBoth func(t *testing.T) (Store, func() Store)) {
-	open := func(t *testing.T) Store { s, _ := openBoth(t); return s }
+// TestFileStoreConformance is the store's contract suite. Each case opens a
+// fresh store; reopen closes it and opens it again over the same directory.
+func TestFileStoreConformance(t *testing.T) {
+	openBoth := func(t *testing.T) (*FileStore, func() *FileStore) {
+		dir := filepath.Join(t.TempDir(), "ckpts")
+		s := mustOpen(t, dir)
+		return s, func() *FileStore {
+			s.Close()
+			return mustOpen(t, dir)
+		}
+	}
+	open := func(t *testing.T) *FileStore { s, _ := openBoth(t); return s }
 	t.Run("ChainFoldsToLiveState", func(t *testing.T) {
 		s, reopen := openBoth(t)
 		live := NewMap[string, int]()
@@ -266,29 +266,11 @@ func storeConformance(t *testing.T, openBoth func(t *testing.T) (Store, func() S
 	})
 }
 
-func mustStore(t *testing.T, s Store, ck *Checkpoint) {
+func mustStore(t *testing.T, s *FileStore, ck *Checkpoint) {
 	t.Helper()
 	if err := s.Apply(ck); err != nil {
 		t.Fatalf("apply seq %d: %v", ck.Seq, err)
 	}
-}
-
-func TestMemStoreConformance(t *testing.T) {
-	storeConformance(t, func(t *testing.T) (Store, func() Store) {
-		s := NewMemStore()
-		return s, func() Store { return s }
-	})
-}
-
-func TestFileStoreConformance(t *testing.T) {
-	storeConformance(t, func(t *testing.T) (Store, func() Store) {
-		dir := filepath.Join(t.TempDir(), "ckpts")
-		s := mustOpen(t, dir)
-		return s, func() Store {
-			s.Close()
-			return mustOpen(t, dir)
-		}
-	})
 }
 
 func mustOpen(t *testing.T, dir string) *FileStore {

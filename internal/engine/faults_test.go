@@ -2,12 +2,10 @@ package engine
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/msg"
 	"repro/internal/sched"
 	"repro/internal/topo"
 	"repro/internal/transport"
@@ -15,92 +13,27 @@ import (
 	"repro/internal/wal"
 )
 
-// faultyTransport wraps a Transport, injecting faults on every dialed and
-// accepted connection's send path.
-type faultyTransport struct {
-	inner transport.Transport
-	plan  transport.FaultPlan
-
-	mu   sync.Mutex
-	seed uint64
-}
-
-func (f *faultyTransport) nextPlan() transport.FaultPlan {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.seed++
-	p := f.plan
-	p.Seed = f.seed
-	return p
-}
-
-func (f *faultyTransport) Listen(addr string) (transport.Listener, error) {
-	l, err := f.inner.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyListener{l: l, t: f}, nil
-}
-
-func (f *faultyTransport) Dial(addr string) (transport.Conn, error) {
-	c, err := f.inner.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &handshakeSafeFaulty{Faulty: transport.NewFaulty(c, f.nextPlan()), raw: c}, nil
-}
-
-type faultyListener struct {
-	l transport.Listener
-	t *faultyTransport
-}
-
-func (fl *faultyListener) Accept() (transport.Conn, error) {
-	c, err := fl.l.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &handshakeSafeFaulty{Faulty: transport.NewFaulty(c, fl.t.nextPlan()), raw: c}, nil
-}
-
-func (fl *faultyListener) Addr() string { return fl.l.Addr() }
-func (fl *faultyListener) Close() error { return fl.l.Close() }
-
-// handshakeSafeFaulty exempts handshake/heartbeat frames from fault
-// injection (a dropped hello would just look like a dead link and trigger
-// redial loops; the recovery protocol under test is about DATA loss).
-type handshakeSafeFaulty struct {
-	*transport.Faulty
-	raw transport.Conn
-}
-
-func (h *handshakeSafeFaulty) Send(env msg.Envelope) error {
-	if env.Kind == msg.KindHello {
-		return h.raw.Send(env)
-	}
-	return h.Faulty.Send(env)
-}
-
-// TestLossyLinkRecovered drives the split Figure-1 app over a link that
-// drops, duplicates, and reorders frames. The sequence-number layer plus
-// gap-repair replay requests must deliver the exact stream regardless.
+// TestLossyLinkRecovered drives the split Figure-1 app over a Netem link
+// that drops, duplicates, and reorders frames in both directions (hellos
+// pass unfaulted). The sequence-number layer plus gap-repair replay requests
+// must deliver the exact stream regardless.
 func TestLossyLinkRecovered(t *testing.T) {
 	tp := fig1Topo(t, true)
-	net := &faultyTransport{
-		inner: transport.NewInproc(),
-		plan: transport.FaultPlan{
-			DropProb:    0.15,
-			DupProb:     0.10,
-			ReorderProb: 0.10,
-		},
-	}
+	inner := transport.NewInproc()
 	addrs := map[string]string{"A": "a", "B": "b"}
+	nm := transport.NewNetem(1)
+	nm.SetAddrs(addrs)
+	nm.SetLinkPlan("A", "B", transport.FaultPlan{
+		DropProb:    0.15,
+		DupProb:     0.10,
+		ReorderProb: 0.10,
+	})
 	mk := func(name string, comps map[string]ComponentSpec) *Engine {
 		e, err := New(Config{
 			Name:           name,
 			Topo:           tp,
 			Components:     comps,
-			Transport:      net,
+			Transport:      nm.For(name, inner),
 			Addrs:          addrs,
 			RedialEvery:    5 * time.Millisecond,
 			GapRepairEvery: 10 * time.Millisecond,
@@ -156,6 +89,9 @@ func TestLossyLinkRecovered(t *testing.T) {
 	}
 	if snapB := engB.Metrics().Snapshot(); snapB.Delivered != 2*n {
 		t.Errorf("merger delivered %d, want %d", snapB.Delivered, 2*n)
+	}
+	if st := nm.Stats(); st.Dropped == 0 {
+		t.Errorf("netem dropped nothing (%+v): the link was not lossy", st)
 	}
 }
 

@@ -111,10 +111,8 @@ func NewArchive(tp *topo.Topology, history int) *Archive {
 		srcOf:   make(map[msg.WireID]string),
 		engines: make(map[string]*engineArchive),
 	}
-	if tp != nil {
-		for _, src := range tp.Sources() {
-			a.srcOf[src.Wire] = src.Name
-		}
+	for _, src := range tp.Sources() {
+		a.srcOf[src.Wire] = src.Name
 	}
 	return a
 }
@@ -192,7 +190,7 @@ func (a *Archive) retainFault(engineName string, rec wal.FaultRecord) {
 }
 
 // Tee returns a Backup that forwards checkpoints to inner and, on success,
-// archives them as rewind points.
+// archives them as rewind points; one the archive cannot encode fails.
 func (a *Archive) Tee(engineName string, inner backupApplier) backupApplier {
 	return &teeBackup{a: a, engine: engineName, inner: inner}
 }
@@ -213,18 +211,17 @@ func (t *teeBackup) Apply(c *checkpoint.Checkpoint) error {
 	if err := t.inner.Apply(c); err != nil {
 		return err
 	}
-	t.a.addPoint(t.engine, c)
-	return nil
+	return t.a.addPoint(t.engine, c)
 }
 
 // addPoint archives one checkpoint as a rewind point. A checkpoint
 // carrying deltas is kept only if it directly extends the newest archived
-// point (it always does unless archiving its predecessor failed); the next
-// full capture starts a fresh chain.
-func (a *Archive) addPoint(engineName string, c *checkpoint.Checkpoint) {
+// point (it always does: a failed checkpoint makes the engine's next one a
+// full capture, which starts a fresh chain).
+func (a *Archive) addPoint(engineName string, c *checkpoint.Checkpoint) error {
 	data, err := c.Encode()
 	if err != nil {
-		return // unarchivable; live checkpointing already succeeded
+		return fmt.Errorf("inspect: archive checkpoint %d of %s as a rewind point (payload types in it need tart.RegisterPayload): %w", c.Seq, engineName, err)
 	}
 	pt := &point{seq: c.Seq, vtime: c.VT, data: data, cursors: make(map[string]uint64)}
 	for _, cs := range c.Components {
@@ -240,12 +237,12 @@ func (a *Archive) addPoint(engineName string, c *checkpoint.Checkpoint) {
 	defer a.mu.Unlock()
 	ea := a.engineLocked(engineName)
 	if n := len(ea.points); n > 0 && pt.seq <= ea.points[n-1].seq {
-		return // duplicate apply; keep the first
+		return nil // duplicate apply; keep the first
 	}
 	if !c.IsBase() {
 		n := len(ea.points)
 		if n == 0 || ea.points[n-1].seq+1 != pt.seq {
-			return
+			return nil
 		}
 		pt.prev = ea.points[n-1]
 	}
@@ -255,6 +252,7 @@ func (a *Archive) addPoint(engineName string, c *checkpoint.Checkpoint) {
 		ea.points = ea.points[1:]
 		a.pruneLocked(ea)
 	}
+	return nil
 }
 
 // pruneLocked discards retained inputs no retained point can need: records

@@ -4,20 +4,17 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 )
 
-// Two codecs coexist. The binary codec (binary.go) is the hot path: fixed
-// little-endian header, registered payload types by numeric ID, pooled
-// buffers, zero steady-state allocations. encoding/gob remains as (a) the
-// self-describing fallback for payload types without a registered binary
-// codec, and (b) the legacy stream format the WAL still understands for
-// log files written before the binary frames landed. Concrete payload
-// types crossing either codec's fallback path must be registered once
-// with RegisterPayload; RegisterBinaryPayload additionally buys a type
-// out of the fallback entirely.
+// Envelopes travel as binary frames (binary.go): fixed little-endian
+// header, registered payload types by numeric ID, pooled buffers, zero
+// steady-state allocations. encoding/gob survives here only as the
+// self-describing payload fallback inside a frame, for payload types
+// without a registered binary codec. Such types must be registered once
+// with RegisterPayload; RegisterBinaryPayload buys a type out of the
+// fallback entirely.
 
 var registerMu sync.Mutex
 
@@ -87,78 +84,4 @@ func decodeGobPayload(data []byte) (any, error) {
 		return nil, fmt.Errorf("msg: gob-fallback payload decode: %w", err)
 	}
 	return box.V, nil
-}
-
-// Encoder writes length-delimited gob-encoded envelopes to a stream. It is
-// the legacy stream codec (the binary frame format supersedes it on the
-// transport hot path); kept for tools and tests that want a
-// self-describing stream. Safe for use by one goroutine at a time.
-type Encoder struct {
-	enc *gob.Encoder
-}
-
-// NewEncoder returns an Encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{enc: gob.NewEncoder(w)}
-}
-
-// Encode writes one envelope.
-func (e *Encoder) Encode(env Envelope) error {
-	if err := e.enc.Encode(env); err != nil {
-		return fmt.Errorf("msg: encode envelope: %w", err)
-	}
-	return nil
-}
-
-// Decoder reads envelopes written by Encoder.
-type Decoder struct {
-	dec *gob.Decoder
-}
-
-// NewDecoder returns a Decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{dec: gob.NewDecoder(r)}
-}
-
-// Decode reads one envelope. It returns io.EOF at a clean end of stream.
-func (d *Decoder) Decode() (Envelope, error) {
-	var env Envelope
-	if err := d.dec.Decode(&env); err != nil {
-		if err == io.EOF {
-			return Envelope{}, io.EOF
-		}
-		return Envelope{}, fmt.Errorf("msg: decode envelope: %w", err)
-	}
-	return env, nil
-}
-
-// Marshal encodes a single envelope to a self-contained byte slice
-// (suitable for logs and replay buffers). It encodes through the pooled
-// binary codec — registered payload types pay no reflective walk and no
-// per-call type preamble; unregistered ones ride the gob fallback inside
-// the frame.
-func Marshal(env Envelope) ([]byte, error) {
-	buf := GetBuffer()
-	out, _, err := AppendFrame((*buf)[:0], env)
-	if err != nil {
-		PutBuffer(buf)
-		return nil, err
-	}
-	res := make([]byte, len(out))
-	copy(res, out)
-	*buf = out[:0]
-	PutBuffer(buf)
-	return res, nil
-}
-
-// Unmarshal decodes a single envelope produced by Marshal.
-func Unmarshal(data []byte) (Envelope, error) {
-	env, n, _, err := DecodeFrame(data)
-	if err != nil {
-		return Envelope{}, err
-	}
-	if n != len(data) {
-		return Envelope{}, fmt.Errorf("msg: %d trailing bytes after envelope", len(data)-n)
-	}
-	return env, nil
 }

@@ -1,15 +1,16 @@
 package msg_test
 
-// Differential codec test in the style of the sched package's
-// TestHeapMergeMatchesReferenceMerge: the legacy gob stream codec is kept
-// as the reference implementation, and every envelope kind with every
-// payload shape must round-trip *identically* through both — same
+// Differential codec test in the style of the sched package's reference
+// oracle: a plain encoding/gob stream of envelopes is the reference, and
+// every envelope kind with every payload shape must round-trip
+// *identically* through it and through the binary frame codec — same
 // envelope fields, same payload values, same audit-chain digests — so the
-// binary codec can replace gob on the wire without perturbing replay or
-// the determinism audit.
+// binary codec carries envelopes without perturbing replay or the
+// determinism audit.
 
 import (
 	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -66,34 +67,34 @@ func differentialEnvelopes(t *testing.T) []msg.Envelope {
 func TestBinaryMatchesGobReference(t *testing.T) {
 	envs := differentialEnvelopes(t)
 
-	// Reference path: the legacy gob stream.
+	// Reference path: a gob stream.
 	var gobStream bytes.Buffer
-	enc := msg.NewEncoder(&gobStream)
+	enc := gob.NewEncoder(&gobStream)
 	for _, e := range envs {
 		if err := enc.Encode(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dec := msg.NewDecoder(&gobStream)
+	dec := gob.NewDecoder(&gobStream)
 	viaGob := make([]msg.Envelope, 0, len(envs))
 	for range envs {
-		e, err := dec.Decode()
-		if err != nil {
+		var e msg.Envelope
+		if err := dec.Decode(&e); err != nil {
 			t.Fatal(err)
 		}
 		viaGob = append(viaGob, e)
 	}
 
-	// Candidate path: the binary frame codec (Marshal/Unmarshal).
+	// Candidate path: the binary frame codec.
 	viaBinary := make([]msg.Envelope, 0, len(envs))
 	for _, e := range envs {
-		data, err := msg.Marshal(e)
+		data, _, err := msg.AppendFrame(nil, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := msg.Unmarshal(data)
-		if err != nil {
-			t.Fatal(err)
+		out, n, _, err := msg.DecodeFrame(data)
+		if err != nil || n != len(data) {
+			t.Fatalf("decoded %d of %d bytes: %v", n, len(data), err)
 		}
 		viaBinary = append(viaBinary, out)
 	}
@@ -136,11 +137,11 @@ func TestBinaryDeterministicEncoding(t *testing.T) {
 		msg.NewCallRequest(3, 1, 600, 42, int64(-1)),
 	}
 	for i, e := range envs {
-		a, err := msg.Marshal(e)
+		a, _, err := msg.AppendFrame(nil, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := msg.Marshal(e)
+		b, _, err := msg.AppendFrame(nil, e)
 		if err != nil {
 			t.Fatal(err)
 		}

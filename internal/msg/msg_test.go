@@ -1,8 +1,6 @@
 package msg
 
 import (
-	"bytes"
-	"io"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -166,13 +164,13 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 
 	in := NewData(5, 9, 12345, testPayload{Words: []string{"a", "b"}, Count: 2})
-	data, err := Marshal(in)
+	data, _, err := AppendFrame(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
+	out, n, _, err := DecodeFrame(data)
+	if err != nil || n != len(data) {
+		t.Fatalf("decoded %d of %d bytes: %v", n, len(data), err)
 	}
 	if out.Wire != in.Wire || out.Seq != in.Seq || out.VT != in.VT || out.Kind != in.Kind {
 		t.Errorf("round trip header mismatch: %+v vs %+v", out, in)
@@ -186,31 +184,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodecStream(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	for i := 0; i < 5; i++ {
-		if err := enc.Encode(NewData(1, uint64(i+1), vt.Time(i*10), nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec := NewDecoder(&buf)
-	for i := 0; i < 5; i++ {
-		env, err := dec.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if env.Seq != uint64(i+1) {
-			t.Errorf("seq = %d, want %d", env.Seq, i+1)
-		}
-	}
-	if _, err := dec.Decode(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
-	}
-}
-
 func TestUnmarshalGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte{0xff, 0x01, 0x02}); err == nil {
+	if _, _, _, err := DecodeFrame([]byte{0xff, 0x01, 0x02}); err == nil {
 		t.Error("expected error for garbage input")
 	}
 }

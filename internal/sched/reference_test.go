@@ -102,8 +102,15 @@ func TestHeapMergeMatchesReferenceMerge(t *testing.T) {
 		for i := range ref {
 			ref[i] = newInWire(&topo.Wire{ID: msg.WireID(i)})
 		}
+		// Add the wires to the frontier in a random order (an inside-out
+		// Fisher–Yates shuffle).
+		order := make([]int, n)
+		for i := range order {
+			j := rng.Intn(i + 1)
+			order[i], order[j] = order[j], i
+		}
 		var f frontier
-		for _, i := range rng.Perm(n) {
+		for _, i := range order {
 			f.add(ref[i])
 		}
 		arrival := uint64(0)

@@ -114,7 +114,7 @@ type Params struct {
 	// ArrivalMean is the Poisson inter-arrival mean per sender (1 ms).
 	ArrivalMean time.Duration
 	// Iterations draws the per-message iteration count (U{1..19}).
-	Iterations stats.Dist
+	Iterations stats.UniformInt
 	// IterVirtual is the true mean real cost per iteration (60 µs).
 	IterVirtual time.Duration
 	// Coef is the smart estimator's virtual cost per iteration in ns
@@ -180,7 +180,7 @@ func (p Params) withDefaults() Params {
 	if p.ArrivalMean <= 0 {
 		p.ArrivalMean = d.ArrivalMean
 	}
-	if p.Iterations == nil {
+	if p.Iterations == (stats.UniformInt{}) {
 		p.Iterations = d.Iterations
 	}
 	if p.IterVirtual <= 0 {

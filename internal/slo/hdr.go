@@ -2,14 +2,15 @@
 // log-bucketed latency histograms with O(1) lock-free recording, declarative
 // latency objectives (p99 < bound), and windowed error-budget burn tracking.
 //
-// The histograms replace the unbounded sort-based LatencyRecorder on the
-// open-loop load path: a recorder that appends every observation and sorts
-// on quantile reads is fine for a 10k-message experiment but melts under a
-// sustained arrival schedule, and — worse — its memory growth perturbs the
-// very tail it is measuring. The HDR layout (exponent + sub-bucket index,
-// one atomic add per observation) keeps recording constant-time and
-// constant-memory with a bounded ~1.6% relative value error, which is far
-// inside the noise of any tail-latency claim the harness makes.
+// Hist is the module's latency summariser: the load harness, the Fig. 5
+// harness (cmd/tartdist) and the root package's Go benchmarks record into
+// it. A recorder that appends every observation and sorts on quantile
+// reads is fine for a 10k-message experiment but melts under a sustained
+// arrival schedule, and — worse — its memory growth perturbs the very tail
+// it is measuring. The HDR layout (exponent + sub-bucket index, one atomic
+// add per observation) keeps recording constant-time and constant-memory
+// with a bounded ~1.6% relative value error, which is far inside the noise
+// of any tail-latency claim the harness makes.
 package slo
 
 import (

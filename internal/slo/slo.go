@@ -433,13 +433,6 @@ func writeAligned(w io.Writer, rows [][]string) {
 	}
 }
 
-// SeriesNames returns the tracked series in first-observation order.
-func (t *Tracker) SeriesNames() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.order...)
-}
-
 // SnapshotOf returns the named series' histogram snapshot (zero Snapshot
 // when the series is unknown).
 func (t *Tracker) SnapshotOf(series string) Snapshot {

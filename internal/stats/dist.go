@@ -1,37 +1,14 @@
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// Dist is a sampler over float64 values. The simulation studies plug in
-// different Dist implementations for service-time variability and real-time
-// jitter.
-type Dist interface {
-	// Sample draws one value using the supplied generator.
-	Sample(r *RNG) float64
-}
-
-// Constant is a degenerate distribution that always returns V.
-type Constant struct{ V float64 }
-
-// Sample implements Dist.
-func (c Constant) Sample(*RNG) float64 { return c.V }
-
-// Uniform is a continuous uniform distribution on [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Dist.
-func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
+import "math"
 
 // UniformInt samples integers uniformly from {Lo, ..., Hi} (inclusive),
-// returned as float64. The paper's sender workload draws iteration counts
-// from U{1..19}.
+// returned as float64: the simulation studies' model of per-message
+// service-time variability. The paper's sender workload draws iteration
+// counts from U{1..19}.
 type UniformInt struct{ Lo, Hi int }
 
-// Sample implements Dist.
+// Sample draws one value using the supplied generator.
 func (u UniformInt) Sample(r *RNG) float64 {
 	if u.Hi <= u.Lo {
 		return float64(u.Lo)
@@ -46,101 +23,6 @@ func (u UniformInt) Mean() float64 { return float64(u.Lo+u.Hi) / 2 }
 func (u UniformInt) SD() float64 {
 	n := float64(u.Hi - u.Lo + 1)
 	return math.Sqrt((n*n - 1) / 12)
-}
-
-// Normal is a normal distribution with the given mean and standard
-// deviation. Sampling never returns values below Floor (useful for modelling
-// non-negative durations; set Floor to -Inf for an unclamped normal).
-type Normal struct {
-	Mean  float64
-	SD    float64
-	Floor float64
-}
-
-// Sample implements Dist.
-func (n Normal) Sample(r *RNG) float64 {
-	v := n.Mean + n.SD*r.NormFloat64()
-	if v < n.Floor {
-		return n.Floor
-	}
-	return v
-}
-
-// Exponential is an exponential distribution with the given mean (i.e. the
-// inter-arrival law of a Poisson process with rate 1/Mean).
-type Exponential struct{ Mean float64 }
-
-// Sample implements Dist.
-func (e Exponential) Sample(r *RNG) float64 { return e.Mean * r.ExpFloat64() }
-
-// Empirical samples uniformly from a fixed set of observations. The Fig. 4
-// study imports real execution-time measurements and resamples them.
-type Empirical struct {
-	obs []float64
-}
-
-// NewEmpirical builds an empirical distribution over the observations.
-// It returns an error if no observations are supplied.
-func NewEmpirical(obs []float64) (*Empirical, error) {
-	if len(obs) == 0 {
-		return nil, errors.New("stats: empirical distribution needs at least one observation")
-	}
-	cp := make([]float64, len(obs))
-	copy(cp, obs)
-	return &Empirical{obs: cp}, nil
-}
-
-// Sample implements Dist.
-func (e *Empirical) Sample(r *RNG) float64 { return e.obs[r.Intn(len(e.obs))] }
-
-// Len returns the number of underlying observations.
-func (e *Empirical) Len() int { return len(e.obs) }
-
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	SD     float64
-	Min    float64
-	Max    float64
-	Median float64
-	P95    float64
-	P99    float64
-}
-
-// Summarize computes descriptive statistics for the sample. A zero Summary
-// is returned for an empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.SD = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	s.Median = Percentile(sorted, 0.50)
-	s.P95 = Percentile(sorted, 0.95)
-	s.P99 = Percentile(sorted, 0.99)
-	return s
 }
 
 // Percentile returns the p-quantile (0 <= p <= 1) of an already-sorted

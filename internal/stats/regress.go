@@ -107,17 +107,6 @@ func OLS1(x, y []float64) (*Fit, error) {
 	return OLS(rows, y)
 }
 
-// Predict evaluates the fitted model on one row of regressors.
-func (f *Fit) Predict(row []float64) float64 {
-	var p float64
-	for i, b := range f.Coeffs {
-		if i < len(row) {
-			p += b * row[i]
-		}
-	}
-	return p
-}
-
 // solve performs Gaussian elimination with partial pivoting on a copy of
 // the inputs.
 func solve(a [][]float64, b []float64) ([]float64, error) {

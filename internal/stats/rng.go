@@ -1,9 +1,9 @@
-// Package stats provides the deterministic randomness, probability
-// distributions, and statistical fitting used across the TART runtime and
-// its experiment harnesses: a splittable PRNG for reproducible component
-// randomness, Normal/Poisson/Uniform/Empirical samplers for the simulation
-// studies, and ordinary-least-squares regression for estimator calibration
-// (the paper's Equation (1)/(2) fit).
+// Package stats provides the deterministic randomness and statistical
+// fitting used across the TART runtime and its experiment harnesses: a
+// splittable PRNG for reproducible component randomness, the integer
+// sampler and descriptive statistics of the simulation studies, and
+// ordinary-least-squares regression for estimator calibration (the paper's
+// Equation (1)/(2) fit).
 package stats
 
 import "math"
@@ -107,15 +107,4 @@ func (r *RNG) NormFloat64() float64 {
 // ExpFloat64 returns an exponentially distributed float64 with mean 1.
 func (r *RNG) ExpFloat64() float64 {
 	return -math.Log(1.0 - r.Float64())
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

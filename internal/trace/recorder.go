@@ -147,11 +147,6 @@ type DumpHeader struct {
 	MaxVT  vt.Time `json:"maxVT"`
 }
 
-// Covers reports whether t falls inside the dump's VT range.
-func (h *DumpHeader) Covers(t vt.Time) bool {
-	return h != nil && h.MinVT != vt.Never && t >= h.MinVT && t <= h.MaxVT
-}
-
 // WriteDump writes a header line carrying the covered VT range followed by
 // the retained events as JSONL. ReadEvents skips the header transparently;
 // ReadDump returns it.

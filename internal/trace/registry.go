@@ -221,14 +221,6 @@ func NewRegistry(consts ...Label) *Registry {
 	return &Registry{consts: consts, fams: make(map[string]*family)}
 }
 
-// ConstLabels returns the registry's constant labels.
-func (r *Registry) ConstLabels() []Label {
-	if r == nil {
-		return nil
-	}
-	return append([]Label(nil), r.consts...)
-}
-
 func (r *Registry) seriesFor(name, help, typ string, bounds []float64, labels []Label) *series {
 	fam, ok := r.fams[name]
 	if !ok {

@@ -327,17 +327,6 @@ func (c *Collector) Spans() []Span {
 	return out
 }
 
-// ForOrigin returns the retained spans of one origin in record order.
-func (c *Collector) ForOrigin(o msg.OriginID) []Span {
-	var out []Span
-	for _, s := range c.Spans() {
-		if s.Origin == o {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Reset discards all retained spans (the lifetime total keeps counting).
 func (c *Collector) Reset() {
 	if c == nil {

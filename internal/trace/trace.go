@@ -6,11 +6,8 @@ package trace
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/trace/span"
 )
 
@@ -118,90 +115,5 @@ func (m *Metrics) Snapshot() Snapshot {
 		DuplicatesDropped: count(MetricDuplicates) + count(MetricHoldbackDrops),
 		DeterminismFaults: count(MetricDetFaults),
 		Failovers:         count(MetricFailovers),
-	}
-}
-
-// LatencyRecorder accumulates end-to-end latency observations (in
-// nanoseconds) for experiment harnesses. It is safe for concurrent use.
-type LatencyRecorder struct {
-	mu  sync.Mutex
-	obs []float64
-}
-
-// Record appends one latency observation.
-func (l *LatencyRecorder) Record(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.obs = append(l.obs, float64(d))
-}
-
-// Samples returns a copy of the observations.
-func (l *LatencyRecorder) Samples() []float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]float64, len(l.obs))
-	copy(out, l.obs)
-	return out
-}
-
-// Count returns the number of observations recorded so far.
-func (l *LatencyRecorder) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.obs)
-}
-
-// Reset discards all observations.
-func (l *LatencyRecorder) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.obs = nil
-}
-
-// Quantiles returns the requested quantiles (0 <= p <= 1) of the recorded
-// latencies, one per p, using linear interpolation. An empty recorder
-// yields zeros.
-func (l *LatencyRecorder) Quantiles(ps ...float64) []time.Duration {
-	sorted := l.Samples()
-	out := make([]time.Duration, len(ps))
-	if len(sorted) == 0 {
-		return out
-	}
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		out[i] = time.Duration(stats.Percentile(sorted, p))
-	}
-	return out
-}
-
-// LatencySummary condenses a latency sample for experiment reports.
-type LatencySummary struct {
-	Count int
-	Mean  time.Duration
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
-	Max   time.Duration
-}
-
-// Summary computes count, mean, p50/p95/p99, and max of the recorded
-// latencies. An empty recorder yields the zero summary.
-func (l *LatencyRecorder) Summary() LatencySummary {
-	sorted := l.Samples()
-	if len(sorted) == 0 {
-		return LatencySummary{}
-	}
-	sort.Float64s(sorted)
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	return LatencySummary{
-		Count: len(sorted),
-		Mean:  time.Duration(sum / float64(len(sorted))),
-		P50:   time.Duration(stats.Percentile(sorted, 0.50)),
-		P95:   time.Duration(stats.Percentile(sorted, 0.95)),
-		P99:   time.Duration(stats.Percentile(sorted, 0.99)),
-		Max:   time.Duration(sorted[len(sorted)-1]),
 	}
 }

@@ -87,45 +87,3 @@ func TestMetricsConcurrent(t *testing.T) {
 		t.Errorf("probes = %d", s.ProbesSent)
 	}
 }
-
-func TestLatencyRecorder(t *testing.T) {
-	var l LatencyRecorder
-	if l.Count() != 0 {
-		t.Error("fresh recorder not empty")
-	}
-	l.Record(time.Millisecond)
-	l.Record(2 * time.Millisecond)
-	if l.Count() != 2 {
-		t.Errorf("Count = %d", l.Count())
-	}
-	s := l.Samples()
-	if len(s) != 2 || s[0] != float64(time.Millisecond) {
-		t.Errorf("Samples = %v", s)
-	}
-	s[0] = 0 // must not alias
-	if l.Samples()[0] != float64(time.Millisecond) {
-		t.Error("Samples aliases internal state")
-	}
-	l.Reset()
-	if l.Count() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestLatencyRecorderConcurrent(t *testing.T) {
-	var l LatencyRecorder
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				l.Record(time.Duration(j))
-			}
-		}()
-	}
-	wg.Wait()
-	if l.Count() != 2000 {
-		t.Errorf("Count = %d, want 2000", l.Count())
-	}
-}

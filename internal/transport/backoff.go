@@ -56,9 +56,6 @@ func (b *Backoff) Next() time.Duration {
 // Reset returns the schedule to Base after a successful attempt.
 func (b *Backoff) Reset() { b.fails = 0 }
 
-// Fails reports the consecutive-failure count feeding the schedule.
-func (b *Backoff) Fails() int { return b.fails }
-
 // BreakerState is a dial circuit breaker's position.
 type BreakerState int
 

@@ -33,6 +33,20 @@ type Netem struct {
 	stats netemCounters
 }
 
+// FaultPlan is the fault schedule of one Netem link. Probabilities are in
+// [0, 1] and evaluated per envelope.
+type FaultPlan struct {
+	// DropProb drops the envelope entirely.
+	DropProb float64
+	// DupProb delivers the envelope twice.
+	DupProb float64
+	// ReorderProb holds the envelope back and delivers it after the next
+	// one (a one-slot reorder).
+	ReorderProb float64
+	// Delay, when positive, sleeps up to Delay (uniform) before delivery.
+	Delay time.Duration
+}
+
 // NetemStats counts the emulator's interventions.
 type NetemStats struct {
 	Dropped    uint64
@@ -116,17 +130,6 @@ func (n *Netem) HealAll() {
 	n.mu.Lock()
 	n.cuts = make(map[string]bool)
 	n.mu.Unlock()
-}
-
-// Cuts lists the currently partitioned links as canonical "a|b" keys.
-func (n *Netem) Cuts() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.cuts))
-	for k := range n.cuts {
-		out = append(out, k)
-	}
-	return out
 }
 
 // Stats snapshots the emulator's intervention counters.
@@ -349,8 +352,9 @@ func (c *netemConn) Recv() (msg.Envelope, error) {
 func (c *netemConn) Close() error {
 	c.closeOnce.Do(func() {
 		c.closed.Store(true)
-		// A graceful close drains the send lane's held envelope, mirroring
-		// Faulty.Close: only the fault schedule may lose frames.
+		// A graceful close drains the send lane's held envelope: a close
+		// models the link going away, and only the fault schedule may lose
+		// frames.
 		c.sendMu.Lock()
 		held := c.sendLane.held
 		c.sendLane.held = nil

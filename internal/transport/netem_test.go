@@ -7,24 +7,6 @@ import (
 	"repro/internal/msg"
 )
 
-func TestFaultyCloseDrainsHeld(t *testing.T) {
-	inner := &collector{}
-	f := NewFaulty(inner, FaultPlan{ReorderProb: 1, Seed: 3})
-	// With reorder probability 1 the first send is held back.
-	if err := f.Send(msg.NewData(1, 1, 0, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(inner.seqs()); got != 0 {
-		t.Fatalf("held envelope delivered early: %d frames", got)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := inner.seqs(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Close did not drain held envelope: %v", got)
-	}
-}
-
 // netemPair builds an A-dials-B link through a Netem over Inproc and
 // returns the emulator plus both connection ends.
 func netemPair(t *testing.T, nm *Netem) (dialer, acceptor Conn) {
@@ -55,6 +37,107 @@ func netemPair(t *testing.T, nm *Netem) (dialer, acceptor Conn) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("accept timed out")
 		return nil, nil
+	}
+}
+
+// sendLane sends seqs 1..n through the dialer's send lane of a Netem link
+// under plan, closes the dialer (which drains a held envelope) and returns
+// the seqs the acceptor received, in order.
+func sendLane(t *testing.T, seed uint64, plan FaultPlan, n int) []uint64 {
+	t.Helper()
+	nm := NewNetem(seed)
+	nm.SetLinkPlan("A", "B", plan)
+	dialer, acceptor := netemPair(t, nm)
+	defer acceptor.Close()
+	for i := 1; i <= n; i++ {
+		if err := dialer.Send(msg.NewData(1, uint64(i), 0, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dialer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for {
+		env, err := acceptor.Recv()
+		if err != nil {
+			return got
+		}
+		got = append(got, env.Seq)
+	}
+}
+
+func TestFaultyDrop(t *testing.T) {
+	if got := sendLane(t, 1, FaultPlan{DropProb: 1}, 10); len(got) != 0 {
+		t.Errorf("drop-all delivered %v", got)
+	}
+}
+
+func TestFaultyDuplicate(t *testing.T) {
+	got := sendLane(t, 2, FaultPlan{DupProb: 1}, 1)
+	if len(got) != 2 || got[0] != 1 || got[1] != 1 {
+		t.Errorf("dup-all delivered %v", got)
+	}
+}
+
+func TestFaultyReorder(t *testing.T) {
+	// With probability 1 every odd send is held and the next releases both,
+	// swapped.
+	got := sendLane(t, 3, FaultPlan{ReorderProb: 1}, 4)
+	if len(got) != 4 {
+		t.Fatalf("reorder delivered %v", got)
+	}
+	if got[0] != 2 || got[1] != 1 {
+		t.Errorf("expected swap of first pair, got %v", got)
+	}
+}
+
+func TestFaultyPassthroughWhenCleanPlan(t *testing.T) {
+	got := sendLane(t, 4, FaultPlan{}, 100)
+	if len(got) != 100 {
+		t.Fatalf("clean plan delivered %d frames", len(got))
+	}
+	for i, s := range got {
+		if s != uint64(i+1) {
+			t.Fatalf("clean plan reordered: %v", got)
+		}
+	}
+}
+
+func TestFaultyDeterministicSchedule(t *testing.T) {
+	plan := FaultPlan{DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.2}
+	a, b := sendLane(t, 42, plan, 50), sendLane(t, 42, plan, 50)
+	if len(a) != len(b) {
+		t.Fatalf("fault schedule not deterministic: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("fault schedule diverged at %d", i)
+		}
+	}
+}
+
+func TestFaultyCloseDrainsHeld(t *testing.T) {
+	nm := NewNetem(3)
+	nm.SetLinkPlan("A", "B", FaultPlan{ReorderProb: 1})
+	dialer, acceptor := netemPair(t, nm)
+	defer acceptor.Close()
+	// With reorder probability 1 the first send is held back; a hello
+	// bypasses the lane, so it arrives first.
+	if err := dialer.Send(msg.NewData(1, 1, 0, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dialer.Send(msg.Envelope{Kind: msg.KindHello}); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := acceptor.Recv(); err != nil || env.Kind != msg.KindHello {
+		t.Fatalf("held envelope delivered early: %+v %v", env, err)
+	}
+	if err := dialer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := acceptor.Recv(); err != nil || env.Seq != 1 {
+		t.Errorf("Close did not drain held envelope: %+v %v", env, err)
 	}
 }
 

@@ -4,10 +4,10 @@
 // swap-buffer link per connection, one lock round-trip per receiver wake,
 // for single-process clusters and tests), a TCP transport
 // (length-prefixed binary frames over sockets, used by the distributed
-// experiments), and a fault-injecting wrapper that drops, duplicates,
-// delays, and reorders frames to exercise the recovery protocol (the
-// paper's link-failure model: "loss, re-ordering, or duplication of
-// messages sent over physical links").
+// experiments), and Netem, a network emulator over either that drops,
+// duplicates, delays, and reorders frames and partitions links to exercise
+// the recovery protocol (the paper's link-failure model: "loss,
+// re-ordering, or duplication of messages sent over physical links").
 //
 // The transport itself makes no reliability promises beyond per-connection
 // FIFO for frames it delivers; exactly-once, gap repair, and duplicate

@@ -420,115 +420,3 @@ func TestTCPCarriesRegisteredPayloads(t *testing.T) {
 		t.Errorf("echoed payload = %+v", env.Payload)
 	}
 }
-
-// collector is a Conn that records sent envelopes.
-type collector struct {
-	mu   sync.Mutex
-	sent []msg.Envelope
-}
-
-func (c *collector) Send(env msg.Envelope) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sent = append(c.sent, env)
-	return nil
-}
-func (c *collector) Recv() (msg.Envelope, error) { select {} }
-func (c *collector) Close() error                { return nil }
-
-func (c *collector) seqs() []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]uint64, len(c.sent))
-	for i, e := range c.sent {
-		out[i] = e.Seq
-	}
-	return out
-}
-
-func TestFaultyDrop(t *testing.T) {
-	inner := &collector{}
-	f := NewFaulty(inner, FaultPlan{DropProb: 1, Seed: 1})
-	for i := 1; i <= 10; i++ {
-		if err := f.Send(msg.NewData(1, uint64(i), 0, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(inner.seqs()); got != 0 {
-		t.Errorf("drop-all delivered %d frames", got)
-	}
-}
-
-func TestFaultyDuplicate(t *testing.T) {
-	inner := &collector{}
-	f := NewFaulty(inner, FaultPlan{DupProb: 1, Seed: 2})
-	if err := f.Send(msg.NewData(1, 7, 0, nil)); err != nil {
-		t.Fatal(err)
-	}
-	got := inner.seqs()
-	if len(got) != 2 || got[0] != 7 || got[1] != 7 {
-		t.Errorf("dup-all delivered %v", got)
-	}
-}
-
-func TestFaultyReorder(t *testing.T) {
-	inner := &collector{}
-	f := NewFaulty(inner, FaultPlan{ReorderProb: 1, Seed: 3})
-	// First send is held; second send releases both in swapped order; the
-	// second itself is then held... with prob 1, every odd send is held.
-	for i := 1; i <= 4; i++ {
-		if err := f.Send(msg.NewData(1, uint64(i), 0, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got := inner.seqs()
-	if len(got) != 4 {
-		t.Fatalf("reorder delivered %v", got)
-	}
-	if got[0] != 2 || got[1] != 1 {
-		t.Errorf("expected swap of first pair, got %v", got)
-	}
-}
-
-func TestFaultyPassthroughWhenCleanPlan(t *testing.T) {
-	inner := &collector{}
-	f := NewFaulty(inner, FaultPlan{Seed: 4})
-	for i := 1; i <= 100; i++ {
-		if err := f.Send(msg.NewData(1, uint64(i), 0, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := inner.seqs()
-	if len(got) != 100 {
-		t.Fatalf("clean plan delivered %d frames", len(got))
-	}
-	for i, s := range got {
-		if s != uint64(i+1) {
-			t.Fatalf("clean plan reordered: %v", got)
-		}
-	}
-}
-
-func TestFaultyDeterministicSchedule(t *testing.T) {
-	run := func() []uint64 {
-		inner := &collector{}
-		f := NewFaulty(inner, FaultPlan{DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.2, Seed: 42})
-		for i := 1; i <= 50; i++ {
-			_ = f.Send(msg.NewData(1, uint64(i), 0, nil))
-		}
-		_ = f.Flush()
-		return inner.seqs()
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("fault schedule not deterministic: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("fault schedule diverged at %d", i)
-		}
-	}
-}

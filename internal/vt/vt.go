@@ -5,7 +5,7 @@
 // a virtual time, and schedulers deliver messages in strict virtual-time
 // order, breaking ties deterministically by wire ID. Ticks that carry no
 // message on a wire are "silent"; silence is communicated between components
-// as watermarks ("silent through T") and, during replay, as interval sets.
+// as watermarks ("silent through T").
 package vt
 
 import (
@@ -57,9 +57,6 @@ func (t Time) Before(u Time) bool { return t < u }
 // After reports whether t is strictly later than u.
 func (t Time) After(u Time) bool { return t > u }
 
-// IsNever reports whether t is the Never sentinel.
-func (t Time) IsNever() bool { return t == Never }
-
 // Duration converts a tick span to a wall-clock duration (1 tick = 1ns).
 func (d Ticks) Duration() time.Duration { return time.Duration(d) }
 
@@ -81,47 +78,10 @@ func (t Time) String() string {
 // String renders the span with its unit.
 func (d Ticks) String() string { return fmt.Sprintf("%dt", int64(d)) }
 
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // MaxOf returns the later of a and b.
 func MaxOf(a, b Time) Time {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// Interval is a closed interval [Lo, Hi] of virtual times. Intervals are
-// used to describe silent tick ranges and replay gaps.
-type Interval struct {
-	Lo Time
-	Hi Time
-}
-
-// Empty reports whether the interval contains no ticks.
-func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
-
-// Len returns the number of ticks in the interval (0 if empty).
-func (iv Interval) Len() Ticks {
-	if iv.Empty() {
-		return 0
-	}
-	return Ticks(iv.Hi-iv.Lo) + 1
-}
-
-// Contains reports whether t lies within the interval.
-func (iv Interval) Contains(t Time) bool { return t >= iv.Lo && t <= iv.Hi }
-
-// String renders the interval.
-func (iv Interval) String() string {
-	if iv.Empty() {
-		return "[empty]"
-	}
-	return fmt.Sprintf("[%d,%d]", int64(iv.Lo), int64(iv.Hi))
 }

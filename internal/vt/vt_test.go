@@ -47,18 +47,9 @@ func TestTimeOrdering(t *testing.T) {
 	if Time(1).After(1) || Time(1).Before(1) {
 		t.Error("1 is neither before nor after itself")
 	}
-	if !Never.IsNever() || Zero.IsNever() {
-		t.Error("IsNever misreports")
-	}
 }
 
 func TestMinMax(t *testing.T) {
-	if got := Min(3, 5); got != 3 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := Min(5, 3); got != 3 {
-		t.Errorf("Min = %v", got)
-	}
 	if got := MaxOf(3, 5); got != 5 {
 		t.Errorf("MaxOf = %v", got)
 	}
@@ -93,35 +84,5 @@ func TestTimeString(t *testing.T) {
 	}
 	if got := Ticks(7).String(); got != "7t" {
 		t.Errorf("Ticks.String = %q", got)
-	}
-}
-
-func TestIntervalBasics(t *testing.T) {
-	iv := Interval{Lo: 10, Hi: 20}
-	if iv.Empty() {
-		t.Error("non-empty interval reported empty")
-	}
-	if got := iv.Len(); got != 11 {
-		t.Errorf("Len = %v, want 11", got)
-	}
-	if !iv.Contains(10) || !iv.Contains(20) || !iv.Contains(15) {
-		t.Error("Contains misses endpoints or interior")
-	}
-	if iv.Contains(9) || iv.Contains(21) {
-		t.Error("Contains includes exterior")
-	}
-
-	empty := Interval{Lo: 5, Hi: 4}
-	if !empty.Empty() {
-		t.Error("empty interval not reported empty")
-	}
-	if empty.Len() != 0 {
-		t.Error("empty interval has nonzero Len")
-	}
-	if empty.String() != "[empty]" {
-		t.Errorf("empty String = %q", empty.String())
-	}
-	if iv.String() != "[10,20]" {
-		t.Errorf("String = %q", iv.String())
 	}
 }

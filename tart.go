@@ -238,16 +238,10 @@ type MetricSeries = trace.Series
 // MetricLabel is one key=value metric dimension.
 type MetricLabel = trace.Label
 
-// LatencyRecorder accumulates end-to-end latency observations for
-// experiment harnesses and exposes quantile summaries.
-type LatencyRecorder = trace.LatencyRecorder
-
-// LatencySummary condenses a latency sample: count, mean, p50/p95/p99, max.
-type LatencySummary = trace.LatencySummary
-
 // RegisterPayload registers a payload type with the wire/checkpoint codec.
 // Required for payload types that cross engine boundaries or appear in
-// checkpoints shipped between processes.
+// checkpoints that are encoded: shipped between processes, written by
+// WithDurableStore, or archived by WithTimeTravel.
 func RegisterPayload(v any) error { return msg.RegisterPayload(v) }
 
 // PayloadCodec describes a zero-alloc binary encoding for one payload

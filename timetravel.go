@@ -204,12 +204,15 @@ func parseVTParam(s, name string) (vt.Time, error) {
 
 // vtCheckpoint is the VT-cadence tick: it checkpoints every live engine
 // whose clock frontier has run CheckpointEveryVT past its newest
-// checkpoint. Failures are best-effort — the next tick retries.
+// checkpoint. A failure is retried an interval later, not on every poll.
 func (c *Cluster) vtCheckpoint() {
 	interval := vt.Ticks(c.cfg.timetravel.CheckpointEveryVT)
 	for _, v := range c.liveSlots() {
-		if v.eng.MaxComponentClock() >= v.eng.LastCheckpointVT().Add(interval) {
-			_, _ = v.eng.Checkpoint()
+		clock := v.eng.MaxComponentClock()
+		if clock >= max(v.eng.LastCheckpointVT(), v.slot.ckptFailedVT).Add(interval) {
+			if _, err := v.eng.Checkpoint(); err != nil {
+				v.slot.ckptFailedVT = clock
+			}
 		}
 	}
 }
