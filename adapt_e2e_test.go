@@ -1,7 +1,12 @@
 package tart_test
 
 import (
+	"bufio"
+	"net/http"
 	"reflect"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,10 +79,12 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
-	for _, sink := range []string{"done", "out"} {
-		if err := cluster.Sink(sink, func(tart.Output) {}); err != nil {
-			t.Fatal(err)
-		}
+	var done atomic.Int64 // the worker's outputs, one per job
+	if err := cluster.Sink("done", func(tart.Output) { done.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Sink("out", func(tart.Output) {}); err != nil {
+		t.Fatal(err)
 	}
 	jobs, _ := cluster.Source("jobs")
 	in1, _ := cluster.Source("in1")
@@ -101,14 +108,19 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 
 	round := 0
 	vtOf := func(r int) tart.VirtualTime { return tart.VirtualTime((r + 1) * quantum) }
+	var jobsSent int64
+	emitJob := func(r int) {
+		if err := jobs.EmitAt(vtOf(r), r); err != nil {
+			t.Fatal(err)
+		}
+		jobsSent++
+	}
 
 	// Phase 1: drive the mis-estimated worker until the controller commits
 	// a recalibration fault.
 	for ; round < 400 && !hasKind("recalibrate"); round++ {
 		v := vtOf(round)
-		if err := jobs.EmitAt(v, round); err != nil {
-			t.Fatal(err)
-		}
+		emitJob(round)
 		jobs.Quiesce(v + quantum/2)
 		time.Sleep(4 * time.Millisecond)
 	}
@@ -139,9 +151,7 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 	// so the pending epochs apply.
 	for end := round + 8; round < end; round++ {
 		v := vtOf(round)
-		if err := jobs.EmitAt(v, round); err != nil {
-			t.Fatal(err)
-		}
+		emitJob(round)
 		jobs.Quiesce(v + quantum/2)
 		if err := in1.EmitAt(v, "ash"); err != nil {
 			t.Fatal(err)
@@ -154,11 +164,31 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 	}
 	lastQ := vtOf(round-1) + quantum/2
 
+	// Recovery replays every fault logged at or before lastQ, so the state
+	// to capture is the one the last such decision installs. The worker's
+	// last output means its previous job has run, so the VT frontier is at
+	// least vtOf(round-2): every controller tick that reads it, before or
+	// after the crash (a dead incarnation's frontier still counts), decides
+	// at vtOf(round) or later, past lastQ. A tick that read an older
+	// frontier holds the controller until it has routed its decisions, so
+	// the decision log read after that is complete up to lastQ.
+	for deadline := time.Now().Add(10 * time.Second); done.Load() < jobsSent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker delivered %d of %d jobs", done.Load(), jobsSent)
+		}
+	}
 	decisions := cluster.AdaptDecisions()
+	var want tart.AdaptDecision
 	for _, d := range decisions {
 		if d.EffectiveVT <= 0 || int64(d.EffectiveVT)%quantum != 0 {
 			t.Errorf("decision %v effective VT %v is off the %dns epoch grid", d, d.EffectiveVT, quantum)
 		}
+		if d.Kind == tart.AdaptRecalibrate && d.EffectiveVT <= lastQ {
+			want = d
+		}
+	}
+	if want.Coeffs == nil {
+		t.Fatalf("no recalibration takes effect by %v; decisions: %v", lastQ, decisions)
 	}
 
 	// Capture the adapted state once it is in force on the live engine.
@@ -174,12 +204,12 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if coeffsBefore[0] > 40_000 && silenceBefore.Strategy == tart.Aggressive {
+		if reflect.DeepEqual(coeffsBefore, want.Coeffs) && silenceBefore.Strategy == tart.Aggressive {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("adapted state never took effect: coeffs=%v silence=%+v decisions=%v",
-				coeffsBefore, silenceBefore, decisions)
+			t.Fatalf("adapted state never took effect: coeffs=%v (want %v) silence=%+v decisions=%v",
+				coeffsBefore, want.Coeffs, silenceBefore, decisions)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -221,5 +251,164 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 	// the failover (the engines re-derive effects, never decisions).
 	if got := cluster.AdaptDecisions(); len(got) < len(decisions) {
 		t.Fatalf("decision ring shrank across recovery: %d -> %d", len(decisions), len(got))
+	}
+}
+
+// TestAdaptiveSilenceRejectedWhileUpstreamDown routes a silence escalation
+// while the blamed wire's upstream engine is down, so no engine commits it.
+// The controller must take the step back: nothing is counted and the
+// strategy gauge keeps showing what the engine runs. Once the engine has
+// recovered, the escalation is proposed again and commits, and the gauge
+// and the engine agree on it.
+func TestAdaptiveSilenceRejectedWhileUpstreamDown(t *testing.T) {
+	const (
+		quantum  = 1_000_000 // 1ms of virtual time
+		wire     = "w3:sender2.out>merger.s2"
+		gauge    = `tart_adapt_silence_strategy{wire="` + wire + `"}`
+		counted  = `tart_adapt_decisions_total{kind="silence"}`
+		deadline = 10 * time.Second
+	)
+	app := tart.NewApp()
+	app.Register("sender1", &crashCounter{Counts: map[string]int{}}, tart.WithConstantCost(40*time.Microsecond))
+	app.Register("sender2", &crashCounter{Counts: map[string]int{}}, tart.WithConstantCost(40*time.Microsecond))
+	app.Register("merger", &crashMerger{}, tart.WithConstantCost(100*time.Microsecond))
+	app.SourceInto("in1", "sender1", "in")
+	app.SourceInto("in2", "sender2", "in")
+	app.Connect("sender1", "out", "merger", "s1")
+	app.Connect("sender2", "out", "merger", "s2")
+	app.SinkFrom("out", "merger", "out")
+	app.Place("sender1", "front")
+	app.Place("merger", "front")
+	app.Place("sender2", "up")
+	cluster, err := tart.Launch(app,
+		tart.WithManualClock(func() tart.VirtualTime { return 0 }),
+		tart.WithDebugHTTP(map[string]string{"front": "127.0.0.1:0"}),
+		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{
+			// Long enough that one blame episode and a Fail fit between ticks.
+			PollEvery:    300 * time.Millisecond,
+			Quantum:      quantum,
+			MinBlame:     time.Microsecond,
+			QuietWindows: 10_000,
+			MaxStrategy:  tart.Aggressive,
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	outputs := make(chan tart.Output, 1024)
+	if err := cluster.Sink("out", func(o tart.Output) { outputs <- o }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Checkpoint("up"); err != nil {
+		t.Fatal(err)
+	}
+	in1, _ := cluster.Source("in1")
+	in2, _ := cluster.Source("in2")
+	addr, err := cluster.DebugAddr("front")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// metric reads one series from the cluster-level families on /metrics.
+	metric := func(series string) float64 {
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if v, ok := strings.CutPrefix(sc.Text(), series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("no series %s on /metrics", series)
+		return 0
+	}
+	// blameWindow is the controller's windowed blame on the wire, -1 before
+	// the first tick has sighted it. AdaptStatus waits out a running tick.
+	blameWindow := func() float64 {
+		for _, w := range cluster.AdaptStatus().Wires {
+			if w.Wire == wire {
+				return w.WindowSec
+			}
+		}
+		return -1
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for end := time.Now().Add(deadline); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(end) {
+				t.Fatalf("timed out waiting for %s; adaptive runtime %+v", what, cluster.AdaptStatus())
+			}
+		}
+	}
+	// round holds the merger blocked on s2 for a moment, then releases it.
+	round := func(r int) {
+		v := tart.VirtualTime((r + 1) * quantum)
+		if err := in1.EmitAt(v, "oak"); err != nil {
+			t.Fatal(err)
+		}
+		in1.Quiesce(v + quantum/2)
+		time.Sleep(2 * time.Millisecond)
+		if err := in2.EmitAt(v, "elm"); err != nil {
+			t.Fatal(err)
+		}
+		in2.Quiesce(v + quantum/2)
+	}
+
+	// Right after the tick that first sights the wire, one blame episode and
+	// the Fail fit well before the next tick, which escalates sender2.
+	waitFor("the wire's first sighting", func() bool { return blameWindow() == 0 })
+	round(0)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-outputs:
+		case <-time.After(deadline):
+			t.Fatal("the blame episode's outputs did not arrive")
+		}
+	}
+	if err := cluster.Fail("up"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the tick that escalates sender2", func() bool { return blameWindow() > 0 })
+	if got := metric(gauge); got != float64(tart.Curiosity) {
+		t.Fatalf("strategy gauge = %v after an escalation no engine committed, want %d (curiosity)", got, tart.Curiosity)
+	}
+	if got := metric(counted); got != 0 {
+		t.Fatalf("%s = %v for an escalation no engine committed", counted, got)
+	}
+
+	if err := cluster.Recover("up"); err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err := cluster.SilenceConfigOf("sender2"); err != nil || cfg.Strategy != tart.Curiosity {
+		t.Fatalf("recovered sender2 runs %+v (err %v), want curiosity", cfg, err)
+	}
+	// Proposed again and committed; in force once sender2's clock passes
+	// its epoch boundary.
+	r := 1
+	waitFor("the escalation to take effect", func() bool {
+		cfg, err := cluster.SilenceConfigOf("sender2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Strategy == tart.Aggressive {
+			return true
+		}
+		round(r)
+		r++
+		time.Sleep(10 * time.Millisecond)
+		return false
+	})
+	if got := metric(gauge); got != float64(tart.Aggressive) {
+		t.Fatalf("strategy gauge = %v, engine runs %d (aggressive)", got, tart.Aggressive)
+	}
+	if got := metric(counted); got != 1 {
+		t.Fatalf("%s = %v, want the one committed escalation", counted, got)
 	}
 }

@@ -53,7 +53,6 @@ type clusterConfig struct {
 	supervisor         *SupervisorConfig
 	slo                *slo.Tracker
 	otlpURL            string
-	adaptive           *AdaptiveSampling
 	adaptRuntime       *AdaptiveRuntime
 	timetravel         *TimeTravel
 	durableDir         string
@@ -274,6 +273,7 @@ type engineSlot struct {
 	gen       uint64                  // incarnation fencing token, bumped on Recover
 	startedAt time.Time               // when the current incarnation started
 	failed    bool
+	reached   vt.Time // VT frontier earlier incarnations reached (set by Recover)
 
 	// Control-loop state, each touched only by its own loop (and by Stop's
 	// final drain once the loops have exited): the span-ID watermarks of the
@@ -349,18 +349,8 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 		peers:   peersOf(tp),
 		bgStop:  make(chan struct{}),
 	}
-	if cfg.adaptive != nil || cfg.adaptRuntime != nil {
-		quantum := Ticks(0)
-		if cfg.adaptive != nil {
-			quantum = cfg.adaptive.Quantum
-		}
-		if cfg.adaptRuntime != nil && cfg.adaptRuntime.Quantum > 0 {
-			quantum = cfg.adaptRuntime.Quantum
-		}
-		c.schedule = span.NewSchedule(cfg.spanSample, quantum)
-	}
-	c.ctl = newControlMetrics(c.schedule, cfg.adaptRuntime != nil)
 	if cfg.adaptRuntime != nil {
+		c.schedule = span.NewSchedule(cfg.spanSample)
 		// Baseline strategies the controller escalates from (and quiet
 		// periods return to), plus the wire-label → upstream index that maps
 		// blamed input wires back to the sender whose governor can help.
@@ -379,12 +369,9 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 			}
 			c.wireUp[sched.WireName(tp, w)] = tp.Component(w.From).Name
 		}
-		ctlCfg := cfg.adaptRuntime.controllerConfig()
-		if ctlCfg.Quantum <= 0 {
-			ctlCfg.Quantum = c.schedule.Quantum()
-		}
-		c.adaptCtl = adapt.New(ctlCfg, baseline, c.schedule.Current().N)
+		c.adaptCtl = adapt.New(cfg.adaptRuntime.controllerConfig(), baseline, c.schedule.Current().N)
 	}
+	c.ctl = newControlMetrics(c.schedule)
 	if cfg.supervisor != nil {
 		// Created before the engines so their debug surfaces (/supervisor,
 		// appended /metrics families) can reference it; started after.
@@ -833,11 +820,13 @@ func (c *Cluster) Recover(engineName string) error {
 		return err
 	}
 	slot := v.slot
+	reached := frontierOf(v.eng) // the dead incarnation's clocks stay readable
 	c.mu.Lock()
 	if !slot.failed {
 		c.mu.Unlock()
 		return fmt.Errorf("tart: engine %q has not failed", engineName)
 	}
+	slot.reached = max(slot.reached, reached)
 	// Each incarnation gets a strictly larger generation; peers fence
 	// handshakes below their max-seen, so the dead engine's zombie (should
 	// its goroutines linger) cannot re-join as the live incarnation.
@@ -1106,12 +1095,15 @@ func (c *Cluster) DumpFlightRecorders(dir string) error {
 // read under the cluster lock. Recover swaps slot.eng, so holders use eng,
 // never slot.eng: reading the field unlocked races the failover.
 type slotView struct {
-	slot   *engineSlot
-	eng    *engine.Engine
-	failed bool
+	slot    *engineSlot
+	eng     *engine.Engine
+	failed  bool
+	reached vt.Time
 }
 
-func viewOf(s *engineSlot) slotView { return slotView{slot: s, eng: s.eng, failed: s.failed} }
+func viewOf(s *engineSlot) slotView {
+	return slotView{slot: s, eng: s.eng, failed: s.failed, reached: s.reached}
+}
 
 // slot looks up one hosted engine.
 func (c *Cluster) slot(engineName string) (slotView, error) {

@@ -7,10 +7,13 @@
 //	tartload -scenario diurnal -rate 800 -duration 30s -users 1e6
 //	tartload -scenario constant -rate 500 -slo 'p99<20ms,p999<100ms'
 //	tartload -scenario slowconsumer -chaos 7         crash an engine every 5s
-//	tartload -scenario burst -adaptive-budget 2000   adaptive span sampling
+//	tartload -scenario burst -adaptive-budget 2000   adaptive runtime with a span budget
 //	tartload -scenario hotkey -otlp http://localhost:4318/v1/traces
 //	tartload -scenario slowconsumer -adapt           closed-loop adaptive runtime
 //	tartload -list                                   describe the scenarios
+//
+// -adaptive-budget sets the adaptive runtime's span budget and so implies
+// -adapt: one controller steers sampling, recalibration and silence.
 //
 // With TART_ARTIFACT_DIR set, the full machine-readable result (report,
 // failovers, recovery tax, sampling epochs) is written there as
@@ -46,7 +49,7 @@ func main() {
 		sloSpec  = flag.String("slo", "p50<5ms,p99<50ms,p999<250ms", "latency objectives")
 		budget   = flag.String("budget", "", "error-budget policy: threshold,percent,window (e.g. 50ms,1%,10s)")
 		spans    = flag.Int("spans", 0, "static span head-sampling modulus (0: default 1/64)")
-		adaptive = flag.Float64("adaptive-budget", 0, "adaptive span sampling at this many spans/sec (overrides -spans)")
+		adaptive = flag.Float64("adaptive-budget", 0, "span budget of the adaptive runtime, spans/sec; implies -adapt, and -spans only seeds the modulus")
 		otlpURL  = flag.String("otlp", "", "export spans OTLP/HTTP to this URL")
 		adapt    = flag.Bool("adapt", false, "enable the closed-loop adaptive runtime; exit 1 if any decision lands off its VT epoch grid")
 		chaos    = flag.Uint64("chaos", 0, "chaos seed: crash engines under a failover supervisor (0: off)")
@@ -154,7 +157,7 @@ func run(scenario string, rate float64, duration time.Duration, usersStr string,
 			fmt.Fprintln(os.Stderr, "tartload: artifact:", err)
 		}
 	}
-	if adapt {
+	if adapt || adaptive > 0 {
 		if err := validateAdaptDecisions(res); err != nil {
 			return err
 		}

@@ -10,20 +10,18 @@ import (
 )
 
 // The cluster's control plane: the loops around the deterministic core that
-// detect failures and fail engines over, steer span sampling and the
-// adaptive runtime, export spans and take VT-cadence checkpoints. Each runs
-// on its own goroutine — a supervisor Recover can take hundreds of
-// milliseconds on durable state and must never delay a checkpoint or a
-// drain — but all are started by every and stopped together by Stop.
+// detect failures and fail engines over, run the adaptive runtime (which
+// also steers span sampling), export spans and take VT-cadence
+// checkpoints. Each runs on its own goroutine — a supervisor Recover can
+// take hundreds of milliseconds on durable state and must never delay a
+// checkpoint or a drain — but all are started by every and stopped
+// together by Stop.
 
 // startControlPlane starts the configured loops. Called at the end of
 // Launch, once every engine is running.
 func (c *Cluster) startControlPlane() {
 	if c.sup != nil {
 		c.every(c.sup.cfg.PollEvery, c.sup.tick)
-	}
-	if a := c.cfg.adaptive; a != nil {
-		c.every(a.PollEvery, c.rateController(*a))
 	}
 	if c.adaptCtl != nil {
 		c.seedAdaptMetrics()
@@ -56,28 +54,28 @@ func (c *Cluster) every(period time.Duration, fn func()) {
 	}()
 }
 
-// controlMetrics is the cluster-level registry: the supervisor, sampling
-// and adaptive-runtime families, appended to every engine's /metrics. Each
+// controlMetrics is the cluster-level registry: the supervisor and
+// adaptive-runtime families, appended to every engine's /metrics. Each
 // family's help text is written here once. The label-free handles are
 // resolved — and so seeded at zero — only when the loop that updates them
 // runs; the others are resolved per label set when first used.
 type controlMetrics struct {
 	reg            *trace.Registry
-	sampleN        *trace.Gauge   // with a sampling schedule
-	sampleEpochs   *trace.Counter // with a sampling schedule
+	sampleN        *trace.Gauge   // with the adaptive runtime
+	sampleEpochs   *trace.Counter // with the adaptive runtime
 	recalibrations *trace.Counter // with the adaptive runtime
 }
 
-func newControlMetrics(schedule *span.Schedule, adaptive bool) *controlMetrics {
+// newControlMetrics builds the registry; schedule is the adaptive runtime's
+// sampling schedule, nil without it.
+func newControlMetrics(schedule *span.Schedule) *controlMetrics {
 	m := &controlMetrics{reg: trace.NewRegistry()}
 	if schedule != nil {
 		m.sampleN = m.reg.Gauge(trace.MetricSampleN,
 			"Current adaptive head-sampling modulus (1 traced origin in N).")
 		m.sampleN.Set(int64(schedule.Current().N))
 		m.sampleEpochs = m.reg.Counter(trace.MetricSampleEpochs,
-			"Adaptive sampling-rate epoch switches proposed by the controller.")
-	}
-	if adaptive {
+			"Adaptive sampling-rate epoch switches committed by the controller.")
 		m.recalibrations = m.reg.Counter(trace.MetricAdaptRecalibrations,
 			"Span-driven estimator recalibrations committed as determinism faults.")
 		for _, kind := range []adapt.Kind{adapt.KindSampling, adapt.KindRecalibrate, adapt.KindSilence} {
@@ -89,7 +87,7 @@ func newControlMetrics(schedule *span.Schedule, adaptive bool) *controlMetrics {
 
 func (m *controlMetrics) decisions(kind adapt.Kind) *trace.Counter {
 	return m.reg.Counter(trace.MetricAdaptDecisions,
-		"Closed-loop adaptive-runtime decisions taken, by kind.", trace.L("kind", string(kind)))
+		"Closed-loop adaptive-runtime decisions committed, by kind.", trace.L("kind", string(kind)))
 }
 
 func (m *controlMetrics) residual(component string) *trace.FloatGauge {

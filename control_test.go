@@ -18,13 +18,13 @@ import (
 )
 
 // controlPlaneOptions turns on every control-plane loop: the supervisor,
-// both sampling controllers, the OTLP drain and the VT-cadence checkpoint.
+// the adaptive runtime with a span budget, the OTLP drain and the
+// VT-cadence checkpoint.
 func controlPlaneOptions(otlpURL string) []tart.ClusterOption {
 	return []tart.ClusterOption{
 		tart.WithSpanTracing(1),
 		tart.WithSupervisor(tart.SupervisorConfig{SuspectAfter: time.Hour, PollEvery: 5 * time.Millisecond}),
-		tart.WithAdaptiveSpanSampling(tart.AdaptiveSampling{SpansPerSec: 1e6, PollEvery: 5 * time.Millisecond}),
-		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: 5 * time.Millisecond}),
+		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: 5 * time.Millisecond, SpansPerSec: 1e6}),
 		tart.WithOTLPExport(otlpURL),
 		tart.WithTimeTravel(tart.TimeTravel{CheckpointEveryVT: tart.Ticks(time.Millisecond), PollEvery: time.Millisecond}),
 	}
@@ -211,15 +211,14 @@ func TestStopStopsControlPlane(t *testing.T) {
 	requireControlPlaneGone(t, "after a failed Launch")
 }
 
-// TestSLODegradationHoldsAgainstSpanBudget runs both sampling controllers
-// at once under traffic far below the span budget, so the rate controller
-// wants to trace every origin. Once SLO burn makes the adaptive runtime
-// degrade sampling, the rate controller may not undo it on its next poll:
-// the newest modulus stays at or above DegradedSampleN for as long as the
-// burn lasts.
+// TestSLODegradationHoldsAgainstSpanBudget runs the span budget and SLO
+// burn together under traffic far below the budget, so the budget alone
+// wants to trace every origin. Once SLO burn degrades sampling, the budget
+// may not undo it on a later poll: the newest modulus stays at or above
+// the degraded floor for as long as the burn lasts.
 func TestSLODegradationHoldsAgainstSpanBudget(t *testing.T) {
 	const (
-		degradedN = 16
+		degradedN = 64 // the controller's degraded floor
 		poll      = 20 * time.Millisecond
 	)
 	app := tart.NewApp()
@@ -233,8 +232,7 @@ func TestSLODegradationHoldsAgainstSpanBudget(t *testing.T) {
 	cluster, err := tart.Launch(app,
 		tart.WithSLO(tracker),
 		tart.WithSpanTracing(1),
-		tart.WithAdaptiveSpanSampling(tart.AdaptiveSampling{SpansPerSec: 1e6, PollEvery: poll, Quantum: quantum}),
-		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: poll, Quantum: quantum, DegradedSampleN: degradedN}))
+		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: poll, Quantum: quantum, SpansPerSec: 1e6}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +269,7 @@ func TestSLODegradationHoldsAgainstSpanBudget(t *testing.T) {
 	}
 	trickle(8*poll, func() bool {
 		if n := newestN(); n < degradedN {
-			t.Fatalf("rate controller undid the degradation: newest modulus 1/%d < 1/%d; epochs %+v",
+			t.Fatalf("span budget undid the degradation: newest modulus 1/%d < 1/%d; epochs %+v",
 				n, degradedN, cluster.SampleEpochs())
 		}
 		return false

@@ -15,7 +15,6 @@ import (
 // tests call, each with the reason a test needs it. Anything else that only
 // tests reach is deleted, not listed here.
 var exportAllow = map[string]string{
-	"adapt.Controller.SetNowFunc":        "adapt tests pin the controller's clock to step SLO windows deterministically",
 	"chaos.SenderProcessMain":            "the process-kill oracle re-executes its test binary as the sender; TestMain enters here",
 	"checkpoint.FileStore.TornFallbacks": "store and durable-chain tests assert how many torn entries an open discarded",
 	"checkpoint.Map.DirtyCount":          "capture tests assert which captures reset the dirty set",

@@ -1,8 +1,8 @@
 // Package adapt implements the closed-loop adaptive runtime controller:
-// it turns three observability signals — sampled compute spans, pessimism
-// blame, and SLO burn rate — into three deterministic control actions —
-// estimator recalibration, silence-strategy selection, and sampling
-// degradation.
+// it turns four observability signals — sampled compute spans, pessimism
+// blame, SLO burn rate and the delivery rate against a span budget — into
+// three deterministic control actions — estimator recalibration,
+// silence-strategy selection, and the span-sampling modulus.
 //
 // The controller itself is deliberately non-deterministic (it reads wall
 // time, sampled spans, and load); determinism is preserved by *how* its
@@ -15,16 +15,24 @@
 //
 // The package is pure policy: no goroutines, no clocks, no I/O. The
 // cluster's adaptive loop harvests an Observation each tick, calls Step,
-// and routes the returned Decisions to the engines.
+// and routes the returned Decisions to the engines, handing back to Reject
+// any the engines did not commit.
 package adapt
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/silence"
 	"repro/internal/vt"
 )
+
+// maxSampleN caps the budget-implied sampling modulus: even the busiest
+// cluster keeps tracing one origin in about a million.
+const maxSampleN = 1 << 20
 
 // Kind discriminates adaptive decisions.
 type Kind string
@@ -66,8 +74,8 @@ type Decision struct {
 	SampleN uint64 `json:"sampleN,omitempty"`
 	// Cause is the human-readable signal that motivated the decision.
 	Cause string `json:"cause"`
-	// At is the wall-clock time the decision was taken (observability
-	// only; never replayed).
+	// At is the wall-clock time of the observation the decision was taken
+	// on (observability only; never replayed).
 	At time.Time `json:"at"`
 }
 
@@ -107,6 +115,12 @@ type Observation struct {
 	// Now is the newest live engine VT clock; epoch boundaries are
 	// quantized relative to it.
 	Now vt.Time
+	// Wall is when the harvest was taken: it times the delivery-rate
+	// window and stamps the decisions.
+	Wall time.Time
+	// Delivered is the cluster's cumulative delivered-message count. Every
+	// engine incarnation counts from zero, so it falls when a slot recovers.
+	Delivered int64
 	// Compute maps component name to the compute samples harvested since
 	// the previous Step (calibrated components only).
 	Compute map[string][]ComputeSample
@@ -127,7 +141,7 @@ type Observation struct {
 // Config tunes a Controller.
 type Config struct {
 	// Quantum is the VT grain decisions are quantized to. Default
-	// 250ms of virtual time (span.DefaultQuantum).
+	// 250ms of virtual time.
 	Quantum vt.Ticks
 	// Window is how many Steps of blame history feed strategy selection.
 	// Default 4.
@@ -159,8 +173,13 @@ type Config struct {
 	// BurnThreshold is the SLO burn rate above which the runtime degrades
 	// (recovery happens below half of it). Default 1.0.
 	BurnThreshold float64
-	// DegradedSampleN is the sampling modulus while degraded. Default 64.
+	// DegradedSampleN is the sampling modulus floor while degraded.
+	// Default 64.
 	DegradedSampleN uint64
+	// SpansPerSec is the span budget: the sampling modulus follows the
+	// delivery rate so that deliveries/s / N stays under it. 0 keeps the
+	// modulus New was given.
+	SpansPerSec float64
 	// History bounds the retained decision ring. Default 64.
 	History int
 }
@@ -221,13 +240,23 @@ type wireState struct {
 	deltas   []float64 // ring of the last Window per-Step deltas
 }
 
-// stratState is the per-component silence-strategy bookkeeping.
-type stratState struct {
-	base     silence.Config // the configured baseline to fall back to
+// strat is a component's selected silence strategy and its escalation
+// bookkeeping.
+type strat struct {
 	current  silence.Config
 	level    int // 0 = baseline, 1 = Aggressive, 2 = HyperAggressive+bias
 	quiet    int // consecutive blame-free Steps
 	cooldown int // Steps until the next change is allowed
+}
+
+// stratState is the per-component silence-strategy bookkeeping.
+type stratState struct {
+	base silence.Config // the configured baseline to fall back to
+	strat
+	// undo is what the decision numbered undoSeq replaced; Reject restores
+	// it when the engine does not commit that decision.
+	undo    strat
+	undoSeq uint64
 }
 
 // Controller is the adaptive policy. Not safe for concurrent use; the
@@ -238,40 +267,38 @@ type Controller struct {
 	comps        map[string]*compState
 	wires        map[string]*wireState
 	strats       map[string]*stratState
-	degraded     bool
-	baseSampleN  uint64
+	degraded     bool      // SLO burn floors the modulus at DegradedSampleN
+	sampleN      uint64    // budget-implied modulus; the configured one without a budget
+	rate         float64   // deliveries/s over the last rate window
+	lastDlvd     int64     // Observation.Delivered at the previous Step
+	lastWall     time.Time // Observation.Wall at the previous Step
 	seq          uint64
 	lastBoundary vt.Time
 	decisions    []Decision // ring, newest last
-	nowFn        func() time.Time
 }
 
 // New builds a controller. baseline maps each adaptable component to its
 // configured silence baseline (the strategy de-escalation returns to);
-// components absent from it are never escalated. baseSampleN is the
-// sampling modulus recovery restores.
-func New(cfg Config, baseline map[string]silence.Config, baseSampleN uint64) *Controller {
+// components absent from it are never escalated. sampleN is the configured
+// sampling modulus, which holds until a span budget's first rate window.
+func New(cfg Config, baseline map[string]silence.Config, sampleN uint64) *Controller {
 	c := &Controller{
-		cfg:         cfg.withDefaults(),
-		comps:       make(map[string]*compState),
-		wires:       make(map[string]*wireState),
-		strats:      make(map[string]*stratState),
-		baseSampleN: baseSampleN,
-		nowFn:       time.Now,
-	}
-	if c.baseSampleN == 0 {
-		c.baseSampleN = 1
+		cfg:     cfg.withDefaults(),
+		comps:   make(map[string]*compState),
+		wires:   make(map[string]*wireState),
+		strats:  make(map[string]*stratState),
+		sampleN: max(sampleN, 1),
 	}
 	for name, base := range baseline {
-		c.strats[name] = &stratState{base: base, current: base}
+		c.strats[name] = &stratState{base: base, strat: strat{current: base}}
 	}
 	return c
 }
 
 // boundary returns the shared, monotonic, VT-quantized epoch boundary for
 // decisions taken at now: the first quantum boundary at least one full
-// quantum in the future (the same rule as span.Schedule.Propose, so every
-// engine within one quantum of now passes it strictly later).
+// quantum in the future, so every engine within one quantum of now passes
+// it strictly later.
 func (c *Controller) boundary(now vt.Time) vt.Time {
 	q := int64(c.cfg.Quantum)
 	b := vt.Time(((int64(now)+q)/q + 1) * q)
@@ -282,10 +309,10 @@ func (c *Controller) boundary(now vt.Time) vt.Time {
 	return b
 }
 
-func (c *Controller) record(d Decision) Decision {
+func (c *Controller) record(obs Observation, d Decision) Decision {
 	c.seq++
 	d.Seq = c.seq
-	d.At = c.nowFn()
+	d.At = obs.Wall
 	c.decisions = append(c.decisions, d)
 	if len(c.decisions) > c.cfg.History {
 		c.decisions = c.decisions[len(c.decisions)-c.cfg.History:]
@@ -299,7 +326,7 @@ func (c *Controller) record(d Decision) Decision {
 func (c *Controller) Step(obs Observation) []Decision {
 	var out []Decision
 	at := c.boundary(obs.Now)
-	if d, ok := c.stepBurn(obs, at); ok {
+	if d, ok := c.stepSampling(obs, at); ok {
 		out = append(out, d)
 	}
 	out = append(out, c.stepResiduals(obs, at)...)
@@ -309,34 +336,68 @@ func (c *Controller) Step(obs Observation) []Decision {
 	return out
 }
 
-// stepBurn implements SLO-burn-fed degradation: over-budget burn steps the
-// sampling modulus down (fewer spans, lower overhead) and lets stepBlame
-// escalate more readily; a recovered budget steps back.
-func (c *Controller) stepBurn(obs Observation, at vt.Time) (Decision, bool) {
-	if !c.degraded && obs.BurnRate > c.cfg.BurnThreshold {
+// Reject undoes a decision the engines did not commit: it leaves the
+// decision ring, and a silence step is taken back so StrategyOf reports
+// what the engine runs and a later Step can propose it again. Sampling and
+// recalibration need no undo: the next Step compares against the observed
+// modulus, and a recalibration re-fires once its window refills.
+func (c *Controller) Reject(d Decision) {
+	c.decisions = slices.DeleteFunc(c.decisions, func(r Decision) bool { return r.Seq == d.Seq })
+	if st := c.strats[d.Component]; d.Kind == KindSilence && st != nil && st.undoSeq == d.Seq {
+		st.strat, st.undoSeq = st.undo, 0
+	}
+}
+
+// stepSampling sets the span-sampling modulus: the power of two that keeps
+// the delivery rate under the span budget (or the configured modulus
+// without one), never below DegradedSampleN while SLO burn degrades the
+// runtime. Burn above BurnThreshold degrades, and below half of it
+// restores; degradation also lets stepBlame escalate more readily.
+func (c *Controller) stepSampling(obs Observation, at vt.Time) (Decision, bool) {
+	switch {
+	case !c.degraded && obs.BurnRate > c.cfg.BurnThreshold:
 		c.degraded = true
-		if obs.SampleN != c.cfg.DegradedSampleN {
-			return c.record(Decision{
-				Kind:        KindSampling,
-				EffectiveVT: at,
-				SampleN:     c.cfg.DegradedSampleN,
-				Cause:       fmt.Sprintf("slo burn %.2f > %.2f: degrade sampling 1/%d -> 1/%d", obs.BurnRate, c.cfg.BurnThreshold, obs.SampleN, c.cfg.DegradedSampleN),
-			}), true
-		}
+	case c.degraded && obs.BurnRate < c.cfg.BurnThreshold/2:
+		c.degraded = false
+	}
+	last, lastWall := c.lastDlvd, c.lastWall
+	c.lastDlvd, c.lastWall = obs.Delivered, obs.Wall
+	// No rate from the first observation, from a window without wall time,
+	// or from one whose count fell because a slot restarted counting.
+	dt := obs.Wall.Sub(lastWall).Seconds()
+	if c.cfg.SpansPerSec > 0 && !lastWall.IsZero() && dt > 0 && obs.Delivered >= last {
+		c.rate = float64(obs.Delivered-last) / dt
+		// A sampled delivery yields a handful of spans (queueing, pessimism,
+		// compute, linger); budget against that fan-out, then round the
+		// modulus up to a power of two so small rate wobbles don't thrash.
+		const spansPerDelivery = 3
+		need := min(c.rate*spansPerDelivery/c.cfg.SpansPerSec, maxSampleN)
+		c.sampleN = nextPow2(uint64(need))
+	}
+	want := c.sampleN
+	if c.degraded {
+		want = max(want, c.cfg.DegradedSampleN)
+	}
+	if want == obs.SampleN {
 		return Decision{}, false
 	}
-	if c.degraded && obs.BurnRate < c.cfg.BurnThreshold/2 {
-		c.degraded = false
-		if obs.SampleN != c.baseSampleN {
-			return c.record(Decision{
-				Kind:        KindSampling,
-				EffectiveVT: at,
-				SampleN:     c.baseSampleN,
-				Cause:       fmt.Sprintf("slo burn %.2f recovered: restore sampling 1/%d", obs.BurnRate, c.baseSampleN),
-			}), true
-		}
+	cause := fmt.Sprintf("1/%d -> 1/%d", obs.SampleN, want)
+	if c.cfg.SpansPerSec > 0 {
+		cause += fmt.Sprintf(", %.0f deliveries/s against %.0f spans/s", c.rate, c.cfg.SpansPerSec)
 	}
-	return Decision{}, false
+	if c.degraded {
+		cause += fmt.Sprintf(", slo burn %.2f holds it at 1/%d or sparser", obs.BurnRate, c.cfg.DegradedSampleN)
+	} else if obs.BurnRate > 0 {
+		cause += fmt.Sprintf(", slo burn %.2f", obs.BurnRate)
+	}
+	return c.record(obs, Decision{Kind: KindSampling, EffectiveVT: at, SampleN: want, Cause: cause}), true
+}
+
+func nextPow2(v uint64) uint64 {
+	if v <= 1 {
+		return 1
+	}
+	return 1 << bits.Len64(v-1)
 }
 
 // stepResiduals implements span-driven estimator recalibration: a windowed
@@ -346,7 +407,7 @@ func (c *Controller) stepBurn(obs Observation, at vt.Time) (Decision, bool) {
 // logged determinism-fault path.
 func (c *Controller) stepResiduals(obs Observation, at vt.Time) []Decision {
 	var out []Decision
-	for _, name := range sortedKeys(obs.Compute) {
+	for _, name := range slices.Sorted(maps.Keys(obs.Compute)) {
 		cs := c.comps[name]
 		if cs == nil {
 			cs = &compState{}
@@ -388,7 +449,7 @@ func (c *Controller) stepResiduals(obs Observation, at vt.Time) []Decision {
 		for i, b := range cur {
 			coeffs[i] = b * scale
 		}
-		out = append(out, c.record(Decision{
+		out = append(out, c.record(obs, Decision{
 			Kind:        KindRecalibrate,
 			Component:   name,
 			EffectiveVT: at,
@@ -409,7 +470,7 @@ func (c *Controller) stepBlame(obs Observation, at vt.Time) (Decision, bool) {
 	// Fold this Step's cumulative readings into per-wire delta windows.
 	compBlame := make(map[string]float64) // upstream component -> windowed seconds
 	var total float64
-	for _, label := range sortedKeys(obs.Blame) {
+	for _, label := range slices.Sorted(maps.Keys(obs.Blame)) {
 		wb := obs.Blame[label]
 		ws := c.wires[label]
 		if ws == nil {
@@ -441,7 +502,7 @@ func (c *Controller) stepBlame(obs Observation, at vt.Time) (Decision, bool) {
 		minBlame /= 4 // burn pressure: escalate on weaker evidence
 	}
 	resting := make(map[string]bool)
-	for _, name := range sortedKeys(c.strats) {
+	for _, name := range slices.Sorted(maps.Keys(c.strats)) {
 		st := c.strats[name]
 		if st.cooldown > 0 {
 			resting[name] = true
@@ -458,7 +519,7 @@ func (c *Controller) stepBlame(obs Observation, at vt.Time) (Decision, bool) {
 	var worst string
 	var worstSum float64
 	var worstWire string
-	for _, label := range sortedKeys(c.wires) {
+	for _, label := range slices.Sorted(maps.Keys(c.wires)) {
 		ws := c.wires[label]
 		st := c.strats[ws.upstream]
 		if st == nil || resting[ws.upstream] {
@@ -471,29 +532,31 @@ func (c *Controller) stepBlame(obs Observation, at vt.Time) (Decision, bool) {
 	if worst != "" && worstSum >= minBlame && (total <= 0 || worstSum/total >= c.cfg.BlameShare) {
 		st := c.strats[worst]
 		if next, ok := c.escalated(st); ok {
-			prev := st.current.Strategy
+			st.undo = st.strat
 			st.current = next
 			st.level++
 			st.quiet = 0
 			st.cooldown = c.cfg.Cooldown
-			return c.record(Decision{
+			d := c.record(obs, Decision{
 				Kind:        KindSilence,
 				Component:   worst,
 				Wire:        worstWire,
 				EffectiveVT: at,
 				Silence:     next,
-				Cause:       fmt.Sprintf("wire %s blamed for %.1fms over window: %s -> %s", worstWire, worstSum*1e3, prev, next.Strategy),
-			}), true
+				Cause:       fmt.Sprintf("wire %s blamed for %.1fms over window: %s -> %s", worstWire, worstSum*1e3, st.undo.current.Strategy, next.Strategy),
+			})
+			st.undoSeq = d.Seq
+			return d, true
 		}
 	}
 
 	// De-escalate one sustained-quiet component per Step.
-	for _, name := range sortedKeys(c.strats) {
+	for _, name := range slices.Sorted(maps.Keys(c.strats)) {
 		st := c.strats[name]
 		if st.level == 0 || st.quiet < c.cfg.QuietWindows || resting[name] {
 			continue
 		}
-		prev := st.current.Strategy
+		st.undo = st.strat
 		st.level--
 		if st.level == 0 {
 			st.current = st.base
@@ -502,13 +565,15 @@ func (c *Controller) stepBlame(obs Observation, at vt.Time) (Decision, bool) {
 		}
 		st.quiet = 0
 		st.cooldown = c.cfg.Cooldown
-		return c.record(Decision{
+		d := c.record(obs, Decision{
 			Kind:        KindSilence,
 			Component:   name,
 			EffectiveVT: at,
 			Silence:     st.current,
-			Cause:       fmt.Sprintf("blame quiet for %d windows: %s -> %s", c.cfg.QuietWindows, prev, st.current.Strategy),
-		}), true
+			Cause:       fmt.Sprintf("blame quiet for %d windows: %s -> %s", c.cfg.QuietWindows, st.undo.current.Strategy, st.current.Strategy),
+		})
+		st.undoSeq = d.Seq
+		return d, true
 	}
 	return Decision{}, false
 }
@@ -556,28 +621,28 @@ type Status struct {
 // coefficients for display (may be nil).
 func (c *Controller) Status(coeffs map[string][]float64) Status {
 	st := Status{Degraded: c.degraded}
-	for _, name := range sortedKeys(c.comps) {
+	for _, name := range slices.Sorted(maps.Keys(c.comps)) {
 		cs := c.comps[name]
 		st.Components = append(st.Components, ComponentStatus{
 			Component: name, Residual: cs.residual, Samples: len(cs.window), Coeffs: coeffs[name],
 		})
 	}
-	for _, label := range sortedKeys(c.wires) {
+	for _, label := range slices.Sorted(maps.Keys(c.wires)) {
 		ws := c.wires[label]
-		strat := silence.Config{}
+		cfg := silence.Config{}
 		if s := c.strats[ws.upstream]; s != nil {
-			strat = s.current
+			cfg = s.current
 		}
 		sum := 0.0
 		for _, d := range ws.deltas {
 			sum += d
 		}
 		name := "-"
-		if strat.Strategy != 0 {
-			name = strat.Strategy.String()
+		if cfg.Strategy != 0 {
+			name = cfg.Strategy.String()
 		}
 		st.Wires = append(st.Wires, WireStrategy{
-			Wire: label, Upstream: ws.upstream, Strategy: strat.Strategy, Name: name, WindowSec: sum,
+			Wire: label, Upstream: ws.upstream, Strategy: cfg.Strategy, Name: name, WindowSec: sum,
 		})
 	}
 	st.Decisions = append(st.Decisions, c.decisions...)
@@ -597,28 +662,4 @@ func (c *Controller) StrategyOf(component string) (silence.Config, bool) {
 // Decisions returns the retained decision ring, oldest first.
 func (c *Controller) Decisions() []Decision {
 	return append([]Decision(nil), c.decisions...)
-}
-
-// Degraded reports whether the controller is in SLO-burn degradation.
-func (c *Controller) Degraded() bool { return c.degraded }
-
-// SetNowFunc overrides the wall-clock source (tests).
-func (c *Controller) SetNowFunc(fn func() time.Time) { c.nowFn = fn }
-
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	// Insertion sort: key sets here are tiny (components, wires).
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

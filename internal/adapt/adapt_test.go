@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -25,12 +26,14 @@ func testConfig() Config {
 }
 
 func newTest(cfg Config) *Controller {
-	c := New(cfg, map[string]silence.Config{
+	return newTestN(cfg, 8)
+}
+
+func newTestN(cfg Config, sampleN uint64) *Controller {
+	return New(cfg, map[string]silence.Config{
 		"sender1": {Strategy: silence.Lazy},
 		"sender2": {Strategy: silence.Lazy},
-	}, 8)
-	c.SetNowFunc(func() time.Time { return time.Unix(0, 0) })
-	return c
+	}, sampleN)
 }
 
 func TestBoundaryQuantizedStrictlyFuture(t *testing.T) {
@@ -61,6 +64,7 @@ func TestRecalibrationFiresOnResidual(t *testing.T) {
 	}
 	ds := c.Step(Observation{
 		Now:     100,
+		SampleN: 8,
 		Compute: map[string][]ComputeSample{"worker": samples},
 		Coeffs:  map[string][]float64{"worker": {50, 2}},
 	})
@@ -78,7 +82,7 @@ func TestRecalibrationFiresOnResidual(t *testing.T) {
 		t.Fatalf("effective VT %v not a strictly-future boundary", d.EffectiveVT)
 	}
 	// Window cleared: an immediate second step with no new samples is quiet.
-	if ds := c.Step(Observation{Now: 200, Coeffs: map[string][]float64{"worker": {150, 6}}}); len(ds) != 0 {
+	if ds := c.Step(Observation{Now: 200, SampleN: 8, Coeffs: map[string][]float64{"worker": {150, 6}}}); len(ds) != 0 {
 		t.Fatalf("expected no decisions after window reset, got %v", ds)
 	}
 }
@@ -91,6 +95,7 @@ func TestAccurateEstimatorStaysQuiet(t *testing.T) {
 	}
 	ds := c.Step(Observation{
 		Now:     100,
+		SampleN: 8,
 		Compute: map[string][]ComputeSample{"worker": samples},
 		Coeffs:  map[string][]float64{"worker": {50}},
 	})
@@ -102,7 +107,7 @@ func TestAccurateEstimatorStaysQuiet(t *testing.T) {
 func TestBlameEscalatesAndRecovers(t *testing.T) {
 	c := newTest(testConfig())
 	blame := func(sec float64) Observation {
-		return Observation{Now: 100, Blame: map[string]WireBlame{
+		return Observation{Now: 100, SampleN: 8, Blame: map[string]WireBlame{
 			"sender2.out>merger.s2": {Upstream: "sender2", Seconds: sec},
 		}}
 	}
@@ -118,19 +123,29 @@ func TestBlameEscalatesAndRecovers(t *testing.T) {
 	if ds[0].Silence.Strategy != silence.Aggressive {
 		t.Fatalf("first escalation = %v, want aggressive", ds[0].Silence.Strategy)
 	}
+	// The engine does not commit it: the step is taken back, leaves the
+	// decision ring, and the next step proposes it again.
+	c.Reject(ds[0])
+	if cfg, _ := c.StrategyOf("sender2"); cfg.Strategy != silence.Lazy || len(c.Decisions()) != 0 {
+		t.Fatalf("after reject: strategy %v, decisions %v", cfg.Strategy, c.Decisions())
+	}
+	ds = c.Step(blame(0.200))
+	if len(ds) != 1 || ds[0].Silence.Strategy != silence.Aggressive {
+		t.Fatalf("want the escalation proposed again, got %v", ds)
+	}
 	// Cooldown: the immediately following step stays quiet.
-	if ds := c.Step(blame(0.200)); len(ds) != 0 {
+	if ds := c.Step(blame(0.250)); len(ds) != 0 {
 		t.Fatalf("cooldown step decided %v", ds)
 	}
 	// Still dominant: next escalation reaches HyperAggressive with bias.
-	ds = c.Step(blame(0.250))
+	ds = c.Step(blame(0.300))
 	if len(ds) != 1 || ds[0].Silence.Strategy != silence.HyperAggressive || ds[0].Silence.Bias != 500 {
 		t.Fatalf("want hyper-aggressive bias=500, got %v", ds)
 	}
 	// Quiet blame for QuietWindows+cooldown steps walks it back down.
 	var kinds []Decision
 	for i := 0; i < 10; i++ {
-		kinds = append(kinds, c.Step(blame(0.250))...)
+		kinds = append(kinds, c.Step(blame(0.300))...)
 	}
 	if len(kinds) < 2 {
 		t.Fatalf("expected two de-escalations, got %v", kinds)
@@ -149,7 +164,7 @@ func TestMaxStrategyCapsEscalation(t *testing.T) {
 	cfg.MaxStrategy = silence.Aggressive
 	c := newTest(cfg)
 	obs := func(sec float64) Observation {
-		return Observation{Now: 100, Blame: map[string]WireBlame{
+		return Observation{Now: 100, SampleN: 8, Blame: map[string]WireBlame{
 			"sender2.out>merger.s2": {Upstream: "sender2", Seconds: sec},
 		}}
 	}
@@ -168,25 +183,89 @@ func TestMaxStrategyCapsEscalation(t *testing.T) {
 	}
 }
 
+// TestBurnDegradesAndRestoresSampling steps the sampling signal through
+// burn and span-budget sequences. Step i observes wall time i seconds, so a
+// step's delivered count minus the previous one is the rate per second;
+// each step says which modulus is in force and which one it must propose
+// (0: none).
 func TestBurnDegradesAndRestoresSampling(t *testing.T) {
-	c := newTest(testConfig())
-	ds := c.Step(Observation{Now: 100, BurnRate: 2.5, SampleN: 8})
-	if len(ds) != 1 || ds[0].Kind != KindSampling || ds[0].SampleN != 64 {
-		t.Fatalf("want degrade to 1/64, got %v", ds)
+	type step struct {
+		burn      float64
+		delivered int64
+		inForce   uint64
+		want      uint64
+		degraded  bool
 	}
-	if !c.Degraded() {
-		t.Fatal("controller not degraded")
-	}
-	// Burn above half-threshold: hold.
-	if ds := c.Step(Observation{Now: 200, BurnRate: 0.8, SampleN: 64}); len(ds) != 0 {
-		t.Fatalf("hold step decided %v", ds)
-	}
-	ds = c.Step(Observation{Now: 300, BurnRate: 0.2, SampleN: 64})
-	if len(ds) != 1 || ds[0].Kind != KindSampling || ds[0].SampleN != 8 {
-		t.Fatalf("want restore to 1/8, got %v", ds)
-	}
-	if c.Degraded() {
-		t.Fatal("controller still degraded")
+	for _, tc := range []struct {
+		name    string
+		budget  float64 // spans/s; 0 keeps the configured modulus
+		sampleN uint64  // the configured modulus
+		steps   []step
+	}{
+		{"burn degrades and recovery restores the configured modulus", 0, 8, []step{
+			{burn: 2.5, inForce: 8, want: 64, degraded: true},
+			{burn: 0.8, inForce: 64, degraded: true}, // above half the threshold: hold
+			{burn: 0.2, inForce: 64, want: 8},
+		}},
+		{"degradation never samples more", 0, 128, []step{
+			{burn: 2.5, inForce: 128, degraded: true},
+			{burn: 0.2, inForce: 128},
+		}},
+		{"a budget yields a power of two", 300, 64, []step{
+			{inForce: 64}, // no rate from the first observation
+			// 10k deliveries/s × 3 spans each / 300 spans/s = 100 → 1/128.
+			{delivered: 10_000, inForce: 64, want: 128},
+			{delivered: 20_000, inForce: 128},
+		}},
+		{"the budget modulus clamps at maxSampleN", 1, 64, []step{
+			{inForce: 64},
+			{delivered: 1e9, inForce: 64, want: maxSampleN},
+		}},
+		{"a falling delivered count skips its window", 300, 64, []step{
+			{inForce: 64},
+			{delivered: 10_000, inForce: 64, want: 128},
+			{delivered: 500, inForce: 128}, // a slot recovered and counts from zero
+			{delivered: 10_500, inForce: 128},
+		}},
+		{"the degraded floor holds against a budget that wants 1/1", 1e6, 1, []step{
+			{burn: 2.5, inForce: 1, want: 64, degraded: true},
+			{burn: 2.5, delivered: 100, inForce: 64, degraded: true},
+		}},
+		{"restore goes straight to the budget's modulus", 300, 64, []step{
+			{burn: 2.5, inForce: 64, degraded: true},
+			{burn: 2.5, delivered: 10, inForce: 64, degraded: true}, // budget wants 1/1
+			{burn: 0.2, delivered: 20, inForce: 64, want: 1},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.SpansPerSec = tc.budget
+			c := newTestN(cfg, tc.sampleN)
+			for i, s := range tc.steps {
+				ds := c.Step(Observation{
+					Now:       vt.Time(100 * (i + 1)),
+					Wall:      time.Unix(int64(i), 0),
+					Delivered: s.delivered,
+					BurnRate:  s.burn,
+					SampleN:   s.inForce,
+				})
+				var got, want []uint64
+				for _, d := range ds {
+					if d.Kind == KindSampling {
+						got = append(got, d.SampleN)
+					}
+				}
+				if s.want != 0 {
+					want = []uint64{s.want}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: proposed moduli %v, want %v (decisions %v)", i, got, want, ds)
+				}
+				if deg := c.Status(nil).Degraded; deg != s.degraded {
+					t.Fatalf("step %d: degraded = %v, want %v", i, deg, s.degraded)
+				}
+			}
+		})
 	}
 }
 

@@ -117,8 +117,9 @@ type Options struct {
 	Budget *slo.BudgetPolicy
 	// SpanSampleN is the static head-sampling modulus (<=0: default 1/64).
 	SpanSampleN int
-	// AdaptiveBudget, when > 0, replaces the static modulus with the
-	// adaptive controller targeting this many spans/sec.
+	// AdaptiveBudget, when > 0, is the adaptive runtime's span budget: the
+	// sampling modulus then follows the delivery rate to keep this many
+	// spans/sec. It implies Adapt.
 	AdaptiveBudget float64
 	// OTLPURL, when non-empty, exports spans OTLP/HTTP to this endpoint.
 	OTLPURL string
@@ -164,6 +165,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BasePort == 0 {
 		o.BasePort = 42100
+	}
+	if o.AdaptiveBudget > 0 {
+		o.Adapt = true
 	}
 	return o
 }
@@ -281,21 +285,16 @@ func Run(opts Options) (*Result, error) {
 		tart.WithSLO(tracker),
 		tart.WithFlightRecorder(""),
 	}
-	if opts.AdaptiveBudget > 0 {
-		copts = append(copts, tart.WithAdaptiveSpanSampling(tart.AdaptiveSampling{
-			SpansPerSec: opts.AdaptiveBudget,
-		}))
-	} else {
-		copts = append(copts, tart.WithSpanTracing(opts.SpanSampleN))
-	}
+	copts = append(copts, tart.WithSpanTracing(opts.SpanSampleN))
 	if opts.OTLPURL != "" {
 		copts = append(copts, tart.WithOTLPExport(opts.OTLPURL))
 	}
 	if opts.Adapt {
 		copts = append(copts, tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{
-			PollEvery: 200 * time.Millisecond,
-			Quantum:   AdaptQuantumVT,
-			MinBlame:  500 * time.Microsecond,
+			PollEvery:   200 * time.Millisecond,
+			Quantum:     AdaptQuantumVT,
+			SpansPerSec: opts.AdaptiveBudget,
+			MinBlame:    500 * time.Microsecond,
 			// Stay VT-neutral: escalations stop at Aggressive so the load
 			// run's outputs match a non-adaptive run's byte for byte.
 			MaxStrategy: tart.Aggressive,

@@ -61,15 +61,13 @@ const (
 	EvPeerUp
 	// EvPeerDown marks an inter-engine connection lost.
 	EvPeerDown
-	// EvSampleEpoch marks an adaptive span-sampling rate switch: VT is the
-	// epoch's quantized start boundary and Note carries the old and new
-	// 1/N moduli plus the observed traffic that motivated the change.
-	EvSampleEpoch
-	// EvAdaptDecision is one closed-loop adaptive-runtime decision: an
-	// estimator recalibration, a silence-strategy switch, or a sampling
-	// degradation step. VT is the quantized strictly-future epoch boundary
-	// the decision takes effect at, Component names the target (empty for
-	// cluster-wide sampling steps), and Note carries the action and cause.
+	// EvAdaptDecision is one committed closed-loop adaptive-runtime
+	// decision: an estimator recalibration, a silence-strategy switch, or a
+	// span-sampling modulus switch. VT is the quantized strictly-future
+	// epoch boundary the decision takes effect at, Component names the
+	// target (empty for cluster-wide sampling switches), and Note carries
+	// the action and cause (for sampling: the old and new 1/N moduli and
+	// the burn and traffic that motivated the change).
 	EvAdaptDecision
 )
 
@@ -91,7 +89,6 @@ var eventKindNames = [...]string{
 	EvSourceEmit:         "source-emit",
 	EvPeerUp:             "peer-up",
 	EvPeerDown:           "peer-down",
-	EvSampleEpoch:        "sample-epoch",
 	EvAdaptDecision:      "adapt-decision",
 }
 

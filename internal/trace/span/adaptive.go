@@ -1,18 +1,18 @@
-// Adaptive head-sampling: a shared, append-only schedule of VT-quantized
-// rate epochs. Each epoch fixes the 1/N sampling modulus for origins whose
-// emission virtual time falls inside it, so a controller can scale the
-// span rate with observed traffic while keeping the paper's determinism
-// contract: the sampling decision for an origin is a pure function of
-// (origin, emission VT, schedule), all three of which are identical across
-// the original run, a replay, and the passive replica.
+// Adaptive head-sampling: a shared, append-only schedule of rate epochs.
+// Each epoch fixes the 1/N sampling modulus for origins whose emission
+// virtual time falls inside it, so a controller can scale the span rate
+// with observed traffic while keeping the paper's determinism contract:
+// the sampling decision for an origin is a pure function of (origin,
+// emission VT, schedule), all three of which are identical across the
+// original run, a replay, and the passive replica.
 //
-// Epoch boundaries are quantized to a coarse VT grain and always scheduled
-// strictly in the future, so every engine — whose per-engine VT clocks are
-// only loosely aligned — has stamped all in-flight emissions before a new
-// rate can take effect. The decision itself additionally travels inside
-// each envelope (msg.Envelope.Trace), so downstream hops and transports
-// never re-derive it: a mid-journey rate change cannot half-trace an
-// origin.
+// The proposer (the adaptive runtime's controller) picks each epoch's
+// start: a VT-quantized boundary strictly in the future, so every engine —
+// whose per-engine VT clocks are only loosely aligned — has stamped all
+// in-flight emissions before a new rate can take effect. The decision
+// itself additionally travels inside each envelope (msg.Envelope.Trace),
+// so downstream hops and transports never re-derive it: a mid-journey rate
+// change cannot half-trace an origin.
 package span
 
 import (
@@ -38,35 +38,18 @@ func (e RateEpoch) String() string { return fmt.Sprintf("1/%d @%v", e.N, e.Start
 // appends happen at the controller's cadence, so a plain RWMutex is
 // sufficient.
 type Schedule struct {
-	quantum vt.Ticks
-
 	mu     sync.RWMutex
 	epochs []RateEpoch
 }
 
-// DefaultQuantum is the epoch-boundary grain when a non-positive quantum
-// is requested: coarse enough that loosely-aligned engine clocks all pass
-// a boundary together.
-const DefaultQuantum = vt.Ticks(250e6) // 250ms of virtual time
-
 // NewSchedule creates a schedule whose first epoch starts at VT zero with
-// modulus baseN (<= 0 selects DefaultSampleN). quantum <= 0 selects
-// DefaultQuantum.
-func NewSchedule(baseN int, quantum vt.Ticks) *Schedule {
+// modulus baseN (<= 0 selects DefaultSampleN).
+func NewSchedule(baseN int) *Schedule {
 	if baseN <= 0 {
 		baseN = DefaultSampleN
 	}
-	if quantum <= 0 {
-		quantum = DefaultQuantum
-	}
-	return &Schedule{
-		quantum: quantum,
-		epochs:  []RateEpoch{{Start: vt.Zero, N: uint64(baseN)}},
-	}
+	return &Schedule{epochs: []RateEpoch{{Start: vt.Zero, N: uint64(baseN)}}}
 }
-
-// Quantum returns the epoch-boundary grain.
-func (s *Schedule) Quantum() vt.Ticks { return s.quantum }
 
 // NAt returns the sampling modulus in force for an emission at virtual
 // time t.
@@ -97,31 +80,21 @@ func (s *Schedule) Epochs() []RateEpoch {
 	return append([]RateEpoch(nil), s.epochs...)
 }
 
-// Propose appends a new epoch with modulus n, starting at the first
-// quantum boundary at least one full quantum after now — strictly in the
-// future for every engine whose clock is within one quantum of now, so no
-// emission is stamped under a rate that later changes retroactively. It
-// returns the appended epoch and true, or the current epoch and false when
-// n already matches the newest epoch's modulus (no switch needed) or the
-// computed boundary does not lie beyond the newest epoch's start.
-func (s *Schedule) Propose(n uint64, now vt.Time) (RateEpoch, bool) {
-	if n == 0 {
-		n = 1
-	}
+// Propose appends an epoch with modulus n starting at the given boundary,
+// which the caller must have chosen strictly in the future of every
+// engine's clock, so no emission is stamped under a rate that later
+// changes retroactively. It reports false, appending nothing, when n
+// already matches the newest epoch's modulus or the boundary does not lie
+// beyond the newest epoch's start.
+func (s *Schedule) Propose(n uint64, start vt.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	last := s.epochs[len(s.epochs)-1]
-	if last.N == n {
-		return last, false
+	if last.N == n || start <= last.Start {
+		return false
 	}
-	q := int64(s.quantum)
-	boundary := vt.Time(((int64(now)+q)/q + 1) * q)
-	if boundary <= last.Start {
-		return last, false
-	}
-	ep := RateEpoch{Start: boundary, N: n}
-	s.epochs = append(s.epochs, ep)
-	return ep, true
+	s.epochs = append(s.epochs, RateEpoch{Start: start, N: n})
+	return true
 }
 
 // SetSchedule attaches an adaptive rate schedule to the collector. Attach

@@ -7,22 +7,20 @@ import (
 	"repro/internal/vt"
 )
 
+// TestScheduleQuantization checks that an epoch starts exactly at the
+// boundary its proposer quantized, and that the schedule stays append-only:
+// a repeated modulus or a boundary at or before the newest epoch's start
+// appends nothing.
 func TestScheduleQuantization(t *testing.T) {
-	s := NewSchedule(64, vt.Ticks(1000))
+	s := NewSchedule(64)
 	if got := s.NAt(vt.Time(5)); got != 64 {
 		t.Fatalf("base N=%d", got)
 	}
-	ep, ok := s.Propose(8, vt.Time(2500))
-	if !ok {
+	if !s.Propose(8, vt.Time(4000)) {
 		t.Fatal("propose should switch")
 	}
-	// Boundary is the first grid point at least one full quantum past now:
-	// (2500+1000)/1000 = 3 → (3+1)*1000 = 4000.
-	if ep.Start != vt.Time(4000) || ep.N != 8 {
+	if ep := s.Current(); ep.Start != vt.Time(4000) || ep.N != 8 {
 		t.Fatalf("epoch %+v", ep)
-	}
-	if ep.Start <= vt.Time(2500+1000) {
-		t.Fatalf("boundary %v not strictly beyond now+quantum", ep.Start)
 	}
 	if got := s.NAt(vt.Time(3999)); got != 64 {
 		t.Fatalf("pre-boundary N=%d", got)
@@ -31,14 +29,17 @@ func TestScheduleQuantization(t *testing.T) {
 		t.Fatalf("post-boundary N=%d", got)
 	}
 	// Same modulus again: no new epoch.
-	if _, ok := s.Propose(8, vt.Time(4100)); ok {
+	if s.Propose(8, vt.Time(5000)) {
 		t.Fatal("same-N propose should be a no-op")
 	}
-	// A boundary that would not advance past the newest epoch is rejected.
-	s2 := NewSchedule(64, vt.Ticks(1000))
-	s2.Propose(8, vt.Time(10_000))
-	if _, ok := s2.Propose(16, vt.Time(0)); ok {
-		t.Fatal("stale-clock propose must not rewrite history")
+	// A boundary that does not advance past the newest epoch is rejected.
+	for _, start := range []vt.Time{0, 4000} {
+		if s.Propose(16, start) {
+			t.Fatalf("propose at %v must not rewrite history", start)
+		}
+	}
+	if n := len(s.Epochs()); n != 2 {
+		t.Fatalf("%d epochs, want 2", n)
 	}
 }
 
@@ -48,7 +49,7 @@ func TestScheduleQuantization(t *testing.T) {
 // schedule — reproduces the original decision even after further epochs
 // were appended.
 func TestDecideAtDeterministic(t *testing.T) {
-	sch := NewSchedule(4, vt.Ticks(1000))
+	sch := NewSchedule(4)
 	c := NewCollector("e0", 0, 4)
 	c.SetSchedule(sch)
 
@@ -63,10 +64,10 @@ func TestDecideAtDeterministic(t *testing.T) {
 		at := vt.Time(int64(seq) * 40)
 		stamps = append(stamps, stamp{o, at, c.DecideAt(o, at)})
 	}
-	// Rate change mid-run, proposed at the traffic frontier (the controller
-	// uses the max live engine clock), so the boundary lands beyond every
-	// already-stamped emission.
-	sch.Propose(1, vt.Time(4000))
+	// Rate change mid-run at a boundary beyond the traffic frontier (the
+	// controller quantizes past the max live engine clock), so it lands
+	// beyond every already-stamped emission.
+	sch.Propose(1, vt.Time(6000))
 	for seq := uint64(101); seq <= 400; seq++ {
 		o := msg.NewOrigin(3, seq)
 		at := vt.Time(int64(seq) * 40)
@@ -78,8 +79,8 @@ func TestDecideAtDeterministic(t *testing.T) {
 			t.Fatalf("origin %v at %v: replay decided %d, original %d", s.o, s.t, got, s.d)
 		}
 	}
-	// Post-boundary emissions ((4000+1000)/1000+1)*1000 = 6000 onward run
-	// at 1/1 and must all be sampled.
+	// Post-boundary emissions, 6000 onward, run at 1/1 and must all be
+	// sampled.
 	for _, s := range stamps {
 		if s.t >= vt.Time(6000) && s.d != msg.TraceSampled {
 			t.Fatalf("origin %v at %v unsampled under 1/1 epoch", s.o, s.t)

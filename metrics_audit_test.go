@@ -27,8 +27,8 @@ func (e *auditEcho) OnMessage(ctx *tart.Context, _ string, p any) (any, error) {
 }
 
 // TestMetricsExpositionAudit drives a cluster with every metrics-producing
-// subsystem enabled (supervisor, SLO tracker, adaptive span sampling, the
-// closed-loop adaptive runtime) and audits the full /metrics exposition:
+// subsystem enabled (supervisor, SLO tracker, the closed-loop adaptive
+// runtime with a span budget) and audits the full /metrics exposition:
 // the Prometheus text Content-Type, and a # TYPE plus non-empty # HELP
 // comment for every family emitted — including the cluster-level families
 // appended after the engine's own.
@@ -53,8 +53,7 @@ func TestMetricsExpositionAudit(t *testing.T) {
 		tart.WithFlightRecorder(""),
 		tart.WithSupervisor(tart.SupervisorConfig{SuspectAfter: time.Hour}),
 		tart.WithSLO(tracker),
-		tart.WithAdaptiveSpanSampling(tart.AdaptiveSampling{SpansPerSec: 100}),
-		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: time.Hour}),
+		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: time.Hour, SpansPerSec: 100}),
 	)
 	if err != nil {
 		t.Fatal(err)

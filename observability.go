@@ -2,12 +2,11 @@ package tart
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"repro/internal/adapt"
+	"repro/internal/engine"
 	"repro/internal/estimator"
-	"repro/internal/silence"
 	"repro/internal/slo"
 	"repro/internal/trace"
 	"repro/internal/trace/span"
@@ -74,57 +73,9 @@ func WithOTLPExport(url string) ClusterOption {
 	})
 }
 
-// maxSampleN caps the adaptive sampling modulus: even the busiest
-// cluster keeps tracing one origin in about a million.
-const maxSampleN = 1 << 20
-
-// AdaptiveSampling tunes WithAdaptiveSpanSampling. Zero values pick
-// defaults.
-type AdaptiveSampling struct {
-	// SpansPerSec is the target span budget; the controller scales the
-	// sampling modulus N so observed deliveries/sec / N stays under it.
-	// Default 1000.
-	SpansPerSec float64
-	// Quantum is the VT grain epoch boundaries are aligned to (default
-	// span.DefaultQuantum, 250ms of virtual time).
-	Quantum Ticks
-	// PollEvery is the controller's observation cadence (default 1s).
-	PollEvery time.Duration
-}
-
-func (a AdaptiveSampling) withDefaults() AdaptiveSampling {
-	if a.SpansPerSec <= 0 {
-		a.SpansPerSec = 1000
-	}
-	if a.PollEvery <= 0 {
-		a.PollEvery = time.Second
-	}
-	return a
-}
-
-// WithAdaptiveSpanSampling replaces the static head-sampling modulus with a
-// controller that scales 1/N with observed traffic, keeping the span rate
-// near a fixed budget under any arrival schedule. Implies span tracing.
-//
-// Rate changes take effect at VT-quantized epoch boundaries scheduled
-// strictly in the future, and the decision for each origin additionally
-// travels inside its envelopes, so a mid-journey rate change can never
-// half-trace an origin — replay and the recovered replica re-derive the
-// identical decisions from the logged (origin, VT) pairs. Every epoch
-// switch is recorded as a sample-epoch flight event (with WithFlightRecorder)
-// and surfaced in the tart_span_sample_n / tart_span_sample_epochs_total
-// metric families.
-func WithAdaptiveSpanSampling(cfg AdaptiveSampling) ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) {
-		a := cfg.withDefaults()
-		c.adaptive = &a
-		c.spansOn = true
-	})
-}
-
 // AdaptDecision is one closed-loop adaptive-runtime decision (see
 // WithAdaptiveRuntime): an estimator recalibration, a silence-strategy
-// switch, or a sampling-degradation step, stamped with the VT epoch
+// switch, or a span-sampling modulus switch, stamped with the VT epoch
 // boundary it takes effect at.
 type AdaptDecision = adapt.Decision
 
@@ -145,8 +96,12 @@ type AdaptiveRuntime struct {
 	// PollEvery is the control loop's harvest cadence (default 250ms).
 	PollEvery time.Duration
 	// Quantum is the VT grain decision epoch boundaries are aligned to
-	// (default span.DefaultQuantum, 250ms of virtual time).
+	// (default 250ms of virtual time).
 	Quantum Ticks
+	// SpansPerSec is the span budget: the sampling modulus N follows the
+	// cluster's delivery rate so that deliveries/s / N stays under it,
+	// rounded up to a power of two. 0 keeps WithSpanTracing's modulus.
+	SpansPerSec float64
 	// MinSamples gates recalibration on a minimum compute-span window
 	// (default 16).
 	MinSamples int
@@ -160,17 +115,11 @@ type AdaptiveRuntime struct {
 	// Aggressive to keep output virtual times bias-free — required when
 	// byte-identical replay of outputs matters more than won-back latency.
 	MaxStrategy SilenceStrategy
-	// DegradedSampleN is the sampling modulus while SLO burn degrades
-	// sampling (default 64). Needs WithSLO to matter.
-	DegradedSampleN int
 }
 
 func (a AdaptiveRuntime) withDefaults() AdaptiveRuntime {
 	if a.PollEvery <= 0 {
 		a.PollEvery = 250 * time.Millisecond
-	}
-	if a.DegradedSampleN <= 0 {
-		a.DegradedSampleN = 64
 	}
 	return a
 }
@@ -182,30 +131,33 @@ func (a AdaptiveRuntime) controllerConfig() adapt.Config {
 		MinBlameSeconds: a.MinBlame.Seconds(),
 		QuietWindows:    a.QuietWindows,
 		MaxStrategy:     a.MaxStrategy,
-		DegradedSampleN: uint64(a.DegradedSampleN),
+		SpansPerSec:     a.SpansPerSec,
 	}
 }
 
 // WithAdaptiveRuntime closes the observability loop: a per-cluster
 // controller harvests sampled compute spans, pessimism-blame attribution,
-// and the SLO burn rate, and turns them into three control actions —
-// estimator recalibration (span-measured wall time against charged VT,
-// pushed through the logged determinism-fault path), per-wire silence
-// strategy selection (the dominant blamed wire's upstream escalates
-// lazy→aggressive→bias, and steps back when quiet), and SLO-burn-fed
-// degradation (sampling steps down and escalation gets more eager while
-// the error budget burns).
+// the SLO burn rate and the delivery rate, and turns them into three
+// control actions — estimator recalibration (span-measured wall time
+// against charged VT, pushed through the logged determinism-fault path),
+// per-wire silence strategy selection (the dominant blamed wire's upstream
+// escalates lazy→aggressive→bias, and steps back when quiet), and the
+// span-sampling modulus (kept under the SpansPerSec budget, and no denser
+// than 1/64 while the SLO error budget burns, which also makes escalation
+// more eager).
 //
 // Determinism is preserved by construction: every action takes effect only
 // at a VT-quantized, strictly-future epoch boundary and is recorded as a
 // logged determinism fault (estimator, silence) or an append-only rate
 // epoch (sampling), so replay, the passive replica, and time-travel rewind
 // re-derive identical behaviour from the log without re-running the
-// control loop. Decisions surface as adapt-decision flight events (with
+// control loop. Each origin's sampling decision also travels inside its
+// envelopes, so a mid-journey rate change never half-traces an origin.
+// Decisions surface as adapt-decision flight events (with
 // WithFlightRecorder), the /adapt debug endpoint, `tartctl adapt`, and the
-// tart_adapt_* metric families. Implies span tracing; the scheduler's
-// built-in sample-count recalibration is disabled in favour of the
-// span-driven one.
+// tart_adapt_* and tart_span_sample_* metric families. Implies span
+// tracing; the scheduler's built-in sample-count recalibration is disabled
+// in favour of the span-driven one.
 func WithAdaptiveRuntime(cfg AdaptiveRuntime) ClusterOption {
 	return clusterOptionFunc(func(c *clusterConfig) {
 		a := cfg.withDefaults()
@@ -219,7 +171,7 @@ func WithAdaptiveRuntime(cfg AdaptiveRuntime) ClusterOption {
 type SampleRateEpoch = span.RateEpoch
 
 // SampleEpochs returns the adaptive-sampling epoch history (nil without
-// WithAdaptiveSpanSampling).
+// WithAdaptiveRuntime).
 func (c *Cluster) SampleEpochs() []SampleRateEpoch {
 	if c.schedule == nil {
 		return nil
@@ -251,80 +203,21 @@ func (c *Cluster) seedAdaptMetrics() {
 	}
 }
 
-// rateController returns the sampling-rate tick: it polls the cluster-wide
-// delivery rate and proposes a new 1/N whenever the budget-implied modulus
-// (rounded to a power of two for hysteresis) differs from the current one.
-func (c *Cluster) rateController(a AdaptiveSampling) func() {
-	lastDelivered, lastAt := c.totalDelivered(), time.Now()
-	return func() {
-		delivered, now := c.totalDelivered(), time.Now()
-		dt := now.Sub(lastAt).Seconds()
-		if dt <= 0 {
-			return
-		}
-		if delivered < lastDelivered {
-			// A slot restarted with a fresh count: no rate this poll.
-			lastDelivered, lastAt = delivered, now
-			return
-		}
-		rate := float64(delivered-lastDelivered) / dt
-		lastDelivered, lastAt = delivered, now
-
-		// A sampled delivery yields a handful of spans (queueing, pessimism,
-		// compute, linger); budget against that fan-out, then quantize the
-		// modulus to a power of two so small rate wobbles don't thrash.
-		const spansPerDelivery = 3
-		want := uint64(1)
-		if need := rate * spansPerDelivery / a.SpansPerSec; need > 1 {
-			want = min(nextPow2(uint64(need)), maxSampleN)
-		}
-		if c.adaptCtl != nil {
-			// While SLO burn holds sampling degraded the budget may thin it
-			// further but never undo the degradation. Deciding under the
-			// controller's lock orders this proposal against its own.
-			c.adaptMu.Lock()
-			defer c.adaptMu.Unlock()
-			if c.adaptCtl.Degraded() {
-				want = max(want, uint64(c.cfg.adaptRuntime.DegradedSampleN))
-			}
-		}
-		cur := c.schedule.Current().N
-		if want == cur {
-			return
-		}
-		ep, ok := c.proposeSampleN(want)
-		if !ok {
-			return
-		}
-		note := fmt.Sprintf("1/%d -> 1/%d at %.0f deliveries/s", cur, ep.N, rate)
-		for _, s := range c.slots() {
-			if s.slot.rec != nil {
-				s.slot.rec.Record(trace.Event{Kind: trace.EvSampleEpoch, VT: ep.Start, Wire: -1, Note: note})
-			}
-		}
-	}
-}
-
-// proposeSampleN schedules a new sampling modulus past the live VT frontier
-// and publishes it.
-func (c *Cluster) proposeSampleN(n uint64) (span.RateEpoch, bool) {
-	ep, ok := c.schedule.Propose(n, c.maxNowVT())
-	if ok {
-		c.ctl.sampleN.Set(int64(ep.N))
-		c.ctl.sampleEpochs.Inc()
-	}
-	return ep, ok
-}
-
 // adaptStep is the adaptive runtime's tick: harvest an observation, step
-// the policy, route the decisions.
+// the policy, route the decisions, publish the gauges. The whole tick holds
+// adaptMu, so a reader that takes it after seeing the VT frontier pass X
+// finds every decision taken on a frontier below X already routed.
 func (c *Cluster) adaptStep() {
+	c.adaptMu.Lock()
+	defer c.adaptMu.Unlock()
 	obs := adapt.Observation{
-		Now:     c.maxNowVT(),
-		Compute: make(map[string][]adapt.ComputeSample),
-		Coeffs:  make(map[string][]float64),
-		Blame:   make(map[string]adapt.WireBlame),
-		SampleN: c.schedule.Current().N,
+		Now:       c.maxNowVT(),
+		Wall:      time.Now(),
+		Delivered: c.totalDelivered(),
+		Compute:   make(map[string][]adapt.ComputeSample),
+		Coeffs:    make(map[string][]float64),
+		Blame:     make(map[string]adapt.WireBlame),
+		SampleN:   c.schedule.Current().N,
 	}
 	slots := c.liveSlots()
 	for _, s := range slots {
@@ -380,77 +273,67 @@ func (c *Cluster) adaptStep() {
 		}
 	}
 
-	c.adaptMu.Lock()
-	decisions := c.adaptCtl.Step(obs)
-	status := c.adaptCtl.Status(obs.Coeffs)
-	c.adaptMu.Unlock()
-
-	for _, comp := range status.Components {
+	for _, d := range c.adaptCtl.Step(obs) {
+		if !c.applyAdaptDecision(d, slots) {
+			c.adaptCtl.Reject(d)
+		}
+	}
+	for _, comp := range c.adaptCtl.Status(obs.Coeffs).Components {
 		c.ctl.residual(comp.Component).Set(comp.Residual)
 	}
-	c.publishStrategyGauges()
-	for _, d := range decisions {
-		c.applyAdaptDecision(d, slots)
-	}
-}
-
-// publishStrategyGauges exports the currently selected silence strategy of
-// every inter-component wire's upstream (value = strategy enum).
-func (c *Cluster) publishStrategyGauges() {
+	// The strategy each inter-component wire's upstream runs (value =
+	// strategy enum), read after routing so a rejected switch never shows.
 	for wire, up := range c.wireUp {
-		if cfg, ok := c.strategyOfLocked(up); ok {
+		if cfg, ok := c.adaptCtl.StrategyOf(up); ok {
 			c.ctl.strategy(wire).Set(int64(cfg.Strategy))
 		}
 	}
 }
 
-func (c *Cluster) strategyOfLocked(component string) (silence.Config, bool) {
-	c.adaptMu.Lock()
-	defer c.adaptMu.Unlock()
-	return c.adaptCtl.StrategyOf(component)
-}
-
-// applyAdaptDecision routes one controller decision to the engines,
-// counting it and recording an adapt-decision flight event on the hosting
-// engine (or every engine for cluster-wide sampling steps).
-func (c *Cluster) applyAdaptDecision(d AdaptDecision, slots []slotView) {
-	c.ctl.decisions(d.Kind).Inc()
-	note := fmt.Sprintf("%s: %s", d.Kind, d.Cause)
+// applyAdaptDecision routes one controller decision to the engines and
+// reports whether they committed it. A committed decision is counted and
+// recorded as one adapt-decision flight event on the hosting engine (on
+// every engine for a cluster-wide sampling switch). One that is not — its
+// engine is down, or the log refused the fault — is left for the caller to
+// hand back to the controller.
+func (c *Cluster) applyAdaptDecision(d AdaptDecision, slots []slotView) bool {
+	ev := trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Component: d.Component, Wire: -1,
+		Note: fmt.Sprintf("%s: %s", d.Kind, d.Cause)}
 	switch d.Kind {
 	case adapt.KindSampling:
-		c.proposeSampleN(d.SampleN)
+		if !c.schedule.Propose(d.SampleN, d.EffectiveVT) {
+			return false
+		}
+		c.ctl.sampleN.Set(int64(d.SampleN))
+		c.ctl.sampleEpochs.Inc()
 		for _, s := range slots {
-			if s.slot.rec != nil {
-				s.slot.rec.Record(trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Wire: -1, Note: note})
-			}
+			s.slot.rec.Record(ev)
 		}
 	case adapt.KindRecalibrate:
 		v, err := c.componentEngine(d.Component)
 		if err != nil {
-			return
+			return false
 		}
-		fault := estimator.Fault{EffectiveVT: vt.Time(d.EffectiveVT), Coeffs: d.Coeffs}
+		fault := estimator.Fault{EffectiveVT: d.EffectiveVT, Coeffs: d.Coeffs}
 		if err := v.eng.CommitEstimatorFault(d.Component, fault); err != nil {
-			return // e.g. racing an earlier fault at a later VT; next poll retries
+			return false
 		}
 		c.ctl.recalibrations.Inc()
 		v.eng.Metrics().Registry().DeterminismFaults(d.Component, "adapt-recalibrate").Inc()
-		if v.slot.rec != nil {
-			v.slot.rec.Record(trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Component: d.Component, Wire: -1, Note: note})
-		}
+		v.slot.rec.Record(ev)
 	case adapt.KindSilence:
 		v, err := c.componentEngine(d.Component)
 		if err != nil {
-			return
+			return false
 		}
-		if err := v.eng.CommitSilenceFault(d.Component, d.Silence, vt.Time(d.EffectiveVT)); err != nil {
-			return
+		if err := v.eng.CommitSilenceFault(d.Component, d.Silence, d.EffectiveVT); err != nil {
+			return false
 		}
 		v.eng.Metrics().Registry().DeterminismFaults(d.Component, "adapt-silence").Inc()
-		if v.slot.rec != nil {
-			v.slot.rec.Record(trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Component: d.Component, Wire: -1, Note: note})
-		}
+		v.slot.rec.Record(ev)
 	}
+	c.ctl.decisions(d.Kind).Inc()
+	return true
 }
 
 // AdaptStatus snapshots the adaptive runtime: per-component residuals and
@@ -496,26 +379,28 @@ func (c *Cluster) totalDelivered() int64 {
 	return total
 }
 
-// maxNowVT returns the most advanced live virtual-time frontier — the
-// point new epoch boundaries must be scheduled beyond. Component scheduler
-// clocks are included because manual-clock deployments keep the engine
-// clock pinned while schedulers advance with processed messages.
+// maxNowVT returns the most advanced virtual-time frontier any engine
+// incarnation has reached — the point new epoch boundaries must be
+// scheduled beyond. A recovered engine replays from its checkpoint, and a
+// boundary inside the range it re-executes would change outputs its
+// predecessor already emitted, so failed and earlier incarnations count.
 func (c *Cluster) maxNowVT() vt.Time {
 	now := vt.Zero
-	for _, s := range c.liveSlots() {
-		now = max(now, s.eng.NowVT())
-		for _, comp := range s.eng.Hosted() {
-			now = max(now, s.eng.ComponentVT(comp))
-		}
+	for _, s := range c.slots() {
+		now = max(now, s.reached, frontierOf(s.eng))
 	}
 	return now
 }
 
-func nextPow2(v uint64) uint64 {
-	if v <= 1 {
-		return 1
+// frontierOf is an engine's virtual-time frontier. Component scheduler
+// clocks are included because manual-clock deployments keep the engine
+// clock pinned while schedulers advance with processed messages.
+func frontierOf(eng *engine.Engine) vt.Time {
+	now := eng.NowVT()
+	for _, comp := range eng.Hosted() {
+		now = max(now, eng.ComponentVT(comp))
 	}
-	return 1 << bits.Len64(v-1)
+	return now
 }
 
 // drainOTLP hands the exporter every span past each collector's watermark:

@@ -402,7 +402,7 @@ func payloadsOf(outs []tart.Output) []string {
 // TestAdaptiveSamplingSurvivesFailover holds traffic far above the span
 // budget across a Fail/Recover. Delivery counts restart with every engine
 // incarnation, so the controller must read the recovered slot's lower count
-// as a restart: taken as a negative rate, it would drop the modulus to MinN
+// as a restart: taken as a negative rate, it would drop the modulus to 1/1
 // and trace every origin.
 func TestAdaptiveSamplingSurvivesFailover(t *testing.T) {
 	app := tart.NewApp()
@@ -411,7 +411,7 @@ func TestAdaptiveSamplingSurvivesFailover(t *testing.T) {
 	app.SinkFrom("out", "echo", "out")
 	app.PlaceAll("main")
 	// Half a span a second: any poll window with a delivery in it needs N > 1.
-	cluster, err := tart.Launch(app, tart.WithAdaptiveSpanSampling(tart.AdaptiveSampling{
+	cluster, err := tart.Launch(app, tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{
 		SpansPerSec: 0.5,
 		PollEvery:   50 * time.Millisecond,
 		Quantum:     tart.Ticks(time.Millisecond),

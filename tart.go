@@ -224,7 +224,6 @@ const (
 	EvSourceEmit         = trace.EvSourceEmit
 	EvPeerUp             = trace.EvPeerUp
 	EvPeerDown           = trace.EvPeerDown
-	EvSampleEpoch        = trace.EvSampleEpoch
 	EvAdaptDecision      = trace.EvAdaptDecision
 )
 
