@@ -98,7 +98,7 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 	}
 
 	hasKind := func(kind string) bool {
-		for _, d := range cluster.AdaptDecisions() {
+		for _, d := range cluster.AdaptStatus().Decisions {
 			if string(d.Kind) == kind {
 				return true
 			}
@@ -125,7 +125,7 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 		time.Sleep(4 * time.Millisecond)
 	}
 	if !hasKind("recalibrate") {
-		t.Fatalf("no recalibration decision fired; decisions: %v", cluster.AdaptDecisions())
+		t.Fatalf("no recalibration decision fired; decisions: %v", cluster.AdaptStatus().Decisions)
 	}
 
 	// Phase 2: hold the merger blocked on sender2's wire (in2's silence
@@ -144,7 +144,7 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 		time.Sleep(4 * time.Millisecond)
 	}
 	if !hasKind("silence") {
-		t.Fatalf("no silence decision fired; decisions: %v", cluster.AdaptDecisions())
+		t.Fatalf("no silence decision fired; decisions: %v", cluster.AdaptStatus().Decisions)
 	}
 
 	// Push every engine clock well past the last decision's epoch boundary
@@ -177,13 +177,13 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 			t.Fatalf("worker delivered %d of %d jobs", done.Load(), jobsSent)
 		}
 	}
-	decisions := cluster.AdaptDecisions()
+	decisions := cluster.AdaptStatus().Decisions
 	var want tart.AdaptDecision
 	for _, d := range decisions {
 		if d.EffectiveVT <= 0 || int64(d.EffectiveVT)%quantum != 0 {
 			t.Errorf("decision %v effective VT %v is off the %dns epoch grid", d, d.EffectiveVT, quantum)
 		}
-		if d.Kind == tart.AdaptRecalibrate && d.EffectiveVT <= lastQ {
+		if d.Kind == "recalibrate" && d.EffectiveVT <= lastQ {
 			want = d
 		}
 	}
@@ -191,15 +191,21 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 		t.Fatalf("no recalibration takes effect by %v; decisions: %v", lastQ, decisions)
 	}
 
+	coeffsOf := func(component string) []float64 {
+		for _, cs := range cluster.AdaptStatus().Components {
+			if cs.Component == component {
+				return cs.Coeffs
+			}
+		}
+		return nil
+	}
+
 	// Capture the adapted state once it is in force on the live engine.
 	var coeffsBefore []float64
 	var silenceBefore tart.SilenceConfig
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		coeffsBefore, err = cluster.EstimatorCoeffs("worker")
-		if err != nil {
-			t.Fatal(err)
-		}
+		coeffsBefore = coeffsOf("worker")
 		silenceBefore, err = cluster.SilenceConfigOf("sender2")
 		if err != nil {
 			t.Fatal(err)
@@ -229,10 +235,7 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 
 	deadline = time.Now().Add(15 * time.Second)
 	for {
-		coeffsAfter, err := cluster.EstimatorCoeffs("worker")
-		if err != nil {
-			t.Fatal(err)
-		}
+		coeffsAfter := coeffsOf("worker")
 		silenceAfter, err := cluster.SilenceConfigOf("sender2")
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +252,7 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 
 	// The decision log itself is cluster state and must be unperturbed by
 	// the failover (the engines re-derive effects, never decisions).
-	if got := cluster.AdaptDecisions(); len(got) < len(decisions) {
+	if got := cluster.AdaptStatus().Decisions; len(got) < len(decisions) {
 		t.Fatalf("decision ring shrank across recovery: %d -> %d", len(decisions), len(got))
 	}
 }

@@ -87,6 +87,90 @@ func TestDynamicSilenceStrategySwitch(t *testing.T) {
 	}
 }
 
+// TestManualSilenceSwitchSurvivesFailover: a manual strategy switch is
+// logged like an adaptive one, so the replacement engine re-derives it from
+// the stable log instead of reverting to the launch strategy.
+func TestManualSilenceSwitchSurvivesFailover(t *testing.T) {
+	app := tart.NewApp()
+	app.Register("merger", &relay{}, tart.WithSilence(tart.Lazy))
+	app.SourceInto("in", "merger", "in")
+	app.SinkFrom("out", "merger", "out")
+	app.PlaceAll("main")
+	cluster, err := tart.Launch(app, tart.WithManualClock(func() tart.VirtualTime { return 0 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+
+	if err := cluster.SetSilenceStrategy("merger", tart.Curiosity); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Checkpoint("main"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Fail("main"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Recover("main"); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := cluster.SilenceConfigOf("merger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Strategy != tart.Curiosity {
+		t.Errorf("after failover the merger runs %v, want the manually switched %v", cfg.Strategy, tart.Curiosity)
+	}
+}
+
+// TestConcurrentRecoverStartsOneIncarnation: callers racing to recover one
+// failed engine (the supervisor and an operator, say) start exactly one
+// replacement; the others are refused rather than starting a second engine
+// over the same log and replica.
+func TestConcurrentRecoverStartsOneIncarnation(t *testing.T) {
+	app := tart.NewApp()
+	app.Register("merger", &relay{})
+	app.SourceInto("in", "merger", "in")
+	app.SinkFrom("out", "merger", "out")
+	app.PlaceAll("main")
+	cluster, err := tart.Launch(app, tart.WithManualClock(func() tart.VirtualTime { return 0 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	if _, err := cluster.Checkpoint("main"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Fail("main"); err != nil {
+		t.Fatal(err)
+	}
+
+	const callers = 8
+	errs := make(chan error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs <- cluster.Recover("main")
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	recovered := 0
+	for err := range errs {
+		if err == nil {
+			recovered++
+		}
+	}
+	if recovered != 1 {
+		t.Errorf("%d of %d concurrent Recover calls started an incarnation, want exactly 1", recovered, callers)
+	}
+}
+
 // vault is a component that manages its own serialization via Snapshotter.
 type vault struct {
 	mu       sync.Mutex

@@ -137,12 +137,6 @@ func (a *App) SourceInto(source, to, toPort string) { a.b.AddSource(source, to, 
 // port.
 func (a *App) SinkFrom(sink, from, fromPort string) { a.b.AddSink(sink, from, fromPort) }
 
-// SetDelay overrides the deterministic communication-delay estimate of the
-// wire leaving `from`'s output port (defaults: 1 µs local, 200 µs remote).
-func (a *App) SetDelay(from, fromPort string, d time.Duration) {
-	a.b.SetDelay(from, fromPort, vt.FromDuration(d))
-}
-
 // Place assigns a component to a named engine.
 func (a *App) Place(component, engineName string) { a.b.Place(component, engineName) }
 

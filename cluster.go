@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -273,6 +272,7 @@ type engineSlot struct {
 	gen       uint64                  // incarnation fencing token, bumped on Recover
 	startedAt time.Time               // when the current incarnation started
 	failed    bool
+	inRecover bool    // a Recover call owns the slot
 	reached   vt.Time // VT frontier earlier incarnations reached (set by Recover)
 
 	// Control-loop state, each touched only by its own loop (and by Stop's
@@ -826,6 +826,18 @@ func (c *Cluster) Recover(engineName string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("tart: engine %q has not failed", engineName)
 	}
+	if slot.inRecover {
+		c.mu.Unlock()
+		return fmt.Errorf("tart: engine %q is already recovering", engineName)
+	}
+	// Claimed until this call returns: two incarnations started over one
+	// log and one replica would both run, and only one would be stopped.
+	slot.inRecover = true
+	defer func() {
+		c.mu.Lock()
+		slot.inRecover = false
+		c.mu.Unlock()
+	}()
 	slot.reached = max(slot.reached, reached)
 	// Each incarnation gets a strictly larger generation; peers fence
 	// handshakes below their max-seen, so the dead engine's zombie (should
@@ -873,13 +885,19 @@ func (c *Cluster) Recover(engineName string) error {
 // at runtime. Lazy, Curiosity, and Aggressive can be changed freely —
 // silence communication never affects behaviour (paper §II.G.4); switching
 // hyper-aggressive bias on or off is rejected because it changes output
-// virtual times (it would need a logged determinism fault).
+// virtual times. The switch is logged as a determinism fault at the
+// component's current clock, so a recovered engine re-derives it from the
+// stable log like an adaptive one.
 func (c *Cluster) SetSilenceStrategy(component string, strategy SilenceStrategy) error {
-	sch, err := c.scheduler(component)
+	eng, sch, err := c.scheduler(component)
 	if err != nil {
 		return err
 	}
-	return sch.SetSilence(silence.Config{Strategy: strategy})
+	next := silence.Config{Strategy: strategy}
+	if err := silence.CheckSwitch(sch.SilenceConfig(), next); err != nil {
+		return err
+	}
+	return eng.CommitSilenceFault(component, next, sch.Clock())
 }
 
 // SilenceConfigOf reports the silence configuration currently in force on
@@ -888,40 +906,25 @@ func (c *Cluster) SetSilenceStrategy(component string, strategy SilenceStrategy)
 // configuration from the stable log, so comparing this across a failover
 // is the replica-consistency check for adaptive decisions.
 func (c *Cluster) SilenceConfigOf(component string) (SilenceConfig, error) {
-	sch, err := c.scheduler(component)
+	_, sch, err := c.scheduler(component)
 	if err != nil {
 		return SilenceConfig{}, err
 	}
 	return sch.SilenceConfig(), nil
 }
 
-// scheduler returns a component's scheduler in its engine's current
+// scheduler returns a component's scheduler and its engine's current
 // incarnation.
-func (c *Cluster) scheduler(component string) (*sched.Scheduler, error) {
+func (c *Cluster) scheduler(component string) (*engine.Engine, *sched.Scheduler, error) {
 	v, err := c.componentEngine(component)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sch, ok := v.eng.Scheduler(component)
 	if !ok {
-		return nil, fmt.Errorf("tart: component %q not hosted on %q", component, v.slot.name)
+		return nil, nil, fmt.Errorf("tart: component %q not hosted on %q", component, v.slot.name)
 	}
-	return sch, nil
-}
-
-// EstimatorCoeffs reports the coefficients a component's calibrated
-// estimator has in force at its engine's current virtual time (nil when
-// the component uses a static estimator).
-func (c *Cluster) EstimatorCoeffs(component string) ([]float64, error) {
-	v, err := c.componentEngine(component)
-	if err != nil {
-		return nil, err
-	}
-	cal, ok := v.eng.Calibrated(component)
-	if !ok {
-		return nil, nil
-	}
-	return cal.Coeffs(v.eng.ComponentVT(component)), nil
+	return v.eng, sch, nil
 }
 
 // Metrics returns the named engine's runtime counters.
@@ -941,20 +944,6 @@ func (c *Cluster) MetricFamilies(engineName string) ([]MetricFamily, error) {
 		return nil, err
 	}
 	return v.eng.Metrics().Registry().Gather(), nil
-}
-
-// MetricsText renders the named engine's labeled metrics in Prometheus
-// text exposition format — the same bytes its /metrics endpoint serves.
-func (c *Cluster) MetricsText(engineName string) (string, error) {
-	v, err := c.slot(engineName)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	if err := v.eng.Metrics().Registry().WritePrometheus(&b); err != nil {
-		return "", err
-	}
-	return b.String(), nil
 }
 
 // TraceEvents returns the named engine's most recent flight-recorder
@@ -991,18 +980,6 @@ func (c *Cluster) DebugAddr(engineName string) (string, error) {
 		return "", err
 	}
 	return v.eng.DebugAddr(), nil
-}
-
-// FlightDumpPath returns where the named engine writes its flight-recorder
-// dump ("" when WithFlightRecorder was not given a directory).
-func (c *Cluster) FlightDumpPath(engineName string) (string, error) {
-	if _, err := c.slot(engineName); err != nil {
-		return "", err
-	}
-	if c.cfg.flightDir == "" {
-		return "", nil
-	}
-	return filepath.Join(c.cfg.flightDir, engineName+"-flight.jsonl"), nil
 }
 
 // Engines lists the cluster's engine names.
@@ -1165,9 +1142,6 @@ type Source struct {
 	name   string
 	engine string
 }
-
-// Name returns the source name.
-func (s *Source) Name() string { return s.name }
 
 func (s *Source) current() (*engine.Source, error) {
 	v, err := s.c.liveEngine(s.engine)

@@ -265,7 +265,7 @@ func TestSLODegradationHoldsAgainstSpanBudget(t *testing.T) {
 		return false
 	}
 	if !trickle(5*time.Second, func() bool { return newestN() == degradedN }) {
-		t.Fatalf("sampling never degraded: epochs %+v, decisions %v", cluster.SampleEpochs(), cluster.AdaptDecisions())
+		t.Fatalf("sampling never degraded: epochs %+v, decisions %v", cluster.SampleEpochs(), cluster.AdaptStatus().Decisions)
 	}
 	trickle(8*poll, func() bool {
 		if n := newestN(); n < degradedN {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -218,7 +219,7 @@ func run() error {
 	fmt.Printf("\npost-recovery message processed: %s\n", last)
 	fmt.Println("recovery was transparent: same state, same outputs, no lost or reordered work")
 
-	printRecoveryStory(cluster)
+	printRecoveryStory(cluster, filepath.Join(flightDir, "node-flight.jsonl"))
 	printSpanTimeline(cluster)
 
 	if *linger > 0 {
@@ -271,7 +272,7 @@ func printSpanTimeline(cluster *tart.Cluster) {
 // the checkpoint, the replica activation, the replayed inputs, and the
 // duplicate deliveries the dedup layer absorbed — in virtual-time order as
 // the recorder captured them.
-func printRecoveryStory(cluster *tart.Cluster) {
+func printRecoveryStory(cluster *tart.Cluster, dumpPath string) {
 	events, err := cluster.TraceEvents("node", 0)
 	if err != nil {
 		return
@@ -304,9 +305,7 @@ func printRecoveryStory(cluster *tart.Cluster) {
 	} else {
 		fmt.Printf("determinism audit: %d fault(s) — replay DIVERGED from the original run\n", faults)
 	}
-	if path, err := cluster.FlightDumpPath("node"); err == nil && path != "" {
-		if _, err := os.Stat(path); err == nil {
-			fmt.Printf("full dump written to %s\n", path)
-		}
+	if _, err := os.Stat(dumpPath); err == nil {
+		fmt.Printf("full dump written to %s\n", dumpPath)
 	}
 }

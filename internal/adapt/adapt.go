@@ -658,8 +658,3 @@ func (c *Controller) StrategyOf(component string) (silence.Config, bool) {
 	}
 	return st.current, true
 }
-
-// Decisions returns the retained decision ring, oldest first.
-func (c *Controller) Decisions() []Decision {
-	return append([]Decision(nil), c.decisions...)
-}

@@ -126,8 +126,8 @@ func TestBlameEscalatesAndRecovers(t *testing.T) {
 	// The engine does not commit it: the step is taken back, leaves the
 	// decision ring, and the next step proposes it again.
 	c.Reject(ds[0])
-	if cfg, _ := c.StrategyOf("sender2"); cfg.Strategy != silence.Lazy || len(c.Decisions()) != 0 {
-		t.Fatalf("after reject: strategy %v, decisions %v", cfg.Strategy, c.Decisions())
+	if cfg, _ := c.StrategyOf("sender2"); cfg.Strategy != silence.Lazy || len(c.Status(nil).Decisions) != 0 {
+		t.Fatalf("after reject: strategy %v, decisions %v", cfg.Strategy, c.Status(nil).Decisions)
 	}
 	ds = c.Step(blame(0.200))
 	if len(ds) != 1 || ds[0].Silence.Strategy != silence.Aggressive {

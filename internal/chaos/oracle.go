@@ -304,11 +304,3 @@ func emitWithRetry(src *tart.Source, t tart.VirtualTime, payload any, deadline t
 		}
 	}
 }
-
-// MetricsText renders the controller's chaos counters (exposed for
-// harnesses that scrape rather than inspect Events).
-func (c *Controller) MetricsText() string {
-	var b strings.Builder
-	_ = c.reg.WritePrometheus(&b)
-	return b.String()
-}

@@ -418,10 +418,9 @@ func (e *Engine) CommitEstimatorFault(component string, fault estimator.Fault) e
 
 // CommitSilenceFault logs a silence-configuration change as a determinism
 // fault and schedules it to take effect at the given virtual-time epoch
-// boundary. Every adaptive strategy switch goes through here — even ones
-// that would pass the SetConfig guard — so replay and replicas re-derive
-// the identical per-wire strategy sequence from the log instead of
-// re-running the control loop.
+// boundary. Every strategy switch goes through here, adaptive or manual,
+// so replay and replicas re-derive the identical per-wire strategy
+// sequence from the log instead of re-running the control loop.
 func (e *Engine) CommitSilenceFault(component string, cfg silence.Config, at vt.Time) error {
 	h, ok := e.comps[component]
 	if !ok {

@@ -61,7 +61,7 @@ func registerReq() {
 }
 
 // Gate routes each request by key to one of the shards. A named struct
-// (not a ComponentFunc) so checkpoints can gob-capture it — chaos runs
+// (not a bare function) so checkpoints can gob-capture it — chaos runs
 // checkpoint every component at launch and on the periodic cadence.
 type Gate struct {
 	Shards uint64
@@ -278,7 +278,7 @@ func Run(opts Options) (*Result, error) {
 	}
 	registerReq()
 
-	tracker := slo.NewTracker(opts.Objectives, opts.Budget)
+	tracker := tart.NewSLOTracker(opts.Objectives, opts.Budget)
 	app := buildApp(sc, opts.Engines)
 
 	copts := []tart.ClusterOption{
@@ -454,7 +454,7 @@ func Run(opts Options) (*Result, error) {
 	}
 	res.SampleEpochs = cluster.SampleEpochs()
 	if opts.Adapt {
-		res.AdaptDecisions = cluster.AdaptDecisions()
+		res.AdaptDecisions = cluster.AdaptStatus().Decisions
 		res.AdaptQuantum = AdaptQuantumVT
 	}
 	res.OTLP = cluster.OTLPStats()

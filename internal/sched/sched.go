@@ -315,22 +315,6 @@ func (s *Scheduler) Clock() vt.Time {
 	return s.clock
 }
 
-// SetSilence switches the component's silence-propagation discipline at
-// runtime (allowed without a determinism fault for lazy/curiosity/
-// aggressive; rejected when it would change a hyper-aggressive bias,
-// §II.G.4). The worker is poked so a newly eager strategy takes effect
-// immediately.
-func (s *Scheduler) SetSilence(cfg silence.Config) error {
-	s.mu.Lock()
-	err := s.gov.SetConfig(cfg)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.wake()
-	return nil
-}
-
 // silenceEpoch is one logged silence-strategy fault waiting for its
 // VT-quantized effective boundary.
 type silenceEpoch struct {
@@ -339,11 +323,11 @@ type silenceEpoch struct {
 }
 
 // ApplySilenceEpoch installs a silence configuration on behalf of a logged
-// determinism fault (§II.G.4), bypassing SetSilence's bias guard. The
-// configuration takes effect when the component clock first reaches at;
-// boundaries the clock has already passed apply immediately (the restore
-// path re-deriving past decisions). Callers must have appended the
-// corresponding fault record to the synchronous log first.
+// determinism fault (§II.G.4). The configuration takes effect when the
+// component clock first reaches at; boundaries the clock has already passed
+// apply immediately (a manual switch, or the restore path re-deriving past
+// decisions). Callers must have appended the corresponding fault record to
+// the synchronous log first.
 func (s *Scheduler) ApplySilenceEpoch(cfg silence.Config, at vt.Time) {
 	s.mu.Lock()
 	if s.clock >= at {

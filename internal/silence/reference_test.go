@@ -215,14 +215,10 @@ func TestGovernorMatchesReference(t *testing.T) {
 				if !slices.Equal(scratch, want) {
 					t.Fatalf("%s: Advance = %+v, want %+v", where, scratch, want)
 				}
-			default: // strategy switch: SetConfig where allowed, else a logged fault
+			default: // strategy switch, installed as a logged fault installs it
 				next := configs[rng.Intn(len(configs))]
-				if err := viaMap.SetConfig(next); err != nil {
-					viaMap.ApplyFault(next)
-					viaPull.ApplyFault(next)
-				} else if err := viaPull.SetConfig(next); err != nil {
-					t.Fatalf("%s: SetConfig accepted by one governor, rejected by the other: %v", where, err)
-				}
+				viaMap.ApplyFault(next)
+				viaPull.ApplyFault(next)
 				ref.cfg = next.withDefaults()
 			}
 			for _, g := range []*Governor{viaMap, viaPull} {

@@ -204,34 +204,29 @@ func (g *Governor) Strategy() Strategy { return g.cfg.Strategy }
 // Config returns the governor's effective (defaulted) configuration.
 func (g *Governor) Config() Config { return g.cfg }
 
-// SetConfig switches the silence-propagation discipline at runtime. Lazy,
-// Curiosity, and Aggressive may be mixed and changed freely — how silence
-// is *communicated* has no effect on behaviour (§II.G.4). Changing
-// hyper-aggressive bias, however, alters which future ticks may carry data
-// (it is part of the estimator), so any change that introduces, removes,
-// or modifies a non-zero bias is rejected: it must go through a logged
-// determinism fault instead.
-func (g *Governor) SetConfig(cfg Config) error {
-	cfg = cfg.withDefaults()
-	oldBias, newBias := vt.Ticks(0), vt.Ticks(0)
-	if g.cfg.Strategy == HyperAggressive {
-		oldBias = g.cfg.Bias
+// CheckSwitch reports whether a component running cur may switch to next.
+// Lazy, Curiosity, and Aggressive may be mixed and changed freely — how
+// silence is *communicated* has no effect on behaviour (§II.G.4).
+// Changing hyper-aggressive bias, however, alters which future ticks may
+// carry data (it is part of the estimator), so any switch that introduces,
+// removes, or modifies a non-zero bias is rejected.
+func CheckSwitch(cur, next Config) error {
+	bias := func(c Config) vt.Ticks {
+		if c = c.withDefaults(); c.Strategy == HyperAggressive {
+			return c.Bias
+		}
+		return 0
 	}
-	if cfg.Strategy == HyperAggressive {
-		newBias = cfg.Bias
+	if oldBias, newBias := bias(cur), bias(next); oldBias != newBias {
+		return fmt.Errorf("silence: changing hyper-aggressive bias (%v -> %v) affects output virtual times", oldBias, newBias)
 	}
-	if oldBias != newBias {
-		return fmt.Errorf("silence: changing hyper-aggressive bias (%v -> %v) affects output virtual times and requires a determinism fault", oldBias, newBias)
-	}
-	g.cfg = cfg
 	return nil
 }
 
 // ApplyFault installs a configuration on behalf of a logged determinism
-// fault, bypassing SetConfig's bias guard. Callers must have appended the
-// corresponding fault record to the synchronous log first (§II.G.4) —
-// this is the apply half of the log-then-apply discipline, mirroring
-// estimator.Calibrated.Apply.
+// fault. Callers must have appended the corresponding fault record to the
+// synchronous log first (§II.G.4) — this is the apply half of the
+// log-then-apply discipline, mirroring estimator.Calibrated.Apply.
 func (g *Governor) ApplyFault(cfg Config) {
 	g.cfg = cfg.withDefaults()
 }

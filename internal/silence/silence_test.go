@@ -199,33 +199,28 @@ func TestGovernorMultipleWiresSortedOutput(t *testing.T) {
 }
 
 func TestSetConfigRules(t *testing.T) {
-	// Mixing lazy/curiosity/aggressive freely is allowed (§II.G.4).
-	g := NewGovernor(Config{Strategy: Lazy})
-	if err := g.SetConfig(Config{Strategy: Curiosity}); err != nil {
-		t.Errorf("lazy->curiosity rejected: %v", err)
-	}
-	if err := g.SetConfig(Config{Strategy: Aggressive, Stride: 10}); err != nil {
-		t.Errorf("curiosity->aggressive rejected: %v", err)
-	}
-	if g.Strategy() != Aggressive {
-		t.Errorf("strategy = %v", g.Strategy())
-	}
-	// Zero-bias hyper is communication-only, so it may be switched to.
-	if err := g.SetConfig(Config{Strategy: HyperAggressive, Bias: 0}); err != nil {
-		t.Errorf("hyper with zero bias rejected: %v", err)
-	}
-	// Introducing a bias changes output VTs — needs a determinism fault.
-	if err := g.SetConfig(Config{Strategy: HyperAggressive, Bias: 500}); err == nil {
-		t.Error("introducing a bias accepted without a determinism fault")
-	}
-	// Removing a bias likewise.
-	g2 := NewGovernor(Config{Strategy: HyperAggressive, Bias: 500})
-	if err := g2.SetConfig(Config{Strategy: Curiosity}); err == nil {
-		t.Error("removing a bias accepted without a determinism fault")
-	}
-	// Keeping the identical bias while hyper is fine (stride is free).
-	if err := g2.SetConfig(Config{Strategy: HyperAggressive, Bias: 500, Stride: 7}); err != nil {
-		t.Errorf("same-bias reconfig rejected: %v", err)
+	for _, c := range []struct {
+		name      string
+		cur, next Config
+		ok        bool
+	}{
+		// Mixing lazy/curiosity/aggressive freely is allowed (§II.G.4).
+		{"lazy->curiosity", Config{Strategy: Lazy}, Config{Strategy: Curiosity}, true},
+		{"curiosity->aggressive", Config{Strategy: Curiosity}, Config{Strategy: Aggressive, Stride: 10}, true},
+		// Zero-bias hyper is communication-only, so it may be switched to.
+		{"aggressive->hyper without bias", Config{Strategy: Aggressive}, Config{Strategy: HyperAggressive}, true},
+		// Introducing a bias changes output VTs.
+		{"introduce bias", Config{Strategy: HyperAggressive}, Config{Strategy: HyperAggressive, Bias: 500}, false},
+		// Removing a bias likewise.
+		{"remove bias", Config{Strategy: HyperAggressive, Bias: 500}, Config{Strategy: Curiosity}, false},
+		// Keeping the identical bias while hyper is fine (stride is free).
+		{"same bias", Config{Strategy: HyperAggressive, Bias: 500}, Config{Strategy: HyperAggressive, Bias: 500, Stride: 7}, true},
+		// A bias only counts under hyper-aggressive.
+		{"bias outside hyper", Config{Strategy: Aggressive, Bias: 500}, Config{Strategy: Lazy}, true},
+	} {
+		if err := CheckSwitch(c.cur, c.next); (err == nil) != c.ok {
+			t.Errorf("%s: CheckSwitch = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }
 

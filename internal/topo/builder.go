@@ -11,8 +11,7 @@ import (
 
 // Default deterministic communication-delay estimates, in ticks (ns).
 // Local wires stay inside one engine (negligible delay, per the paper's
-// worked example); remote wires cross engines. Both are overridable per
-// wire via the builder's delay options.
+// worked example); remote wires cross engines.
 const (
 	DefaultLocalDelay  vt.Ticks = 1_000   // 1 µs
 	DefaultRemoteDelay vt.Ticks = 200_000 // 200 µs
@@ -24,8 +23,7 @@ const (
 // code does this naturally).
 type Builder struct {
 	t         *Topology
-	delays    map[msg.WireID]vt.Ticks // explicit per-wire overrides
-	placement map[string]string       // component name -> engine
+	placement map[string]string // component name -> engine
 	errs      []error
 }
 
@@ -37,7 +35,6 @@ func NewBuilder() *Builder {
 			sources: make(map[string]*Source),
 			sinks:   make(map[string]*Sink),
 		},
-		delays:    make(map[msg.WireID]vt.Ticks),
 		placement: make(map[string]string),
 	}
 }
@@ -155,29 +152,6 @@ func (b *Builder) PlaceAll(engine string) {
 	}
 }
 
-// SetDelay overrides the communication-delay estimate of the wire feeding
-// the named input of `to` from the named output port of `from`. It must be
-// called after the corresponding Connect.
-func (b *Builder) SetDelay(from, fromPort string, delay vt.Ticks) {
-	fc := b.lookup(from)
-	if fc == nil {
-		return
-	}
-	wid, ok := fc.Outputs[fromPort]
-	if !ok {
-		b.errs = append(b.errs, fmt.Errorf("topo: SetDelay: %s.%s is not a connected output port", from, fromPort))
-		return
-	}
-	if delay < 1 {
-		b.errs = append(b.errs, fmt.Errorf("topo: delay must be >= 1 tick, got %v", delay))
-		return
-	}
-	b.delays[wid] = delay
-	if peer := b.t.wires[wid].Peer; peer >= 0 {
-		b.delays[peer] = delay
-	}
-}
-
 // Build finalizes the topology: applies placement, computes default wire
 // delays (local vs remote), and validates structure. The builder must not
 // be reused afterwards.
@@ -202,10 +176,6 @@ func (b *Builder) Build() (*Topology, error) {
 	sort.Strings(t.engines)
 
 	for _, w := range t.wires {
-		if d, ok := b.delays[w.ID]; ok {
-			w.Delay = d
-			continue
-		}
 		if t.IsLocal(w.ID) {
 			w.Delay = DefaultLocalDelay
 		} else {

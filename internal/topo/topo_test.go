@@ -228,26 +228,6 @@ func TestBuilderErrors(t *testing.T) {
 			setup:   func(b *Builder) { b.AddComponent("x"); b.PlaceAll("e") },
 			wantSub: "no external sources",
 		},
-		{
-			name: "bad delay",
-			setup: func(b *Builder) {
-				b.AddComponent("x")
-				b.AddComponent("y")
-				b.AddSource("s", "x", "i")
-				b.Connect("x", "o", "y", "i")
-				b.SetDelay("x", "o", 0)
-				b.PlaceAll("e")
-			},
-			wantSub: "delay must be",
-		},
-		{
-			name: "delay on unconnected port",
-			setup: func(b *Builder) {
-				b.AddComponent("x")
-				b.SetDelay("x", "nope", 5)
-			},
-			wantSub: "not a connected output port",
-		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -273,7 +253,6 @@ func TestDelaysAndLocality(t *testing.T) {
 	b.AddSource("in2", "s2", "in")
 	b.Connect("s1", "out", "m", "in")
 	b.Connect("s2", "out", "m", "in")
-	b.SetDelay("s2", "out", 777)
 	b.Place("s1", "A")
 	b.Place("s2", "A")
 	b.Place("m", "B")
@@ -282,17 +261,12 @@ func TestDelaysAndLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1, _ := topo.ComponentByName("s1")
-	s2, _ := topo.ComponentByName("s2")
 	w1 := topo.Wire(s1.Outputs["out"])
-	w2 := topo.Wire(s2.Outputs["out"])
 	if topo.IsLocal(w1.ID) {
 		t.Error("cross-engine wire reported local")
 	}
 	if w1.Delay != DefaultRemoteDelay {
 		t.Errorf("remote default delay = %v", w1.Delay)
-	}
-	if w2.Delay != 777 {
-		t.Errorf("explicit delay = %v, want 777", w2.Delay)
 	}
 	// Source wires are local.
 	src, _ := topo.SourceByName("in1")
@@ -378,8 +352,8 @@ func TestReplyWireDelayFollowsRequest(t *testing.T) {
 	b.AddComponent("b")
 	b.AddSource("in", "a", "in")
 	b.ConnectCall("a", "cb", "b", "in")
-	b.SetDelay("a", "cb", 555)
-	b.PlaceAll("e0")
+	b.Place("a", "e0")
+	b.Place("b", "e1")
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +361,7 @@ func TestReplyWireDelayFollowsRequest(t *testing.T) {
 	a, _ := topo.ComponentByName("a")
 	req := topo.Wire(a.Outputs["cb"])
 	rep := topo.Wire(req.Peer)
-	if req.Delay != 555 || rep.Delay != 555 {
-		t.Errorf("call delays = %v/%v, want 555/555", req.Delay, rep.Delay)
+	if req.Delay != DefaultRemoteDelay || rep.Delay != DefaultRemoteDelay {
+		t.Errorf("cross-engine call delays = %v/%v, want %v both ways", req.Delay, rep.Delay, DefaultRemoteDelay)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	tart "repro"
+	"repro/internal/slo"
 )
 
 // auditEcho forwards every input; a named struct so checkpoints can
@@ -191,7 +192,7 @@ func auditExposition(r io.Reader) (map[string]bool, error) {
 
 func mustObjectives(t *testing.T, spec string) []tart.SLOObjective {
 	t.Helper()
-	obj, err := tart.ParseSLOObjectives(spec)
+	obj, err := slo.ParseObjectives(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,21 +26,6 @@ type SLOObjective = slo.Objective
 // the latency objectives.
 type SLOBudgetPolicy = slo.BudgetPolicy
 
-// SLOReport is a full tracker evaluation: per-series quantiles, verdicts,
-// and budget burn.
-type SLOReport = slo.Report
-
-// SLORow is the live evaluation of one series inside an SLOReport.
-type SLORow = slo.Row
-
-// LatencyHistogram is a point-in-time HDR histogram snapshot (per-series,
-// via SLOTracker.SnapshotOf).
-type LatencyHistogram = slo.Snapshot
-
-// ParseSLOObjectives parses a comma-separated objective list such as
-// "p99<50ms,p999<250ms".
-func ParseSLOObjectives(spec string) ([]SLOObjective, error) { return slo.ParseObjectives(spec) }
-
 // NewSLOTracker creates a tracker evaluating the given objectives against
 // every observed series; budget may be nil.
 func NewSLOTracker(objectives []SLOObjective, budget *SLOBudgetPolicy) *SLOTracker {
@@ -83,13 +68,6 @@ type AdaptDecision = adapt.Decision
 // estimator residuals, per-wire silence strategies, and the recent
 // decision ring (served at /adapt and by `tartctl adapt`).
 type AdaptStatus = adapt.Status
-
-// Adaptive-decision kinds.
-const (
-	AdaptRecalibrate = adapt.KindRecalibrate
-	AdaptSilence     = adapt.KindSilence
-	AdaptSampling    = adapt.KindSampling
-)
 
 // AdaptiveRuntime tunes WithAdaptiveRuntime. Zero values pick defaults.
 type AdaptiveRuntime struct {
@@ -354,17 +332,6 @@ func (c *Cluster) AdaptStatus() AdaptStatus {
 	c.adaptMu.Lock()
 	defer c.adaptMu.Unlock()
 	return c.adaptCtl.Status(coeffs)
-}
-
-// AdaptDecisions returns the adaptive runtime's retained decisions, oldest
-// first (nil without WithAdaptiveRuntime).
-func (c *Cluster) AdaptDecisions() []AdaptDecision {
-	if c.adaptCtl == nil {
-		return nil
-	}
-	c.adaptMu.Lock()
-	defer c.adaptMu.Unlock()
-	return c.adaptCtl.Decisions()
 }
 
 // totalDelivered sums delivered-message counts across all engines. Each

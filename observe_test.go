@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -223,12 +224,13 @@ func TestDebugHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// TestMetricsTextPerWire verifies the per-wire metric series the ISSUE's
-// acceptance check curls from a live engine, via the in-process API.
+// TestMetricsTextPerWire verifies the per-wire metric series of a live
+// engine, both as gathered families and as the text its /metrics serves.
 func TestMetricsTextPerWire(t *testing.T) {
 	out := newOutputs()
 	cluster, err := tart.Launch(fig1App(),
-		tart.WithManualClock(func() tart.VirtualTime { return 0 }))
+		tart.WithManualClock(func() tart.VirtualTime { return 0 }),
+		tart.WithDebugHTTP(map[string]string{"main": "127.0.0.1:0"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,12 +274,21 @@ func TestMetricsTextPerWire(t *testing.T) {
 	if _, ok := byName["tart_pessimism_delay_seconds"]; !ok {
 		t.Error("pessimism histogram family missing")
 	}
-	text, err := cluster.MetricsText("main")
+	addr, err := cluster.DebugAddr("main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, `tart_pessimism_delay_seconds_bucket{engine="main"`) {
-		t.Error("MetricsText missing pessimism buckets")
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(text), `tart_pessimism_delay_seconds_bucket{engine="main"`) {
+		t.Error("/metrics missing pessimism buckets")
 	}
 }
 
@@ -362,11 +373,7 @@ func TestFailoverFlightDump(t *testing.T) {
 	}
 
 	// The dump was written at the end of the failover replay.
-	path, err := cluster.FlightDumpPath("node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join(dir, "node-flight.jsonl"))
 	if err != nil {
 		t.Fatalf("flight dump not written: %v", err)
 	}

@@ -343,12 +343,8 @@ func TestFailoverReplayedSpansAndCausalChain(t *testing.T) {
 	// origin: its pre-crash source emission and hops, plus the re-delivery.
 	// Stop first (idempotent) so the shutdown dump includes the replayed
 	// deliveries that landed after the recovery-time dump was written.
-	path, err := cluster.FlightDumpPath("node")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cluster.Stop()
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join(dir, "node-flight.jsonl"))
 	if err != nil {
 		t.Fatalf("flight dump not written: %v", err)
 	}

@@ -29,6 +29,12 @@
 //	cluster.Sink("out", func(o tart.Output) { fmt.Println(o.Payload) })
 //	src.Emit([]string{"hello", "world"})
 //
+// The README's API table lists every export with its methods: App
+// assembles the application, Launch and Reopen start a Cluster, Source and
+// Sink carry external I/O, and the Cluster's reads (MetricFamilies,
+// TraceEvents, Spans, AdaptStatus, RewindRun, Bisect) are the one
+// programmatic read of each signal the debug listener also serves.
+//
 // See the examples directory for failover, pipelines with two-way calls,
 // and multi-engine deployments over TCP.
 package tart
@@ -66,14 +72,6 @@ type Context = sched.Ctx
 // share memory with other components.
 type Component interface {
 	OnMessage(ctx *Context, port string, payload any) (reply any, err error)
-}
-
-// ComponentFunc adapts a stateless function to the Component interface.
-type ComponentFunc func(ctx *Context, port string, payload any) (any, error)
-
-// OnMessage implements Component.
-func (f ComponentFunc) OnMessage(ctx *Context, port string, payload any) (any, error) {
-	return f(ctx, port, payload)
 }
 
 // Features is a deterministic per-message feature vector (the paper's
@@ -146,10 +144,6 @@ type TraceEvent = trace.Event
 // are deterministic, so the same input carries the same OriginID across
 // the original run, replay, and the passive replica.
 type OriginID = msg.OriginID
-
-// NewOrigin packs a source wire ID and input sequence number into an
-// OriginID (see Cluster.TraceEvents / TraceEvent.Origin).
-func NewOrigin(wire int32, seq uint64) OriginID { return msg.NewOrigin(msg.WireID(wire), seq) }
 
 // ParseOrigin parses the "w<wire>#<seq>" rendering of an OriginID.
 func ParseOrigin(s string) (OriginID, error) { return msg.ParseOrigin(s) }
@@ -231,12 +225,6 @@ const (
 // Cluster.MetricFamilies.
 type MetricFamily = trace.MetricFamily
 
-// MetricSeries is one labeled time series inside a MetricFamily.
-type MetricSeries = trace.Series
-
-// MetricLabel is one key=value metric dimension.
-type MetricLabel = trace.Label
-
 // RegisterPayload registers a payload type with the wire/checkpoint codec.
 // Required for payload types that cross engine boundaries or appear in
 // checkpoints that are encoded: shipped between processes, written by
@@ -293,10 +281,6 @@ func NewWALFaultInjector() *WALFaultInjector { return wal.NewInjector() }
 // ErrWALFault reports a stable-log append rejected by an armed
 // WALFaultInjector fault (errors.Is-matchable through Source.Emit/EmitAt).
 var ErrWALFault = wal.ErrInjected
-
-// ErrWALNoSpace reports a stable-log append rejected by an armed ENOSPC
-// fault (errors.Is-matchable as both ErrWALFault and syscall.ENOSPC).
-var ErrWALNoSpace = wal.ErrNoSpace
 
 // ErrSourceShed reports an external input refused because the hosting
 // engine's buffered replay state hit the WithShedLimit bound — typically

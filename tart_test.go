@@ -328,14 +328,21 @@ func TestPeriodicCheckpointingAndFileLogs(t *testing.T) {
 	}
 }
 
+// handlerFunc adapts a stateless function to tart.Component.
+type handlerFunc func(ctx *tart.Context, port string, payload any) (any, error)
+
+func (f handlerFunc) OnMessage(ctx *tart.Context, port string, payload any) (any, error) {
+	return f(ctx, port, payload)
+}
+
 func TestLaunchValidation(t *testing.T) {
 	app := tart.NewApp()
 	if _, err := tart.Launch(app); err == nil {
 		t.Error("empty app launched")
 	}
 	app2 := tart.NewApp()
-	app2.Register("x", tart.ComponentFunc(func(*tart.Context, string, any) (any, error) { return nil, nil }))
-	app2.Register("x", tart.ComponentFunc(func(*tart.Context, string, any) (any, error) { return nil, nil }))
+	app2.Register("x", handlerFunc(func(*tart.Context, string, any) (any, error) { return nil, nil }))
+	app2.Register("x", handlerFunc(func(*tart.Context, string, any) (any, error) { return nil, nil }))
 	app2.SourceInto("in", "x", "i")
 	app2.PlaceAll("e")
 	if _, err := tart.Launch(app2); err == nil {
@@ -343,7 +350,7 @@ func TestLaunchValidation(t *testing.T) {
 	}
 	// Calibration without linear estimator.
 	app3 := tart.NewApp()
-	app3.Register("x", tart.ComponentFunc(func(*tart.Context, string, any) (any, error) { return nil, nil }),
+	app3.Register("x", handlerFunc(func(*tart.Context, string, any) (any, error) { return nil, nil }),
 		tart.WithCalibration(10))
 	app3.SourceInto("in", "x", "i")
 	app3.PlaceAll("e")
@@ -391,14 +398,14 @@ func TestRecoverWithoutCheckpointRejected(t *testing.T) {
 
 func TestCallsThroughPublicAPI(t *testing.T) {
 	app := tart.NewApp()
-	app.Register("front", tart.ComponentFunc(func(ctx *tart.Context, port string, payload any) (any, error) {
+	app.Register("front", handlerFunc(func(ctx *tart.Context, port string, payload any) (any, error) {
 		reply, err := ctx.Call("lookup", payload)
 		if err != nil {
 			return nil, err
 		}
 		return nil, ctx.Send("out", reply)
 	}), tart.WithConstantCost(10*time.Microsecond))
-	app.Register("backend", tart.ComponentFunc(func(ctx *tart.Context, port string, payload any) (any, error) {
+	app.Register("backend", handlerFunc(func(ctx *tart.Context, port string, payload any) (any, error) {
 		return fmt.Sprintf("looked-up:%v", payload), nil
 	}), tart.WithConstantCost(30*time.Microsecond))
 	app.SourceInto("in", "front", "req")

@@ -35,8 +35,8 @@ type TimeTravel struct {
 // archived as a rewind point (a delta checkpoint keeps the points it
 // extends alive, back to its full capture) and the engine's WAL appends
 // are retained until no archived point needs them.
-// Cluster.Rewind/RewindDiff/Bisect/RewindRun answer state questions about
-// the past, `tartctl rewind`/`tartctl bisect` and the /rewind debug
+// Cluster.RewindRun, Bisect and RewindPoints answer state questions about
+// the past; `tartctl rewind`/`tartctl bisect` and the /rewind debug
 // endpoint expose the same over HTTP.
 //
 // Like WithSupervisor, enabling time travel takes an initial checkpoint of
@@ -67,13 +67,6 @@ type RewindResult = inspect.Result
 // RewindPoint describes one archived rewind point.
 type RewindPoint = inspect.PointInfo
 
-// RewindWatchHit reports the first replayed delivery at which a state
-// watchpoint predicate fired.
-type RewindWatchHit = inspect.WatchHit
-
-// StatePredicate is a state watchpoint evaluated during replay.
-type StatePredicate = inspect.Predicate
-
 // BisectReport localizes the first divergent delivery of a replay against
 // the live run's determinism audit record.
 type BisectReport = inspect.BisectReport
@@ -88,29 +81,6 @@ func (c *Cluster) inspector() (*inspect.Inspector, error) {
 		return nil, errors.New("tart: time travel disabled (enable with WithTimeTravel)")
 	}
 	return c.insp, nil
-}
-
-// Rewind reconstructs the named component's state as of virtual time at:
-// the newest archived rewind point at or before the target is restored
-// into a sandboxed replay engine and the retained inputs with VT <= at are
-// deterministically replayed into it. The live cluster is untouched; the
-// replay's outputs are all suppressed.
-func (c *Cluster) Rewind(component string, at VirtualTime) (*RewindState, error) {
-	insp, err := c.inspector()
-	if err != nil {
-		return nil, err
-	}
-	return insp.StateAt(component, at)
-}
-
-// RewindDiff reconstructs the named component's state at two virtual times
-// and compares them (identical iff the audit chains and counts agree).
-func (c *Cluster) RewindDiff(component string, a, b VirtualTime) (*RewindDiff, error) {
-	insp, err := c.inspector()
-	if err != nil {
-		return nil, err
-	}
-	return insp.Diff(component, a, b)
 }
 
 // Bisect replays the named component from the oldest retained rewind point
@@ -156,12 +126,13 @@ func (c *Cluster) rewindInfo(q map[string][]string) (any, error) {
 		}
 		return ""
 	}
+	insp := c.insp // set whenever the listener serves /rewind
 	op := get("op")
 	if op == "" {
 		op = "state"
 	}
 	if op == "points" {
-		return c.RewindPoints(), nil
+		return insp.Points(), nil
 	}
 	comp := get("component")
 	if comp == "" {
@@ -173,7 +144,7 @@ func (c *Cluster) rewindInfo(q map[string][]string) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.Rewind(comp, t)
+		return insp.StateAt(comp, t)
 	case "diff":
 		a, err := parseVTParam(get("vt1"), "vt1")
 		if err != nil {
@@ -183,9 +154,9 @@ func (c *Cluster) rewindInfo(q map[string][]string) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.RewindDiff(comp, a, b)
+		return insp.Diff(comp, a, b)
 	case "bisect":
-		return c.Bisect(comp)
+		return insp.Bisect(comp)
 	default:
 		return nil, fmt.Errorf("unknown op %q (want state, diff, bisect, or points)", op)
 	}

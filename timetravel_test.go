@@ -13,6 +13,7 @@ import (
 	"time"
 
 	tart "repro"
+	"repro/internal/inspect"
 )
 
 // ttCounter accumulates per-key counts; the checkpointable state the
@@ -350,7 +351,7 @@ func TestStateWatchpoint(t *testing.T) {
 		FromSeq: map[string]uint64{
 			"main": points[0].Seq, // replay from the launch baseline
 		},
-		Watch: map[string]tart.StatePredicate{
+		Watch: map[string]inspect.Predicate{
 			"counter": func(state any) bool { return state.(*ttCounter).Sum >= 7 },
 		},
 	})
@@ -484,7 +485,7 @@ func TestRewindAcrossDeltaPoints(t *testing.T) {
 			}
 		}
 	}
-	if _, err := cluster.Rewind("ledger", 1_000_000); !errors.Is(err, tart.ErrRewindTooOld) {
+	if _, err := cluster.RewindRun(tart.RewindOptions{Target: 1_000_000, Components: []string{"ledger"}}); !errors.Is(err, tart.ErrRewindTooOld) {
 		t.Fatalf("rewind before the oldest listed point: want ErrRewindTooOld, got %v", err)
 	}
 }
@@ -575,7 +576,7 @@ func TestRewindBeforeHistory(t *testing.T) {
 	}
 
 	start := time.Now()
-	_, err = cluster.Rewind("counter", 0) // VT 0 predates the oldest survivor
+	_, err = cluster.RewindRun(tart.RewindOptions{Target: 0, Components: []string{"counter"}}) // VT 0 predates the oldest survivor
 	if !errors.Is(err, tart.ErrRewindTooOld) {
 		t.Fatalf("want ErrRewindTooOld, got %v", err)
 	}
@@ -584,9 +585,13 @@ func TestRewindBeforeHistory(t *testing.T) {
 	}
 
 	// The newest retained past is still reachable.
-	st, err := cluster.Rewind("counter", points[len(points)-1].VT)
+	res, err := cluster.RewindRun(tart.RewindOptions{Target: points[len(points)-1].VT, Components: []string{"counter"}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	st := res.States["counter"]
+	if st == nil {
+		t.Fatal("no state reconstructed for counter")
 	}
 	if st.AuditCount != 3 {
 		t.Fatalf("reconstructed counter has %d deliveries, want 3", st.AuditCount)
