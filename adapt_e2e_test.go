@@ -3,7 +3,6 @@ package tart_test
 import (
 	"bufio"
 	"net/http"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -13,52 +12,28 @@ import (
 	tart "repro"
 )
 
-// spinWorker burns real CPU time far in excess of what its estimator
-// charges, so the adaptive runtime's span-driven recalibration has a large
-// residual to correct.
-type spinWorker struct {
-	N    int
-	Spin time.Duration
-}
-
-func (w *spinWorker) OnMessage(ctx *tart.Context, port string, payload any) (any, error) {
-	w.N++
-	start := time.Now()
-	for time.Since(start) < w.Spin {
-	}
-	return nil, ctx.Send("out", w.N)
-}
-
 // TestAdaptiveDecisionsRederivedAfterRecovery is the adaptive runtime's
-// determinism proof: a cluster under WithAdaptiveRuntime takes live control
-// decisions — a span-driven estimator recalibration (the worker's linear
-// estimator charges 20µs for a ~400µs handler) and a blame-driven silence
-// escalation (sender2's wire holds the merger blocked) — then the engine is
-// crashed and recovered. The recovered incarnation must re-derive the
-// identical estimator coefficients and silence configuration purely from
-// the logged determinism faults, without the control loop re-running its
-// (wall-clock-driven, irreproducible) policy. Every decision must carry a
-// VT epoch boundary on the configured quantum grid.
+// determinism proof: a cluster under WithAdaptiveRuntime takes a live
+// blame-driven silence escalation (sender2's wire holds the merger
+// blocked), then the engine is crashed and recovered. The recovered
+// incarnation must re-derive the identical silence configuration purely
+// from the logged determinism fault, without the control loop re-running
+// its (wall-clock-driven, irreproducible) policy. Every decision must carry
+// a VT epoch boundary on the configured quantum grid.
 func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 	const quantum = 1_000_000 // 1ms of virtual time
 
 	app := tart.NewApp()
-	app.Register("worker", &spinWorker{Spin: 400 * time.Microsecond},
-		tart.WithLinearCost(func(any) tart.Features { return tart.Features{1} },
-			[]float64{20_000}, time.Microsecond),
-		tart.WithCalibration(4))
 	app.Register("sender1", &crashCounter{Counts: map[string]int{}},
 		tart.WithConstantCost(40*time.Microsecond))
 	app.Register("sender2", &crashCounter{Counts: map[string]int{}},
 		tart.WithConstantCost(40*time.Microsecond))
 	app.Register("merger", &crashMerger{},
 		tart.WithConstantCost(100*time.Microsecond))
-	app.SourceInto("jobs", "worker", "in")
 	app.SourceInto("in1", "sender1", "in")
 	app.SourceInto("in2", "sender2", "in")
 	app.Connect("sender1", "out", "merger", "s1")
 	app.Connect("sender2", "out", "merger", "s2")
-	app.SinkFrom("done", "worker", "out")
 	app.SinkFrom("out", "merger", "out")
 	app.PlaceAll("node")
 
@@ -66,12 +41,11 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 		tart.WithManualClock(func() tart.VirtualTime { return 0 }),
 		tart.WithSpanTracing(1),
 		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{
-			PollEvery:  10 * time.Millisecond,
-			Quantum:    quantum,
-			MinSamples: 4,
-			MinBlame:   time.Microsecond,
-			// Hold escalations for the test's duration, and stay VT-neutral
-			// so crash-replay equivalence is unconditional.
+			PollEvery: 10 * time.Millisecond,
+			Quantum:   quantum,
+			MinBlame:  time.Microsecond,
+			// Hold the escalation for the test's duration, and stay
+			// VT-neutral so crash-replay equivalence is unconditional.
 			QuietWindows: 10_000,
 			MaxStrategy:  tart.Aggressive,
 		}))
@@ -79,27 +53,23 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
-	var done atomic.Int64 // the worker's outputs, one per job
-	if err := cluster.Sink("done", func(tart.Output) { done.Add(1) }); err != nil {
+	var merged atomic.Int64 // the merger's outputs, one per sender input
+	if err := cluster.Sink("out", func(tart.Output) { merged.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Sink("out", func(tart.Output) {}); err != nil {
-		t.Fatal(err)
-	}
-	jobs, _ := cluster.Source("jobs")
 	in1, _ := cluster.Source("in1")
 	in2, _ := cluster.Source("in2")
 
 	// Checkpoint now, before any decision fires: recovery restores this
-	// pre-adaptation state, so the adapted coefficients and silence
-	// configuration can only come from re-applying the logged faults.
+	// pre-adaptation state, so the adapted silence configuration can only
+	// come from re-applying the logged fault.
 	if _, err := cluster.Checkpoint("node"); err != nil {
 		t.Fatal(err)
 	}
 
-	hasKind := func(kind string) bool {
+	hasSilence := func() bool {
 		for _, d := range cluster.AdaptStatus().Decisions {
-			if string(d.Kind) == kind {
+			if d.Kind == "silence" {
 				return true
 			}
 		}
@@ -108,144 +78,96 @@ func TestAdaptiveDecisionsRederivedAfterRecovery(t *testing.T) {
 
 	round := 0
 	vtOf := func(r int) tart.VirtualTime { return tart.VirtualTime((r + 1) * quantum) }
-	var jobsSent int64
-	emitJob := func(r int) {
-		if err := jobs.EmitAt(vtOf(r), r); err != nil {
+	var sent int64
+	emit := func(src *tart.Source, r int, word string) {
+		if err := src.EmitAt(vtOf(r), word); err != nil {
 			t.Fatal(err)
 		}
-		jobsSent++
+		sent++
 	}
 
-	// Phase 1: drive the mis-estimated worker until the controller commits
-	// a recalibration fault.
-	for ; round < 400 && !hasKind("recalibrate"); round++ {
+	// Hold the merger blocked on sender2's wire (in2's silence arrives a
+	// beat late each round) until a silence escalation commits.
+	for ; round < 400 && !hasSilence(); round++ {
 		v := vtOf(round)
-		emitJob(round)
-		jobs.Quiesce(v + quantum/2)
-		time.Sleep(4 * time.Millisecond)
-	}
-	if !hasKind("recalibrate") {
-		t.Fatalf("no recalibration decision fired; decisions: %v", cluster.AdaptStatus().Decisions)
-	}
-
-	// Phase 2: hold the merger blocked on sender2's wire (in2's silence
-	// arrives a beat late each round) until a silence escalation commits.
-	for ; round < 400 && !hasKind("silence"); round++ {
-		v := vtOf(round)
-		if err := in1.EmitAt(v, "oak"); err != nil {
-			t.Fatal(err)
-		}
+		emit(in1, round, "oak")
 		in1.Quiesce(v + quantum/2)
 		time.Sleep(25 * time.Millisecond) // merger blocked on s2's missing silence
-		if err := in2.EmitAt(v, "elm"); err != nil {
-			t.Fatal(err)
-		}
+		emit(in2, round, "elm")
 		in2.Quiesce(v + quantum/2)
 		time.Sleep(4 * time.Millisecond)
 	}
-	if !hasKind("silence") {
+	if !hasSilence() {
 		t.Fatalf("no silence decision fired; decisions: %v", cluster.AdaptStatus().Decisions)
 	}
 
-	// Push every engine clock well past the last decision's epoch boundary
-	// so the pending epochs apply.
+	// Push every engine clock well past the decision's epoch boundary so
+	// it applies.
 	for end := round + 8; round < end; round++ {
 		v := vtOf(round)
-		emitJob(round)
-		jobs.Quiesce(v + quantum/2)
-		if err := in1.EmitAt(v, "ash"); err != nil {
-			t.Fatal(err)
-		}
-		if err := in2.EmitAt(v, "fir"); err != nil {
-			t.Fatal(err)
-		}
+		emit(in1, round, "ash")
+		emit(in2, round, "fir")
 		in1.Quiesce(v + quantum/2)
 		in2.Quiesce(v + quantum/2)
 	}
 	lastQ := vtOf(round-1) + quantum/2
-
-	// Recovery replays every fault logged at or before lastQ, so the state
-	// to capture is the one the last such decision installs. The worker's
-	// last output means its previous job has run, so the VT frontier is at
-	// least vtOf(round-2): every controller tick that reads it, before or
-	// after the crash (a dead incarnation's frontier still counts), decides
-	// at vtOf(round) or later, past lastQ. A tick that read an older
-	// frontier holds the controller until it has routed its decisions, so
-	// the decision log read after that is complete up to lastQ.
-	for deadline := time.Now().Add(10 * time.Second); done.Load() < jobsSent; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); merged.Load() < sent; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("worker delivered %d of %d jobs", done.Load(), jobsSent)
+			t.Fatalf("merger delivered %d of %d inputs", merged.Load(), sent)
 		}
 	}
 	decisions := cluster.AdaptStatus().Decisions
-	var want tart.AdaptDecision
 	for _, d := range decisions {
 		if d.EffectiveVT <= 0 || int64(d.EffectiveVT)%quantum != 0 {
 			t.Errorf("decision %v effective VT %v is off the %dns epoch grid", d, d.EffectiveVT, quantum)
 		}
-		if d.Kind == "recalibrate" && d.EffectiveVT <= lastQ {
-			want = d
+		if d.Kind == "silence" && d.EffectiveVT > lastQ {
+			t.Fatalf("escalation %v takes effect past the replayed range (%v)", d, lastQ)
 		}
 	}
-	if want.Coeffs == nil {
-		t.Fatalf("no recalibration takes effect by %v; decisions: %v", lastQ, decisions)
-	}
 
-	coeffsOf := func(component string) []float64 {
-		for _, cs := range cluster.AdaptStatus().Components {
-			if cs.Component == component {
-				return cs.Coeffs
-			}
-		}
-		return nil
-	}
-
-	// Capture the adapted state once it is in force on the live engine.
-	var coeffsBefore []float64
+	// Capture the adapted configuration once it is in force on the live
+	// engine.
 	var silenceBefore tart.SilenceConfig
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		coeffsBefore = coeffsOf("worker")
 		silenceBefore, err = cluster.SilenceConfigOf("sender2")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reflect.DeepEqual(coeffsBefore, want.Coeffs) && silenceBefore.Strategy == tart.Aggressive {
+		if silenceBefore.Strategy == tart.Aggressive {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("adapted state never took effect: coeffs=%v (want %v) silence=%+v decisions=%v",
-				coeffsBefore, want.Coeffs, silenceBefore, decisions)
+			t.Fatalf("adapted state never took effect: silence=%+v decisions=%v", silenceBefore, decisions)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
 	// Crash and recover: the new incarnation restores the pre-adaptation
 	// checkpoint, replays the logged input suffix, and re-applies the
-	// logged faults.
+	// logged fault.
 	if err := cluster.Fail("node"); err != nil {
 		t.Fatal(err)
 	}
 	if err := cluster.Recover("node"); err != nil {
 		t.Fatal(err)
 	}
-	jobs.Quiesce(lastQ)
 	in1.Quiesce(lastQ)
 	in2.Quiesce(lastQ)
 
 	deadline = time.Now().Add(15 * time.Second)
 	for {
-		coeffsAfter := coeffsOf("worker")
 		silenceAfter, err := cluster.SilenceConfigOf("sender2")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reflect.DeepEqual(coeffsAfter, coeffsBefore) && silenceAfter == silenceBefore {
+		if silenceAfter == silenceBefore {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("recovered engine did not re-derive the adapted state:\n  coeffs  before %v after %v\n  silence before %+v after %+v",
-				coeffsBefore, coeffsAfter, silenceBefore, silenceAfter)
+			t.Fatalf("recovered engine did not re-derive the adapted state: silence before %+v after %+v",
+				silenceBefore, silenceAfter)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

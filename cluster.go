@@ -275,13 +275,9 @@ type engineSlot struct {
 	inRecover bool    // a Recover call owns the slot
 	reached   vt.Time // VT frontier earlier incarnations reached (set by Recover)
 
-	// Control-loop state, each touched only by its own loop (and by Stop's
-	// final drain once the loops have exited): the span-ID watermarks of the
-	// OTLP exporter and of the adaptive runtime's harvest, and the clock
-	// frontier at the VT-cadence loop's last failed checkpoint (inherited
-	// across Recover: it can only delay one checkpoint by one interval).
-	exported, harvested uint64
-	ckptFailedVT        vt.Time
+	// exported is the OTLP exporter's span-ID watermark, touched only by
+	// its drain loop (and by Stop's final drain once the loops have exited).
+	exported uint64
 }
 
 // Launch builds and starts a cluster from the application.
@@ -631,6 +627,7 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 		FlightDump:         dump,
 		Generation:         slot.gen,
 		PeerGens:           c.peerGens(slot.name),
+		ReplayHorizon:      slot.reached,
 	}
 	if c.sup != nil {
 		sup := c.sup
@@ -641,9 +638,6 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 	}
 	if c.adaptCtl != nil {
 		cfg.AdaptInfo = func() any { return c.AdaptStatus() }
-		// The span-driven controller owns recalibration; the scheduler's
-		// sample-count refits would race it with a second fault stream.
-		cfg.DisableCalibration = true
 	}
 	cfg.ExtraMetrics = c.extraMetrics()
 	if c.arch != nil {

@@ -11,10 +11,9 @@ import (
 )
 
 // adaptCmd renders the closed-loop adaptive runtime's view from an
-// engine's /adapt debug endpoint: SLO-burn degradation state, per-component
-// estimator residuals and coefficients, the silence strategy currently
-// selected for each adaptable wire, and the tail of the decision log with
-// the signal that motivated each decision.
+// engine's /adapt debug endpoint: SLO-burn degradation state, the silence
+// strategy currently selected for each adaptable wire, and the tail of the
+// decision log with the signal that motivated each decision.
 func adaptCmd(addr string, last int, asJSON bool) error {
 	if addr == "" {
 		return fmt.Errorf("adapt: -addr is required (engine debug HTTP address)")
@@ -42,13 +41,6 @@ func adaptCmd(addr string, last int, asJSON bool) error {
 		mode = "DEGRADED (slo burn over budget: sampling shed, escalation bar lowered)"
 	}
 	fmt.Printf("adaptive runtime at %s: %s\n", addr, mode)
-	if len(st.Components) > 0 {
-		fmt.Println("  estimators:")
-		fmt.Printf("    %-14s %9s %8s  %s\n", "component", "residual", "samples", "coefficients")
-		for _, c := range st.Components {
-			fmt.Printf("    %-14s %8.1f%% %8d  %v\n", c.Component, 100*c.Residual, c.Samples, c.Coeffs)
-		}
-	}
 	if len(st.Wires) > 0 {
 		fmt.Println("  silence strategies:")
 		fmt.Printf("    %-28s %-12s %-16s %s\n", "wire", "upstream", "strategy", "blame window")

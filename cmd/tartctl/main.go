@@ -10,7 +10,7 @@
 //	tartctl trace -addr H:P -origin w0#3   one input's chain from a live engine
 //	tartctl timeline -addr H:P   per-origin critical-path table from /spans
 //	tartctl slo -addr H:P        live SLO verdict table from /slo (exit 1 on violation)
-//	tartctl adapt -addr H:P      adaptive-runtime state from /adapt: residuals, strategies, decisions
+//	tartctl adapt -addr H:P      adaptive-runtime state from /adapt: strategies, decisions
 //	tartctl timeline -file s.json -origin w0#3 -chrome t.json   span tree + Perfetto export
 //	tartctl rewind -addr H:P -component c -vt T       reconstruct c's state at virtual time T
 //	tartctl rewind -addr H:P -component c -diff T1,T2 diff c's state between two virtual times

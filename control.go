@@ -11,11 +11,11 @@ import (
 
 // The cluster's control plane: the loops around the deterministic core that
 // detect failures and fail engines over, run the adaptive runtime (which
-// also steers span sampling), export spans and take VT-cadence
-// checkpoints. Each runs on its own goroutine — a supervisor Recover can
-// take hundreds of milliseconds on durable state and must never delay a
-// checkpoint or a drain — but all are started by every and stopped
-// together by Stop.
+// also steers span sampling) and export spans. Each runs on its own
+// goroutine — a supervisor Recover can take hundreds of milliseconds on
+// durable state and must never delay a drain — but all are started by
+// every and stopped together by Stop. Checkpoint timing is not among them:
+// the engine's WithCheckpointEvery ticker and Cluster.Checkpoint own it.
 
 // startControlPlane starts the configured loops. Called at the end of
 // Launch, once every engine is running.
@@ -29,9 +29,6 @@ func (c *Cluster) startControlPlane() {
 	}
 	if c.otlp != nil {
 		c.every(500*time.Millisecond, c.drainOTLP)
-	}
-	if tt := c.cfg.timetravel; tt != nil && tt.CheckpointEveryVT > 0 {
-		c.every(tt.PollEvery, c.vtCheckpoint)
 	}
 }
 
@@ -60,10 +57,9 @@ func (c *Cluster) every(period time.Duration, fn func()) {
 // resolved — and so seeded at zero — only when the loop that updates them
 // runs; the others are resolved per label set when first used.
 type controlMetrics struct {
-	reg            *trace.Registry
-	sampleN        *trace.Gauge   // with the adaptive runtime
-	sampleEpochs   *trace.Counter // with the adaptive runtime
-	recalibrations *trace.Counter // with the adaptive runtime
+	reg          *trace.Registry
+	sampleN      *trace.Gauge   // with the adaptive runtime
+	sampleEpochs *trace.Counter // with the adaptive runtime
 }
 
 // newControlMetrics builds the registry; schedule is the adaptive runtime's
@@ -76,9 +72,7 @@ func newControlMetrics(schedule *span.Schedule) *controlMetrics {
 		m.sampleN.Set(int64(schedule.Current().N))
 		m.sampleEpochs = m.reg.Counter(trace.MetricSampleEpochs,
 			"Adaptive sampling-rate epoch switches committed by the controller.")
-		m.recalibrations = m.reg.Counter(trace.MetricAdaptRecalibrations,
-			"Span-driven estimator recalibrations committed as determinism faults.")
-		for _, kind := range []adapt.Kind{adapt.KindSampling, adapt.KindRecalibrate, adapt.KindSilence} {
+		for _, kind := range []adapt.Kind{adapt.KindSampling, adapt.KindSilence} {
 			m.decisions(kind)
 		}
 	}
@@ -88,12 +82,6 @@ func newControlMetrics(schedule *span.Schedule) *controlMetrics {
 func (m *controlMetrics) decisions(kind adapt.Kind) *trace.Counter {
 	return m.reg.Counter(trace.MetricAdaptDecisions,
 		"Closed-loop adaptive-runtime decisions committed, by kind.", trace.L("kind", string(kind)))
-}
-
-func (m *controlMetrics) residual(component string) *trace.FloatGauge {
-	return m.reg.FloatGauge(trace.MetricEstResidual,
-		"Relative estimator residual over the recent compute-span window (|wall-charged|/wall).",
-		trace.L("component", component))
 }
 
 func (m *controlMetrics) strategy(wire string) *trace.Gauge {

@@ -18,15 +18,13 @@ import (
 )
 
 // controlPlaneOptions turns on every control-plane loop: the supervisor,
-// the adaptive runtime with a span budget, the OTLP drain and the
-// VT-cadence checkpoint.
+// the adaptive runtime with a span budget and the OTLP drain.
 func controlPlaneOptions(otlpURL string) []tart.ClusterOption {
 	return []tart.ClusterOption{
 		tart.WithSpanTracing(1),
 		tart.WithSupervisor(tart.SupervisorConfig{SuspectAfter: time.Hour, PollEvery: 5 * time.Millisecond}),
 		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: 5 * time.Millisecond, SpansPerSec: 1e6}),
 		tart.WithOTLPExport(otlpURL),
-		tart.WithTimeTravel(tart.TimeTravel{CheckpointEveryVT: tart.Ticks(time.Millisecond), PollEvery: time.Millisecond}),
 	}
 }
 
@@ -137,12 +135,11 @@ func TestStopStopsControlPlane(t *testing.T) {
 		}
 	}
 	emitAll()
-	// Wait until the periodic OTLP drain and the VT-cadence checkpoint have
-	// both run, then leave a second batch's spans for Stop's final drain.
-	for deadline := time.Now().Add(5 * time.Second); cluster.OTLPStats().Enqueued == 0 ||
-		len(cluster.RewindPoints()["main"]) < 2; time.Sleep(10 * time.Millisecond) {
+	// Wait until the periodic OTLP drain has run, then leave a second
+	// batch's spans for Stop's final drain.
+	for deadline := time.Now().Add(5 * time.Second); cluster.OTLPStats().Enqueued == 0; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("control loops idle: otlp %+v, rewind points %v", cluster.OTLPStats(), cluster.RewindPoints())
+			t.Fatalf("control loops idle: otlp %+v", cluster.OTLPStats())
 		}
 	}
 	emitAll()

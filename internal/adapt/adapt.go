@@ -1,17 +1,18 @@
 // Package adapt implements the closed-loop adaptive runtime controller:
-// it turns four observability signals — sampled compute spans, pessimism
-// blame, SLO burn rate and the delivery rate against a span budget — into
-// three deterministic control actions — estimator recalibration,
-// silence-strategy selection, and the span-sampling modulus.
+// it turns three observability signals — pessimism blame, SLO burn rate
+// and the delivery rate against a span budget — into two deterministic
+// control actions — silence-strategy selection and the span-sampling
+// modulus. Estimator coefficients are not among them: the scheduler's
+// regression owns those.
 //
 // The controller itself is deliberately non-deterministic (it reads wall
-// time, sampled spans, and load); determinism is preserved by *how* its
-// decisions take effect, never by how they are made. Every action is
-// stamped with a VT-quantized, strictly-future epoch boundary and routed
-// through a logged determinism fault (estimator and silence changes) or an
-// append-only epoch schedule (sampling), so a replay, a passive replica,
-// or a time-travel rewind re-derives the identical behaviour from the log
-// instead of re-running the control loop (paper §II.G.4).
+// time and load); determinism is preserved by *how* its decisions take
+// effect, never by how they are made. Every action is stamped with a
+// VT-quantized, strictly-future epoch boundary and routed through a logged
+// determinism fault (silence changes) or an append-only epoch schedule
+// (sampling), so a replay, a passive replica, or a time-travel rewind
+// re-derives the identical behaviour from the log instead of re-running the
+// control loop (paper §II.G.4).
 //
 // The package is pure policy: no goroutines, no clocks, no I/O. The
 // cluster's adaptive loop harvests an Observation each tick, calls Step,
@@ -39,9 +40,6 @@ type Kind string
 
 // Decision kinds.
 const (
-	// KindRecalibrate pushes corrected estimator coefficients through a
-	// logged determinism fault.
-	KindRecalibrate Kind = "recalibrate"
 	// KindSilence switches a component's silence-propagation strategy
 	// through a logged determinism fault.
 	KindSilence Kind = "silence"
@@ -57,8 +55,7 @@ type Decision struct {
 	Seq uint64 `json:"seq"`
 	// Kind discriminates the action.
 	Kind Kind `json:"kind"`
-	// Component is the target component (the estimator's owner for
-	// recalibrations, the silence governor's owner for strategy switches;
+	// Component is the target component (the silence governor's owner;
 	// empty for cluster-wide sampling steps).
 	Component string `json:"component,omitempty"`
 	// Wire is the blamed wire label that motivated a silence decision.
@@ -66,8 +63,6 @@ type Decision struct {
 	// EffectiveVT is the quantized, strictly-future epoch boundary the
 	// decision takes effect at.
 	EffectiveVT vt.Time `json:"effectiveVT"`
-	// Coeffs are the corrected coefficients (recalibrations only).
-	Coeffs []float64 `json:"coeffs,omitempty"`
 	// Silence is the full configuration to install (silence only).
 	Silence silence.Config `json:"silence,omitzero"`
 	// SampleN is the new sampling modulus (sampling only).
@@ -82,8 +77,6 @@ type Decision struct {
 // String renders the decision compactly for logs and tartctl.
 func (d Decision) String() string {
 	switch d.Kind {
-	case KindRecalibrate:
-		return fmt.Sprintf("#%d recalibrate %s @%v coeffs=%v (%s)", d.Seq, d.Component, d.EffectiveVT, d.Coeffs, d.Cause)
 	case KindSilence:
 		return fmt.Sprintf("#%d silence %s -> %s @%v (%s)", d.Seq, d.Component, d.Silence.Strategy, d.EffectiveVT, d.Cause)
 	case KindSampling:
@@ -91,14 +84,6 @@ func (d Decision) String() string {
 	default:
 		return fmt.Sprintf("#%d %s @%v (%s)", d.Seq, d.Kind, d.EffectiveVT, d.Cause)
 	}
-}
-
-// ComputeSample is one sampled compute span: the wall-clock nanoseconds
-// the handler actually ran versus the virtual-time ticks the estimator
-// charged for it.
-type ComputeSample struct {
-	WallNanos float64
-	Charged   float64
 }
 
 // WireBlame is the cumulative pessimism blame attributed to one input
@@ -121,12 +106,6 @@ type Observation struct {
 	// Delivered is the cluster's cumulative delivered-message count. Every
 	// engine incarnation counts from zero, so it falls when a slot recovers.
 	Delivered int64
-	// Compute maps component name to the compute samples harvested since
-	// the previous Step (calibrated components only).
-	Compute map[string][]ComputeSample
-	// Coeffs maps component name to its current estimator coefficients
-	// (calibrated components only).
-	Coeffs map[string][]float64
 	// Blame maps wire label to its cumulative blame. Cumulative, not
 	// windowed: the controller differences successive observations itself,
 	// so a harvest may be lost without corrupting the window.
@@ -146,12 +125,6 @@ type Config struct {
 	// Window is how many Steps of blame history feed strategy selection.
 	// Default 4.
 	Window int
-	// MinSamples is the number of compute samples required before a
-	// recalibration is considered. Default 16.
-	MinSamples int
-	// ResidualThreshold is the relative residual (Σ|wall−charged|/Σwall)
-	// above which a recalibration fires. Default 0.25.
-	ResidualThreshold float64
 	// MinBlameSeconds is the windowed blame below which no strategy
 	// escalation happens. Default 10ms.
 	MinBlameSeconds float64
@@ -191,12 +164,6 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 4
 	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.ResidualThreshold <= 0 {
-		c.ResidualThreshold = 0.25
-	}
 	if c.MinBlameSeconds <= 0 {
 		c.MinBlameSeconds = 0.010
 	}
@@ -225,12 +192,6 @@ func (c Config) withDefaults() Config {
 		c.History = 64
 	}
 	return c
-}
-
-// compState is the per-component recalibration bookkeeping.
-type compState struct {
-	window   []ComputeSample
-	residual float64 // last computed relative residual
 }
 
 // wireState is the per-wire blame bookkeeping.
@@ -264,7 +225,6 @@ type stratState struct {
 // debug endpoint can serve from any goroutine via the loop's mutex).
 type Controller struct {
 	cfg          Config
-	comps        map[string]*compState
 	wires        map[string]*wireState
 	strats       map[string]*stratState
 	degraded     bool      // SLO burn floors the modulus at DegradedSampleN
@@ -284,7 +244,6 @@ type Controller struct {
 func New(cfg Config, baseline map[string]silence.Config, sampleN uint64) *Controller {
 	c := &Controller{
 		cfg:     cfg.withDefaults(),
-		comps:   make(map[string]*compState),
 		wires:   make(map[string]*wireState),
 		strats:  make(map[string]*stratState),
 		sampleN: max(sampleN, 1),
@@ -321,15 +280,13 @@ func (c *Controller) record(obs Observation, d Decision) Decision {
 }
 
 // Step consumes one observation and returns the decisions to act on, in a
-// deterministic order (sampling, then recalibrations by component name,
-// then at most one silence change).
+// deterministic order (sampling, then at most one silence change).
 func (c *Controller) Step(obs Observation) []Decision {
 	var out []Decision
 	at := c.boundary(obs.Now)
 	if d, ok := c.stepSampling(obs, at); ok {
 		out = append(out, d)
 	}
-	out = append(out, c.stepResiduals(obs, at)...)
 	if d, ok := c.stepBlame(obs, at); ok {
 		out = append(out, d)
 	}
@@ -338,9 +295,8 @@ func (c *Controller) Step(obs Observation) []Decision {
 
 // Reject undoes a decision the engines did not commit: it leaves the
 // decision ring, and a silence step is taken back so StrategyOf reports
-// what the engine runs and a later Step can propose it again. Sampling and
-// recalibration need no undo: the next Step compares against the observed
-// modulus, and a recalibration re-fires once its window refills.
+// what the engine runs and a later Step can propose it again. Sampling needs
+// no undo: the next Step compares against the observed modulus.
 func (c *Controller) Reject(d Decision) {
 	c.decisions = slices.DeleteFunc(c.decisions, func(r Decision) bool { return r.Seq == d.Seq })
 	if st := c.strats[d.Component]; d.Kind == KindSilence && st != nil && st.undoSeq == d.Seq {
@@ -398,68 +354,6 @@ func nextPow2(v uint64) uint64 {
 		return 1
 	}
 	return 1 << bits.Len64(v-1)
-}
-
-// stepResiduals implements span-driven estimator recalibration: a windowed
-// least-squares fit of measured wall time against charged virtual time;
-// when the relative residual exceeds the threshold, the current
-// coefficients are rescaled by the fitted slope and pushed through the
-// logged determinism-fault path.
-func (c *Controller) stepResiduals(obs Observation, at vt.Time) []Decision {
-	var out []Decision
-	for _, name := range slices.Sorted(maps.Keys(obs.Compute)) {
-		cs := c.comps[name]
-		if cs == nil {
-			cs = &compState{}
-			c.comps[name] = cs
-		}
-		cs.window = append(cs.window, obs.Compute[name]...)
-		if n := 4 * c.cfg.MinSamples; len(cs.window) > n {
-			cs.window = cs.window[len(cs.window)-n:]
-		}
-		var absErr, wallSum, cross, chargedSq float64
-		for _, s := range cs.window {
-			d := s.WallNanos - s.Charged
-			if d < 0 {
-				d = -d
-			}
-			absErr += d
-			wallSum += s.WallNanos
-			cross += s.WallNanos * s.Charged
-			chargedSq += s.Charged * s.Charged
-		}
-		if wallSum <= 0 {
-			continue
-		}
-		cs.residual = absErr / wallSum
-		if len(cs.window) < c.cfg.MinSamples || cs.residual <= c.cfg.ResidualThreshold || chargedSq <= 0 {
-			continue
-		}
-		cur, ok := obs.Coeffs[name]
-		if !ok || len(cur) == 0 {
-			continue
-		}
-		// Least-squares slope of wall = scale · charged: the single factor
-		// that best maps the charged model onto measured reality.
-		scale := cross / chargedSq
-		if scale <= 0 {
-			continue
-		}
-		coeffs := make([]float64, len(cur))
-		for i, b := range cur {
-			coeffs[i] = b * scale
-		}
-		out = append(out, c.record(obs, Decision{
-			Kind:        KindRecalibrate,
-			Component:   name,
-			EffectiveVT: at,
-			Coeffs:      coeffs,
-			Cause:       fmt.Sprintf("residual %.0f%% over %d samples: rescale coefficients by %.2f", cs.residual*100, len(cs.window), scale),
-		}))
-		cs.window = cs.window[:0]
-		cs.residual = 0
-	}
-	return out
 }
 
 // stepBlame implements blame-driven silence-strategy selection: the wire
@@ -601,32 +495,16 @@ type WireStrategy struct {
 	WindowSec float64          `json:"blameWindowSeconds"`
 }
 
-// ComponentStatus is one component's estimator view.
-type ComponentStatus struct {
-	Component string    `json:"component"`
-	Residual  float64   `json:"residual"`
-	Samples   int       `json:"samples"`
-	Coeffs    []float64 `json:"coeffs,omitempty"`
-}
-
 // Status is a JSON-able snapshot for /adapt and tartctl adapt.
 type Status struct {
-	Degraded   bool              `json:"degraded"`
-	Components []ComponentStatus `json:"components,omitempty"`
-	Wires      []WireStrategy    `json:"wires,omitempty"`
-	Decisions  []Decision        `json:"decisions,omitempty"`
+	Degraded  bool           `json:"degraded"`
+	Wires     []WireStrategy `json:"wires,omitempty"`
+	Decisions []Decision     `json:"decisions,omitempty"`
 }
 
-// Status snapshots the controller. coeffs supplies current per-component
-// coefficients for display (may be nil).
-func (c *Controller) Status(coeffs map[string][]float64) Status {
+// Status snapshots the controller.
+func (c *Controller) Status() Status {
 	st := Status{Degraded: c.degraded}
-	for _, name := range slices.Sorted(maps.Keys(c.comps)) {
-		cs := c.comps[name]
-		st.Components = append(st.Components, ComponentStatus{
-			Component: name, Residual: cs.residual, Samples: len(cs.window), Coeffs: coeffs[name],
-		})
-	}
 	for _, label := range slices.Sorted(maps.Keys(c.wires)) {
 		ws := c.wires[label]
 		cfg := silence.Config{}

@@ -11,17 +11,15 @@ import (
 
 func testConfig() Config {
 	return Config{
-		Quantum:           1000,
-		Window:            3,
-		MinSamples:        4,
-		ResidualThreshold: 0.2,
-		MinBlameSeconds:   0.010,
-		BlameShare:        0.5,
-		QuietWindows:      2,
-		Cooldown:          1,
-		Bias:              500,
-		BurnThreshold:     1.0,
-		DegradedSampleN:   64,
+		Quantum:         1000,
+		Window:          3,
+		MinBlameSeconds: 0.010,
+		BlameShare:      0.5,
+		QuietWindows:    2,
+		Cooldown:        1,
+		Bias:            500,
+		BurnThreshold:   1.0,
+		DegradedSampleN: 64,
 	}
 }
 
@@ -54,56 +52,6 @@ func TestBoundaryQuantizedStrictlyFuture(t *testing.T) {
 	}
 }
 
-func TestRecalibrationFiresOnResidual(t *testing.T) {
-	c := newTest(testConfig())
-	// Estimator charges 100 ticks; handler measures ~300ns wall. Residual
-	// is ~67%, and the least-squares slope is 3.
-	samples := make([]ComputeSample, 8)
-	for i := range samples {
-		samples[i] = ComputeSample{WallNanos: 300, Charged: 100}
-	}
-	ds := c.Step(Observation{
-		Now:     100,
-		SampleN: 8,
-		Compute: map[string][]ComputeSample{"worker": samples},
-		Coeffs:  map[string][]float64{"worker": {50, 2}},
-	})
-	if len(ds) != 1 || ds[0].Kind != KindRecalibrate {
-		t.Fatalf("want one recalibrate decision, got %v", ds)
-	}
-	d := ds[0]
-	if d.Component != "worker" {
-		t.Fatalf("component = %q", d.Component)
-	}
-	if len(d.Coeffs) != 2 || d.Coeffs[0] < 149 || d.Coeffs[0] > 151 || d.Coeffs[1] < 5.9 || d.Coeffs[1] > 6.1 {
-		t.Fatalf("coeffs = %v, want ~[150 6]", d.Coeffs)
-	}
-	if int64(d.EffectiveVT)%1000 != 0 || d.EffectiveVT <= 100 {
-		t.Fatalf("effective VT %v not a strictly-future boundary", d.EffectiveVT)
-	}
-	// Window cleared: an immediate second step with no new samples is quiet.
-	if ds := c.Step(Observation{Now: 200, SampleN: 8, Coeffs: map[string][]float64{"worker": {150, 6}}}); len(ds) != 0 {
-		t.Fatalf("expected no decisions after window reset, got %v", ds)
-	}
-}
-
-func TestAccurateEstimatorStaysQuiet(t *testing.T) {
-	c := newTest(testConfig())
-	samples := make([]ComputeSample, 8)
-	for i := range samples {
-		samples[i] = ComputeSample{WallNanos: 105, Charged: 100}
-	}
-	ds := c.Step(Observation{
-		Now:     100,
-		SampleN: 8,
-		Compute: map[string][]ComputeSample{"worker": samples},
-		Coeffs:  map[string][]float64{"worker": {50}},
-	})
-	if len(ds) != 0 {
-		t.Fatalf("5%% residual should not recalibrate, got %v", ds)
-	}
-}
-
 func TestBlameEscalatesAndRecovers(t *testing.T) {
 	c := newTest(testConfig())
 	blame := func(sec float64) Observation {
@@ -126,8 +74,8 @@ func TestBlameEscalatesAndRecovers(t *testing.T) {
 	// The engine does not commit it: the step is taken back, leaves the
 	// decision ring, and the next step proposes it again.
 	c.Reject(ds[0])
-	if cfg, _ := c.StrategyOf("sender2"); cfg.Strategy != silence.Lazy || len(c.Status(nil).Decisions) != 0 {
-		t.Fatalf("after reject: strategy %v, decisions %v", cfg.Strategy, c.Status(nil).Decisions)
+	if cfg, _ := c.StrategyOf("sender2"); cfg.Strategy != silence.Lazy || len(c.Status().Decisions) != 0 {
+		t.Fatalf("after reject: strategy %v, decisions %v", cfg.Strategy, c.Status().Decisions)
 	}
 	ds = c.Step(blame(0.200))
 	if len(ds) != 1 || ds[0].Silence.Strategy != silence.Aggressive {
@@ -261,7 +209,7 @@ func TestBurnDegradesAndRestoresSampling(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("step %d: proposed moduli %v, want %v (decisions %v)", i, got, want, ds)
 				}
-				if deg := c.Status(nil).Degraded; deg != s.degraded {
+				if deg := c.Status().Degraded; deg != s.degraded {
 					t.Fatalf("step %d: degraded = %v, want %v", i, deg, s.degraded)
 				}
 			}
@@ -274,7 +222,7 @@ func TestStatusSnapshot(t *testing.T) {
 	c.Step(Observation{Now: 100, BurnRate: 2.0, SampleN: 8, Blame: map[string]WireBlame{
 		"sender1.out>merger.s1": {Upstream: "sender1", Seconds: 0.001},
 	}})
-	st := c.Status(map[string][]float64{})
+	st := c.Status()
 	if !st.Degraded {
 		t.Fatal("status not degraded")
 	}

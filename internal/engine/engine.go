@@ -164,6 +164,12 @@ type Config struct {
 	// re-applied on restore. Replay sandboxes set this: a fresh proposal
 	// would shift virtual-time stamps away from the run being inspected.
 	DisableCalibration bool
+	// ReplayHorizon is the virtual-time frontier earlier incarnations of
+	// this engine reached. A replacement re-executes the logged suffix up to
+	// it, so a recalibration it proposes takes effect only past it: one
+	// inside would re-cost deliveries whose outputs the predecessor already
+	// emitted. Zero for a first incarnation.
+	ReplayHorizon vt.Time
 	// OnDelivered, when set, is invoked synchronously after every message a
 	// hosted component handles, outside the scheduler lock and before that
 	// component's next delivery starts. The time-travel inspector uses it
@@ -384,36 +390,24 @@ func calibrationFor(e *Engine, name string, cal *estimator.Calibrated, spec Comp
 	return &sched.Calibration{
 		Extract: spec.Extract,
 		Observe: cal.Observe,
-		Commit: func(fault estimator.Fault) error {
+		Commit: func(fault *estimator.Fault) error {
+			// Past the predecessor's frontier (see Config.ReplayHorizon).
+			fault.EffectiveVT = max(fault.EffectiveVT, e.cfg.ReplayHorizon.Add(1))
+			// A fault the estimator would refuse must never reach the log:
+			// every later restore would fail re-applying it.
+			st := cal.State()
+			if newest := st.Epochs[len(st.Epochs)-1].From; fault.EffectiveVT < newest {
+				return fmt.Errorf("engine: recalibration of %q at %s precedes its fault at %s", name, fault.EffectiveVT, newest)
+			}
 			// Determinism faults must hit stable storage before they
 			// take effect (paper §II.G.4).
-			rec := wal.FaultRecord{Component: name, Fault: fault}
+			rec := wal.FaultRecord{Component: name, Fault: *fault}
 			if err := e.log.AppendFault(rec); err != nil {
 				return err
 			}
-			return cal.Apply(fault)
+			return cal.Apply(*fault)
 		},
 	}
-}
-
-// CommitEstimatorFault routes an externally proposed estimator
-// recalibration (the adaptive runtime's) through the same log-then-apply
-// discipline as scheduler-proposed faults: the record hits stable storage
-// before the new coefficients take effect (§II.G.4). Errors if the
-// component is not hosted here or lacks a calibrated estimator.
-func (e *Engine) CommitEstimatorFault(component string, fault estimator.Fault) error {
-	h, ok := e.comps[component]
-	if !ok {
-		return fmt.Errorf("engine: component %q not hosted on %q", component, e.name)
-	}
-	if h.cal == nil {
-		return fmt.Errorf("engine: component %q has no calibrated estimator", component)
-	}
-	rec := wal.FaultRecord{Component: component, Fault: fault}
-	if err := e.log.AppendFault(rec); err != nil {
-		return err
-	}
-	return h.cal.Apply(fault)
 }
 
 // CommitSilenceFault logs a silence-configuration change as a determinism
@@ -432,16 +426,6 @@ func (e *Engine) CommitSilenceFault(component string, cfg silence.Config, at vt.
 	}
 	h.sch.ApplySilenceEpoch(cfg, at)
 	return nil
-}
-
-// Calibrated returns a hosted component's calibrated estimator, or false
-// when the component is not hosted here or uses a plain estimator.
-func (e *Engine) Calibrated(component string) (*estimator.Calibrated, bool) {
-	h, ok := e.comps[component]
-	if !ok || h.cal == nil {
-		return nil, false
-	}
-	return h.cal, true
 }
 
 // ComponentVT returns a hosted component's virtual-time frontier: the

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/estimator"
 	"repro/internal/sched"
 	"repro/internal/topo"
 	"repro/internal/transport"
@@ -364,4 +365,50 @@ type passthroughComp struct{}
 
 func (passthroughComp) OnMessage(ctx *sched.Ctx, port string, payload any) (any, error) {
 	return nil, ctx.Send("out", payload)
+}
+
+// TestRecalibrationOrderedBeforeNewestEpochNotLogged: the scheduler's
+// recalibration commit moves a fault past the replay horizon, and refuses
+// one ordered before the estimator's newest epoch before it reaches the
+// log — logged, it would fail every later restore that re-applies it.
+func TestRecalibrationOrderedBeforeNewestEpochNotLogged(t *testing.T) {
+	one := func(any) estimator.Features { return estimator.Features{1} }
+	cal := estimator.NewCalibrated(estimator.NewLinear(one, []float64{1000}, 1), estimator.Config{})
+	specs := fig1Specs()
+	merger := specs["merger"]
+	merger.Est, merger.Extract = cal, one
+	specs["merger"] = merger
+	log := wal.NewMemLog()
+	e, err := New(Config{Name: "A", Topo: fig1Topo(t, false), Components: specs, Log: log, ReplayHorizon: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := calibrationFor(e, "merger", cal, merger).Commit
+	logged := func() int {
+		recs, err := log.Faults("merger")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(recs)
+	}
+
+	early := &estimator.Fault{EffectiveVT: 100, Coeffs: []float64{2000}}
+	if err := commit(early); err != nil {
+		t.Fatal(err)
+	}
+	if early.EffectiveVT != 5001 || logged() != 1 {
+		t.Fatalf("fault inside the replay horizon committed at %s with %d logged, want vt(5001) and 1", early.EffectiveVT, logged())
+	}
+	if err := commit(&estimator.Fault{EffectiveVT: 9000, Coeffs: []float64{3000}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(&estimator.Fault{EffectiveVT: 6000, Coeffs: []float64{4000}}); err == nil {
+		t.Fatal("a fault ordered before the newest epoch was committed")
+	}
+	if got := logged(); got != 2 {
+		t.Fatalf("%d faults logged, want 2: the refused one reached the log", got)
+	}
+	if got := cal.Cost(nil, 9000); got != 3000 {
+		t.Fatalf("cost at vt(9000) = %d, want the newest epoch's 3000", got)
+	}
 }

@@ -351,16 +351,6 @@ func (c *Calibrated) SetState(st State) error {
 	return nil
 }
 
-// Coeffs returns the coefficients in effect at the given virtual time.
-func (c *Calibrated) Coeffs(at vt.Time) []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	src := c.coeffsAtLocked(at)
-	out := make([]float64, len(src))
-	copy(out, src)
-	return out
-}
-
 func materiallyDifferent(old, fresh []float64, rel float64) bool {
 	if len(old) != len(fresh) {
 		return true

@@ -182,18 +182,6 @@ func TestCalibratedStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCalibratedCoeffsAccessor(t *testing.T) {
-	c := NewCalibrated(NewLinear(sentenceFeatures, []float64{61000}, 1), Config{})
-	got := c.Coeffs(0)
-	if len(got) != 1 || got[0] != 61000 {
-		t.Errorf("Coeffs = %v", got)
-	}
-	got[0] = 0 // must not alias internal state
-	if c.Cost(sentence{Words: 1}, 0) != 61000 {
-		t.Error("Coeffs returned aliased slice")
-	}
-}
-
 func TestFaultString(t *testing.T) {
 	f := Fault{EffectiveVT: 5, Coeffs: []float64{1.5}}
 	if s := f.String(); s == "" {

@@ -237,7 +237,7 @@ func (i *Inspector) Run(opts Options) (*Result, error) {
 	for !i.drained(sand) {
 		if time.Now().After(deadline) {
 			stopAll()
-			return nil, fmt.Errorf("inspect: replay did not drain within %v (replayed %d deliveries so far) — cross-engine rewind points may be too far apart to bridge; align checkpoint cadences (e.g. a VT-cadence checkpoint option) or raise the timeout",
+			return nil, fmt.Errorf("inspect: replay did not drain within %v (replayed %d deliveries so far) — cross-engine rewind points may be too far apart to bridge; checkpoint the engines at a common VT with Cluster.Checkpoint or raise the timeout",
 				timeout, run.count())
 		}
 		time.Sleep(200 * time.Microsecond)

@@ -213,11 +213,11 @@ func TestCalibrationCommitsDeterminismFault(t *testing.T) {
 		c.Calibration = &Calibration{
 			Extract: extract,
 			Observe: cal.Observe,
-			Commit: func(fault estimator.Fault) error {
+			Commit: func(fault *estimator.Fault) error {
 				mu.Lock()
-				committed = append(committed, fault)
+				committed = append(committed, *fault)
 				mu.Unlock()
-				return cal.Apply(fault)
+				return cal.Apply(*fault)
 			},
 		}
 	})

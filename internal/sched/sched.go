@@ -66,11 +66,12 @@ func (f HandlerFunc) OnMessage(ctx *Ctx, port string, payload any) (any, error) 
 // handled message the scheduler observes (features, measured cost); if the
 // calibrator proposes a coefficient change, the scheduler stamps it with a
 // safely-future virtual time and hands it to Commit, which must log the
-// determinism fault durably and apply it to the estimator (§II.G.4).
+// determinism fault durably and apply it to the estimator (§II.G.4). Commit
+// may move the fault's EffectiveVT later, never earlier.
 type Calibration struct {
 	Extract estimator.FeatureFunc
 	Observe func(f estimator.Features, measured vt.Ticks) *estimator.Fault
-	Commit  func(fault estimator.Fault) error
+	Commit  func(fault *estimator.Fault) error
 }
 
 // Config assembles a component scheduler.

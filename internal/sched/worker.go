@@ -393,7 +393,8 @@ func (s *Scheduler) replyOut(id msg.WireID) (*outWire, bool) {
 	return ow, true
 }
 
-// observe feeds calibration and commits any proposed determinism fault.
+// observe feeds calibration and commits any proposed determinism fault; a
+// commit the engine refuses is recorded, not dropped.
 func (s *Scheduler) observe(payload any, measured vt.Ticks) {
 	cal := s.cfg.Calibration
 	if cal == nil || cal.Observe == nil {
@@ -410,8 +411,11 @@ func (s *Scheduler) observe(payload any, measured vt.Ticks) {
 	s.mu.Lock()
 	fault.EffectiveVT = s.clock.Add(1)
 	s.mu.Unlock()
-	if err := cal.Commit(*fault); err == nil {
+	note := "estimator recalibration"
+	if err := cal.Commit(fault); err != nil {
+		note += " not committed: " + err.Error()
+	} else {
 		s.reg.DeterminismFaults(s.comp.Name, "recalibration").Inc()
-		s.rec.Record(trace.Event{Kind: trace.EvDeterminismFault, VT: fault.EffectiveVT, Component: s.comp.Name, Wire: -1, Note: "estimator recalibration"})
 	}
+	s.rec.Record(trace.Event{Kind: trace.EvDeterminismFault, VT: fault.EffectiveVT, Component: s.comp.Name, Wire: -1, Note: note})
 }

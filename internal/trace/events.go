@@ -51,7 +51,8 @@ const (
 	// EvDeterminismFault is a logged determinism fault (paper §II.G.4): an
 	// estimator recalibration, an audit-chain divergence detected during
 	// replay, or a checkpoint whose restored chain disagrees with the
-	// replica's record. Note names the cause.
+	// replica's record. Note names the cause; a recalibration the engine
+	// refused to log says so, with the reason.
 	EvDeterminismFault
 	// EvFailover is a passive-replica activation.
 	EvFailover
@@ -62,8 +63,7 @@ const (
 	// EvPeerDown marks an inter-engine connection lost.
 	EvPeerDown
 	// EvAdaptDecision is one committed closed-loop adaptive-runtime
-	// decision: an estimator recalibration, a silence-strategy switch, or a
-	// span-sampling modulus switch. VT is the quantized strictly-future
+	// decision: a silence-strategy switch or a span-sampling modulus switch. VT is the quantized strictly-future
 	// epoch boundary the decision takes effect at, Component names the
 	// target (empty for cluster-wide sampling switches), and Note carries
 	// the action and cause (for sampling: the old and new 1/N moduli and

@@ -553,13 +553,9 @@ const (
 	MetricFramesPerWritev = "tart_transport_frames_per_writev"
 	MetricCodecFallbacks  = "tart_codec_fallbacks_total"
 	// Adaptive-runtime families (cluster closed-loop controller): total
-	// decisions by kind, estimator recalibrations pushed through the
-	// determinism-fault path, the controller's live per-component residual
-	// between measured compute wall time and the charged VT cost, and the
-	// currently selected silence strategy per wire (value = strategy enum).
+	// decisions by kind, and the currently selected silence strategy per
+	// wire (value = strategy enum).
 	MetricAdaptDecisions       = "tart_adapt_decisions_total"
-	MetricAdaptRecalibrations  = "tart_adapt_recalibrations_total"
-	MetricEstResidual          = "tart_estimator_residual_seconds"
 	MetricAdaptSilenceStrategy = "tart_adapt_silence_strategy"
 	// Cold-restart and rejoin-robustness families: redial attempts and the
 	// per-peer dial circuit breaker (0 closed, 1 open, 2 half-open), WAL

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/engine"
-	"repro/internal/estimator"
 	"repro/internal/slo"
 	"repro/internal/trace"
 	"repro/internal/trace/span"
@@ -59,14 +58,13 @@ func WithOTLPExport(url string) ClusterOption {
 }
 
 // AdaptDecision is one closed-loop adaptive-runtime decision (see
-// WithAdaptiveRuntime): an estimator recalibration, a silence-strategy
-// switch, or a span-sampling modulus switch, stamped with the VT epoch
-// boundary it takes effect at.
+// WithAdaptiveRuntime): a silence-strategy switch or a span-sampling
+// modulus switch, stamped with the VT epoch boundary it takes effect at.
 type AdaptDecision = adapt.Decision
 
-// AdaptStatus is the adaptive runtime's live snapshot: per-component
-// estimator residuals, per-wire silence strategies, and the recent
-// decision ring (served at /adapt and by `tartctl adapt`).
+// AdaptStatus is the adaptive runtime's live snapshot: per-wire silence
+// strategies and the recent decision ring (served at /adapt and by
+// `tartctl adapt`).
 type AdaptStatus = adapt.Status
 
 // AdaptiveRuntime tunes WithAdaptiveRuntime. Zero values pick defaults.
@@ -80,9 +78,6 @@ type AdaptiveRuntime struct {
 	// cluster's delivery rate so that deliveries/s / N stays under it,
 	// rounded up to a power of two. 0 keeps WithSpanTracing's modulus.
 	SpansPerSec float64
-	// MinSamples gates recalibration on a minimum compute-span window
-	// (default 16).
-	MinSamples int
 	// MinBlame is the windowed pessimism blame below which no silence
 	// escalation happens (default 10ms).
 	MinBlame time.Duration
@@ -105,7 +100,6 @@ func (a AdaptiveRuntime) withDefaults() AdaptiveRuntime {
 func (a AdaptiveRuntime) controllerConfig() adapt.Config {
 	return adapt.Config{
 		Quantum:         vt.Ticks(a.Quantum),
-		MinSamples:      a.MinSamples,
 		MinBlameSeconds: a.MinBlame.Seconds(),
 		QuietWindows:    a.QuietWindows,
 		MaxStrategy:     a.MaxStrategy,
@@ -114,28 +108,26 @@ func (a AdaptiveRuntime) controllerConfig() adapt.Config {
 }
 
 // WithAdaptiveRuntime closes the observability loop: a per-cluster
-// controller harvests sampled compute spans, pessimism-blame attribution,
-// the SLO burn rate and the delivery rate, and turns them into three
-// control actions — estimator recalibration (span-measured wall time
-// against charged VT, pushed through the logged determinism-fault path),
-// per-wire silence strategy selection (the dominant blamed wire's upstream
-// escalates lazy→aggressive→bias, and steps back when quiet), and the
+// controller harvests pessimism-blame attribution, the SLO burn rate and
+// the delivery rate, and turns them into two control actions — per-wire
+// silence strategy selection (the dominant blamed wire's upstream
+// escalates lazy→aggressive→bias, and steps back when quiet) and the
 // span-sampling modulus (kept under the SpansPerSec budget, and no denser
 // than 1/64 while the SLO error budget burns, which also makes escalation
-// more eager).
+// more eager). Estimator coefficients stay with WithCalibration's
+// scheduler-side regression.
 //
 // Determinism is preserved by construction: every action takes effect only
 // at a VT-quantized, strictly-future epoch boundary and is recorded as a
-// logged determinism fault (estimator, silence) or an append-only rate
-// epoch (sampling), so replay, the passive replica, and time-travel rewind
+// logged determinism fault (silence) or an append-only rate epoch
+// (sampling), so replay, the passive replica, and time-travel rewind
 // re-derive identical behaviour from the log without re-running the
 // control loop. Each origin's sampling decision also travels inside its
 // envelopes, so a mid-journey rate change never half-traces an origin.
 // Decisions surface as adapt-decision flight events (with
 // WithFlightRecorder), the /adapt debug endpoint, `tartctl adapt`, and the
 // tart_adapt_* and tart_span_sample_* metric families. Implies span
-// tracing; the scheduler's built-in sample-count recalibration is disabled
-// in favour of the span-driven one.
+// tracing.
 func WithAdaptiveRuntime(cfg AdaptiveRuntime) ClusterOption {
 	return clusterOptionFunc(func(c *clusterConfig) {
 		a := cfg.withDefaults()
@@ -161,17 +153,10 @@ func (c *Cluster) SampleEpochs() []SampleRateEpoch {
 // WithOTLPExport).
 func (c *Cluster) OTLPStats() OTLPStats { return c.otlp.Stats() }
 
-// seedAdaptMetrics gives the adaptive runtime's per-component and per-wire
-// gauges a series at launch, so dashboards and exposition audits see the
-// families before (and whether or not) the first decision fires.
+// seedAdaptMetrics gives the adaptive runtime's per-wire gauges a series at
+// launch, so dashboards and exposition audits see the family before (and
+// whether or not) the first decision fires.
 func (c *Cluster) seedAdaptMetrics() {
-	for _, s := range c.liveSlots() {
-		for _, comp := range s.eng.Hosted() {
-			if _, ok := s.eng.Calibrated(comp); ok {
-				c.ctl.residual(comp)
-			}
-		}
-	}
 	for wire, up := range c.wireUp {
 		// Before the controller's first escalation the effective strategy is
 		// the upstream governor's own configuration.
@@ -192,41 +177,14 @@ func (c *Cluster) adaptStep() {
 		Now:       c.maxNowVT(),
 		Wall:      time.Now(),
 		Delivered: c.totalDelivered(),
-		Compute:   make(map[string][]adapt.ComputeSample),
-		Coeffs:    make(map[string][]float64),
 		Blame:     make(map[string]adapt.WireBlame),
 		SampleN:   c.schedule.Current().N,
 	}
 	slots := c.liveSlots()
 	for _, s := range slots {
-		eng := s.eng
-		// Compute samples: new (ID past the watermark), non-replayed compute
-		// spans of calibrated components. Wall is what the handler measured;
-		// Charged is what the estimator billed in virtual time.
-		for _, sp := range s.slot.spans.Spans() {
-			if sp.ID <= s.slot.harvested {
-				continue
-			}
-			s.slot.harvested = sp.ID
-			if sp.Phase != span.PhaseCompute || sp.Replayed || sp.Component == "" {
-				continue
-			}
-			if _, ok := eng.Calibrated(sp.Component); !ok {
-				continue
-			}
-			obs.Compute[sp.Component] = append(obs.Compute[sp.Component], adapt.ComputeSample{
-				WallNanos: float64(sp.End.Sub(sp.Start).Nanoseconds()),
-				Charged:   float64(sp.EndVT - sp.StartVT),
-			})
-		}
-		for _, comp := range eng.Hosted() {
-			if cal, ok := eng.Calibrated(comp); ok {
-				obs.Coeffs[comp] = cal.Coeffs(eng.ComponentVT(comp))
-			}
-		}
 		// Blame: cumulative per-wire blamed pessimism seconds (histogram
 		// sums); the controller windows successive readings itself.
-		for _, fam := range eng.Metrics().Registry().Gather() {
+		for _, fam := range s.eng.Metrics().Registry().Gather() {
 			if fam.Name != trace.MetricBlameSeconds {
 				continue
 			}
@@ -256,9 +214,6 @@ func (c *Cluster) adaptStep() {
 			c.adaptCtl.Reject(d)
 		}
 	}
-	for _, comp := range c.adaptCtl.Status(obs.Coeffs).Components {
-		c.ctl.residual(comp.Component).Set(comp.Residual)
-	}
 	// The strategy each inter-component wire's upstream runs (value =
 	// strategy enum), read after routing so a rejected switch never shows.
 	for wire, up := range c.wireUp {
@@ -287,18 +242,6 @@ func (c *Cluster) applyAdaptDecision(d AdaptDecision, slots []slotView) bool {
 		for _, s := range slots {
 			s.slot.rec.Record(ev)
 		}
-	case adapt.KindRecalibrate:
-		v, err := c.componentEngine(d.Component)
-		if err != nil {
-			return false
-		}
-		fault := estimator.Fault{EffectiveVT: d.EffectiveVT, Coeffs: d.Coeffs}
-		if err := v.eng.CommitEstimatorFault(d.Component, fault); err != nil {
-			return false
-		}
-		c.ctl.recalibrations.Inc()
-		v.eng.Metrics().Registry().DeterminismFaults(d.Component, "adapt-recalibrate").Inc()
-		v.slot.rec.Record(ev)
 	case adapt.KindSilence:
 		v, err := c.componentEngine(d.Component)
 		if err != nil {
@@ -314,24 +257,15 @@ func (c *Cluster) applyAdaptDecision(d AdaptDecision, slots []slotView) bool {
 	return true
 }
 
-// AdaptStatus snapshots the adaptive runtime: per-component residuals and
-// coefficients, per-wire strategies, and the recent decision ring. Zero
-// without WithAdaptiveRuntime.
+// AdaptStatus snapshots the adaptive runtime: per-wire strategies and the
+// recent decision ring. Zero without WithAdaptiveRuntime.
 func (c *Cluster) AdaptStatus() AdaptStatus {
 	if c.adaptCtl == nil {
 		return AdaptStatus{}
 	}
-	coeffs := make(map[string][]float64)
-	for _, s := range c.liveSlots() {
-		for _, comp := range s.eng.Hosted() {
-			if cal, ok := s.eng.Calibrated(comp); ok {
-				coeffs[comp] = cal.Coeffs(s.eng.ComponentVT(comp))
-			}
-		}
-	}
 	c.adaptMu.Lock()
 	defer c.adaptMu.Unlock()
-	return c.adaptCtl.Status(coeffs)
+	return c.adaptCtl.Status()
 }
 
 // totalDelivered sums delivered-message counts across all engines. Each

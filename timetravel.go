@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/inspect"
 	"repro/internal/vt"
@@ -18,17 +17,6 @@ type TimeTravel struct {
 	// History is how many rewind points are retained per engine; evicting a
 	// point also discards the retained inputs only it needed. Default 64.
 	History int
-	// CheckpointEveryVT, when > 0, checkpoints an engine whenever its
-	// virtual-time frontier runs this many ticks past its newest
-	// checkpoint. This bounds every rewind's replay distance by one
-	// interval in the determinism domain — wall-clock cadences
-	// (WithCheckpointEvery) bound replay only as a function of load.
-	// It also keeps rewind points VT-aligned across engines, which is what
-	// lets a multi-engine reconstruction bridge cross-engine wires.
-	CheckpointEveryVT Ticks
-	// PollEvery is the VT-cadence loop's clock-sampling interval (default
-	// 5ms; only used when CheckpointEveryVT > 0).
-	PollEvery time.Duration
 }
 
 // WithTimeTravel enables the time-travel inspector: every checkpoint is
@@ -42,13 +30,7 @@ type TimeTravel struct {
 // Like WithSupervisor, enabling time travel takes an initial checkpoint of
 // every engine at launch so the archive always has a rewind point.
 func WithTimeTravel(cfg TimeTravel) ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) {
-		tt := cfg
-		if tt.PollEvery <= 0 {
-			tt.PollEvery = 5 * time.Millisecond
-		}
-		c.timetravel = &tt
-	})
+	return clusterOptionFunc(func(c *clusterConfig) { c.timetravel = &cfg })
 }
 
 // RewindState is a component's reconstructed state at a virtual time.
@@ -171,19 +153,4 @@ func parseVTParam(s, name string) (vt.Time, error) {
 		return vt.Never, fmt.Errorf("bad %s %q (want integer virtual-time ticks)", name, s)
 	}
 	return vt.Time(n), nil
-}
-
-// vtCheckpoint is the VT-cadence tick: it checkpoints every live engine
-// whose clock frontier has run CheckpointEveryVT past its newest
-// checkpoint. A failure is retried an interval later, not on every poll.
-func (c *Cluster) vtCheckpoint() {
-	interval := vt.Ticks(c.cfg.timetravel.CheckpointEveryVT)
-	for _, v := range c.liveSlots() {
-		clock := v.eng.MaxComponentClock()
-		if clock >= max(v.eng.LastCheckpointVT(), v.slot.ckptFailedVT).Add(interval) {
-			if _, err := v.eng.Checkpoint(); err != nil {
-				v.slot.ckptFailedVT = clock
-			}
-		}
-	}
 }
