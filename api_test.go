@@ -77,8 +77,8 @@ func TestDynamicSilenceStrategySwitch(t *testing.T) {
 		t.Errorf("payload = %v", got[0].Payload)
 	}
 
-	// Switching to hyper-aggressive with a bias is rejected (it would
-	// change output virtual times without a logged determinism fault).
+	// Switching to hyper-aggressive is accepted: SetSilenceStrategy installs
+	// it with zero bias, so no output virtual time moves.
 	err = cluster.SetSilenceStrategy("sender1", tart.HyperAggressive)
 	if err != nil {
 		t.Errorf("zero-bias hyper switch rejected: %v", err)
@@ -88,39 +88,59 @@ func TestDynamicSilenceStrategySwitch(t *testing.T) {
 	}
 }
 
-// TestManualSilenceSwitchSurvivesFailover: a manual strategy switch is
-// logged like an adaptive one, so the replacement engine re-derives it from
-// the stable log instead of reverting to the launch strategy.
+// TestManualSilenceSwitchSurvivesFailover: a manual strategy switch is a
+// logged determinism fault, so the replacement engine re-derives it from
+// the stable log instead of reverting to the launch strategy — whether the
+// switch precedes the checkpoint recovery restores or falls in the suffix
+// replayed after it.
 func TestManualSilenceSwitchSurvivesFailover(t *testing.T) {
-	app := tart.NewApp()
-	app.Register("merger", &relay{}, tart.WithSilence(tart.Lazy))
-	app.SourceInto("in", "merger", "in")
-	app.SinkFrom("out", "merger", "out")
-	app.PlaceAll("main")
-	cluster, err := tart.Launch(app, tart.WithManualClock(func() tart.VirtualTime { return 0 }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Stop()
+	for _, tc := range []struct {
+		name            string
+		checkpointFirst bool
+	}{
+		{"switch then checkpoint", false},
+		{"checkpoint then switch", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			app := tart.NewApp()
+			app.Register("merger", &relay{}, tart.WithSilence(tart.Lazy))
+			app.SourceInto("in", "merger", "in")
+			app.SinkFrom("out", "merger", "out")
+			app.PlaceAll("main")
+			cluster, err := tart.Launch(app, tart.WithManualClock(func() tart.VirtualTime { return 0 }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Stop()
 
-	if err := cluster.SetSilenceStrategy("merger", tart.Curiosity); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cluster.Checkpoint("main"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Fail("main"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Recover("main"); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := cluster.SilenceConfigOf("merger")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Strategy != tart.Curiosity {
-		t.Errorf("after failover the merger runs %v, want the manually switched %v", cfg.Strategy, tart.Curiosity)
+			checkpoint := func() {
+				if _, err := cluster.Checkpoint("main"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.checkpointFirst {
+				checkpoint()
+			}
+			if err := cluster.SetSilenceStrategy("merger", tart.Curiosity); err != nil {
+				t.Fatal(err)
+			}
+			if !tc.checkpointFirst {
+				checkpoint()
+			}
+			if err := cluster.Fail("main"); err != nil {
+				t.Fatal(err)
+			}
+			if err := cluster.Recover("main"); err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := cluster.SilenceConfigOf("merger")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Strategy != tart.Curiosity {
+				t.Errorf("after failover the merger runs %v, want the manually switched %v", cfg.Strategy, tart.Curiosity)
+			}
+		})
 	}
 }
 

@@ -68,16 +68,14 @@ func TestChaosOracleMultiSeed(t *testing.T) {
 	}
 }
 
-// TestChaosOracleAdaptiveRuntime reruns the chaos soak with the closed-loop
-// adaptive runtime enabled on every engine. The variant is configured
-// VT-neutral — escalation capped at Aggressive so no bias floors output
-// virtual times, and the workload's constant-cost estimators leave nothing
-// to recalibrate — so every chaotic adaptive tape must stay byte-identical
-// to the plain clean reference: adaptation may change when silence is
-// propagated and what is logged, but never what the application computes.
-// Silence decisions that do fire before a crash are re-derived from the
-// stable log by the recovered incarnation (the logged-fault discipline),
-// which this soak exercises under supervisor-driven failovers.
+// TestChaosOracleAdaptiveRuntime reruns the chaos soak with the adaptive
+// runtime enabled on every engine. Its span budget is small enough that
+// the sampling modulus follows the workload's bursts, so epochs commit
+// throughout the crash–restart chaos. Sampling changes which origins are
+// traced, never what the application computes: every chaotic adaptive tape
+// must stay byte-identical to the plain clean reference, across
+// supervisor-driven failovers whose recovered incarnations count
+// deliveries from zero.
 func TestChaosOracleAdaptiveRuntime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed adaptive chaos soak")
@@ -88,9 +86,11 @@ func TestChaosOracleAdaptiveRuntime(t *testing.T) {
 			PollEvery: 25 * time.Millisecond,
 			// Small VT quantum so decision epochs land inside the
 			// workload's 1..13ms virtual span and actually apply.
-			Quantum:     1_000_000,
-			MinBlame:    time.Millisecond,
-			MaxStrategy: tart.Aggressive,
+			Quantum: 1_000_000,
+			// A round's four deliveries in one 25ms poll are 160/s; at
+			// three spans each, the budget asks for up to 1/32 there and
+			// 1/1 between rounds.
+			SpansPerSec: 20,
 		})}
 	}
 
@@ -126,6 +126,9 @@ func TestChaosOracleAdaptiveRuntime(t *testing.T) {
 			if res.Supervised < 1 {
 				t.Errorf("no supervisor-driven failover completed; events: %+v, status: %+v",
 					res.Events, res.Status)
+			}
+			if len(res.SampleEpochs) < 2 {
+				t.Errorf("no sampling epoch committed: %v", res.SampleEpochs)
 			}
 		})
 	}

@@ -250,12 +250,10 @@ type Cluster struct {
 	arch *inspect.Archive
 	insp *inspect.Inspector
 
-	// Adaptive runtime (see observability.go): the closed-loop controller,
-	// its serialization (the loop, /adapt, and tartctl all read it), and
-	// the wire-label → upstream-component index blame routing uses.
+	// Adaptive runtime (see observability.go): the sampling controller and
+	// its serialization (the loop, /adapt, and tartctl all read it).
 	adaptCtl *adapt.Controller
 	adaptMu  sync.Mutex
-	wireUp   map[string]string
 }
 
 type engineSlot struct {
@@ -347,25 +345,7 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 	}
 	if cfg.adaptRuntime != nil {
 		c.schedule = span.NewSchedule(cfg.spanSample)
-		// Baseline strategies the controller escalates from (and quiet
-		// periods return to), plus the wire-label → upstream index that maps
-		// blamed input wires back to the sender whose governor can help.
-		baseline := make(map[string]silence.Config)
-		for _, comp := range tp.Components() {
-			base := specs[comp.Name].Silence
-			if base.Strategy == 0 {
-				base.Strategy = silence.Curiosity // the governor's own default
-			}
-			baseline[comp.Name] = base
-		}
-		c.wireUp = make(map[string]string)
-		for _, w := range tp.Wires() {
-			if w.From == topo.External {
-				continue
-			}
-			c.wireUp[sched.WireName(tp, w)] = tp.Component(w.From).Name
-		}
-		c.adaptCtl = adapt.New(cfg.adaptRuntime.controllerConfig(), baseline, c.schedule.Current().N)
+		c.adaptCtl = adapt.New(cfg.adaptRuntime.controllerConfig(), c.schedule.Current().N)
 	}
 	c.ctl = newControlMetrics(c.schedule)
 	if cfg.supervisor != nil {
@@ -881,7 +861,7 @@ func (c *Cluster) Recover(engineName string) error {
 // hyper-aggressive bias on or off is rejected because it changes output
 // virtual times. The switch is logged as a determinism fault at the
 // component's current clock, so a recovered engine re-derives it from the
-// stable log like an adaptive one.
+// stable log.
 func (c *Cluster) SetSilenceStrategy(component string, strategy SilenceStrategy) error {
 	eng, sch, err := c.scheduler(component)
 	if err != nil {
@@ -895,10 +875,10 @@ func (c *Cluster) SetSilenceStrategy(component string, strategy SilenceStrategy)
 }
 
 // SilenceConfigOf reports the silence configuration currently in force on
-// a component's governor — including changes installed by the adaptive
-// runtime's logged faults. A recovered engine re-derives the same
-// configuration from the stable log, so comparing this across a failover
-// is the replica-consistency check for adaptive decisions.
+// a component's governor, including switches installed by logged faults. A
+// recovered engine re-derives the same configuration from the stable log,
+// so comparing this across a failover is the replica-consistency check for
+// strategy switches.
 func (c *Cluster) SilenceConfigOf(component string) (SilenceConfig, error) {
 	_, sch, err := c.scheduler(component)
 	if err != nil {

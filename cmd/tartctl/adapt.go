@@ -10,10 +10,9 @@ import (
 	tart "repro"
 )
 
-// adaptCmd renders the closed-loop adaptive runtime's view from an
-// engine's /adapt debug endpoint: SLO-burn degradation state, the silence
-// strategy currently selected for each adaptable wire, and the tail of the
-// decision log with the signal that motivated each decision.
+// adaptCmd renders the adaptive runtime's view from an engine's /adapt
+// debug endpoint: SLO-burn degradation state and the tail of the decision
+// log with the signal that motivated each decision.
 func adaptCmd(addr string, last int, asJSON bool) error {
 	if addr == "" {
 		return fmt.Errorf("adapt: -addr is required (engine debug HTTP address)")
@@ -38,16 +37,9 @@ func adaptCmd(addr string, last int, asJSON bool) error {
 	}
 	mode := "nominal"
 	if st.Degraded {
-		mode = "DEGRADED (slo burn over budget: sampling shed, escalation bar lowered)"
+		mode = "DEGRADED (slo burn over budget: sampling shed)"
 	}
 	fmt.Printf("adaptive runtime at %s: %s\n", addr, mode)
-	if len(st.Wires) > 0 {
-		fmt.Println("  silence strategies:")
-		fmt.Printf("    %-28s %-12s %-16s %s\n", "wire", "upstream", "strategy", "blame window")
-		for _, w := range st.Wires {
-			fmt.Printf("    %-28s %-12s %-16s %.1fms\n", w.Wire, w.Upstream, w.Name, 1e3*w.WindowSec)
-		}
-	}
 	ds := st.Decisions
 	if last > 0 && len(ds) > last {
 		ds = ds[len(ds)-last:]

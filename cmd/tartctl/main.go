@@ -10,7 +10,7 @@
 //	tartctl trace -addr H:P -origin w0#3   one input's chain from a live engine
 //	tartctl timeline -addr H:P   per-origin critical-path table from /spans
 //	tartctl slo -addr H:P        live SLO verdict table from /slo (exit 1 on violation)
-//	tartctl adapt -addr H:P      adaptive-runtime state from /adapt: strategies, decisions
+//	tartctl adapt -addr H:P      adaptive-runtime state from /adapt: degradation, decisions
 //	tartctl timeline -file s.json -origin w0#3 -chrome t.json   span tree + Perfetto export
 //	tartctl rewind -addr H:P -component c -vt T       reconstruct c's state at virtual time T
 //	tartctl rewind -addr H:P -component c -diff T1,T2 diff c's state between two virtual times
@@ -81,7 +81,7 @@ func main() {
 		fs := flag.NewFlagSet("adapt", flag.ExitOnError)
 		addr := fs.String("addr", "", "engine debug HTTP address (host:port)")
 		last := fs.Int("last", 16, "print the last N adaptive decisions")
-		asJSON := fs.Bool("json", false, "print the raw /adapt JSON instead of the tables")
+		asJSON := fs.Bool("json", false, "print the raw /adapt JSON instead of the decision list")
 		_ = fs.Parse(os.Args[2:])
 		err = adaptCmd(*addr, *last, *asJSON)
 	case "rewind":

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	tart "repro"
-	"repro/internal/silence"
 	"repro/internal/trace"
 )
 
@@ -259,7 +258,6 @@ func printStatusWireTable(samples []promSample) {
 	type row struct {
 		delivered, probes, duplicates, sent, silences float64
 		pessSum, pessCount                            float64
-		strategy                                      float64 // adaptive silence strategy gauge; 0 = not adaptive
 	}
 	rows := map[string]*row{}
 	row0 := func(wire string) *row {
@@ -290,8 +288,6 @@ func printStatusWireTable(samples []promSample) {
 			row0(wire).pessSum += s.value
 		case trace.MetricPessimism + "_count":
 			row0(wire).pessCount += s.value
-		case trace.MetricAdaptSilenceStrategy:
-			row0(wire).strategy = s.value
 		}
 	}
 	if len(rows) == 0 {
@@ -303,22 +299,16 @@ func printStatusWireTable(samples []promSample) {
 	}
 	sort.Strings(wires)
 	fmt.Println("  wires:")
-	fmt.Printf("    %-28s %9s %7s %5s %9s %9s %12s %s\n",
-		"wire", "delivered", "probes", "dup", "sent", "silences", "pessimism", "strategy")
+	fmt.Printf("    %-28s %9s %7s %5s %9s %9s %12s\n",
+		"wire", "delivered", "probes", "dup", "sent", "silences", "pessimism")
 	for _, w := range wires {
 		r := rows[w]
 		pess := "-"
 		if r.pessCount > 0 {
 			pess = fmt.Sprintf("%.2fms/ep", 1e3*r.pessSum/r.pessCount)
 		}
-		// The adaptive runtime exports the selected silence strategy per
-		// wire as an enum-valued gauge; "-" means the wire is not adaptive.
-		strat := "-"
-		if r.strategy > 0 {
-			strat = silence.Strategy(r.strategy).String()
-		}
-		fmt.Printf("    %-28s %9.0f %7.0f %5.0f %9.0f %9.0f %12s %s\n",
-			w, r.delivered, r.probes, r.duplicates, r.sent, r.silences, pess, strat)
+		fmt.Printf("    %-28s %9.0f %7.0f %5.0f %9.0f %9.0f %12s\n",
+			w, r.delivered, r.probes, r.duplicates, r.sent, r.silences, pess)
 	}
 }
 

@@ -9,11 +9,11 @@
 //	tartload -scenario slowconsumer -chaos 7         crash an engine every 5s
 //	tartload -scenario burst -adaptive-budget 2000   adaptive runtime with a span budget
 //	tartload -scenario hotkey -otlp http://localhost:4318/v1/traces
-//	tartload -scenario slowconsumer -adapt           closed-loop adaptive runtime
+//	tartload -scenario slowconsumer -adapt           adaptive runtime, SLO burn only
 //	tartload -list                                   describe the scenarios
 //
 // -adaptive-budget sets the adaptive runtime's span budget and so implies
-// -adapt: one controller steers sampling, recalibration and silence.
+// -adapt: one controller steers the span-sampling modulus.
 //
 // With TART_ARTIFACT_DIR set, the full machine-readable result (report,
 // failovers, recovery tax, sampling epochs) is written there as
@@ -51,7 +51,7 @@ func main() {
 		spans    = flag.Int("spans", 0, "static span head-sampling modulus (0: default 1/64)")
 		adaptive = flag.Float64("adaptive-budget", 0, "span budget of the adaptive runtime, spans/sec; implies -adapt, and -spans only seeds the modulus")
 		otlpURL  = flag.String("otlp", "", "export spans OTLP/HTTP to this URL")
-		adapt    = flag.Bool("adapt", false, "enable the closed-loop adaptive runtime; exit 1 if any decision lands off its VT epoch grid")
+		adapt    = flag.Bool("adapt", false, "enable the adaptive runtime; exit 1 if any decision lands off its VT epoch grid")
 		chaos    = flag.Uint64("chaos", 0, "chaos seed: crash engines under a failover supervisor (0: off)")
 		chaosGap = flag.Duration("chaos-every", 5*time.Second, "crash cadence with -chaos")
 		tcp      = flag.Bool("tcp", false, "inter-engine wires over loopback TCP")

@@ -14,7 +14,6 @@
 //	tartsim -exp rewind      Time-travel rewind latency vs VT checkpoint cadence
 //	tartsim -exp coldstart   Cold-restart reopen latency vs durable checkpoint cadence
 //	tartsim -exp wirespeed   Codec/transport throughput: gob vs binary codec, TCP socket pair
-//	tartsim -exp adapt       Closed-loop adaptation: blame-driven bias arming vs static policies
 //	tartsim -exp all         Everything above
 package main
 
@@ -30,7 +29,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig2|fig3|fig4|throughput|dumb|bias|wires|blame|chaos|slo|rewind|coldstart|wirespeed|adapt|all")
+		exp      = flag.String("exp", "all", "experiment: fig2|fig3|fig4|throughput|dumb|bias|wires|blame|chaos|slo|rewind|coldstart|wirespeed|all")
 		duration = flag.Duration("duration", 20*time.Second, "simulated time per run")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		samples  = flag.Int("fig2n", 10000, "Figure-2 sample count")
@@ -71,11 +70,9 @@ func run(exp string, duration time.Duration, seed uint64, fig2n, fig2reps int) e
 		return coldstartExp(seed)
 	case "wirespeed":
 		return wirespeed()
-	case "adapt":
-		return adaptExp(duration, seed)
 	case "all":
 		for _, e := range []string{"fig2", "fig3", "dumb", "fig4", "throughput", "bias", "wires", "blame",
-			"chaos", "slo", "rewind", "coldstart", "wirespeed", "adapt"} {
+			"chaos", "slo", "rewind", "coldstart", "wirespeed"} {
 			if err := run(e, duration, seed, fig2n, fig2reps); err != nil {
 				return err
 			}

@@ -4,7 +4,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/trace"
 	"repro/internal/trace/span"
 )
@@ -24,7 +23,6 @@ func (c *Cluster) startControlPlane() {
 		c.every(c.sup.cfg.PollEvery, c.sup.tick)
 	}
 	if c.adaptCtl != nil {
-		c.seedAdaptMetrics()
 		c.every(c.cfg.adaptRuntime.PollEvery, c.adaptStep)
 	}
 	if c.otlp != nil {
@@ -72,22 +70,8 @@ func newControlMetrics(schedule *span.Schedule) *controlMetrics {
 		m.sampleN.Set(int64(schedule.Current().N))
 		m.sampleEpochs = m.reg.Counter(trace.MetricSampleEpochs,
 			"Adaptive sampling-rate epoch switches committed by the controller.")
-		for _, kind := range []adapt.Kind{adapt.KindSampling, adapt.KindSilence} {
-			m.decisions(kind)
-		}
 	}
 	return m
-}
-
-func (m *controlMetrics) decisions(kind adapt.Kind) *trace.Counter {
-	return m.reg.Counter(trace.MetricAdaptDecisions,
-		"Closed-loop adaptive-runtime decisions committed, by kind.", trace.L("kind", string(kind)))
-}
-
-func (m *controlMetrics) strategy(wire string) *trace.Gauge {
-	return m.reg.Gauge(trace.MetricAdaptSilenceStrategy,
-		"Silence strategy selected for the wire's upstream component (1=lazy 2=curiosity 3=aggressive 4=hyper-aggressive).",
-		trace.L("wire", wire))
 }
 
 func (m *controlMetrics) suspicions(engine, cause string) *trace.Counter {

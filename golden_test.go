@@ -211,8 +211,8 @@ var goldenApps = []struct {
 //
 // Every app runs under WithManualClock with constant-cost estimators, so
 // the tape is a function of the code alone. Calibration is left out: its
-// coefficients come from measured wall time. So is silence bias: only the
-// adaptive runtime's escalation sets it, and that is driven by wall time.
+// coefficients come from measured wall time. Silence bias needs no app:
+// no public API sets one.
 func TestGoldenTapes(t *testing.T) {
 	var all []string
 	for _, app := range goldenApps {

@@ -5,37 +5,27 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/silence"
 	"repro/internal/vt"
 )
 
 func testConfig() Config {
 	return Config{
 		Quantum:         1000,
-		Window:          3,
-		MinBlameSeconds: 0.010,
-		BlameShare:      0.5,
-		QuietWindows:    2,
-		Cooldown:        1,
-		Bias:            500,
 		BurnThreshold:   1.0,
 		DegradedSampleN: 64,
 	}
 }
 
-func newTest(cfg Config) *Controller {
-	return newTestN(cfg, 8)
-}
-
-func newTestN(cfg Config, sampleN uint64) *Controller {
-	return New(cfg, map[string]silence.Config{
-		"sender1": {Strategy: silence.Lazy},
-		"sender2": {Strategy: silence.Lazy},
-	}, sampleN)
+// commitAll accepts every decision and appends it to *ds.
+func commitAll(ds *[]Decision) func(Decision) bool {
+	return func(d Decision) bool {
+		*ds = append(*ds, d)
+		return true
+	}
 }
 
 func TestBoundaryQuantizedStrictlyFuture(t *testing.T) {
-	c := newTest(testConfig())
+	c := New(testConfig(), 8)
 	for _, now := range []vt.Time{0, 1, 999, 1000, 1001, 1500} {
 		b := c.boundary(now)
 		if int64(b)%1000 != 0 {
@@ -49,85 +39,6 @@ func TestBoundaryQuantizedStrictlyFuture(t *testing.T) {
 	high := c.boundary(10_000)
 	if low := c.boundary(500); low < high {
 		t.Fatalf("boundary regressed: %v after %v", low, high)
-	}
-}
-
-func TestBlameEscalatesAndRecovers(t *testing.T) {
-	c := newTest(testConfig())
-	blame := func(sec float64) Observation {
-		return Observation{Now: 100, SampleN: 8, Blame: map[string]WireBlame{
-			"sender2.out>merger.s2": {Upstream: "sender2", Seconds: sec},
-		}}
-	}
-	// First sighting establishes the cumulative baseline; no decision.
-	if ds := c.Step(blame(0.100)); len(ds) != 0 {
-		t.Fatalf("baseline step decided %v", ds)
-	}
-	// A 50ms delta dominates the window: escalate sender2 to Aggressive.
-	ds := c.Step(blame(0.150))
-	if len(ds) != 1 || ds[0].Kind != KindSilence || ds[0].Component != "sender2" {
-		t.Fatalf("want silence escalation for sender2, got %v", ds)
-	}
-	if ds[0].Silence.Strategy != silence.Aggressive {
-		t.Fatalf("first escalation = %v, want aggressive", ds[0].Silence.Strategy)
-	}
-	// The engine does not commit it: the step is taken back, leaves the
-	// decision ring, and the next step proposes it again.
-	c.Reject(ds[0])
-	if cfg, _ := c.StrategyOf("sender2"); cfg.Strategy != silence.Lazy || len(c.Status().Decisions) != 0 {
-		t.Fatalf("after reject: strategy %v, decisions %v", cfg.Strategy, c.Status().Decisions)
-	}
-	ds = c.Step(blame(0.200))
-	if len(ds) != 1 || ds[0].Silence.Strategy != silence.Aggressive {
-		t.Fatalf("want the escalation proposed again, got %v", ds)
-	}
-	// Cooldown: the immediately following step stays quiet.
-	if ds := c.Step(blame(0.250)); len(ds) != 0 {
-		t.Fatalf("cooldown step decided %v", ds)
-	}
-	// Still dominant: next escalation reaches HyperAggressive with bias.
-	ds = c.Step(blame(0.300))
-	if len(ds) != 1 || ds[0].Silence.Strategy != silence.HyperAggressive || ds[0].Silence.Bias != 500 {
-		t.Fatalf("want hyper-aggressive bias=500, got %v", ds)
-	}
-	// Quiet blame for QuietWindows+cooldown steps walks it back down.
-	var kinds []Decision
-	for i := 0; i < 10; i++ {
-		kinds = append(kinds, c.Step(blame(0.300))...)
-	}
-	if len(kinds) < 2 {
-		t.Fatalf("expected two de-escalations, got %v", kinds)
-	}
-	if kinds[0].Silence.Strategy != silence.Aggressive || kinds[1].Silence.Strategy != silence.Lazy {
-		t.Fatalf("de-escalation path = %v", kinds)
-	}
-	cfg, ok := c.StrategyOf("sender2")
-	if !ok || cfg.Strategy != silence.Lazy {
-		t.Fatalf("final strategy = %v, want baseline lazy", cfg.Strategy)
-	}
-}
-
-func TestMaxStrategyCapsEscalation(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxStrategy = silence.Aggressive
-	c := newTest(cfg)
-	obs := func(sec float64) Observation {
-		return Observation{Now: 100, SampleN: 8, Blame: map[string]WireBlame{
-			"sender2.out>merger.s2": {Upstream: "sender2", Seconds: sec},
-		}}
-	}
-	c.Step(obs(0.1))
-	ds := c.Step(obs(0.2))
-	if len(ds) != 1 || ds[0].Silence.Strategy != silence.Aggressive {
-		t.Fatalf("want aggressive, got %v", ds)
-	}
-	// Never crosses into hyper-aggressive regardless of blame pressure.
-	for i := 0; i < 6; i++ {
-		for _, d := range c.Step(obs(0.3 + float64(i))) {
-			if d.Kind == KindSilence && d.Silence.Strategy > silence.Aggressive {
-				t.Fatalf("escalated past cap: %v", d)
-			}
-		}
 	}
 }
 
@@ -188,20 +99,19 @@ func TestBurnDegradesAndRestoresSampling(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.SpansPerSec = tc.budget
-			c := newTestN(cfg, tc.sampleN)
+			c := New(cfg, tc.sampleN)
 			for i, s := range tc.steps {
-				ds := c.Step(Observation{
+				var ds []Decision
+				c.Step(Observation{
 					Now:       vt.Time(100 * (i + 1)),
 					Wall:      time.Unix(int64(i), 0),
 					Delivered: s.delivered,
 					BurnRate:  s.burn,
 					SampleN:   s.inForce,
-				})
+				}, commitAll(&ds))
 				var got, want []uint64
 				for _, d := range ds {
-					if d.Kind == KindSampling {
-						got = append(got, d.SampleN)
-					}
+					got = append(got, d.SampleN)
 				}
 				if s.want != 0 {
 					want = []uint64{s.want}
@@ -218,18 +128,18 @@ func TestBurnDegradesAndRestoresSampling(t *testing.T) {
 }
 
 func TestStatusSnapshot(t *testing.T) {
-	c := newTest(testConfig())
-	c.Step(Observation{Now: 100, BurnRate: 2.0, SampleN: 8, Blame: map[string]WireBlame{
-		"sender1.out>merger.s1": {Upstream: "sender1", Seconds: 0.001},
-	}})
+	c := New(testConfig(), 8)
+	c.Step(Observation{Now: 100, BurnRate: 2.0, SampleN: 8}, func(Decision) bool { return false })
+	if st := c.Status(); !st.Degraded || len(st.Decisions) != 0 {
+		t.Fatalf("after a refused decision: status %+v, want degraded with an empty ring", st)
+	}
+	var ds []Decision
+	c.Step(Observation{Now: 200, BurnRate: 2.0, SampleN: 8}, commitAll(&ds))
 	st := c.Status()
 	if !st.Degraded {
 		t.Fatal("status not degraded")
 	}
-	if len(st.Wires) != 1 || st.Wires[0].Upstream != "sender1" || st.Wires[0].Name != "lazy" {
-		t.Fatalf("wires = %+v", st.Wires)
-	}
-	if len(st.Decisions) != 1 {
-		t.Fatalf("decisions = %v", st.Decisions)
+	if len(st.Decisions) != 1 || st.Decisions[0] != ds[0] || st.Decisions[0].Seq != 1 || st.Decisions[0].SampleN != 64 {
+		t.Fatalf("decisions = %v, want the one committed switch to 1/64 as #1", st.Decisions)
 	}
 }

@@ -59,9 +59,7 @@ type RunOptions struct {
 	Timeout time.Duration
 	// ExtraOptions appends cluster options to the standard set — e.g.
 	// WithAdaptiveRuntime for the adaptive chaos soak. Options that change
-	// virtual-time stamps would break the oracle; adaptive variants must
-	// stay VT-neutral (cap escalation at Aggressive, constant-cost
-	// components so no recalibration fires).
+	// virtual-time stamps would break the oracle.
 	ExtraOptions []tart.ClusterOption
 }
 
@@ -74,6 +72,9 @@ type Result struct {
 	Status     tart.SupervisorStatus // full supervisor history
 	WALFaults  uint64                // injected disk faults that fired
 	NetStats   tart.NetworkChaosStats
+	// SampleEpochs is the adaptive-sampling rate history (nil without
+	// WithAdaptiveRuntime among ExtraOptions).
+	SampleEpochs []tart.SampleRateEpoch
 }
 
 // Engines and links of the standard workload topology.
@@ -264,6 +265,7 @@ func Run(opts RunOptions) (*Result, error) {
 		res.Events = ctrl.Events()
 	}
 	res.Status = cluster.SupervisorStatus()
+	res.SampleEpochs = cluster.SampleEpochs()
 	for _, f := range res.Status.Failovers {
 		if f.Err == "" {
 			res.Supervised++

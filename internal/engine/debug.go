@@ -142,9 +142,9 @@ func (d *debugServer) handleSLO(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(d.e.cfg.SLOInfo())
 }
 
-// handleAdapt serves the adaptive runtime controller's status — current
-// estimator coefficients, per-wire silence strategies, and the most recent
-// decisions with their causes (404 when the cluster runs without one).
+// handleAdapt serves the adaptive runtime controller's status — SLO-burn
+// degradation and the most recent decisions with their causes (404 when
+// the cluster runs without one).
 func (d *debugServer) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	if d.e.cfg.AdaptInfo == nil {
 		http.Error(w, "no adaptive runtime attached (enable with WithAdaptiveRuntime)", http.StatusNotFound)

@@ -151,7 +151,7 @@ type Config struct {
 	ExtraMetrics func(w io.Writer)
 	// AdaptInfo, when set, is served as JSON at the debug listener's /adapt
 	// endpoint — the cluster installs the adaptive runtime controller's
-	// status (coefficients, per-wire strategies, recent decisions) here.
+	// status (degradation, recent decisions) here.
 	// Optional.
 	AdaptInfo func() any
 	// RewindInfo, when set, serves /rewind queries on the debug listener —
@@ -412,9 +412,9 @@ func calibrationFor(e *Engine, name string, cal *estimator.Calibrated, spec Comp
 
 // CommitSilenceFault logs a silence-configuration change as a determinism
 // fault and schedules it to take effect at the given virtual-time epoch
-// boundary. Every strategy switch goes through here, adaptive or manual,
-// so replay and replicas re-derive the identical per-wire strategy
-// sequence from the log instead of re-running the control loop.
+// boundary. Every strategy switch goes through here, so replay and
+// replicas re-derive the identical per-component strategy sequence from
+// the log.
 func (e *Engine) CommitSilenceFault(component string, cfg silence.Config, at vt.Time) error {
 	h, ok := e.comps[component]
 	if !ok {

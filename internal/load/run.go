@@ -123,9 +123,9 @@ type Options struct {
 	AdaptiveBudget float64
 	// OTLPURL, when non-empty, exports spans OTLP/HTTP to this endpoint.
 	OTLPURL string
-	// Adapt enables the closed-loop adaptive runtime (span-driven estimator
-	// recalibration, blame-driven silence adaptation, burn-fed shedding) on
-	// every engine, with decisions quantized to AdaptQuantumVT boundaries.
+	// Adapt enables the adaptive runtime (span sampling steered by the
+	// budget and by SLO burn) on every engine, with decisions quantized to
+	// AdaptQuantumVT boundaries.
 	Adapt bool
 	// ChaosSeed, when non-zero, crashes a random engine every ChaosEvery
 	// under an automatic failover supervisor.
@@ -294,10 +294,6 @@ func Run(opts Options) (*Result, error) {
 			PollEvery:   200 * time.Millisecond,
 			Quantum:     AdaptQuantumVT,
 			SpansPerSec: opts.AdaptiveBudget,
-			MinBlame:    500 * time.Microsecond,
-			// Stay VT-neutral: escalations stop at Aggressive so the load
-			// run's outputs match a non-adaptive run's byte for byte.
-			MaxStrategy: tart.Aggressive,
 		}))
 	}
 	if opts.ChaosSeed != 0 {

@@ -62,12 +62,10 @@ const (
 	EvPeerUp
 	// EvPeerDown marks an inter-engine connection lost.
 	EvPeerDown
-	// EvAdaptDecision is one committed closed-loop adaptive-runtime
-	// decision: a silence-strategy switch or a span-sampling modulus switch. VT is the quantized strictly-future
-	// epoch boundary the decision takes effect at, Component names the
-	// target (empty for cluster-wide sampling switches), and Note carries
-	// the action and cause (for sampling: the old and new 1/N moduli and
-	// the burn and traffic that motivated the change).
+	// EvAdaptDecision is one committed adaptive-runtime decision: a
+	// span-sampling modulus switch. VT is the quantized strictly-future
+	// epoch boundary the decision takes effect at, and Note carries the
+	// old and new 1/N moduli and the burn and traffic that motivated it.
 	EvAdaptDecision
 )
 

@@ -552,11 +552,6 @@ const (
 	MetricTransportBytes  = "tart_transport_bytes_total"
 	MetricFramesPerWritev = "tart_transport_frames_per_writev"
 	MetricCodecFallbacks  = "tart_codec_fallbacks_total"
-	// Adaptive-runtime families (cluster closed-loop controller): total
-	// decisions by kind, and the currently selected silence strategy per
-	// wire (value = strategy enum).
-	MetricAdaptDecisions       = "tart_adapt_decisions_total"
-	MetricAdaptSilenceStrategy = "tart_adapt_silence_strategy"
 	// Cold-restart and rejoin-robustness families: redial attempts and the
 	// per-peer dial circuit breaker (0 closed, 1 open, 2 half-open), WAL
 	// records a cold start replayed from the durable suffix, durable

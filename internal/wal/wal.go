@@ -47,11 +47,10 @@ type InputRecord struct {
 }
 
 // SilenceFault is a logged silence-configuration change. Most strategy
-// switches are mere communication and need no log entry, but the adaptive
-// runtime logs every switch it makes — and hyper-aggressive bias changes
-// *must* be logged (they alter output virtual times, §II.G.4) — so that
-// replay and replicas re-derive the same configuration at the same virtual
-// time instead of re-running the control loop.
+// switches are mere communication and need no log entry, but every switch
+// is logged anyway — and hyper-aggressive bias changes *must* be logged
+// (they alter output virtual times, §II.G.4) — so that replay and replicas
+// re-derive the same configuration at the same virtual time.
 type SilenceFault struct {
 	// Config is the full configuration to install.
 	Config silence.Config

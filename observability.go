@@ -1,7 +1,6 @@
 package tart
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/adapt"
@@ -57,13 +56,13 @@ func WithOTLPExport(url string) ClusterOption {
 	})
 }
 
-// AdaptDecision is one closed-loop adaptive-runtime decision (see
-// WithAdaptiveRuntime): a silence-strategy switch or a span-sampling
-// modulus switch, stamped with the VT epoch boundary it takes effect at.
+// AdaptDecision is one adaptive-runtime decision (see WithAdaptiveRuntime):
+// a span-sampling modulus switch, stamped with the VT epoch boundary it
+// takes effect at.
 type AdaptDecision = adapt.Decision
 
-// AdaptStatus is the adaptive runtime's live snapshot: per-wire silence
-// strategies and the recent decision ring (served at /adapt and by
+// AdaptStatus is the adaptive runtime's live snapshot: whether SLO burn
+// degrades sampling, and the recent decision ring (served at /adapt and by
 // `tartctl adapt`).
 type AdaptStatus = adapt.Status
 
@@ -78,16 +77,6 @@ type AdaptiveRuntime struct {
 	// cluster's delivery rate so that deliveries/s / N stays under it,
 	// rounded up to a power of two. 0 keeps WithSpanTracing's modulus.
 	SpansPerSec float64
-	// MinBlame is the windowed pessimism blame below which no silence
-	// escalation happens (default 10ms).
-	MinBlame time.Duration
-	// QuietWindows is how many blame-free polls an escalated component
-	// needs before stepping back down (default 8).
-	QuietWindows int
-	// MaxStrategy caps escalation (default HyperAggressive). Cap at
-	// Aggressive to keep output virtual times bias-free — required when
-	// byte-identical replay of outputs matters more than won-back latency.
-	MaxStrategy SilenceStrategy
 }
 
 func (a AdaptiveRuntime) withDefaults() AdaptiveRuntime {
@@ -98,36 +87,25 @@ func (a AdaptiveRuntime) withDefaults() AdaptiveRuntime {
 }
 
 func (a AdaptiveRuntime) controllerConfig() adapt.Config {
-	return adapt.Config{
-		Quantum:         vt.Ticks(a.Quantum),
-		MinBlameSeconds: a.MinBlame.Seconds(),
-		QuietWindows:    a.QuietWindows,
-		MaxStrategy:     a.MaxStrategy,
-		SpansPerSec:     a.SpansPerSec,
-	}
+	return adapt.Config{Quantum: vt.Ticks(a.Quantum), SpansPerSec: a.SpansPerSec}
 }
 
-// WithAdaptiveRuntime closes the observability loop: a per-cluster
-// controller harvests pessimism-blame attribution, the SLO burn rate and
-// the delivery rate, and turns them into two control actions — per-wire
-// silence strategy selection (the dominant blamed wire's upstream
-// escalates lazy→aggressive→bias, and steps back when quiet) and the
-// span-sampling modulus (kept under the SpansPerSec budget, and no denser
-// than 1/64 while the SLO error budget burns, which also makes escalation
-// more eager). Estimator coefficients stay with WithCalibration's
-// scheduler-side regression.
+// WithAdaptiveRuntime closes the observability loop on span sampling: a
+// per-cluster controller harvests the delivery rate and the SLO burn rate
+// and sets the span-sampling modulus — kept under the SpansPerSec budget,
+// and no denser than 1/64 while the SLO error budget burns. Silence
+// strategies stay with WithSilence and SetSilenceStrategy, estimator
+// coefficients with WithCalibration's scheduler-side regression.
 //
-// Determinism is preserved by construction: every action takes effect only
-// at a VT-quantized, strictly-future epoch boundary and is recorded as a
-// logged determinism fault (silence) or an append-only rate epoch
-// (sampling), so replay, the passive replica, and time-travel rewind
-// re-derive identical behaviour from the log without re-running the
-// control loop. Each origin's sampling decision also travels inside its
-// envelopes, so a mid-journey rate change never half-traces an origin.
-// Decisions surface as adapt-decision flight events (with
-// WithFlightRecorder), the /adapt debug endpoint, `tartctl adapt`, and the
-// tart_adapt_* and tart_span_sample_* metric families. Implies span
-// tracing.
+// Determinism is preserved by construction: every modulus takes effect only
+// at a VT-quantized, strictly-future epoch boundary recorded as an
+// append-only rate epoch, so replay, the passive replica, and time-travel
+// rewind re-derive identical sampling without re-running the control loop.
+// Each origin's sampling decision also travels inside its envelopes, so a
+// mid-journey rate change never half-traces an origin. Decisions surface as
+// adapt-decision flight events (with WithFlightRecorder), the /adapt debug
+// endpoint, `tartctl adapt`, and the tart_span_sample_* metric families.
+// Implies span tracing.
 func WithAdaptiveRuntime(cfg AdaptiveRuntime) ClusterOption {
 	return clusterOptionFunc(func(c *clusterConfig) {
 		a := cfg.withDefaults()
@@ -153,23 +131,10 @@ func (c *Cluster) SampleEpochs() []SampleRateEpoch {
 // WithOTLPExport).
 func (c *Cluster) OTLPStats() OTLPStats { return c.otlp.Stats() }
 
-// seedAdaptMetrics gives the adaptive runtime's per-wire gauges a series at
-// launch, so dashboards and exposition audits see the family before (and
-// whether or not) the first decision fires.
-func (c *Cluster) seedAdaptMetrics() {
-	for wire, up := range c.wireUp {
-		// Before the controller's first escalation the effective strategy is
-		// the upstream governor's own configuration.
-		if cfg, err := c.SilenceConfigOf(up); err == nil {
-			c.ctl.strategy(wire).Set(int64(cfg.Strategy))
-		}
-	}
-}
-
 // adaptStep is the adaptive runtime's tick: harvest an observation, step
-// the policy, route the decisions, publish the gauges. The whole tick holds
-// adaptMu, so a reader that takes it after seeing the VT frontier pass X
-// finds every decision taken on a frontier below X already routed.
+// the policy, route its decision. The whole tick holds adaptMu, so a reader
+// that takes it after seeing the VT frontier pass X finds every decision
+// taken on a frontier below X already routed.
 func (c *Cluster) adaptStep() {
 	c.adaptMu.Lock()
 	defer c.adaptMu.Unlock()
@@ -177,29 +142,7 @@ func (c *Cluster) adaptStep() {
 		Now:       c.maxNowVT(),
 		Wall:      time.Now(),
 		Delivered: c.totalDelivered(),
-		Blame:     make(map[string]adapt.WireBlame),
 		SampleN:   c.schedule.Current().N,
-	}
-	slots := c.liveSlots()
-	for _, s := range slots {
-		// Blame: cumulative per-wire blamed pessimism seconds (histogram
-		// sums); the controller windows successive readings itself.
-		for _, fam := range s.eng.Metrics().Registry().Gather() {
-			if fam.Name != trace.MetricBlameSeconds {
-				continue
-			}
-			for _, series := range fam.Series {
-				wire := series.Get("wire")
-				up, ok := c.wireUp[wire]
-				if !ok || series.Hist == nil {
-					continue
-				}
-				wb := obs.Blame[wire]
-				wb.Upstream = up
-				wb.Seconds += series.Hist.Sum
-				obs.Blame[wire] = wb
-			}
-		}
 	}
 	if tracker := c.cfg.slo; tracker != nil {
 		for _, row := range tracker.Report().Rows {
@@ -208,56 +151,27 @@ func (c *Cluster) adaptStep() {
 			}
 		}
 	}
-
-	for _, d := range c.adaptCtl.Step(obs) {
-		if !c.applyAdaptDecision(d, slots) {
-			c.adaptCtl.Reject(d)
-		}
-	}
-	// The strategy each inter-component wire's upstream runs (value =
-	// strategy enum), read after routing so a rejected switch never shows.
-	for wire, up := range c.wireUp {
-		if cfg, ok := c.adaptCtl.StrategyOf(up); ok {
-			c.ctl.strategy(wire).Set(int64(cfg.Strategy))
-		}
-	}
+	c.adaptCtl.Step(obs, c.applyAdaptDecision)
 }
 
-// applyAdaptDecision routes one controller decision to the engines and
-// reports whether they committed it. A committed decision is counted and
-// recorded as one adapt-decision flight event on the hosting engine (on
-// every engine for a cluster-wide sampling switch). One that is not — its
-// engine is down, or the log refused the fault — is left for the caller to
-// hand back to the controller.
-func (c *Cluster) applyAdaptDecision(d AdaptDecision, slots []slotView) bool {
-	ev := trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Component: d.Component, Wire: -1,
-		Note: fmt.Sprintf("%s: %s", d.Kind, d.Cause)}
-	switch d.Kind {
-	case adapt.KindSampling:
-		if !c.schedule.Propose(d.SampleN, d.EffectiveVT) {
-			return false
-		}
-		c.ctl.sampleN.Set(int64(d.SampleN))
-		c.ctl.sampleEpochs.Inc()
-		for _, s := range slots {
-			s.slot.rec.Record(ev)
-		}
-	case adapt.KindSilence:
-		v, err := c.componentEngine(d.Component)
-		if err != nil {
-			return false
-		}
-		if err := v.eng.CommitSilenceFault(d.Component, d.Silence, d.EffectiveVT); err != nil {
-			return false
-		}
-		v.eng.Metrics().Registry().DeterminismFaults(d.Component, "adapt-silence").Inc()
-		v.slot.rec.Record(ev)
+// applyAdaptDecision appends one controller decision to the sampling
+// schedule and reports whether the schedule took it. A committed decision
+// is counted and recorded as an adapt-decision flight event on every live
+// engine.
+func (c *Cluster) applyAdaptDecision(d AdaptDecision) bool {
+	if !c.schedule.Propose(d.SampleN, d.EffectiveVT) {
+		return false
 	}
-	c.ctl.decisions(d.Kind).Inc()
+	c.ctl.sampleN.Set(int64(d.SampleN))
+	c.ctl.sampleEpochs.Inc()
+	ev := trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Wire: -1, Note: "sampling: " + d.Cause}
+	for _, s := range c.liveSlots() {
+		s.slot.rec.Record(ev)
+	}
 	return true
 }
 
-// AdaptStatus snapshots the adaptive runtime: per-wire strategies and the
+// AdaptStatus snapshots the adaptive runtime: SLO-burn degradation and the
 // recent decision ring. Zero without WithAdaptiveRuntime.
 func (c *Cluster) AdaptStatus() AdaptStatus {
 	if c.adaptCtl == nil {

@@ -93,8 +93,10 @@ const (
 	Curiosity = silence.Curiosity
 	// Aggressive pushes unprompted promises as the sender's clock advances.
 	Aggressive = silence.Aggressive
-	// HyperAggressive is the bias algorithm: promises beyond current
-	// knowledge that also floor the sender's future output times.
+	// HyperAggressive is the strategy the paper's bias algorithm runs
+	// under, but no public API sets a bias: WithSilence and
+	// SetSilenceStrategy install it with zero bias, where it pushes promises
+	// exactly as Aggressive does.
 	HyperAggressive = silence.HyperAggressive
 )
 
