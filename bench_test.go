@@ -1,16 +1,16 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§III), plus ablations for the design choices DESIGN.md calls out.
-// Custom metrics carry the quantities the paper reports:
+// Benchmarks over the live runtime: the paper's Figure 5 and ablations for
+// the design choices DESIGN.md calls out. Custom metrics carry the
+// quantities the paper reports:
 //
 //	go test -bench=. -benchmem
 //
-// Figure/table benches (paper §III):
+// The paper's other §III studies run on live engines too: Figures 3 and 4,
+// the dumb estimator, saturation and blame through `tartdist -exp`, Figure
+// 2 through `tartsim -exp fig2` (BenchmarkFig2Regression in cmd/tartsim),
+// and the §II.G.1 bias study as BenchmarkBiasAlgorithm (bias_bench_test.go).
 //
-//	BenchmarkFig2Regression            — Fig. 2 service-time regression
-//	BenchmarkFig3DeterminismOverhead   — Fig. 3 latency vs variability
-//	BenchmarkFig4EstimatorSensitivity  — Fig. 4 estimator-coefficient sweep
-//	BenchmarkThroughputSaturation      — §III.A saturation search
-//	BenchmarkDumbEstimator             — §III.A constant-estimator study
+// Figure benches (paper §III):
+//
 //	BenchmarkFig5Distributed*          — Fig. 5 two-engine TCP run
 //
 // Ablations:
@@ -30,157 +30,9 @@ import (
 
 	tart "repro"
 	"repro/internal/checkpoint"
-	"repro/internal/sim"
 	"repro/internal/slo"
 	"repro/internal/stats"
 )
-
-// BenchmarkFig2Regression measures and fits the Code Body 1 service-time
-// model (Figure 2). Reported metrics: fitted ns/iteration and R².
-func BenchmarkFig2Regression(b *testing.B) {
-	var last sim.Fig2Result
-	for i := 0; i < b.N; i++ {
-		last = sim.MeasureFig2(1000, 1, 19, 100, uint64(i+1))
-	}
-	b.ReportMetric(last.CoefNsPerIter, "ns/iter-coef")
-	b.ReportMetric(last.MedianR2, "medianR2")
-	b.ReportMetric(last.ResidualSkewness, "resid-skew")
-}
-
-// benchSim runs one short simulation per benchmark iteration and reports
-// the paper's quantities.
-func benchSim(b *testing.B, mk func(seed uint64) sim.Params, baseline func(seed uint64) sim.Params) {
-	b.Helper()
-	var det, nondet sim.Result
-	for i := 0; i < b.N; i++ {
-		seed := uint64(i + 1)
-		det = sim.Run(mk(seed))
-		if baseline != nil {
-			nondet = sim.Run(baseline(seed))
-		}
-	}
-	b.ReportMetric(det.AvgLatency.Seconds()*1e6, "det-latency-µs")
-	b.ReportMetric(det.ProbesPerMessage(), "probes/msg")
-	b.ReportMetric(det.AvgPessimism().Seconds()*1e6, "pessimism-µs/msg")
-	if baseline != nil && nondet.AvgLatency > 0 {
-		b.ReportMetric(nondet.AvgLatency.Seconds()*1e6, "nondet-latency-µs")
-		overhead := 100 * float64(det.AvgLatency-nondet.AvgLatency) / float64(nondet.AvgLatency)
-		b.ReportMetric(overhead, "overhead-%")
-	}
-}
-
-// BenchmarkFig3DeterminismOverhead reproduces Figure 3's headline at the
-// paper's maximum variability (U{1..19}): a few percent latency overhead.
-func BenchmarkFig3DeterminismOverhead(b *testing.B) {
-	mk := func(mode sim.Mode) func(uint64) sim.Params {
-		return func(seed uint64) sim.Params {
-			p := sim.DefaultParams()
-			p.Mode = mode
-			p.Seed = seed
-			p.Duration = 2 * time.Second
-			return p
-		}
-	}
-	b.Run("deterministic", func(b *testing.B) {
-		benchSim(b, mk(sim.Deterministic), mk(sim.NonDeterministic))
-	})
-	b.Run("prescient", func(b *testing.B) {
-		benchSim(b, mk(sim.Prescient), mk(sim.NonDeterministic))
-	})
-}
-
-// BenchmarkDumbEstimator reproduces the §III.A constant-estimator result:
-// ~13% overhead at maximum variability.
-func BenchmarkDumbEstimator(b *testing.B) {
-	mk := func(mode sim.Mode) func(uint64) sim.Params {
-		return func(seed uint64) sim.Params {
-			p := sim.DefaultParams()
-			p.Mode = mode
-			p.Seed = seed
-			p.Duration = 2 * time.Second
-			p.DumbEstimate = 600 * time.Microsecond
-			return p
-		}
-	}
-	benchSim(b, mk(sim.Deterministic), mk(sim.NonDeterministic))
-}
-
-// BenchmarkFig4EstimatorSensitivity sweeps the estimator coefficient under
-// empirical jitter (Figure 4) and reports the best coefficient found.
-func BenchmarkFig4EstimatorSensitivity(b *testing.B) {
-	f2 := sim.MeasureFig2(1000, 1, 19, 100, 1)
-	jit := sim.EmpiricalJitterFromFig2(f2, 60*time.Microsecond)
-	var bestCoef float64
-	var bestLat time.Duration
-	for i := 0; i < b.N; i++ {
-		pts := sim.RunFig4(sim.Fig4Config{
-			Coefs:    []float64{48, 54, 60, 66, 70},
-			Jitter:   jit,
-			Duration: 2 * time.Second,
-			Seed:     uint64(i + 1),
-		})
-		bestLat = 1 << 62
-		for _, p := range pts {
-			if p.Det.AvgLatency < bestLat {
-				bestLat = p.Det.AvgLatency
-				bestCoef = p.CoefMicros
-			}
-		}
-	}
-	b.ReportMetric(bestCoef, "best-coef-µs/iter")
-	b.ReportMetric(bestLat.Seconds()*1e6, "best-latency-µs")
-}
-
-// BenchmarkThroughputSaturation reproduces the §III.A result that both
-// modes saturate at the same input rate.
-func BenchmarkThroughputSaturation(b *testing.B) {
-	var res []sim.ThroughputResult
-	for i := 0; i < b.N; i++ {
-		res = sim.RunThroughput(sim.ThroughputConfig{
-			Rates:    []float64{1150, 1200, 1250, 1300},
-			Duration: 4 * time.Second,
-			Seed:     uint64(i + 1),
-		})
-	}
-	for _, r := range res {
-		switch r.Mode {
-		case sim.NonDeterministic:
-			b.ReportMetric(r.SaturationPerSender, "nondet-sat-msg/s")
-		case sim.Deterministic:
-			b.ReportMetric(r.SaturationPerSender, "det-sat-msg/s")
-		}
-	}
-}
-
-// BenchmarkBiasAlgorithm ablates the §II.G.1 bias algorithm under
-// expensive silence communication: the slow sender's eager promises should
-// cut pessimism delay.
-func BenchmarkBiasAlgorithm(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		bias time.Duration
-	}{
-		{name: "off", bias: 0},
-		{name: "1ms", bias: time.Millisecond},
-		{name: "2ms", bias: 2 * time.Millisecond},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var pt sim.BiasPoint
-			for i := 0; i < b.N; i++ {
-				pts := sim.RunBias(sim.BiasConfig{
-					Biases:     []time.Duration{tc.bias},
-					Duration:   4 * time.Second,
-					Seed:       uint64(i + 1),
-					ProbeDelay: 150 * time.Microsecond,
-				})
-				pt = pts[0]
-			}
-			b.ReportMetric(pt.Det.AvgLatency.Seconds()*1e6, "latency-µs")
-			b.ReportMetric(pt.Det.AvgPessimism().Seconds()*1e6, "pessimism-µs/msg")
-			b.ReportMetric(pt.Det.ProbesPerMessage(), "probes/msg")
-		})
-	}
-}
 
 // relay forwards payloads (constant-time service).
 type relay struct{ N int }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -10,103 +11,97 @@ import (
 )
 
 // runBaseline measures the conventional, non-deterministic implementation
-// of the same application: sender goroutines on "engine A" forward
-// requests over a real TCP connection to a merger goroutine on "engine B",
-// which processes them in arrival order (the paper's non-deterministic
-// mode — a synchronized method invoked by competing threads). Like the
-// TART components it is compared against, the handlers are pure
-// forwarding: the measured latency is infrastructure cost only.
-func runBaseline(requests int, rate float64, port int) ([]time.Duration, error) {
+// of the same application: sender goroutines on "engine A" run the same
+// busy loops on the same draws and forward requests over a real TCP
+// connection to a merger goroutine on "engine B", which processes them in
+// arrival order (the paper's non-deterministic mode — a synchronized method
+// invoked by competing threads).
+func runBaseline(w workload, port int) (result, error) {
 	tcp := transport.TCP{}
 	addr := fmt.Sprintf("127.0.0.1:%d", port)
 	l, err := tcp.Listen(addr)
 	if err != nil {
-		return nil, err
+		return result{}, err
 	}
-	defer l.Close()
+	tr := newTracker(w)
 
-	var (
-		mu       sync.Mutex
-		emitted  = make(map[uint64]time.Time)
-		lat      []time.Duration
-		done     = make(chan struct{})
-		received int
-	)
-
-	// Engine B: the merger accepts one connection per sender and services
-	// messages in real arrival order (constant 100 µs service, as in the
-	// TART runs).
-	acceptDone := make(chan error, 1)
+	// Engine B: one receiver per sender connection feeds the merger, which
+	// services messages one at a time in real arrival order.
+	arrivals := make(chan uint64, tr.want)
 	go func() {
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
+		for p := range arrivals {
+			spin(steps(w.mergeCost), p)
+			tr.deliver(p)
+		}
+	}()
+	// Runs after the sender connections' deferred closes have ended every
+	// receiver's Recv.
+	var recvs sync.WaitGroup
+	defer func() {
+		l.Close()
+		recvs.Wait()
+		close(arrivals)
+	}()
+	for i := 0; i < 2; i++ {
+		recvs.Add(1)
+		go func() {
+			defer recvs.Done()
 			conn, err := l.Accept()
 			if err != nil {
-				acceptDone <- err
 				return
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					env, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					id, _ := env.Payload.(uint64)
-					mu.Lock()
-					if t0, ok := emitted[id]; ok {
-						lat = append(lat, time.Since(t0))
-						delete(emitted, id)
-					}
-					received++
-					if received == requests {
-						close(done)
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		acceptDone <- nil
-	}()
-
-	// Engine A: two sender goroutines, each with its own connection.
-	gap := time.Duration(float64(time.Second) / rate)
-	var senders sync.WaitGroup
-	sendErr := make(chan error, 2)
-	for s := 0; s < 2; s++ {
-		conn, err := tcp.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		defer conn.Close()
-		senders.Add(1)
-		go func(conn transport.Conn, base uint64) {
-			defer senders.Done()
-			for i := 0; i < requests/2; i++ {
-				id := base + uint64(i)
-				mu.Lock()
-				emitted[id] = time.Now()
-				mu.Unlock()
-				if err := conn.Send(msg.Envelope{Kind: msg.KindData, Seq: uint64(i + 1), Payload: id}); err != nil {
-					sendErr <- err
+			defer conn.Close()
+			for {
+				env, err := conn.Recv()
+				if err != nil {
 					return
 				}
-				time.Sleep(gap)
+				p, _ := env.Payload.(uint64)
+				arrivals <- p
 			}
-		}(conn, uint64(s)*1_000_000)
+		}()
 	}
+
+	// Engine A: each sender drains its source's queue, loops k iterations
+	// per message, then sends. A queue holds a whole run, so a generator
+	// never blocks on a busy sender.
+	var conns [2]transport.Conn
+	for s := range conns {
+		if conns[s], err = tcp.Dial(addr); err != nil {
+			return result{}, err
+		}
+		defer conns[s].Close()
+	}
+	var senders sync.WaitGroup
+	var sendErrs [2]error
+	queues := [2]chan uint64{make(chan uint64, w.perSender[0]), make(chan uint64, w.perSender[1])}
+	for s, conn := range conns {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			seq := uint64(0)
+			for p := range queues[s] {
+				spin(loops(p)*steps(w.iterCost), p)
+				seq++
+				if sendErrs[s] = conn.Send(msg.Envelope{Kind: msg.KindData, Seq: seq, Payload: p}); sendErrs[s] != nil {
+					return
+				}
+			}
+		}()
+	}
+	backlog, _ := drive(w, tr, func(s int, p uint64) error {
+		queues[s] <- p
+		return nil
+	})
+	close(queues[0])
+	close(queues[1])
 	senders.Wait()
-	select {
-	case err := <-sendErr:
-		return nil, err
-	default:
+	if err := errors.Join(sendErrs[:]...); err != nil {
+		return result{}, err
 	}
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		return nil, fmt.Errorf("baseline timed out: %d of %d", received, requests)
+	lat, err := tr.wait(60 * time.Second)
+	if err != nil {
+		return result{}, fmt.Errorf("baseline %w", err)
 	}
-	return lat, nil
+	return result{lat: lat, backlog: backlog}, nil
 }

@@ -1,28 +1,34 @@
-// Command tartdist reproduces Figure 5: a real (not simulated) two-engine
-// distributed run of the Figure-1 application over TCP sockets, with
-// constant-time services and ad-hoc (constant) estimators, comparing:
+// Command tartdist runs the paper's Figure-1 application live: two
+// senders on engine A and a merger on engine B, in one process over real
+// TCP on localhost, deterministically through TART and, for comparison, as
+// a conventional non-deterministic implementation (plain goroutines and
+// sockets, arrival-order processing) fed the same draws. It serves every
+// study of the paper's evaluation except Figure 2:
 //
-//   - non-deterministic execution — a conventional implementation (plain
-//     goroutines and sockets, arrival-order processing);
-//   - deterministic execution with lazy silence propagation;
-//   - deterministic execution with curiosity-driven silence propagation;
-//   - deterministic execution with aggressive silence propagation.
+//	tartdist -exp fig5        Figure 5: strategies vs non-det (default)
+//	tartdist -exp fig3        Figure 3: latency vs sender compute variability
+//	tartdist -exp dumb        §III.A: the constant ("dumb") estimator
+//	tartdist -exp fig4        Figure 4: sensitivity to the estimator coefficient
+//	tartdist -exp throughput  §III.A: saturation, det vs non-det
+//	tartdist -exp blame       pessimism blame per wire, symmetric vs slow sender
 //
-// The paper's result: lazy silence is far slower (the merger can only
-// learn silence from the next data message), while curiosity-based
-// propagation stays within ~20% of non-deterministic execution.
+// Figure 5 uses constant-time services and ad-hoc (constant) estimators and
+// compares non-deterministic execution with lazy, curiosity-driven and
+// aggressive silence propagation. The paper's result: lazy silence is far
+// slower (the merger can only learn silence from the next data message),
+// while curiosity-based propagation stays within ~20% of non-deterministic
+// execution. With -spans 1 every deterministic run also prints where its
+// end-to-end latency goes, phase by phase (queueing, pessimism, compute,
+// transport, linger), so -mode all -spans 1 is the per-strategy
+// critical-path sweep. With -debug each engine additionally serves its
+// observability surface (/metrics, /healthz, /trace, /topology) on a
+// loopback HTTP listener; combine with -hold to keep the cluster alive for
+// curl or tartctl status.
 //
-// With -spans 1 every deterministic run also prints where its end-to-end
-// latency goes, phase by phase (queueing, pessimism, compute, transport,
-// linger), so -mode all -spans 1 is the per-strategy critical-path sweep.
-//
-// Both engines run in this process but communicate over real TCP on
-// localhost, exercising serialization, the reliable-FIFO recovery layer,
-// and cross-engine probes end to end.
-//
-// With -debug each engine additionally serves its observability surface
-// (/metrics, /healthz, /trace, /topology) on a loopback HTTP listener;
-// combine with -hold to keep the cluster alive for curl or tartctl status.
+// The §III studies run the paper's simulated workload on the live runtime:
+// seeded Poisson sources, senders that busy-loop k × 60 µs with k drawn per
+// message from the seed and carried in the payload, and a 400 µs merger
+// (see section3.go for the rate scaling a 2-vCPU machine needs).
 package main
 
 import (
@@ -31,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"sync"
 	"syscall"
 	"time"
 
@@ -43,23 +48,44 @@ import (
 
 func main() {
 	var (
-		mode     = flag.String("mode", "all", "mode: nondet|lazy|curiosity|aggressive|all")
-		requests = flag.Int("requests", 3000, "total web requests (split across two senders)")
-		rate     = flag.Float64("rate", 100, "requests/second per sender")
-		buckets  = flag.Int("buckets", 10, "latency buckets printed per run")
+		exp      = flag.String("exp", "fig5", "experiment: fig5|fig3|dumb|fig4|throughput|blame")
+		mode     = flag.String("mode", "all", "fig5 mode: nondet|lazy|curiosity|aggressive|all")
+		requests = flag.Int("requests", 3000, "fig5: total web requests (split across two senders)")
+		rate     = flag.Float64("rate", 100, "fig5: requests/second per sender")
+		buckets  = flag.Int("buckets", 10, "fig5: latency buckets printed per run")
 		portBase = flag.Int("port", 39500, "first TCP port to use")
-		debug    = flag.Bool("debug", false, "serve /metrics, /healthz, /trace, /spans, /topology per engine")
-		hold     = flag.Duration("hold", 0, "keep each TART cluster alive this long after the run (for curl / tartctl status)")
-		spansN   = flag.Int("spans", 0, "enable span tracing at 1/N head-sampling (1 = every origin) and print the critical-path summary")
+		debug    = flag.Bool("debug", false, "fig5: serve /metrics, /healthz, /trace, /spans, /topology per engine")
+		hold     = flag.Duration("hold", 0, "fig5: keep each TART cluster alive this long after the run (for curl / tartctl status)")
+		spansN   = flag.Int("spans", 0, "fig5: enable span tracing at 1/N head-sampling (1 = every origin) and print the critical-path summary")
+		seed     = flag.Uint64("seed", 1, "§III studies: seed of the arrivals and loop counts")
+		duration = flag.Duration("duration", 4*time.Second, "§III studies: emission time per run")
 	)
 	flag.Parse()
-	if err := run(*mode, *requests, *rate, *buckets, *portBase, *debug, *hold, *spansN); err != nil {
+	if *exp != "fig5" {
+		fmt.Printf("   live: seed %d, %v per run, %.0f msg/s per sender (the paper's %.0f scaled by %.2f),\n",
+			*seed, *duration, rateScale*paperRate, paperRate, rateScale)
+		fmt.Printf("   senders k × %v busy loop on engine A, %v merger on engine B, TCP between\n\n", iterCost, mergeCost)
+	}
+	err := fmt.Errorf("unknown experiment %q", *exp)
+	switch *exp {
+	case "fig5":
+		err = fig5(*mode, *requests, *rate, *buckets, *portBase, *debug, *hold, *spansN)
+	case "fig3", "dumb":
+		err = fig3(*seed, *duration, *portBase, *exp == "dumb")
+	case "fig4":
+		err = fig4(*seed, *duration, *portBase)
+	case "throughput":
+		err = throughput(*seed, *duration, *portBase)
+	case "blame":
+		err = blame(*seed, *duration, *portBase)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tartdist:", err)
 		os.Exit(1)
 	}
 }
 
-func run(mode string, requests int, rate float64, buckets, portBase int, debug bool, hold time.Duration, spansN int) error {
+func fig5(mode string, requests int, rate float64, buckets, portBase int, debug bool, hold time.Duration, spansN int) error {
 	fmt.Println("== Figure 5: real two-engine distributed run over TCP ==")
 	fmt.Printf("   %d web requests, %.0f req/s/sender, senders on engine A, merger on engine B\n\n",
 		requests, rate)
@@ -67,30 +93,41 @@ func run(mode string, requests int, rate float64, buckets, portBase int, debug b
 	if mode != "all" {
 		modes = []string{mode}
 	}
+	w := workload{
+		perSender: [2]int{requests / 2, requests / 2},
+		rates:     [2]float64{rate, rate},
+		// Ad-hoc constant estimators, constant-time services (§III.C).
+		senderEst: tart.WithConstantCost(50 * time.Microsecond),
+		mergerEst: tart.WithConstantCost(100 * time.Microsecond),
+		spans:     spansN,
+		debug:     debug,
+		hold:      hold,
+	}
+	strategies := map[string]tart.SilenceStrategy{"lazy": tart.Lazy, "curiosity": tart.Curiosity, "aggressive": tart.Aggressive}
 	port := portBase
 	means := make(map[string]time.Duration)
 	for _, m := range modes {
-		var lat []time.Duration
+		var res result
 		var err error
-		switch m {
-		case "nondet":
-			lat, err = runBaseline(requests, rate, port)
-		case "lazy":
-			lat, err = runTART(tart.Lazy, requests, rate, port, debug, hold, spansN)
-		case "curiosity":
-			lat, err = runTART(tart.Curiosity, requests, rate, port, debug, hold, spansN)
-		case "aggressive":
-			lat, err = runTART(tart.Aggressive, requests, rate, port, debug, hold, spansN)
-		default:
+		if m == "nondet" {
+			res, err = runBaseline(w, port)
+		} else if s, ok := strategies[m]; ok {
+			w.strategy = s
+			res, err = runTART(w, port)
+		} else {
 			return fmt.Errorf("unknown mode %q", m)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", m, err)
 		}
 		port += 4
-		s := summary(lat)
+		printWireTable(res.wires)
+		if w.spans > 0 && m != "nondet" {
+			printSpanSummary(res.paths, w.strategy)
+		}
+		s := summary(res.lat)
 		means[m] = s.Mean()
-		printSeries(m, lat, s, buckets)
+		printSeries(m, res.lat, s, buckets)
 	}
 	if len(modes) > 1 {
 		printComparison(modes, means)
@@ -151,30 +188,25 @@ func printComparison(modes []string, means map[string]time.Duration) {
 
 // wireRow aggregates one wire's registry series across both engines: the
 // sending side contributes sent/silences, the receiving side delivered,
-// probes, duplicates, and the pessimism histogram.
+// out-of-order, probes, duplicates, the pessimism histogram and blame (the
+// episodes whose last holdout was this wire's silence frontier).
 type wireRow struct {
 	delivered  float64
+	outOfOrder float64
 	probes     float64
 	duplicates float64
 	sent       float64
 	silences   float64
 	pessCount  uint64
 	pessSum    float64
+	blamed     float64
+	blameSum   float64
 }
 
-// printWireTable renders the per-wire observability table from each
-// engine's labeled metrics registry — the registry replaces the ad-hoc
-// counters earlier versions of this harness kept by hand.
-func printWireTable(cluster *tart.Cluster, engines []string) {
+// collectWires reads the per-wire rows from each engine's labeled metrics
+// registry.
+func collectWires(cluster *tart.Cluster, engines []string) map[string]*wireRow {
 	rows := map[string]*wireRow{}
-	row := func(wire string) *wireRow {
-		r := rows[wire]
-		if r == nil {
-			r = &wireRow{}
-			rows[wire] = r
-		}
-		return r
-	}
 	for _, eng := range engines {
 		fams, err := cluster.MetricFamilies(eng)
 		if err != nil {
@@ -186,26 +218,44 @@ func printWireTable(cluster *tart.Cluster, engines []string) {
 				if wire == "" {
 					continue
 				}
+				r := rows[wire]
+				if r == nil {
+					r = &wireRow{}
+					rows[wire] = r
+				}
 				switch f.Name {
 				case trace.MetricDelivered:
-					row(wire).delivered += s.Value
+					r.delivered += s.Value
+				case trace.MetricOutOfOrder:
+					r.outOfOrder += s.Value
 				case trace.MetricProbes:
-					row(wire).probes += s.Value
+					r.probes += s.Value
 				case trace.MetricDuplicates:
-					row(wire).duplicates += s.Value
+					r.duplicates += s.Value
 				case trace.MetricSent:
-					row(wire).sent += s.Value
+					r.sent += s.Value
 				case trace.MetricSilences:
-					row(wire).silences += s.Value
+					r.silences += s.Value
+				case trace.MetricBlame:
+					r.blamed += s.Value
 				case trace.MetricPessimism:
 					if s.Hist != nil {
-						row(wire).pessCount += s.Hist.Count
-						row(wire).pessSum += s.Hist.Sum
+						r.pessCount += s.Hist.Count
+						r.pessSum += s.Hist.Sum
+					}
+				case trace.MetricBlameSeconds:
+					if s.Hist != nil {
+						r.blameSum += s.Hist.Sum
 					}
 				}
 			}
 		}
 	}
+	return rows
+}
+
+// printWireTable renders the per-wire observability table.
+func printWireTable(rows map[string]*wireRow) {
 	if len(rows) == 0 {
 		return
 	}
@@ -214,35 +264,35 @@ func printWireTable(cluster *tart.Cluster, engines []string) {
 		wires = append(wires, w)
 	}
 	sort.Strings(wires)
-	fmt.Println("   -- per-wire registry (delivered/probes/dup from receiver, sent/silences from sender) --")
-	fmt.Printf("   %-28s %9s %7s %5s %9s %9s %12s\n",
-		"wire", "delivered", "probes", "dup", "sent", "silences", "pessimism")
+	fmt.Println("   -- per-wire registry (delivered/probes/dup/pessimism/blame from receiver, sent/silences from sender) --")
+	fmt.Printf("   %-28s %9s %7s %5s %9s %9s %12s %18s\n",
+		"wire", "delivered", "probes", "dup", "sent", "silences", "pessimism", "blamed")
 	for _, w := range wires {
 		r := rows[w]
 		pess := "-"
 		if r.pessCount > 0 {
 			pess = fmt.Sprintf("%.2fms/ep", 1e3*r.pessSum/float64(r.pessCount))
 		}
-		fmt.Printf("   %-28s %9.0f %7.0f %5.0f %9.0f %9.0f %12s\n",
-			w, r.delivered, r.probes, r.duplicates, r.sent, r.silences, pess)
+		blame := "-"
+		if r.blamed > 0 {
+			blame = fmt.Sprintf("%.0f eps %.1fms", r.blamed, 1e3*r.blameSum)
+		}
+		fmt.Printf("   %-28s %9.0f %7.0f %5.0f %9.0f %9.0f %12s %18s\n",
+			w, r.delivered, r.probes, r.duplicates, r.sent, r.silences, pess, blame)
 	}
 	fmt.Println()
 }
 
-// printSpanSummary merges both engines' span collectors and prints the
-// aggregate critical-path shares of one strategy's run plus a sample of
-// traced origins to feed into `tartctl timeline`.
-func printSpanSummary(cluster *tart.Cluster, strategy tart.SilenceStrategy) {
-	spansA, _ := cluster.Spans("A")
-	spansB, _ := cluster.Spans("B")
-	all := append(spansA, spansB...)
-	if len(all) == 0 {
+// printSpanSummary prints the aggregate critical-path shares of one
+// strategy's run plus a sample of traced origins to feed into
+// `tartctl timeline`.
+func printSpanSummary(table []tart.CriticalPathBreakdown, strategy tart.SilenceStrategy) {
+	if len(table) == 0 {
 		fmt.Println("   -- no spans recorded --")
 		return
 	}
-	table := tart.CriticalPathTable(all)
 	agg := span.Aggregate(table)
-	fmt.Printf("   -- %s: critical path over %d traced origins (%d spans) --\n", strategy, len(table), len(all))
+	fmt.Printf("   -- %s: critical path over %d traced origins (%d spans) --\n", strategy, len(table), agg.Spans)
 	for _, p := range span.Phases() {
 		d := agg.ByPhase[p]
 		if d == 0 {
@@ -250,39 +300,50 @@ func printSpanSummary(cluster *tart.Cluster, strategy tart.SilenceStrategy) {
 		}
 		fmt.Printf("   %-10s %12v  %5.1f%%\n", p, d.Round(time.Microsecond), 100*agg.Share(p))
 	}
-	n := len(table)
-	if n > 3 {
-		n = 3
-	}
-	for _, b := range table[:n] {
+	for _, b := range table[:min(len(table), 3)] {
 		fmt.Printf("   e.g. tartctl timeline -addr <B debug addr> -origin %s   (%v end-to-end)\n",
 			b.Origin, b.Total.Round(time.Microsecond))
 	}
 	fmt.Println()
 }
 
-// forward is a constant-time passthrough component.
-type forward struct{ Seen int }
+// stage is a Figure-1 component: it busy-loops for its cost, then forwards
+// the payload. A sender loops iterSteps per iteration of the payload's k, a
+// merger fixedSteps per message; fit, when set, receives each delivery's
+// measured cost.
+type stage struct {
+	Seen       int
+	iterSteps  int
+	fixedSteps int
+	fit        *costFit
+}
 
-func (f *forward) OnMessage(ctx *tart.Context, port string, payload any) (any, error) {
-	f.Seen++
-	return nil, ctx.Send("out", payload)
+func (s *stage) OnMessage(ctx *tart.Context, port string, payload any) (any, error) {
+	s.Seen++
+	t0 := time.Now()
+	k := loops(payload)
+	spin(s.fixedSteps+k*s.iterSteps, uint64(s.Seen))
+	err := ctx.Send("out", payload)
+	if s.fit != nil {
+		s.fit.observe(k, time.Since(t0))
+	}
+	return nil, err
 }
 
 // runTART measures per-request latency through a two-engine TART cluster
-// over TCP with the given silence strategy.
-func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int, debug bool, hold time.Duration, spansN int) ([]time.Duration, error) {
+// over TCP.
+func runTART(w workload, port int) (result, error) {
 	app := tart.NewApp()
-	// Ad-hoc constant estimators, constant-time services (§III.C).
+	fit := &costFit{}
 	for _, name := range []string{"sender1", "sender2"} {
-		app.Register(name, &forward{},
-			tart.WithConstantCost(50*time.Microsecond),
-			tart.WithSilence(strategy),
+		app.Register(name, &stage{iterSteps: steps(w.iterCost), fit: fit},
+			w.senderEst,
+			tart.WithSilence(w.strategy),
 			tart.WithProbeRetry(time.Millisecond))
 	}
-	app.Register("merger", &forward{},
-		tart.WithConstantCost(100*time.Microsecond),
-		tart.WithSilence(strategy),
+	app.Register("merger", &stage{fixedSteps: steps(w.mergeCost)},
+		w.mergerEst,
+		tart.WithSilence(w.strategy),
 		tart.WithProbeRetry(time.Millisecond))
 	app.SourceInto("in1", "sender1", "in")
 	app.SourceInto("in2", "sender2", "in")
@@ -294,7 +355,7 @@ func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int
 	app.Place("merger", "B")
 
 	silenceEvery := 500 * time.Microsecond
-	if strategy == tart.Lazy {
+	if w.strategy == tart.Lazy {
 		// Lazy propagation: silence flows only with data messages — disable
 		// the engine's periodic source watermarks too, or the sources would
 		// leak silence lazily-configured components never send.
@@ -307,7 +368,7 @@ func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int
 		}),
 		tart.WithSourceSilenceEvery(silenceEvery),
 	}
-	if debug {
+	if w.debug {
 		// The ops surface plus the flight recorder, so /trace has content.
 		opts = append(opts,
 			tart.WithDebugHTTP(map[string]string{
@@ -316,12 +377,12 @@ func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int
 			}),
 			tart.WithFlightRecorder(""))
 	}
-	if spansN > 0 {
-		opts = append(opts, tart.WithSpanTracing(spansN))
+	if w.spans > 0 {
+		opts = append(opts, tart.WithSpanTracing(w.spans))
 	}
 	cluster, err := tart.Launch(app, opts...)
 	if err != nil {
-		return nil, err
+		return result{}, err
 	}
 	defer cluster.Stop()
 	// SIGTERM/SIGINT mid-run: persist the flight recorders (a no-op without
@@ -344,7 +405,7 @@ func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int
 		}
 		os.Exit(130)
 	}()
-	if debug {
+	if w.debug {
 		for _, eng := range []string{"A", "B"} {
 			if addr, err := cluster.DebugAddr(eng); err == nil && addr != "" {
 				fmt.Printf("   debug HTTP for engine %s at http://%s/metrics\n", eng, addr)
@@ -352,68 +413,41 @@ func runTART(strategy tart.SilenceStrategy, requests int, rate float64, port int
 		}
 	}
 
-	var (
-		mu       sync.Mutex
-		emitted  = make(map[uint64]time.Time) // request id -> emit time
-		lat      []time.Duration
-		done     = make(chan struct{})
-		received int
-	)
-	err = cluster.Sink("out", func(o tart.Output) {
-		id, _ := o.Payload.(uint64)
-		mu.Lock()
-		if t0, ok := emitted[id]; ok {
-			lat = append(lat, time.Since(t0))
-			delete(emitted, id)
-		}
-		received++
-		if received == requests {
-			close(done)
-		}
-		mu.Unlock()
-	})
-	if err != nil {
-		return nil, err
+	tr := newTracker(w)
+	if err := cluster.Sink("out", func(o tart.Output) {
+		p, _ := o.Payload.(uint64)
+		tr.deliver(p)
+	}); err != nil {
+		return result{}, err
 	}
-
 	in1, _ := cluster.Source("in1")
 	in2, _ := cluster.Source("in2")
-	gap := time.Duration(float64(time.Second) / rate)
-	var wg sync.WaitGroup
-	emitLoop := func(src *tart.Source, base uint64) {
-		defer wg.Done()
-		for i := 0; i < requests/2; i++ {
-			id := base + uint64(i)
-			mu.Lock()
-			emitted[id] = time.Now()
-			mu.Unlock()
-			if _, err := src.Emit(id); err != nil {
-				return
-			}
-			time.Sleep(gap)
-		}
+	srcs := [2]*tart.Source{in1, in2}
+	backlog, err := drive(w, tr, func(s int, p uint64) error {
+		_, err := srcs[s].Emit(p)
+		return err
+	})
+	if err != nil {
+		return result{}, err
 	}
-	wg.Add(2)
-	go emitLoop(in1, 0)
-	go emitLoop(in2, 1_000_000)
-	wg.Wait()
 	// Drain: end-of-stream promises release the merge's final messages.
 	_ = in1.End()
 	_ = in2.End()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		return nil, fmt.Errorf("timed out: %d of %d outputs", received, requests)
+	lat, err := tr.wait(60 * time.Second)
+	if err != nil {
+		return result{}, err
 	}
-	printWireTable(cluster, []string{"A", "B"})
-	if spansN > 0 {
-		printSpanSummary(cluster, strategy)
+	res := result{lat: lat, backlog: backlog, coef: fit.coef(), wires: collectWires(cluster, []string{"A", "B"})}
+	if w.spans > 0 {
+		spansA, _ := cluster.Spans("A")
+		spansB, _ := cluster.Spans("B")
+		res.paths = tart.CriticalPathTable(append(spansA, spansB...))
 	}
-	if hold > 0 {
-		fmt.Printf("   holding cluster for %v (curl the debug endpoints now)...\n", hold)
-		time.Sleep(hold)
+	if w.hold > 0 {
+		fmt.Printf("   holding cluster for %v (curl the debug endpoints now)...\n", w.hold)
+		time.Sleep(w.hold)
 	}
 	// Latencies were recorded in output order — the paper's Figure-5 x-axis
 	// is the request number in completion order.
-	return lat, nil
+	return res, nil
 }

@@ -1,4 +1,4 @@
-package sim
+package main
 
 import (
 	"fmt"
@@ -18,8 +18,8 @@ import (
 // right-skewed residuals, and ~zero iteration↔residual correlation; the
 // absolute coefficient is hardware-specific, the structure is not.
 
-// Fig2Sample is one measured execution.
-type Fig2Sample struct {
+// fig2Sample is one measured execution.
+type fig2Sample struct {
 	// Iterations is ξ₁, the loop (sentence-length) count.
 	Iterations int
 	// Nanos is the measured service time for one logical execution
@@ -27,9 +27,9 @@ type Fig2Sample struct {
 	Nanos float64
 }
 
-// Fig2Result is the full Figure-2 study output.
-type Fig2Result struct {
-	Samples []Fig2Sample
+// fig2Result is the full Figure-2 study output.
+type fig2Result struct {
+	Samples []fig2Sample
 	// CoefNsPerIter is the fitted β in ns per iteration (paper: 61,827).
 	CoefNsPerIter float64
 	// R2 is the coefficient of determination (paper: 0.9154).
@@ -79,7 +79,7 @@ func vocabulary(n int, rng *stats.RNG) []string {
 	return out
 }
 
-// MeasureFig2 runs the Figure-2 experiment: n executions with iteration
+// measureFig2 runs the Figure-2 experiment: n executions with iteration
 // counts drawn uniformly from {itLo..itHi}, each repeated innerReps times
 // per measurement (the paper used 10,000 × 300 with {1..19}).
 //
@@ -88,7 +88,7 @@ func vocabulary(n int, rng *stats.RNG) []string {
 // jitter from OS effects, which this machine reproduces through scheduler
 // preemption and cache behaviour; Go's concurrent GC would otherwise add a
 // noise source the paper's workload did not have at this magnitude.
-func MeasureFig2(n, itLo, itHi, innerReps int, seed uint64) Fig2Result {
+func measureFig2(n, itLo, itHi, innerReps int, seed uint64) fig2Result {
 	rng := stats.NewRNG(seed)
 	body := &codeBody1{counts: make(map[string]int, 1<<16)}
 	words := vocabulary(50_000, rng)
@@ -106,7 +106,7 @@ func MeasureFig2(n, itLo, itHi, innerReps int, seed uint64) Fig2Result {
 		runtime.GC()
 	}()
 
-	samples := make([]Fig2Sample, 0, n)
+	samples := make([]fig2Sample, 0, n)
 	for i := 0; i < n; i++ {
 		k := itLo + rng.Intn(itHi-itLo+1)
 		sent := make([]string, k)
@@ -118,20 +118,20 @@ func MeasureFig2(n, itLo, itHi, innerReps int, seed uint64) Fig2Result {
 			body.processSentence(sent)
 		}
 		elapsed := float64(time.Since(start).Nanoseconds()) / float64(innerReps)
-		samples = append(samples, Fig2Sample{Iterations: k, Nanos: elapsed})
+		samples = append(samples, fig2Sample{Iterations: k, Nanos: elapsed})
 	}
 	return fitFig2(samples)
 }
 
 // fitFig2 fits τ = β·ξ₁ and computes the diagnostics the paper reports.
-func fitFig2(samples []Fig2Sample) Fig2Result {
+func fitFig2(samples []fig2Sample) fig2Result {
 	xs := make([]float64, len(samples))
 	ys := make([]float64, len(samples))
 	for i, s := range samples {
 		xs[i] = float64(s.Iterations)
 		ys[i] = s.Nanos
 	}
-	res := Fig2Result{Samples: samples}
+	res := fig2Result{Samples: samples}
 	fit, err := stats.OLS1(xs, ys)
 	if err != nil {
 		return res
@@ -142,7 +142,7 @@ func fitFig2(samples []Fig2Sample) Fig2Result {
 	res.ResidualCorrelation = stats.Correlation(xs, fit.Residuals)
 
 	// Robust variant: regress the per-iteration-count medians.
-	byIter := res.EmpiricalSamplesByIteration()
+	byIter := res.samplesByIteration()
 	var mx, my []float64
 	for k, obs := range byIter {
 		sorted := append([]float64(nil), obs...)
@@ -157,9 +157,8 @@ func fitFig2(samples []Fig2Sample) Fig2Result {
 	return res
 }
 
-// EmpiricalSamplesByIteration groups measured service times by iteration
-// count, ready for EmpiricalJitter (the Figure-4 import step).
-func (r Fig2Result) EmpiricalSamplesByIteration() map[int][]float64 {
+// samplesByIteration groups measured service times by iteration count.
+func (r fig2Result) samplesByIteration() map[int][]float64 {
 	out := make(map[int][]float64)
 	for _, s := range r.Samples {
 		out[s.Iterations] = append(out[s.Iterations], s.Nanos)

@@ -1,14 +1,8 @@
-// Command tartsim runs the paper's simulation studies (§III.A–§III.B) and
-// prints the series behind each figure:
+// Command tartsim runs the repository's measurement sweeps that are not the
+// Figure-1 application (cmd/tartdist runs that one live) and prints each
+// series:
 //
 //	tartsim -exp fig2        Figure 2: service-time regression (real measurement)
-//	tartsim -exp fig3        Figure 3: latency vs sender variability, 3 modes
-//	tartsim -exp fig4        Figure 4: sensitivity to the estimator coefficient
-//	tartsim -exp throughput  Saturation search (det vs non-det)
-//	tartsim -exp dumb        The 600 µs constant ("dumb") estimator study
-//	tartsim -exp bias        §II.G.1 bias algorithm under asymmetric rates
-//	tartsim -exp wires       Per-wire registry table for one deterministic run
-//	tartsim -exp blame       Pessimism blame attribution across sender configs
 //	tartsim -exp chaos       Chaos seed sweep: exact-replay oracle under supervised failover
 //	tartsim -exp slo         SLO scenario sweep: open-loop arrival shapes vs the latency tail
 //	tartsim -exp rewind      Time-travel rewind latency vs VT checkpoint cadence
@@ -22,44 +16,26 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig2|fig3|fig4|throughput|dumb|bias|wires|blame|chaos|slo|rewind|coldstart|wirespeed|all")
-		duration = flag.Duration("duration", 20*time.Second, "simulated time per run")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		samples  = flag.Int("fig2n", 10000, "Figure-2 sample count")
-		reps     = flag.Int("fig2reps", 300, "Figure-2 inner repetitions per sample")
+		exp     = flag.String("exp", "all", "experiment: fig2|chaos|slo|rewind|coldstart|wirespeed|all")
+		seed    = flag.Uint64("seed", 1, "seed")
+		samples = flag.Int("fig2n", 10000, "Figure-2 sample count")
+		reps    = flag.Int("fig2reps", 300, "Figure-2 inner repetitions per sample")
 	)
 	flag.Parse()
-	if err := run(*exp, *duration, *seed, *samples, *reps); err != nil {
+	if err := run(*exp, *seed, *samples, *reps); err != nil {
 		fmt.Fprintln(os.Stderr, "tartsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, duration time.Duration, seed uint64, fig2n, fig2reps int) error {
+func run(exp string, seed uint64, fig2n, fig2reps int) error {
 	switch exp {
 	case "fig2":
 		fig2(fig2n, fig2reps, seed)
-	case "fig3":
-		fig3(duration, seed, 0)
-	case "dumb":
-		fig3(duration, seed, 600*time.Microsecond)
-	case "fig4":
-		fig4(duration, seed, fig2n, fig2reps)
-	case "throughput":
-		throughput(duration, seed)
-	case "bias":
-		bias(duration, seed)
-	case "wires":
-		wires(duration, seed)
-	case "blame":
-		blame(duration, seed)
 	case "chaos":
 		return chaosExp(3, 12)
 	case "slo":
@@ -71,9 +47,8 @@ func run(exp string, duration time.Duration, seed uint64, fig2n, fig2reps int) e
 	case "wirespeed":
 		return wirespeed()
 	case "all":
-		for _, e := range []string{"fig2", "fig3", "dumb", "fig4", "throughput", "bias", "wires", "blame",
-			"chaos", "slo", "rewind", "coldstart", "wirespeed"} {
-			if err := run(e, duration, seed, fig2n, fig2reps); err != nil {
+		for _, e := range []string{"fig2", "chaos", "slo", "rewind", "coldstart", "wirespeed"} {
+			if err := run(e, seed, fig2n, fig2reps); err != nil {
 				return err
 			}
 		}
@@ -87,201 +62,11 @@ func fig2(n, reps int, seed uint64) {
 	fmt.Println("== Figure 2: service time vs iteration count (real measurement) ==")
 	fmt.Printf("   paper: coefficient 61.827 µs/iter on a 2004 ThinkPad T42 (JDK 5), R² 0.9154,\n")
 	fmt.Printf("   residuals highly right-skewed, iteration↔residual correlation ≈ 0\n\n")
-	r := sim.MeasureFig2(n, 1, 19, reps, seed)
+	r := measureFig2(n, 1, 19, reps, seed)
 	fmt.Printf("   samples                     %d (iterations U{1..19}, %d inner reps)\n", len(r.Samples), reps)
 	fmt.Printf("   fitted coefficient          %.3f ns/iter (raw OLS through origin)\n", r.CoefNsPerIter)
 	fmt.Printf("   fitted coefficient (median) %.3f ns/iter\n", r.MedianCoefNsPerIter)
 	fmt.Printf("   R² (raw / median fit)       %.4f / %.4f\n", r.R2, r.MedianR2)
 	fmt.Printf("   residual skewness           %+.2f (right-skewed > 0)\n", r.ResidualSkewness)
 	fmt.Printf("   iteration↔residual corr     %+.4f\n\n", r.ResidualCorrelation)
-}
-
-func fig3(duration time.Duration, seed uint64, dumb time.Duration) {
-	if dumb > 0 {
-		fmt.Println("== Dumb-estimator study: constant 600 µs estimate (§III.A) ==")
-		fmt.Println("   paper: overhead grows with variability, reaching ~13% at U{1..19}")
-	} else {
-		fmt.Println("== Figure 3: latency vs sender compute variability ==")
-		fmt.Println("   paper: det overhead 2.8–4.1% of non-det, prescient slightly better")
-	}
-	fmt.Printf("\n   %-10s %-10s %-12s %-12s %-12s %-8s %-8s\n",
-		"halfwidth", "sd(µs)", "nondet(µs)", "det(µs)", "presc(µs)", "det-ovh", "pr-ovh")
-	pts := sim.RunFig3(sim.Fig3Config{Duration: duration, Seed: seed, DumbEstimate: dumb})
-	for _, p := range pts {
-		fmt.Printf("   %-10d %-10.1f %-12.1f %-12.1f %-12.1f %+7.1f%% %+7.1f%%\n",
-			p.HalfWidth,
-			p.ComputeSD.Seconds()*1e6,
-			p.NonDet.AvgLatency.Seconds()*1e6,
-			p.Det.AvgLatency.Seconds()*1e6,
-			p.Prescient.AvgLatency.Seconds()*1e6,
-			100*p.OverheadDet(),
-			100*p.OverheadPrescient())
-	}
-	fmt.Println()
-}
-
-func fig4(duration time.Duration, seed uint64, fig2n, fig2reps int) {
-	fmt.Println("== Figure 4: sensitivity to the estimator coefficient (empirical jitter) ==")
-	fmt.Println("   paper: minimum near the regression coefficient (60–62 µs/iter), <10%")
-	fmt.Println("   out-of-order and ~1.5 probes/msg at the minimum; edges degrade")
-	fmt.Println("   (jitter imported from a fresh Figure-2 measurement, rescaled to 60 µs/iter)")
-	f2 := sim.MeasureFig2(fig2n, 1, 19, fig2reps, seed)
-	jit := sim.EmpiricalJitterFromFig2(f2, 60*time.Microsecond)
-	pts := sim.RunFig4(sim.Fig4Config{Jitter: jit, Duration: duration, Seed: seed})
-	fmt.Printf("\n   %-12s %-12s %-12s %-12s %-12s\n",
-		"coef(µs/it)", "det(µs)", "nondet(µs)", "out-of-ord", "probes/msg")
-	for _, p := range pts {
-		fmt.Printf("   %-12.0f %-12.1f %-12.1f %-12.3f %-12.2f\n",
-			p.CoefMicros,
-			p.Det.AvgLatency.Seconds()*1e6,
-			p.NonDet.AvgLatency.Seconds()*1e6,
-			p.Det.OutOfOrderFraction(),
-			p.Det.ProbesPerMessage())
-	}
-	fmt.Println()
-}
-
-func bias(duration time.Duration, seed uint64) {
-	fmt.Println("== Bias algorithm (§II.G.1 ablation) ==")
-	fmt.Println("   the slower of two asymmetric senders eagerly promises extra silence,")
-	fmt.Println("   delaying its own future messages; pays off when probing is expensive")
-	for _, probe := range []time.Duration{10 * time.Microsecond, 150 * time.Microsecond} {
-		fmt.Printf("\n   probe transit %v (fast sender 1ms, slow sender 8ms inter-arrival):\n", probe)
-		fmt.Printf("   %-10s %-12s %-16s %-12s\n", "bias", "latency(µs)", "pessimism(µs/m)", "probes/msg")
-		for _, p := range sim.RunBias(sim.BiasConfig{Duration: duration, Seed: seed, ProbeDelay: probe}) {
-			fmt.Printf("   %-10v %-12.1f %-16.2f %-12.2f\n",
-				p.Bias,
-				p.Det.AvgLatency.Seconds()*1e6,
-				p.Det.AvgPessimism().Seconds()*1e6,
-				p.Det.ProbesPerMessage())
-		}
-	}
-	fmt.Println()
-}
-
-// wires runs one deterministic simulation with a labeled metrics registry
-// attached and prints the merger's per-wire table straight from the
-// registry — the same metric names a live engine's /metrics endpoint
-// exports, replacing the ad-hoc per-run counters.
-func wires(duration time.Duration, seed uint64) {
-	fmt.Println("== Per-wire registry: one deterministic run (curiosity probing) ==")
-	reg := trace.NewRegistry(trace.L("engine", "sim"))
-	res := sim.Run(sim.Params{Mode: sim.Deterministic, Duration: duration, Seed: seed, Registry: reg})
-	fmt.Printf("   %d messages, avg latency %.1f µs, %.2f probes/msg, %.2f µs pessimism/msg\n\n",
-		res.Messages, res.AvgLatency.Seconds()*1e6, res.ProbesPerMessage(), res.AvgPessimism().Seconds()*1e6)
-	fmt.Printf("   %-28s %10s %8s %8s %10s %14s\n",
-		"wire", "delivered", "o-o-rt", "probes", "pess.eps", "pessimism")
-	type row struct {
-		delivered, outOfOrder, probes float64
-		pessCount                     uint64
-		pessSum                       float64
-	}
-	rows := map[string]*row{}
-	for _, f := range reg.Gather() {
-		for _, s := range f.Series {
-			wire := s.Get("wire")
-			if wire == "" {
-				continue
-			}
-			r := rows[wire]
-			if r == nil {
-				r = &row{}
-				rows[wire] = r
-			}
-			switch f.Name {
-			case trace.MetricDelivered:
-				r.delivered = s.Value
-			case trace.MetricOutOfOrder:
-				r.outOfOrder = s.Value
-			case trace.MetricProbes:
-				r.probes = s.Value
-			case trace.MetricPessimism:
-				if s.Hist != nil {
-					r.pessCount = s.Hist.Count
-					r.pessSum = s.Hist.Sum
-				}
-			}
-		}
-	}
-	for _, wire := range []string{"sender1.out>merger.s1", "sender2.out>merger.s2"} {
-		r := rows[wire]
-		if r == nil {
-			continue
-		}
-		pess := "-"
-		if r.pessCount > 0 {
-			pess = fmt.Sprintf("%.1fµs/ep", 1e6*r.pessSum/float64(r.pessCount))
-		}
-		fmt.Printf("   %-28s %10.0f %8.0f %8.0f %10d %14s\n",
-			wire, r.delivered, r.outOfOrder, r.probes, r.pessCount, pess)
-	}
-	fmt.Println()
-}
-
-// blame runs the pessimism blame-attribution study: for each sender
-// configuration, which input wire's silence frontier was the last holdout
-// when the merger sat blocked, and for how long. With symmetric senders the
-// blame splits roughly evenly; slowing one sender concentrates the blame on
-// its wire; giving the slow sender an eager (hyper-aggressive) silence
-// strategy wins most of its blame share back.
-func blame(duration time.Duration, seed uint64) {
-	fmt.Println("== Pessimism blame attribution (per-wire last-holdout accounting) ==")
-	fmt.Println("   each pessimism episode is blamed on the wire whose silence frontier")
-	fmt.Println("   was the last holdout; lazier/slower senders should concentrate blame")
-	configs := []struct {
-		name string
-		p    sim.Params
-	}{
-		{"symmetric 1ms/1ms", sim.Params{Mode: sim.Deterministic}},
-		{"slow sender2 (8ms)", sim.Params{Mode: sim.Deterministic,
-			ArrivalMeans: [2]time.Duration{time.Millisecond, 8 * time.Millisecond}}},
-		{"slow sender2 + bias", sim.Params{Mode: sim.Deterministic,
-			ArrivalMeans: [2]time.Duration{time.Millisecond, 8 * time.Millisecond},
-			Bias:         [2]time.Duration{0, 2 * time.Millisecond}}},
-	}
-	fmt.Printf("\n   %-22s %-24s %9s %7s %12s %12s\n",
-		"config", "blamed wire", "episodes", "share", "blocked", "per-episode")
-	for _, c := range configs {
-		c.p.Duration = duration
-		c.p.Seed = seed
-		res := sim.Run(c.p)
-		total := res.Blame[0] + res.Blame[1]
-		for i := 0; i < 2; i++ {
-			share := 0.0
-			if total > 0 {
-				share = 100 * float64(res.Blame[i]) / float64(total)
-			}
-			per := "-"
-			if res.Blame[i] > 0 {
-				per = fmt.Sprintf("%.1fµs", res.BlameWait[i].Seconds()*1e6/float64(res.Blame[i]))
-			}
-			name := c.name
-			if i == 1 {
-				name = ""
-			}
-			fmt.Printf("   %-22s %-24s %9d %6.1f%% %12v %12s\n",
-				name, wireLabel(i), res.Blame[i], share,
-				res.BlameWait[i].Round(time.Microsecond), per)
-		}
-	}
-	fmt.Println()
-}
-
-// wireLabel names the merger input wires the way the registry does.
-func wireLabel(wire int) string {
-	if wire == 0 {
-		return "sender1.out>merger.s1"
-	}
-	return "sender2.out>merger.s2"
-}
-
-func throughput(duration time.Duration, seed uint64) {
-	fmt.Println("== Throughput saturation (§III.A) ==")
-	fmt.Println("   paper: both modes saturated at the identical 1235 msg/s/sender")
-	res := sim.RunThroughput(sim.ThroughputConfig{Duration: duration, Seed: seed})
-	fmt.Println()
-	for _, r := range res {
-		fmt.Printf("   %-20s saturates at %.0f msg/s/sender\n", r.Mode, r.SaturationPerSender)
-	}
-	fmt.Println()
 }

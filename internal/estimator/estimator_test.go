@@ -118,7 +118,7 @@ func TestCalibratedObserveProposesFault(t *testing.T) {
 	var fault *Fault
 	for i := 0; i < 1000 && fault == nil; i++ {
 		words := 1 + rng.Intn(19)
-		measured := vt.Ticks(61827*float64(words) + rng.NormFloat64()*5000)
+		measured := vt.Ticks(61827*float64(words) + normal(rng)*5000)
 		if measured < 1 {
 			measured = 1
 		}
@@ -151,7 +151,7 @@ func TestCalibratedNoFaultWhenAccurate(t *testing.T) {
 	rng := stats.NewRNG(2)
 	for i := 0; i < 500; i++ {
 		words := 1 + rng.Intn(19)
-		measured := vt.Ticks(61827*float64(words) + rng.NormFloat64()*500)
+		measured := vt.Ticks(61827*float64(words) + normal(rng)*500)
 		if f := c.Observe(Features{float64(words)}, measured); f != nil {
 			t.Fatalf("observation %d proposed spurious fault %v", i, f)
 		}
@@ -245,4 +245,11 @@ func TestConfigDefaults(t *testing.T) {
 	if custom.MinSamples != 10 || custom.RefitEvery != 5 || custom.MaxSamples != 20 {
 		t.Errorf("custom = %+v", custom)
 	}
+}
+
+// normal draws a standard normal variate by the Box–Muller transform.
+func normal(r *stats.RNG) float64 {
+	u1 := 1.0 - r.Float64()
+	u2 := r.Float64()
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }

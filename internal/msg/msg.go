@@ -280,16 +280,3 @@ func (e Envelope) String() string {
 		return fmt.Sprintf("%s %s", e.Wire, e.Kind)
 	}
 }
-
-// Less is the deterministic delivery order for messages: primarily by
-// virtual time, tie-broken by wire ID, then by sequence number. It must only
-// be called on envelopes for which IsMessage is true.
-func Less(a, b Envelope) bool {
-	if a.VT != b.VT {
-		return a.VT < b.VT
-	}
-	if a.Wire != b.Wire {
-		return a.Wire < b.Wire
-	}
-	return a.Seq < b.Seq
-}

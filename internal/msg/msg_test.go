@@ -1,12 +1,6 @@
 package msg
 
-import (
-	"sort"
-	"testing"
-	"testing/quick"
-
-	"repro/internal/vt"
-)
+import "testing"
 
 func TestConstructors(t *testing.T) {
 	d := NewData(3, 7, 100, "hello")
@@ -56,68 +50,6 @@ func TestIsMessage(t *testing.T) {
 		if got := tt.env.IsMessage(); got != tt.want {
 			t.Errorf("IsMessage(%v) = %v, want %v", tt.env.Kind, got, tt.want)
 		}
-	}
-}
-
-func TestLessOrdering(t *testing.T) {
-	a := NewData(1, 1, 100, nil)
-	b := NewData(2, 1, 200, nil)
-	if !Less(a, b) || Less(b, a) {
-		t.Error("VT ordering wrong")
-	}
-	// Tie on VT: lower wire wins (the paper's deterministic tie-break).
-	c := NewData(1, 1, 100, nil)
-	d := NewData(2, 1, 100, nil)
-	if !Less(c, d) || Less(d, c) {
-		t.Error("wire tie-break wrong")
-	}
-	// Tie on VT and wire: lower seq wins.
-	e := NewData(1, 1, 100, nil)
-	f := NewData(1, 2, 100, nil)
-	if !Less(e, f) || Less(f, e) {
-		t.Error("seq tie-break wrong")
-	}
-}
-
-// Less must be a strict weak ordering: irreflexive, asymmetric, transitive.
-func TestLessQuickStrictWeakOrdering(t *testing.T) {
-	gen := func(seed int64) []Envelope {
-		out := make([]Envelope, 12)
-		s := uint64(seed)
-		next := func() uint64 { s = s*6364136223846793005 + 1; return s >> 33 }
-		for i := range out {
-			out[i] = NewData(WireID(next()%3), next()%3, vt.Time(next()%4), nil)
-		}
-		return out
-	}
-	f := func(seed int64) bool {
-		envs := gen(seed)
-		for _, a := range envs {
-			if Less(a, a) {
-				return false
-			}
-			for _, b := range envs {
-				if Less(a, b) && Less(b, a) {
-					return false
-				}
-				for _, c := range envs {
-					if Less(a, b) && Less(b, c) && !Less(a, c) {
-						return false
-					}
-				}
-			}
-		}
-		// Sorting with Less must terminate and yield a non-decreasing order.
-		sort.Slice(envs, func(i, j int) bool { return Less(envs[i], envs[j]) })
-		for i := 1; i < len(envs); i++ {
-			if Less(envs[i], envs[i-1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

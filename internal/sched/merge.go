@@ -16,7 +16,8 @@ import (
 //     keyed by (head VT, wire ID). Its top is the delivery candidate — the
 //     exact message the reference linear scan would pick, because per-wire
 //     virtual times are strictly increasing, so each wire is represented by
-//     its head and msg.Less across distinct wires reduces to (VT, wire ID).
+//     its head and the delivery order (VT, wire ID, seq) across distinct
+//     wires reduces to (VT, wire ID).
 //   - The "silent" heap holds every wire with an empty queue, keyed by
 //     (watermark, wire ID). Its top is the laggard: the candidate is
 //     deliverable iff that minimum watermark has reached the candidate's VT

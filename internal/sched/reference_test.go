@@ -3,7 +3,9 @@ package sched
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/msg"
 	"repro/internal/stats"
@@ -17,15 +19,27 @@ import (
 type refMerge []*inWire
 
 // candidate is the wire holding the earliest queued message in delivery
-// order (msg.Less), or nil when nothing is queued.
+// order (less), or nil when nothing is queued.
 func (r refMerge) candidate() *inWire {
 	var best *inWire
 	for _, in := range r {
-		if h := in.head(); h != nil && (best == nil || msg.Less(h.env, best.head().env)) {
+		if h := in.head(); h != nil && (best == nil || less(h.env, best.head().env)) {
 			best = in
 		}
 	}
 	return best
+}
+
+// less is the deterministic delivery order for messages: primarily by
+// virtual time, tie-broken by wire ID, then by sequence number.
+func less(a, b msg.Envelope) bool {
+	if a.VT != b.VT {
+		return a.VT < b.VT
+	}
+	if a.Wire != b.Wire {
+		return a.Wire < b.Wire
+	}
+	return a.Seq < b.Seq
 }
 
 // bound is the earliest virtual time at which a yet-unknown input message
@@ -190,4 +204,66 @@ func wireOf(in *inWire) string {
 		return "none"
 	}
 	return fmt.Sprintf("w%d@%d", in.w.ID, in.head().env.VT)
+}
+
+func TestLessOrdering(t *testing.T) {
+	a := msg.NewData(1, 1, 100, nil)
+	b := msg.NewData(2, 1, 200, nil)
+	if !less(a, b) || less(b, a) {
+		t.Error("VT ordering wrong")
+	}
+	// Tie on VT: lower wire wins (the paper's deterministic tie-break).
+	c := msg.NewData(1, 1, 100, nil)
+	d := msg.NewData(2, 1, 100, nil)
+	if !less(c, d) || less(d, c) {
+		t.Error("wire tie-break wrong")
+	}
+	// Tie on VT and wire: lower seq wins.
+	e := msg.NewData(1, 1, 100, nil)
+	f := msg.NewData(1, 2, 100, nil)
+	if !less(e, f) || less(f, e) {
+		t.Error("seq tie-break wrong")
+	}
+}
+
+// less must be a strict weak ordering: irreflexive, asymmetric, transitive.
+func TestLessQuickStrictWeakOrdering(t *testing.T) {
+	gen := func(seed int64) []msg.Envelope {
+		out := make([]msg.Envelope, 12)
+		s := uint64(seed)
+		next := func() uint64 { s = s*6364136223846793005 + 1; return s >> 33 }
+		for i := range out {
+			out[i] = msg.NewData(msg.WireID(next()%3), next()%3, vt.Time(next()%4), nil)
+		}
+		return out
+	}
+	f := func(seed int64) bool {
+		envs := gen(seed)
+		for _, a := range envs {
+			if less(a, a) {
+				return false
+			}
+			for _, b := range envs {
+				if less(a, b) && less(b, a) {
+					return false
+				}
+				for _, c := range envs {
+					if less(a, b) && less(b, c) && !less(a, c) {
+						return false
+					}
+				}
+			}
+		}
+		// Sorting with less must terminate and yield a non-decreasing order.
+		sort.Slice(envs, func(i, j int) bool { return less(envs[i], envs[j]) })
+		for i := 1; i < len(envs); i++ {
+			if less(envs[i], envs[i-1]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
 }

@@ -2,29 +2,6 @@ package stats
 
 import "math"
 
-// UniformInt samples integers uniformly from {Lo, ..., Hi} (inclusive),
-// returned as float64: the simulation studies' model of per-message
-// service-time variability. The paper's sender workload draws iteration
-// counts from U{1..19}.
-type UniformInt struct{ Lo, Hi int }
-
-// Sample draws one value using the supplied generator.
-func (u UniformInt) Sample(r *RNG) float64 {
-	if u.Hi <= u.Lo {
-		return float64(u.Lo)
-	}
-	return float64(u.Lo + r.Intn(u.Hi-u.Lo+1))
-}
-
-// Mean returns the distribution mean.
-func (u UniformInt) Mean() float64 { return float64(u.Lo+u.Hi) / 2 }
-
-// SD returns the distribution standard deviation.
-func (u UniformInt) SD() float64 {
-	n := float64(u.Hi - u.Lo + 1)
-	return math.Sqrt((n*n - 1) / 12)
-}
-
 // Percentile returns the p-quantile (0 <= p <= 1) of an already-sorted
 // sample using nearest-rank interpolation.
 func Percentile(sorted []float64, p float64) float64 {

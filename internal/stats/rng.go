@@ -1,9 +1,8 @@
 // Package stats provides the deterministic randomness and statistical
 // fitting used across the TART runtime and its experiment harnesses: a
-// splittable PRNG for reproducible component randomness, the integer
-// sampler and descriptive statistics of the simulation studies, and
-// ordinary-least-squares regression for estimator calibration (the paper's
-// Equation (1)/(2) fit).
+// splittable PRNG for reproducible component randomness, the descriptive
+// statistics of the Figure-2 measurement, and ordinary-least-squares
+// regression for estimator calibration (the paper's Equation (1)/(2) fit).
 package stats
 
 import "math"
@@ -92,16 +91,6 @@ func (r *RNG) Int63n(n int64) int64 {
 // Float64 returns a uniform random float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// NormFloat64 returns a standard-normally distributed float64 using the
-// Box–Muller transform (polar form avoided for simplicity; this variant is
-// branch-free apart from the log guard).
-func (r *RNG) NormFloat64() float64 {
-	// Rejection-free Box–Muller; u1 in (0,1] to keep the log finite.
-	u1 := 1.0 - r.Float64()
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with mean 1.

@@ -98,25 +98,6 @@ func TestRNGIntnPanics(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestRNGNormalMoments(t *testing.T) {
-	r := NewRNG(11)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
 func TestRNGExpMean(t *testing.T) {
 	r := NewRNG(13)
 	const n = 200000
@@ -127,38 +108,6 @@ func TestRNGExpMean(t *testing.T) {
 	if mean := sum / n; math.Abs(mean-1) > 0.02 {
 		t.Errorf("exp mean = %v, want ~1", mean)
 	}
-}
-
-func TestDistributions(t *testing.T) {
-	r := NewRNG(19)
-	t.Run("uniform int", func(t *testing.T) {
-		d := UniformInt{Lo: 1, Hi: 19}
-		seen := make(map[int]bool)
-		for i := 0; i < 5000; i++ {
-			v := d.Sample(r)
-			iv := int(v)
-			if float64(iv) != v || iv < 1 || iv > 19 {
-				t.Fatalf("uniform int invalid: %v", v)
-			}
-			seen[iv] = true
-		}
-		if len(seen) != 19 {
-			t.Errorf("UniformInt{1,19} hit %d values", len(seen))
-		}
-		if got := d.Mean(); got != 10 {
-			t.Errorf("Mean = %v", got)
-		}
-		// SD of U{1..19} = sqrt((19^2-1)/12) = sqrt(30) ≈ 5.477
-		if got := d.SD(); math.Abs(got-5.477) > 0.01 {
-			t.Errorf("SD = %v, want ~5.477", got)
-		}
-	})
-	t.Run("degenerate uniform int", func(t *testing.T) {
-		d := UniformInt{Lo: 10, Hi: 10}
-		if d.Sample(r) != 10 {
-			t.Error("degenerate UniformInt should return Lo")
-		}
-	})
 }
 
 func TestPercentile(t *testing.T) {
@@ -253,7 +202,7 @@ func TestOLSRecoveryUnderNoise(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		x := float64(1 + r.Intn(19))
 		xs = append(xs, x)
-		ys = append(ys, 61.827*x+r.NormFloat64()*20)
+		ys = append(ys, 61.827*x+normal(r)*20)
 	}
 	fit, err := OLS1(xs, ys)
 	if err != nil {
@@ -318,4 +267,11 @@ func TestOLSQuickResidualOrthogonality(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// normal draws a standard normal variate by the Box–Muller transform.
+func normal(r *RNG) float64 {
+	u1 := 1.0 - r.Float64()
+	u2 := r.Float64()
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }

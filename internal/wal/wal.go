@@ -344,8 +344,11 @@ var _ Log = (*FileLog)(nil)
 // contents into memory. A torn final frame (crash mid-append) or a frame
 // whose CRC32 does not match its body (disk corruption) ends the usable
 // log: everything after the last intact frame is truncated away, so the
-// next append lands where the scan stopped. A newly created log's directory
-// entry is fsynced before the log is handed out.
+// next append lands where the scan stopped. A frame whose CRC holds but
+// whose body does not decode (an unregistered payload type, an unknown
+// entry kind) is an error naming its offset, and the file is left as it
+// was. A newly created log's directory entry is fsynced before the log is
+// handed out.
 func OpenFileLog(path string) (*FileLog, error) {
 	_, statErr := os.Stat(path)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -355,7 +358,7 @@ func OpenFileLog(path string) (*FileLog, error) {
 	mem, good, size, err := scan(f)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	l := &FileLog{mem: mem, f: f, path: path, off: good, gather: 1}
 	if size > good {
@@ -377,7 +380,8 @@ func OpenFileLog(path string) (*FileLog, error) {
 // ScanFile replays the log at path into an in-memory index without
 // repairing it: the file is opened read-only, never created, truncated or
 // written. It also reports how many bytes of torn or corrupt tail follow
-// the last intact frame. Safe to run against a live engine's log.
+// the last intact frame; a frame that does not decode is an error, as in
+// OpenFileLog. Safe to run against a live engine's log.
 func ScanFile(path string) (*MemLog, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -386,32 +390,45 @@ func ScanFile(path string) (*MemLog, int64, error) {
 	defer f.Close()
 	mem, good, size, err := scan(f)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("wal: scan %s: %w", path, err)
 	}
 	return mem, size - good, nil
 }
 
 // scan replays every intact frame of f into a fresh index and returns it
 // with the offset just past the last intact frame and the file's size.
-// io.EOF is a clean end; any other frame error is a torn or corrupt tail.
 func scan(f *os.File) (mem *MemLog, good, size int64, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("stat: %w", err)
+	}
+	mem, good, err = scanFrames(bufio.NewReader(f), fi.Size())
+	return mem, good, fi.Size(), err
+}
+
+// scanFrames replays the frames of a size-byte log from r into a fresh
+// index and returns it with the offset just past the last intact frame.
+// Only a torn or corrupt frame — a short read, a length past maxFrameSize
+// or past the end of the log, a CRC mismatch — ends the log; the bytes from
+// there on are its tail. A frame whose CRC holds but whose body does not
+// decode was written whole and is durable, so it is an error naming its
+// offset, never a tail to drop.
+func scanFrames(r io.Reader, size int64) (mem *MemLog, good int64, err error) {
 	mem = NewMemLog()
-	r := bufio.NewReader(f)
 	for {
-		e, n, err := readFrame(r)
+		body, n, err := readFrame(r, size-good)
 		if err != nil {
-			break
+			return mem, good, nil
 		}
-		if err := mem.admit(&e); err != nil {
-			return nil, 0, 0, err
+		e, err := decodeEntry(body)
+		if err == nil {
+			err = mem.admit(&e)
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("frame at offset %d: %w", good, err)
 		}
 		good += n
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("wal: stat %s: %w", f.Name(), err)
-	}
-	return mem, good, fi.Size(), nil
 }
 
 // admit applies one durable entry to the index.
@@ -467,42 +484,52 @@ const (
 	walVersion = 1
 )
 
-// readFrame reads one frame, verifying its CRC before decoding, and
-// returns the bytes it consumed.
-func readFrame(r io.Reader) (fileEntry, int64, error) {
+// readFrame reads one frame of at most left bytes, verifying its CRC, and
+// returns its body and the bytes it consumed. Any error means the frame is
+// torn or corrupt; io.EOF means a clean end. The length prefix is checked
+// against left before the body is allocated, so a corrupt prefix cannot
+// allocate past the file.
+func readFrame(r io.Reader, left int64) ([]byte, int64, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fileEntry{}, 0, err
+		return nil, 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	sum := binary.BigEndian.Uint32(hdr[4:])
-	if n > maxFrameSize {
-		return fileEntry{}, 0, fmt.Errorf("wal: frame size %d exceeds limit", n)
+	if n > maxFrameSize || int64(n) > left-frameHeaderSize {
+		return nil, 0, fmt.Errorf("wal: frame size %d exceeds limit", n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return fileEntry{}, 0, err
+		return nil, 0, err
 	}
 	if crc32.Checksum(buf, castagnoli) != sum {
-		return fileEntry{}, 0, errCorruptFrame
+		return nil, 0, errCorruptFrame
 	}
+	return buf, int64(frameHeaderSize) + int64(n), nil
+}
+
+// decodeEntry decodes one frame body, binary or legacy gob.
+func decodeEntry(buf []byte) (fileEntry, error) {
 	if len(buf) > 0 && buf[0] == walMagic {
 		return decodeBinaryEntry(buf)
 	}
 	var e fileEntry
 	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&e); err != nil {
-		return fileEntry{}, 0, err
+		return fileEntry{}, fmt.Errorf("wal: legacy entry: %w", err)
 	}
-	return e, int64(frameHeaderSize) + int64(n), nil
+	if e.Kind < entryInput || e.Kind > entryTrim {
+		return fileEntry{}, fmt.Errorf("wal: unknown entry kind %d", e.Kind)
+	}
+	return e, nil
 }
 
-func decodeBinaryEntry(buf []byte) (fileEntry, int64, error) {
-	consumed := int64(frameHeaderSize) + int64(len(buf))
+func decodeBinaryEntry(buf []byte) (fileEntry, error) {
 	if len(buf) < 3 {
-		return fileEntry{}, 0, errors.New("wal: binary entry truncated")
+		return fileEntry{}, errors.New("wal: binary entry truncated")
 	}
 	if buf[1] != walVersion {
-		return fileEntry{}, 0, fmt.Errorf("wal: unsupported entry version %d", buf[1])
+		return fileEntry{}, fmt.Errorf("wal: unsupported entry version %d", buf[1])
 	}
 	e := fileEntry{Kind: entryKind(int8(buf[2]))}
 	rest := buf[3:]
@@ -510,10 +537,10 @@ func decodeBinaryEntry(buf []byte) (fileEntry, int64, error) {
 	case entryInput:
 		source, rest, err := cutLenString(rest)
 		if err != nil {
-			return fileEntry{}, 0, err
+			return fileEntry{}, err
 		}
 		if len(rest) < 20 {
-			return fileEntry{}, 0, errors.New("wal: input entry truncated")
+			return fileEntry{}, errors.New("wal: input entry truncated")
 		}
 		e.Input.Source = source
 		e.Input.Seq = binary.LittleEndian.Uint64(rest)
@@ -521,16 +548,16 @@ func decodeBinaryEntry(buf []byte) (fileEntry, int64, error) {
 		id := binary.LittleEndian.Uint32(rest[16:])
 		payload, _, err := msg.DecodePayload(id, rest[20:])
 		if err != nil {
-			return fileEntry{}, 0, fmt.Errorf("wal: input payload: %w", err)
+			return fileEntry{}, fmt.Errorf("wal: input payload: %w", err)
 		}
 		e.Input.Payload = payload
 	case entryTrim:
 		source, rest, err := cutLenString(rest)
 		if err != nil {
-			return fileEntry{}, 0, err
+			return fileEntry{}, err
 		}
 		if len(rest) != 8 {
-			return fileEntry{}, 0, errors.New("wal: trim entry truncated")
+			return fileEntry{}, errors.New("wal: trim entry truncated")
 		}
 		e.Source = source
 		e.Through = binary.LittleEndian.Uint64(rest)
@@ -539,12 +566,12 @@ func decodeBinaryEntry(buf []byte) (fileEntry, int64, error) {
 		// struct; self-describing gob inside the binary envelope keeps them
 		// evolvable without wire churn.
 		if err := gob.NewDecoder(bytes.NewReader(rest)).Decode(&e.Fault); err != nil {
-			return fileEntry{}, 0, fmt.Errorf("wal: fault entry: %w", err)
+			return fileEntry{}, fmt.Errorf("wal: fault entry: %w", err)
 		}
 	default:
-		return fileEntry{}, 0, fmt.Errorf("wal: unknown entry kind %d", e.Kind)
+		return fileEntry{}, fmt.Errorf("wal: unknown entry kind %d", e.Kind)
 	}
-	return e, consumed, nil
+	return e, nil
 }
 
 // cutLenString splits a u16-length-prefixed string off the front of b.

@@ -1,7 +1,11 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -476,5 +480,80 @@ func TestFileLogTrimSurvivesReopen(t *testing.T) {
 	recs, _ := l2.Inputs("s", 0)
 	if len(recs) != 2 || recs[0].Seq != 4 {
 		t.Errorf("after reopen: %+v", recs)
+	}
+}
+
+// TestFileLogUndecodableFrameIsAnError: a frame whose CRC holds was written
+// whole, so a body that does not decode is durable input the log cannot
+// read, not a torn tail. Open, ScanFile and so Reopen must refuse it with
+// the frame's offset and leave the file untouched.
+func TestFileLogUndecodableFrameIsAnError(t *testing.T) {
+	// write logs three int inputs, lets patch rewrite the second frame's
+	// body, recomputes that frame's CRC and returns the path and the second
+	// frame's offset.
+	write := func(t *testing.T, patch func(body []byte) []byte) (string, int) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "wal.log")
+		l, err := OpenFileLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(1); i <= 3; i++ {
+			if err := l.AppendInput(InputRecord{Source: "s", Seq: i, Payload: int(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := len(data) / 3
+		body := patch(append([]byte(nil), data[frame+frameHeaderSize:2*frame]...))
+		var out []byte
+		out = append(out, data[:frame]...)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(body)))
+		out = binary.BigEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
+		out = append(out, body...)
+		out = append(out, data[2*frame:]...)
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path, frame
+	}
+	legacy := func([]byte) []byte { return []byte{0x03, 0x7f, 0x00, 0x01} }
+	for _, tc := range []struct {
+		name  string
+		patch func([]byte) []byte
+		cause string
+	}{
+		{"unregistered payload type", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[len(b)-12:], 0xdead)
+			return b
+		}, "unknown payload type ID"},
+		{"payload codec error", func(b []byte) []byte { return b[:len(b)-1] }, "bad int payload length"},
+		{"unknown entry kind", func(b []byte) []byte { b[2] = 9; return b }, "unknown entry kind"},
+		{"unknown version", func(b []byte) []byte { b[1] = 7; return b }, "unsupported entry version"},
+		{"legacy gob body", legacy, "legacy entry"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path, off := write(t, tc.patch)
+			before, _ := os.ReadFile(path)
+			want := fmt.Sprintf("frame at offset %d", off)
+			l, err := OpenFileLog(path)
+			if err == nil {
+				l.Close()
+				t.Fatalf("OpenFileLog accepted an undecodable frame (truncated %d bytes)", l.TruncatedBytes())
+			}
+			if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), tc.cause) {
+				t.Errorf("OpenFileLog error %q, want it to name %q and %q", err, want, tc.cause)
+			}
+			if _, _, err := ScanFile(path); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("ScanFile error %v, want one naming %q", err, want)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+				t.Errorf("a refused open changed the file: %d -> %d bytes", len(before), len(after))
+			}
+		})
 	}
 }
