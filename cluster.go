@@ -265,7 +265,7 @@ type engineSlot struct {
 	flog      *wal.FileLog            // the file log under log's wrappers, if any
 	sinks     map[string]func(Output) // sink name -> user callback
 	rec       *trace.Recorder         // shared across engine generations
-	audit     *trace.AuditLog         // shared across engine generations
+	audit     *sched.AuditLog         // shared across engine generations
 	spans     *span.Collector         // shared across engine generations
 	gen       uint64                  // incarnation fencing token, bumped on Recover
 	startedAt time.Time               // when the current incarnation started
@@ -362,7 +362,7 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 			Topo:    tp,
 			Specs:   specs,
 			Archive: c.arch,
-			Audits: func(engineName string) *trace.AuditLog {
+			Audits: func(engineName string) *sched.AuditLog {
 				if slot, ok := c.engines[engineName]; ok {
 					return slot.audit
 				}
@@ -406,7 +406,7 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 			// both stay off (nil — zero hot-path cost) without
 			// WithFlightRecorder.
 			slot.rec = trace.NewRecorder(0)
-			slot.audit = trace.NewAuditLog()
+			slot.audit = sched.NewAuditLog()
 		}
 		if cfg.spansOn {
 			slot.spans = span.NewCollector(name, 0, cfg.spanSample)
@@ -559,6 +559,8 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 	// on /metrics even before (or without) any TCP traffic.
 	metrics := &trace.Metrics{}
 	metrics.SetRegistry(trace.NewRegistry(trace.L("engine", slot.name)))
+	metrics.SetRecorder(slot.rec)
+	metrics.SetSpans(slot.spans)
 	meter := transport.NewMeter(metrics.Registry())
 	tr := c.cfg.transport
 	if t, ok := tr.(transport.TCP); ok {
@@ -599,9 +601,7 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 		ShedBufferedLimit:  c.cfg.shedLimit,
 		SourceSilenceEvery: silenceEvery,
 		Clock:              c.cfg.manualClock,
-		Recorder:           slot.rec,
 		Audit:              slot.audit,
-		Spans:              slot.spans,
 		DebugAddr:          c.cfg.debugAddrs[slot.name],
 		DebugPprof:         c.cfg.pprofOn,
 		FlightDump:         dump,

@@ -1,6 +1,7 @@
 package tart_test
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -23,10 +24,75 @@ func traceFaults(events []tart.TraceEvent) []tart.TraceEvent {
 // the determinism audit to stay silent: the replayed merge must re-derive
 // the exact delivery chain the first generation recorded.
 func TestTwoEngineFailoverZeroDeterminismFaults(t *testing.T) {
+	failoverAuditClean(t, fig1App("A", "B"))
+}
+
+// ptrInner and ptrPayload make a gob-fallback payload that holds a pointer,
+// so every TCP hop decodes it into fresh memory.
+type ptrInner struct{ N int }
+
+type ptrPayload struct {
+	K string
+	P *ptrInner
+}
+
+// ptrRelay forwards each input's first word with its running count behind
+// a pointer; ptrTotaler sums the counts.
+type ptrRelay struct{ Seen int }
+
+func (r *ptrRelay) OnMessage(ctx *tart.Context, _ string, payload any) (any, error) {
+	r.Seen++
+	return nil, ctx.Send("out", ptrPayload{K: payload.([]string)[0], P: &ptrInner{N: r.Seen}})
+}
+
+type ptrTotaler struct{ Total int }
+
+func (t *ptrTotaler) OnMessage(ctx *tart.Context, _ string, payload any) (any, error) {
+	t.Total += payload.(ptrPayload).P.N
+	return nil, ctx.Send("out", t.Total)
+}
+
+// TestTCPFailoverPointerPayloadZeroDeterminismFaults is the same failover
+// over TCP with a payload that holds a pointer. The merger's first
+// generation and its replay each digest a freshly decoded copy, so the
+// audit must digest the value behind the pointer, not its address.
+func TestTCPFailoverPointerPayloadZeroDeterminismFaults(t *testing.T) {
+	if err := tart.RegisterPayload(ptrPayload{}); err != nil {
+		t.Fatal(err)
+	}
+	app := tart.NewApp()
+	app.Register("sender1", &ptrRelay{}, tart.WithConstantCost(61*time.Microsecond))
+	app.Register("sender2", &ptrRelay{}, tart.WithConstantCost(61*time.Microsecond))
+	app.Register("merger", &ptrTotaler{}, tart.WithConstantCost(400*time.Microsecond))
+	app.SourceInto("in1", "sender1", "in")
+	app.SourceInto("in2", "sender2", "in")
+	app.Connect("sender1", "out", "merger", "s1")
+	app.Connect("sender2", "out", "merger", "s2")
+	app.SinkFrom("out", "merger", "out")
+	app.Place("sender1", "A")
+	app.Place("sender2", "A")
+	app.Place("merger", "B")
+	addrs := make(map[string]string)
+	for _, engine := range []string{"A", "B"} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[engine] = l.Addr().String()
+		l.Close()
+	}
+	failoverAuditClean(t, app, tart.WithTCP(addrs))
+}
+
+// failoverAuditClean drives a senders-on-A, merger-on-B app through a
+// checkpoint of B, more input, and B's failure and recovery, and requires
+// every engine's determinism audit to stay silent.
+func failoverAuditClean(t *testing.T, app *tart.App, opts ...tart.ClusterOption) {
+	t.Helper()
 	out := newOutputs()
-	cluster, err := tart.Launch(fig1App("A", "B"),
+	cluster, err := tart.Launch(app, append(opts,
 		tart.WithManualClock(func() tart.VirtualTime { return 0 }),
-		tart.WithFlightRecorder(""))
+		tart.WithFlightRecorder(""))...)
 	if err != nil {
 		t.Fatal(err)
 	}

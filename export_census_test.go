@@ -474,3 +474,24 @@ func TestRootExportCensus(t *testing.T) {
 		t.Errorf("%s has no place in the README API table", key)
 	}
 }
+
+// TestDeterminismCoreLayering keeps the determinism core buildable without
+// the observability stack: no non-test file of a core package imports
+// internal/trace or a package under it. The scheduler reports through
+// sched.Observer instead, which *trace.Metrics implements.
+func TestDeterminismCoreLayering(t *testing.T) {
+	core := make(map[string]bool)
+	for _, p := range []string{"sched", "silence", "wal", "checkpoint", "estimator", "msg", "vt", "topo", "stats"} {
+		core[filepath.Join("internal", p)] = true
+	}
+	parseProduction(t, token.NewFileSet(), func(path string, file *ast.File) {
+		if !core[filepath.Dir(path)] {
+			return
+		}
+		for _, imp := range file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "repro/internal/trace" || strings.HasPrefix(p, "repro/internal/trace/") {
+				t.Errorf("%s imports %s: the determinism core must not depend on observability", path, p)
+			}
+		}
+	})
+}

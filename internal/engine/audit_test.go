@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/sched"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/vt"
@@ -70,8 +71,9 @@ func TestReplayDivergenceFaultsOnce(t *testing.T) {
 	log := wal.NewMemLog()
 	store := checkpoint.NewReplicaStore()
 	rec := trace.NewRecorder(0)
-	audit := trace.NewAuditLog()
+	audit := sched.NewAuditLog()
 	metrics := &trace.Metrics{}
+	metrics.SetRecorder(rec)
 	sink := newSinkCollector()
 
 	cfg := Config{
@@ -81,7 +83,6 @@ func TestReplayDivergenceFaultsOnce(t *testing.T) {
 		Log:        log,
 		Backup:     store,
 		Metrics:    metrics,
-		Recorder:   rec,
 		Audit:      audit,
 	}
 	e, err := New(cfg)
@@ -163,8 +164,9 @@ func TestCleanReplayNoFaults(t *testing.T) {
 	log := wal.NewMemLog()
 	store := checkpoint.NewReplicaStore()
 	rec := trace.NewRecorder(0)
-	audit := trace.NewAuditLog()
+	audit := sched.NewAuditLog()
 	metrics := &trace.Metrics{}
+	metrics.SetRecorder(rec)
 	sink := newSinkCollector()
 
 	cfg := Config{
@@ -174,7 +176,6 @@ func TestCleanReplayNoFaults(t *testing.T) {
 		Log:        log,
 		Backup:     store,
 		Metrics:    metrics,
-		Recorder:   rec,
 		Audit:      audit,
 	}
 	e, err := New(cfg)

@@ -243,7 +243,7 @@ func NewFromBackup(cfg Config, store *checkpoint.ReplicaStore) (*Engine, error) 
 		// what the original generation recorded at that index (§II.G.4).
 		// A mismatch means the checkpointed prefix diverged from the run
 		// the replica witnessed — a determinism fault.
-		if audit := e.metrics.Audit(); audit != nil && schedState.AuditCount > 0 {
+		if audit := e.cfg.Audit; audit != nil && schedState.AuditCount > 0 {
 			if entry, ok := audit.At(h.name, schedState.AuditCount-1); ok && entry.Chain != schedState.AuditChain {
 				e.metrics.Registry().DeterminismFaults(h.name, "checkpoint-chain").Inc()
 				e.rec.Record(trace.Event{Kind: trace.EvDeterminismFault, VT: schedState.Clock, Component: h.name, Wire: -1,

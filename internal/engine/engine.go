@@ -26,7 +26,6 @@ import (
 	"repro/internal/silence"
 	"repro/internal/topo"
 	"repro/internal/trace"
-	"repro/internal/trace/span"
 	"repro/internal/transport"
 	"repro/internal/vt"
 	"repro/internal/wal"
@@ -93,24 +92,18 @@ type Config struct {
 	HeartbeatEvery time.Duration
 	// RedialEvery is the reconnection retry cadence. Default 100ms.
 	RedialEvery time.Duration
-	// Metrics receives runtime counters; optional. New attaches a labeled
-	// registry (const label engine=<Name>) if the Metrics has none, so
-	// per-wire series are always available.
+	// Metrics receives runtime counters, flight events and spans; optional.
+	// New attaches a labeled registry (const label engine=<Name>) if the
+	// Metrics has none, so per-wire series are always available. Attach the
+	// same flight recorder and span collector to successive generations of
+	// an engine (the cluster does) so a post-failover dump and timeline
+	// show the pre-crash story beside the replayed re-deliveries.
 	Metrics *trace.Metrics
-	// Recorder is the flight recorder events are emitted into; optional.
-	// Pass the same recorder to successive generations of an engine (the
-	// cluster does) so a post-failover dump contains the pre-crash story.
-	Recorder *trace.Recorder
 	// Audit is the determinism audit log delivery chains are recorded in
-	// and verified against; optional (nil disables auditing). Like the
-	// Recorder, pass the same log to successive generations so a recovered
-	// engine's replay is checked against the pre-crash record.
-	Audit *trace.AuditLog
-	// Spans is the span collector sampled deliveries emit into; optional
-	// (nil disables span tracing). Like the Recorder, pass the same
-	// collector to successive generations so a post-failover timeline
-	// shows the pre-crash journey next to the replayed re-deliveries.
-	Spans *span.Collector
+	// and verified against; optional (nil disables auditing). Pass the same
+	// log to successive generations so a recovered engine's replay is
+	// checked against the pre-crash record.
+	Audit *sched.AuditLog
 	// DebugAddr, when non-empty, binds a debug HTTP listener serving
 	// /metrics, /healthz, /trace, /spans, and /topology. Off by default.
 	// Use "127.0.0.1:0" for an ephemeral port (see Engine.DebugAddr).
@@ -255,29 +248,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Metrics.Registry() == nil {
 		cfg.Metrics.SetRegistry(trace.NewRegistry(trace.L("engine", cfg.Name)))
 	}
-	if cfg.Recorder != nil {
-		cfg.Metrics.SetRecorder(cfg.Recorder)
-	}
-	if cfg.Audit != nil {
-		cfg.Metrics.SetAudit(cfg.Audit)
-	}
-	if cfg.Spans != nil {
-		cfg.Metrics.SetSpans(cfg.Spans)
-		// Feed every recorded span into the critical-path histogram family
-		// so the aggregate phase shares are scrapeable without a dump.
-		reg := cfg.Metrics.Registry()
-		hists := make(map[string]*trace.Histogram, len(span.Phases()))
-		for _, p := range span.Phases() {
-			hists[p.String()] = reg.Histogram(trace.MetricCriticalPath,
-				"Span-attributed share of traced end-to-end latency by phase.",
-				trace.SecondsBuckets, trace.L("phase", p.String()))
-		}
-		cfg.Spans.SetObserver(func(phase string, seconds float64) {
-			if h, ok := hists[phase]; ok {
-				h.Observe(seconds)
-			}
-		})
-	}
 	if cfg.GapRepairEvery <= 0 {
 		cfg.GapRepairEvery = 50 * time.Millisecond
 	}
@@ -363,6 +333,7 @@ func (e *Engine) host(comp *topo.Component, spec ComponentSpec) error {
 		Silence:    spec.Silence,
 		Router:     e,
 		Metrics:    e.metrics,
+		Audit:      e.cfg.Audit,
 		Seed:       nameSeed(comp.Name),
 		ProbeRetry: spec.ProbeRetry,
 		OnDuplicateCall: func(req msg.Envelope) {
@@ -597,9 +568,6 @@ func (e *Engine) Alive() bool {
 	defer e.mu.Unlock()
 	return e.started && !e.stopped
 }
-
-// Generation returns the engine incarnation's fencing token.
-func (e *Engine) Generation() uint64 { return e.cfg.Generation }
 
 // NowVT reads the engine's source clock: the virtual time a real-time
 // source would stamp on an input emitted now. The adaptive span-sampling

@@ -233,8 +233,8 @@ func TestSourceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Name() != "in1" || src.Wire() != tp.Sources()[0].Wire {
-		t.Errorf("source identity wrong: %s %v", src.Name(), src.Wire())
+	if src.name != "in1" || src.wire.ID != tp.Sources()[0].Wire {
+		t.Errorf("source identity wrong: %s %v", src.name, src.wire.ID)
 	}
 	// EmitAt must be monotone and respect promises.
 	if err := src.EmitAt(1000, []string{"a"}); err != nil {

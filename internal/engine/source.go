@@ -44,12 +44,6 @@ func newSource(e *Engine, name string, w *topo.Wire, target *hosted) *Source {
 	}
 }
 
-// Name returns the source name.
-func (s *Source) Name() string { return s.name }
-
-// Wire returns the source's wire ID.
-func (s *Source) Wire() msg.WireID { return s.wire.ID }
-
 // Emit ingests one message stamped with the current (real) time, returning
 // the assigned virtual time.
 func (s *Source) Emit(payload any) (vt.Time, error) {

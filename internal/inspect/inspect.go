@@ -45,7 +45,7 @@ type Config struct {
 	// Audits resolves an engine's live determinism audit log; nil or a nil
 	// result disables Bisect (which needs the live chain record to compare
 	// replays against).
-	Audits func(engineName string) *trace.AuditLog
+	Audits func(engineName string) *sched.AuditLog
 }
 
 // Inspector reconstructs component states at arbitrary virtual times by

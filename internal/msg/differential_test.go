@@ -15,7 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/msg"
-	"repro/internal/trace"
+	"repro/internal/sched"
 	"repro/internal/vt"
 )
 
@@ -99,7 +99,7 @@ func TestBinaryMatchesGobReference(t *testing.T) {
 		viaBinary = append(viaBinary, out)
 	}
 
-	gobChain, binChain := trace.ChainSeed(), trace.ChainSeed()
+	gobChain, binChain := sched.ChainSeed(), sched.ChainSeed()
 	for i := range envs {
 		g, b := viaGob[i], viaBinary[i]
 		if !reflect.DeepEqual(g, b) {
@@ -112,12 +112,12 @@ func TestBinaryMatchesGobReference(t *testing.T) {
 		// Payload digests — the audit chain's view — must agree between the
 		// two transport representations and with the never-serialized
 		// original (the loopback fast path's requirement).
-		dg, db, d0 := trace.PayloadDigest(g.Payload), trace.PayloadDigest(b.Payload), trace.PayloadDigest(envs[i].Payload)
+		dg, db, d0 := sched.PayloadDigest(g.Payload), sched.PayloadDigest(b.Payload), sched.PayloadDigest(envs[i].Payload)
 		if dg != db || db != d0 {
 			t.Errorf("envelope %d digest diverged: gob %x bin %x orig %x", i, dg, db, d0)
 		}
-		gobChain = trace.ChainNext(gobChain, g.Wire, g.Seq, g.VT, dg)
-		binChain = trace.ChainNext(binChain, b.Wire, b.Seq, b.VT, db)
+		gobChain = sched.ChainNext(gobChain, g.Wire, g.Seq, g.VT, dg)
+		binChain = sched.ChainNext(binChain, b.Wire, b.Seq, b.VT, db)
 	}
 	if gobChain != binChain {
 		t.Errorf("audit chains diverged: gob %x bin %x", gobChain, binChain)

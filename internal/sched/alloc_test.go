@@ -11,15 +11,44 @@ import (
 	"repro/internal/vt"
 )
 
+// observed is one observer configuration a scheduler cost is pinned under.
+type observed struct {
+	name  string
+	obs   Observer
+	audit *AuditLog
+}
+
+// observers are the inputs the scheduler's steady-state cost is pinned
+// under: off (nil), the registry every Cluster engine reports into, and
+// what WithFlightRecorder adds — a flight recorder in the observer and an
+// audit log beside it.
+func observers() []observed {
+	withRegistry := func() *trace.Metrics {
+		m := &trace.Metrics{}
+		m.SetRegistry(trace.NewRegistry(trace.L("engine", "e0")))
+		return m
+	}
+	flight := withRegistry()
+	flight.SetRecorder(trace.NewRecorder(0))
+	return []observed{{"nil", nil, nil}, {"registry", withRegistry(), nil}, {"flight", flight, NewAuditLog()}}
+}
+
 // TestDeliveryAllocatesNothing pins the steady-state delivery path: one
 // Deliver plus the step that runs a handler which Sends on one of four
 // output wires, under the default Curiosity governor with no standing
-// curiosity, must not allocate. The payload travels as the `any` it arrived
+// curiosity, must not allocate, with the observer off or as a Cluster
+// attaches it (see observers). The payload travels as the `any` it arrived
 // as, so the handler adds no boxing of its own.
 func TestDeliveryAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
+	for _, o := range observers() {
+		t.Run(o.name, func(t *testing.T) { deliveryAllocs(t, o.obs, o.audit) })
+	}
+}
+
+func deliveryAllocs(t *testing.T, obs Observer, audit *AuditLog) {
 	b := topo.NewBuilder()
 	b.AddComponent("gate")
 	ports := [4]string{"s0", "s1", "s2", "s3"}
@@ -45,7 +74,8 @@ func TestDeliveryAllocatesNothing(t *testing.T) {
 		Est:     estimator.Constant{C: 50},
 		Silence: silence.Config{Strategy: silence.Curiosity},
 		Router:  nopRouter{},
-		Metrics: &trace.Metrics{},
+		Metrics: obs,
+		Audit:   audit,
 		Seed:    1,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
-package trace
+package sched
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -22,11 +23,14 @@ import (
 // registered binary codec (including the built-in scalar payloads) are
 // digested over their codec bytes — a deterministic function of the value,
 // hashed with an inlined FNV-1a loop over a pooled buffer, so the hot path
-// allocates nothing. Everything else is formatted with %v (deterministic
-// for the gob-transportable payloads TART carries; fmt sorts map keys) and
-// hashed the same way. Gob bytes are never digested: gob's map encoding is
-// ordering-dependent, and the digest must be a pure function of the value
-// so that socket, loopback, and in-process hops — and replay — all agree.
+// allocates nothing. Everything else is hashed over its JSON encoding,
+// which follows pointers, sorts map keys, drops time.Time's monotonic
+// reading and, like gob, sees only exported fields; a value JSON refuses
+// (a channel, a NaN, a cycle) is formatted with %v instead. Neither %v alone
+// (it prints nested pointers as addresses) nor gob bytes (its map encoding
+// is ordering-dependent) would do: the digest must be a pure function of
+// the value so that socket, loopback, and in-process hops — and replay —
+// all agree.
 // Collisions are possible but irrelevant at audit scale: the chain needs
 // to notice a corrupted replay, not resist an adversary.
 func PayloadDigest(v any) uint64 {
@@ -48,7 +52,9 @@ func PayloadDigest(v any) uint64 {
 	}
 	msg.PutBuffer(buf)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", v)
+	if json.NewEncoder(h).Encode(v) != nil {
+		fmt.Fprintf(h, "%v", v)
+	}
 	return h.Sum64()
 }
 
@@ -131,8 +137,11 @@ func (a *AuditLog) Check(comp string, idx uint64, t vt.Time, chain uint64) (ok b
 	case idx == next:
 		tr.entries = append(tr.entries, AuditEntry{Index: idx, VT: t, Chain: chain})
 		if len(tr.entries) > maxAuditTrail {
+			// Slide the window rather than copy it down: append copies the
+			// live window only when it outgrows the backing array, so a full
+			// trail costs O(1) per delivery, not a 64k-entry memmove.
 			drop := len(tr.entries) - maxAuditTrail
-			tr.entries = append(tr.entries[:0], tr.entries[drop:]...)
+			tr.entries = tr.entries[drop:]
 			tr.base += uint64(drop)
 		}
 		return true, chain
@@ -176,19 +185,4 @@ func (a *AuditLog) At(comp string, idx uint64) (AuditEntry, bool) {
 		return AuditEntry{}, false
 	}
 	return tr.entries[idx-tr.base], true
-}
-
-// Entries returns a copy of component comp's recorded window (for tests and
-// post-mortems).
-func (a *AuditLog) Entries(comp string) []AuditEntry {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	tr := a.trails[comp]
-	if tr == nil {
-		return nil
-	}
-	return append([]AuditEntry(nil), tr.entries...)
 }

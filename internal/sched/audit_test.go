@@ -1,7 +1,10 @@
-package trace
+package sched
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
+	"time"
 
 	"repro/internal/vt"
 )
@@ -38,6 +41,32 @@ func TestPayloadDigest(t *testing.T) {
 	m2 := map[string]int{"y": 2, "x": 1}
 	if PayloadDigest(m1) != PayloadDigest(m2) {
 		t.Error("map digest depends on insertion order")
+	}
+	// A payload decoded off a socket holds fresh pointers: deep-equal
+	// values must digest equal wherever their pointees live.
+	type inner struct{ N int }
+	type outer struct {
+		K string
+		P *inner
+	}
+	if PayloadDigest(outer{"k", &inner{7}}) != PayloadDigest(outer{"k", &inner{7}}) {
+		t.Error("deep-equal payloads with distinct pointers digest differently")
+	}
+	if PayloadDigest(outer{"k", &inner{7}}) == PayloadDigest(outer{"k", &inner{8}}) {
+		t.Error("payloads differing behind a pointer digest identically")
+	}
+	// A time.Time carries a monotonic reading that a gob round trip drops.
+	now := time.Now()
+	var buf bytes.Buffer
+	var decoded time.Time
+	if err := gob.NewEncoder(&buf).Encode(now); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	if PayloadDigest(now) != PayloadDigest(decoded) {
+		t.Error("a gob round-tripped time.Time digests differently")
 	}
 }
 
@@ -119,8 +148,12 @@ func TestAuditLogWindowTrim(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.Check("comp", uint64(i), vt.Time(i), uint64(i)*3+1)
 	}
-	if got := len(a.Entries("comp")); got != maxAuditTrail {
-		t.Fatalf("window holds %d entries, want %d", got, maxAuditTrail)
+	// The window holds exactly the newest maxAuditTrail entries.
+	if _, ok := a.At("comp", uint64(n-maxAuditTrail)); !ok {
+		t.Fatal("oldest retained index is not in the window")
+	}
+	if _, ok := a.At("comp", uint64(n-maxAuditTrail-1)); ok {
+		t.Fatal("window holds more than maxAuditTrail entries")
 	}
 	// Trimmed-out indices are unverifiable (pass), retained ones still verify.
 	if ok, _ := a.Check("comp", 0, 0, 77777); !ok {
@@ -135,6 +168,28 @@ func TestAuditLogWindowTrim(t *testing.T) {
 	}
 }
 
+// TestAuditLogFullWindowSlides pins a full window's trim to a slide: past
+// maxAuditTrail, a Check may copy the window only when append outgrows the
+// backing array, never once per delivery.
+func TestAuditLogFullWindowSlides(t *testing.T) {
+	a := NewAuditLog()
+	for i := 0; i <= maxAuditTrail; i++ {
+		a.Check("comp", uint64(i), 0, 1)
+	}
+	tr := a.trails["comp"]
+	copies := 0
+	for i := maxAuditTrail + 1; i <= 3*maxAuditTrail; i++ {
+		next := &tr.entries[1]
+		a.Check("comp", uint64(i), 0, 1)
+		if &tr.entries[0] != next {
+			copies++
+		}
+	}
+	if copies > 64 {
+		t.Errorf("%d of %d deliveries copied the audit window", copies, 2*maxAuditTrail)
+	}
+}
+
 func TestAuditLogNilSafe(t *testing.T) {
 	var a *AuditLog
 	if ok, _ := a.Check("comp", 0, 0, 1); !ok {
@@ -143,8 +198,8 @@ func TestAuditLogNilSafe(t *testing.T) {
 	if _, ok := a.At("comp", 0); ok {
 		t.Error("nil log At reported an entry")
 	}
-	if a.Entries("comp") != nil {
-		t.Error("nil log Entries not nil")
+	if a.Witnessed("comp", 0) {
+		t.Error("nil log witnessed an index")
 	}
 }
 

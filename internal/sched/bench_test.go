@@ -8,7 +8,6 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/msg"
 	"repro/internal/silence"
-	"repro/internal/trace"
 	"repro/internal/vt"
 )
 
@@ -18,7 +17,7 @@ func (nopRouter) Route(msg.Envelope) {}
 
 // benchMergeWide drives one merger scheduler with a W-way round-robin
 // in-order stream and measures the per-delivery cost of the merge step.
-func benchMergeWide(b *testing.B, wires int) {
+func benchMergeWide(b *testing.B, wires int, obs Observer, audit *AuditLog) {
 	tp := fanInTopo(b, wires)
 	comp, _ := tp.ComponentByName("merger")
 	target := int64(b.N)
@@ -37,7 +36,8 @@ func benchMergeWide(b *testing.B, wires int) {
 		Est:     estimator.Constant{C: 50},
 		Silence: silence.Config{Strategy: silence.Lazy},
 		Router:  nopRouter{},
-		Metrics: &trace.Metrics{},
+		Metrics: obs,
+		Audit:   audit,
 		Seed:    1,
 	})
 	if err != nil {
@@ -66,9 +66,12 @@ func benchMergeWide(b *testing.B, wires int) {
 }
 
 // BenchmarkSchedulerMergeWide measures the indexed-heap merge at widening
-// fan-in; per delivery it should grow only as O(log W).
+// fan-in; per delivery it should grow only as O(log W). Each width runs
+// with the observer off and as a Cluster attaches it (see observers).
 func BenchmarkSchedulerMergeWide(b *testing.B) {
 	for _, w := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("heap-%d", w), func(b *testing.B) { benchMergeWide(b, w) })
+		for _, o := range observers() {
+			b.Run(fmt.Sprintf("heap-%d/%s", w, o.name), func(b *testing.B) { benchMergeWide(b, w, o.obs, o.audit) })
+		}
 	}
 }

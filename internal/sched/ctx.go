@@ -6,7 +6,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/stats"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/vt"
 )
 
@@ -69,10 +68,11 @@ func (c *Ctx) Send(port string, payload any) error {
 	s.gov.NoteData(ow.w.ID, stamped)
 	s.mu.Unlock()
 
-	ow.m.Sent.Inc()
 	env := msg.NewData(ow.w.ID, seq, stamped, payload)
 	env.Origin, env.Hops, env.Trace = c.origin, c.hops+1, c.trace
-	s.rec.Record(trace.Event{Kind: trace.EvSend, VT: stamped, Component: s.comp.Name, Wire: ow.w.ID, MsgSeq: seq, Origin: env.Origin, Hops: env.Hops})
+	if s.obs != nil {
+		s.obs.Sent(ow.obs, env, "")
+	}
 	s.cfg.Router.Route(env)
 	return nil
 }
@@ -105,10 +105,11 @@ func (c *Ctx) Call(port string, payload any) (any, error) {
 	s.gov.NoteData(ow.w.ID, stamped)
 	s.mu.Unlock()
 
-	ow.m.Sent.Inc()
 	env := msg.NewCallRequest(ow.w.ID, seq, stamped, callID, payload)
 	env.Origin, env.Hops, env.Trace = c.origin, c.hops+1, c.trace
-	s.rec.Record(trace.Event{Kind: trace.EvSend, VT: stamped, Component: s.comp.Name, Wire: ow.w.ID, MsgSeq: seq, Origin: env.Origin, Hops: env.Hops, Note: "call request"})
+	if s.obs != nil {
+		s.obs.Sent(ow.obs, env, "call request")
+	}
 	s.cfg.Router.Route(env)
 
 	select {

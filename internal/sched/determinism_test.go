@@ -169,7 +169,8 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 		f1.Route(env)
 	}
 	full := recordsOf(f1.awaitSink(5, 5*time.Second))
-	snap := s1.Snapshot()
+	var snap State
+	s1.WithQuiescent(func(st State) { snap = st })
 	for _, env := range inputs[5:] {
 		f1.Route(env)
 	}

@@ -1,0 +1,77 @@
+package sched
+
+import (
+	"time"
+
+	"repro/internal/msg"
+	"repro/internal/topo"
+	"repro/internal/vt"
+)
+
+// Observer receives a scheduler's reports: per-wire counters, flight events
+// and latency spans. Config.Metrics holds one; nil is off, and each report
+// site then costs one branch. The trace package's *Metrics implements it;
+// the scheduler imports no observability package.
+//
+// Reports about a wire carry the handle Wire returned for it. Some reports
+// run under the scheduler lock, so an implementation must not block or call
+// back into the scheduler.
+type Observer interface {
+	// Wire registers a component's end of a wire, labelled by WireName: New
+	// registers every input (in) and output, and a call-reply wire is
+	// registered at the callee's first reply.
+	Wire(component, label string, w msg.WireID, in bool) any
+	// Traced reports whether an envelope's deliveries are span-sampled.
+	Traced(mark int8, origin msg.OriginID) bool
+	// Queued reports an input's queue depth, held-back arrivals included.
+	Queued(in any, depth int)
+	// Dropped reports a duplicate arrival or, on overflow, one shed at the
+	// hold-back cap; DroppedReply a duplicate call reply.
+	Dropped(in any, env msg.Envelope, overflow bool)
+	DroppedReply(component, label string, env msg.Envelope)
+	// Blocked reports a pessimism episode starting on candidate env, Probe a
+	// curiosity probe for VT t sent up a blocking input.
+	Blocked(in any, env msg.Envelope)
+	Probe(in any, t vt.Time)
+	// Delivered reports env dequeued at VT at. One that ended a pessimism
+	// episode carries its wait and last holdout, blamed (nil otherwise);
+	// diverged marks a replay-divergence determinism fault.
+	Delivered(in, blamed any, env msg.Envelope, at vt.Time, wait time.Duration, outOfOrder, diverged bool)
+	// Waited reports a span-sampled delivery's time from enqueue to pop, and
+	// Computed its handler run, charged cost from at to end and measured
+	// from start for took; replayed marks a re-delivery inside the recorded
+	// audit window. Computed is reported for every delivery.
+	Waited(in, blamed any, env msg.Envelope, at vt.Time, wait time.Duration, enq, pop time.Time, replayed bool)
+	Computed(in any, env msg.Envelope, at, end vt.Time, cost time.Duration, start time.Time, took time.Duration, replayed bool)
+	// Sent reports an emitted data, call or reply envelope, Silence a
+	// silence promise, and Curiosity a standing curiosity registered or
+	// satisfied, on an output.
+	Sent(out any, env msg.Envelope, note string)
+	Silence(out any, through vt.Time)
+	Curiosity(out any, target vt.Time, satisfied bool)
+	// Recalibrated reports an estimator recalibration effective at VT at;
+	// err says why the engine refused to log it.
+	Recalibrated(component string, at vt.Time, err error)
+}
+
+// register resolves the observer's handle for one end of w (nil when off).
+func (s *Scheduler) register(w *topo.Wire, in bool) any {
+	if s.obs == nil {
+		return nil
+	}
+	return s.obs.Wire(s.comp.Name, WireName(s.cfg.Topo, w), w.ID, in)
+}
+
+// noteDepth reports an input wire's queue depth; the lock is held.
+func (s *Scheduler) noteDepth(in *inWire) {
+	if s.obs != nil {
+		s.obs.Queued(in.obs, in.q.n+len(in.holdback))
+	}
+}
+
+// noteSilence reports one silence promise emitted on an output wire.
+func (s *Scheduler) noteSilence(ow *outWire, through vt.Time) {
+	if s.obs != nil {
+		s.obs.Silence(ow.obs, through)
+	}
+}

@@ -32,8 +32,6 @@ import (
 	"repro/internal/silence"
 	"repro/internal/stats"
 	"repro/internal/topo"
-	"repro/internal/trace"
-	"repro/internal/trace/span"
 	"repro/internal/vt"
 )
 
@@ -84,9 +82,12 @@ type Config struct {
 	// Silence configures the component's silence-propagation governor.
 	Silence silence.Config
 	Router  Router
-	// Metrics carries the registry, recorder, audit log and span collector
-	// the scheduler reports into; optional, and each absent one is a no-op.
-	Metrics *trace.Metrics
+	// Metrics receives the scheduler's counters, flight events and spans;
+	// optional (nil is off).
+	Metrics Observer
+	// Audit is the determinism audit log delivery chains are recorded in and
+	// verified against; optional (nil skips the chain, see OnDelivered).
+	Audit *AuditLog
 	// Seed seeds the component's deterministic PRNG.
 	Seed uint64
 	// ProbeRetry is how long a blocked scheduler waits before re-issuing
@@ -177,15 +178,9 @@ type Scheduler struct {
 	// Updates and verification are skipped entirely when audit is nil.
 	auditChain uint64
 	auditCount uint64
-	audit      *trace.AuditLog
+	audit      *AuditLog
 
-	// Observability handles, resolved once at construction; all are valid
-	// no-ops when the Metrics carries no registry/recorder.
-	rec        *trace.Recorder
-	reg        *trace.Registry
-	spans      *span.Collector
-	estErrHist *trace.Histogram
-	detFaults  *trace.Counter
+	obs Observer // Config.Metrics
 
 	poke    chan struct{}
 	stop    chan struct{}
@@ -216,7 +211,9 @@ func New(cfg Config) (*Scheduler, error) {
 		comp:       cfg.Comp,
 		inFlight:   vt.Never,
 		pessBlame:  -1,
-		auditChain: trace.ChainSeed(),
+		audit:      cfg.Audit,
+		obs:        cfg.Metrics,
+		auditChain: ChainSeed(),
 		inputs:     make(map[msg.WireID]*inWire, len(cfg.Comp.Inputs)),
 		byPort:     make(map[string]*outWire, len(cfg.Comp.Outputs)),
 		outputs:    make(map[msg.WireID]*outWire, len(cfg.Comp.Outputs)),
@@ -237,42 +234,27 @@ func New(cfg Config) (*Scheduler, error) {
 	default:
 		s.holdbackLimit = 0 // unbounded
 	}
-	reg := cfg.Metrics.Registry()
-	s.reg = reg
-	s.rec = cfg.Metrics.Recorder()
-	s.audit = cfg.Metrics.Audit()
-	s.spans = cfg.Metrics.Spans()
-	s.estErrHist = reg.EstimatorError(cfg.Comp.Name)
-	s.detFaults = reg.DeterminismFaults(cfg.Comp.Name, "replay-divergence")
 	for _, wid := range cfg.Comp.Inputs {
 		in := newInWire(cfg.Topo.Wire(wid))
-		in.m = reg.InWire(cfg.Comp.Name, WireName(cfg.Topo, in.w))
+		in.obs = s.register(in.w, true)
 		s.inputs[wid] = in
 		s.front.add(in)
 	}
 	for port, wid := range cfg.Comp.Outputs {
 		w := cfg.Topo.Wire(wid)
-		ow := &outWire{w: w, lastSentVT: vt.Never, m: reg.OutWire(cfg.Comp.Name, WireName(cfg.Topo, w))}
+		ow := &outWire{w: w, lastSentVT: vt.Never, obs: s.register(w, false)}
 		s.byPort[port] = ow
 		s.outputs[wid] = ow
 		s.silenceWires = append(s.silenceWires, wid)
 	}
 	slices.Sort(s.silenceWires)
-	if s.rec != nil {
-		name := cfg.Comp.Name
+	if s.obs != nil {
 		s.gov.SetTrace(func(event string, w msg.WireID, target vt.Time) {
-			kind := trace.EvCuriosityStanding
-			if event == silence.TraceCuriositySatisfied {
-				kind = trace.EvCuriositySatisfied
-			}
-			s.rec.Record(trace.Event{Kind: kind, VT: target, Component: name, Wire: w})
+			s.obs.Curiosity(s.outputs[w].obs, target, event == silence.TraceCuriositySatisfied)
 		})
 	}
 	return s, nil
 }
-
-// Name returns the component name.
-func (s *Scheduler) Name() string { return s.comp.Name }
 
 // Run starts the scheduler's worker goroutine. It returns an error if the
 // scheduler was already started.
@@ -384,7 +366,7 @@ func (s *Scheduler) deliverMessage(env msg.Envelope) {
 	// Stamp the enqueue time for span-sampled origins before taking the
 	// lock; a zero stamp marks the delivery as untraced.
 	var enq int64
-	if s.spans.Decided(env.Trace, env.Origin) {
+	if s.obs != nil && s.obs.Traced(env.Trace, env.Origin) {
 		enq = time.Now().UnixNano()
 	}
 	s.mu.Lock()
@@ -396,30 +378,23 @@ func (s *Scheduler) deliverMessage(env msg.Envelope) {
 	s.arrival++
 	verdict := in.accept(env, s.arrival, enq, s.holdbackLimit)
 	if verdict == acceptQueued {
-		in.noteDepth()
+		s.noteDepth(in)
 		s.front.update(in)
-	} else {
-		if verdict == acceptOverflow {
-			in.m.HoldbackDrops.Inc()
-		} else {
-			in.m.Duplicates.Inc()
-		}
 	}
 	s.mu.Unlock()
-	switch verdict {
-	case acceptQueued:
+	if verdict == acceptQueued {
 		s.wake()
-	case acceptOverflow:
-		// Shed, not lost: the gap-repair loop will re-request everything
-		// from the delivery cursor once the gap persists.
-		s.rec.Record(trace.Event{Kind: trace.EvDuplicateDrop, VT: env.VT, Component: s.comp.Name, Wire: env.Wire, MsgSeq: env.Seq, Note: "holdback overflow"})
-	case acceptDuplicate:
-		s.rec.Record(trace.Event{Kind: trace.EvDuplicateDrop, VT: env.VT, Component: s.comp.Name, Wire: env.Wire, MsgSeq: env.Seq})
-		if env.Kind == msg.KindCallRequest && s.cfg.OnDuplicateCall != nil {
-			// A recovering caller re-issued a call this component already
-			// processed; let the engine re-send the buffered reply.
-			s.cfg.OnDuplicateCall(env)
-		}
+		return
+	}
+	// An overflow is shed, not lost: the gap-repair loop will re-request
+	// everything from the delivery cursor once the gap persists.
+	if s.obs != nil {
+		s.obs.Dropped(in.obs, env, verdict == acceptOverflow)
+	}
+	if verdict == acceptDuplicate && env.Kind == msg.KindCallRequest && s.cfg.OnDuplicateCall != nil {
+		// A recovering caller re-issued a call this component already
+		// processed; let the engine re-send the buffered reply.
+		s.cfg.OnDuplicateCall(env)
 	}
 }
 
@@ -474,12 +449,6 @@ func (s *Scheduler) deliverProbe(env msg.Envelope) {
 	s.wake()
 }
 
-// noteSilence accounts one silence promise emitted on an output wire.
-func (s *Scheduler) noteSilence(ow *outWire, through vt.Time) {
-	ow.m.Silences.Inc()
-	s.rec.Record(trace.Event{Kind: trace.EvSilence, VT: through, Component: s.comp.Name, Wire: ow.w.ID})
-}
-
 func (s *Scheduler) deliverReply(env msg.Envelope) {
 	s.mu.Lock()
 	ch, ok := s.waiters[env.CallID]
@@ -489,8 +458,9 @@ func (s *Scheduler) deliverReply(env msg.Envelope) {
 	s.mu.Unlock()
 	if !ok {
 		// No waiter: a duplicate reply after replay. Discard.
-		s.reg.Duplicates(s.comp.Name, WireName(s.cfg.Topo, s.cfg.Topo.Wire(env.Wire))).Inc()
-		s.rec.Record(trace.Event{Kind: trace.EvDuplicateDrop, VT: env.VT, Component: s.comp.Name, Wire: env.Wire, MsgSeq: env.Seq, Note: "duplicate call reply"})
+		if s.obs != nil {
+			s.obs.DroppedReply(s.comp.Name, WireName(s.cfg.Topo, s.cfg.Topo.Wire(env.Wire)), env)
+		}
 		return
 	}
 	ch <- env

@@ -48,16 +48,6 @@ type OutputState struct {
 	LastSentVT vt.Time
 }
 
-// Snapshot captures the scheduler's checkpointable state. State is only
-// consistent between handler invocations (mid-handler, output cursors have
-// advanced but the clock has not), so Snapshot briefly waits for any
-// in-flight handler to finish.
-func (s *Scheduler) Snapshot() State {
-	var st State
-	s.WithQuiescent(func(captured State) { st = captured })
-	return st
-}
-
 // WithQuiescent runs fn at a moment when no handler is executing, passing
 // the scheduler state captured at that same moment. The worker cannot start
 // a new handler until fn returns, so a caller can capture the handler's

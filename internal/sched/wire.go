@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/msg"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/vt"
 )
 
@@ -93,14 +92,7 @@ type inWire struct {
 	hpos int
 	hset int8
 
-	// m holds the wire's receiver-side metric handles (never nil; the
-	// handles inside are nil no-ops when metrics are disabled).
-	m *trace.InWireMetrics
-}
-
-// noteDepth publishes the wire's current queue depth (pending + held-back).
-func (in *inWire) noteDepth() {
-	in.m.QueueDepth.Set(int64(in.q.n + len(in.holdback)))
+	obs any // the observer's handle for the wire; nil when off
 }
 
 // queued pairs an envelope with its real-time arrival index (for
@@ -253,9 +245,7 @@ type outWire struct {
 	seq        uint64
 	lastSentVT vt.Time
 
-	// m holds the wire's sender-side metric handles (never nil; the handles
-	// inside are nil no-ops when metrics are disabled).
-	m *trace.OutWireMetrics
+	obs any // the observer's handle for the wire; nil when off
 }
 
 // nextData stamps the next data (or call) envelope metadata on the wire.

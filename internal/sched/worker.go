@@ -7,8 +7,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/silence"
 	"repro/internal/topo"
-	"repro/internal/trace"
-	"repro/internal/trace/span"
 	"repro/internal/vt"
 )
 
@@ -109,7 +107,9 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		if blockers := s.blockersLocked(cand.env.VT); len(blockers) > 0 {
 			if s.pessStart.IsZero() {
 				s.pessStart = time.Now()
-				s.rec.Record(trace.Event{Kind: trace.EvPessimismStart, VT: cand.env.VT, Component: s.comp.Name, Wire: candWire, MsgSeq: cand.env.Seq})
+				if s.obs != nil {
+					s.obs.Blocked(in.obs, cand.env)
+				}
 			}
 			// Track the laggard: among the wires still blocking this
 			// candidate, the one whose silence frontier trails furthest
@@ -127,8 +127,9 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 				for _, w := range blockers {
 					if s.probed[w] < cand.env.VT {
 						s.probed[w] = cand.env.VT
-						s.inputs[w].m.Probes.Inc()
-						s.rec.Record(trace.Event{Kind: trace.EvProbe, VT: cand.env.VT, Component: s.comp.Name, Wire: w})
+						if s.obs != nil {
+							s.obs.Probe(s.inputs[w].obs, cand.env.VT)
+						}
 						control = append(control, msg.NewProbe(w, cand.env.VT))
 					}
 				}
@@ -137,33 +138,21 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		}
 
 		// Deliverable: commit the dequeue. A non-zero q.enq marks a
-		// span-sampled delivery: capture the pop time (and, below, the
-		// pessimism episode bounds) so queueing/pessimism/compute spans can
-		// be emitted once the lock is released.
+		// span-sampled delivery, whose pop time the observer's spans end at.
 		q := in.pop()
-		var spanPop, spanPessStart time.Time
-		var spanBlame string
-		if q.enq != 0 {
-			spanPop = time.Now()
-		}
 		s.front.update(in)
-		in.noteDepth()
+		s.noteDepth(in)
+		var pop time.Time
+		var wait time.Duration
+		var blamed any
+		if q.enq != 0 || !s.pessStart.IsZero() {
+			pop = time.Now()
+		}
 		if !s.pessStart.IsZero() {
-			wait := time.Since(s.pessStart)
-			in.m.Pessimism.Observe(wait.Seconds())
-			ev := trace.Event{Kind: trace.EvPessimismEnd, VT: q.env.VT, Component: s.comp.Name, Wire: candWire, MsgSeq: q.env.Seq, WaitNanos: int64(wait)}
-			if blamed, ok := s.inputs[s.pessBlame]; ok {
-				ev.SetBlame(s.pessBlame)
-				blamed.m.Blame.Inc()
-				blamed.m.BlameSeconds.Observe(wait.Seconds())
+			wait = pop.Sub(s.pessStart)
+			if b, ok := s.inputs[s.pessBlame]; ok {
+				blamed = b.obs
 			}
-			if !spanPop.IsZero() {
-				spanPessStart = s.pessStart
-				if _, ok := s.inputs[s.pessBlame]; ok {
-					spanBlame = "blame=" + s.pessBlame.String()
-				}
-			}
-			s.rec.Record(ev)
 			s.pessStart = time.Time{}
 			s.pessBlame = -1
 		}
@@ -171,16 +160,12 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		if q.arrival > s.maxDlvd {
 			s.maxDlvd = q.arrival
 		}
-		in.m.Delivered.Inc()
-		if outOfOrder {
-			in.m.OutOfOrder.Inc()
-		}
 
 		d := vt.MaxOf(q.env.VT, s.clock)
 		cost := s.cfg.Est.Cost(q.env.Payload, d)
 		s.inFlight = d
 		port := in.w.ToPort
-		replayed := false
+		replayed, diverged := false, false
 		hook := s.cfg.OnDelivered
 		var hookD Delivery
 		if s.audit != nil || hook != nil {
@@ -192,21 +177,19 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 			// chain is also folded — without recording or verification —
 			// when only the OnDelivered hook wants it (replay sandboxes run
 			// audit-free but bisect over the chain values).
-			digest := trace.PayloadDigest(q.env.Payload)
-			s.auditChain = trace.ChainNext(s.auditChain, candWire, q.env.Seq, q.env.VT, digest)
+			digest := PayloadDigest(q.env.Payload)
+			s.auditChain = ChainNext(s.auditChain, candWire, q.env.Seq, q.env.VT, digest)
 			idx := s.auditCount
 			s.auditCount++
 			if s.audit != nil {
-				if !spanPop.IsZero() {
+				if q.enq != 0 {
 					// A delivery index already inside the recorded audit window
 					// is a post-failover re-delivery: its spans are recovery
 					// work, not first-run latency.
 					replayed = s.audit.Witnessed(s.comp.Name, idx)
 				}
 				if ok, want := s.audit.Check(s.comp.Name, idx, q.env.VT, s.auditChain); !ok {
-					s.auditChain = want
-					s.detFaults.Inc()
-					s.rec.Record(trace.Event{Kind: trace.EvDeterminismFault, VT: q.env.VT, Component: s.comp.Name, Wire: candWire, MsgSeq: q.env.Seq, Origin: q.env.Origin, Hops: q.env.Hops, Note: "replay divergence: delivered payload differs from recorded chain"})
+					s.auditChain, diverged = want, true
 				}
 			}
 			if hook != nil {
@@ -216,26 +199,10 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 			}
 		}
 		s.mu.Unlock()
-		s.rec.Record(trace.Event{Kind: trace.EvDeliver, VT: d, Component: s.comp.Name, Wire: candWire, MsgSeq: q.env.Seq, Origin: q.env.Origin, Hops: q.env.Hops})
-		if !spanPop.IsZero() {
-			// Queueing runs from enqueue to the pessimism episode's start
-			// (or straight to the pop when nothing blocked delivery); the
-			// pessimism span covers the blocked wait. An episode that began
-			// before this message even arrived is clamped to the enqueue so
-			// the two spans tile the interval exactly once.
-			enq := time.Unix(0, q.enq)
-			qEnd := spanPop
-			if !spanPessStart.IsZero() {
-				if spanPessStart.Before(enq) {
-					spanPessStart = enq
-				}
-				qEnd = spanPessStart
-			}
-			if qEnd.After(enq) {
-				s.spans.Record(span.Span{Origin: q.env.Origin, Phase: span.PhaseQueueing, Component: s.comp.Name, Wire: candWire, Seq: q.env.Seq, Hops: q.env.Hops, Start: enq, End: qEnd, StartVT: q.env.VT, EndVT: d, Replayed: replayed})
-			}
-			if !spanPessStart.IsZero() {
-				s.spans.Record(span.Span{Origin: q.env.Origin, Phase: span.PhasePessimism, Component: s.comp.Name, Wire: candWire, Seq: q.env.Seq, Hops: q.env.Hops, Start: spanPessStart, End: spanPop, StartVT: q.env.VT, EndVT: d, Replayed: replayed, Note: spanBlame})
+		if s.obs != nil {
+			s.obs.Delivered(in.obs, blamed, q.env, d, wait, outOfOrder, diverged)
+			if q.enq != 0 {
+				s.obs.Waited(in.obs, blamed, q.env, d, wait, time.Unix(0, q.enq), pop, replayed)
 			}
 		}
 
@@ -247,12 +214,8 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		reply, err := s.cfg.Handler.OnMessage(ctx, port, q.env.Payload)
 		elapsed := time.Since(start)
 		_ = err // handler errors are the application's concern; state advances regardless
-		s.estErrHist.Observe((time.Duration(cost) - elapsed).Seconds())
-		if !spanPop.IsZero() {
-			// The VT extent is the estimator's charged cost (plus any Call
-			// continuations), so EndVT−StartVT vs End−Start reads the
-			// estimator error straight off the timeline.
-			s.spans.Record(span.Span{Origin: q.env.Origin, Phase: span.PhaseCompute, Component: s.comp.Name, Wire: candWire, Seq: q.env.Seq, Hops: q.env.Hops, Start: start, End: start.Add(elapsed), StartVT: d, EndVT: ctx.handlerVT, Replayed: replayed})
+		if s.obs != nil {
+			s.obs.Computed(in.obs, q.env, d, ctx.handlerVT, time.Duration(cost), start, elapsed, replayed)
 		}
 
 		if q.env.Kind == msg.KindCallRequest {
@@ -370,10 +333,11 @@ func (s *Scheduler) sendReply(ctx *Ctx, req msg.Envelope, reply any) {
 	seq, stamped := ow.next(stampBase)
 	s.gov.NoteData(reqWire.Peer, stamped)
 	s.mu.Unlock()
-	ow.m.Sent.Inc()
 	env := msg.NewCallReply(reqWire.Peer, seq, stamped, req.CallID, reply)
 	env.Origin, env.Hops, env.Trace = ctx.origin, ctx.hops+1, ctx.trace
-	s.rec.Record(trace.Event{Kind: trace.EvSend, VT: stamped, Component: s.comp.Name, Wire: reqWire.Peer, MsgSeq: seq, Origin: env.Origin, Hops: env.Hops, Note: "call reply"})
+	if s.obs != nil {
+		s.obs.Sent(ow.obs, env, "call reply")
+	}
 	s.cfg.Router.Route(env)
 }
 
@@ -388,7 +352,7 @@ func (s *Scheduler) replyOut(id msg.WireID) (*outWire, bool) {
 	if w.From != s.comp.ID || w.Kind != topo.WireCallReply {
 		return nil, false
 	}
-	ow := &outWire{w: w, lastSentVT: vt.Never, m: s.reg.OutWire(s.comp.Name, WireName(s.cfg.Topo, w))}
+	ow := &outWire{w: w, lastSentVT: vt.Never, obs: s.register(w, false)}
 	s.outputs[id] = ow
 	return ow, true
 }
@@ -411,11 +375,8 @@ func (s *Scheduler) observe(payload any, measured vt.Ticks) {
 	s.mu.Lock()
 	fault.EffectiveVT = s.clock.Add(1)
 	s.mu.Unlock()
-	note := "estimator recalibration"
-	if err := cal.Commit(fault); err != nil {
-		note += " not committed: " + err.Error()
-	} else {
-		s.reg.DeterminismFaults(s.comp.Name, "recalibration").Inc()
+	err := cal.Commit(fault)
+	if s.obs != nil {
+		s.obs.Recalibrated(s.comp.Name, fault.EffectiveVT, err)
 	}
-	s.rec.Record(trace.Event{Kind: trace.EvDeterminismFault, VT: fault.EffectiveVT, Component: s.comp.Name, Wire: -1, Note: note})
 }

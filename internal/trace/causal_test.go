@@ -61,7 +61,7 @@ func TestReadEventsBothFormats(t *testing.T) {
 		rec.Record(ev)
 	}
 	var jsonl bytes.Buffer
-	if err := rec.WriteJSON(&jsonl); err != nil {
+	if err := rec.WriteDump(&jsonl, "e"); err != nil {
 		t.Fatal(err)
 	}
 	fromLines, err := ReadEvents(&jsonl)

@@ -73,16 +73,6 @@ func (r *Recorder) Total() uint64 {
 	return r.next
 }
 
-// Len returns the number of events currently retained.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
 // Events returns a chronological copy of the retained events.
 func (r *Recorder) Events() []Event {
 	return r.Last(0)
@@ -103,29 +93,6 @@ func (r *Recorder) Last(n int) []Event {
 		out = out[len(out)-n:]
 	}
 	return out
-}
-
-// Reset discards all retained events (the lifetime total keeps counting).
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf = r.buf[:0]
-	r.start = 0
-}
-
-// WriteJSON dumps the retained events to w, one JSON object per line
-// (JSONL), oldest first. This is the flight-recorder dump format.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range r.Events() {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DumpMarker is the value of DumpHeader.Dump that identifies a header line

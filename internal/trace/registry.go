@@ -65,13 +65,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add adjusts by n.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -159,14 +152,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = uint64(h.counts[i].Load())
 	}
 	return s
-}
-
-// Mean returns the mean observation (0 for an empty histogram).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // Default bucket ladders.
@@ -650,56 +635,6 @@ func (m *CheckpointMetrics) Applied(full bool, chain, bytes int, offLoop time.Du
 	m.chain.Set(int64(chain))
 }
 
-// InWireMetrics bundles the receiver-side per-wire handles a scheduler
-// updates on its hot path. All fields are nil (valid no-ops) when resolved
-// from a nil registry.
-type InWireMetrics struct {
-	Delivered  *Counter
-	OutOfOrder *Counter
-	Probes     *Counter
-	Duplicates *Counter
-	Pessimism  *Histogram
-	QueueDepth *Gauge
-	// Blame counts pessimism episodes where this wire's silence frontier
-	// was the last holdout; BlameSeconds accumulates the real time those
-	// episodes cost (paper §II.H attribution).
-	Blame        *Counter
-	BlameSeconds *Histogram
-	// HoldbackDrops counts arrivals shed because the hold-back area was at
-	// its cap (recovered later via gap repair).
-	HoldbackDrops *Counter
-}
-
-// InWire resolves the receiver-side handles for one (component, wire).
-func (r *Registry) InWire(component, wire string) *InWireMetrics {
-	lbls := []Label{L("component", component), L("wire", wire)}
-	return &InWireMetrics{
-		Delivered:     r.Counter(MetricDelivered, "Messages delivered to handlers.", lbls...),
-		OutOfOrder:    r.Counter(MetricOutOfOrder, "Messages delivered in VT order that arrived out of real-time order.", lbls...),
-		Probes:        r.Counter(MetricProbes, "Curiosity probes sent to the wire's sender.", lbls...),
-		Duplicates:    r.Duplicates(component, wire),
-		Pessimism:     r.Histogram(MetricPessimism, "Pessimism delay: real time spent holding a deliverable message awaiting other senders' silence.", SecondsBuckets, lbls...),
-		QueueDepth:    r.Gauge(MetricQueueDepth, "Messages currently queued on the wire.", lbls...),
-		Blame:         r.Counter(MetricBlame, "Pessimism episodes where this wire's silence frontier was the last holdout.", lbls...),
-		BlameSeconds:  r.Histogram(MetricBlameSeconds, "Real time pessimism episodes blamed on this wire cost the receiver.", SecondsBuckets, lbls...),
-		HoldbackDrops: r.Counter(MetricHoldbackDrops, "Arrivals shed because the hold-back area was at its cap.", lbls...),
-	}
-}
-
-// OutWireMetrics bundles the sender-side per-wire handles.
-type OutWireMetrics struct {
-	Sent     *Counter
-	Silences *Counter
-}
-
-// OutWire resolves the sender-side handles for one (component, wire).
-func (r *Registry) OutWire(component, wire string) *OutWireMetrics {
-	return &OutWireMetrics{
-		Sent:     r.Counter(MetricSent, "Data, call, and reply envelopes emitted on the wire.", L("component", component), L("wire", wire)),
-		Silences: r.Silences(component, wire),
-	}
-}
-
 // Silences resolves the silence-promise counter for one sending (component,
 // wire); a source's promises count under its own name.
 func (r *Registry) Silences(component, wire string) *Counter {
@@ -711,12 +646,6 @@ func (r *Registry) Silences(component, wire string) *Counter {
 // caller drops.
 func (r *Registry) Duplicates(component, wire string) *Counter {
 	return r.Counter(MetricDuplicates, "Duplicate messages discarded by sequence/timestamp.", L("component", component), L("wire", wire))
-}
-
-// EstimatorError resolves the per-component signed estimator-error
-// histogram (predicted cost minus measured handler duration, in seconds).
-func (r *Registry) EstimatorError(component string) *Histogram {
-	return r.Histogram(MetricEstErr, "Signed estimator error: predicted cost minus measured handler duration (negative = underestimate).", SignedSecondsBuckets, L("component", component))
 }
 
 // DeterminismFaults resolves the determinism-fault counter for one

@@ -106,15 +106,6 @@ func (c *Collector) SetSchedule(s *Schedule) {
 	}
 }
 
-// Schedule returns the attached rate schedule (nil when sampling is
-// static).
-func (c *Collector) Schedule() *Schedule {
-	if c == nil {
-		return nil
-	}
-	return c.schedule
-}
-
 // DecideAt computes the head-sampling decision for an origin emitted at
 // virtual time t: msg.TraceSampled or msg.TraceUnsampled. A nil collector
 // or a zero origin yields zero ("undecided"), which consumers resolve with

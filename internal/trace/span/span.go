@@ -206,22 +206,6 @@ func NewCollector(engine string, capacity, sampleN int) *Collector {
 	return &Collector{engine: engine, sampleN: uint64(sampleN), buf: make([]Span, 0, capacity)}
 }
 
-// Engine returns the engine name the collector stamps on spans.
-func (c *Collector) Engine() string {
-	if c == nil {
-		return ""
-	}
-	return c.engine
-}
-
-// SampleN returns the head-sampling modulus (0 when the collector is nil).
-func (c *Collector) SampleN() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.sampleN
-}
-
 // SetObserver installs the per-span observation hook (see Collector doc).
 // Install before traffic flows; the field is read without synchronization.
 func (c *Collector) SetObserver(fn func(phase string, seconds float64)) {
@@ -294,26 +278,6 @@ func (c *Collector) Record(s Span) {
 	}
 }
 
-// Total returns the number of spans ever recorded (including overwritten).
-func (c *Collector) Total() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.next
-}
-
-// Len returns the number of spans currently retained.
-func (c *Collector) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.buf)
-}
-
 // Spans returns a copy of the retained spans in record order.
 func (c *Collector) Spans() []Span {
 	if c == nil {
@@ -325,16 +289,4 @@ func (c *Collector) Spans() []Span {
 	out = append(out, c.buf[c.start:]...)
 	out = append(out, c.buf[:c.start]...)
 	return out
-}
-
-// Reset discards all retained spans (the lifetime total keeps counting).
-func (c *Collector) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.buf = c.buf[:0]
-	c.start = 0
-	c.next = 0
 }

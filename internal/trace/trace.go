@@ -12,14 +12,13 @@ import (
 )
 
 // Metrics bundles an engine's observability attachments: the labeled
-// Registry every counter lives in, the flight Recorder, the determinism
-// AuditLog and the span Collector. Instrumented code resolves all four
-// through it. The zero value has none attached, and every handle it hands
-// out is then a valid no-op.
+// Registry every counter lives in, the flight Recorder and the span
+// Collector. Instrumented code resolves all three through it, and the
+// scheduler reports into it as its observer (observe.go). The zero value
+// has none attached, and every handle it hands out is then a valid no-op.
 type Metrics struct {
 	reg   *Registry
 	rec   *Recorder
-	audit *AuditLog
 	spans *span.Collector
 }
 
@@ -49,24 +48,29 @@ func (m *Metrics) Recorder() *Recorder {
 	return m.rec
 }
 
-// SetAudit attaches a determinism audit log. Attach before the engine
-// starts; the field is read without synchronization afterwards. A nil
-// audit log disables delivery auditing (the scheduler skips the chain
-// entirely, keeping the hot path at its unobserved cost).
-func (m *Metrics) SetAudit(a *AuditLog) { m.audit = a }
-
-// Audit returns the attached audit log (nil when auditing is disabled).
-func (m *Metrics) Audit() *AuditLog {
-	if m == nil {
-		return nil
+// SetSpans attaches a span collector and feeds every span it records into
+// the registry's critical-path family, so the aggregate phase shares are
+// scrapeable without a dump. Attach after the registry and before the
+// engine starts; the field is read without synchronization afterwards. A
+// nil collector disables span tracing (instrumented paths pay one nil
+// check).
+func (m *Metrics) SetSpans(c *span.Collector) {
+	m.spans = c
+	if c == nil {
+		return
 	}
-	return m.audit
+	hists := make(map[string]*Histogram, len(span.Phases()))
+	for _, p := range span.Phases() {
+		hists[p.String()] = m.reg.Histogram(MetricCriticalPath,
+			"Span-attributed share of traced end-to-end latency by phase.",
+			SecondsBuckets, L("phase", p.String()))
+	}
+	c.SetObserver(func(phase string, seconds float64) {
+		if h, ok := hists[phase]; ok {
+			h.Observe(seconds)
+		}
+	})
 }
-
-// SetSpans attaches a span collector. Attach before the engine starts;
-// the field is read without synchronization afterwards. A nil collector
-// disables span tracing (instrumented paths pay one nil check).
-func (m *Metrics) SetSpans(c *span.Collector) { m.spans = c }
 
 // Spans returns the attached span collector (nil when span tracing is
 // disabled — a nil collector samples nothing and drops all records).

@@ -1,13 +1,16 @@
 package trace
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/msg"
 )
 
-// TestMetricsCounters checks that Snapshot folds each family it reports
-// across every label set.
+// TestMetricsCounters checks that the scheduler's reports land in the
+// families Snapshot folds, across every label set.
 func TestMetricsCounters(t *testing.T) {
 	var m Metrics
 	if s := m.Snapshot(); s != (Snapshot{}) {
@@ -15,25 +18,23 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	reg := NewRegistry(L("engine", "e"))
 	m.SetRegistry(reg)
-	a, b := reg.InWire("c", "w0"), reg.InWire("c", "w1")
-	a.Delivered.Inc()
-	b.Delivered.Inc()
-	b.OutOfOrder.Inc()
-	a.Probes.Inc()
-	reg.Silences("c", "w2").Inc()
+	var env msg.Envelope
+	a, b := m.Wire("c", "w0", 0, true), m.Wire("c", "w1", 1, true)
+	m.Delivered(a, b, env, 0, 5*time.Millisecond, false, true) // blamed on w1, diverged
+	m.Delivered(b, a, env, 0, 0, true, false)                  // zero-delay episode still counts
+	m.Probe(a, 0)
+	m.Silence(m.Wire("c", "w2", 2, false), 0)
 	reg.Silences("src", "w0").Inc()
-	a.Pessimism.Observe((5 * time.Millisecond).Seconds())
-	b.Pessimism.Observe(0) // zero-delay episode still counts
 	cm := reg.Checkpoint()
 	cm.Applied(true, 1, 1000, 0)
 	cm.Applied(false, 2, 24, 0)
 	reg.Counter(MetricReplayServes, "", L("wire", "w0")).Inc()
 	reg.Counter(MetricReplayRequests, "", L("wire", "w0")).Inc() // issued, not served: not counted
-	a.Duplicates.Inc()
-	b.HoldbackDrops.Inc()
-	reg.Duplicates("c", "w3").Inc()
-	reg.DeterminismFaults("c", "replay-divergence").Inc()
-	reg.DeterminismFaults("c", "recalibration").Inc()
+	m.Dropped(a, env, false)
+	m.Dropped(b, env, true)
+	m.DroppedReply("c", "w3", env)
+	m.Recalibrated("c", 0, nil)
+	m.Recalibrated("c", 0, errors.New("refused")) // not logged: not counted
 	reg.Counter(MetricFailovers, "").Inc()
 
 	s := m.Snapshot()
@@ -65,13 +66,10 @@ func TestMetricsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Each worker is one scheduler's wire: its own series, resolved once.
-			in := reg.InWire("c", string(rune('a'+i)))
+			in := m.Wire("c", string(rune('a'+i)), msg.WireID(i), true)
 			for j := 0; j < per; j++ {
-				in.Delivered.Inc()
-				if j%2 == 0 {
-					in.OutOfOrder.Inc()
-				}
-				in.Probes.Inc()
+				m.Delivered(in, nil, msg.Envelope{}, 0, 0, j%2 == 0, false)
+				m.Probe(in, 0)
 			}
 		}()
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/msg"
-	"repro/internal/trace"
+	"repro/internal/sched"
 )
 
 // acceptOne runs Accept in the background so a test can dial concurrently.
@@ -50,7 +50,7 @@ func TestLoopbackDigestsMatchSocketPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, di := trace.PayloadDigest(viaSocket.Payload), trace.PayloadDigest(viaInproc.Payload)
+		ds, di := sched.PayloadDigest(viaSocket.Payload), sched.PayloadDigest(viaInproc.Payload)
 		if ds != di {
 			t.Errorf("payload %d (%T): socket digest %x != in-process digest %x", i, p, ds, di)
 		}

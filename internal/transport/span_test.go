@@ -90,7 +90,7 @@ func TestTCPLingerSpansSkipUnsampled(t *testing.T) {
 		}
 	}
 	time.Sleep(10 * time.Millisecond)
-	if got := spans.Len(); got != 0 {
+	if got := len(spans.Spans()); got != 0 {
 		t.Fatalf("unsampled origins produced %d linger spans, want 0", got)
 	}
 }
