@@ -295,11 +295,12 @@ func BenchmarkSchedulerMerge(b *testing.B) {
 	b.ReportMetric(mean.Seconds()*1e6, "latency-µs/msg")
 }
 
-// BenchmarkSchedulerMergeObserved is BenchmarkSchedulerMerge with the full
-// observability surface attached (flight recorder ring + the registry the
-// engine resolves by default). Compare against BenchmarkSchedulerMerge to
-// verify instrumentation overhead: the per-message latency delta should
-// stay within ~2%.
+// BenchmarkSchedulerMergeObserved is BenchmarkSchedulerMerge with
+// WithFlightRecorder: a flight recorder in every engine's observer and an
+// audit log beside it. Both benchmarks carry the registry a Cluster always
+// attaches, so the difference is the recorder and the audit log, not
+// instrumentation on vs off; for the observer off, see
+// BenchmarkEnginePipeline's nil lane (internal/engine).
 func BenchmarkSchedulerMergeObserved(b *testing.B) {
 	var mean time.Duration
 	n := 2000

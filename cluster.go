@@ -132,8 +132,9 @@ func WithManualClock(clock func() VirtualTime) ClusterOption {
 	})
 }
 
-// WithDebugHTTP binds a debug HTTP listener per engine serving /metrics
-// (Prometheus text), /healthz, /trace?last=N, and /topology; addrs maps
+// WithDebugHTTP has the cluster bind a debug HTTP listener per engine
+// incarnation serving /metrics (Prometheus text), /healthz, /trace?last=N,
+// /spans, /topology, /supervisor, /slo, /adapt and /rewind; addrs maps
 // engine names to listen addresses ("127.0.0.1:0" binds an ephemeral port,
 // discover it with Cluster.DebugAddr). Engines absent from the map get no
 // listener. Off by default.
@@ -146,8 +147,8 @@ func WithDebugHTTP(addrs map[string]string) ClusterOption {
 // pessimism episodes, checkpoints, replay, failover) queryable via
 // Cluster.TraceEvents and /trace. The recorder survives Fail/Recover, so a
 // post-failover dump contains the pre-crash story. When dir is non-empty
-// the engine also dumps the ring to <dir>/<engine>-flight.jsonl after a
-// failover replay and on shutdown.
+// the cluster also dumps the ring to <dir>/<engine>-flight.jsonl after a
+// restored engine's replay and whenever an engine stops or is killed.
 //
 // The option also enables the determinism audit: each component's delivered
 // (wire, seq, VT, payload-digest) sequence is folded into a rolling hash
@@ -257,8 +258,9 @@ type Cluster struct {
 }
 
 type engineSlot struct {
+	*incarnation // the current one; Recover swaps it under the cluster lock
+
 	name      string
-	eng       *engine.Engine
 	store     *checkpoint.ReplicaStore
 	fstore    *checkpoint.FileStore // durable checkpoint store (WithDurableStore)
 	log       wal.Log
@@ -276,6 +278,16 @@ type engineSlot struct {
 	// exported is the OTLP exporter's span-ID watermark, touched only by
 	// its drain loop (and by Stop's final drain once the loops have exited).
 	exported uint64
+}
+
+// incarnation is one engine incarnation, the observer it reports to (its
+// own registry beside the slot's recorder and collector) and its listener.
+type incarnation struct {
+	eng      *engine.Engine
+	metrics  *trace.Metrics
+	debug    *debugServer // nil without a WithDebugHTTP address
+	restored bool         // built from a checkpoint: Start replays
+	halted   sync.Once
 }
 
 // Launch builds and starts a cluster from the application.
@@ -430,7 +442,12 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 		if cfg.walInject != nil {
 			slot.log = cfg.walInject.Wrap(name, slot.log)
 		}
-		if reopen && slot.fstore != nil && slot.fstore.Seq() > 0 {
+		// Without a durable checkpoint this is the first launch of the state
+		// dir (or a reopen that beat the very first checkpoint — the durable
+		// launch checkpoint below closes that window for every completed
+		// Launch).
+		cold := reopen && slot.fstore != nil && slot.fstore.Seq() > 0
+		if cold {
 			// Cold restart: seed the in-process replica from the newest
 			// durable chain (a full capture and the deltas since), then build
 			// the replacement engine from it exactly as a warm failover would —
@@ -445,25 +462,17 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 					return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
 				}
 			}
-			ecfg := c.engineConfig(slot)
-			ecfg.ColdStart = true
-			slot.eng, err = engine.NewFromBackup(ecfg, slot.store)
-			if err != nil {
-				return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
+		}
+		if slot.incarnation, err = c.incarnate(slot, cold, cold); err != nil {
+			if cold {
+				err = fmt.Errorf("tart: reopen %q: %w", name, err)
 			}
-		} else {
-			// First launch of this state dir (or a reopen that beat the very
-			// first checkpoint — the durable launch checkpoint below closes
-			// that window for every completed Launch).
-			slot.eng, err = engine.New(c.engineConfig(slot))
-			if err != nil {
-				return nil, err
-			}
+			return nil, err
 		}
 		c.engines[name] = slot
 	}
 	for _, slot := range c.engines {
-		if err := slot.eng.Start(); err != nil {
+		if err := c.start(slot, slot.incarnation); err != nil {
 			c.Stop()
 			return nil, err
 		}
@@ -539,7 +548,7 @@ func (c *Cluster) hosts(engineName string) bool {
 	return c.cfg.hostSet == nil || c.cfg.hostSet[engineName]
 }
 
-func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
+func (c *Cluster) engineConfig(slot *engineSlot, metrics *trace.Metrics) engine.Config {
 	comps := make(map[string]engine.ComponentSpec)
 	for _, id := range c.tp.ComponentsOn(slot.name) {
 		name := c.tp.Component(id).Name
@@ -549,18 +558,9 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 	if silenceEvery < 0 {
 		silenceEvery = 0
 	}
-	var dump string
-	if c.cfg.flightDir != "" {
-		dump = filepath.Join(c.cfg.flightDir, slot.name+"-flight.jsonl")
-	}
-	// The cluster pre-creates each engine's metric registry so the
-	// transport meter (wire-level byte/batch/fallback families) lands in
-	// the same registry the engine's own series use — the families render
-	// on /metrics even before (or without) any TCP traffic.
-	metrics := &trace.Metrics{}
-	metrics.SetRegistry(trace.NewRegistry(trace.L("engine", slot.name)))
-	metrics.SetRecorder(slot.rec)
-	metrics.SetSpans(slot.spans)
+	// The transport meter (wire-level byte/batch/fallback families) lands
+	// in the incarnation's registry beside the engine's own series, so the
+	// families render on /metrics even before (or without) any TCP traffic.
 	meter := transport.NewMeter(metrics.Registry())
 	tr := c.cfg.transport
 	if t, ok := tr.(transport.TCP); ok {
@@ -602,31 +602,95 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 		SourceSilenceEvery: silenceEvery,
 		Clock:              c.cfg.manualClock,
 		Audit:              slot.audit,
-		DebugAddr:          c.cfg.debugAddrs[slot.name],
-		DebugPprof:         c.cfg.pprofOn,
-		FlightDump:         dump,
 		Generation:         slot.gen,
 		PeerGens:           c.peerGens(slot.name),
 		ReplayHorizon:      slot.reached,
 	}
-	if c.sup != nil {
-		sup := c.sup
-		cfg.SupervisorInfo = func() any { return sup.status() }
-	}
-	if tracker := c.cfg.slo; tracker != nil {
-		cfg.SLOInfo = func() any { return tracker.Report() }
-	}
-	if c.adaptCtl != nil {
-		cfg.AdaptInfo = func() any { return c.AdaptStatus() }
-	}
-	cfg.ExtraMetrics = c.extraMetrics()
 	if c.arch != nil {
-		// Checkpoints tee into the rewind-point archive, and the debug
-		// listener answers /rewind through the inspector.
+		// Checkpoints tee into the rewind-point archive.
 		cfg.Backup = c.arch.Tee(slot.name, cfg.Backup)
-		cfg.RewindInfo = c.rewindInfo
 	}
 	return cfg
+}
+
+// incarnate builds the slot's next incarnation, from its replica when
+// restore is set (cold: as a cold restart).
+func (c *Cluster) incarnate(slot *engineSlot, restore, cold bool) (*incarnation, error) {
+	metrics := &trace.Metrics{}
+	metrics.SetRegistry(trace.NewEngineRegistry(slot.name))
+	metrics.SetRecorder(slot.rec)
+	metrics.SetSpans(slot.spans)
+	cfg := c.engineConfig(slot, metrics)
+	cfg.ColdStart = cold
+	in := &incarnation{metrics: metrics, restored: restore}
+	var err error
+	if restore {
+		in.eng, err = engine.NewFromBackup(cfg, slot.store)
+	} else {
+		in.eng, err = engine.New(cfg)
+	}
+	return in, err
+}
+
+// start binds the incarnation's debug listener, if WithDebugHTTP names the
+// slot, and starts its engine; a restored one has replayed by then, so its
+// flight dump puts the recovery story on disk.
+func (c *Cluster) start(slot *engineSlot, in *incarnation) error {
+	if addr := c.cfg.debugAddrs[slot.name]; addr != "" {
+		d, err := c.serveDebug(addr, slot, in)
+		if err != nil {
+			return err
+		}
+		in.debug = d
+	}
+	if err := in.eng.Start(); err != nil {
+		return err
+	}
+	if in.restored {
+		_ = slot.writeFlight(c.cfg.flightDir)
+	}
+	return nil
+}
+
+// halt shuts an incarnation down once, whichever caller comes first: the
+// engine (by shutdown, its Stop or Kill), its listener, then the dump.
+func (c *Cluster) halt(slot *engineSlot, in *incarnation, shutdown func()) {
+	in.halted.Do(func() {
+		shutdown()
+		in.debug.close()
+		_ = slot.writeFlight(c.cfg.flightDir)
+	})
+}
+
+// writeFlight writes the slot's flight recorder to <dir>/<engine>-flight.jsonl
+// (nothing without a recorder or a dir). The automatic dumps ignore its
+// error: observability must never fail a shutdown or a recovery.
+func (s *engineSlot) writeFlight(dir string) error {
+	if s.rec == nil || dir == "" {
+		return nil
+	}
+	f, err := os.Create(filepath.Join(dir, s.name+"-flight.jsonl"))
+	if err != nil {
+		return err
+	}
+	err = s.rec.WriteDump(f, s.name)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// registry is the one gather path of /metrics and MetricFamilies: it first
+// refreshes the rewind-distance gauges, so the checkpoint age tracks the
+// live clock whichever reads it.
+func (in *incarnation) registry() *trace.Registry {
+	reg := in.metrics.Registry()
+	last := in.eng.LastCheckpointVT()
+	reg.Gauge(trace.MetricCheckpointLastVT,
+		"Virtual time of the engine's newest checkpoint (0 before the first).").Set(int64(last))
+	reg.Gauge(trace.MetricCheckpointAgeVT,
+		"Virtual-time distance from the live clock frontier to the newest checkpoint — the bound on any rewind's replay distance.").Set(max(0, int64(in.eng.MaxComponentClock())-int64(last)))
+	return reg
 }
 
 // backupFor assembles one engine's checkpoint destination: always the warm
@@ -763,7 +827,7 @@ func (c *Cluster) Fail(engineName string) error {
 	c.mu.Lock()
 	v.slot.failed = true
 	c.mu.Unlock()
-	v.eng.Kill()
+	c.halt(v.slot, v.incarnation, v.eng.Kill)
 	return nil
 }
 
@@ -780,7 +844,7 @@ func (c *Cluster) Crash(engineName string) error {
 	if err != nil {
 		return err
 	}
-	v.eng.Kill()
+	c.halt(v.slot, v.incarnation, v.eng.Kill)
 	return nil
 }
 
@@ -831,24 +895,24 @@ func (c *Cluster) Recover(engineName string) error {
 	if slot.store.Seq() == 0 {
 		return fmt.Errorf("tart: engine %q has no checkpoint to recover from", engineName)
 	}
-	eng, err := engine.NewFromBackup(c.engineConfig(slot), slot.store)
+	in, err := c.incarnate(slot, true, false)
 	if err != nil {
 		return fmt.Errorf("tart: recover %q: %w", engineName, err)
 	}
 	for name, fn := range slot.sinks {
 		fn := fn
-		if err := eng.Sink(name, func(env msg.Envelope) {
+		if err := in.eng.Sink(name, func(env msg.Envelope) {
 			fn(Output{Seq: env.Seq, VT: env.VT, Payload: env.Payload})
 		}); err != nil {
 			return err
 		}
 	}
-	if err := eng.Start(); err != nil {
-		eng.Stop()
+	if err := c.start(slot, in); err != nil {
+		c.halt(slot, in, in.eng.Stop)
 		return fmt.Errorf("tart: recover %q: %w", engineName, err)
 	}
 	c.mu.Lock()
-	slot.eng = eng
+	slot.incarnation = in
 	slot.failed = false
 	slot.startedAt = time.Now()
 	c.mu.Unlock()
@@ -907,7 +971,7 @@ func (c *Cluster) Metrics(engineName string) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	return v.eng.Metrics().Snapshot(), nil
+	return v.metrics.Snapshot(), nil
 }
 
 // MetricFamilies returns the named engine's labeled metrics (per-wire and
@@ -917,7 +981,7 @@ func (c *Cluster) MetricFamilies(engineName string) ([]MetricFamily, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.eng.Metrics().Registry().Gather(), nil
+	return v.registry().Gather(), nil
 }
 
 // TraceEvents returns the named engine's most recent flight-recorder
@@ -953,7 +1017,7 @@ func (c *Cluster) DebugAddr(engineName string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return v.eng.DebugAddr(), nil
+	return v.debug.addr(), nil
 }
 
 // Engines lists the cluster's engine names.
@@ -1003,9 +1067,7 @@ func (c *Cluster) Stop() {
 		c.otlp.Close()
 	}
 	for _, s := range c.slots() {
-		if !s.failed {
-			s.eng.Stop()
-		}
+		c.halt(s.slot, s.incarnation, s.eng.Stop) // a no-op for an incarnation Fail or Crash stopped
 		_ = s.slot.log.Close()
 		if s.slot.fstore != nil {
 			_ = s.slot.fstore.Close()
@@ -1024,36 +1086,26 @@ func (c *Cluster) DumpFlightRecorders(dir string) error {
 	}
 	var firstErr error
 	for _, v := range c.slots() {
-		s := v.slot
-		if s.rec == nil {
-			continue
-		}
-		f, err := os.Create(filepath.Join(dir, s.name+"-flight.jsonl"))
-		if err == nil {
-			err = s.rec.WriteDump(f, s.name)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil && firstErr == nil {
+		if err := v.slot.writeFlight(dir); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// slotView is one engine slot with its current incarnation and failed flag
-// read under the cluster lock. Recover swaps slot.eng, so holders use eng,
-// never slot.eng: reading the field unlocked races the failover.
+// slotView is one engine slot with its current incarnation (the engine and
+// its metrics) and failed flag read under the cluster lock. Recover swaps
+// slot.incarnation, so holders use the view's, never the slot's: reading
+// the field unlocked races the failover.
 type slotView struct {
-	slot    *engineSlot
-	eng     *engine.Engine
+	slot *engineSlot
+	*incarnation
 	failed  bool
 	reached vt.Time
 }
 
 func viewOf(s *engineSlot) slotView {
-	return slotView{slot: s, eng: s.eng, failed: s.failed, reached: s.reached}
+	return slotView{slot: s, incarnation: s.incarnation, failed: s.failed, reached: s.reached}
 }
 
 // slot looks up one hosted engine.

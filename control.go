@@ -1,7 +1,6 @@
 package tart
 
 import (
-	"io"
 	"time"
 
 	"repro/internal/trace"
@@ -89,21 +88,4 @@ func (m *controlMetrics) timeToRecover(engine string) *trace.Histogram {
 	return m.reg.Histogram(trace.MetricTimeToRecover,
 		"Suspicion-to-recovered latency of supervisor-driven failovers.",
 		trace.SecondsBuckets, trace.L("engine", engine))
-}
-
-// extraMetrics composes the cluster-level series appended to every
-// engine's /metrics exposition: the control-plane registry and the live SLO
-// families. Returns nil when neither has anything to show so the debug
-// handler skips the extra pass entirely.
-func (c *Cluster) extraMetrics() func(io.Writer) {
-	tracker := c.cfg.slo
-	if c.sup == nil && c.schedule == nil && tracker == nil {
-		return nil
-	}
-	return func(w io.Writer) {
-		_ = c.ctl.reg.WritePrometheus(w)
-		if tracker != nil {
-			_ = tracker.WriteMetrics(w)
-		}
-	}
 }

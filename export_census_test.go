@@ -477,11 +477,12 @@ func TestRootExportCensus(t *testing.T) {
 
 // TestDeterminismCoreLayering keeps the determinism core buildable without
 // the observability stack: no non-test file of a core package imports
-// internal/trace or a package under it. The scheduler reports through
-// sched.Observer instead, which *trace.Metrics implements.
+// internal/trace or a package under it. The scheduler and the engine report
+// through sched.Observer and engine.Observer instead, which *trace.Metrics
+// implements, and the time-travel sandbox runs its engines unobserved.
 func TestDeterminismCoreLayering(t *testing.T) {
 	core := make(map[string]bool)
-	for _, p := range []string{"sched", "silence", "wal", "checkpoint", "estimator", "msg", "vt", "topo", "stats"} {
+	for _, p := range []string{"sched", "engine", "inspect", "silence", "wal", "checkpoint", "estimator", "msg", "vt", "topo", "stats"} {
 		core[filepath.Join("internal", p)] = true
 	}
 	parseProduction(t, token.NewFileSet(), func(path string, file *ast.File) {

@@ -20,7 +20,8 @@ func (c *countingConn) Close() error { return nil }
 // TestRouteAllocations pins what Route costs per envelope on the two kinds
 // of component output wire: a peer-bound wire pays for its replay buffer
 // only a chunk at a time, and a sink wire — which has no replay buffer —
-// pays nothing.
+// pays nothing. Both hold with the observer off and with everything a
+// Cluster attaches, whose peer link reports every frame.
 func TestRouteAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -36,16 +37,22 @@ func TestRouteAllocations(t *testing.T) {
 		}
 	}
 	payload := any("x")
+	for _, o := range []struct {
+		name string
+		obs  func(engine string) Observer
+	}{{"nil", unobserved}, {"observed", observed}} {
+		t.Run(o.name, func(t *testing.T) { routeAllocs(t, tp, toPeer, toSink, payload, o.obs) })
+	}
+}
 
+func routeAllocs(t *testing.T, tp *topo.Topology, toPeer, toSink msg.WireID, payload any, obs func(engine string) Observer) {
 	t.Run("peer-bound wire", func(t *testing.T) {
-		e, err := New(Config{Name: "A", Topo: tp, Components: fig1Specs()})
+		e, err := New(Config{Name: "A", Topo: tp, Components: fig1Specs(), Metrics: obs("A")})
 		if err != nil {
 			t.Fatal(err)
 		}
 		conn := &countingConn{}
-		e.peers.mu.Lock()
-		e.peers.setConnLocked("B", conn)
-		e.peers.mu.Unlock()
+		e.peers.register("B", conn)
 		const sends, trimEvery = 10_000, 1_000
 		var seq uint64
 		avg := testing.AllocsPerRun(1, func() {
@@ -69,7 +76,7 @@ func TestRouteAllocations(t *testing.T) {
 	})
 
 	t.Run("sink wire", func(t *testing.T) {
-		e, err := New(Config{Name: "B", Topo: tp, Components: fig1Specs()})
+		e, err := New(Config{Name: "B", Topo: tp, Components: fig1Specs(), Metrics: obs("B")})
 		if err != nil {
 			t.Fatal(err)
 		}

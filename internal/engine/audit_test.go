@@ -72,7 +72,7 @@ func TestReplayDivergenceFaultsOnce(t *testing.T) {
 	store := checkpoint.NewReplicaStore()
 	rec := trace.NewRecorder(0)
 	audit := sched.NewAuditLog()
-	metrics := &trace.Metrics{}
+	metrics := registryMetrics("A")
 	metrics.SetRecorder(rec)
 	sink := newSinkCollector()
 
@@ -165,7 +165,7 @@ func TestCleanReplayNoFaults(t *testing.T) {
 	store := checkpoint.NewReplicaStore()
 	rec := trace.NewRecorder(0)
 	audit := sched.NewAuditLog()
-	metrics := &trace.Metrics{}
+	metrics := registryMetrics("A")
 	metrics.SetRecorder(rec)
 	sink := newSinkCollector()
 

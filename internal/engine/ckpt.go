@@ -10,7 +10,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sched"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/vt"
 )
 
@@ -58,7 +57,9 @@ func (e *Engine) Checkpoint() (uint64, error) {
 			cs.Kind, encode, err = checkpoint.Stage(h.spec.State, wantDelta)
 			held = time.Since(t)
 		})
-		e.ckpt.Held(held)
+		if e.obs != nil {
+			e.obs.CheckpointHeld(held)
+		}
 		if err == nil {
 			t := time.Now()
 			cs.Handler, err = encode()
@@ -104,10 +105,9 @@ func (e *Engine) Checkpoint() (uint64, error) {
 	} else {
 		e.chainLen++
 	}
-	e.ckpt.Applied(ck.IsBase(), e.chainLen, bytesTotal, offLoop)
-	elapsed := time.Since(start)
-	e.rec.Record(trace.Event{Kind: trace.EvCheckpoint, VT: maxClock, Wire: -1, MsgSeq: ck.Seq,
-		Note: fmt.Sprintf("%d bytes in %v", bytesTotal, elapsed.Round(time.Microsecond))})
+	if e.obs != nil {
+		e.obs.Checkpointed(maxClock, ck.Seq, ck.IsBase(), e.chainLen, bytesTotal, offLoop, time.Since(start))
+	}
 	e.afterCheckpoint(ck)
 	return ck.Seq, nil
 }
@@ -130,23 +130,6 @@ func (e *Engine) MaxComponentClock() vt.Time {
 		}
 	}
 	return m
-}
-
-// refreshCheckpointGauges publishes the rewind-distance bound: the VT of
-// the newest checkpoint, and how far the live clock has run past it (the
-// most replay any time-travel reconstruction has to do). Called at scrape
-// time so the age tracks the live clock, not the last checkpoint tick.
-func (e *Engine) refreshCheckpointGauges() {
-	last := e.LastCheckpointVT()
-	reg := e.metrics.Registry()
-	reg.Gauge(trace.MetricCheckpointLastVT,
-		"Virtual time of the engine's newest checkpoint (0 before the first).").Set(int64(last))
-	age := int64(e.MaxComponentClock()) - int64(last)
-	if age < 0 {
-		age = 0
-	}
-	reg.Gauge(trace.MetricCheckpointAgeVT,
-		"Virtual-time distance from the live clock frontier to the newest checkpoint — the bound on any rewind's replay distance.").Set(age)
 }
 
 // afterCheckpoint performs the stability housekeeping a durable checkpoint
@@ -244,10 +227,8 @@ func NewFromBackup(cfg Config, store *checkpoint.ReplicaStore) (*Engine, error) 
 		// A mismatch means the checkpointed prefix diverged from the run
 		// the replica witnessed — a determinism fault.
 		if audit := e.cfg.Audit; audit != nil && schedState.AuditCount > 0 {
-			if entry, ok := audit.At(h.name, schedState.AuditCount-1); ok && entry.Chain != schedState.AuditChain {
-				e.metrics.Registry().DeterminismFaults(h.name, "checkpoint-chain").Inc()
-				e.rec.Record(trace.Event{Kind: trace.EvDeterminismFault, VT: schedState.Clock, Component: h.name, Wire: -1,
-					Note: fmt.Sprintf("checkpoint audit chain mismatch at delivery %d", schedState.AuditCount-1)})
+			if entry, ok := audit.At(h.name, schedState.AuditCount-1); ok && entry.Chain != schedState.AuditChain && e.obs != nil {
+				e.obs.ChainMismatch(h.name, schedState.Clock, schedState.AuditCount-1)
 			}
 		}
 		faults, err := e.log.Faults(h.name)
@@ -311,9 +292,9 @@ func lastEpochStart(cal *estimator.Calibrated) vt.Time {
 func (e *Engine) replayAfterRestore() error {
 	// Record activation before replay so the flight dump reads in causal
 	// order: checkpoint → failover → replay → duplicate drops.
-	e.metrics.Registry().Counter(trace.MetricFailovers, "Passive-replica activations.").Inc()
-	e.rec.Record(trace.Event{Kind: trace.EvFailover, VT: vt.Never, Wire: -1, MsgSeq: e.ckptSeq,
-		Note: fmt.Sprintf("activated from checkpoint %d", e.ckptSeq)})
+	if e.obs != nil {
+		e.obs.Failover(e.ckptSeq)
+	}
 	// Local wire buffers: deliver everything; receivers dedup by sequence.
 	// Wires are visited in ID order so the recorded replay events are
 	// deterministic.
@@ -329,9 +310,8 @@ func (e *Engine) replayAfterRestore() error {
 			continue
 		}
 		buf := bufs[wid]
-		if len(buf) > 0 {
-			e.rec.Record(trace.Event{Kind: trace.EvReplayServe, VT: vt.Never, Wire: wid, MsgSeq: buf[0].Seq,
-				Note: fmt.Sprintf("re-delivered %d buffered envelopes (local replay)", len(buf))})
+		if len(buf) > 0 && e.obs != nil {
+			e.obs.ReplayServed(wid, "", buf[0].Seq, len(buf), true)
 		}
 		for _, env := range buf {
 			e.forward(w, env)
@@ -345,8 +325,6 @@ func (e *Engine) replayAfterRestore() error {
 				continue
 			}
 			if src := e.sourceByWire(wid); src != nil {
-				e.rec.Record(trace.Event{Kind: trace.EvReplayRequest, VT: vt.Never,
-					Component: src.name, Wire: wid, MsgSeq: ist.NextSeq, Note: "source log replay"})
 				if err := src.restoreCursor(ist.NextSeq, ist.LastVT); err != nil {
 					// Running on would leave the component short of inputs it
 					// had acknowledged: silent loss, not recovery.
@@ -355,8 +333,5 @@ func (e *Engine) replayAfterRestore() error {
 			}
 		}
 	}
-	// Persist the recovery story immediately: the dump now shows the
-	// pre-crash checkpoints and sends followed by failover and replay.
-	e.dumpFlight()
 	return nil
 }

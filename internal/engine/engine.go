@@ -11,9 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"maps"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,7 +23,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/silence"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/vt"
 	"repro/internal/wal"
@@ -92,29 +89,16 @@ type Config struct {
 	HeartbeatEvery time.Duration
 	// RedialEvery is the reconnection retry cadence. Default 100ms.
 	RedialEvery time.Duration
-	// Metrics receives runtime counters, flight events and spans; optional.
-	// New attaches a labeled registry (const label engine=<Name>) if the
-	// Metrics has none, so per-wire series are always available. Attach the
-	// same flight recorder and span collector to successive generations of
-	// an engine (the cluster does) so a post-failover dump and timeline
-	// show the pre-crash story beside the replayed re-deliveries.
-	Metrics *trace.Metrics
+	// Metrics receives the engine's and its schedulers' reports; nil is off.
+	// Attach the same flight recorder and span collector to successive
+	// generations of an engine (the cluster does) so a post-failover dump and
+	// timeline show the pre-crash story beside the replayed re-deliveries.
+	Metrics Observer
 	// Audit is the determinism audit log delivery chains are recorded in
 	// and verified against; optional (nil disables auditing). Pass the same
 	// log to successive generations so a recovered engine's replay is
 	// checked against the pre-crash record.
 	Audit *sched.AuditLog
-	// DebugAddr, when non-empty, binds a debug HTTP listener serving
-	// /metrics, /healthz, /trace, /spans, and /topology. Off by default.
-	// Use "127.0.0.1:0" for an ephemeral port (see Engine.DebugAddr).
-	DebugAddr string
-	// DebugPprof mounts net/http/pprof under /debug/pprof/ on the debug
-	// listener. Off by default: profiling endpoints can stall the process
-	// (full-stack dumps stop the world) and should be opted into.
-	DebugPprof bool
-	// FlightDump, when non-empty, is a file path the flight recorder is
-	// dumped to (JSONL) after a post-failover replay and on shutdown.
-	FlightDump string
 	// Clock supplies virtual time for real-time sources. Defaults to
 	// nanoseconds since engine start.
 	Clock func() vt.Time
@@ -129,29 +113,6 @@ type Config struct {
 	// that is itself recovering still fences peers it had already
 	// witnessed at a newer generation. Optional.
 	PeerGens map[string]uint64
-	// SupervisorInfo, when set, is served as JSON at the debug listener's
-	// /supervisor endpoint — the cluster installs its failover
-	// supervisor's status here. Optional.
-	SupervisorInfo func() any
-	// SLOInfo, when set, is served as JSON at the debug listener's /slo
-	// endpoint — the cluster installs the live SLO tracker's report here.
-	// Optional.
-	SLOInfo func() any
-	// ExtraMetrics, when set, is appended to the /metrics exposition after
-	// the engine's own registry — the cluster uses it to surface
-	// supervisor-owned series (failovers, time-to-recover) on every
-	// engine's scrape endpoint. Optional.
-	ExtraMetrics func(w io.Writer)
-	// AdaptInfo, when set, is served as JSON at the debug listener's /adapt
-	// endpoint — the cluster installs the adaptive runtime controller's
-	// status (degradation, recent decisions) here.
-	// Optional.
-	AdaptInfo func() any
-	// RewindInfo, when set, serves /rewind queries on the debug listener —
-	// the cluster installs its time-travel inspector here. The handler
-	// receives the raw query values and returns a JSON-encodable result or
-	// an error (surfaced as HTTP 400). Optional.
-	RewindInfo func(q map[string][]string) (any, error)
 	// DisableCalibration keeps calibrated estimators from proposing *new*
 	// recalibration faults; faults already in the stable log are still
 	// re-applied on restore. Replay sandboxes set this: a fresh proposal
@@ -200,10 +161,7 @@ type Engine struct {
 	buffers *bufferSet
 	peers   *peerSet
 	log     wal.Log
-	metrics *trace.Metrics
-	rec     *trace.Recorder
-	debug   *debugServer
-	ckpt    *trace.CheckpointMetrics
+	obs     Observer
 	ckptSeq uint64
 	ckptMu  sync.Mutex
 	// chainLen counts the checkpoints of the current chain the backup holds:
@@ -242,12 +200,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Log == nil {
 		cfg.Log = wal.NewMemLog()
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = &trace.Metrics{}
-	}
-	if cfg.Metrics.Registry() == nil {
-		cfg.Metrics.SetRegistry(trace.NewRegistry(trace.L("engine", cfg.Name)))
-	}
 	if cfg.GapRepairEvery <= 0 {
 		cfg.GapRepairEvery = 50 * time.Millisecond
 	}
@@ -265,31 +217,11 @@ func New(cfg Config) (*Engine, error) {
 		byID:    make(map[topo.ComponentID]*hosted),
 		sources: make(map[string]*Source),
 		log:     cfg.Log,
-		metrics: cfg.Metrics,
-		rec:     cfg.Metrics.Recorder(),
+		obs:     cfg.Metrics,
 		stop:    make(chan struct{}),
 	}
 	e.buffers = newBufferSet()
 	e.peers = newPeerSet(e)
-	// Seed the cold-restart robustness families at zero so they are
-	// scrapeable from launch — including on single-engine clusters that
-	// never dial, shed, or cold-start. Per-peer labeled series join the
-	// same families once dial loops run.
-	reg := cfg.Metrics.Registry()
-	reg.Counter(trace.MetricRedials,
-		"Dial attempts to a peer engine (first dials and redials).")
-	reg.Gauge(trace.MetricDialBreaker,
-		"Per-peer dial circuit breaker position (0 closed, 1 open, 2 half-open).")
-	reg.Counter(trace.MetricColdstartReplayed,
-		"Logged input records re-injected from the durable WAL suffix during a cold restart.")
-	reg.Counter(trace.MetricCkptStoreWrites,
-		"Checkpoints persisted by the durable checkpoint store.")
-	reg.Counter(trace.MetricCkptStoreFsyncs,
-		"fsync calls issued by the durable checkpoint store.")
-	reg.Counter(trace.MetricSourceShed,
-		"External inputs refused at sources because buffered replay state hit its bound.")
-	reg.WAL()
-	e.ckpt = reg.Checkpoint()
 	if cfg.Clock != nil {
 		e.clock = cfg.Clock
 	} else {
@@ -332,7 +264,7 @@ func (e *Engine) host(comp *topo.Component, spec ComponentSpec) error {
 		Est:        spec.Est,
 		Silence:    spec.Silence,
 		Router:     e,
-		Metrics:    e.metrics,
+		Metrics:    e.obs,
 		Audit:      e.cfg.Audit,
 		Seed:       nameSeed(comp.Name),
 		ProbeRetry: spec.ProbeRetry,
@@ -399,21 +331,6 @@ func (e *Engine) CommitSilenceFault(component string, cfg silence.Config, at vt.
 	return nil
 }
 
-// ComponentVT returns a hosted component's virtual-time frontier: the
-// later of the engine clock and the component's scheduler clock. Manual-
-// clock deployments keep the engine clock pinned while schedulers still
-// advance with processed messages, so "which estimator/silence epoch is in
-// force" must consult the scheduler side too.
-func (e *Engine) ComponentVT(component string) vt.Time {
-	now := e.clock()
-	if h, ok := e.comps[component]; ok {
-		if c := h.sch.Clock(); c > now {
-			now = c
-		}
-	}
-	return now
-}
-
 // Hosted returns the names of the components hosted on this engine, sorted.
 func (e *Engine) Hosted() []string {
 	out := make([]string, 0, len(e.comps))
@@ -426,9 +343,6 @@ func (e *Engine) Hosted() []string {
 
 // Name returns the engine name.
 func (e *Engine) Name() string { return e.name }
-
-// Metrics returns the engine's observability attachments.
-func (e *Engine) Metrics() *trace.Metrics { return e.metrics }
 
 // Source returns the handle for a named external source whose component is
 // hosted on this engine.
@@ -512,9 +426,6 @@ func (e *Engine) Start() error {
 		}
 	}
 	if err := e.peers.start(); err != nil {
-		return err
-	}
-	if err := e.startDebug(); err != nil {
 		return err
 	}
 	if e.restored {
@@ -602,26 +513,7 @@ func (e *Engine) shutdown() {
 		h.sch.Stop()
 	}
 	e.peers.stop()
-	if e.debug != nil {
-		e.debug.close()
-	}
 	e.done.Wait()
-	e.dumpFlight()
-}
-
-// dumpFlight writes the flight recorder to the configured dump file
-// (no-op when either is absent). Best-effort: observability must never
-// fail a shutdown or a recovery.
-func (e *Engine) dumpFlight() {
-	if e.cfg.FlightDump == "" || e.rec == nil {
-		return
-	}
-	f, err := os.Create(e.cfg.FlightDump)
-	if err != nil {
-		return
-	}
-	_ = e.rec.WriteDump(f, e.name)
-	_ = f.Close()
 }
 
 // nameSeed derives a deterministic PRNG seed from a component name, so the

@@ -10,6 +10,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/silence"
 	"repro/internal/topo"
+	"repro/internal/trace"
 	"repro/internal/vt"
 )
 
@@ -101,7 +102,7 @@ func spec(h sched.Handler, cost vt.Ticks) ComponentSpec {
 
 // fig1Topo builds the Figure-1 app, optionally splitting senders and
 // merger across engines A and B.
-func fig1Topo(t *testing.T, split bool) *topo.Topology {
+func fig1Topo(t testing.TB, split bool) *topo.Topology {
 	t.Helper()
 	b := topo.NewBuilder()
 	b.AddComponent("sender1")
@@ -134,34 +135,53 @@ func fig1Specs() map[string]ComponentSpec {
 	}
 }
 
-func TestSingleEnginePipelineRealTime(t *testing.T) {
-	tp := fig1Topo(t, false)
-	sink := newSinkCollector()
+// registryMetrics is an observer with the registry a Cluster gives engine
+// name and no recorder or span collector.
+func registryMetrics(name string) *trace.Metrics {
+	m := &trace.Metrics{}
+	m.SetRegistry(trace.NewEngineRegistry(name))
+	return m
+}
+
+// metricsOf is the *trace.Metrics an engine reports into.
+func metricsOf(e *Engine) *trace.Metrics { return e.obs.(*trace.Metrics) }
+
+// startPipeline starts the single-engine Figure-1 pipeline on real time,
+// reporting to obs, with its sink feeding sink; the caller stops it.
+func startPipeline(tb testing.TB, obs Observer, audit *sched.AuditLog, sink func(msg.Envelope)) (e *Engine, in1, in2 *Source) {
+	tb.Helper()
 	e, err := New(Config{
 		Name:               "A",
-		Topo:               tp,
+		Topo:               fig1Topo(tb, false),
 		Components:         fig1Specs(),
 		SourceSilenceEvery: time.Millisecond,
+		Metrics:            obs,
+		Audit:              audit,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := e.Sink("out", sink.fn); err != nil {
-		t.Fatal(err)
+	if err := e.Sink("out", sink); err != nil {
+		tb.Fatal(err)
 	}
 	if err := e.Start(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer e.Stop()
+	in1, err = e.Source("in1")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	in2, err = e.Source("in2")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e, in1, in2
+}
 
-	in1, err := e.Source("in1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in2, err := e.Source("in2")
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSingleEnginePipelineRealTime(t *testing.T) {
+	sink := newSinkCollector()
+	e, in1, in2 := startPipeline(t, nil, nil, sink.fn)
+	defer e.Stop()
 
 	for i := 0; i < 5; i++ {
 		if _, err := in1.Emit([]string{"the", "quick", "fox"}); err != nil {

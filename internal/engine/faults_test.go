@@ -39,6 +39,7 @@ func TestLossyLinkRecovered(t *testing.T) {
 			RedialEvery:    5 * time.Millisecond,
 			GapRepairEvery: 10 * time.Millisecond,
 			HeartbeatEvery: 20 * time.Millisecond,
+			Metrics:        registryMetrics(name),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +89,7 @@ func TestLossyLinkRecovered(t *testing.T) {
 			t.Fatalf("sink VT order violated at %d", i)
 		}
 	}
-	if snapB := engB.Metrics().Snapshot(); snapB.Delivered != 2*n {
+	if snapB := metricsOf(engB).Snapshot(); snapB.Delivered != 2*n {
 		t.Errorf("merger delivered %d, want %d", snapB.Delivered, 2*n)
 	}
 	if st := nm.Stats(); st.Dropped == 0 {
@@ -262,6 +263,7 @@ func TestReissuedCallCountsOneDuplicate(t *testing.T) {
 			Components: map[string]ComponentSpec{comp: spec(h, 10_000)},
 			Transport:  net, Addrs: addrs,
 			RedialEvery: 5 * time.Millisecond, GapRepairEvery: 10 * time.Millisecond,
+			Metrics: registryMetrics(name),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -288,7 +290,7 @@ func TestReissuedCallCountsOneDuplicate(t *testing.T) {
 
 	// The call may already have reached the callee twice (sent on a link that
 	// came up while the reconnect resend was running), so count the delta.
-	dups := func(e *Engine) int64 { return e.Metrics().Snapshot().DuplicatesDropped }
+	dups := func(e *Engine) int64 { return metricsOf(e).Snapshot().DuplicatesDropped }
 	calleeBefore, callerBefore := dups(engB), dups(engA)
 	client, _ := tp.ComponentByName("client")
 	reqs := engA.buffers.from(client.Outputs["lookup"], 1)
@@ -331,7 +333,8 @@ func TestSourceProbeAnswering(t *testing.T) {
 			"joiner": spec(passthroughComp{}, 1000),
 		},
 		// No periodic source silence: unblocking depends on probe answers.
-		Clock: func() vt.Time { return 10_000_000 },
+		Clock:   func() vt.Time { return 10_000_000 },
+		Metrics: registryMetrics("A"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +358,7 @@ func TestSourceProbeAnswering(t *testing.T) {
 	if got[0].Payload != "x" {
 		t.Errorf("payload = %v", got[0].Payload)
 	}
-	if snap := e.Metrics().Snapshot(); snap.ProbesSent == 0 {
+	if snap := metricsOf(e).Snapshot(); snap.ProbesSent == 0 {
 		t.Error("no probes were needed?")
 	}
 }

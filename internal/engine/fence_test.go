@@ -30,6 +30,7 @@ func TestGenerationFencing(t *testing.T) {
 		RedialEvery: time.Hour, // keep A's own dialer out of the way
 		Generation:  5,
 		PeerGens:    map[string]uint64{"B": 3},
+		Metrics:     registryMetrics("A"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +72,7 @@ func TestGenerationFencing(t *testing.T) {
 	}
 
 	fenced := int64(0)
-	for _, fam := range engA.Metrics().Registry().Gather() {
+	for _, fam := range metricsOf(engA).Registry().Gather() {
 		if fam.Name == trace.MetricFencedHellos {
 			for _, s := range fam.Series {
 				if s.Get("peer") == "B" {

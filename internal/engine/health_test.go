@@ -9,7 +9,7 @@ import (
 // peers show Connected with a fresh LastHeard while both engines live, and
 // disconnected after one is killed.
 func TestPeerHealthTracksConnectivity(t *testing.T) {
-	c := startTwoEngines(t)
+	c := startTwoEngines(t, withRegistry)
 	defer func() { c.engA.Stop() }()
 
 	// Single-engine placements have no peers; the split one has exactly one.

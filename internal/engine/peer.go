@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/msg"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/vt"
 )
@@ -42,13 +41,14 @@ type peerSet struct {
 	// Silence-promise coalescing: promises bound for peers park here for
 	// one flush window, keeping only the newest watermark per wire (the
 	// newest subsumes the rest — promises are monotone). silCoalesced
-	// counts promises absorbed by a newer one instead of being transmitted.
+	// counts promises absorbed by a newer one since the last flush, which
+	// reports them.
 	silMu        sync.Mutex
 	silPending   map[string]map[msg.WireID]pendingSilence
 	silTimer     *time.Timer
 	silArmed     bool
 	silLast      time.Time
-	silCoalesced *trace.Counter
+	silCoalesced int
 }
 
 // silenceFlushWindow is the coalescing window for silence promises bound
@@ -91,8 +91,6 @@ func newPeerSet(e *Engine) *peerSet {
 		born:       time.Now(),
 		gens:       gens,
 		silPending: make(map[string]map[msg.WireID]pendingSilence),
-		silCoalesced: e.metrics.Registry().Counter(trace.MetricSilenceCoalesce,
-			"Peer-bound silence promises absorbed by a newer promise within a flush window."),
 	}
 }
 
@@ -111,11 +109,9 @@ func (p *peerSet) admit(peer string, gen uint64) bool {
 	p.mu.Lock()
 	if gen < p.gens[peer] {
 		p.mu.Unlock()
-		p.e.metrics.Registry().Counter(trace.MetricFencedHellos,
-			"Peer handshakes rejected because they carried a stale generation (zombie fencing).",
-			trace.L("peer", peer)).Inc()
-		p.e.rec.Record(trace.Event{Kind: trace.EvPeerDown, VT: vt.Never, Wire: -1,
-			Note: fmt.Sprintf("fenced stale generation %d from peer %s", gen, peer)})
+		if p.e.obs != nil {
+			p.e.obs.Fenced(peer, gen)
+		}
 		return false
 	}
 	p.gens[peer] = gen
@@ -232,7 +228,7 @@ func (p *peerSet) sendSilence(peer string, env msg.Envelope) {
 	}
 	next := pendingSilence{promise: env.Promise, seq: env.Seq}
 	if old, ok := m[env.Wire]; ok {
-		p.silCoalesced.Inc()
+		p.silCoalesced++
 		if env.Promise <= old.promise && env.Seq <= old.seq {
 			p.silMu.Unlock()
 			return
@@ -269,7 +265,12 @@ func (p *peerSet) flushSilence() {
 	p.silPending = make(map[string]map[msg.WireID]pendingSilence)
 	p.silArmed = false
 	p.silLast = time.Now()
+	coalesced := p.silCoalesced
+	p.silCoalesced = 0
 	p.silMu.Unlock()
+	if coalesced > 0 && p.e.obs != nil {
+		p.e.obs.SilencesCoalesced(coalesced)
+	}
 	peers := make([]string, 0, len(pending))
 	for peer := range pending {
 		peers = append(peers, peer)
@@ -349,17 +350,12 @@ func (p *peerSet) dialLoop(peer string) {
 	defer p.wg.Done()
 	base := p.e.cfg.RedialEvery
 	bo := &transport.Backoff{Base: base, Max: 16 * base}
-	reg := p.e.metrics.Registry()
-	redials := reg.Counter(trace.MetricRedials,
-		"Dial attempts to a peer engine (first dials and redials).",
-		trace.L("peer", peer))
-	breakerState := reg.Gauge(trace.MetricDialBreaker,
-		"Per-peer dial circuit breaker position (0 closed, 1 open, 2 half-open).",
-		trace.L("peer", peer))
-	br := &transport.Breaker{
-		Threshold: 5,
-		Cooldown:  8 * base,
-		OnChange:  func(s transport.BreakerState) { breakerState.Set(int64(s)) },
+	br := &transport.Breaker{Threshold: 5, Cooldown: 8 * base}
+	redial := func() {}
+	if obs := p.e.obs; obs != nil {
+		var moved func(int)
+		redial, moved = obs.Dialer(peer)
+		br.OnChange = func(s transport.BreakerState) { moved(int(s)) }
 	}
 	for {
 		if p.isStopped() {
@@ -375,7 +371,7 @@ func (p *peerSet) dialLoop(peer string) {
 			}
 			continue
 		}
-		redials.Inc()
+		redial()
 		conn := p.tryDial(peer)
 		if conn == nil {
 			br.Failure()
@@ -431,43 +427,29 @@ func boundHandshake(conn transport.Conn) (inTime func() bool) {
 	return time.AfterFunc(transport.DefaultDialTimeout, func() { conn.Close() }).Stop
 }
 
-// register wraps a (re)established connection with frame metering,
-// installs it, and re-drives the recovery protocol: resend every unacked
-// buffered envelope headed to that peer, and re-request replay for every
-// remote input wire fed from it. It returns the wrapped connection, which
-// callers must use from then on (readLoop, dropConn).
+// register installs a (re)established connection, wrapped so the observer
+// sees every frame, and re-drives the recovery protocol: resend every
+// unacked buffered envelope headed to that peer, and re-request replay for
+// every remote input wire fed from it. It returns the wrapped connection,
+// which callers must use from then on (readLoop, dropConn).
 func (p *peerSet) register(peer string, conn transport.Conn) transport.Conn {
-	conn = p.e.observePeer(peer, conn)
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
 		conn.Close()
 		return conn
 	}
+	if obs := p.e.obs; obs != nil {
+		sent, received := obs.PeerUp(peer)
+		conn = transport.Observe(conn, sent, received)
+	}
 	if old, ok := p.connTable()[peer]; ok && old != conn {
 		old.Close()
 	}
 	p.setConnLocked(peer, conn)
 	p.mu.Unlock()
-	p.e.rec.Record(trace.Event{Kind: trace.EvPeerUp, VT: vt.Never, Wire: -1, Note: "peer " + peer})
 	p.e.onPeerConnected(peer)
 	return conn
-}
-
-// observePeer wraps a peer connection so every frame increments the
-// per-peer, per-direction frame counters.
-func (e *Engine) observePeer(peer string, conn transport.Conn) transport.Conn {
-	reg := e.metrics.Registry()
-	if reg == nil {
-		return conn
-	}
-	const help = "Envelope frames exchanged with a peer engine (heartbeats included)."
-	sent := reg.Counter(trace.MetricPeerFrames, help, trace.L("peer", peer), trace.L("direction", "send"))
-	recv := reg.Counter(trace.MetricPeerFrames, help, trace.L("peer", peer), trace.L("direction", "recv"))
-	return transport.Observe(conn,
-		func(msg.Envelope) { sent.Inc() },
-		func(msg.Envelope) { recv.Inc() },
-	)
 }
 
 func (p *peerSet) readLoop(peer string, conn transport.Conn) {
@@ -494,8 +476,8 @@ func (p *peerSet) dropConn(peer string, conn transport.Conn) {
 		p.setConnLocked(peer, nil)
 	}
 	p.mu.Unlock()
-	if active {
-		p.e.rec.Record(trace.Event{Kind: trace.EvPeerDown, VT: vt.Never, Wire: -1, Note: "peer " + peer})
+	if active && p.e.obs != nil {
+		p.e.obs.PeerDown(peer)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/topo"
 	"repro/internal/trace"
+	"repro/internal/trace/span"
 	"repro/internal/transport"
 	"repro/internal/vt"
 	"repro/internal/wal"
@@ -34,8 +35,13 @@ func recordsOf(envs []msg.Envelope) []record {
 // engine: run, checkpoint mid-stream, crash, restore from the passive
 // replica plus the input log, and verify the output stream continues
 // identically — re-delivered outputs (stutter) carry identical sequence
-// numbers, virtual times, and payloads.
+// numbers, virtual times, and payloads. It runs under every observer, and
+// the deduplicated outputs must not depend on which.
 func TestSingleEngineFailover(t *testing.T) {
+	sameUnderObservers(t, singleEngineFailover)
+}
+
+func singleEngineFailover(t *testing.T, obs func(engine string) Observer) []record {
 	tp := fig1Topo(t, false)
 	log := wal.NewMemLog()
 	store := checkpoint.NewReplicaStore()
@@ -47,6 +53,7 @@ func TestSingleEngineFailover(t *testing.T) {
 		Components: fig1Specs(),
 		Log:        log,
 		Backup:     store,
+		Metrics:    obs("A"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,6 +104,7 @@ func TestSingleEngineFailover(t *testing.T) {
 		Components: fig1Specs(), // fresh state objects, restored from replica
 		Log:        log,
 		Backup:     store,
+		Metrics:    obs("A"),
 	}, store)
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +145,49 @@ func TestSingleEngineFailover(t *testing.T) {
 	if got := post[7].Seq; got != 14 {
 		t.Errorf("post-recovery output seq = %d, want 14", got)
 	}
+	return dedup(before, recordsOf(post[:8]))
+}
+
+// unobserved, withRegistry and observed give an engine no observer, a
+// Cluster's registry alone, or everything a Cluster can attach: registry,
+// flight recorder and a span collector tracing every origin.
+func unobserved(string) Observer { return nil }
+
+func withRegistry(engine string) Observer { return registryMetrics(engine) }
+
+func observed(engine string) Observer {
+	m := registryMetrics(engine)
+	m.SetRecorder(trace.NewRecorder(0))
+	m.SetSpans(span.NewCollector(engine, 0, 1))
+	return m
+}
+
+// sameUnderObservers runs a recovery scenario with the observer off and
+// with everything a Cluster can attach — registry, flight recorder and a
+// span collector tracing every origin — and requires the same
+// deduplicated outputs from both: what an engine replays must not depend
+// on what observes it.
+func sameUnderObservers(t *testing.T, run func(*testing.T, func(engine string) Observer) []record) {
+	var off, on []record
+	t.Run("nil", func(t *testing.T) { off = run(t, unobserved) })
+	t.Run("observed", func(t *testing.T) { on = run(t, observed) })
+	if !reflect.DeepEqual(off, on) {
+		t.Errorf("deduplicated outputs depend on the observer:\n  nil      %+v\n  observed %+v", off, on)
+	}
+}
+
+// dedup concatenates output streams, dropping re-deliveries (stutter) by
+// sequence number, as tart.DedupOutputs does.
+func dedup(streams ...[]record) []record {
+	var out []record
+	for _, s := range streams {
+		for _, r := range s {
+			if len(out) == 0 || r.Seq > out[len(out)-1].Seq {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
 }
 
 // twoEngines wires the split Figure-1 topology over an in-process
@@ -149,9 +200,10 @@ type twoEngines struct {
 	engA   *Engine
 	engB   *Engine
 	addrs  map[string]string
+	obs    func(engine string) Observer
 }
 
-func startTwoEngines(t *testing.T) *twoEngines {
+func startTwoEngines(t *testing.T, obs func(engine string) Observer) *twoEngines {
 	t.Helper()
 	tp := fig1Topo(t, true)
 	c := &twoEngines{
@@ -160,6 +212,7 @@ func startTwoEngines(t *testing.T) *twoEngines {
 		storeB: checkpoint.NewReplicaStore(),
 		sink:   newSinkCollector(),
 		addrs:  map[string]string{"A": "addr-A", "B": "addr-B"},
+		obs:    obs,
 	}
 	specs := fig1Specs()
 	var err error
@@ -174,7 +227,7 @@ func startTwoEngines(t *testing.T) *twoEngines {
 		Addrs:          c.addrs,
 		RedialEvery:    5 * time.Millisecond,
 		GapRepairEvery: 10 * time.Millisecond,
-		Metrics:        &trace.Metrics{},
+		Metrics:        obs("A"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +259,7 @@ func (c *twoEngines) engBConfig(tp *topo.Topology, comps map[string]ComponentSpe
 		Backup:         c.storeB,
 		RedialEvery:    5 * time.Millisecond,
 		GapRepairEvery: 10 * time.Millisecond,
-		Metrics:        &trace.Metrics{},
+		Metrics:        c.obs("B"),
 	}
 }
 
@@ -216,7 +269,7 @@ func (c *twoEngines) stop() {
 }
 
 func TestTwoEngineDistributedFlow(t *testing.T) {
-	c := startTwoEngines(t)
+	c := startTwoEngines(t, withRegistry)
 	defer c.stop()
 
 	in1, _ := c.engA.Source("in1")
@@ -251,9 +304,14 @@ func TestTwoEngineDistributedFlow(t *testing.T) {
 // TestRemoteEngineFailover kills the merger's engine mid-stream and
 // restores it from its replica: the senders' engine must survive the
 // disconnect, replay the suffix the restored merger asks for, and the
-// output stream must continue identically modulo stutter.
+// output stream must continue identically modulo stutter, under every
+// observer.
 func TestRemoteEngineFailover(t *testing.T) {
-	c := startTwoEngines(t)
+	sameUnderObservers(t, remoteEngineFailover)
+}
+
+func remoteEngineFailover(t *testing.T, obs func(engine string) Observer) []record {
+	c := startTwoEngines(t, obs)
 	defer func() { c.engA.Stop() }()
 
 	tp := c.engA.tp
@@ -319,12 +377,13 @@ func TestRemoteEngineFailover(t *testing.T) {
 	if post[7].Seq != 14 {
 		t.Errorf("post-failover new output seq = %d, want 14", post[7].Seq)
 	}
+	return dedup(before, recordsOf(post[:8]))
 }
 
 // TestAcksTrimReplayBuffers verifies the stability protocol: after the
 // receiving engine checkpoints, the sender's replay buffers shrink.
 func TestAcksTrimReplayBuffers(t *testing.T) {
-	c := startTwoEngines(t)
+	c := startTwoEngines(t, withRegistry)
 	defer c.stop()
 
 	tp := c.engA.tp

@@ -56,7 +56,7 @@ func TestRedialBackoffAndBreaker(t *testing.T) {
 		Transport:   rec,
 		Addrs:       addrs,
 		RedialEvery: base,
-		Metrics:     &trace.Metrics{},
+		Metrics:     registryMetrics("A"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestRedialBackoffAndBreaker(t *testing.T) {
 	defer engA.Stop()
 
 	// B is down. The breaker opens after 5 consecutive dial failures.
-	breaker := engA.Metrics().Registry().Gauge(trace.MetricDialBreaker,
+	breaker := metricsOf(engA).Registry().Gauge(trace.MetricDialBreaker,
 		"Per-peer dial circuit breaker position (0 closed, 1 open, 2 half-open).",
 		trace.L("peer", "B"))
 	deadline := time.Now().Add(10 * time.Second)
@@ -116,7 +116,7 @@ func TestRedialBackoffAndBreaker(t *testing.T) {
 		Transport:   net,
 		Addrs:       addrs,
 		RedialEvery: base,
-		Metrics:     &trace.Metrics{},
+		Metrics:     registryMetrics("B"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestRedialBackoffAndBreaker(t *testing.T) {
 	if got := breaker.Value(); got != int64(transport.BreakerClosed) {
 		t.Fatalf("breaker state after reconnect = %d, want closed (0)", got)
 	}
-	redials := engA.Metrics().Registry().Counter(trace.MetricRedials,
+	redials := metricsOf(engA).Registry().Counter(trace.MetricRedials,
 		"Dial attempts to a peer engine (first dials and redials).",
 		trace.L("peer", "B"))
 	if redials.Value() < 5 {
@@ -185,7 +185,7 @@ func TestSourceShedsWhenPeerDownAndBuffersFull(t *testing.T) {
 		RedialEvery:       5 * time.Millisecond,
 		GapRepairEvery:    10 * time.Millisecond,
 		ShedBufferedLimit: limit,
-		Metrics:           &trace.Metrics{},
+		Metrics:           registryMetrics("A"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestSourceShedsWhenPeerDownAndBuffersFull(t *testing.T) {
 	if !errors.Is(shedErr, ErrShed) {
 		t.Fatalf("emit failed with %v, want ErrShed", shedErr)
 	}
-	shed := engA.Metrics().Registry().Counter(trace.MetricSourceShed,
+	shed := metricsOf(engA).Registry().Counter(trace.MetricSourceShed,
 		"External inputs refused at sources because buffered replay state hit its bound.",
 		trace.L("source", "in1"))
 	if shed.Value() == 0 {
@@ -243,7 +243,7 @@ func TestSourceShedsWhenPeerDownAndBuffersFull(t *testing.T) {
 		GapRepairEvery:  10 * time.Millisecond,
 		CheckpointEvery: 10 * time.Millisecond,
 		Backup:          checkpoint.NewReplicaStore(),
-		Metrics:         &trace.Metrics{},
+		Metrics:         registryMetrics("B"),
 	})
 	if err != nil {
 		t.Fatal(err)

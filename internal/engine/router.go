@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -9,8 +8,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sched"
 	"repro/internal/topo"
-	"repro/internal/trace"
-	"repro/internal/vt"
 )
 
 // Route implements sched.Router: it is the single egress point for every
@@ -124,11 +121,9 @@ func (e *Engine) deliverInbound(env msg.Envelope) {
 // to resend the range of ticks for which there is a gap").
 func (e *Engine) serveReplay(req msg.Envelope) {
 	resent := e.buffers.from(req.Wire, req.Seq)
-	e.metrics.Registry().Counter(trace.MetricReplayServes,
-		"Replay-range requests served from replay buffers.",
-		trace.L("wire", sched.WireName(e.tp, e.tp.Wire(req.Wire)))).Inc()
-	e.rec.Record(trace.Event{Kind: trace.EvReplayServe, VT: vt.Never, Wire: req.Wire, MsgSeq: req.Seq,
-		Note: fmt.Sprintf("resent %d buffered envelopes", len(resent))})
+	if e.obs != nil {
+		e.obs.ReplayServed(req.Wire, sched.WireName(e.tp, e.tp.Wire(req.Wire)), req.Seq, len(resent), false)
+	}
 	for _, env := range resent {
 		w := e.tp.Wire(env.Wire)
 		e.forward(w, env)
@@ -137,10 +132,9 @@ func (e *Engine) serveReplay(req msg.Envelope) {
 
 // noteReplayRequest accounts one replay-range request this engine issues.
 func (e *Engine) noteReplayRequest(wid msg.WireID, fromSeq uint64) {
-	e.metrics.Registry().Counter(trace.MetricReplayRequests,
-		"Replay-range requests issued to senders.",
-		trace.L("wire", sched.WireName(e.tp, e.tp.Wire(wid)))).Inc()
-	e.rec.Record(trace.Event{Kind: trace.EvReplayRequest, VT: vt.Never, Wire: wid, MsgSeq: fromSeq})
+	if e.obs != nil {
+		e.obs.ReplayRequested(wid, sched.WireName(e.tp, e.tp.Wire(wid)), fromSeq)
+	}
 }
 
 // handleAck trims a wire's replay buffer after the receiver durably
@@ -176,7 +170,9 @@ func (e *Engine) repairGaps() {
 						for _, r := range recs {
 							env := msg.NewData(wid, r.Seq, r.VT, r.Payload)
 							env.Origin = msg.NewOrigin(wid, r.Seq)
-							env.Trace = e.metrics.Spans().DecideAt(env.Origin, r.VT)
+							if e.obs != nil {
+								env.Trace = e.obs.TraceMark(env.Origin, r.VT)
+							}
 							src.target.sch.Deliver(env)
 						}
 					}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sched"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/vt"
 	"repro/internal/wal"
 )
@@ -31,17 +30,15 @@ type Source struct {
 	lastVT   vt.Time
 	promised vt.Time
 
-	emits, silences *trace.Counter
+	obs any // the observer's handle (nil when unobserved)
 }
 
 func newSource(e *Engine, name string, w *topo.Wire, target *hosted) *Source {
-	reg := e.metrics.Registry()
-	return &Source{
-		e: e, name: name, wire: w, target: target, lastVT: vt.Never, promised: vt.Never,
-		emits: reg.Counter(trace.MetricSourceEmits,
-			"External messages logged and injected by a source.", trace.L("source", name)),
-		silences: reg.Silences(name, sched.WireName(e.tp, w)),
+	s := &Source{e: e, name: name, wire: w, target: target, lastVT: vt.Never, promised: vt.Never}
+	if e.obs != nil {
+		s.obs = e.obs.Source(name, sched.WireName(e.tp, w), w.ID)
 	}
+	return s
 }
 
 // Emit ingests one message stamped with the current (real) time, returning
@@ -84,9 +81,9 @@ var ErrShed = fmt.Errorf("engine: input shed: buffered replay state at limit")
 
 func (s *Source) emitLocked(t vt.Time, payload any) error {
 	if limit := s.e.cfg.ShedBufferedLimit; limit > 0 && s.e.buffers.total() >= limit {
-		s.e.metrics.Registry().Counter(trace.MetricSourceShed,
-			"External inputs refused at sources because buffered replay state hit its bound.",
-			trace.L("source", s.name)).Inc()
+		if s.e.obs != nil {
+			s.e.obs.Shed(s.obs)
+		}
 		return fmt.Errorf("source %q: %w (%d buffered)", s.name, ErrShed, s.e.buffers.total())
 	}
 	seq := s.seq + 1
@@ -95,14 +92,15 @@ func (s *Source) emitLocked(t vt.Time, payload any) error {
 	}
 	s.seq = seq
 	s.lastVT = t
-	s.emits.Inc()
 	// Provenance: the origin of everything this input causes is the source
 	// wire plus the logged sequence number — both deterministic, so replayed
 	// injections (restoreCursor, repairGaps) recreate the identical origin.
 	env := msg.NewData(s.wire.ID, seq, t, payload)
 	env.Origin = msg.NewOrigin(s.wire.ID, seq)
-	env.Trace = s.e.metrics.Spans().DecideAt(env.Origin, t)
-	s.e.rec.Record(trace.Event{Kind: trace.EvSourceEmit, VT: t, Component: s.name, Wire: s.wire.ID, MsgSeq: seq, Origin: env.Origin})
+	if s.e.obs != nil {
+		env.Trace = s.e.obs.TraceMark(env.Origin, t)
+		s.e.obs.Emitted(s.obs, env)
+	}
 	s.target.sch.Deliver(env)
 	return nil
 }
@@ -140,6 +138,9 @@ func (s *Source) End() { s.Quiesce(vt.Max) }
 // never notice that the inputs in between are gone.
 func (s *Source) restoreCursor(fromSeq uint64, lastVT vt.Time) error {
 	recs, err := s.e.log.Inputs(s.name, fromSeq)
+	if s.e.obs != nil {
+		s.e.obs.LogReplayed(s.obs, fromSeq, len(recs), s.e.cfg.ColdStart)
+	}
 	if err != nil {
 		return err
 	}
@@ -159,21 +160,16 @@ func (s *Source) restoreCursor(fromSeq uint64, lastVT vt.Time) error {
 		}
 	}
 	s.mu.Unlock()
-	replayed := 0
 	for _, r := range recs {
 		env := msg.NewData(s.wire.ID, r.Seq, r.VT, r.Payload)
 		env.Origin = msg.NewOrigin(s.wire.ID, r.Seq)
 		// Re-stamp the sampling decision from the logged (origin, VT) pair;
 		// the append-only schedule yields the same answer the original
 		// emission stamped, so replayed envelopes stay consistently traced.
-		env.Trace = s.e.metrics.Spans().DecideAt(env.Origin, r.VT)
+		if s.e.obs != nil {
+			env.Trace = s.e.obs.TraceMark(env.Origin, r.VT)
+		}
 		s.target.sch.Deliver(env)
-		replayed++
-	}
-	if s.e.cfg.ColdStart && replayed > 0 {
-		s.e.metrics.Registry().Counter(trace.MetricColdstartReplayed,
-			"Logged input records re-injected from the durable WAL suffix during a cold restart.",
-			trace.L("source", s.name)).Add(int64(replayed))
 	}
 	return nil
 }
@@ -197,8 +193,9 @@ func (e *Engine) answerSourceProbe(w *topo.Wire) {
 		s.promised = promise
 		seq := s.seq
 		s.mu.Unlock()
-		s.silences.Inc()
-		e.rec.Record(trace.Event{Kind: trace.EvSilence, VT: promise, Component: s.name, Wire: w.ID, Note: "source probe answer"})
+		if e.obs != nil {
+			e.obs.SourceSilence(s.obs, promise, true)
+		}
 		s.target.sch.Deliver(msg.NewSilenceAfter(w.ID, promise, seq))
 		return
 	}
@@ -221,7 +218,9 @@ func (e *Engine) advanceSourceSilence() {
 		s.promised = promise
 		seq := s.seq
 		s.mu.Unlock()
-		s.silences.Inc()
+		if e.obs != nil {
+			e.obs.SourceSilence(s.obs, promise, false)
+		}
 		s.target.sch.Deliver(msg.NewSilenceAfter(s.wire.ID, promise, seq))
 	}
 }

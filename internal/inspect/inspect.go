@@ -14,7 +14,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sched"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/vt"
 )
@@ -535,10 +534,9 @@ func (i *Inspector) buildSandbox(en string, pt *point, target vt.Time, tr transp
 		Transport:  tr,
 		Addrs:      addrs,
 		Log:        i.cfg.Archive.sandboxLog(en, target),
-		// Isolation: private metrics registry, no recorder/audit/spans, no
-		// backup (the sandbox never checkpoints), no debug listener, no
-		// sinks (unregistered sink wires are dropped), calibration off.
-		Metrics:            &trace.Metrics{},
+		// Isolation: no observer (the sandbox reports nothing), no audit, no
+		// backup (the sandbox never checkpoints), no sinks (unregistered sink
+		// wires are dropped), calibration off.
 		Clock:              func() vt.Time { return vt.Zero },
 		DisableCalibration: true,
 		OnDelivered:        run.hook,

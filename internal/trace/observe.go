@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/msg"
@@ -8,9 +9,10 @@ import (
 	"repro/internal/vt"
 )
 
-// This file makes *Metrics the scheduler's observer (sched.Observer): each
-// report updates the registry, the flight recorder and the span collector,
-// any of which may be absent.
+// This file makes *Metrics the scheduler's observer (sched.Observer) and
+// the engine's (engine.Observer, which embeds it): each report updates the
+// registry, the flight recorder and the span collector, any of which may be
+// absent.
 
 // wireObs is the handle Wire hands out for one end of a wire: the names its
 // events carry and the handles its reports update. The other end's handles
@@ -42,18 +44,18 @@ func (m *Metrics) Wire(component, label string, w msg.WireID, in bool) any {
 	r := m.reg
 	o := &wireObs{component: component, wire: w,
 		estErr:     r.Histogram(MetricEstErr, "Signed estimator error: predicted cost minus measured handler duration (negative = underestimate).", SignedSecondsBuckets, L("component", component)),
-		divergence: r.DeterminismFaults(component, "replay-divergence"),
+		divergence: r.determinismFaults(component, "replay-divergence"),
 	}
 	lbls := []Label{L("component", component), L("wire", label)}
 	if !in {
 		o.sent = r.Counter(MetricSent, "Data, call, and reply envelopes emitted on the wire.", lbls...)
-		o.silences = r.Silences(component, label)
+		o.silences = r.silences(component, label)
 		return o
 	}
 	o.delivered = r.Counter(MetricDelivered, "Messages delivered to handlers.", lbls...)
 	o.outOfOrder = r.Counter(MetricOutOfOrder, "Messages delivered in VT order that arrived out of real-time order.", lbls...)
 	o.probes = r.Counter(MetricProbes, "Curiosity probes sent to the wire's sender.", lbls...)
-	o.duplicates = r.Duplicates(component, label)
+	o.duplicates = r.duplicates(component, label)
 	o.pessimism = r.Histogram(MetricPessimism, "Pessimism delay: real time spent holding a deliverable message awaiting other senders' silence.", SecondsBuckets, lbls...)
 	o.depth = r.Gauge(MetricQueueDepth, "Messages currently queued on the wire.", lbls...)
 	o.blame = r.Counter(MetricBlame, "Pessimism episodes where this wire's silence frontier was the last holdout.", lbls...)
@@ -83,7 +85,7 @@ func (m *Metrics) Dropped(in any, env msg.Envelope, overflow bool) {
 
 // DroppedReply counts a duplicate call reply and records it.
 func (m *Metrics) DroppedReply(component, label string, env msg.Envelope) {
-	m.reg.Duplicates(component, label).Inc()
+	m.reg.duplicates(component, label).Inc()
 	m.rec.Record(Event{Kind: EvDuplicateDrop, VT: env.VT, Component: component, Wire: env.Wire, MsgSeq: env.Seq, Note: "duplicate call reply"})
 }
 
@@ -197,7 +199,178 @@ func (m *Metrics) Recalibrated(component string, at vt.Time, err error) {
 	if err != nil {
 		note += " not committed: " + err.Error()
 	} else {
-		m.reg.DeterminismFaults(component, "recalibration").Inc()
+		m.reg.determinismFaults(component, "recalibration").Inc()
 	}
 	m.rec.Record(Event{Kind: EvDeterminismFault, VT: at, Component: component, Wire: -1, Note: note})
+}
+
+// Help text of engine families both seeded and reported. A checkpoint is
+// full if every component shipped its whole state, else a delta.
+const (
+	redialsHelp   = "Dial attempts to a peer engine (first dials and redials)."
+	breakerHelp   = "Per-peer dial circuit breaker position (0 closed, 1 open, 2 half-open)."
+	coldstartHelp = "Logged input records re-injected from the durable WAL suffix during a cold restart."
+	shedHelp      = "External inputs refused at sources because buffered replay state hit its bound."
+	coalesceHelp  = "Peer-bound silence promises absorbed by a newer promise within a flush window."
+	ckptCountHelp = "Soft checkpoints applied to the backup, by kind."
+	ckptBytesHelp = "Encoded handler-state bytes per soft checkpoint, by kind."
+	ckptHoldHelp  = "Real time one component's delivery loop was held quiescent while a soft checkpoint staged its state."
+	ckptStoreHelp = "Real time per soft checkpoint spent encoding state and applying it to the backup (fsyncs included), after the delivery loops were released."
+	ckptChainHelp = "Checkpoints in the engine's current chain: the newest full one and the deltas applied since (bounded; a restore folds them all)."
+)
+
+// NewEngineRegistry creates an engine incarnation's registry (const label
+// engine=<name>) with its families seeded at zero, scrapeable from launch
+// even if the engine never dials, sheds, cold-starts or checkpoints.
+func NewEngineRegistry(engine string) *Registry {
+	r := NewRegistry(L("engine", engine))
+	r.Counter(MetricRedials, redialsHelp)
+	r.Gauge(MetricDialBreaker, breakerHelp)
+	r.Counter(MetricColdstartReplayed, coldstartHelp)
+	r.Counter(MetricCkptStoreWrites, "Checkpoints persisted by the durable checkpoint store.")
+	r.Counter(MetricCkptStoreFsyncs, "fsync calls issued by the durable checkpoint store.")
+	r.Counter(MetricSourceShed, shedHelp)
+	r.Counter(MetricSilenceCoalesce, coalesceHelp)
+	r.WAL()
+	for _, kind := range []string{"full", "delta"} {
+		r.Counter(MetricCheckpoints, ckptCountHelp, L("kind", kind))
+		r.Histogram(MetricCheckpointBytes, ckptBytesHelp, BytesBuckets, L("kind", kind))
+	}
+	r.Histogram(MetricCheckpointHold, ckptHoldHelp, SecondsBuckets)
+	r.Histogram(MetricCheckpointStore, ckptStoreHelp, SecondsBuckets)
+	r.Gauge(MetricCheckpointChain, ckptChainHelp)
+	return r
+}
+
+// CheckpointHeld observes the stall one component's loop saw.
+func (m *Metrics) CheckpointHeld(held time.Duration) {
+	m.reg.Histogram(MetricCheckpointHold, ckptHoldHelp, SecondsBuckets).Observe(held.Seconds())
+}
+
+// Checkpointed accounts a checkpoint by kind and records it.
+func (m *Metrics) Checkpointed(at vt.Time, seq uint64, base bool, chain, bytes int, offLoop, took time.Duration) {
+	kind := L("kind", "delta")
+	if base {
+		kind = L("kind", "full")
+	}
+	m.reg.Counter(MetricCheckpoints, ckptCountHelp, kind).Inc()
+	m.reg.Histogram(MetricCheckpointBytes, ckptBytesHelp, BytesBuckets, kind).Observe(float64(bytes))
+	m.reg.Histogram(MetricCheckpointStore, ckptStoreHelp, SecondsBuckets).Observe(offLoop.Seconds())
+	m.reg.Gauge(MetricCheckpointChain, ckptChainHelp).Set(int64(chain))
+	m.rec.Record(Event{Kind: EvCheckpoint, VT: at, Wire: -1, MsgSeq: seq,
+		Note: fmt.Sprintf("%d bytes in %v", bytes, took.Round(time.Microsecond))})
+}
+
+// ChainMismatch counts a restored checkpoint's audit-chain divergence and
+// records it.
+func (m *Metrics) ChainMismatch(component string, at vt.Time, delivery uint64) {
+	m.reg.determinismFaults(component, "checkpoint-chain").Inc()
+	m.rec.Record(Event{Kind: EvDeterminismFault, VT: at, Component: component, Wire: -1,
+		Note: fmt.Sprintf("checkpoint audit chain mismatch at delivery %d", delivery)})
+}
+
+// Failover counts a replica activation and records it.
+func (m *Metrics) Failover(seq uint64) {
+	m.reg.Counter(MetricFailovers, "Passive-replica activations.").Inc()
+	m.rec.Record(Event{Kind: EvFailover, VT: vt.Never, Wire: -1, MsgSeq: seq,
+		Note: fmt.Sprintf("activated from checkpoint %d", seq)})
+}
+
+// ReplayServed records a buffer's replay, counting one a peer asked for.
+func (m *Metrics) ReplayServed(w msg.WireID, label string, seq uint64, n int, local bool) {
+	note := fmt.Sprintf("re-delivered %d buffered envelopes (local replay)", n)
+	if !local {
+		m.reg.Counter(MetricReplayServes, "Replay-range requests served from replay buffers.", L("wire", label)).Inc()
+		note = fmt.Sprintf("resent %d buffered envelopes", n)
+	}
+	m.rec.Record(Event{Kind: EvReplayServe, VT: vt.Never, Wire: w, MsgSeq: seq, Note: note})
+}
+
+// ReplayRequested counts a replay request and records it.
+func (m *Metrics) ReplayRequested(w msg.WireID, label string, seq uint64) {
+	m.reg.Counter(MetricReplayRequests, "Replay-range requests issued to senders.", L("wire", label)).Inc()
+	m.rec.Record(Event{Kind: EvReplayRequest, VT: vt.Never, Wire: w, MsgSeq: seq})
+}
+
+// Dialer resolves a dial loop's attempt counter and breaker gauge.
+func (m *Metrics) Dialer(peer string) (redial func(), moved func(state int)) {
+	redials := m.reg.Counter(MetricRedials, redialsHelp, L("peer", peer))
+	breaker := m.reg.Gauge(MetricDialBreaker, breakerHelp, L("peer", peer))
+	return redials.Inc, func(state int) { breaker.Set(int64(state)) }
+}
+
+// PeerUp records a connection joining and resolves its frame counters.
+func (m *Metrics) PeerUp(peer string) (sent, received func(msg.Envelope)) {
+	m.rec.Record(Event{Kind: EvPeerUp, VT: vt.Never, Wire: -1, Note: "peer " + peer})
+	const help = "Envelope frames exchanged with a peer engine (heartbeats included)."
+	s := m.reg.Counter(MetricPeerFrames, help, L("peer", peer), L("direction", "send"))
+	r := m.reg.Counter(MetricPeerFrames, help, L("peer", peer), L("direction", "recv"))
+	return func(msg.Envelope) { s.Inc() }, func(msg.Envelope) { r.Inc() }
+}
+
+// PeerDown records the live connection to peer dropped.
+func (m *Metrics) PeerDown(peer string) {
+	m.rec.Record(Event{Kind: EvPeerDown, VT: vt.Never, Wire: -1, Note: "peer " + peer})
+}
+
+// Fenced counts a handshake refused for its stale generation and records it.
+func (m *Metrics) Fenced(peer string, gen uint64) {
+	m.reg.Counter(MetricFencedHellos, "Peer handshakes rejected because they carried a stale generation (zombie fencing).", L("peer", peer)).Inc()
+	m.rec.Record(Event{Kind: EvPeerDown, VT: vt.Never, Wire: -1,
+		Note: fmt.Sprintf("fenced stale generation %d from peer %s", gen, peer)})
+}
+
+// SilencesCoalesced counts coalesced peer-bound promises.
+func (m *Metrics) SilencesCoalesced(n int) {
+	m.reg.Counter(MetricSilenceCoalesce, coalesceHelp).Add(int64(n))
+}
+
+// sourceObs is a source's handle: its events' names and its counters.
+type sourceObs struct {
+	name            string
+	wire            msg.WireID
+	emits, silences *Counter
+}
+
+// Source resolves a source's series.
+func (m *Metrics) Source(name, label string, w msg.WireID) any {
+	return &sourceObs{name: name, wire: w,
+		emits:    m.reg.Counter(MetricSourceEmits, "External messages logged and injected by a source.", L("source", name)),
+		silences: m.reg.silences(name, label),
+	}
+}
+
+// Emitted counts a logged input and records it.
+func (m *Metrics) Emitted(src any, env msg.Envelope) {
+	o := src.(*sourceObs)
+	o.emits.Inc()
+	m.rec.Record(Event{Kind: EvSourceEmit, VT: env.VT, Component: o.name, Wire: o.wire, MsgSeq: env.Seq, Origin: env.Origin})
+}
+
+// Shed counts a refused input.
+func (m *Metrics) Shed(src any) {
+	m.reg.Counter(MetricSourceShed, shedHelp, L("source", src.(*sourceObs).name)).Inc()
+}
+
+// SourceSilence counts a promise and records one answering a probe.
+func (m *Metrics) SourceSilence(src any, promise vt.Time, probe bool) {
+	o := src.(*sourceObs)
+	o.silences.Inc()
+	if probe {
+		m.rec.Record(Event{Kind: EvSilence, VT: promise, Component: o.name, Wire: o.wire, Note: "source probe answer"})
+	}
+}
+
+// LogReplayed records a log replay and counts a cold restart's inputs.
+func (m *Metrics) LogReplayed(src any, seq uint64, n int, cold bool) {
+	o := src.(*sourceObs)
+	m.rec.Record(Event{Kind: EvReplayRequest, VT: vt.Never, Component: o.name, Wire: o.wire, MsgSeq: seq, Note: "source log replay"})
+	if cold && n > 0 {
+		m.reg.Counter(MetricColdstartReplayed, coldstartHelp, L("source", o.name)).Add(int64(n))
+	}
+}
+
+// TraceMark is the span collector's decision (zero without one).
+func (m *Metrics) TraceMark(origin msg.OriginID, at vt.Time) int8 {
+	return m.spans.DecideAt(origin, at)
 }

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Label is one key=value metric dimension.
@@ -583,74 +582,22 @@ func (r *Registry) WAL() *WALMetrics {
 	}
 }
 
-// CheckpointMetrics bundles the handles an engine's soft checkpoint
-// updates: how many it took and how large they were, by kind (full: every
-// component shipped its whole state; delta: at least one shipped only its
-// changes), how long each component's delivery loop was held quiescent,
-// how long the work behind the loop's back took, and how long the chain a
-// restore would fold has grown.
-type CheckpointMetrics struct {
-	full, delta           *Counter
-	fullBytes, deltaBytes *Histogram
-	hold, store           *Histogram
-	chain                 *Gauge
-}
-
-// Checkpoint resolves the soft-checkpoint handles, seeding the families at
-// zero.
-func (r *Registry) Checkpoint() *CheckpointMetrics {
-	const (
-		countHelp = "Soft checkpoints applied to the backup, by kind."
-		bytesHelp = "Encoded handler-state bytes per soft checkpoint, by kind."
-	)
-	full, delta := L("kind", "full"), L("kind", "delta")
-	return &CheckpointMetrics{
-		full:       r.Counter(MetricCheckpoints, countHelp, full),
-		delta:      r.Counter(MetricCheckpoints, countHelp, delta),
-		fullBytes:  r.Histogram(MetricCheckpointBytes, bytesHelp, BytesBuckets, full),
-		deltaBytes: r.Histogram(MetricCheckpointBytes, bytesHelp, BytesBuckets, delta),
-		hold: r.Histogram(MetricCheckpointHold,
-			"Real time one component's delivery loop was held quiescent while a soft checkpoint staged its state.", SecondsBuckets),
-		store: r.Histogram(MetricCheckpointStore,
-			"Real time per soft checkpoint spent encoding state and applying it to the backup (fsyncs included), after the delivery loops were released.", SecondsBuckets),
-		chain: r.Gauge(MetricCheckpointChain,
-			"Checkpoints in the engine's current chain: the newest full one and the deltas applied since (bounded; a restore folds them all)."),
-	}
-}
-
-// Held records how long one component's delivery loop was held for a
-// checkpoint: once per component per checkpoint, the stall that loop sees.
-func (m *CheckpointMetrics) Held(d time.Duration) { m.hold.Observe(d.Seconds()) }
-
-// Applied records one checkpoint the backup accepted and the length of the
-// chain it extended (1 when it started one).
-func (m *CheckpointMetrics) Applied(full bool, chain, bytes int, offLoop time.Duration) {
-	count, size := m.delta, m.deltaBytes
-	if full {
-		count, size = m.full, m.fullBytes
-	}
-	count.Inc()
-	size.Observe(float64(bytes))
-	m.store.Observe(offLoop.Seconds())
-	m.chain.Set(int64(chain))
-}
-
-// Silences resolves the silence-promise counter for one sending (component,
+// silences resolves the silence-promise counter for one sending (component,
 // wire); a source's promises count under its own name.
-func (r *Registry) Silences(component, wire string) *Counter {
+func (r *Registry) silences(component, wire string) *Counter {
 	return r.Counter(MetricSilences, "Silence promises emitted on the wire.", L("component", component), L("wire", wire))
 }
 
-// Duplicates resolves the duplicate-discard counter for one (component,
+// duplicates resolves the duplicate-discard counter for one (component,
 // wire): an input wire's, or a call-reply wire's whose stale replies the
 // caller drops.
-func (r *Registry) Duplicates(component, wire string) *Counter {
+func (r *Registry) duplicates(component, wire string) *Counter {
 	return r.Counter(MetricDuplicates, "Duplicate messages discarded by sequence/timestamp.", L("component", component), L("wire", wire))
 }
 
-// DeterminismFaults resolves the determinism-fault counter for one
+// determinismFaults resolves the determinism-fault counter for one
 // component and cause ("recalibration", "replay-divergence", or
 // "checkpoint-chain").
-func (r *Registry) DeterminismFaults(component, cause string) *Counter {
+func (r *Registry) determinismFaults(component, cause string) *Counter {
 	return r.Counter(MetricDetFaults, "Determinism faults: estimator recalibrations and audit-chain divergences, by cause.", L("component", component), L("cause", cause))
 }

@@ -13,9 +13,9 @@ import (
 
 // Metrics bundles an engine's observability attachments: the labeled
 // Registry every counter lives in, the flight Recorder and the span
-// Collector. Instrumented code resolves all three through it, and the
-// scheduler reports into it as its observer (observe.go). The zero value
-// has none attached, and every handle it hands out is then a valid no-op.
+// Collector. The engine and its schedulers report into it as their
+// observer (observe.go). The zero value has none attached, and every
+// report then updates nothing.
 type Metrics struct {
 	reg   *Registry
 	rec   *Recorder
@@ -28,25 +28,11 @@ func (m *Metrics) SetRegistry(r *Registry) { m.reg = r }
 
 // Registry returns the attached registry (nil when none — nil registries
 // hand out nil handles, which are valid no-ops).
-func (m *Metrics) Registry() *Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
-}
+func (m *Metrics) Registry() *Registry { return m.reg }
 
 // SetRecorder attaches a flight recorder. Attach before the engine
 // starts; the field is read without synchronization afterwards.
 func (m *Metrics) SetRecorder(r *Recorder) { m.rec = r }
-
-// Recorder returns the attached flight recorder (nil when none — a nil
-// recorder is a valid no-op recorder).
-func (m *Metrics) Recorder() *Recorder {
-	if m == nil {
-		return nil
-	}
-	return m.rec
-}
 
 // SetSpans attaches a span collector and feeds every span it records into
 // the registry's critical-path family, so the aggregate phase shares are
@@ -70,15 +56,6 @@ func (m *Metrics) SetSpans(c *span.Collector) {
 			h.Observe(seconds)
 		}
 	})
-}
-
-// Spans returns the attached span collector (nil when span tracing is
-// disabled — a nil collector samples nothing and drops all records).
-func (m *Metrics) Spans() *span.Collector {
-	if m == nil {
-		return nil
-	}
-	return m.spans
 }
 
 // Snapshot is the engine-wide fold of the registry's paper-level families:

@@ -9,8 +9,8 @@ import (
 	"repro/internal/msg"
 )
 
-// TestMetricsCounters checks that the scheduler's reports land in the
-// families Snapshot folds, across every label set.
+// TestMetricsCounters checks that the scheduler's and the engine's reports
+// land in the families Snapshot folds, across every label set.
 func TestMetricsCounters(t *testing.T) {
 	var m Metrics
 	if s := m.Snapshot(); s != (Snapshot{}) {
@@ -24,18 +24,19 @@ func TestMetricsCounters(t *testing.T) {
 	m.Delivered(b, a, env, 0, 0, true, false)                  // zero-delay episode still counts
 	m.Probe(a, 0)
 	m.Silence(m.Wire("c", "w2", 2, false), 0)
-	reg.Silences("src", "w0").Inc()
-	cm := reg.Checkpoint()
-	cm.Applied(true, 1, 1000, 0)
-	cm.Applied(false, 2, 24, 0)
-	reg.Counter(MetricReplayServes, "", L("wire", "w0")).Inc()
-	reg.Counter(MetricReplayRequests, "", L("wire", "w0")).Inc() // issued, not served: not counted
+	m.SourceSilence(m.Source("src", "w0", 0), 0, false)
+	m.Checkpointed(0, 1, true, 1, 1000, 0, 0)
+	m.Checkpointed(0, 2, false, 2, 24, 0, 0)
+	m.ReplayServed(0, "w0", 1, 3, false)
+	m.ReplayServed(0, "w0", 1, 3, true) // a local re-delivery: not counted
+	m.ReplayRequested(0, "w0", 1)       // issued, not served: not counted
+	m.ChainMismatch("c", 0, 7)
 	m.Dropped(a, env, false)
 	m.Dropped(b, env, true)
 	m.DroppedReply("c", "w3", env)
 	m.Recalibrated("c", 0, nil)
 	m.Recalibrated("c", 0, errors.New("refused")) // not logged: not counted
-	reg.Counter(MetricFailovers, "").Inc()
+	m.Failover(1)
 
 	s := m.Snapshot()
 	if s.Delivered != 2 || s.OutOfOrder != 1 {
@@ -50,7 +51,7 @@ func TestMetricsCounters(t *testing.T) {
 	if s.Checkpoints != 2 || s.CheckpointBytes != 1024 {
 		t.Errorf("checkpoints = %d/%d bytes", s.Checkpoints, s.CheckpointBytes)
 	}
-	if s.ReplayRequests != 1 || s.DuplicatesDropped != 3 || s.DeterminismFaults != 2 || s.Failovers != 1 {
+	if s.ReplayRequests != 1 || s.DuplicatesDropped != 3 || s.DeterminismFaults != 3 || s.Failovers != 1 {
 		t.Errorf("recovery counters = %+v", s)
 	}
 }

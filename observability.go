@@ -189,7 +189,7 @@ func (c *Cluster) AdaptStatus() AdaptStatus {
 func (c *Cluster) totalDelivered() int64 {
 	var total int64
 	for _, s := range c.slots() {
-		total += s.eng.Metrics().Snapshot().Delivered
+		total += s.metrics.Snapshot().Delivered
 	}
 	return total
 }
@@ -211,11 +211,7 @@ func (c *Cluster) maxNowVT() vt.Time {
 // clocks are included because manual-clock deployments keep the engine
 // clock pinned while schedulers advance with processed messages.
 func frontierOf(eng *engine.Engine) vt.Time {
-	now := eng.NowVT()
-	for _, comp := range eng.Hosted() {
-		now = max(now, eng.ComponentVT(comp))
-	}
-	return now
+	return max(eng.NowVT(), eng.MaxComponentClock())
 }
 
 // drainOTLP hands the exporter every span past each collector's watermark:

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -289,6 +290,129 @@ func TestMetricsTextPerWire(t *testing.T) {
 	}
 	if !strings.Contains(string(text), `tart_pessimism_delay_seconds_bucket{engine="main"`) {
 		t.Error("/metrics missing pessimism buckets")
+	}
+}
+
+// TestCheckpointGaugesWithoutScrape reads the rewind-distance gauges through
+// MetricFamilies alone: they are refreshed on every gather, not only by a
+// /metrics scrape, so a cluster without a debug listener has them too and
+// the age follows the live clock past the checkpoint.
+func TestCheckpointGaugesWithoutScrape(t *testing.T) {
+	out := newOutputs()
+	cluster, err := tart.Launch(fig1App(), tart.WithManualClock(func() tart.VirtualTime { return 0 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	if err := cluster.Sink("out", out.fn); err != nil {
+		t.Fatal(err)
+	}
+	in1, _ := cluster.Source("in1")
+	in2, _ := cluster.Source("in2")
+	emit := func(at tart.VirtualTime) {
+		t.Helper()
+		if err := in1.EmitAt(at, []string{"x"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := in2.EmitAt(at+400_000, []string{"z"}); err != nil {
+			t.Fatal(err)
+		}
+		in1.Quiesce(at + 1_000_000)
+		in2.Quiesce(at + 1_000_000)
+	}
+	gauges := func() (last, age float64, ok bool) {
+		t.Helper()
+		fams, err := cluster.MetricFamilies("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen int
+		for _, f := range fams {
+			for _, s := range f.Series {
+				switch f.Name {
+				case "tart_checkpoint_last_vt":
+					last, seen = s.Value, seen+1
+				case "tart_checkpoint_age_vt":
+					age, seen = s.Value, seen+1
+				}
+			}
+		}
+		return last, age, seen == 2
+	}
+	emit(1_000_000)
+	out.await(t, 2)
+	if _, err := cluster.Checkpoint("main"); err != nil {
+		t.Fatal(err)
+	}
+	last, _, ok := gauges()
+	if !ok || last <= 0 {
+		t.Fatalf("after a checkpoint: last_vt = %v (both gauges present: %v), want > 0", last, ok)
+	}
+	emit(3_000_000)
+	out.await(t, 4)
+	if l, age, _ := gauges(); l != last || age <= 0 {
+		t.Errorf("after more deliveries: last_vt = %v, age_vt = %v; want %v and > 0", l, age, last)
+	}
+}
+
+// TestDebugListenerFollowsIncarnation: the debug listener belongs to an
+// engine incarnation. It is gone while the engine is failed, Recover binds
+// it again at the configured address, and a bind failure fails Launch and
+// Recover alike.
+func TestDebugListenerFollowsIncarnation(t *testing.T) {
+	squat, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := squat.Addr().String()
+	launch := func() (*tart.Cluster, error) {
+		return tart.Launch(fig1App(),
+			tart.WithManualClock(func() tart.VirtualTime { return 0 }),
+			tart.WithDebugHTTP(map[string]string{"main": addr}))
+	}
+	if c, err := launch(); err == nil {
+		c.Stop()
+		t.Fatal("Launch succeeded with its debug address taken")
+	}
+	squat.Close()
+	cluster, err := launch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	serving := func() bool {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	}
+	if got, _ := cluster.DebugAddr("main"); got != addr || !serving() {
+		t.Fatalf("after Launch: DebugAddr %q, serving %v; want %q and serving", got, serving(), addr)
+	}
+	if _, err := cluster.Checkpoint("main"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Fail("main"); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := cluster.DebugAddr("main"); got != "" || serving() {
+		t.Fatalf("failed engine: DebugAddr %q, serving %v; want none", got, serving())
+	}
+	squat, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Recover("main"); err == nil {
+		t.Fatal("Recover succeeded with its debug address taken")
+	}
+	squat.Close()
+	if err := cluster.Recover("main"); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := cluster.DebugAddr("main"); got != addr || !serving() {
+		t.Fatalf("after Recover: DebugAddr %q, serving %v; want %q and serving", got, serving(), addr)
 	}
 }
 

@@ -3,6 +3,7 @@ package tart
 import (
 	"errors"
 	"fmt"
+	"net/url"
 	"strconv"
 
 	"repro/internal/inspect"
@@ -101,38 +102,32 @@ func (c *Cluster) RewindPoints() map[string][]RewindPoint {
 // rewindInfo answers /rewind debug-endpoint queries. Supported query
 // parameters: op=state|diff|bisect|points (default state), component=NAME,
 // vt=TICKS (state), vt1=TICKS&vt2=TICKS (diff).
-func (c *Cluster) rewindInfo(q map[string][]string) (any, error) {
-	get := func(k string) string {
-		if v := q[k]; len(v) > 0 {
-			return v[0]
-		}
-		return ""
-	}
+func (c *Cluster) rewindInfo(q url.Values) (any, error) {
 	insp := c.insp // set whenever the listener serves /rewind
-	op := get("op")
+	op := q.Get("op")
 	if op == "" {
 		op = "state"
 	}
 	if op == "points" {
 		return insp.Points(), nil
 	}
-	comp := get("component")
+	comp := q.Get("component")
 	if comp == "" {
 		return nil, errors.New("component parameter required")
 	}
 	switch op {
 	case "state":
-		t, err := parseVTParam(get("vt"), "vt")
+		t, err := parseVTParam(q.Get("vt"), "vt")
 		if err != nil {
 			return nil, err
 		}
 		return insp.StateAt(comp, t)
 	case "diff":
-		a, err := parseVTParam(get("vt1"), "vt1")
+		a, err := parseVTParam(q.Get("vt1"), "vt1")
 		if err != nil {
 			return nil, err
 		}
-		b, err := parseVTParam(get("vt2"), "vt2")
+		b, err := parseVTParam(q.Get("vt2"), "vt2")
 		if err != nil {
 			return nil, err
 		}
