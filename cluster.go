@@ -162,9 +162,8 @@ func WithFlightRecorder(dir string) ClusterOption {
 	})
 }
 
-// WithSpanTracing turns the span layer on: deliveries, pessimism waits,
-// handler runs, and transport linger windows of head-sampled origins are
-// recorded as wall-clock+VT spans, queryable via Cluster.Spans, the /spans
+// WithSpanTracing turns the span layer on: deliveries, pessimism waits
+// and handler runs of head-sampled origins are recorded as wall-clock+VT spans, queryable via Cluster.Spans, the /spans
 // debug endpoint, and `tartctl timeline`. sampleN selects one traced
 // origin in N by deterministic OriginID hash (<=0 uses the default 1/64;
 // 1 traces everything) — every engine, replica, and replay picks the same
@@ -564,10 +563,8 @@ func (c *Cluster) engineConfig(slot *engineSlot, metrics *trace.Metrics) engine.
 	meter := transport.NewMeter(metrics.Registry())
 	tr := c.cfg.transport
 	if t, ok := tr.(transport.TCP); ok {
-		// Per-engine transport copy so outgoing connections record their
-		// coalescing-linger spans into this engine's collector and their
-		// wire-level metrics into this engine's registry.
-		t.Spans = slot.spans
+		// Per-engine transport copy so connections record their wire-level
+		// metrics into this engine's registry.
 		t.Meter = meter
 		tr = t
 	}

@@ -19,7 +19,7 @@
 // while curiosity-based propagation stays within ~20% of non-deterministic
 // execution. With -spans 1 every deterministic run also prints where its
 // end-to-end latency goes, phase by phase (queueing, pessimism, compute,
-// transport, linger), so -mode all -spans 1 is the per-strategy
+// transport), so -mode all -spans 1 is the per-strategy
 // critical-path sweep. With -debug each engine additionally serves its
 // observability surface (/metrics, /healthz, /trace, /topology) on a
 // loopback HTTP listener; combine with -hold to keep the cluster alive for

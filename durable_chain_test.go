@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	tart "repro"
 	"repro/internal/checkpoint"
@@ -101,13 +102,47 @@ func (r *chainRun) start(open func(*tart.App, ...tart.ClusterOption) (*tart.Clus
 // component objects; the replayed WAL suffix has drained when it returns.
 // It returns the durable chain the reopen restored from (Reopen itself
 // then takes a launch checkpoint, a new base).
+//
+// Every replayed output is a duplicate, which the deduplicated tape drops
+// (and the sink may not even be attached yet when replay starts), so the
+// wait is on the raw sends instead: the component that feeds the sink has
+// sent one output per replayed input.
 func (r *chainRun) restart(dir string) []*checkpoint.Checkpoint {
 	r.t.Helper()
 	r.cluster.Stop()
 	chain := durableChain(r.t, dir)
 	r.start(tart.Reopen)
-	r.out.await(r.t, r.emitted)
+	replayed := r.metric("tart_coldstart_replayed_records")
+	deadline := time.Now().Add(15 * time.Second)
+	for r.sinkSends() < replayed {
+		if time.Now().After(deadline) {
+			r.t.Fatalf("replay did not drain: %v of %v outputs re-sent", r.sinkSends(), replayed)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	return chain
+}
+
+// sinkSends counts the envelopes this incarnation sent on wires that leave
+// the cluster (tart_sent_total on a wire to "ext").
+func (r *chainRun) sinkSends() float64 {
+	r.t.Helper()
+	fams, err := r.cluster.MetricFamilies("node")
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	var n float64
+	for _, f := range fams {
+		if f.Name != "tart_sent_total" {
+			continue
+		}
+		for _, s := range f.Series {
+			if strings.Contains(s.Get("wire"), ">ext") {
+				n += s.Value
+			}
+		}
+	}
+	return n
 }
 
 // emit sends n messages, message i to key pick(i), 1 ms of virtual time

@@ -45,7 +45,7 @@ type Observer interface {
 	PeerDown(peer string)
 	Fenced(peer string, gen uint64)
 	// SilencesCoalesced reports n peer-bound silence promises absorbed by a
-	// newer one within a flush window.
+	// newer one for the same wire while a flush was in progress.
 	SilencesCoalesced(n int)
 	// Source registers an external source feeding wire w (labelled label).
 	// Emitted reports a logged input, Shed one refused, SourceSilence a

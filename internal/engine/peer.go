@@ -38,29 +38,25 @@ type peerSet struct {
 	stopped  bool
 	wg       sync.WaitGroup
 
-	// Silence-promise coalescing: promises bound for peers park here for
-	// one flush window, keeping only the newest watermark per wire (the
-	// newest subsumes the rest — promises are monotone). silCoalesced
-	// counts promises absorbed by a newer one since the last flush, which
-	// reports them.
+	// Peer-bound silence promises, coalesced by the writer's own pace: a
+	// promise that finds no flush in progress is sent at once by its
+	// caller, and promises arriving during a flush wait in silPending, the
+	// newest per wire (promises are monotone, so the newest subsumes the
+	// rest), for the flusher's next pass. silCoalesced counts promises
+	// absorbed by a newer one; silOut is the flusher's scratch.
 	silMu        sync.Mutex
-	silPending   map[string]map[msg.WireID]pendingSilence
-	silTimer     *time.Timer
-	silArmed     bool
-	silLast      time.Time
+	silFlushing  bool
+	silPending   map[msg.WireID]pendingSilence
+	silOut       []pendingSilence
 	silCoalesced int
 }
 
-// silenceFlushWindow is the coalescing window for silence promises bound
-// for peer engines: within a window only the newest watermark per wire is
-// transmitted (lossless — promises are monotone, so the newest subsumes the
-// ones it replaced).
-const silenceFlushWindow = 100 * time.Microsecond
-
 // pendingSilence is one coalesced peer-bound promise: the watermark plus the
 // sender's data-prefix attestation (both monotone per wire, so coalescing
-// keeps the max of each).
+// keeps the max of each), and the peer it goes to.
 type pendingSilence struct {
+	peer    string
+	wire    msg.WireID
 	promise vt.Time
 	seq     uint64
 }
@@ -90,7 +86,7 @@ func newPeerSet(e *Engine) *peerSet {
 		needed:     needed,
 		born:       time.Now(),
 		gens:       gens,
-		silPending: make(map[string]map[msg.WireID]pendingSilence),
+		silPending: make(map[msg.WireID]pendingSilence),
 	}
 }
 
@@ -153,15 +149,6 @@ func (p *peerSet) start() error {
 }
 
 func (p *peerSet) stop() {
-	// Ship parked silence promises while connections are still up, so a
-	// graceful shutdown's final promises (e.g. end-of-stream silence) are
-	// not stranded in the coalescing window.
-	p.silMu.Lock()
-	if p.silTimer != nil {
-		p.silTimer.Stop()
-	}
-	p.silMu.Unlock()
-	p.flushSilence()
 	p.mu.Lock()
 	p.stopped = true
 	if p.listener != nil {
@@ -212,81 +199,52 @@ func (p *peerSet) send(peer string, env msg.Envelope) {
 	}
 }
 
-// sendSilence transmits a silence promise to a peer, coalescing through the
-// engine's flush window: the promise parks in silPending and ships with the
-// newest watermark per wire. A promise arriving after a flush-quiet window
-// flushes inline (sparse silence — probe responses, end-of-stream — pays no
-// latency), while promises inside the window wait for the closing timer.
-// Lossless, because a newer promise on the same wire strictly subsumes an
-// older one.
+// sendSilence transmits a silence promise to a peer. With no flush in
+// progress the caller flushes at once; otherwise the promise joins the
+// table, merged with any older promise for its wire, and the flush in
+// progress sends it on its next pass. Lossless, because a newer promise on
+// the same wire strictly subsumes an older one.
 func (p *peerSet) sendSilence(peer string, env msg.Envelope) {
+	next := pendingSilence{peer: peer, wire: env.Wire, promise: env.Promise, seq: env.Seq}
 	p.silMu.Lock()
-	m := p.silPending[peer]
-	if m == nil {
-		m = make(map[msg.WireID]pendingSilence)
-		p.silPending[peer] = m
-	}
-	next := pendingSilence{promise: env.Promise, seq: env.Seq}
-	if old, ok := m[env.Wire]; ok {
+	if old, ok := p.silPending[env.Wire]; ok {
 		p.silCoalesced++
-		if env.Promise <= old.promise && env.Seq <= old.seq {
-			p.silMu.Unlock()
-			return
-		}
-		if old.promise > next.promise {
-			next.promise = old.promise
-		}
-		if old.seq > next.seq {
-			next.seq = old.seq
-		}
+		next.promise = max(next.promise, old.promise)
+		next.seq = max(next.seq, old.seq)
 	}
-	m[env.Wire] = next
-	if time.Since(p.silLast) >= silenceFlushWindow {
+	p.silPending[env.Wire] = next
+	if p.silFlushing {
 		p.silMu.Unlock()
-		p.flushSilence()
 		return
 	}
-	if !p.silArmed {
-		p.silArmed = true
-		if p.silTimer == nil {
-			p.silTimer = time.AfterFunc(silenceFlushWindow, p.flushSilence)
-		} else {
-			p.silTimer.Reset(silenceFlushWindow)
+	p.silFlushing = true
+	for len(p.silPending) > 0 {
+		out := p.takeSilenceLocked()
+		coalesced := p.silCoalesced
+		p.silCoalesced = 0
+		p.silMu.Unlock()
+		if coalesced > 0 && p.e.obs != nil {
+			p.e.obs.SilencesCoalesced(coalesced)
 		}
+		for _, ps := range out {
+			p.send(ps.peer, msg.NewSilenceAfter(ps.wire, ps.promise, ps.seq))
+		}
+		p.silMu.Lock()
 	}
+	p.silFlushing = false
 	p.silMu.Unlock()
 }
 
-// flushSilence ships every parked promise (newest per wire), in sorted
-// peer and wire order.
-func (p *peerSet) flushSilence() {
-	p.silMu.Lock()
-	pending := p.silPending
-	p.silPending = make(map[string]map[msg.WireID]pendingSilence)
-	p.silArmed = false
-	p.silLast = time.Now()
-	coalesced := p.silCoalesced
-	p.silCoalesced = 0
-	p.silMu.Unlock()
-	if coalesced > 0 && p.e.obs != nil {
-		p.e.obs.SilencesCoalesced(coalesced)
+// takeSilenceLocked empties the promise table into the flusher's scratch.
+// The caller holds silMu and is the flusher.
+func (p *peerSet) takeSilenceLocked() []pendingSilence {
+	out := p.silOut[:0]
+	for _, ps := range p.silPending {
+		out = append(out, ps)
 	}
-	peers := make([]string, 0, len(pending))
-	for peer := range pending {
-		peers = append(peers, peer)
-	}
-	sort.Strings(peers)
-	for _, peer := range peers {
-		wires := make([]msg.WireID, 0, len(pending[peer]))
-		for w := range pending[peer] {
-			wires = append(wires, w)
-		}
-		sort.Slice(wires, func(i, j int) bool { return wires[i] < wires[j] })
-		for _, w := range wires {
-			ps := pending[peer][w]
-			p.send(peer, msg.NewSilenceAfter(w, ps.promise, ps.seq))
-		}
-	}
+	clear(p.silPending)
+	p.silOut = out
+	return out
 }
 
 // heartbeat sends a hello on every live connection.

@@ -90,9 +90,10 @@ type Config struct {
 	Audit *AuditLog
 	// Seed seeds the component's deterministic PRNG.
 	Seed uint64
-	// ProbeRetry is how long a blocked scheduler waits before re-issuing
-	// curiosity probes for the same target (a robustness backstop; standing
-	// curiosities at the sender normally answer first). Default 50ms.
+	// ProbeRetry is how often the scheduler forgets its outstanding
+	// curiosity probes, so that a probe lost in flight (a link not yet up, a
+	// crashed peer) is re-issued. It is only a backstop: an answered probe
+	// frees its wire at once. Default 50ms.
 	ProbeRetry time.Duration
 	// Calibration enables estimator recalibration; optional.
 	Calibration *Calibration
@@ -162,7 +163,6 @@ type Scheduler struct {
 	nextCall         uint64
 	arrival          uint64 // arrival counter for out-of-RT-order accounting
 	maxDlvd          uint64 // max arrival index among delivered messages
-	probed           map[msg.WireID]vt.Time
 	pessStart        time.Time
 	pessBlame        msg.WireID // last holdout observed during the current pessimism episode; -1 if none
 	finalSilenceSent bool
@@ -220,7 +220,6 @@ func New(cfg Config) (*Scheduler, error) {
 		gov:        silence.NewGovernor(cfg.Silence),
 		rng:        stats.NewRNG(cfg.Seed),
 		waiters:    make(map[uint64]chan msg.Envelope),
-		probed:     make(map[msg.WireID]vt.Time),
 		poke:       make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -428,7 +427,9 @@ func (s *Scheduler) deliverSilence(env msg.Envelope) {
 }
 
 // deliverProbe answers a curiosity probe for one of this component's
-// output wires.
+// output wires. A target the component cannot cover yet stands in the
+// governor, and the worker, woken here, forwards it up the input wires that
+// hold the clock back (forwardLocked).
 func (s *Scheduler) deliverProbe(env msg.Envelope) {
 	s.mu.Lock()
 	ow, ok := s.outputs[env.Wire]
@@ -440,9 +441,15 @@ func (s *Scheduler) deliverProbe(env msg.Envelope) {
 	// so the probe is answered with the freshest promise.
 	s.advanceFrontierLocked()
 	p := s.gov.OnProbe(env.Wire, env.Promise, s.viewLocked(ow))
+	// A promise that covers the target is always sent (an earlier answer
+	// may have been lost). One that falls short cannot unblock the prober,
+	// and a probing governor answers the standing target as soon as the
+	// clock covers it, so only a Lazy governor, which never answers later,
+	// sends it now.
+	answer := p.Through >= env.Promise || !s.gov.Strategy().Probes()
 	sentSeq := ow.seq
 	s.mu.Unlock()
-	if p != nil {
+	if answer {
 		s.noteSilence(ow, p.Through)
 		s.cfg.Router.Route(msg.NewSilenceAfter(p.Wire, p.Through, sentSeq))
 	}

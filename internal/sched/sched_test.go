@@ -402,3 +402,106 @@ func TestRunStopLifecycle(t *testing.T) {
 	// others safely.
 	f.stop()
 }
+
+// recordRouter keeps every routed envelope.
+type recordRouter struct {
+	mu  sync.Mutex
+	got []msg.Envelope
+}
+
+func (r *recordRouter) Route(env msg.Envelope) {
+	r.mu.Lock()
+	r.got = append(r.got, env)
+	r.mu.Unlock()
+}
+
+// take returns and forgets the envelopes of the given kind routed so far.
+func (r *recordRouter) take(kind msg.Kind) []msg.Envelope {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []msg.Envelope
+	for _, env := range r.got {
+		if env.Kind == kind {
+			out = append(out, env)
+		}
+	}
+	r.got = r.got[:0]
+	return out
+}
+
+// TestProbeClimbsOneInFlight: a single-input component that cannot cover a
+// probe forwards it up its input for the horizon the target needs (target
+// − MinCost − WireDelay) and sends no short answer; a second probe waits
+// while the first is unanswered, and once the answer arrives the worker
+// forwards the standing target that is still short. A Lazy component never
+// forwards, and answers with what it has.
+func TestProbeClimbsOneInFlight(t *testing.T) {
+	tp := fig1(t)
+	comp, _ := tp.ComponentByName("sender1")
+	in, out := comp.Inputs[0], comp.Outputs["out"]
+	r := &recordRouter{}
+	s, err := New(Config{Comp: comp, Topo: tp, Handler: passthrough("out"),
+		Est: estimator.Constant{C: 100}, Router: r,
+		Silence: silence.Config{Strategy: silence.Curiosity}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	need := func(target vt.Time) vt.Time {
+		return target.Add(-s.cfg.Est.MinCost(0)).Add(-tp.Wire(out).Delay)
+	}
+	probesOn := func(envs []msg.Envelope) []vt.Time {
+		var ts []vt.Time
+		for _, env := range envs {
+			if env.Wire != in {
+				t.Fatalf("probe on wire %v, want the input %v", env.Wire, in)
+			}
+			ts = append(ts, env.Promise)
+		}
+		return ts
+	}
+
+	// step runs what the worker runs after a wake, and returns the probes
+	// it would route.
+	step := func() []vt.Time {
+		_, control := s.step(nil)
+		var fwd []msg.Envelope
+		for _, env := range control {
+			if env.Kind == msg.KindProbe {
+				fwd = append(fwd, env)
+			}
+		}
+		return probesOn(fwd)
+	}
+
+	s.Deliver(msg.NewProbe(out, 10_000))
+	if got := step(); len(got) != 1 || got[0] != need(10_000) {
+		t.Fatalf("forwarded probes = %v, want one for %v", got, need(10_000))
+	}
+	s.Deliver(msg.NewProbe(out, 20_000))
+	if got := step(); len(got) != 0 {
+		t.Fatalf("a second probe went up while the first was outstanding: %v", got)
+	}
+	// The answer covers the first forward; the standing 20_000 is still
+	// short, so the next step forwards it.
+	s.Deliver(msg.NewSilence(in, need(10_000)))
+	if got := step(); len(got) != 1 || got[0] != need(20_000) {
+		t.Fatalf("step forwarded %v, want one probe for %v", got, need(20_000))
+	}
+	if got := r.take(msg.KindSilence); len(got) != 0 {
+		t.Fatalf("short answers were sent: %v", got)
+	}
+
+	lazy, err := New(Config{Comp: comp, Topo: tp, Handler: passthrough("out"),
+		Est: estimator.Constant{C: 100}, Router: r,
+		Silence: silence.Config{Strategy: silence.Lazy}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy.Deliver(msg.NewProbe(out, 10_000))
+	if _, control := lazy.step(nil); len(control) != 0 {
+		t.Fatalf("a lazy component forwarded %v", control)
+	}
+	if got := r.take(msg.KindSilence); len(got) != 1 {
+		t.Fatalf("a lazy component answered %v, want its short promise", got)
+	}
+}

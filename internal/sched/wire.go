@@ -86,6 +86,11 @@ type inWire struct {
 	// lastVT is the virtual time of the last delivered message.
 	lastVT vt.Time
 
+	// probe is the target of the curiosity probe outstanding on the wire
+	// (vt.Never if none). It is answered once the watermark reaches it;
+	// until then no further probe goes up the wire (see probeLocked).
+	probe vt.Time
+
 	// Merge-index bookkeeping, owned by the scheduler's frontier (see
 	// merge.go): the cached sort key, the heap slot, and which heap.
 	hkey vt.Time
@@ -115,6 +120,7 @@ func newInWire(w *topo.Wire) *inWire {
 		nextSeq:     1,
 		lastVT:      vt.Never,
 		pendPromise: vt.Never,
+		probe:       vt.Never,
 		hpos:        -1,
 	}
 }

@@ -21,8 +21,8 @@ const maxDeliveryBatch = 128
 // resulting silence knowledge.
 func (s *Scheduler) loop() {
 	defer close(s.done)
-	timer := time.NewTimer(s.cfg.ProbeRetry)
-	defer timer.Stop()
+	retry := time.NewTicker(s.cfg.ProbeRetry)
+	defer retry.Stop()
 	var control []msg.Envelope // reused across steps; control envelopes carry no payload
 	for {
 		var delivered bool
@@ -39,22 +39,16 @@ func (s *Scheduler) loop() {
 			}
 			continue
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(s.cfg.ProbeRetry)
 		select {
 		case <-s.stop:
 			return
 		case <-s.poke:
-		case <-timer.C:
-			// Allow probes for unchanged targets to be re-issued.
+		case <-retry.C:
+			// Forget the outstanding probes: one lost in flight is re-issued
+			// by the step that follows.
 			s.mu.Lock()
-			for w := range s.probed {
-				delete(s.probed, w)
+			for _, in := range s.inputs {
+				in.probe = vt.Never
 			}
 			s.mu.Unlock()
 		}
@@ -125,13 +119,15 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 			}
 			if s.gov.Strategy().Probes() {
 				for _, w := range blockers {
-					if s.probed[w] < cand.env.VT {
-						s.probed[w] = cand.env.VT
-						if s.obs != nil {
-							s.obs.Probe(s.inputs[w].obs, cand.env.VT)
-						}
-						control = append(control, msg.NewProbe(w, cand.env.VT))
+					// A candidate later than the outstanding probe's target
+					// asks again at once: the sender raises its standing
+					// target, so a busy sender answers the candidate when its
+					// handler ends, not one round trip after that.
+					in := s.inputs[w]
+					if in.probe < cand.env.VT {
+						in.probe = vt.Never
 					}
+					control = s.probeLocked(in, cand.env.VT, control)
 				}
 			}
 			break
@@ -254,8 +250,49 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 			break
 		}
 	}
+	// Standing curiosity the clock has not covered climbs on: a new probe,
+	// an answered forward that left the target short, or a forward the
+	// ProbeRetry backstop forgot.
+	control = s.forwardLocked(control)
 	s.mu.Unlock()
 	return delivered, control
+}
+
+// forwardLocked relays this component's standing curiosity upstream: a
+// target it cannot promise yet waits on the input wires that hold its clock
+// back — no queued message, and a watermark below the horizon the targets
+// need (silence.Governor.Need) — so each of them is probed for that
+// horizon. Source wires are answered by the engine (answerSourceProbe).
+func (s *Scheduler) forwardLocked(control []msg.Envelope) []msg.Envelope {
+	if !s.gov.Strategy().Probes() {
+		return control
+	}
+	need, ok := s.gov.Need((*outViews)(s))
+	if !ok {
+		return control
+	}
+	for _, in := range s.front.silent {
+		if in.watermark < need {
+			control = s.probeLocked(in, need, control)
+		}
+	}
+	return control
+}
+
+// probeLocked appends a curiosity probe for silence through t (beyond the
+// wire's watermark) on the input wire, unless a probe is still outstanding
+// there: one probe per wire is in flight, and the next goes out once the
+// watermark has reached the last one's target (or the ProbeRetry backstop
+// forgot it, or a blocked candidate needs a later target).
+func (s *Scheduler) probeLocked(in *inWire, t vt.Time, control []msg.Envelope) []msg.Envelope {
+	if in.watermark < in.probe {
+		return control
+	}
+	in.probe = t
+	if s.obs != nil {
+		s.obs.Probe(in.obs, t)
+	}
+	return append(control, msg.NewProbe(in.w.ID, t))
 }
 
 // advanceFrontierLocked moves the component clock up to the earliest

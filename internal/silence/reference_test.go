@@ -182,11 +182,11 @@ func TestGovernorMatchesReference(t *testing.T) {
 				w := all[rng.Intn(nWires)]
 				target := clock.Add(vt.Ticks(rng.Intn(6000)) - 500)
 				want := ref.OnProbe(w, target, view(w))
-				if got := viaMap.OnProbe(w, target, view(w)); *got != *want {
-					t.Fatalf("%s: adapter OnProbe = %+v, want %+v", where, *got, *want)
+				if got := viaMap.OnProbe(w, target, view(w)); got != *want {
+					t.Fatalf("%s: adapter OnProbe = %+v, want %+v", where, got, *want)
 				}
-				if got := viaPull.OnProbe(w, target, view(w)); *got != *want {
-					t.Fatalf("%s: pull OnProbe = %+v, want %+v", where, *got, *want)
+				if got := viaPull.OnProbe(w, target, view(w)); got != *want {
+					t.Fatalf("%s: pull OnProbe = %+v, want %+v", where, got, *want)
 				}
 			case op < 4: // data send
 				w := all[rng.Intn(nWires)]

@@ -242,7 +242,7 @@ func (g *Governor) ApplyFault(cfg Config) {
 // answer was lost (a link fault) or the receiver restarted from a
 // checkpoint without it — silence is communication, so re-sending is always
 // safe and here necessary.
-func (g *Governor) OnProbe(w msg.WireID, target vt.Time, view View) *Promise {
+func (g *Governor) OnProbe(w msg.WireID, target vt.Time, view View) Promise {
 	p := g.promiseFor(view)
 	if p < target {
 		i, ok := g.findCuriosity(w)
@@ -258,7 +258,31 @@ func (g *Governor) OnProbe(w msg.WireID, target vt.Time, view View) *Promise {
 	if p > g.promised[w] {
 		g.promised[w] = p
 	}
-	return &Promise{Wire: w, Through: g.promised[w]}
+	return Promise{Wire: w, Through: g.promised[w]}
+}
+
+// Need returns how far a component's inputs must be silent for its promises
+// to cover every standing curiosity target: the latest, over the targets,
+// of the input watermark at which the wire's promise would reach the target
+// (the inverse of View.Promise, less a HyperAggressive bias). It reports
+// false when no target stands. A component that cannot answer a probe
+// forwards it up the inputs that trail this horizon.
+func (g *Governor) Need(src ViewSource) (vt.Time, bool) {
+	need, ok := vt.Never, false
+	for _, c := range g.curiosity {
+		view, has := src.View(c.wire)
+		if !has {
+			continue
+		}
+		h := c.target.Add(-view.MinCost).Add(-view.WireDelay)
+		if g.cfg.Strategy == HyperAggressive {
+			h = h.Add(-g.cfg.Bias)
+		}
+		if h > need {
+			need, ok = h, true
+		}
+	}
+	return need, ok
 }
 
 // Advance is called after the component's clock advances (it finished

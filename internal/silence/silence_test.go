@@ -55,7 +55,7 @@ func TestGovernorOnProbe(t *testing.T) {
 	view := View{Clock: 1000, MinCost: 100, WireDelay: 1, LastSentVT: vt.Never}
 	// Promise = 1000+100+1-1 = 1100; target 2000 not reachable yet.
 	p := g.OnProbe(1, 2000, view)
-	if p == nil || p.Through != 1100 {
+	if p.Through != 1100 {
 		t.Fatalf("OnProbe = %+v, want promise through 1100", p)
 	}
 	if _, ok := g.PendingCuriosity(1); !ok {
@@ -63,7 +63,7 @@ func TestGovernorOnProbe(t *testing.T) {
 	}
 	// Re-probing with no new knowledge re-sends the same promise (the
 	// receiver probing again means the earlier answer was lost).
-	if p := g.OnProbe(1, 2000, view); p == nil || p.Through != 1100 {
+	if p := g.OnProbe(1, 2000, view); p.Through != 1100 {
 		t.Errorf("duplicate probe answered %+v, want re-promise through 1100", p)
 	}
 	// Clock advance extends the promise; OnAdvance answers the standing
@@ -83,11 +83,42 @@ func TestGovernorOnProbe(t *testing.T) {
 	}
 }
 
+// TestGovernorNeed: the input horizon a standing target needs inverts the
+// promise formula, takes the latest over the targets, and nets out a
+// HyperAggressive bias; with no target standing there is nothing to need.
+func TestGovernorNeed(t *testing.T) {
+	views := mapViews{
+		1: {Clock: 1000, MinCost: 100, WireDelay: 10, LastSentVT: vt.Never},
+		2: {Clock: 1000, MinCost: 100, WireDelay: 50, LastSentVT: vt.Never},
+	}
+	g := NewGovernor(Config{Strategy: Curiosity})
+	if _, ok := g.Need(views); ok {
+		t.Fatal("Need with no standing target")
+	}
+	g.OnProbe(1, 5000, views[1])
+	g.OnProbe(2, 5020, views[2])
+	// Wire 1 needs 5000-100-10 = 4890, wire 2 5020-100-50 = 4870.
+	if need, ok := g.Need(views); !ok || need != 4890 {
+		t.Fatalf("Need = %v,%v, want 4890", need, ok)
+	}
+	// Inputs silent through the horizon make the clock 4891 and the
+	// promise exactly the target.
+	if p := (View{Clock: 4891, MinCost: 100, WireDelay: 10, LastSentVT: vt.Never}).Promise(); p != 5000 {
+		t.Fatalf("promise at the horizon = %v, want the target 5000", p)
+	}
+
+	hyper := NewGovernor(Config{Strategy: HyperAggressive, Bias: 300})
+	hyper.OnProbe(1, 5000, views[1])
+	if need, ok := hyper.Need(views); !ok || need != 4590 {
+		t.Fatalf("biased Need = %v,%v, want 4590", need, ok)
+	}
+}
+
 func TestGovernorProbeSatisfiedImmediately(t *testing.T) {
 	g := NewGovernor(Config{Strategy: Curiosity})
 	view := View{Clock: 5000, MinCost: 100, WireDelay: 1, LastSentVT: vt.Never}
 	p := g.OnProbe(1, 3000, view) // target below current promise
-	if p == nil || p.Through < 3000 {
+	if p.Through < 3000 {
 		t.Fatalf("OnProbe = %+v", p)
 	}
 	if _, ok := g.PendingCuriosity(1); ok {

@@ -211,7 +211,7 @@ const (
 	breakerHelp   = "Per-peer dial circuit breaker position (0 closed, 1 open, 2 half-open)."
 	coldstartHelp = "Logged input records re-injected from the durable WAL suffix during a cold restart."
 	shedHelp      = "External inputs refused at sources because buffered replay state hit its bound."
-	coalesceHelp  = "Peer-bound silence promises absorbed by a newer promise within a flush window."
+	coalesceHelp  = "Peer-bound silence promises absorbed by a newer promise during a flush."
 	ckptCountHelp = "Soft checkpoints applied to the backup, by kind."
 	ckptBytesHelp = "Encoded handler-state bytes per soft checkpoint, by kind."
 	ckptHoldHelp  = "Real time one component's delivery loop was held quiescent while a soft checkpoint staged its state."

@@ -48,8 +48,9 @@ const (
 	// by the analyzer from the gap preceding a queueing span; there is no
 	// single-host observer for wire flight).
 	PhaseTransport
-	// PhaseLinger: the encoded envelope waited in the TCP write-coalescing
-	// buffer for the linger window to close.
+	// PhaseLinger: the encoded envelope waited in a write-coalescing buffer
+	// for a linger window to close. Nothing records it since the TCP
+	// writer stopped lingering; readers of the phase table still name it.
 	PhaseLinger
 	// PhaseReplay: the span belongs to a post-failover re-delivery; the
 	// analyzer attributes all of a replayed span's time here so a

@@ -42,11 +42,12 @@ func tcpPair(tb testing.TB, tr TCP) (client, server *tcpConn, cleanup func()) {
 	}
 }
 
-// TestTCPCoalescesWrites sends a burst through a connection with a wide
-// flush window and checks the burst shares a handful of socket flushes
-// while still arriving complete and in order.
+// TestTCPCoalescesWrites checks the self-clocked writer: frames sent while
+// a write is in flight (here, while the test holds the writer) join the
+// next write, so the whole burst leaves in one writev, complete and in
+// order, as soon as the writer is free.
 func TestTCPCoalescesWrites(t *testing.T) {
-	client, server, cleanup := tcpPair(t, TCP{FlushDelay: 5 * time.Millisecond})
+	client, server, cleanup := tcpPair(t, TCP{})
 	defer cleanup()
 
 	const n = 100
@@ -61,11 +62,16 @@ func TestTCPCoalescesWrites(t *testing.T) {
 			recvd <- env
 		}
 	}()
+	client.writeMu.Lock() // a write in flight
 	for i := 1; i <= n; i++ {
 		if err := client.Send(msg.NewData(1, uint64(i), vt.Time(i*10), nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if st := client.Stats(); st.Flushes != 0 {
+		t.Fatalf("%d writes while the writer was busy", st.Flushes)
+	}
+	client.writeMu.Unlock()
 	for i := 1; i <= n; i++ {
 		select {
 		case env := <-recvd:
@@ -76,19 +82,16 @@ func TestTCPCoalescesWrites(t *testing.T) {
 			t.Fatalf("frame %d never arrived", i)
 		}
 	}
-	st := client.Stats()
-	if st.Envelopes != n {
-		t.Fatalf("envelope count = %d, want %d", st.Envelopes, n)
-	}
-	if st.Flushes*2 > st.Envelopes {
-		t.Errorf("burst was not coalesced: %d flushes for %d envelopes", st.Flushes, st.Envelopes)
+	if st := client.Stats(); st.Envelopes != n || st.Flushes != 1 {
+		t.Errorf("stats = %+v, want %d envelopes in one write", st, n)
 	}
 }
 
-// TestTCPEagerFlushWhenDisabled checks that a negative FlushDelay restores
-// one syscall per Send.
-func TestTCPEagerFlushWhenDisabled(t *testing.T) {
-	client, server, cleanup := tcpPair(t, TCP{FlushDelay: -1})
+// TestTCPIdleSendWritesInline checks that a Send on an idle connection
+// writes before it returns, with no hand-off: sparse traffic is one write
+// per envelope and pays no latency.
+func TestTCPIdleSendWritesInline(t *testing.T) {
+	client, server, cleanup := tcpPair(t, TCP{})
 	defer cleanup()
 
 	const n = 20
@@ -100,21 +103,23 @@ func TestTCPEagerFlushWhenDisabled(t *testing.T) {
 		}
 	}()
 	for i := 1; i <= n; i++ {
+		time.Sleep(time.Millisecond) // longer than idleGap
 		if err := client.Send(msg.NewSilence(1, vt.Time(i*10))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := client.Stats()
-	if st.Flushes != st.Envelopes || st.Envelopes != n {
-		t.Errorf("eager mode stats = %+v, want one flush per envelope", st)
+		if st := client.Stats(); st.Flushes != uint64(i) {
+			t.Fatalf("after idle send %d: %d writes, want %d", i, st.Flushes, i)
+		}
 	}
 }
 
-// benchCoalescing pushes a silence-heavy envelope mix (the watermark chatter
-// that dominates idle wires) through a loopback TCP connection and reports
-// socket writes per envelope.
-func benchCoalescing(b *testing.B, delay time.Duration) {
-	client, server, cleanup := tcpPair(b, TCP{FlushDelay: delay})
+// BenchmarkTransportCoalescing pushes a silence-heavy envelope mix (the
+// watermark chatter that dominates idle wires) through a loopback TCP
+// connection as fast as one sender can, and reports socket writes per
+// envelope: the self-clocked writer batches whatever arrives during a
+// write.
+func BenchmarkTransportCoalescing(b *testing.B) {
+	client, server, cleanup := tcpPair(b, TCP{})
 	defer cleanup()
 
 	done := make(chan struct{})
@@ -148,11 +153,4 @@ func benchCoalescing(b *testing.B, delay time.Duration) {
 	if st.Envelopes > 0 {
 		b.ReportMetric(float64(st.Flushes)/float64(st.Envelopes), "writes/envelope")
 	}
-}
-
-// BenchmarkTransportCoalescing compares the default bounded-linger window
-// against eager per-Send flushing on a silence-heavy mix.
-func BenchmarkTransportCoalescing(b *testing.B) {
-	b.Run("coalesced", func(b *testing.B) { benchCoalescing(b, 0) })
-	b.Run("eager", func(b *testing.B) { benchCoalescing(b, -1) })
 }

@@ -28,7 +28,7 @@ func TestLoopbackDigestsMatchSocketPath(t *testing.T) {
 	// serialized) must produce the same audit digest, because PayloadDigest
 	// is a function of the value, not of the transport representation.
 	payloads := []any{"hello", []byte{1, 2, 3}, int64(42), nil}
-	sc, srv, cleanup := tcpPair(t, TCP{FlushDelay: -1})
+	sc, srv, cleanup := tcpPair(t, TCP{})
 	defer cleanup()
 	ic, isrv := newInprocPair()
 	defer ic.Close()

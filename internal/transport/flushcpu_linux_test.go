@@ -20,23 +20,22 @@ func processCPU(tb testing.TB) time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// TestFlushLoopIdleCPU pins down the write-coalescing flusher's idle cost:
-// with the window armed, the flusher must park on a timer until the
-// deadline instead of busy-yielding. The pre-fix flushLoop spun through
-// runtime.Gosched() for the remainder of every armed window, burning close
-// to a full window of CPU per flush: this test measured 96.3ms of process
-// CPU across a 100.1ms armed window (~96%) on the spin version, vs ~0.6ms
-// (~0.6%) on the timer-parked version. The generous wall/2 bound separates
-// the two regimes by two orders of magnitude.
+// TestFlushLoopIdleCPU pins down the flusher's idle cost: between kicks it
+// must park on its kick channel, not poll for pending frames. An earlier
+// flusher spun through runtime.Gosched() while it waited, which measured
+// 96.3ms of process CPU across a 100.1ms wait (~96%), against ~0.6ms for a
+// parked one; the generous wall/2 bound separates the two regimes by two
+// orders of magnitude.
 func TestFlushLoopIdleCPU(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
 	}
-	const window = 100 * time.Millisecond
-	client, server, cleanup := tcpPair(t, TCP{FlushDelay: window})
+	const idle = 100 * time.Millisecond
+	client, server, cleanup := tcpPair(t, TCP{})
 	defer cleanup()
 
-	recvd := make(chan struct{}, 4)
+	const n = 10
+	recvd := make(chan struct{}, n)
 	go func() {
 		for {
 			if _, err := server.Recv(); err != nil {
@@ -45,35 +44,32 @@ func TestFlushLoopIdleCPU(t *testing.T) {
 			recvd <- struct{}{}
 		}
 	}()
-
-	// First send flushes inline (idle window); the second arms the window
-	// and parks the flusher for the ~full delay.
-	for i := 1; i <= 2; i++ {
+	// A burst sent while the writer is busy goes through the flusher.
+	client.writeMu.Lock()
+	for i := 1; i <= n; i++ {
 		if err := client.Send(msg.NewData(1, uint64(i), vt.Time(i), nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	start := time.Now()
-	cpu0 := processCPU(t)
-	for i := 0; i < 2; i++ {
+	client.writeMu.Unlock()
+	for i := 0; i < n; i++ {
 		select {
 		case <-recvd:
 		case <-time.After(10 * time.Second):
-			t.Fatal("lingered envelope never flushed")
+			t.Fatal("the flusher never wrote the burst")
 		}
 	}
+
+	start := time.Now()
+	cpu0 := processCPU(t)
+	time.Sleep(idle)
 	wall := time.Since(start)
 	cpuSpent := processCPU(t) - cpu0
-
-	if wall < window/2 {
-		t.Skipf("window drained in %v; flusher never had to park", wall)
-	}
 	// Generous bound: the whole process (test goroutines included) must
-	// burn far less CPU than the armed window it waited out. The old spin
-	// loop alone exceeded this by an order of magnitude.
+	// burn far less CPU than the idle stretch it waited out.
 	if limit := wall / 2; cpuSpent > limit {
-		t.Fatalf("process burned %v CPU across a %v armed window (limit %v) — flusher is spinning again",
+		t.Fatalf("process burned %v CPU across %v idle (limit %v) — the flusher is spinning",
 			cpuSpent, wall, limit)
 	}
-	t.Logf("armed window: wall=%v, process cpu=%v", wall, cpuSpent)
+	t.Logf("idle flusher: wall=%v, process cpu=%v", wall, cpuSpent)
 }

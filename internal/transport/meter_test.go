@@ -3,6 +3,7 @@ package transport
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/msg"
 	"repro/internal/trace"
@@ -16,7 +17,7 @@ func TestMeterObservesBytesBatchesAndFallbacks(t *testing.T) {
 	}
 	reg := trace.NewRegistry(trace.L("engine", "meter-test"))
 	m := NewMeter(reg)
-	tr := TCP{FlushDelay: -1, Meter: m}
+	tr := TCP{Meter: m}
 	l, err := tr.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -37,6 +38,7 @@ func TestMeterObservesBytesBatchesAndFallbacks(t *testing.T) {
 		if i%2 == 0 {
 			payload = unregisteredMeterPayload{S: "fallback"}
 		}
+		time.Sleep(time.Millisecond) // longer than idleGap: each Send writes inline
 		if err := c.Send(msg.NewData(1, uint64(i+1), 10, payload)); err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +56,7 @@ func TestMeterObservesBytesBatchesAndFallbacks(t *testing.T) {
 		t.Errorf("bytes recv = %d, want > 0", got)
 	}
 	if snap := m.FramesPerWritev.Snapshot(); snap.Count != sends {
-		// FlushDelay=-1: one writev per envelope, so exactly `sends` batches.
+		// Idle sends: one writev per envelope, so exactly `sends` batches.
 		t.Errorf("writev batches = %d, want %d", snap.Count, sends)
 	}
 	// 5 fallback sends observed on the send side and again on the receive

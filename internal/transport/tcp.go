@@ -10,13 +10,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
-	"repro/internal/trace/span"
 )
-
-// DefaultFlushDelay is the bounded linger applied to outgoing envelopes
-// when TCP.FlushDelay is zero: an encoded envelope waits at most this long
-// for companions before the buffer is flushed to the socket.
-const DefaultFlushDelay = 50 * time.Microsecond
 
 // DefaultDialTimeout bounds connection establishment. A bare dial against
 // a black-holed address (packets dropped, no RST) hangs until the kernel
@@ -29,10 +23,15 @@ const (
 	// pooled chunk instead of growing the tail — each chunk becomes one
 	// iovec entry in the writev batch.
 	chunkTarget = 32 << 10
-	// maxPendingBytes bounds the coalescing buffer: a Send that would push
-	// the pending batch past this flushes inline rather than letting a
-	// burst pin unbounded memory behind the linger timer.
+	// maxPendingBytes bounds the coalescing buffer: a Send that finds the
+	// pending batch this large waits for the writer and writes it itself,
+	// rather than letting a burst pin unbounded memory behind a slow socket.
 	maxPendingBytes = 1 << 20
+	// idleGap is how long after a write starts the connection still counts
+	// as busy. A Send on an idle connection writes inline; inside the gap it
+	// hands its frame to the flusher goroutine, which writes at once, so a
+	// burst shares writes without any frame waiting on a clock.
+	idleGap = 20 * time.Microsecond
 	// readBufStart is the initial bulk read buffer; it doubles on demand up
 	// to one frame of msg.MaxFrameSize.
 	readBufStart = 64 << 10
@@ -44,19 +43,6 @@ const (
 // all others ride a self-describing gob fallback and must be registered
 // with msg.RegisterPayload before use.
 type TCP struct {
-	// FlushDelay enables Nagle-style write coalescing: the first envelope
-	// after an idle window is flushed to the socket immediately (sparse
-	// traffic pays no latency tax), while envelopes sent within FlushDelay
-	// of the previous flush linger in the batch until a timer closes the
-	// window — a burst shares one framing pass and one writev. Zero means
-	// DefaultFlushDelay; negative disables coalescing (one flush per Send).
-	FlushDelay time.Duration
-
-	// Spans, when set, records a coalescing-linger span for every
-	// span-sampled envelope that waits in the write buffer: Start at
-	// encode, End at the flush that put it on the socket.
-	Spans *span.Collector
-
 	// Meter, when set, observes wire-level metrics on every connection this
 	// transport creates: socket bytes by direction, frames per writev
 	// batch, and gob-fallback envelopes.
@@ -65,23 +51,13 @@ type TCP struct {
 
 var _ Transport = TCP{}
 
-func (t TCP) flushDelay() time.Duration {
-	if t.FlushDelay == 0 {
-		return DefaultFlushDelay
-	}
-	if t.FlushDelay < 0 {
-		return 0
-	}
-	return t.FlushDelay
-}
-
 // Listen implements Transport.
 func (t TCP) Listen(addr string) (Listener, error) {
 	nl, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return &tcpListener{nl: nl, flushDelay: t.flushDelay(), spans: t.Spans, meter: t.Meter}, nil
+	return &tcpListener{nl: nl, meter: t.Meter}, nil
 }
 
 // Dial implements Transport, bounding connection establishment by
@@ -93,14 +69,12 @@ func (t TCP) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return newTCPConn(nc, t.flushDelay(), t.Spans, t.Meter), nil
+	return newTCPConn(nc, t.Meter), nil
 }
 
 type tcpListener struct {
-	nl         net.Listener
-	flushDelay time.Duration
-	spans      *span.Collector
-	meter      *Meter
+	nl    net.Listener
+	meter *Meter
 }
 
 func (l *tcpListener) Accept() (Conn, error) {
@@ -111,7 +85,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 		}
 		return nil, fmt.Errorf("transport: accept: %w", err)
 	}
-	return newTCPConn(nc, l.flushDelay, l.spans, l.meter), nil
+	return newTCPConn(nc, l.meter), nil
 }
 
 func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
@@ -128,34 +102,39 @@ type CoalesceStats struct {
 
 // tcpConn frames envelopes with the msg binary codec over one socket.
 //
-// Writes scatter-gather: each Send appends its frame to a pooled chunk,
-// chunks accumulate into a net.Buffers batch, and a flush ships the whole
-// batch in one writev — a burst is one framing pass and one syscall. With
-// a positive flushDelay, a Send that follows a flush-quiet window flushes
-// inline; Sends inside the window only encode, and a timer drains the
-// batch when the window closes — so sparse envelopes ship at once while a
-// burst shares one writev and lingers at most flushDelay.
+// Writes scatter-gather and clock themselves: each Send appends its frame to
+// a pooled chunk, chunks accumulate into a batch, and a write ships the
+// whole batch in one writev, outside the lock Sends append under. A Send
+// that finds the connection idle — no write in flight and none started in
+// the last idleGap — writes inline, so sparse traffic pays no hand-off.
+// Otherwise it kicks the flusher goroutine, which writes as soon as it runs
+// and keeps writing until the batch is empty: frames that arrive while a
+// write is in flight join the next one, so under load batches grow on
+// their own and no frame waits for a timer.
 //
 // Reads are bulk: the socket fills a growable buffer and frames decode
 // straight out of it (msg.DecodeFrame never retains the buffer), so one
 // read syscall typically yields many envelopes.
 type tcpConn struct {
-	nc         net.Conn
-	flushDelay time.Duration
-	spans      *span.Collector
-	meter      *Meter
+	nc    net.Conn
+	meter *Meter
 
 	sendMu        sync.Mutex
-	chunks        []*[]byte // encoded frames awaiting flush; tail is active
-	iov           net.Buffers
+	chunks        []*[]byte // encoded frames awaiting a write; tail is active
 	pendingBytes  int
 	pendingFrames int
-	flushKick     chan struct{} // wakes the flush loop; nil when coalescing is off
-	flushDone     chan struct{}
-	flushArmed    bool
-	lastFlush     time.Time
-	sendErr       error // sticky flush error, surfaced on later Sends
-	lingering     []span.Span
+	lastWrite     time.Time // when the newest write took its batch
+	kicked        bool      // the flusher is due to take the pending batch
+	sendErr       error     // sticky write error, surfaced on later Sends
+
+	// writeMu is held across a write; the batch being written and its
+	// iovec belong to the holder.
+	writeMu sync.Mutex
+	writing []*[]byte
+	iov     net.Buffers
+
+	flushKick chan struct{}
+	flushDone chan struct{}
 
 	envelopes atomic.Uint64
 	flushes   atomic.Uint64
@@ -168,18 +147,14 @@ type tcpConn struct {
 	closeErr  error
 }
 
-func newTCPConn(nc net.Conn, flushDelay time.Duration, spans *span.Collector, meter *Meter) *tcpConn {
+func newTCPConn(nc net.Conn, meter *Meter) *tcpConn {
 	c := &tcpConn{
-		nc:         nc,
-		flushDelay: flushDelay,
-		spans:      spans,
-		meter:      meter,
+		nc:        nc,
+		meter:     meter,
+		flushKick: make(chan struct{}, 1),
+		flushDone: make(chan struct{}),
 	}
-	if flushDelay > 0 {
-		c.flushKick = make(chan struct{}, 1)
-		c.flushDone = make(chan struct{})
-		go c.flushLoop()
-	}
+	go c.flushLoop()
 	return c
 }
 
@@ -196,9 +171,10 @@ func (c *tcpConn) tailChunk() *[]byte {
 
 func (c *tcpConn) Send(env msg.Envelope) error {
 	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
 	if c.sendErr != nil {
-		return c.sendErr
+		err := c.sendErr
+		c.sendMu.Unlock()
+		return err
 	}
 	tail := c.tailChunk()
 	out, fellBack, err := msg.AppendFrame(*tail, env)
@@ -206,129 +182,114 @@ func (c *tcpConn) Send(env msg.Envelope) error {
 		// AppendFrame returns the buffer unchanged on error: the frame
 		// boundary is intact and the stream is not poisoned, so an
 		// unencodable payload fails only its own Send.
+		c.sendMu.Unlock()
 		return err
 	}
 	c.pendingBytes += len(out) - len(*tail)
 	*tail = out
 	c.pendingFrames++
 	c.envelopes.Add(1)
+	full := c.pendingBytes >= maxPendingBytes
+	inline := full || !c.kicked && time.Since(c.lastWrite) >= idleGap
+	c.sendMu.Unlock()
 	if fellBack {
 		c.meter.fallback()
 	}
-	if c.flushDelay <= 0 || c.pendingBytes >= maxPendingBytes {
-		return c.flushLocked()
+	switch {
+	case full:
+		// Back-pressure: wait for the writer rather than grow the batch.
+		c.writeMu.Lock()
+	case !inline || !c.writeMu.TryLock():
+		c.handOff()
+		return nil
 	}
-	if time.Since(c.lastFlush) >= c.flushDelay {
-		// Idle window: ship immediately — coalescing must never add
-		// latency to sparse traffic, only batch bursts.
-		return c.flushLocked()
-	}
-	if c.spans.Decided(env.Trace, env.Origin) {
-		// The envelope will linger in the batch until the window closes;
-		// flushLocked stamps the span's End.
-		c.lingering = append(c.lingering, span.Span{
-			Origin: env.Origin, Phase: span.PhaseLinger, Wire: env.Wire,
-			Seq: env.Seq, Hops: env.Hops, Start: time.Now(),
-			StartVT: env.VT, EndVT: env.VT,
-		})
-	}
-	if !c.flushArmed {
-		c.flushArmed = true
+	c.writeLocked()
+	c.writeMu.Unlock()
+	return c.writeErr()
+}
+
+// handOff leaves the pending batch to the flusher, waking it unless it is
+// already due to take the batch.
+func (c *tcpConn) handOff() {
+	c.sendMu.Lock()
+	kick := !c.kicked
+	c.kicked = true
+	c.sendMu.Unlock()
+	if kick {
 		select {
 		case c.flushKick <- struct{}{}:
 		default:
 		}
 	}
-	return nil
 }
 
-// flushLoop drains the send batch once per linger window. The goroutine
-// is fully parked between windows: it blocks on the kick channel while the
-// connection is idle and on a runtime timer for the window remainder, so
-// an idle or sparsely-used connection burns no CPU. (An earlier version
-// yielded in a Gosched loop to dodge timer slop, which charged up to a
-// full linger window of CPU per armed window — continuous burn under
-// sustained traffic. Timer slop only delays envelopes that chose to
-// linger, and the first envelope after a quiet window still flushes
-// inline, so sparse traffic keeps its zero-latency path.)
+// flushLoop writes whenever it is kicked, until the batch is empty. It is
+// parked on the kick channel while the connection is idle.
 func (c *tcpConn) flushLoop() {
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		select {
 		case <-c.flushDone:
 			return
 		case <-c.flushKick:
 		}
-		c.sendMu.Lock()
-		deadline := c.lastFlush.Add(c.flushDelay)
-		c.sendMu.Unlock()
-		if wait := time.Until(deadline); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-c.flushDone:
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				return
-			case <-timer.C:
-			}
+		c.writeMu.Lock()
+		for c.writeLocked() {
 		}
-		c.sendMu.Lock()
-		c.flushArmed = false
-		if c.sendErr == nil && c.pendingBytes > 0 {
-			if err := c.flushLocked(); err != nil {
-				c.sendErr = err
-			}
-		}
-		c.sendMu.Unlock()
+		c.writeMu.Unlock()
 	}
 }
 
-// flushLocked ships the pending batch as one writev (net.Buffers.WriteTo)
-// and recycles the chunks to the codec pool. Caller holds sendMu.
-func (c *tcpConn) flushLocked() error {
+// writeLocked takes the pending batch and ships it as one writev
+// (net.Buffers.WriteTo), then recycles its chunks to the codec pool. The
+// caller holds writeMu; Sends keep appending to a fresh batch meanwhile.
+// It reports whether it wrote a batch.
+func (c *tcpConn) writeLocked() bool {
+	c.sendMu.Lock()
+	if c.sendErr != nil || c.pendingBytes == 0 {
+		c.kicked = false // nothing left for the flusher; the next Send decides anew
+		c.sendMu.Unlock()
+		return false
+	}
+	c.writing, c.chunks = c.chunks, c.writing[:0]
+	frames, bytes := c.pendingFrames, c.pendingBytes
+	c.pendingBytes, c.pendingFrames = 0, 0
+	c.lastWrite = time.Now()
+	c.sendMu.Unlock()
+
 	c.flushes.Add(1)
-	c.lastFlush = time.Now()
-	if len(c.lingering) > 0 {
-		for _, s := range c.lingering {
-			s.End = c.lastFlush
-			c.spans.Record(s)
-		}
-		c.lingering = c.lingering[:0]
-	}
-	if c.pendingBytes == 0 {
-		return nil
-	}
 	batch := c.iov[:0]
-	for _, ch := range c.chunks {
+	for _, ch := range c.writing {
 		if len(*ch) > 0 {
 			batch = append(batch, *ch)
 		}
 	}
-	c.iov = batch // keep the (possibly regrown) backing array for reuse
-	frames, bytes := c.pendingFrames, c.pendingBytes
+	c.iov = batch                 // keep the (possibly regrown) backing array for reuse
 	_, err := batch.WriteTo(c.nc) // advances batch; c.iov keeps the array
 	for i := range c.iov {
-		c.iov[i] = nil // don't pin chunk arrays between flushes
+		c.iov[i] = nil // don't pin chunk arrays between writes
 	}
 	c.iov = c.iov[:0]
-	for _, ch := range c.chunks {
+	for i, ch := range c.writing {
 		msg.PutBuffer(ch)
+		c.writing[i] = nil
 	}
-	c.chunks = c.chunks[:0]
-	c.pendingBytes, c.pendingFrames = 0, 0
+	c.writing = c.writing[:0]
 	if err != nil {
-		return c.mapErr(err)
+		c.sendMu.Lock()
+		c.sendErr = c.mapErr(err)
+		c.sendMu.Unlock()
+		return false
 	}
 	c.meter.sent(int64(bytes))
 	c.meter.writevBatch(frames)
-	return nil
+	return true
+}
+
+// writeErr returns the sticky write error, if any.
+func (c *tcpConn) writeErr() error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	return c.sendErr
 }
 
 // Stats reports the connection's coalescing counters.
@@ -383,17 +344,15 @@ func (c *tcpConn) Recv() (msg.Envelope, error) {
 
 func (c *tcpConn) Close() error {
 	c.closeOnce.Do(func() {
-		// Drain any lingering frames so a graceful close does not strand
-		// the tail of the stream in the coalescing batch.
-		if c.flushDone != nil {
-			close(c.flushDone)
-		}
-		c.sendMu.Lock()
-		if c.sendErr == nil && c.pendingBytes > 0 {
-			_ = c.flushLocked()
-		}
-		c.sendMu.Unlock()
+		// Write what is still pending so a graceful close does not strand
+		// the tail of the stream in the batch. The deadline bounds the wait
+		// for a write in flight to a peer that stopped reading.
+		close(c.flushDone)
+		_ = c.nc.SetWriteDeadline(time.Now().Add(DefaultDialTimeout))
+		c.writeMu.Lock()
+		c.writeLocked()
 		c.closeErr = c.nc.Close()
+		c.writeMu.Unlock()
 	})
 	return c.closeErr
 }

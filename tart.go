@@ -158,7 +158,7 @@ func CausalChain(events []TraceEvent, origin OriginID) []TraceEvent {
 }
 
 // Span is one timed segment of a traced message's journey (queueing,
-// pessimism wait, handler compute, transport linger), with wall-clock and
+// pessimism wait, handler compute, transport), with wall-clock and
 // virtual-time bounds. Obtain spans with Cluster.Spans (after
 // WithSpanTracing) or an engine's /spans debug endpoint.
 type Span = span.Span
@@ -172,7 +172,7 @@ const (
 	PhasePessimism = span.PhasePessimism
 	PhaseCompute   = span.PhaseCompute
 	PhaseTransport = span.PhaseTransport
-	PhaseLinger    = span.PhaseLinger
+	PhaseLinger    = span.PhaseLinger // no producer since the TCP writer stopped lingering
 	PhaseReplay    = span.PhaseReplay
 )
 
