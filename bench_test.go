@@ -4,10 +4,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// The paper's other §III studies run on live engines too: Figures 3 and 4,
-// the dumb estimator, saturation and blame through `tartdist -exp`, Figure
-// 2 through `tartsim -exp fig2` (BenchmarkFig2Regression in cmd/tartsim),
-// and the §II.G.1 bias study as BenchmarkBiasAlgorithm (bias_bench_test.go).
+// The paper's other studies have one command each: Figure 2, Figures 3 and
+// 4, the dumb estimator, saturation and blame through `tartdist -exp`
+// (BenchmarkFig2Regression in cmd/tartdist), and the §II.G.1 bias study as
+// BenchmarkBiasAlgorithm (bias_bench_test.go).
 //
 // Figure benches (paper §III):
 //

@@ -59,11 +59,16 @@ func TestChaosOracleMultiSeed(t *testing.T) {
 				t.Errorf("no supervisor-driven failover completed; events: %+v, status: %+v",
 					res.Events, res.Status)
 			}
+			var mean time.Duration
 			for _, ttr := range res.Recoveries {
 				if ttr <= 0 {
 					t.Errorf("non-positive time-to-recover %v", ttr)
 				}
+				mean += ttr / time.Duration(len(res.Recoveries))
 			}
+			// The row of EXPERIMENTS' chaos table: run with -v to print it.
+			t.Logf("seed %d: %d events, %d supervised failovers, %d WAL faults fired, mean time-to-recover %v",
+				seed, len(res.Events), res.Supervised, res.WALFaults, mean.Round(10*time.Microsecond))
 		})
 	}
 }

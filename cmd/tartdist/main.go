@@ -1,15 +1,17 @@
-// Command tartdist runs the paper's Figure-1 application live: two
+// Command tartdist runs the paper's evaluation. Figure 2 times Code Body 1
+// itself; every other study runs the paper's Figure-1 application live: two
 // senders on engine A and a merger on engine B, in one process over real
 // TCP on localhost, deterministically through TART and, for comparison, as
 // a conventional non-deterministic implementation (plain goroutines and
-// sockets, arrival-order processing) fed the same draws. It serves every
-// study of the paper's evaluation except Figure 2:
+// sockets, arrival-order processing) fed the same draws. The experiments,
+// as the experiments table lists them:
 //
-//	tartdist -exp fig5        Figure 5: strategies vs non-det (default)
+//	tartdist -exp fig2        Figure 2: service time vs iteration count of Code Body 1 (real measurement)
 //	tartdist -exp fig3        Figure 3: latency vs sender compute variability
 //	tartdist -exp dumb        §III.A: the constant ("dumb") estimator
 //	tartdist -exp fig4        Figure 4: sensitivity to the estimator coefficient
 //	tartdist -exp throughput  §III.A: saturation, det vs non-det
+//	tartdist -exp fig5        Figure 5: strategies vs non-det (default)
 //	tartdist -exp blame       pessimism blame per wire, symmetric vs slow sender
 //
 // Figure 5 uses constant-time services and ad-hoc (constant) estimators and
@@ -37,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -46,65 +49,107 @@ import (
 	"repro/internal/trace/span"
 )
 
+// flags holds the command line every experiment reads from.
+type flags struct {
+	mode              string
+	requests, buckets int
+	rate              float64
+	port, spans       int
+	debug             bool
+	hold, duration    time.Duration
+	seed              uint64
+}
+
+// experiment is one -exp value. section3 marks the §III studies of the
+// live Figure-1 workload, which print its parameters first.
+type experiment struct {
+	name, desc string
+	section3   bool
+	run        func(f flags) error
+}
+
+// experiments is the one list of what -exp runs, in the order the help
+// text and the package doc give it.
+var experiments = []experiment{
+	{"fig2", "Figure 2: service time vs iteration count of Code Body 1 (real measurement)", false,
+		func(f flags) error { return fig2(f.seed) }},
+	{"fig3", "Figure 3: latency vs sender compute variability", true,
+		func(f flags) error { return fig3(f.seed, f.duration, f.port, false) }},
+	{"dumb", `§III.A: the constant ("dumb") estimator`, true,
+		func(f flags) error { return fig3(f.seed, f.duration, f.port, true) }},
+	{"fig4", "Figure 4: sensitivity to the estimator coefficient", true,
+		func(f flags) error { return fig4(f.seed, f.duration, f.port) }},
+	{"throughput", "§III.A: saturation, det vs non-det", true,
+		func(f flags) error { return throughput(f.seed, f.duration, f.port) }},
+	{"fig5", "Figure 5: strategies vs non-det (default)", false, fig5},
+	{"blame", "pessimism blame per wire, symmetric vs slow sender", true,
+		func(f flags) error { return blame(f.seed, f.duration, f.port) }},
+}
+
+// lookup returns the row of experiments named name.
+func lookup(name string) (experiment, bool) {
+	for _, e := range experiments {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return experiment{}, false
+}
+
 func main() {
-	var (
-		exp      = flag.String("exp", "fig5", "experiment: fig5|fig3|dumb|fig4|throughput|blame")
-		mode     = flag.String("mode", "all", "fig5 mode: nondet|lazy|curiosity|aggressive|all")
-		requests = flag.Int("requests", 3000, "fig5: total web requests (split across two senders)")
-		rate     = flag.Float64("rate", 100, "fig5: requests/second per sender")
-		buckets  = flag.Int("buckets", 10, "fig5: latency buckets printed per run")
-		portBase = flag.Int("port", 39500, "first TCP port to use")
-		debug    = flag.Bool("debug", false, "fig5: serve /metrics, /healthz, /trace, /spans, /topology per engine")
-		hold     = flag.Duration("hold", 0, "fig5: keep each TART cluster alive this long after the run (for curl / tartctl status)")
-		spansN   = flag.Int("spans", 0, "fig5: enable span tracing at 1/N head-sampling (1 = every origin) and print the critical-path summary")
-		seed     = flag.Uint64("seed", 1, "§III studies: seed of the arrivals and loop counts")
-		duration = flag.Duration("duration", 4*time.Second, "§III studies: emission time per run")
-	)
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	var f flags
+	exp := flag.String("exp", "fig5", "experiment: "+strings.Join(names, "|"))
+	flag.StringVar(&f.mode, "mode", "all", "fig5 mode: nondet|lazy|curiosity|aggressive|all")
+	flag.IntVar(&f.requests, "requests", 3000, "fig5: total web requests (split across two senders)")
+	flag.Float64Var(&f.rate, "rate", 100, "fig5: requests/second per sender")
+	flag.IntVar(&f.buckets, "buckets", 10, "fig5: latency buckets printed per run")
+	flag.IntVar(&f.port, "port", 39500, "first TCP port to use")
+	flag.BoolVar(&f.debug, "debug", false, "fig5: serve /metrics, /healthz, /trace, /spans, /topology per engine")
+	flag.DurationVar(&f.hold, "hold", 0, "fig5: keep each TART cluster alive this long after the run (for curl / tartctl status)")
+	flag.IntVar(&f.spans, "spans", 0, "fig5: enable span tracing at 1/N head-sampling (1 = every origin) and print the critical-path summary")
+	flag.Uint64Var(&f.seed, "seed", 1, "fig2 and the §III studies: seed of the draws")
+	flag.DurationVar(&f.duration, "duration", 4*time.Second, "§III studies: emission time per run")
 	flag.Parse()
-	if *exp != "fig5" {
+	e, ok := lookup(*exp)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "tartdist: unknown experiment %q (want %s)\n", *exp, strings.Join(names, "|"))
+		os.Exit(2)
+	}
+	if e.section3 {
 		fmt.Printf("   live: seed %d, %v per run, %.0f msg/s per sender (the paper's %.0f scaled by %.2f),\n",
-			*seed, *duration, rateScale*paperRate, paperRate, rateScale)
+			f.seed, f.duration, rateScale*paperRate, paperRate, rateScale)
 		fmt.Printf("   senders k × %v busy loop on engine A, %v merger on engine B, TCP between\n\n", iterCost, mergeCost)
 	}
-	err := fmt.Errorf("unknown experiment %q", *exp)
-	switch *exp {
-	case "fig5":
-		err = fig5(*mode, *requests, *rate, *buckets, *portBase, *debug, *hold, *spansN)
-	case "fig3", "dumb":
-		err = fig3(*seed, *duration, *portBase, *exp == "dumb")
-	case "fig4":
-		err = fig4(*seed, *duration, *portBase)
-	case "throughput":
-		err = throughput(*seed, *duration, *portBase)
-	case "blame":
-		err = blame(*seed, *duration, *portBase)
-	}
-	if err != nil {
+	if err := e.run(f); err != nil {
 		fmt.Fprintln(os.Stderr, "tartdist:", err)
 		os.Exit(1)
 	}
 }
 
-func fig5(mode string, requests int, rate float64, buckets, portBase int, debug bool, hold time.Duration, spansN int) error {
+func fig5(f flags) error {
 	fmt.Println("== Figure 5: real two-engine distributed run over TCP ==")
 	fmt.Printf("   %d web requests, %.0f req/s/sender, senders on engine A, merger on engine B\n\n",
-		requests, rate)
+		f.requests, f.rate)
 	modes := []string{"nondet", "lazy", "curiosity", "aggressive"}
-	if mode != "all" {
-		modes = []string{mode}
+	if f.mode != "all" {
+		modes = []string{f.mode}
 	}
 	w := workload{
-		perSender: [2]int{requests / 2, requests / 2},
-		rates:     [2]float64{rate, rate},
+		perSender: [2]int{f.requests / 2, f.requests / 2},
+		rates:     [2]float64{f.rate, f.rate},
 		// Ad-hoc constant estimators, constant-time services (§III.C).
 		senderEst: tart.WithConstantCost(50 * time.Microsecond),
 		mergerEst: tart.WithConstantCost(100 * time.Microsecond),
-		spans:     spansN,
-		debug:     debug,
-		hold:      hold,
+		spans:     f.spans,
+		debug:     f.debug,
+		hold:      f.hold,
 	}
 	strategies := map[string]tart.SilenceStrategy{"lazy": tart.Lazy, "curiosity": tart.Curiosity, "aggressive": tart.Aggressive}
-	port := portBase
+	port := f.port
 	means := make(map[string]time.Duration)
 	for _, m := range modes {
 		var res result
@@ -127,7 +172,7 @@ func fig5(mode string, requests int, rate float64, buckets, portBase int, debug 
 		}
 		s := summary(res.lat)
 		means[m] = s.Mean()
-		printSeries(m, res.lat, s, buckets)
+		printSeries(m, res.lat, s, f.buckets)
 	}
 	if len(modes) > 1 {
 		printComparison(modes, means)

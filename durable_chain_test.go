@@ -346,6 +346,49 @@ func TestCheckpointChainBounded(t *testing.T) {
 	}
 }
 
+// TestColdRestartCadence prices the durable checkpoint cadence on the
+// cold-restart path: 127 inputs, a checkpoint every 4, 16 or 64 of them,
+// then a stop and a reopen. 127 sits just short of a boundary at every
+// cadence, so each leaves its longest WAL suffix, and the reopen replays
+// exactly that suffix. The counts are asserted (EXPERIMENTS *Cold restart
+// vs. checkpoint cadence*); the restart's wall time is logged.
+func TestColdRestartCadence(t *testing.T) {
+	const inputs = 127
+	for _, c := range []struct {
+		every, checkpoints, replayed int
+	}{
+		{4, 31, 3},
+		{16, 7, 15},
+		{64, 1, 63},
+	} {
+		t.Run(fmt.Sprintf("every=%d", c.every), func(t *testing.T) {
+			dir := t.TempDir()
+			run := newChainRun(t, 16, tart.WithDurableStore(dir))
+			defer func() { run.cluster.Stop() }()
+			key := func(i int) uint64 { return uint64(i) % 16 }
+			for run.emitted+c.every <= inputs {
+				run.emit(c.every, key)
+				run.checkpoint()
+			}
+			run.emit(inputs-run.emitted, key)
+			ckpts := int(run.metric("tart_checkpoints_total")) - 1 // not the launch base
+			want := run.table()
+			start := time.Now()
+			run.restart(dir)
+			took := time.Since(start)
+			replayed := int(run.metric("tart_coldstart_replayed_records"))
+			if ckpts != c.checkpoints || replayed != c.replayed {
+				t.Errorf("%d checkpoints, %d records replayed; want %d and %d", ckpts, replayed, c.checkpoints, c.replayed)
+			}
+			if !reflect.DeepEqual(want, run.table()) {
+				t.Error("restored table differs from the one the stopped run held")
+			}
+			t.Logf("checkpoints %d, replayed %d, restart (stop, reopen, replay drained) %v",
+				ckpts, replayed, took.Round(10*time.Microsecond))
+		})
+	}
+}
+
 // moodyTally numbers what passes through it. It checkpoints incrementally
 // but answers some requests for a delta with a full capture, as any
 // DeltaSnapshotter may, on a cycle of its own.

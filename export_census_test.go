@@ -221,6 +221,8 @@ const rootImport = "repro"
 // Anything else nothing outside reads is deleted, not listed here.
 var rootAllow = map[string]string{
 	"Cluster.Bisect":             "the programmatic bisect; /rewind?op=bisect and tartctl bisect reach the same inspector over HTTP, and TestBisectPinsSeededCorruption calls it",
+	"Cluster.RewindRun":          "the programmatic reconstruction run; /rewind?op=state and tartctl rewind reach the same inspector over HTTP, but only a Go caller can pass watchpoints, which are predicates; TestStateWatchpoint and TestRewindCadence call it",
+	"Cluster.RewindPoints":       "the programmatic list of rewind points; /rewind?op=points and tartctl rewind reach it over HTTP, and TestRewindMatchesLiveSnapshots and TestRewindCadence pick targets from it",
 	"Cluster.SetSilenceStrategy": "the manual strategy switch of paper §II.G.4; TestDynamicSilenceStrategySwitch and TestManualSilenceSwitchSurvivesFailover drive it",
 	"Cluster.SilenceConfigOf":    "the replica-consistency read of a governor's configuration; the failover tests compare it across Recover",
 	"Snapshotter":                "the contract a component implements to own its checkpoint encoding; the runtime finds it by type assertion, so no caller names it",

@@ -42,10 +42,14 @@ func (r *ttRelay) OnMessage(ctx *tart.Context, _ string, p any) (any, error) {
 	return nil, ctx.Send("out", p)
 }
 
+// ttApp builds source -> counter -> relay -> sink. The costs stay under
+// every test's input spacing (TestRewindCadence's is 500 VT), so each
+// component's clock tracks the arrival VTs and checkpoints land where the
+// inputs put them.
 func ttApp() *tart.App {
 	app := tart.NewApp()
-	app.Register("counter", &ttCounter{}, tart.WithConstantCost(40*time.Microsecond))
-	app.Register("relay", &ttRelay{}, tart.WithConstantCost(15*time.Microsecond))
+	app.Register("counter", &ttCounter{}, tart.WithConstantCost(100*time.Nanosecond))
+	app.Register("relay", &ttRelay{}, tart.WithConstantCost(50*time.Nanosecond))
 	app.Connect("counter", "out", "relay", "in")
 	app.SourceInto("in", "counter", "in")
 	app.SinkFrom("out", "relay", "out")
@@ -563,5 +567,88 @@ func TestRewindBeforeHistory(t *testing.T) {
 	}
 	if st.AuditCount != 3 {
 		t.Fatalf("reconstructed counter has %d deliveries, want 3", st.AuditCount)
+	}
+}
+
+// TestRewindCadence prices the rewind checkpoint cadence on one fixed
+// workload: 1,200 inputs 500 VT apart, a checkpoint at every cadence
+// boundary, and the same twelve seeded targets reconstructed against each
+// archive. A reconstruction restores the newest point at or before its
+// target and replays the gap, so the retained points grow as the cadence
+// shrinks and the deliveries replayed per reconstruction fall with it.
+// Both columns are deterministic and asserted exactly (EXPERIMENTS
+// *Rewind latency vs. checkpoint cadence*); the latencies are logged.
+func TestRewindCadence(t *testing.T) {
+	const (
+		inputs  = 1200
+		spacing = 500
+		probes  = 12
+	)
+	for _, c := range []struct {
+		cadence  int64 // VT between checkpoints
+		points   int   // the launch point and one per boundary
+		replayed int   // deliveries re-executed over all probes, both components
+	}{
+		{1_000, 601, 66},
+		{10_000, 61, 302},
+		{100_000, 7, 2102},
+	} {
+		t.Run(fmt.Sprintf("cadence=%d", c.cadence), func(t *testing.T) {
+			cluster, await := ttHarness(t, tart.WithTimeTravel(tart.TimeTravel{History: c.points}))
+			src, err := cluster.Source("in")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Quiesce before each checkpoint, so every point covers a
+			// known input prefix.
+			next := c.cadence
+			for i := 1; i <= inputs; i++ {
+				at := tart.VirtualTime(i * spacing)
+				if err := src.EmitAt(at, i%7); err != nil {
+					t.Fatal(err)
+				}
+				if int64(at) >= next {
+					await(i)
+					if _, err := cluster.Checkpoint("main"); err != nil {
+						t.Fatal(err)
+					}
+					next += c.cadence
+				}
+			}
+			await(inputs)
+			points := cluster.RewindPoints()["main"]
+			if len(points) != c.points {
+				t.Errorf("%d rewind points retained, want %d", len(points), c.points)
+			}
+
+			// Past the first boundary, so every target has a point.
+			rng := rand.New(rand.NewSource(2))
+			var total, worst time.Duration
+			replayed := 0
+			for p := 0; p < probes; p++ {
+				target := tart.VirtualTime(c.cadence + rng.Int63n(inputs*spacing-c.cadence))
+				start := time.Now()
+				res, err := cluster.RewindRun(tart.RewindOptions{Target: target})
+				if err != nil {
+					t.Fatalf("target %d: %v", target, err)
+				}
+				d := time.Since(start)
+				total += d
+				worst = max(worst, d)
+				replayed += res.Replayed
+			}
+			if replayed != c.replayed {
+				t.Errorf("%d deliveries replayed over %d reconstructions (mean %.1f), want %d",
+					replayed, probes, float64(replayed)/probes, c.replayed)
+			}
+			// The floor: a target exactly at the newest point replays nothing.
+			start := time.Now()
+			if _, err := cluster.RewindRun(tart.RewindOptions{Target: points[len(points)-1].VT}); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("points %d, replayed %.1f per reconstruction, rewind mean %v max %v, restore-only %v",
+				len(points), float64(replayed)/probes, (total / probes).Round(10*time.Microsecond),
+				worst.Round(10*time.Microsecond), time.Since(start).Round(10*time.Microsecond))
+		})
 	}
 }
