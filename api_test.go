@@ -77,11 +77,10 @@ func TestDynamicSilenceStrategySwitch(t *testing.T) {
 		t.Errorf("payload = %v", got[0].Payload)
 	}
 
-	// Switching to hyper-aggressive is accepted: SetSilenceStrategy installs
-	// it with zero bias, so no output virtual time moves.
-	err = cluster.SetSilenceStrategy("sender1", tart.HyperAggressive)
-	if err != nil {
-		t.Errorf("zero-bias hyper switch rejected: %v", err)
+	// Switching to hyper-aggressive is rejected: its bias moves output
+	// virtual times, so a component runs it from launch or not at all.
+	if err := cluster.SetSilenceStrategy("sender1", tart.HyperAggressive); err == nil {
+		t.Error("run-time switch into hyper-aggressive accepted")
 	}
 	if err := cluster.SetSilenceStrategy("ghost", tart.Curiosity); err == nil {
 		t.Error("unknown component accepted")

@@ -8,10 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/silence"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/vt"
 )
 
 // BenchmarkBiasAlgorithm measures the paper's §II.G.1 bias algorithm on
@@ -21,8 +19,8 @@ import (
 // a merger on engine B, with constant estimators of 40, 40 and 100 µs. A
 // Netem delay, uniform up to 10 µs and then up to 150 µs, sits on the A↔B
 // link, so curiosity probes are cheap and then expensive. sender2 runs the
-// default Curiosity or HyperAggressive with a 2 ms bias; no public API sets
-// a bias, so it is set on sender2's spec by hand.
+// default Curiosity (bias=0s) or, through WithSilence, HyperAggressive,
+// whose bias is a constant 2 ms (bias=2ms).
 //
 // Iteration i runs seed i+1 for four seconds; metrics are means over the
 // iterations and -v logs each seed's row. netem-sleep-µs is the delay the
@@ -82,11 +80,12 @@ func runBias(b *testing.B, seed uint64, delay, bias, d time.Duration) biasRun {
 	b.Helper()
 	app := NewApp()
 	app.Register("sender1", &relay{}, WithConstantCost(40*time.Microsecond))
-	app.Register("sender2", &relay{}, WithConstantCost(40*time.Microsecond))
-	app.Register("merger", &relay{}, WithConstantCost(100*time.Microsecond))
+	strategy := Curiosity
 	if bias > 0 {
-		app.specs["sender2"].silenceCfg = silence.Config{Strategy: silence.HyperAggressive, Bias: vt.FromDuration(bias)}
+		strategy = HyperAggressive
 	}
+	app.Register("sender2", &relay{}, WithConstantCost(40*time.Microsecond), WithSilence(strategy))
+	app.Register("merger", &relay{}, WithConstantCost(100*time.Microsecond))
 	app.SourceInto("in1", "sender1", "in")
 	app.SourceInto("in2", "sender2", "in")
 	app.Connect("sender1", "out", "merger", "s1")

@@ -557,15 +557,12 @@ func (c *Cluster) engineConfig(slot *engineSlot, metrics *trace.Metrics) engine.
 	if silenceEvery < 0 {
 		silenceEvery = 0
 	}
-	// The transport meter (wire-level byte/batch/fallback families) lands
-	// in the incarnation's registry beside the engine's own series, so the
-	// families render on /metrics even before (or without) any TCP traffic.
-	meter := transport.NewMeter(metrics.Registry())
 	tr := c.cfg.transport
 	if t, ok := tr.(transport.TCP); ok {
-		// Per-engine transport copy so connections record their wire-level
-		// metrics into this engine's registry.
-		t.Meter = meter
+		// Per-engine transport copy so connections report their wire-level
+		// families into this incarnation's registry, where SetRegistry
+		// seeded them beside the engine's own series.
+		t.Meter = metrics
 		tr = t
 	}
 	if c.cfg.netem != nil {
@@ -626,7 +623,11 @@ func (c *Cluster) incarnate(slot *engineSlot, restore, cold bool) (*incarnation,
 	} else {
 		in.eng, err = engine.New(cfg)
 	}
-	return in, err
+	if err != nil {
+		return nil, err
+	}
+	c.collect(metrics.Registry(), in.eng)
+	return in, nil
 }
 
 // start binds the incarnation's debug listener, if WithDebugHTTP names the
@@ -677,17 +678,45 @@ func (s *engineSlot) writeFlight(dir string) error {
 	return err
 }
 
-// registry is the one gather path of /metrics and MetricFamilies: it first
-// refreshes the rewind-distance gauges, so the checkpoint age tracks the
-// live clock whichever reads it.
-func (in *incarnation) registry() *trace.Registry {
-	reg := in.metrics.Registry()
-	last := in.eng.LastCheckpointVT()
-	reg.Gauge(trace.MetricCheckpointLastVT,
-		"Virtual time of the engine's newest checkpoint (0 before the first).").Set(int64(last))
-	reg.Gauge(trace.MetricCheckpointAgeVT,
-		"Virtual-time distance from the live clock frontier to the newest checkpoint — the bound on any rewind's replay distance.").Set(max(0, int64(in.eng.MaxComponentClock())-int64(last)))
-	return reg
+// collect registers an incarnation's gather-time families. Each reads what
+// the engine already holds — every input's queue depth under its
+// scheduler's lock, the peer set's breakers and frame counts, the
+// checkpoint chain and the live clock — when /metrics or MetricFamilies
+// gathers, so none is pushed on the data path and none can be stale.
+func (c *Cluster) collect(reg *trace.Registry, eng *engine.Engine) {
+	reg.Collect(trace.MetricQueueDepth, "Messages currently queued on the wire.", "gauge", func(emit trace.Emit) {
+		for _, name := range eng.Hosted() {
+			sch, _ := eng.Scheduler(name)
+			for id, n := range sch.QueueDepths() {
+				emit(float64(n), trace.L("component", name), trace.L("wire", sched.WireName(c.tp, c.tp.Wire(id))))
+			}
+		}
+	})
+	reg.Collect(trace.MetricDialBreaker, "Per-peer dial circuit breaker position (0 closed, 1 open, 2 half-open).", "gauge", func(emit trace.Emit) {
+		for peer, ph := range eng.PeerHealth() {
+			if ph.Dials {
+				emit(float64(ph.Breaker), trace.L("peer", peer))
+			}
+		}
+	})
+	reg.Collect(trace.MetricPeerFrames, "Envelope frames exchanged with a peer engine (heartbeats included).", "counter", func(emit trace.Emit) {
+		for peer, ph := range eng.PeerHealth() {
+			emit(float64(ph.FramesSent), trace.L("peer", peer), trace.L("direction", "send"))
+			emit(float64(ph.FramesReceived), trace.L("peer", peer), trace.L("direction", "recv"))
+		}
+	})
+	reg.Collect(trace.MetricCheckpointChain, "Checkpoints in the engine's current chain: the newest full one and the deltas applied since (bounded; a restore folds them all).", "gauge", func(emit trace.Emit) {
+		_, chain := eng.LastCheckpoint()
+		emit(float64(chain))
+	})
+	reg.Collect(trace.MetricCheckpointLastVT, "Virtual time of the engine's newest checkpoint (0 before the first).", "gauge", func(emit trace.Emit) {
+		last, _ := eng.LastCheckpoint()
+		emit(float64(last))
+	})
+	reg.Collect(trace.MetricCheckpointAgeVT, "Virtual-time distance from the live clock frontier to the newest checkpoint — the bound on any rewind's replay distance.", "gauge", func(emit trace.Emit) {
+		last, _ := eng.LastCheckpoint()
+		emit(float64(max(0, int64(eng.MaxComponentClock())-int64(last))))
+	})
 }
 
 // backupFor assembles one engine's checkpoint destination: always the warm
@@ -919,8 +948,8 @@ func (c *Cluster) Recover(engineName string) error {
 // SetSilenceStrategy switches a component's silence-propagation strategy
 // at runtime. Lazy, Curiosity, and Aggressive can be changed freely —
 // silence communication never affects behaviour (paper §II.G.4); switching
-// hyper-aggressive bias on or off is rejected because it changes output
-// virtual times. The switch is logged as a determinism fault at the
+// into or out of HyperAggressive is rejected because its bias changes
+// output virtual times. The switch is logged as a determinism fault at the
 // component's current clock, so a recovered engine re-derives it from the
 // stable log.
 func (c *Cluster) SetSilenceStrategy(component string, strategy SilenceStrategy) error {
@@ -978,7 +1007,7 @@ func (c *Cluster) MetricFamilies(engineName string) ([]MetricFamily, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.registry().Gather(), nil
+	return v.metrics.Registry().Gather(), nil
 }
 
 // TraceEvents returns the named engine's most recent flight-recorder

@@ -50,12 +50,12 @@ func (c *Cluster) every(period time.Duration, fn func()) {
 
 // controlMetrics is the cluster-level registry: the supervisor and
 // adaptive-runtime families, appended to every engine's /metrics. Each
-// family's help text is written here once. The label-free handles are
-// resolved — and so seeded at zero — only when the loop that updates them
-// runs; the others are resolved per label set when first used.
+// family's help text is written here once. The adaptive runtime's families
+// exist only with it: its epoch counter is seeded at zero and its modulus
+// read from the schedule at gather time. The others are resolved per label
+// set when first used.
 type controlMetrics struct {
 	reg          *trace.Registry
-	sampleN      *trace.Gauge   // with the adaptive runtime
 	sampleEpochs *trace.Counter // with the adaptive runtime
 }
 
@@ -64,9 +64,8 @@ type controlMetrics struct {
 func newControlMetrics(schedule *span.Schedule) *controlMetrics {
 	m := &controlMetrics{reg: trace.NewRegistry()}
 	if schedule != nil {
-		m.sampleN = m.reg.Gauge(trace.MetricSampleN,
-			"Current adaptive head-sampling modulus (1 traced origin in N).")
-		m.sampleN.Set(int64(schedule.Current().N))
+		m.reg.Collect(trace.MetricSampleN, "Current adaptive head-sampling modulus (1 traced origin in N).", "gauge",
+			func(emit trace.Emit) { emit(float64(schedule.Current().N)) })
 		m.sampleEpochs = m.reg.Counter(trace.MetricSampleEpochs,
 			"Adaptive sampling-rate epoch switches committed by the controller.")
 	}

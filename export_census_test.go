@@ -479,12 +479,13 @@ func TestRootExportCensus(t *testing.T) {
 
 // TestDeterminismCoreLayering keeps the determinism core buildable without
 // the observability stack: no non-test file of a core package imports
-// internal/trace or a package under it. The scheduler and the engine report
-// through sched.Observer and engine.Observer instead, which *trace.Metrics
-// implements, and the time-travel sandbox runs its engines unobserved.
+// internal/trace or a package under it. The scheduler, the engine and the
+// TCP transport report through sched.Observer, engine.Observer and
+// transport.Observer instead, which *trace.Metrics implements, and the
+// time-travel sandbox runs its engines unobserved.
 func TestDeterminismCoreLayering(t *testing.T) {
 	core := make(map[string]bool)
-	for _, p := range []string{"sched", "engine", "inspect", "silence", "wal", "checkpoint", "estimator", "msg", "vt", "topo", "stats"} {
+	for _, p := range []string{"sched", "engine", "inspect", "silence", "wal", "checkpoint", "estimator", "msg", "vt", "topo", "stats", "transport"} {
 		core[filepath.Join("internal", p)] = true
 	}
 	parseProduction(t, token.NewFileSet(), func(path string, file *ast.File) {

@@ -199,20 +199,57 @@ var goldenApps = []struct {
 		emitFanIn(t, c, 7, 9)
 		tape.await(t, 24)
 	}},
+	{"bias", func(t *testing.T, tape *goldenTape) {
+		// A remote slow sender at HyperAggressive beside a fast one: its
+		// promises run 2 ms past what it knows and floor its own outputs,
+		// so each slow output reaches the merger about 2 ms after the fast
+		// one emitted with it, and the second of a close pair (5 ms after
+		// 4 ms, 13 ms after 12 ms) a millisecond later still.
+		app := tart.NewApp()
+		app.Register("merger", &joiner{}, tart.WithConstantCost(20*time.Microsecond))
+		app.SinkFrom("out", "merger", "out")
+		app.Place("merger", "B")
+		app.Register("fast", &tagger{Name: "fast"}, tart.WithConstantCost(50*time.Microsecond))
+		app.Register("slow", &tagger{Name: "slow"}, tart.WithConstantCost(50*time.Microsecond),
+			tart.WithSilence(tart.HyperAggressive))
+		for _, s := range []string{"fast", "slow"} {
+			app.SourceInto("in-"+s, s, "in")
+			app.Connect(s, "out", "merger", s)
+			app.Place(s, "A")
+		}
+		c := launchGolden(t, app)
+		if err := c.Sink("out", tape.sink("bias", "out")); err != nil {
+			t.Fatal(err)
+		}
+		for s, rounds := range map[string][]int{"fast": {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, "slow": {4, 5, 12, 13}} {
+			src, err := c.Source("in-" + s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range rounds {
+				if err := src.EmitAt(tart.VirtualTime(i*1_000_000), i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := src.Quiesce(17_000_000 - 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tape.await(t, 20)
+	}},
 }
 
-// TestGoldenTapes pins the deduplicated output tape of four fixed apps —
+// TestGoldenTapes pins the deduplicated output tape of five fixed apps —
 // fan-in with VT ties, a two-way call, the same fan-in split across two
-// engines, and a mid-stream checkpoint, crash and recovery — to
-// testdata/tapes_v1.golden. A change to the merge order, the cost model's
+// engines, a mid-stream checkpoint, crash and recovery, and a remote slow
+// sender running the bias algorithm — to testdata/tapes_v1.golden. A change to the merge order, the cost model's
 // VT arithmetic or replay that moves any output's sequence number, virtual
 // time or payload fails it, naming the first differing record. Run with
 // -update to rewrite the file after an intended change.
 //
 // Every app runs under WithManualClock with constant-cost estimators, so
 // the tape is a function of the code alone. Calibration is left out: its
-// coefficients come from measured wall time. Silence bias needs no app:
-// no public API sets one.
+// coefficients come from measured wall time.
 func TestGoldenTapes(t *testing.T) {
 	var all []string
 	for _, app := range goldenApps {

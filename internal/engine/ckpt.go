@@ -106,18 +106,20 @@ func (e *Engine) Checkpoint() (uint64, error) {
 		e.chainLen++
 	}
 	if e.obs != nil {
-		e.obs.Checkpointed(maxClock, ck.Seq, ck.IsBase(), e.chainLen, bytesTotal, offLoop, time.Since(start))
+		e.obs.Checkpointed(maxClock, ck.Seq, ck.IsBase(), bytesTotal, offLoop, time.Since(start))
 	}
 	e.afterCheckpoint(ck)
 	return ck.Seq, nil
 }
 
-// LastCheckpointVT returns the virtual time of the newest checkpoint this
-// engine has taken (or restored from), vt.Zero before the first.
-func (e *Engine) LastCheckpointVT() vt.Time {
+// LastCheckpoint returns the virtual time of the newest checkpoint this
+// engine has taken (or restored from), vt.Zero before the first, and the
+// length of the chain the backup holds: the newest base and the deltas
+// applied since. It waits for a checkpoint in progress.
+func (e *Engine) LastCheckpoint() (at vt.Time, chain int) {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
-	return e.lastCkptVT
+	return e.lastCkptVT, e.chainLen
 }
 
 // MaxComponentClock returns the newest component clock on this engine —

@@ -395,12 +395,17 @@ func (e *Engine) BufferedCount(w msg.WireID) int {
 }
 
 // PeerHealth describes connectivity to one peer engine: whether a live
-// connection exists and when a frame (heartbeats included) was last
-// received. Monitors use a stale LastHeard as the fail-stop suspicion
-// signal that triggers replica activation.
+// connection exists, when a frame (heartbeats included) was last received,
+// the frames sent and received over every connection so far, and, if this
+// engine dials the peer (Dials), its dial circuit breaker's position.
+// Monitors use a stale LastHeard as the fail-stop suspicion signal that
+// triggers replica activation.
 type PeerHealth struct {
-	Connected bool
-	LastHeard time.Time
+	Connected                  bool
+	LastHeard                  time.Time
+	FramesSent, FramesReceived uint64
+	Dials                      bool
+	Breaker                    transport.BreakerState
 }
 
 // PeerHealth reports connectivity to every peer engine this engine shares

@@ -13,20 +13,22 @@ import (
 // checkpoints, recovery, peer links and sources. Config.Metrics holds one;
 // nil is off, and each report site then costs one branch. The trace
 // package's *Metrics implements it; the engine imports no observability
-// package. Source reports carry the handle Source returned; dial loops and
-// peer connections report through the funcs Dialer and PeerUp return. An
+// package. Source reports carry the handle Source returned; a dial loop
+// reports its attempts through the func Dialer returns. What the engine
+// holds anyway (breaker positions, frame counts, the checkpoint chain) is
+// not reported: a reader asks for it (PeerHealth, LastCheckpoint). An
 // implementation must not block or call back into the engine.
 type Observer interface {
 	sched.Observer
 
 	// CheckpointHeld reports one component's delivery loop held while a
 	// checkpoint staged its state. Checkpointed reports checkpoint seq at VT
-	// at taken by the backup: base or delta, the chain length it leaves, its
-	// handler-state bytes, the time after the loops were released and the
-	// whole call. ChainMismatch reports a restored component whose audit
-	// chain differs from the record at delivery index delivery.
+	// at taken by the backup: base or delta, its handler-state bytes, the
+	// time after the loops were released and the whole call. ChainMismatch
+	// reports a restored component whose audit chain differs from the
+	// record at delivery index delivery.
 	CheckpointHeld(held time.Duration)
-	Checkpointed(at vt.Time, seq uint64, base bool, chain, bytes int, offLoop, took time.Duration)
+	Checkpointed(at vt.Time, seq uint64, base bool, bytes int, offLoop, took time.Duration)
 	ChainMismatch(component string, at vt.Time, delivery uint64)
 	// Failover reports a replica activated from checkpoint seq, before its
 	// replay. ReplayServed reports n buffered envelopes of wire w (labelled
@@ -35,13 +37,12 @@ type Observer interface {
 	Failover(seq uint64)
 	ReplayServed(w msg.WireID, label string, seq uint64, n int, local bool)
 	ReplayRequested(w msg.WireID, label string, seq uint64)
-	// Dialer registers the dial loop to peer, which calls redial per attempt
-	// and moved per move of its circuit breaker (a transport.BreakerState).
-	// PeerUp reports a connection to peer joining, which calls sent and
-	// received per frame; PeerDown the live one dropped; Fenced a handshake
-	// refused for its stale generation.
-	Dialer(peer string) (redial func(), moved func(state int))
-	PeerUp(peer string) (sent, received func(msg.Envelope))
+	// Dialer registers the dial loop to peer, which calls redial per
+	// attempt. PeerUp reports a connection to peer joining, PeerDown the
+	// live one dropped, and Fenced a handshake refused for its stale
+	// generation.
+	Dialer(peer string) (redial func())
+	PeerUp(peer string)
 	PeerDown(peer string)
 	Fenced(peer string, gen uint64)
 	// SilencesCoalesced reports n peer-bound silence promises absorbed by a

@@ -26,10 +26,8 @@ type peerSet struct {
 	// mu and swap in a modified clone.
 	conns atomic.Pointer[map[string]transport.Conn]
 	// needed maps each peer this engine shares wires with (fixed at
-	// construction) to the time a frame was last received from it, as
-	// nanoseconds since born (0: never) — a plain atomic store per inbound
-	// envelope.
-	needed map[string]*atomic.Int64
+	// construction) to what the set keeps about it.
+	needed map[string]*peerStat
 	born   time.Time
 
 	mu       sync.Mutex
@@ -51,6 +49,18 @@ type peerSet struct {
 	silCoalesced int
 }
 
+// peerStat is what the peer set keeps about one peer beside its connection:
+// when a frame was last received from it, as nanoseconds since born (0:
+// never), the frames sent to and received from it over every connection,
+// and the dial loop's circuit breaker if this engine is the dialer. The
+// frame path pays plain atomic stores and adds; readers load them on
+// demand (health).
+type peerStat struct {
+	heard      atomic.Int64
+	sent, recv atomic.Uint64
+	breaker    *transport.Breaker // nil when the peer dials us
+}
+
 // pendingSilence is one coalesced peer-bound promise: the watermark plus the
 // sender's data-prefix attestation (both monotone per wire, so coalescing
 // keeps the max of each), and the peer it goes to.
@@ -66,7 +76,7 @@ func newPeerSet(e *Engine) *peerSet {
 	for peer, g := range e.cfg.PeerGens {
 		gens[peer] = g
 	}
-	needed := make(map[string]*atomic.Int64)
+	needed := make(map[string]*peerStat)
 	for _, w := range e.tp.Wires() {
 		if w.From == topo.External || w.To == topo.External {
 			continue
@@ -77,7 +87,10 @@ func newPeerSet(e *Engine) *peerSet {
 		}
 		for _, peer := range [2]string{fromEng, toEng} {
 			if peer != e.name && needed[peer] == nil {
-				needed[peer] = new(atomic.Int64)
+				needed[peer] = new(peerStat)
+				if e.name < peer { // the smaller name dials
+					needed[peer].breaker = &transport.Breaker{Threshold: 5, Cooldown: 8 * e.cfg.RedialEvery}
+				}
 			}
 		}
 	}
@@ -139,10 +152,10 @@ func (p *peerSet) start() error {
 	p.wg.Add(1)
 	go p.acceptLoop(l)
 
-	for peer := range p.needed {
-		if e.name < peer {
+	for peer, st := range p.needed {
+		if st.breaker != nil {
 			p.wg.Add(1)
-			go p.dialLoop(peer)
+			go p.dialLoop(peer, st.breaker)
 		}
 	}
 	return nil
@@ -196,7 +209,9 @@ func (p *peerSet) send(peer string, env msg.Envelope) {
 	}
 	if err := c.Send(env); err != nil {
 		p.dropConn(peer, c)
+		return
 	}
+	p.needed[peer].sent.Add(1)
 }
 
 // sendSilence transmits a silence promise to a peer. With no flush in
@@ -252,7 +267,9 @@ func (p *peerSet) heartbeat() {
 	for peer, c := range p.connTable() {
 		if err := c.Send(p.hello()); err != nil {
 			p.dropConn(peer, c)
+			continue
 		}
+		p.needed[peer].sent.Add(1)
 	}
 }
 
@@ -295,7 +312,7 @@ func (p *peerSet) handleInbound(conn transport.Conn) {
 		conn.Close()
 		return
 	}
-	conn = p.register(peer, conn)
+	p.register(peer, conn)
 	p.readLoop(peer, conn)
 }
 
@@ -304,16 +321,13 @@ func (p *peerSet) handleInbound(conn transport.Conn) {
 // does not thunder) and a per-peer circuit breaker that suppresses dials
 // entirely while the peer looks long-dead — then half-opens forever after,
 // so a cold-restarting peer is always rediscovered.
-func (p *peerSet) dialLoop(peer string) {
+func (p *peerSet) dialLoop(peer string, br *transport.Breaker) {
 	defer p.wg.Done()
 	base := p.e.cfg.RedialEvery
 	bo := &transport.Backoff{Base: base, Max: 16 * base}
-	br := &transport.Breaker{Threshold: 5, Cooldown: 8 * base}
 	redial := func() {}
 	if obs := p.e.obs; obs != nil {
-		var moved func(int)
-		redial, moved = obs.Dialer(peer)
-		br.OnChange = func(s transport.BreakerState) { moved(int(s)) }
+		redial = obs.Dialer(peer)
 	}
 	for {
 		if p.isStopped() {
@@ -342,7 +356,7 @@ func (p *peerSet) dialLoop(peer string) {
 		}
 		br.Success()
 		bo.Reset()
-		conn = p.register(peer, conn)
+		p.register(peer, conn)
 		p.readLoop(peer, conn)
 		// Connection died; loop to redial.
 	}
@@ -385,21 +399,18 @@ func boundHandshake(conn transport.Conn) (inTime func() bool) {
 	return time.AfterFunc(transport.DefaultDialTimeout, func() { conn.Close() }).Stop
 }
 
-// register installs a (re)established connection, wrapped so the observer
-// sees every frame, and re-drives the recovery protocol: resend every
-// unacked buffered envelope headed to that peer, and re-request replay for
-// every remote input wire fed from it. It returns the wrapped connection,
-// which callers must use from then on (readLoop, dropConn).
-func (p *peerSet) register(peer string, conn transport.Conn) transport.Conn {
+// register installs a (re)established connection and re-drives the
+// recovery protocol: resend every unacked buffered envelope headed to that
+// peer, and re-request replay for every remote input wire fed from it.
+func (p *peerSet) register(peer string, conn transport.Conn) {
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
 		conn.Close()
-		return conn
+		return
 	}
-	if obs := p.e.obs; obs != nil {
-		sent, received := obs.PeerUp(peer)
-		conn = transport.Observe(conn, sent, received)
+	if p.e.obs != nil {
+		p.e.obs.PeerUp(peer)
 	}
 	if old, ok := p.connTable()[peer]; ok && old != conn {
 		old.Close()
@@ -407,18 +418,18 @@ func (p *peerSet) register(peer string, conn transport.Conn) transport.Conn {
 	p.setConnLocked(peer, conn)
 	p.mu.Unlock()
 	p.e.onPeerConnected(peer)
-	return conn
 }
 
 func (p *peerSet) readLoop(peer string, conn transport.Conn) {
-	heard := p.needed[peer]
+	st := p.needed[peer]
 	for {
 		env, err := conn.Recv()
 		if err != nil {
 			p.dropConn(peer, conn)
 			return
 		}
-		heard.Store(int64(time.Since(p.born)))
+		st.heard.Store(int64(time.Since(p.born)))
+		st.recv.Add(1)
 		if env.Kind == msg.KindHello {
 			continue
 		}
@@ -453,10 +464,13 @@ func (p *peerSet) isStopped() bool {
 func (p *peerSet) health() map[string]PeerHealth {
 	conns := p.connTable()
 	out := make(map[string]PeerHealth, len(p.needed))
-	for peer, heard := range p.needed {
-		ph := PeerHealth{Connected: conns[peer] != nil}
-		if since := heard.Load(); since != 0 {
+	for peer, st := range p.needed {
+		ph := PeerHealth{Connected: conns[peer] != nil, FramesSent: st.sent.Load(), FramesReceived: st.recv.Load()}
+		if since := st.heard.Load(); since != 0 {
 			ph.LastHeard = p.born.Add(time.Duration(since))
+		}
+		if st.breaker != nil {
+			ph.Dials, ph.Breaker = true, st.breaker.State()
 		}
 		out[peer] = ph
 	}

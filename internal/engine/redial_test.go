@@ -67,14 +67,12 @@ func TestRedialBackoffAndBreaker(t *testing.T) {
 	defer engA.Stop()
 
 	// B is down. The breaker opens after 5 consecutive dial failures.
-	breaker := metricsOf(engA).Registry().Gauge(trace.MetricDialBreaker,
-		"Per-peer dial circuit breaker position (0 closed, 1 open, 2 half-open).",
-		trace.L("peer", "B"))
+	breaker := func() transport.BreakerState { return engA.PeerHealth()["B"].Breaker }
 	deadline := time.Now().Add(10 * time.Second)
-	for breaker.Value() != int64(transport.BreakerOpen) {
+	for breaker() != transport.BreakerOpen {
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened; state=%d after %d dials",
-				breaker.Value(), len(rec.attempts()))
+			t.Fatalf("breaker never opened; state=%v after %d dials",
+				breaker(), len(rec.attempts()))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -137,8 +135,8 @@ func TestRedialBackoffAndBreaker(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := breaker.Value(); got != int64(transport.BreakerClosed) {
-		t.Fatalf("breaker state after reconnect = %d, want closed (0)", got)
+	if got := breaker(); got != transport.BreakerClosed {
+		t.Fatalf("breaker state after reconnect = %v, want closed", got)
 	}
 	redials := metricsOf(engA).Registry().Counter(trace.MetricRedials,
 		"Dial attempts to a peer engine (first dials and redials).",

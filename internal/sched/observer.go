@@ -23,8 +23,6 @@ type Observer interface {
 	Wire(component, label string, w msg.WireID, in bool) any
 	// Traced reports whether an envelope's deliveries are span-sampled.
 	Traced(mark int8, origin msg.OriginID) bool
-	// Queued reports an input's queue depth, held-back arrivals included.
-	Queued(in any, depth int)
 	// Dropped reports a duplicate arrival or, on overflow, one shed at the
 	// hold-back cap; DroppedReply a duplicate call reply.
 	Dropped(in any, env msg.Envelope, overflow bool)
@@ -60,13 +58,6 @@ func (s *Scheduler) register(w *topo.Wire, in bool) any {
 		return nil
 	}
 	return s.obs.Wire(s.comp.Name, WireName(s.cfg.Topo, w), w.ID, in)
-}
-
-// noteDepth reports an input wire's queue depth; the lock is held.
-func (s *Scheduler) noteDepth(in *inWire) {
-	if s.obs != nil {
-		s.obs.Queued(in.obs, in.q.n+len(in.holdback))
-	}
 }
 
 // noteSilence reports one silence promise emitted on an output wire.

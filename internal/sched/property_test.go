@@ -165,17 +165,14 @@ func TestFeedbackLoopMakesProgress(t *testing.T) {
 }
 
 // TestHyperAggressiveFloorsOutputs checks the bias algorithm end to end:
-// a hyper-aggressive sender's eager promises floor its later output VTs,
-// and the stream stays strictly monotone per wire.
+// a hyper-aggressive sender's eager promises, 2 ms past what it knows,
+// floor its later output VTs, and the stream stays strictly monotone per
+// wire.
 func TestHyperAggressiveFloorsOutputs(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
 	f.add("sender1", passthrough("out"), func(c *Config) {
-		c.Silence = silence.Config{
-			Strategy: silence.HyperAggressive,
-			Bias:     500_000, // 500 µs eager window
-			Stride:   1,
-		}
+		c.Silence = silence.Config{Strategy: silence.HyperAggressive, Stride: 1}
 	})
 	f.add("sender2", passthrough("out"))
 	f.add("merger", passthrough("out"), func(c *Config) { c.ProbeRetry = 2 * time.Millisecond })
@@ -188,8 +185,8 @@ func TestHyperAggressiveFloorsOutputs(t *testing.T) {
 	f.quiesce("in2", vt.Max)
 	first := f.awaitSink(1, 10*time.Second)
 	// Firing the second message "immediately after" in virtual time: its
-	// natural stamp (≈1.102ms) falls inside the promised silence
-	// (≈1.102ms + 500µs), so its actual stamp must be pushed past the
+	// natural stamp (≈1.012ms) falls inside the promised silence
+	// (≈1.102ms + 2ms), so its actual stamp must be pushed past the
 	// promise.
 	f.emit("in1", 1_010_000, "second")
 	f.quiesce("in1", vt.Max)
@@ -199,7 +196,7 @@ func TestHyperAggressiveFloorsOutputs(t *testing.T) {
 	if second[0].VT <= first[0].VT {
 		t.Fatalf("outputs not monotone: %v then %v", first[0].VT, second[0].VT)
 	}
-	if second[0].VT < natural.Add(400_000) {
+	if second[0].VT < natural.Add(1_900_000) {
 		t.Errorf("second output VT %v not floored past the biased promise (natural ≈%v)",
 			second[0].VT, natural)
 	}

@@ -377,7 +377,6 @@ func (s *Scheduler) deliverMessage(env msg.Envelope) {
 	s.arrival++
 	verdict := in.accept(env, s.arrival, enq, s.holdbackLimit)
 	if verdict == acceptQueued {
-		s.noteDepth(in)
 		s.front.update(in)
 	}
 	s.mu.Unlock()

@@ -158,6 +158,19 @@ func (s *Scheduler) ReplayNeeds() map[msg.WireID]uint64 {
 	return out
 }
 
+// QueueDepths reports, per input wire, the messages queued on it, held-back
+// arrivals included: the value a metrics reader gathers, read under the
+// lock rather than pushed on every enqueue and pop.
+func (s *Scheduler) QueueDepths() map[msg.WireID]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[msg.WireID]int, len(s.inputs))
+	for id, in := range s.inputs {
+		out[id] = in.q.n + len(in.holdback)
+	}
+	return out
+}
+
 // Gaps reports, per input wire that has messages parked behind a sequence
 // gap, the first missing sequence number. The engine's gap-repair loop
 // turns these into replay requests (link loss recovery, paper §II.F.4).

@@ -137,7 +137,6 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		// span-sampled delivery, whose pop time the observer's spans end at.
 		q := in.pop()
 		s.front.update(in)
-		s.noteDepth(in)
 		var pop time.Time
 		var wait time.Duration
 		var blamed any

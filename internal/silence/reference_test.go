@@ -39,8 +39,8 @@ func (g *refGovernor) traceEvent(event string, w msg.WireID, target vt.Time) {
 
 func (g *refGovernor) promiseFor(view View) vt.Time {
 	p := view.Promise()
-	if g.cfg.Strategy == HyperAggressive && g.cfg.Bias > 0 {
-		p = p.Add(g.cfg.Bias)
+	if g.cfg.Strategy == HyperAggressive {
+		p = p.Add(bias)
 		if p > g.floor {
 			g.floor = p
 		}
@@ -138,7 +138,7 @@ func TestGovernorMatchesReference(t *testing.T) {
 		{Strategy: Lazy},
 		{Strategy: Curiosity},
 		{Strategy: Aggressive, Stride: 500},
-		{Strategy: HyperAggressive, Stride: 500, Bias: 3000},
+		{Strategy: HyperAggressive, Stride: 500},
 		{Strategy: HyperAggressive, Stride: 2000},
 	}
 	for seed := uint64(1); seed <= 40; seed++ {

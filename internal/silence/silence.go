@@ -15,10 +15,10 @@
 //   - Aggressive: senders push promises unprompted whenever their promise
 //     has advanced by a configured stride.
 //   - HyperAggressive: the "bias algorithm" — a sender eagerly promises
-//     silence *beyond* what it currently knows, constraining its own future
-//     outputs to later virtual times. Because this changes output VTs it is
-//     part of the estimator (deterministic) rather than mere communication,
-//     so its parameters may only change through a determinism fault.
+//     silence a fixed bias *beyond* what it currently knows, constraining its
+//     own future outputs to later virtual times. Because this changes output
+//     VTs it is part of the estimator (deterministic) rather than mere
+//     communication, so a component runs it from launch or not at all.
 //
 // The package is deliberately runtime-agnostic: the scheduler feeds it
 // events (probes received, clock advances) and it answers with the promises
@@ -45,6 +45,11 @@ const (
 	Aggressive
 	HyperAggressive
 )
+
+// bias is the extra silence a HyperAggressive sender promises beyond its
+// knowledge, which also floors its future output VTs: 2 ms, the value the
+// live bias study measured (EXPERIMENTS *Bias algorithm*).
+const bias vt.Ticks = 2_000_000
 
 // String renders the strategy name.
 func (s Strategy) String() string {
@@ -103,9 +108,6 @@ type Config struct {
 	// Aggressive or HyperAggressive sender pushes a fresh unprompted
 	// promise. Default 100 µs.
 	Stride vt.Ticks
-	// Bias is the extra silence a HyperAggressive sender promises beyond
-	// its knowledge, which also floors its future output VTs. Default 0.
-	Bias vt.Ticks
 }
 
 func (c Config) withDefaults() Config {
@@ -114,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Stride <= 0 {
 		c.Stride = 100_000 // 100 µs
-	}
-	if c.Bias < 0 {
-		c.Bias = 0
 	}
 	return c
 }
@@ -207,18 +206,13 @@ func (g *Governor) Config() Config { return g.cfg }
 // CheckSwitch reports whether a component running cur may switch to next.
 // Lazy, Curiosity, and Aggressive may be mixed and changed freely — how
 // silence is *communicated* has no effect on behaviour (§II.G.4).
-// Changing hyper-aggressive bias, however, alters which future ticks may
-// carry data (it is part of the estimator), so any switch that introduces,
-// removes, or modifies a non-zero bias is rejected.
+// HyperAggressive's bias, however, alters which future ticks may carry data
+// (it is part of the estimator), so a switch into or out of it is rejected:
+// a component runs it from launch or not at all.
 func CheckSwitch(cur, next Config) error {
-	bias := func(c Config) vt.Ticks {
-		if c = c.withDefaults(); c.Strategy == HyperAggressive {
-			return c.Bias
-		}
-		return 0
-	}
-	if oldBias, newBias := bias(cur), bias(next); oldBias != newBias {
-		return fmt.Errorf("silence: changing hyper-aggressive bias (%v -> %v) affects output virtual times", oldBias, newBias)
+	from, to := cur.withDefaults().Strategy, next.withDefaults().Strategy
+	if (from == HyperAggressive) != (to == HyperAggressive) {
+		return fmt.Errorf("silence: switching %v -> %v adds or removes the hyper-aggressive bias, which affects output virtual times", from, to)
 	}
 	return nil
 }
@@ -276,7 +270,7 @@ func (g *Governor) Need(src ViewSource) (vt.Time, bool) {
 		}
 		h := c.target.Add(-view.MinCost).Add(-view.WireDelay)
 		if g.cfg.Strategy == HyperAggressive {
-			h = h.Add(-g.cfg.Bias)
+			h = h.Add(-bias)
 		}
 		if h > need {
 			need, ok = h, true
@@ -378,8 +372,8 @@ func (g *Governor) RestoreFloor(f vt.Time) {
 // promiseFor applies the strategy's bias on top of the view's knowledge.
 func (g *Governor) promiseFor(view View) vt.Time {
 	p := view.Promise()
-	if g.cfg.Strategy == HyperAggressive && g.cfg.Bias > 0 {
-		p = p.Add(g.cfg.Bias)
+	if g.cfg.Strategy == HyperAggressive {
+		p = p.Add(bias)
 		if p > g.floor {
 			g.floor = p
 		}

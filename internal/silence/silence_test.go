@@ -107,10 +107,10 @@ func TestGovernorNeed(t *testing.T) {
 		t.Fatalf("promise at the horizon = %v, want the target 5000", p)
 	}
 
-	hyper := NewGovernor(Config{Strategy: HyperAggressive, Bias: 300})
-	hyper.OnProbe(1, 5000, views[1])
-	if need, ok := hyper.Need(views); !ok || need != 4590 {
-		t.Fatalf("biased Need = %v,%v, want 4590", need, ok)
+	hyper := NewGovernor(Config{Strategy: HyperAggressive})
+	hyper.OnProbe(1, 5_000_000, views[1])
+	if need, ok := hyper.Need(views); !ok || need != 5_000_000-110-vt.Time(bias) {
+		t.Fatalf("biased Need = %v,%v, want %v", need, ok, 5_000_000-110-vt.Time(bias))
 	}
 }
 
@@ -173,7 +173,7 @@ func TestGovernorAggressiveAnswersCuriosityBelowStride(t *testing.T) {
 }
 
 func TestGovernorHyperBiasFloorsOutputs(t *testing.T) {
-	g := NewGovernor(Config{Strategy: HyperAggressive, Stride: 1, Bias: 500})
+	g := NewGovernor(Config{Strategy: HyperAggressive, Stride: 1})
 	if g.OutputFloor() != vt.Never {
 		t.Error("fresh governor should not constrain outputs")
 	}
@@ -183,11 +183,11 @@ func TestGovernorHyperBiasFloorsOutputs(t *testing.T) {
 		t.Fatal("hyper governor did not push")
 	}
 	base := view.Promise()
-	if out[0].Through != base.Add(500) {
-		t.Errorf("biased promise = %v, want %v", out[0].Through, base.Add(500))
+	if out[0].Through != base.Add(bias) {
+		t.Errorf("biased promise = %v, want %v", out[0].Through, base.Add(bias))
 	}
-	if g.OutputFloor() != base.Add(500) {
-		t.Errorf("output floor = %v, want %v", g.OutputFloor(), base.Add(500))
+	if g.OutputFloor() != base.Add(bias) {
+		t.Errorf("output floor = %v, want %v", g.OutputFloor(), base.Add(bias))
 	}
 }
 
@@ -238,16 +238,13 @@ func TestSetConfigRules(t *testing.T) {
 		// Mixing lazy/curiosity/aggressive freely is allowed (§II.G.4).
 		{"lazy->curiosity", Config{Strategy: Lazy}, Config{Strategy: Curiosity}, true},
 		{"curiosity->aggressive", Config{Strategy: Curiosity}, Config{Strategy: Aggressive, Stride: 10}, true},
-		// Zero-bias hyper is communication-only, so it may be switched to.
-		{"aggressive->hyper without bias", Config{Strategy: Aggressive}, Config{Strategy: HyperAggressive}, true},
-		// Introducing a bias changes output VTs.
-		{"introduce bias", Config{Strategy: HyperAggressive}, Config{Strategy: HyperAggressive, Bias: 500}, false},
-		// Removing a bias likewise.
-		{"remove bias", Config{Strategy: HyperAggressive, Bias: 500}, Config{Strategy: Curiosity}, false},
-		// Keeping the identical bias while hyper is fine (stride is free).
-		{"same bias", Config{Strategy: HyperAggressive, Bias: 500}, Config{Strategy: HyperAggressive, Bias: 500, Stride: 7}, true},
-		// A bias only counts under hyper-aggressive.
-		{"bias outside hyper", Config{Strategy: Aggressive, Bias: 500}, Config{Strategy: Lazy}, true},
+		// Switching into hyper introduces its bias, which changes output VTs.
+		{"aggressive->hyper", Config{Strategy: Aggressive}, Config{Strategy: HyperAggressive}, false},
+		{"default->hyper", Config{}, Config{Strategy: HyperAggressive}, false},
+		// Switching out of it removes the bias, likewise.
+		{"hyper->curiosity", Config{Strategy: HyperAggressive}, Config{Strategy: Curiosity}, false},
+		// Staying hyper keeps the bias (stride is free).
+		{"hyper stride", Config{Strategy: HyperAggressive}, Config{Strategy: HyperAggressive, Stride: 7}, true},
 	} {
 		if err := CheckSwitch(c.cur, c.next); (err == nil) != c.ok {
 			t.Errorf("%s: CheckSwitch = %v, want ok=%v", c.name, err, c.ok)
@@ -260,10 +257,7 @@ func TestConfigDefaults(t *testing.T) {
 	if g.Strategy() != Curiosity {
 		t.Errorf("default strategy = %v", g.Strategy())
 	}
-	cfg := Config{Strategy: Lazy, Bias: -5}.withDefaults()
-	if cfg.Bias != 0 {
-		t.Errorf("negative bias not clamped: %v", cfg.Bias)
-	}
+	cfg := Config{Strategy: Lazy}.withDefaults()
 	if cfg.Stride != 100_000 {
 		t.Errorf("default stride = %v", cfg.Stride)
 	}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -177,25 +178,59 @@ type Tracker struct {
 
 type track struct {
 	hist     *Hist
-	breaches atomic64
+	breaches atomic.Uint64
 	window   *budgetWindow
 }
-
-// atomic64 avoids importing sync/atomic twice under a clearer name.
-type atomic64 struct{ c trace.Counter }
-
-func (a *atomic64) inc()         { a.c.Inc() }
-func (a *atomic64) value() int64 { return a.c.Value() }
 
 // NewTracker creates a tracker evaluating the given objectives (at least
 // one) against every series; budget may be nil (no burn tracking).
 func NewTracker(objectives []Objective, budget *BudgetPolicy) *Tracker {
-	return &Tracker{
+	t := &Tracker{
 		objectives: append([]Objective(nil), objectives...),
 		budget:     budget,
 		reg:        trace.NewRegistry(),
 		series:     make(map[string]*track),
 	}
+	t.collect()
+	return t
+}
+
+// collect registers the tart_slo_* families as collectors over Report, so
+// every gather renders the live evaluation and nothing is stored between
+// scrapes.
+func (t *Tracker) collect() {
+	rows := func(emitRow func(emit trace.Emit, row Row, series trace.Label)) func(trace.Emit) {
+		return func(emit trace.Emit) {
+			for _, row := range t.Report().Rows {
+				emitRow(emit, row, trace.L("series", row.Series))
+			}
+		}
+	}
+	t.reg.Collect(trace.MetricSLOLatency, "HDR-estimated latency quantiles per SLO series.", "gauge",
+		rows(func(emit trace.Emit, row Row, series trace.Label) {
+			for _, q := range []struct {
+				name string
+				v    time.Duration
+			}{{"p50", row.P50}, {"p90", row.P90}, {"p99", row.P99}, {"p999", row.P999}, {"max", row.Max}} {
+				emit(q.v.Seconds(), series, trace.L("quantile", q.name))
+			}
+		}))
+	t.reg.Collect(trace.MetricSLOObservations, "Latency observations recorded per SLO series.", "counter",
+		rows(func(emit trace.Emit, row Row, series trace.Label) { emit(float64(row.Count), series) }))
+	t.reg.Collect(trace.MetricSLOBreaches, "Observations exceeding the error-budget threshold.", "counter",
+		rows(func(emit trace.Emit, row Row, series trace.Label) { emit(float64(row.Breaches), series) }))
+	t.reg.Collect(trace.MetricSLOBurn, "Error-budget burn rate over the policy window (1 = burning exactly the budget).", "gauge",
+		rows(func(emit trace.Emit, row Row, series trace.Label) { emit(row.BurnRate, series) }))
+	t.reg.Collect(trace.MetricSLOOk, "Whether the series currently meets the objective (1 = meeting).", "gauge",
+		rows(func(emit trace.Emit, row Row, series trace.Label) {
+			for _, v := range row.Verdicts {
+				ok := 0.0
+				if v.OK {
+					ok = 1
+				}
+				emit(ok, series, trace.L("objective", v.Objective.String()))
+			}
+		}))
 }
 
 // Objectives returns the tracker's objective list.
@@ -225,7 +260,7 @@ func (t *Tracker) Observe(series string, d time.Duration) {
 	if t.budget != nil {
 		breach := d > t.budget.Threshold
 		if breach {
-			tr.breaches.inc()
+			tr.breaches.Add(1)
 		}
 		tr.window.observe(time.Now(), breach)
 	}
@@ -297,7 +332,7 @@ func (t *Tracker) Report() Report {
 		if t.budget != nil {
 			frac, _ := tr.window.rate(now)
 			row.BurnRate = frac / t.budget.Budget
-			row.Breaches = uint64(tr.breaches.value())
+			row.Breaches = tr.breaches.Load()
 			if row.BurnRate > 1 {
 				row.OK = false
 			}
@@ -310,43 +345,10 @@ func (t *Tracker) Report() Report {
 	return rep
 }
 
-// WriteMetrics refreshes the tracker's tart_slo_* families from a fresh
-// Report and renders them in Prometheus text exposition format (each
-// family with its # HELP and # TYPE lines). Counter families advance by
-// delta so repeated scrapes stay monotonic.
-func (t *Tracker) WriteMetrics(w io.Writer) error {
-	rep := t.Report()
-	for _, row := range rep.Rows {
-		lbl := trace.L("series", row.Series)
-		for _, q := range []struct {
-			name string
-			v    time.Duration
-		}{{"p50", row.P50}, {"p90", row.P90}, {"p99", row.P99}, {"p999", row.P999}, {"max", row.Max}} {
-			t.reg.FloatGauge(trace.MetricSLOLatency,
-				"HDR-estimated latency quantiles per SLO series.",
-				lbl, trace.L("quantile", q.name)).Set(q.v.Seconds())
-		}
-		obs := t.reg.Counter(trace.MetricSLOObservations,
-			"Latency observations recorded per SLO series.", lbl)
-		obs.Add(int64(row.Count) - obs.Value())
-		br := t.reg.Counter(trace.MetricSLOBreaches,
-			"Observations exceeding the error-budget threshold.", lbl)
-		br.Add(int64(row.Breaches) - br.Value())
-		t.reg.FloatGauge(trace.MetricSLOBurn,
-			"Error-budget burn rate over the policy window (1 = burning exactly the budget).",
-			lbl).Set(row.BurnRate)
-		for _, v := range row.Verdicts {
-			ok := int64(0)
-			if v.OK {
-				ok = 1
-			}
-			t.reg.Gauge(trace.MetricSLOOk,
-				"Whether the series currently meets the objective (1 = meeting).",
-				lbl, trace.L("objective", v.Objective.String())).Set(ok)
-		}
-	}
-	return t.reg.WritePrometheus(w)
-}
+// WriteMetrics renders the tracker's tart_slo_* families, read from a live
+// Report, in Prometheus text exposition format (each family with its # HELP
+// and # TYPE lines).
+func (t *Tracker) WriteMetrics(w io.Writer) error { return t.reg.WritePrometheus(w) }
 
 // WriteTable renders the report as an aligned text table with one verdict
 // column per objective.

@@ -9,10 +9,10 @@ import (
 	"repro/internal/vt"
 )
 
-// This file makes *Metrics the scheduler's observer (sched.Observer) and
-// the engine's (engine.Observer, which embeds it): each report updates the
-// registry, the flight recorder and the span collector, any of which may be
-// absent.
+// This file makes *Metrics the scheduler's observer (sched.Observer), the
+// engine's (engine.Observer, which embeds it) and the TCP transport's
+// (transport.Observer): each report updates the registry, the flight
+// recorder and the span collector, any of which may be absent.
 
 // wireObs is the handle Wire hands out for one end of a wire: the names its
 // events carry and the handles its reports update. The other end's handles
@@ -24,7 +24,6 @@ type wireObs struct {
 	delivered, outOfOrder, probes, duplicates, holdback, blame *Counter
 	sent, silences, divergence                                 *Counter
 	pessimism, blameSeconds, estErr                            *Histogram
-	depth                                                      *Gauge
 }
 
 // event starts a flight event at VT t about message seq on o's wire.
@@ -57,7 +56,6 @@ func (m *Metrics) Wire(component, label string, w msg.WireID, in bool) any {
 	o.probes = r.Counter(MetricProbes, "Curiosity probes sent to the wire's sender.", lbls...)
 	o.duplicates = r.duplicates(component, label)
 	o.pessimism = r.Histogram(MetricPessimism, "Pessimism delay: real time spent holding a deliverable message awaiting other senders' silence.", SecondsBuckets, lbls...)
-	o.depth = r.Gauge(MetricQueueDepth, "Messages currently queued on the wire.", lbls...)
 	o.blame = r.Counter(MetricBlame, "Pessimism episodes where this wire's silence frontier was the last holdout.", lbls...)
 	o.blameSeconds = r.Histogram(MetricBlameSeconds, "Real time pessimism episodes blamed on this wire cost the receiver.", SecondsBuckets, lbls...)
 	o.holdback = r.Counter(MetricHoldbackDrops, "Arrivals shed because the hold-back area was at its cap.", lbls...)
@@ -66,9 +64,6 @@ func (m *Metrics) Wire(component, label string, w msg.WireID, in bool) any {
 
 // Traced resolves an envelope's trace mark against the span collector.
 func (m *Metrics) Traced(mark int8, origin msg.OriginID) bool { return m.spans.Decided(mark, origin) }
-
-// Queued sets the wire's queue-depth gauge.
-func (m *Metrics) Queued(in any, depth int) { in.(*wireObs).depth.Set(int64(depth)) }
 
 // Dropped counts a duplicate or hold-back drop and records it.
 func (m *Metrics) Dropped(in any, env msg.Envelope, overflow bool) {
@@ -207,29 +202,22 @@ func (m *Metrics) Recalibrated(component string, at vt.Time, err error) {
 // Help text of engine families both seeded and reported. A checkpoint is
 // full if every component shipped its whole state, else a delta.
 const (
-	redialsHelp   = "Dial attempts to a peer engine (first dials and redials)."
-	breakerHelp   = "Per-peer dial circuit breaker position (0 closed, 1 open, 2 half-open)."
-	coldstartHelp = "Logged input records re-injected from the durable WAL suffix during a cold restart."
-	shedHelp      = "External inputs refused at sources because buffered replay state hit its bound."
 	coalesceHelp  = "Peer-bound silence promises absorbed by a newer promise during a flush."
 	ckptCountHelp = "Soft checkpoints applied to the backup, by kind."
 	ckptBytesHelp = "Encoded handler-state bytes per soft checkpoint, by kind."
 	ckptHoldHelp  = "Real time one component's delivery loop was held quiescent while a soft checkpoint staged its state."
 	ckptStoreHelp = "Real time per soft checkpoint spent encoding state and applying it to the backup (fsyncs included), after the delivery loops were released."
-	ckptChainHelp = "Checkpoints in the engine's current chain: the newest full one and the deltas applied since (bounded; a restore folds them all)."
 )
 
 // NewEngineRegistry creates an engine incarnation's registry (const label
-// engine=<name>) with its families seeded at zero, scrapeable from launch
-// even if the engine never dials, sheds, cold-starts or checkpoints.
+// engine=<name>) with its label-free families seeded at zero, scrapeable
+// from launch even if the engine never checkpoints. A labeled family is
+// seeded where its label value becomes known: per source at Source, per
+// peer at Dialer.
 func NewEngineRegistry(engine string) *Registry {
 	r := NewRegistry(L("engine", engine))
-	r.Counter(MetricRedials, redialsHelp)
-	r.Gauge(MetricDialBreaker, breakerHelp)
-	r.Counter(MetricColdstartReplayed, coldstartHelp)
 	r.Counter(MetricCkptStoreWrites, "Checkpoints persisted by the durable checkpoint store.")
 	r.Counter(MetricCkptStoreFsyncs, "fsync calls issued by the durable checkpoint store.")
-	r.Counter(MetricSourceShed, shedHelp)
 	r.Counter(MetricSilenceCoalesce, coalesceHelp)
 	r.WAL()
 	for _, kind := range []string{"full", "delta"} {
@@ -238,7 +226,6 @@ func NewEngineRegistry(engine string) *Registry {
 	}
 	r.Histogram(MetricCheckpointHold, ckptHoldHelp, SecondsBuckets)
 	r.Histogram(MetricCheckpointStore, ckptStoreHelp, SecondsBuckets)
-	r.Gauge(MetricCheckpointChain, ckptChainHelp)
 	return r
 }
 
@@ -248,7 +235,7 @@ func (m *Metrics) CheckpointHeld(held time.Duration) {
 }
 
 // Checkpointed accounts a checkpoint by kind and records it.
-func (m *Metrics) Checkpointed(at vt.Time, seq uint64, base bool, chain, bytes int, offLoop, took time.Duration) {
+func (m *Metrics) Checkpointed(at vt.Time, seq uint64, base bool, bytes int, offLoop, took time.Duration) {
 	kind := L("kind", "delta")
 	if base {
 		kind = L("kind", "full")
@@ -256,7 +243,6 @@ func (m *Metrics) Checkpointed(at vt.Time, seq uint64, base bool, chain, bytes i
 	m.reg.Counter(MetricCheckpoints, ckptCountHelp, kind).Inc()
 	m.reg.Histogram(MetricCheckpointBytes, ckptBytesHelp, BytesBuckets, kind).Observe(float64(bytes))
 	m.reg.Histogram(MetricCheckpointStore, ckptStoreHelp, SecondsBuckets).Observe(offLoop.Seconds())
-	m.reg.Gauge(MetricCheckpointChain, ckptChainHelp).Set(int64(chain))
 	m.rec.Record(Event{Kind: EvCheckpoint, VT: at, Wire: -1, MsgSeq: seq,
 		Note: fmt.Sprintf("%d bytes in %v", bytes, took.Round(time.Microsecond))})
 }
@@ -292,20 +278,14 @@ func (m *Metrics) ReplayRequested(w msg.WireID, label string, seq uint64) {
 	m.rec.Record(Event{Kind: EvReplayRequest, VT: vt.Never, Wire: w, MsgSeq: seq})
 }
 
-// Dialer resolves a dial loop's attempt counter and breaker gauge.
-func (m *Metrics) Dialer(peer string) (redial func(), moved func(state int)) {
-	redials := m.reg.Counter(MetricRedials, redialsHelp, L("peer", peer))
-	breaker := m.reg.Gauge(MetricDialBreaker, breakerHelp, L("peer", peer))
-	return redials.Inc, func(state int) { breaker.Set(int64(state)) }
+// Dialer resolves a dial loop's attempt counter.
+func (m *Metrics) Dialer(peer string) (redial func()) {
+	return m.reg.Counter(MetricRedials, "Dial attempts to a peer engine (first dials and redials).", L("peer", peer)).Inc
 }
 
-// PeerUp records a connection joining and resolves its frame counters.
-func (m *Metrics) PeerUp(peer string) (sent, received func(msg.Envelope)) {
+// PeerUp records a connection joining.
+func (m *Metrics) PeerUp(peer string) {
 	m.rec.Record(Event{Kind: EvPeerUp, VT: vt.Never, Wire: -1, Note: "peer " + peer})
-	const help = "Envelope frames exchanged with a peer engine (heartbeats included)."
-	s := m.reg.Counter(MetricPeerFrames, help, L("peer", peer), L("direction", "send"))
-	r := m.reg.Counter(MetricPeerFrames, help, L("peer", peer), L("direction", "recv"))
-	return func(msg.Envelope) { s.Inc() }, func(msg.Envelope) { r.Inc() }
 }
 
 // PeerDown records the live connection to peer dropped.
@@ -327,16 +307,20 @@ func (m *Metrics) SilencesCoalesced(n int) {
 
 // sourceObs is a source's handle: its events' names and its counters.
 type sourceObs struct {
-	name            string
-	wire            msg.WireID
-	emits, silences *Counter
+	name                             string
+	wire                             msg.WireID
+	emits, silences, shed, coldstart *Counter
 }
 
-// Source resolves a source's series.
+// Source resolves a source's series, seeding its shed and cold-start
+// counters at zero.
 func (m *Metrics) Source(name, label string, w msg.WireID) any {
+	src := L("source", name)
 	return &sourceObs{name: name, wire: w,
-		emits:    m.reg.Counter(MetricSourceEmits, "External messages logged and injected by a source.", L("source", name)),
-		silences: m.reg.silences(name, label),
+		emits:     m.reg.Counter(MetricSourceEmits, "External messages logged and injected by a source.", src),
+		silences:  m.reg.silences(name, label),
+		shed:      m.reg.Counter(MetricSourceShed, "External inputs refused at sources because buffered replay state hit its bound.", src),
+		coldstart: m.reg.Counter(MetricColdstartReplayed, "Logged input records re-injected from the durable WAL suffix during a cold restart.", src),
 	}
 }
 
@@ -348,9 +332,7 @@ func (m *Metrics) Emitted(src any, env msg.Envelope) {
 }
 
 // Shed counts a refused input.
-func (m *Metrics) Shed(src any) {
-	m.reg.Counter(MetricSourceShed, shedHelp, L("source", src.(*sourceObs).name)).Inc()
-}
+func (m *Metrics) Shed(src any) { src.(*sourceObs).shed.Inc() }
 
 // SourceSilence counts a promise and records one answering a probe.
 func (m *Metrics) SourceSilence(src any, promise vt.Time, probe bool) {
@@ -365,8 +347,8 @@ func (m *Metrics) SourceSilence(src any, promise vt.Time, probe bool) {
 func (m *Metrics) LogReplayed(src any, seq uint64, n int, cold bool) {
 	o := src.(*sourceObs)
 	m.rec.Record(Event{Kind: EvReplayRequest, VT: vt.Never, Component: o.name, Wire: o.wire, MsgSeq: seq, Note: "source log replay"})
-	if cold && n > 0 {
-		m.reg.Counter(MetricColdstartReplayed, coldstartHelp, L("source", o.name)).Add(int64(n))
+	if cold {
+		o.coldstart.Add(int64(n))
 	}
 }
 
@@ -374,3 +356,36 @@ func (m *Metrics) LogReplayed(src any, seq uint64, n int, cold bool) {
 func (m *Metrics) TraceMark(origin msg.OriginID, at vt.Time) int8 {
 	return m.spans.DecideAt(origin, at)
 }
+
+// socketObs is the transport's handles, resolved with the registry so a
+// write or read updates them without taking the registry lock.
+type socketObs struct {
+	sent, recv, fallbacks *Counter
+	batch                 *Histogram
+}
+
+// writevBatchBuckets grades how many frames one writev carried: 1 is no
+// coalescing (sparse traffic), higher a burst sharing one syscall.
+var writevBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
+
+func newSocketObs(r *Registry) socketObs {
+	const bytesHelp = "Socket bytes moved by the transport, by direction."
+	return socketObs{
+		sent:      r.Counter(MetricTransportBytes, bytesHelp, L("dir", "sent")),
+		recv:      r.Counter(MetricTransportBytes, bytesHelp, L("dir", "recv")),
+		fallbacks: r.Counter(MetricCodecFallbacks, "Envelopes whose payload used the gob fallback instead of a registered binary codec."),
+		batch:     r.Histogram(MetricFramesPerWritev, "Envelope frames coalesced into one writev batch.", writevBatchBuckets),
+	}
+}
+
+// SocketWrite counts one writev's bytes and observes its frame count.
+func (m *Metrics) SocketWrite(frames, bytes int) {
+	m.sock.sent.Add(int64(bytes))
+	m.sock.batch.Observe(float64(frames))
+}
+
+// SocketRead counts one read's bytes.
+func (m *Metrics) SocketRead(bytes int) { m.sock.recv.Add(int64(bytes)) }
+
+// CodecFallback counts an envelope whose payload rode the gob fallback.
+func (m *Metrics) CodecFallback() { m.sock.fallbacks.Inc() }

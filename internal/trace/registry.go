@@ -1,12 +1,15 @@
-// Labeled metrics registry: per-component and per-wire counters, gauges,
-// and fixed-bucket histograms with a deterministic Prometheus text
+// Labeled metrics registry: per-component and per-wire counters and
+// fixed-bucket histograms that the runtime pushes into, beside collector
+// families read at gather time, with a deterministic Prometheus text
 // rendering (exposition format 0.0.4, stdlib only).
 //
-// Handles (*Counter, *Gauge, *Histogram) are resolved once — typically at
+// Pushed handles (*Counter, *Histogram) are resolved once — typically at
 // scheduler/engine construction — and updated with plain atomics, so the
 // hot path pays no map lookups and no locks. All handle methods are
 // nil-receiver safe: code instrumented against a disabled registry keeps
-// working at zero cost.
+// working at zero cost. A value the runtime already holds (a queue depth, a
+// breaker position, a count kept beside other state) is not pushed at all:
+// a collector reads it when something gathers.
 package trace
 
 import (
@@ -52,44 +55,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a metric cell that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// FloatGauge is a gauge holding a float64 (latency quantiles, burn rates —
-// values Prometheus conventions express in seconds or ratios, which the
-// integer Gauge cannot carry).
-type FloatGauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *FloatGauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram is a fixed-bucket histogram. Observations are float64 in the
@@ -177,17 +142,19 @@ var (
 type series struct {
 	labels []Label // const labels + series labels, render order
 	c      *Counter
-	g      *Gauge
-	f      *FloatGauge
 	h      *Histogram
 }
 
 type family struct {
-	name   string
-	help   string
-	typ    string // "counter" | "gauge" | "histogram"
-	series map[string]*series
+	name    string
+	help    string
+	typ     string // "counter" | "gauge" | "histogram"
+	series  map[string]*series
+	collect func(Emit) // a collector family's reader; nil when pushed
 }
+
+// Emit adds one series of value v to the family a collector is gathering.
+type Emit func(v float64, labels ...Label)
 
 // Registry is a labeled metric namespace, typically one per engine with an
 // engine=<name> const label. Handle resolution takes the registry lock;
@@ -208,28 +175,16 @@ func NewRegistry(consts ...Label) *Registry {
 func (r *Registry) seriesFor(name, help, typ string, bounds []float64, labels []Label) *series {
 	fam, ok := r.fams[name]
 	if !ok {
-		famTyp := typ
-		if famTyp == "floatgauge" {
-			famTyp = "gauge" // exposition TYPE; the cell stays a float
-		}
-		fam = &family{name: name, help: help, typ: famTyp, series: make(map[string]*series)}
+		fam = &family{name: name, help: help, typ: typ, series: make(map[string]*series)}
 		r.fams[name] = fam
 	}
 	key := labelKey(labels)
 	s, ok := fam.series[key]
 	if !ok {
-		all := make([]Label, 0, len(r.consts)+len(labels))
-		all = append(all, r.consts...)
-		all = append(all, labels...)
-		s = &series{labels: all}
-		switch typ {
-		case "counter":
+		s = &series{labels: r.withConsts(labels)}
+		if typ == "counter" {
 			s.c = &Counter{}
-		case "gauge":
-			s.g = &Gauge{}
-		case "floatgauge":
-			s.f = &FloatGauge{}
-		case "histogram":
+		} else {
 			s.h = newHistogram(bounds)
 		}
 		fam.series[key] = s
@@ -245,27 +200,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.seriesFor(name, help, "counter", nil, labels).c
-}
-
-// Gauge resolves (creating on first use) a gauge handle.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seriesFor(name, help, "gauge", nil, labels).g
-}
-
-// FloatGauge resolves (creating on first use) a float-valued gauge handle
-// (rendered with TYPE gauge).
-func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatGauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seriesFor(name, help, "floatgauge", nil, labels).f
 }
 
 // Histogram resolves (creating on first use) a histogram handle; bounds are
@@ -304,8 +238,30 @@ type MetricFamily struct {
 	Series []Series
 }
 
+// Collect registers a collector family of type typ ("counter" or "gauge"):
+// each Gather calls read, outside the registry lock, and every emit adds one
+// series. A collector may therefore take the locks of the state it reads.
+// A family whose collector emits nothing is left out of the gather.
+func (r *Registry) Collect(name, help, typ string, read func(Emit)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.fams[name] = &family{name: name, help: help, typ: typ, collect: read}
+}
+
+// withConsts prefixes a series' labels with the registry's const labels.
+func (r *Registry) withConsts(labels []Label) []Label {
+	all := make([]Label, 0, len(r.consts)+len(labels))
+	all = append(all, r.consts...)
+	return append(all, labels...)
+}
+
 // Gather snapshots every family, sorted by name with series sorted by
 // label signature — the ordering is deterministic for a given contents.
+// Pushed families are read under the registry lock, collector families
+// after it is released.
 func (r *Registry) Gather() []MetricFamily {
 	if r == nil {
 		return nil
@@ -317,6 +273,7 @@ func (r *Registry) Gather() []MetricFamily {
 	}
 	sort.Strings(names)
 	out := make([]MetricFamily, 0, len(names))
+	var collect []func(Emit) // parallel to out: a collector family's reader
 	for _, n := range names {
 		fam := r.fams[n]
 		mf := MetricFamily{Name: fam.name, Help: fam.help, Type: fam.typ}
@@ -328,28 +285,52 @@ func (r *Registry) Gather() []MetricFamily {
 		for _, k := range keys {
 			s := fam.series[k]
 			gs := Series{Labels: append([]Label(nil), s.labels...)}
-			switch {
-			case s.c != nil:
+			if s.c != nil {
 				gs.Value = float64(s.c.Value())
-			case s.g != nil:
-				gs.Value = float64(s.g.Value())
-			case s.f != nil:
-				gs.Value = s.f.Value()
-			case s.h != nil:
+			} else {
 				snap := s.h.Snapshot()
 				gs.Hist = &snap
 			}
 			mf.Series = append(mf.Series, gs)
 		}
 		out = append(out, mf)
+		collect = append(collect, fam.collect)
 	}
 	r.mu.Unlock()
+	kept := out[:0]
+	for i, mf := range out {
+		if read := collect[i]; read != nil {
+			mf.Series = r.collected(read)
+		}
+		if len(mf.Series) > 0 {
+			kept = append(kept, mf)
+		}
+	}
+	return kept
+}
+
+// collected runs one collector and sorts its series by label signature.
+func (r *Registry) collected(read func(Emit)) []Series {
+	type keyed struct {
+		key string
+		s   Series
+	}
+	var got []keyed
+	read(func(v float64, labels ...Label) {
+		got = append(got, keyed{labelKey(labels), Series{Labels: r.withConsts(labels), Value: v}})
+	})
+	sort.Slice(got, func(i, j int) bool { return got[i].key < got[j].key })
+	out := make([]Series, len(got))
+	for i := range got {
+		out[i] = got[i].s
+	}
 	return out
 }
 
-// Sum folds a counter or histogram family across all of its label sets:
-// the total of the counters, or of the histograms' observation sums plus,
-// as count, the number of observations. An absent family sums to zero.
+// Sum folds a pushed counter or histogram family across all of its label
+// sets: the total of the counters, or of the histograms' observation sums
+// plus, as count, the number of observations. An absent family, or a
+// collector's, sums to zero.
 func (r *Registry) Sum(name string) (sum float64, count int64) {
 	if r == nil {
 		return 0, 0
@@ -361,10 +342,9 @@ func (r *Registry) Sum(name string) (sum float64, count int64) {
 		return 0, 0
 	}
 	for _, s := range fam.series {
-		switch {
-		case s.c != nil:
+		if s.c != nil {
 			sum += float64(s.c.Value())
-		case s.h != nil:
+		} else {
 			sum += math.Float64frombits(s.h.sumBits.Load())
 			count += s.h.count.Load()
 		}

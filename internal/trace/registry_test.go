@@ -24,10 +24,54 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	if c.Value() != 4 {
 		t.Errorf("re-resolved counter not shared: %d", c.Value())
 	}
-	g := r.Gauge("tart_test_depth", "help", L("wire", "w1"))
-	g.Set(7)
-	if g.Value() != 7 {
-		t.Errorf("gauge = %d", g.Value())
+	// A gauge is a collector: each gather reads the value it stands for.
+	depth := 7
+	r.Collect("tart_test_depth", "help", "gauge", func(emit Emit) {
+		emit(float64(depth), L("wire", "w1"))
+		emit(0, L("wire", "w0"))
+	})
+	r.Collect("tart_test_idle", "help", "gauge", func(Emit) {})
+	gauge := func() []Series {
+		for _, f := range r.Gather() {
+			if f.Name == "tart_test_idle" {
+				t.Error("a collector that emits nothing still rendered its family")
+			}
+			if f.Name == "tart_test_depth" {
+				if f.Type != "gauge" {
+					t.Errorf("collector family type = %q", f.Type)
+				}
+				return f.Series
+			}
+		}
+		t.Fatal("collector family missing")
+		return nil
+	}
+	if s := gauge(); len(s) != 2 || s[0].Get("wire") != "w0" || s[1].Value != 7 || s[1].Get("engine") != "test" {
+		t.Errorf("gauge series = %+v, want w0 then w1=7 under the const label", s)
+	}
+	depth = 3
+	if s := gauge(); s[1].Value != 3 {
+		t.Errorf("gauge = %v after the value moved, want 3", s[1].Value)
+	}
+}
+
+// TestCollectorRunsOutsideLock: Gather releases the registry lock before it
+// runs collectors, so a collector may take locks that are held while
+// handles are resolved — here, resolving a handle itself.
+func TestCollectorRunsOutsideLock(t *testing.T) {
+	r := NewRegistry()
+	r.Collect("tart_inner", "help", "counter", func(emit Emit) {
+		emit(float64(r.Counter("tart_other_total", "help").Value()))
+	})
+	done := make(chan []MetricFamily)
+	go func() { done <- r.Gather() }()
+	select {
+	case fams := <-done:
+		if len(fams) != 1 || fams[0].Name != "tart_inner" {
+			t.Errorf("gathered %+v", fams)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Gather deadlocked running a collector")
 	}
 }
 
@@ -35,7 +79,7 @@ func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
 	c.Inc() // must not panic
-	r.Gauge("x", "").Set(1)
+	r.Collect("x", "", "gauge", func(Emit) { t.Error("nil registry ran a collector") })
 	r.Histogram("x_h", "", SecondsBuckets).Observe(0.5)
 	if got := r.Gather(); got != nil {
 		t.Errorf("nil registry Gather = %v", got)
@@ -43,7 +87,6 @@ func TestRegistryNilSafe(t *testing.T) {
 	var m Metrics // no registry, recorder or collector: every report is inert
 	in, out := m.Wire("c", "w", 0, true), m.Wire("c", "w", 1, false)
 	m.Delivered(in, in, msg.Envelope{}, 0, time.Second, true, true)
-	m.Queued(in, 3)
 	m.Sent(out, msg.Envelope{}, "")
 	var rec *Recorder
 	rec.Record(Event{Kind: EvDeliver})

@@ -13,18 +13,23 @@ import (
 
 // Metrics bundles an engine's observability attachments: the labeled
 // Registry every counter lives in, the flight Recorder and the span
-// Collector. The engine and its schedulers report into it as their
-// observer (observe.go). The zero value has none attached, and every
-// report then updates nothing.
+// Collector. The engine, its schedulers and its TCP connections report into
+// it as their observer (observe.go). The zero value has none attached, and
+// every report then updates nothing.
 type Metrics struct {
 	reg   *Registry
 	rec   *Recorder
 	spans *span.Collector
+	sock  socketObs
 }
 
-// SetRegistry attaches a labeled metrics registry. Attach before the
-// engine starts; the field is read without synchronization afterwards.
-func (m *Metrics) SetRegistry(r *Registry) { m.reg = r }
+// SetRegistry attaches a labeled metrics registry and resolves the
+// transport's families in it. Attach before the engine starts; the fields
+// are read without synchronization afterwards.
+func (m *Metrics) SetRegistry(r *Registry) {
+	m.reg = r
+	m.sock = newSocketObs(r)
+}
 
 // Registry returns the attached registry (nil when none — nil registries
 // hand out nil handles, which are valid no-ops).

@@ -25,8 +25,8 @@ func TestMetricsCounters(t *testing.T) {
 	m.Probe(a, 0)
 	m.Silence(m.Wire("c", "w2", 2, false), 0)
 	m.SourceSilence(m.Source("src", "w0", 0), 0, false)
-	m.Checkpointed(0, 1, true, 1, 1000, 0, 0)
-	m.Checkpointed(0, 2, false, 2, 24, 0, 0)
+	m.Checkpointed(0, 1, true, 1000, 0, 0)
+	m.Checkpointed(0, 2, false, 24, 0, 0)
 	m.ReplayServed(0, "w0", 1, 3, false)
 	m.ReplayServed(0, "w0", 1, 3, true) // a local re-delivery: not counted
 	m.ReplayRequested(0, "w0", 1)       // issued, not served: not counted

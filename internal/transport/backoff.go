@@ -98,9 +98,6 @@ type Breaker struct {
 	// Cooldown is how long an open breaker suppresses dials before
 	// half-opening. Defaults to 2s when zero.
 	Cooldown time.Duration
-	// OnChange, when set, observes every state transition (metrics hook).
-	OnChange func(BreakerState)
-
 	mu       sync.Mutex
 	state    BreakerState
 	fails    int
@@ -111,14 +108,9 @@ type Breaker struct {
 // period to half-open.
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
-	changed := b.maybeHalfOpenLocked(time.Now())
-	s := b.state
-	cb := b.OnChange
-	b.mu.Unlock()
-	if changed && cb != nil {
-		cb(BreakerHalfOpen)
-	}
-	return s
+	defer b.mu.Unlock()
+	b.maybeHalfOpenLocked(time.Now())
+	return b.state
 }
 
 // Allow reports whether a dial attempt may proceed now. In the open state
@@ -127,27 +119,17 @@ func (b *Breaker) State() BreakerState {
 // as the probe.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
-	changed := b.maybeHalfOpenLocked(time.Now())
-	ok := b.state != BreakerOpen
-	cb := b.OnChange
-	b.mu.Unlock()
-	if changed && cb != nil {
-		cb(BreakerHalfOpen)
-	}
-	return ok
+	defer b.mu.Unlock()
+	b.maybeHalfOpenLocked(time.Now())
+	return b.state != BreakerOpen
 }
 
 // Success records a successful dial, closing the breaker.
 func (b *Breaker) Success() {
 	b.mu.Lock()
 	b.fails = 0
-	changed := b.state != BreakerClosed
 	b.state = BreakerClosed
-	cb := b.OnChange
 	b.mu.Unlock()
-	if changed && cb != nil {
-		cb(BreakerClosed)
-	}
 }
 
 // Failure records a failed dial, opening the breaker at the threshold (or
@@ -160,29 +142,20 @@ func (b *Breaker) Failure() {
 	}
 	b.fails++
 	open := b.state == BreakerHalfOpen || b.fails >= threshold
-	changed := false
 	if open && b.state != BreakerOpen {
 		b.state = BreakerOpen
 		b.openedAt = time.Now()
-		changed = true
 	}
-	cb := b.OnChange
 	b.mu.Unlock()
-	if changed && cb != nil {
-		cb(BreakerOpen)
-	}
 }
 
-// maybeHalfOpenLocked promotes an expired open period to half-open,
-// reporting whether it did (so the caller can fire OnChange outside mu).
-func (b *Breaker) maybeHalfOpenLocked(now time.Time) bool {
+// maybeHalfOpenLocked promotes an expired open period to half-open.
+func (b *Breaker) maybeHalfOpenLocked(now time.Time) {
 	cooldown := b.Cooldown
 	if cooldown <= 0 {
 		cooldown = 2 * time.Second
 	}
 	if b.state == BreakerOpen && now.Sub(b.openedAt) >= cooldown {
 		b.state = BreakerHalfOpen
-		return true
 	}
-	return false
 }

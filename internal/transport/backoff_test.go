@@ -61,12 +61,7 @@ func TestBackoffDefaultsAndMonotoneCap(t *testing.T) {
 // TestBreakerLifecycle walks the closed → open → half-open → closed loop
 // and checks the re-probe guarantee (an open breaker always half-opens).
 func TestBreakerLifecycle(t *testing.T) {
-	var transitions []BreakerState
-	b := &Breaker{
-		Threshold: 3,
-		Cooldown:  20 * time.Millisecond,
-		OnChange:  func(s BreakerState) { transitions = append(transitions, s) },
-	}
+	b := &Breaker{Threshold: 3, Cooldown: 20 * time.Millisecond}
 	if got := b.State(); got != BreakerClosed {
 		t.Fatalf("initial state = %v, want closed", got)
 	}
@@ -97,6 +92,9 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("failed half-open probe left breaker admitting dials")
 	}
+	if got := b.State(); got != BreakerOpen {
+		t.Fatalf("state after failed probe = %v, want open", got)
+	}
 	// Next cooldown, successful probe closes it.
 	time.Sleep(25 * time.Millisecond)
 	if !b.Allow() {
@@ -111,16 +109,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	b.Failure()
 	if !b.Allow() {
 		t.Fatal("failure count not reset by success")
-	}
-
-	wantPrefix := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerOpen, BreakerHalfOpen, BreakerClosed}
-	if len(transitions) != len(wantPrefix) {
-		t.Fatalf("transitions = %v, want %v", transitions, wantPrefix)
-	}
-	for i, s := range wantPrefix {
-		if transitions[i] != s {
-			t.Fatalf("transition %d = %v, want %v (all: %v)", i, transitions[i], s, transitions)
-		}
 	}
 }
 

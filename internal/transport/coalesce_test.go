@@ -47,7 +47,8 @@ func tcpPair(tb testing.TB, tr TCP) (client, server *tcpConn, cleanup func()) {
 // next write, so the whole burst leaves in one writev, complete and in
 // order, as soon as the writer is free.
 func TestTCPCoalescesWrites(t *testing.T) {
-	client, server, cleanup := tcpPair(t, TCP{})
+	obs := &recordingObserver{}
+	client, server, cleanup := tcpPair(t, TCP{Meter: obs})
 	defer cleanup()
 
 	const n = 100
@@ -68,8 +69,8 @@ func TestTCPCoalescesWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := client.Stats(); st.Flushes != 0 {
-		t.Fatalf("%d writes while the writer was busy", st.Flushes)
+	if w := obs.writes.Load(); w != 0 {
+		t.Fatalf("%d writes while the writer was busy", w)
 	}
 	client.writeMu.Unlock()
 	for i := 1; i <= n; i++ {
@@ -82,8 +83,13 @@ func TestTCPCoalescesWrites(t *testing.T) {
 			t.Fatalf("frame %d never arrived", i)
 		}
 	}
-	if st := client.Stats(); st.Envelopes != n || st.Flushes != 1 {
-		t.Errorf("stats = %+v, want %d envelopes in one write", st, n)
+	// The writer reports a write once it returns, which may be after the
+	// reader has the frames.
+	for deadline := time.Now().Add(10 * time.Second); obs.writes.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if w, f := obs.writes.Load(), obs.frames.Load(); w != 1 || f != n {
+		t.Errorf("%d frames in %d writes, want %d frames in one write", f, w, n)
 	}
 }
 
@@ -91,7 +97,8 @@ func TestTCPCoalescesWrites(t *testing.T) {
 // writes before it returns, with no hand-off: sparse traffic is one write
 // per envelope and pays no latency.
 func TestTCPIdleSendWritesInline(t *testing.T) {
-	client, server, cleanup := tcpPair(t, TCP{})
+	obs := &recordingObserver{}
+	client, server, cleanup := tcpPair(t, TCP{Meter: obs})
 	defer cleanup()
 
 	const n = 20
@@ -107,8 +114,8 @@ func TestTCPIdleSendWritesInline(t *testing.T) {
 		if err := client.Send(msg.NewSilence(1, vt.Time(i*10))); err != nil {
 			t.Fatal(err)
 		}
-		if st := client.Stats(); st.Flushes != uint64(i) {
-			t.Fatalf("after idle send %d: %d writes, want %d", i, st.Flushes, i)
+		if w := obs.writes.Load(); w != int64(i) {
+			t.Fatalf("after idle send %d: %d writes, want %d", i, w, i)
 		}
 	}
 }
@@ -119,7 +126,8 @@ func TestTCPIdleSendWritesInline(t *testing.T) {
 // envelope: the self-clocked writer batches whatever arrives during a
 // write.
 func BenchmarkTransportCoalescing(b *testing.B) {
-	client, server, cleanup := tcpPair(b, TCP{})
+	obs := &recordingObserver{}
+	client, server, cleanup := tcpPair(b, TCP{Meter: obs})
 	defer cleanup()
 
 	done := make(chan struct{})
@@ -149,8 +157,7 @@ func BenchmarkTransportCoalescing(b *testing.B) {
 	}
 	<-done
 	b.StopTimer()
-	st := client.Stats()
-	if st.Envelopes > 0 {
-		b.ReportMetric(float64(st.Flushes)/float64(st.Envelopes), "writes/envelope")
+	if f := obs.frames.Load(); f > 0 {
+		b.ReportMetric(float64(obs.writes.Load())/float64(f), "writes/envelope")
 	}
 }

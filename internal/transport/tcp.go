@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/msg"
@@ -43,10 +42,23 @@ const (
 // all others ride a self-describing gob fallback and must be registered
 // with msg.RegisterPayload before use.
 type TCP struct {
-	// Meter, when set, observes wire-level metrics on every connection this
-	// transport creates: socket bytes by direction, frames per writev
-	// batch, and gob-fallback envelopes.
-	Meter *Meter
+	// Meter, when set, observes every connection this transport creates:
+	// socket bytes by direction, frames per writev batch, and gob-fallback
+	// envelopes. Nil is off.
+	Meter Observer
+}
+
+// Observer receives a TCP connection's wire-level reports. Calls come from
+// the connection's writers and its reader, concurrently, and must not
+// block.
+type Observer interface {
+	// SocketWrite reports one writev that carried frames frames in bytes
+	// bytes, SocketRead one read of bytes bytes.
+	SocketWrite(frames, bytes int)
+	SocketRead(bytes int)
+	// CodecFallback reports an envelope, sent or received, whose payload
+	// rode the self-describing gob fallback instead of a binary codec.
+	CodecFallback()
 }
 
 var _ Transport = TCP{}
@@ -57,7 +69,7 @@ func (t TCP) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return &tcpListener{nl: nl, meter: t.Meter}, nil
+	return &tcpListener{nl: nl, obs: t.Meter}, nil
 }
 
 // Dial implements Transport, bounding connection establishment by
@@ -73,8 +85,8 @@ func (t TCP) Dial(addr string) (Conn, error) {
 }
 
 type tcpListener struct {
-	nl    net.Listener
-	meter *Meter
+	nl  net.Listener
+	obs Observer
 }
 
 func (l *tcpListener) Accept() (Conn, error) {
@@ -85,20 +97,12 @@ func (l *tcpListener) Accept() (Conn, error) {
 		}
 		return nil, fmt.Errorf("transport: accept: %w", err)
 	}
-	return newTCPConn(nc, l.meter), nil
+	return newTCPConn(nc, l.obs), nil
 }
 
 func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
 
 func (l *tcpListener) Close() error { return l.nl.Close() }
-
-// CoalesceStats counts a connection's outgoing envelopes and the socket
-// flushes that carried them; Flushes/Envelopes is the coalescing ratio
-// (1.0 = one syscall per envelope, lower is better).
-type CoalesceStats struct {
-	Envelopes uint64
-	Flushes   uint64
-}
 
 // tcpConn frames envelopes with the msg binary codec over one socket.
 //
@@ -116,8 +120,8 @@ type CoalesceStats struct {
 // straight out of it (msg.DecodeFrame never retains the buffer), so one
 // read syscall typically yields many envelopes.
 type tcpConn struct {
-	nc    net.Conn
-	meter *Meter
+	nc  net.Conn
+	obs Observer // nil is off
 
 	sendMu        sync.Mutex
 	chunks        []*[]byte // encoded frames awaiting a write; tail is active
@@ -136,9 +140,6 @@ type tcpConn struct {
 	flushKick chan struct{}
 	flushDone chan struct{}
 
-	envelopes atomic.Uint64
-	flushes   atomic.Uint64
-
 	// Reader state; Recv is single-goroutine per the Conn contract.
 	rbuf         []byte
 	rstart, rend int
@@ -147,10 +148,10 @@ type tcpConn struct {
 	closeErr  error
 }
 
-func newTCPConn(nc net.Conn, meter *Meter) *tcpConn {
+func newTCPConn(nc net.Conn, obs Observer) *tcpConn {
 	c := &tcpConn{
 		nc:        nc,
-		meter:     meter,
+		obs:       obs,
 		flushKick: make(chan struct{}, 1),
 		flushDone: make(chan struct{}),
 	}
@@ -188,12 +189,11 @@ func (c *tcpConn) Send(env msg.Envelope) error {
 	c.pendingBytes += len(out) - len(*tail)
 	*tail = out
 	c.pendingFrames++
-	c.envelopes.Add(1)
 	full := c.pendingBytes >= maxPendingBytes
 	inline := full || !c.kicked && time.Since(c.lastWrite) >= idleGap
 	c.sendMu.Unlock()
-	if fellBack {
-		c.meter.fallback()
+	if fellBack && c.obs != nil {
+		c.obs.CodecFallback()
 	}
 	switch {
 	case full:
@@ -256,7 +256,6 @@ func (c *tcpConn) writeLocked() bool {
 	c.lastWrite = time.Now()
 	c.sendMu.Unlock()
 
-	c.flushes.Add(1)
 	batch := c.iov[:0]
 	for _, ch := range c.writing {
 		if len(*ch) > 0 {
@@ -280,8 +279,9 @@ func (c *tcpConn) writeLocked() bool {
 		c.sendMu.Unlock()
 		return false
 	}
-	c.meter.sent(int64(bytes))
-	c.meter.writevBatch(frames)
+	if c.obs != nil {
+		c.obs.SocketWrite(frames, bytes)
+	}
 	return true
 }
 
@@ -292,19 +292,14 @@ func (c *tcpConn) writeErr() error {
 	return c.sendErr
 }
 
-// Stats reports the connection's coalescing counters.
-func (c *tcpConn) Stats() CoalesceStats {
-	return CoalesceStats{Envelopes: c.envelopes.Load(), Flushes: c.flushes.Load()}
-}
-
 func (c *tcpConn) Recv() (msg.Envelope, error) {
 	for {
 		if c.rend > c.rstart {
 			env, n, fellBack, err := msg.DecodeFrame(c.rbuf[c.rstart:c.rend])
 			if err == nil {
 				c.rstart += n
-				if fellBack {
-					c.meter.fallback()
+				if fellBack && c.obs != nil {
+					c.obs.CodecFallback()
 				}
 				return env, nil
 			}
@@ -332,7 +327,9 @@ func (c *tcpConn) Recv() (msg.Envelope, error) {
 		n, err := c.nc.Read(c.rbuf[c.rend:])
 		if n > 0 {
 			c.rend += n
-			c.meter.recv(int64(n))
+			if c.obs != nil {
+				c.obs.SocketRead(n)
+			}
 		}
 		if err != nil && n == 0 {
 			return msg.Envelope{}, c.mapErr(err)

@@ -46,11 +46,14 @@ type InputRecord struct {
 	Payload any
 }
 
-// SilenceFault is a logged silence-configuration change. Most strategy
-// switches are mere communication and need no log entry, but every switch
-// is logged anyway — and hyper-aggressive bias changes *must* be logged
-// (they alter output virtual times, §II.G.4) — so that replay and replicas
-// re-derive the same configuration at the same virtual time.
+// SilenceFault is a logged silence-configuration change. Strategy switches
+// are mere communication and need no log entry, but every switch is logged
+// anyway, so that replay and replicas re-derive the same configuration at
+// the same virtual time. (Switches into or out of HyperAggressive, which
+// would alter output virtual times, are refused before they are logged.)
+// Records are gob-encoded, and gob skips fields the type no longer has: a
+// record written when silence.Config still carried a Bias field decodes
+// with the field dropped.
 type SilenceFault struct {
 	// Config is the full configuration to install.
 	Config silence.Config

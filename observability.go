@@ -162,7 +162,6 @@ func (c *Cluster) applyAdaptDecision(d AdaptDecision) bool {
 	if !c.schedule.Propose(d.SampleN, d.EffectiveVT) {
 		return false
 	}
-	c.ctl.sampleN.Set(int64(d.SampleN))
 	c.ctl.sampleEpochs.Inc()
 	ev := trace.Event{Kind: trace.EvAdaptDecision, VT: d.EffectiveVT, Wire: -1, Note: "sampling: " + d.Cause}
 	for _, s := range c.liveSlots() {

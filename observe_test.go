@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -352,6 +354,184 @@ func TestCheckpointGaugesWithoutScrape(t *testing.T) {
 	out.await(t, 4)
 	if l, age, _ := gauges(); l != last || age <= 0 {
 		t.Errorf("after more deliveries: last_vt = %v, age_vt = %v; want %v and > 0", l, age, last)
+	}
+}
+
+// TestQueueDepthGaugeIsCurrent reads tart_queue_depth through
+// MetricFamilies alone, with no /metrics scrape, while a handler is held
+// with n messages queued behind it and again once it is released: the gauge
+// is read from the scheduler's queues at gather time, so it is current
+// whoever gathers.
+func TestQueueDepthGaugeIsCurrent(t *testing.T) {
+	const n = 7
+	release, entered := make(chan struct{}), make(chan struct{}, 1)
+	app := tart.NewApp()
+	app.Register("slow", handlerFunc(func(ctx *tart.Context, _ string, p any) (any, error) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+		return nil, ctx.Send("out", p)
+	}), tart.WithConstantCost(10*time.Microsecond))
+	app.SourceInto("in", "slow", "in")
+	app.SinkFrom("out", "slow", "out")
+	app.PlaceAll("main")
+	cluster, err := tart.Launch(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // before Stop, which waits for the handler
+	var delivered atomic.Int64
+	if err := cluster.Sink("out", func(tart.Output) { delivered.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	src, err := cluster.Source("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= n; i++ {
+		if _, err := src.Emit(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	depth := func() float64 {
+		t.Helper()
+		fams, err := cluster.MetricFamilies("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fams {
+			if f.Name == "tart_queue_depth" {
+				for _, s := range f.Series {
+					if s.Get("component") == "slow" {
+						return s.Value
+					}
+				}
+			}
+		}
+		t.Fatal("no tart_queue_depth series for the held component")
+		return 0
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler never ran")
+	}
+	for deadline := time.Now().Add(10 * time.Second); depth() != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("tart_queue_depth = %v with the handler held, want %d", depth(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	unblock()
+	for deadline := time.Now().Add(10 * time.Second); delivered.Load() < n+1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d outputs after release", delivered.Load(), n+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := depth(); d != 0 {
+		t.Errorf("tart_queue_depth = %v after every message was handled, want 0", d)
+	}
+}
+
+// TestGatherUnderLoadOverTCP gathers MetricFamilies and scrapes /metrics in
+// a loop on both engines of a two-engine TCP cluster while traffic crosses
+// the link. Collectors take scheduler and peer-set locks that are held
+// while reports resolve registry handles, so Gather must run them outside
+// the registry lock; under -race this is the gather path's deadlock and
+// data-race test.
+func TestGatherUnderLoadOverTCP(t *testing.T) {
+	app := tart.NewApp()
+	app.Register("echo", &auditEcho{}, tart.WithConstantCost(5*time.Microsecond))
+	app.Register("tally", &auditEcho{}, tart.WithConstantCost(5*time.Microsecond))
+	app.SourceInto("in", "echo", "in")
+	app.Connect("echo", "out", "tally", "in")
+	app.SinkFrom("out", "tally", "out")
+	app.Place("echo", "A")
+	app.Place("tally", "B")
+	cluster, err := tart.Launch(app,
+		tart.WithTCP(map[string]string{"A": freeLoopbackAddr(t), "B": freeLoopbackAddr(t)}),
+		tart.WithDebugHTTP(map[string]string{"A": "127.0.0.1:0", "B": "127.0.0.1:0"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var gathers, scrapes atomic.Int64
+	loop := func(step func() error) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := step(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	for _, engine := range []string{"A", "B"} {
+		addr, err := cluster.DebugAddr(engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(2)
+		go loop(func() error {
+			_, err := cluster.MetricFamilies(engine)
+			gathers.Add(1)
+			return err
+		})
+		go loop(func() error {
+			resp, err := http.Get("http://" + addr + "/metrics")
+			if err != nil {
+				return err
+			}
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			scrapes.Add(1)
+			return err
+		})
+	}
+	emitAndAwait(t, cluster, 2000)
+	close(stop)
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a gather never returned: deadlock on the gather path")
+	}
+	if gathers.Load() == 0 || scrapes.Load() == 0 {
+		t.Fatalf("%d gathers, %d scrapes ran during the traffic", gathers.Load(), scrapes.Load())
+	}
+	fams, err := cluster.MetricFamilies("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent float64
+	for _, f := range fams {
+		if f.Name == "tart_peer_frames_total" {
+			for _, s := range f.Series {
+				if s.Get("direction") == "send" {
+					sent += s.Value
+				}
+			}
+		}
+	}
+	if sent < 2000 {
+		t.Errorf("A sent %v frames to B, want at least the 2000 messages", sent)
 	}
 }
 

@@ -93,15 +93,16 @@ const (
 	Curiosity = silence.Curiosity
 	// Aggressive pushes unprompted promises as the sender's clock advances.
 	Aggressive = silence.Aggressive
-	// HyperAggressive is the strategy the paper's bias algorithm runs
-	// under, but no public API sets a bias: WithSilence and
-	// SetSilenceStrategy install it with zero bias, where it pushes promises
-	// exactly as Aggressive does.
+	// HyperAggressive runs the paper's bias algorithm (§II.G.1): it pushes
+	// promises as Aggressive does, each 2 ms past what the sender knows,
+	// and floors its own later outputs past them. The bias moves output
+	// virtual times, so it is chosen at launch with WithSilence;
+	// SetSilenceStrategy refuses to switch into or out of it.
 	HyperAggressive = silence.HyperAggressive
 )
 
-// SilenceConfig is a silence governor's full configuration: strategy,
-// push stride, and (hyper-aggressive only) promise bias.
+// SilenceConfig is a silence governor's full configuration: strategy and
+// push stride.
 type SilenceConfig = silence.Config
 
 // Output is one message delivered to an external sink.
