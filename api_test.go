@@ -445,14 +445,16 @@ func (r *spinRelay) OnMessage(ctx *tart.Context, port string, payload any) (any,
 // so the refit the replay proposes differs from the predecessor's: it must
 // take effect only past the VT frontier the predecessor reached, and it
 // must never log a fault that a later recovery would reject. The adaptive
-// runtime row checks that the runtime leaves the scheduler's refit on.
+// runtime row checks that a runtime proposing sampling epochs (a budget of
+// one span a second asks for a sparser modulus in any poll window with a
+// delivery) leaves the scheduler's refit on.
 func TestCalibratedComponentRecoversExactly(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts []tart.ClusterOption
 	}{
 		{"scheduler refit", nil},
-		{"adaptive runtime", []tart.ClusterOption{tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{})}},
+		{"adaptive runtime", []tart.ClusterOption{tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: 5 * time.Millisecond, SpansPerSec: 1})}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spinSlow.Store(false)
@@ -507,6 +509,9 @@ func TestCalibratedComponentRecoversExactly(t *testing.T) {
 						t.Fatalf("recovery %d: replayed output %d = %+v, want %+v", round, i, got[i], want[i])
 					}
 				}
+			}
+			if tc.opts != nil && len(cluster.AdaptStatus().Decisions) == 0 {
+				t.Error("the adaptive runtime proposed no sampling epoch")
 			}
 		})
 	}

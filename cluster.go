@@ -16,11 +16,9 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sched"
 	"repro/internal/silence"
-	"repro/internal/slo"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/trace/span"
-	"repro/internal/trace/span/otlp"
 	"repro/internal/transport"
 	"repro/internal/vt"
 	"repro/internal/wal"
@@ -50,8 +48,6 @@ type clusterConfig struct {
 	netem              *transport.Netem
 	walInject          *wal.Injector
 	supervisor         *SupervisorConfig
-	slo                *slo.Tracker
-	otlpURL            string
 	adaptRuntime       *AdaptiveRuntime
 	timetravel         *TimeTravel
 	durableDir         string
@@ -134,7 +130,7 @@ func WithManualClock(clock func() VirtualTime) ClusterOption {
 
 // WithDebugHTTP has the cluster bind a debug HTTP listener per engine
 // incarnation serving /metrics (Prometheus text), /healthz, /trace?last=N,
-// /spans, /topology, /supervisor, /slo, /adapt and /rewind; addrs maps
+// /spans, /topology, /supervisor, /adapt and /rewind; addrs maps
 // engine names to listen addresses ("127.0.0.1:0" binds an ephemeral port,
 // discover it with Cluster.DebugAddr). Engines absent from the map get no
 // listener. Off by default.
@@ -237,13 +233,12 @@ type Cluster struct {
 	closed  bool
 
 	// The control plane (see control.go): the loops started by every, the
-	// registry of their metric families, the adaptive span-sampling
-	// schedule and the OTLP exporter.
+	// registry of their metric families and the adaptive span-sampling
+	// schedule.
 	ctl      *controlMetrics
 	bg       sync.WaitGroup
 	bgStop   chan struct{}
 	schedule *span.Schedule
-	otlp     *otlp.Exporter
 
 	// Time travel (see timetravel.go): the rewind-point archive and the
 	// sandboxed replay inspector built over it.
@@ -273,10 +268,6 @@ type engineSlot struct {
 	failed    bool
 	inRecover bool    // a Recover call owns the slot
 	reached   vt.Time // VT frontier earlier incarnations reached (set by Recover)
-
-	// exported is the OTLP exporter's span-ID watermark, touched only by
-	// its drain loop (and by Stop's final drain once the loops have exited).
-	exported uint64
 }
 
 // incarnation is one engine incarnation, the observer it reports to (its
@@ -320,6 +311,9 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 	}
 	if reopen && cfg.durableDir == "" {
 		return nil, errors.New("tart: Reopen requires WithDurableStore")
+	}
+	if cfg.adaptRuntime != nil && !(cfg.adaptRuntime.SpansPerSec > 0) {
+		return nil, errors.New("tart: WithAdaptiveRuntime requires a positive SpansPerSec budget")
 	}
 	if cfg.hostSet != nil {
 		known := make(map[string]bool)
@@ -491,11 +485,6 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 				return nil, fmt.Errorf("tart: initial checkpoint of %q: %w", slot.name, err)
 			}
 		}
-	}
-	if cfg.otlpURL != "" {
-		// Created only after every engine started, so failed Launches never
-		// leak the exporter's background goroutine.
-		c.otlp = otlp.New(otlp.Config{URL: cfg.otlpURL})
 	}
 	c.startControlPlane()
 	return c, nil
@@ -1084,14 +1073,9 @@ func (c *Cluster) Stop() {
 	c.closed = true
 	c.mu.Unlock()
 	// The control plane stops before any engine: the supervisor must not
-	// mistake the shutdowns below for crashes and "recover" them, and the
-	// final OTLP drain must see every collector's last spans.
+	// mistake the shutdowns below for crashes and "recover" them.
 	close(c.bgStop)
 	c.bg.Wait()
-	if c.otlp != nil {
-		c.drainOTLP()
-		c.otlp.Close()
-	}
 	for _, s := range c.slots() {
 		c.halt(s.slot, s.incarnation, s.eng.Stop) // a no-op for an incarnation Fail or Crash stopped
 		_ = s.slot.log.Close()

@@ -11,8 +11,8 @@ import (
 )
 
 // adaptCmd renders the adaptive runtime's view from an engine's /adapt
-// debug endpoint: SLO-burn degradation state and the tail of the decision
-// log with the signal that motivated each decision.
+// debug endpoint: the tail of the decision log with the signal that
+// motivated each decision.
 func adaptCmd(addr string, last int, asJSON bool) error {
 	if addr == "" {
 		return fmt.Errorf("adapt: -addr is required (engine debug HTTP address)")
@@ -35,11 +35,7 @@ func adaptCmd(addr string, last int, asJSON bool) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(st)
 	}
-	mode := "nominal"
-	if st.Degraded {
-		mode = "DEGRADED (slo burn over budget: sampling shed)"
-	}
-	fmt.Printf("adaptive runtime at %s: %s\n", addr, mode)
+	fmt.Printf("adaptive runtime at %s\n", addr)
 	ds := st.Decisions
 	if last > 0 && len(ds) > last {
 		ds = ds[len(ds)-last:]

@@ -9,8 +9,7 @@
 //	tartctl trace -file f.json   causal chains from a flight-recorder dump
 //	tartctl trace -addr H:P -origin w0#3   one input's chain from a live engine
 //	tartctl timeline -addr H:P   per-origin critical-path table from /spans
-//	tartctl slo -addr H:P        live SLO verdict table from /slo (exit 1 on violation)
-//	tartctl adapt -addr H:P      adaptive-runtime state from /adapt: degradation, decisions
+//	tartctl adapt -addr H:P      adaptive-runtime sampling decisions from /adapt
 //	tartctl timeline -file s.json -origin w0#3 -chrome t.json   span tree + Perfetto export
 //	tartctl rewind -addr H:P -component c -vt T       reconstruct c's state at virtual time T
 //	tartctl rewind -addr H:P -component c -diff T1,T2 diff c's state between two virtual times
@@ -71,12 +70,6 @@ func main() {
 		chrome := fs.String("chrome", "", "also write Chrome trace_event JSON to this file (Perfetto-loadable)")
 		_ = fs.Parse(os.Args[2:])
 		err = timelineCmd(*file, *addr, *origin, *chrome)
-	case "slo":
-		fs := flag.NewFlagSet("slo", flag.ExitOnError)
-		addr := fs.String("addr", "", "engine debug HTTP address (host:port)")
-		asJSON := fs.Bool("json", false, "print the raw report JSON instead of the table")
-		_ = fs.Parse(os.Args[2:])
-		err = sloCmd(*addr, *asJSON)
 	case "adapt":
 		fs := flag.NewFlagSet("adapt", flag.ExitOnError)
 		addr := fs.String("addr", "", "engine debug HTTP address (host:port)")
@@ -109,7 +102,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: tartctl <topo|wal|demo|status|trace|timeline|slo|adapt|rewind|bisect> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: tartctl <topo|wal|demo|status|trace|timeline|adapt|rewind|bisect> [flags]")
 }
 
 func fig1Topology() (*topo.Topology, error) {

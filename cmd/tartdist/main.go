@@ -158,7 +158,7 @@ func fig5(f flags) error {
 			res, err = runBaseline(w, port)
 		} else if s, ok := strategies[m]; ok {
 			w.strategy = s
-			res, err = runTART(w, port)
+			res, err = runTART(w, loopback(port))
 		} else {
 			return fmt.Errorf("unknown mode %q", m)
 		}
@@ -375,9 +375,19 @@ func (s *stage) OnMessage(ctx *tart.Context, port string, payload any) (any, err
 	return nil, err
 }
 
+// loopback is the addresses of a run from port up: engines A and B's TCP
+// listeners, then their debug listeners.
+func loopback(port int) [4]string {
+	var addrs [4]string
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("127.0.0.1:%d", port+i)
+	}
+	return addrs
+}
+
 // runTART measures per-request latency through a two-engine TART cluster
-// over TCP.
-func runTART(w workload, port int) (result, error) {
+// over TCP at addrs (see loopback).
+func runTART(w workload, addrs [4]string) (result, error) {
 	app := tart.NewApp()
 	fit := &costFit{}
 	for _, name := range []string{"sender1", "sender2"} {
@@ -407,19 +417,13 @@ func runTART(w workload, port int) (result, error) {
 		silenceEvery = 50 * time.Millisecond
 	}
 	opts := []tart.ClusterOption{
-		tart.WithTCP(map[string]string{
-			"A": fmt.Sprintf("127.0.0.1:%d", port),
-			"B": fmt.Sprintf("127.0.0.1:%d", port+1),
-		}),
+		tart.WithTCP(map[string]string{"A": addrs[0], "B": addrs[1]}),
 		tart.WithSourceSilenceEvery(silenceEvery),
 	}
 	if w.debug {
 		// The ops surface plus the flight recorder, so /trace has content.
 		opts = append(opts,
-			tart.WithDebugHTTP(map[string]string{
-				"A": fmt.Sprintf("127.0.0.1:%d", port+2),
-				"B": fmt.Sprintf("127.0.0.1:%d", port+3),
-			}),
+			tart.WithDebugHTTP(map[string]string{"A": addrs[2], "B": addrs[3]}),
 			tart.WithFlightRecorder(""))
 	}
 	if w.spans > 0 {

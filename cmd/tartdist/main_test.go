@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -27,7 +28,7 @@ func TestSlowSenderDrawsTheBlame(t *testing.T) {
 	w.rates[1] /= 8
 	w.perSender[1] /= 8
 	w.spans = 0
-	res, err := runTART(w, 39620)
+	res, err := runTART(w, freeAddrs(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +65,9 @@ func TestLazySilenceFarSlowerThanCuriosity(t *testing.T) {
 		mergerEst: tart.WithConstantCost(100 * time.Microsecond),
 	}
 	p50 := map[tart.SilenceStrategy]time.Duration{}
-	for i, s := range []tart.SilenceStrategy{tart.Lazy, tart.Curiosity} {
+	for _, s := range []tart.SilenceStrategy{tart.Lazy, tart.Curiosity} {
 		w.strategy = s
-		res, err := runTART(w, 39650+4*i)
+		res, err := runTART(w, freeAddrs(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,24 +140,44 @@ func BenchmarkFig2Regression(b *testing.B) {
 }
 
 // TestDocumentedCommandsExist: every `go run ./cmd/<bin>` in the docs
-// names a command that exists, and every `tartdist -exp <x>` (or x|y|z)
-// names a row of the experiments table. Prose about a retired command
-// without `go run ./cmd/` in front is history, not a command, and is not
-// checked. The package doc lists the table itself, row for row.
+// names a command that exists, every `tartdist -exp <x>` (or x|y|z) names
+// a row of the experiments table, every `tartctl <sub>` names a case of
+// tartctl's switch, and every `-flag` of a `tartload …` command line is a
+// flag tartload defines. Prose about a retired command without
+// `go run ./cmd/` in front is history, not a command, and is not checked.
+// The package doc lists the table itself, row for row.
 func TestDocumentedCommandsExist(t *testing.T) {
 	goRun := regexp.MustCompile(`go run\s+\./cmd/([\w-]+)`)
 	exp := regexp.MustCompile(`tartdist\s+-exp[ =]\s*([a-z0-9|]+)`)
+	ctl := regexp.MustCompile(`tartctl ([a-z]+)`)
+	loadLine := regexp.MustCompile("tartload([^`#\n]*)")
+	flagArg := regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
+	subs := definedNames(t, "../tartctl/main.go", `(?m)^\tcase "([a-z]+)":`)
+	loadFlags := definedNames(t, "../tartload/main.go", `flag\.\w+\("([\w-]+)"`)
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
-		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range goRun.FindAllStringSubmatch(string(text), -1) {
+		text := strings.ReplaceAll(string(raw), "\\\n", " ") // shell line continuations
+		for _, m := range ctl.FindAllStringSubmatch(text, -1) {
+			if !subs[m[1]] {
+				t.Errorf("%s: `%s`: tartctl has no subcommand %q", doc, m[0], m[1])
+			}
+		}
+		for _, m := range loadLine.FindAllStringSubmatch(text, -1) {
+			for _, f := range flagArg.FindAllStringSubmatch(m[1], -1) {
+				if !loadFlags[f[1]] {
+					t.Errorf("%s: `tartload%s`: tartload has no flag -%s", doc, m[1], f[1])
+				}
+			}
+		}
+		for _, m := range goRun.FindAllStringSubmatch(text, -1) {
 			if _, err := os.Stat(filepath.Join("..", m[1])); err != nil {
 				t.Errorf("%s: `%s`: there is no cmd/%s", doc, m[0], m[1])
 			}
 		}
-		for _, m := range exp.FindAllStringSubmatch(string(text), -1) {
+		for _, m := range exp.FindAllStringSubmatch(text, -1) {
 			for _, name := range strings.Split(m[1], "|") {
 				if _, ok := lookup(name); !ok {
 					t.Errorf("%s: `%s`: tartdist has no experiment %q", doc, m[0], name)
@@ -180,4 +201,38 @@ func TestDocumentedCommandsExist(t *testing.T) {
 	if strings.Join(doc, "\n") != strings.Join(table, "\n") {
 		t.Errorf("the package doc lists\n%s\nthe experiments table holds\n%s", strings.Join(doc, "\n"), strings.Join(table, "\n"))
 	}
+}
+
+// definedNames is the set of first submatches of pattern in a source file.
+func definedNames(t *testing.T, file, pattern string) map[string]bool {
+	t.Helper()
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(string(src), -1) {
+		names[m[1]] = true
+	}
+	if len(names) == 0 {
+		t.Fatalf("%s: nothing matches %s", file, pattern)
+	}
+	return names
+}
+
+// freeAddrs reserves runTART's four loopback addresses by listening on
+// port 0. Fixed ports would sit in the kernel's ephemeral range, where an
+// earlier dial's local port in TIME_WAIT can make the bind fail.
+func freeAddrs(t *testing.T) [4]string {
+	t.Helper()
+	var addrs [4]string
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = l.Addr().String()
+		defer l.Close()
+	}
+	return addrs
 }

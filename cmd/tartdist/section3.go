@@ -99,7 +99,7 @@ func sweep(xs []float64, format string, at func(float64) workload, perPoint bool
 				return 0, err
 			}
 		}
-		det, err := runTART(at(x), port+1)
+		det, err := runTART(at(x), loopback(port+1))
 		if err != nil {
 			return 0, err
 		}
@@ -162,7 +162,9 @@ func throughput(seed uint64, d time.Duration, port int) error {
 	for _, mode := range []struct {
 		name string
 		run  func(workload, int) (result, error)
-	}{{"non-deterministic", runBaseline}, {"deterministic", runTART}} {
+	}{{"non-deterministic", runBaseline}, {"deterministic", func(w workload, port int) (result, error) {
+		return runTART(w, loopback(port))
+	}}} {
 		stable := 0.0
 		for _, rate := range []float64{500, 625, 750, 875, 1000, 1125, 1250} {
 			w := paperWorkload(seed, d, 9)
@@ -198,7 +200,7 @@ func blame(seed uint64, d time.Duration, port int) error {
 		w.rates[1] /= c.slow
 		w.perSender[1] = int(w.rates[1] * d.Seconds())
 		w.spans = 0
-		det, err := runTART(w, port)
+		det, err := runTART(w, loopback(port))
 		if err != nil {
 			return err
 		}

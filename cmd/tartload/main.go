@@ -9,11 +9,13 @@
 //	tartload -scenario slowconsumer -chaos 7         crash an engine every 5s
 //	tartload -scenario burst -adaptive-budget 2000   adaptive runtime with a span budget
 //	tartload -scenario hotkey -otlp http://localhost:4318/v1/traces
-//	tartload -scenario slowconsumer -adapt           adaptive runtime, SLO burn only
 //	tartload -list                                   describe the scenarios
 //
-// -adaptive-budget sets the adaptive runtime's span budget and so implies
-// -adapt: one controller steers the span-sampling modulus.
+// -adaptive-budget turns the adaptive runtime on with that span budget: one
+// controller steers the span-sampling modulus, and the run exits 1 if any
+// decision lands off its VT epoch grid. The SLO tracker and the OTLP
+// exporter are the harness's own: it measures end-to-end latency at the
+// sink and ships what the cluster's Spans hold.
 //
 // With TART_ARTIFACT_DIR set, the full machine-readable result (report,
 // failovers, recovery tax, sampling epochs) is written there as
@@ -49,9 +51,8 @@ func main() {
 		sloSpec  = flag.String("slo", "p50<5ms,p99<50ms,p999<250ms", "latency objectives")
 		budget   = flag.String("budget", "", "error-budget policy: threshold,percent,window (e.g. 50ms,1%,10s)")
 		spans    = flag.Int("spans", 0, "static span head-sampling modulus (0: default 1/64)")
-		adaptive = flag.Float64("adaptive-budget", 0, "span budget of the adaptive runtime, spans/sec; implies -adapt, and -spans only seeds the modulus")
+		adaptive = flag.Float64("adaptive-budget", 0, "span budget of the adaptive runtime, spans/sec (0: off); -spans only seeds the modulus; exit 1 if any decision lands off its VT epoch grid")
 		otlpURL  = flag.String("otlp", "", "export spans OTLP/HTTP to this URL")
-		adapt    = flag.Bool("adapt", false, "enable the adaptive runtime; exit 1 if any decision lands off its VT epoch grid")
 		chaos    = flag.Uint64("chaos", 0, "chaos seed: crash engines under a failover supervisor (0: off)")
 		chaosGap = flag.Duration("chaos-every", 5*time.Second, "crash cadence with -chaos")
 		tcp      = flag.Bool("tcp", false, "inter-engine wires over loopback TCP")
@@ -69,7 +70,7 @@ func main() {
 		return
 	}
 	if err := run(*scenario, *rate, *duration, *users, *engines, *seed, *sloSpec, *budget,
-		*spans, *adaptive, *otlpURL, *adapt, *chaos, *chaosGap, *tcp, *basePort, *debug, *quiet); err != nil {
+		*spans, *adaptive, *otlpURL, *chaos, *chaosGap, *tcp, *basePort, *debug, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "tartload:", err)
 		os.Exit(1)
 	}
@@ -77,7 +78,7 @@ func main() {
 
 func run(scenario string, rate float64, duration time.Duration, usersStr string, engines int,
 	seed uint64, sloSpec, budgetSpec string, spans int, adaptive float64, otlpURL string,
-	adapt bool, chaos uint64, chaosGap time.Duration, tcp bool, basePort int, debug, quiet bool) error {
+	chaos uint64, chaosGap time.Duration, tcp bool, basePort int, debug, quiet bool) error {
 
 	sc, err := load.Lookup(scenario)
 	if err != nil {
@@ -108,7 +109,6 @@ func run(scenario string, rate float64, duration time.Duration, usersStr string,
 		SpanSampleN:    spans,
 		AdaptiveBudget: adaptive,
 		OTLPURL:        otlpURL,
-		Adapt:          adapt,
 		ChaosSeed:      chaos,
 		ChaosEvery:     chaosGap,
 		TCP:            tcp,
@@ -157,7 +157,7 @@ func run(scenario string, rate float64, duration time.Duration, usersStr string,
 			fmt.Fprintln(os.Stderr, "tartload: artifact:", err)
 		}
 	}
-	if adapt || adaptive > 0 {
+	if adaptive > 0 {
 		if err := validateAdaptDecisions(res); err != nil {
 			return err
 		}
@@ -199,7 +199,7 @@ func printResult(res *load.Result) {
 	fmt.Printf("delivered  %d (dropped at ingest: %d)\n", res.Delivered, res.Dropped)
 	if len(res.DebugAddrs) > 0 {
 		for eng, addr := range res.DebugAddrs {
-			fmt.Printf("debug      %s http://%s/slo\n", eng, addr)
+			fmt.Printf("debug      %s http://%s/metrics\n", eng, addr)
 		}
 	}
 	fmt.Println()

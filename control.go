@@ -8,12 +8,14 @@ import (
 )
 
 // The cluster's control plane: the loops around the deterministic core that
-// detect failures and fail engines over, run the adaptive runtime (which
-// also steers span sampling) and export spans. Each runs on its own
-// goroutine — a supervisor Recover can take hundreds of milliseconds on
-// durable state and must never delay a drain — but all are started by
-// every and stopped together by Stop. Checkpoint timing is not among them:
-// the engine's WithCheckpointEvery ticker and Cluster.Checkpoint own it.
+// detect failures and fail engines over, and run the adaptive runtime
+// (which steers span sampling). Each runs on its own goroutine — a
+// supervisor Recover can take hundreds of milliseconds on durable state and
+// must never delay a sampling tick — but both are started by every and
+// stopped together by Stop. Checkpoint timing is not among them: the
+// engine's WithCheckpointEvery ticker and Cluster.Checkpoint own it. What
+// only reads what the cluster publishes (SLO evaluation, span export) runs
+// in the harness over MetricFamilies and Spans, not here.
 
 // startControlPlane starts the configured loops. Called at the end of
 // Launch, once every engine is running.
@@ -23,9 +25,6 @@ func (c *Cluster) startControlPlane() {
 	}
 	if c.adaptCtl != nil {
 		c.every(c.cfg.adaptRuntime.PollEvery, c.adaptStep)
-	}
-	if c.otlp != nil {
-		c.every(500*time.Millisecond, c.drainOTLP)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 // debugServer is one engine incarnation's ops surface (WithDebugHTTP): live
 // metrics, health, the flight recorder, spans, the topology and the
-// cluster's supervisor, SLO, adaptive-runtime and time-travel state, for
+// cluster's supervisor, adaptive-runtime and time-travel state, for
 // operators and tooling (tartctl status). Nothing in the data path uses it.
 type debugServer struct {
 	ln   net.Listener
@@ -43,8 +43,6 @@ func (c *Cluster) serveDebug(addr string, slot *engineSlot, in *incarnation) (*d
 	mux.HandleFunc("/topology", h.topology)
 	mux.HandleFunc("/supervisor", statusHandler(c.sup != nil, "no failover supervisor (enable with WithSupervisor)",
 		func() any { return c.sup.status() }))
-	mux.HandleFunc("/slo", statusHandler(c.cfg.slo != nil, "no SLO tracker attached (enable with WithSLO)",
-		func() any { return c.cfg.slo.Report() }))
 	mux.HandleFunc("/adapt", statusHandler(c.adaptCtl != nil, "no adaptive runtime attached (enable with WithAdaptiveRuntime)",
 		func() any { return c.AdaptStatus() }))
 	mux.HandleFunc("/rewind", h.rewind)
@@ -109,15 +107,12 @@ func statusHandler(on bool, off string, read func() any) http.HandlerFunc {
 }
 
 // metrics serves the incarnation's registry as Prometheus text, followed
-// by the cluster-level families (supervisor, adaptive sampling, SLO) under
+// by the cluster-level families (supervisor, adaptive sampling) under
 // their own names, so the exposition stays well-formed.
 func (h debugHandlers) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = h.in.metrics.Registry().WritePrometheus(w)
 	_ = h.c.ctl.reg.WritePrometheus(w)
-	if tracker := h.c.cfg.slo; tracker != nil {
-		_ = tracker.WriteMetrics(w)
-	}
 }
 
 // rewind serves time-travel queries (state reconstruction, diffs,

@@ -1,7 +1,6 @@
 package tart_test
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -72,16 +71,7 @@ func TestTCPFailoverPointerPayloadZeroDeterminismFaults(t *testing.T) {
 	app.Place("sender1", "A")
 	app.Place("sender2", "A")
 	app.Place("merger", "B")
-	addrs := make(map[string]string)
-	for _, engine := range []string{"A", "B"} {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[engine] = l.Addr().String()
-		l.Close()
-	}
-	failoverAuditClean(t, app, tart.WithTCP(addrs))
+	failoverAuditClean(t, app, tart.WithTCP(map[string]string{"A": freeLoopbackAddr(t), "B": freeLoopbackAddr(t)}))
 }
 
 // failoverAuditClean drives a senders-on-A, merger-on-B app through a

@@ -1,9 +1,9 @@
 // Package adapt implements the adaptive runtime's sampling policy: it turns
-// two observability signals — the delivery rate against a span budget and
-// the SLO burn rate — into one deterministic control action, the
-// span-sampling modulus. Silence strategies and estimator coefficients are
-// not among its actions: an operator's Cluster.SetSilenceStrategy and the
-// scheduler's regression own those.
+// one observability signal, the delivery rate against a span budget, into
+// one deterministic control action, the span-sampling modulus. Silence
+// strategies and estimator coefficients are not among its actions: an
+// operator's Cluster.SetSilenceStrategy and the scheduler's regression own
+// those.
 //
 // The controller itself is deliberately non-deterministic (it reads wall
 // time and load); determinism is preserved by *how* its decisions take
@@ -64,9 +64,6 @@ type Observation struct {
 	// Delivered is the cluster's cumulative delivered-message count. Every
 	// engine incarnation counts from zero, so it falls when a slot recovers.
 	Delivered int64
-	// BurnRate is the worst SLO error-budget burn rate (>1 means the
-	// budget is being consumed faster than allotted; 0 when no tracker).
-	BurnRate float64
 	// SampleN is the span-sampling modulus currently in force.
 	SampleN uint64
 }
@@ -76,15 +73,9 @@ type Config struct {
 	// Quantum is the VT grain decisions are quantized to. Default
 	// 250ms of virtual time.
 	Quantum vt.Ticks
-	// BurnThreshold is the SLO burn rate above which the runtime degrades
-	// (recovery happens below half of it). Default 1.0.
-	BurnThreshold float64
-	// DegradedSampleN is the sampling modulus floor while degraded.
-	// Default 64.
-	DegradedSampleN uint64
 	// SpansPerSec is the span budget: the sampling modulus follows the
-	// delivery rate so that deliveries/s / N stays under it. 0 keeps the
-	// modulus New was given.
+	// delivery rate so that deliveries/s / N stays under it. Must be
+	// positive.
 	SpansPerSec float64
 	// History bounds the retained decision ring. Default 64.
 	History int
@@ -93,12 +84,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Quantum <= 0 {
 		c.Quantum = vt.Ticks(250e6)
-	}
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = 1.0
-	}
-	if c.DegradedSampleN == 0 {
-		c.DegradedSampleN = 64
 	}
 	if c.History <= 0 {
 		c.History = 64
@@ -111,8 +96,7 @@ func (c Config) withDefaults() Config {
 // debug endpoint can serve from any goroutine via the loop's mutex).
 type Controller struct {
 	cfg          Config
-	degraded     bool      // SLO burn floors the modulus at DegradedSampleN
-	sampleN      uint64    // budget-implied modulus; the configured one without a budget
+	sampleN      uint64    // budget-implied modulus; the configured one before the first rate window
 	rate         float64   // deliveries/s over the last rate window
 	lastDlvd     int64     // Observation.Delivered at the previous Step
 	lastWall     time.Time // Observation.Wall at the previous Step
@@ -142,27 +126,19 @@ func (c *Controller) boundary(now vt.Time) vt.Time {
 }
 
 // Step consumes one observation and sets the span-sampling modulus: the
-// power of two that keeps the delivery rate under the span budget (or the
-// configured modulus without one), never below DegradedSampleN while SLO
-// burn degrades the runtime. Burn above BurnThreshold degrades, and below
-// half of it restores. When the modulus differs from the one in force,
-// Step hands the decision to commit; one commit accepts is numbered and
-// kept in the decision ring. A refused one needs no undo: the next Step
-// compares against the modulus it then observes in force.
+// power of two that keeps the delivery rate under the span budget. When
+// the modulus differs from the one in force, Step hands the decision to
+// commit; one commit accepts is numbered and kept in the decision ring. A
+// refused one needs no undo: the next Step compares against the modulus it
+// then observes in force.
 func (c *Controller) Step(obs Observation, commit func(Decision) bool) {
 	at := c.boundary(obs.Now)
-	switch {
-	case !c.degraded && obs.BurnRate > c.cfg.BurnThreshold:
-		c.degraded = true
-	case c.degraded && obs.BurnRate < c.cfg.BurnThreshold/2:
-		c.degraded = false
-	}
 	last, lastWall := c.lastDlvd, c.lastWall
 	c.lastDlvd, c.lastWall = obs.Delivered, obs.Wall
 	// No rate from the first observation, from a window without wall time,
 	// or from one whose count fell because a slot restarted counting.
 	dt := obs.Wall.Sub(lastWall).Seconds()
-	if c.cfg.SpansPerSec > 0 && !lastWall.IsZero() && dt > 0 && obs.Delivered >= last {
+	if !lastWall.IsZero() && dt > 0 && obs.Delivered >= last {
 		c.rate = float64(obs.Delivered-last) / dt
 		// A sampled delivery yields a handful of spans (queueing, pessimism,
 		// compute, linger); budget against that fan-out, then round the
@@ -172,21 +148,10 @@ func (c *Controller) Step(obs Observation, commit func(Decision) bool) {
 		c.sampleN = nextPow2(uint64(need))
 	}
 	want := c.sampleN
-	if c.degraded {
-		want = max(want, c.cfg.DegradedSampleN)
-	}
 	if want == obs.SampleN {
 		return
 	}
-	cause := fmt.Sprintf("1/%d -> 1/%d", obs.SampleN, want)
-	if c.cfg.SpansPerSec > 0 {
-		cause += fmt.Sprintf(", %.0f deliveries/s against %.0f spans/s", c.rate, c.cfg.SpansPerSec)
-	}
-	if c.degraded {
-		cause += fmt.Sprintf(", slo burn %.2f holds it at 1/%d or sparser", obs.BurnRate, c.cfg.DegradedSampleN)
-	} else if obs.BurnRate > 0 {
-		cause += fmt.Sprintf(", slo burn %.2f", obs.BurnRate)
-	}
+	cause := fmt.Sprintf("1/%d -> 1/%d, %.0f deliveries/s against %.0f spans/s", obs.SampleN, want, c.rate, c.cfg.SpansPerSec)
 	d := Decision{Seq: c.seq + 1, EffectiveVT: at, SampleN: want, Cause: cause, At: obs.Wall}
 	if !commit(d) {
 		return
@@ -207,11 +172,10 @@ func nextPow2(v uint64) uint64 {
 
 // Status is a JSON-able snapshot for /adapt and tartctl adapt.
 type Status struct {
-	Degraded  bool       `json:"degraded"`
 	Decisions []Decision `json:"decisions,omitempty"`
 }
 
 // Status snapshots the controller.
 func (c *Controller) Status() Status {
-	return Status{Degraded: c.degraded, Decisions: append([]Decision(nil), c.decisions...)}
+	return Status{Decisions: append([]Decision(nil), c.decisions...)}
 }

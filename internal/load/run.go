@@ -13,6 +13,8 @@ import (
 
 	"repro/internal/slo"
 	"repro/internal/stats"
+	"repro/internal/trace/span"
+	"repro/internal/trace/span/otlp"
 )
 
 // Req is the load payload: a routing key and the wall-clock emit instant,
@@ -27,7 +29,7 @@ type Req struct {
 // and wire frames, never renumber.
 const reqPayloadID = tart.FirstUserPayloadID
 
-// AdaptQuantumVT is the VT epoch quantum (1ms of virtual time) the -adapt
+// AdaptQuantumVT is the VT epoch quantum (1ms of virtual time) the adaptive
 // runtime quantizes decision boundaries to; the harness validates every
 // decision against this grid after the run.
 const AdaptQuantumVT = 1_000_000
@@ -117,16 +119,13 @@ type Options struct {
 	Budget *slo.BudgetPolicy
 	// SpanSampleN is the static head-sampling modulus (<=0: default 1/64).
 	SpanSampleN int
-	// AdaptiveBudget, when > 0, is the adaptive runtime's span budget: the
-	// sampling modulus then follows the delivery rate to keep this many
-	// spans/sec. It implies Adapt.
+	// AdaptiveBudget, when > 0, turns the adaptive runtime on with this
+	// span budget: the sampling modulus follows the delivery rate to keep
+	// this many spans/sec, with decisions quantized to AdaptQuantumVT
+	// boundaries.
 	AdaptiveBudget float64
 	// OTLPURL, when non-empty, exports spans OTLP/HTTP to this endpoint.
 	OTLPURL string
-	// Adapt enables the adaptive runtime (span sampling steered by the
-	// budget and by SLO burn) on every engine, with decisions quantized to
-	// AdaptQuantumVT boundaries.
-	Adapt bool
 	// ChaosSeed, when non-zero, crashes a random engine every ChaosEvery
 	// under an automatic failover supervisor.
 	ChaosSeed  uint64
@@ -166,9 +165,6 @@ func (o Options) withDefaults() Options {
 	if o.BasePort == 0 {
 		o.BasePort = 42100
 	}
-	if o.AdaptiveBudget > 0 {
-		o.Adapt = true
-	}
 	return o
 }
 
@@ -196,12 +192,13 @@ type Result struct {
 	ReplayedSpans int                      `json:"replayedSpans,omitempty"`
 	// SampleEpochs is the adaptive-sampling rate history (adaptive runs).
 	SampleEpochs []tart.SampleRateEpoch `json:"sampleEpochs,omitempty"`
-	// AdaptDecisions is the closed-loop controller's decision log (-adapt
-	// runs); every EffectiveVT must sit on the AdaptQuantum grid.
+	// AdaptDecisions is the controller's decision log (adaptive runs);
+	// every EffectiveVT must sit on the AdaptQuantum grid.
 	AdaptDecisions []tart.AdaptDecision `json:"adaptDecisions,omitempty"`
 	AdaptQuantum   int64                `json:"adaptQuantum,omitempty"`
-	OTLP           tart.OTLPStats       `json:"otlp"`
-	DebugAddrs     map[string]string    `json:"debugAddrs,omitempty"`
+	// OTLP counts the span exporter's activity (zero without OTLPURL).
+	OTLP       otlp.Stats        `json:"otlp"`
+	DebugAddrs map[string]string `json:"debugAddrs,omitempty"`
 }
 
 // buildApp assembles the gate → shard_i → collect pipeline.
@@ -268,8 +265,10 @@ func spin(d time.Duration) {
 
 // Run drives one open-loop load run end to end: launch, emit per the
 // scenario's arrival schedule, observe e2e latency at the sink, optionally
-// inject crashes, then drain, attribute critical paths, and evaluate the
-// SLOs.
+// inject crashes and ship spans, then drain, attribute critical paths, and
+// evaluate the SLOs. The SLO tracker and the span exporter are the
+// harness's own: they read what the cluster publishes (sink outputs and
+// Spans), and the cluster knows nothing of them.
 func Run(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	sc := opts.Scenario
@@ -278,18 +277,14 @@ func Run(opts Options) (*Result, error) {
 	}
 	registerReq()
 
-	tracker := tart.NewSLOTracker(opts.Objectives, opts.Budget)
+	tracker := slo.NewTracker(opts.Objectives, opts.Budget)
 	app := buildApp(sc, opts.Engines)
 
 	copts := []tart.ClusterOption{
-		tart.WithSLO(tracker),
 		tart.WithFlightRecorder(""),
+		tart.WithSpanTracing(opts.SpanSampleN),
 	}
-	copts = append(copts, tart.WithSpanTracing(opts.SpanSampleN))
-	if opts.OTLPURL != "" {
-		copts = append(copts, tart.WithOTLPExport(opts.OTLPURL))
-	}
-	if opts.Adapt {
+	if opts.AdaptiveBudget > 0 {
 		copts = append(copts, tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{
 			PollEvery:   200 * time.Millisecond,
 			Quantum:     AdaptQuantumVT,
@@ -346,12 +341,30 @@ func Run(opts Options) (*Result, error) {
 
 	stop := make(chan struct{})
 	var aux sync.WaitGroup
-	if opts.ChaosSeed != 0 {
+	every := func(period time.Duration, fn func()) {
 		aux.Add(1)
 		go func() {
 			defer aux.Done()
-			chaosLoop(cluster, opts, stop)
+			t := time.NewTicker(period)
+			defer t.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-t.C:
+					fn()
+				}
+			}
 		}()
+	}
+	if opts.ChaosSeed != 0 {
+		every(opts.ChaosEvery, chaosStep(cluster, opts))
+	}
+	var ship *spanShipper
+	if opts.OTLPURL != "" {
+		ship = newSpanShipper(cluster, opts.OTLPURL)
+		defer ship.exp.Close()
+		every(500*time.Millisecond, ship.drain)
 	}
 
 	sched := sc.Schedule(opts.Rate, opts.Duration)
@@ -362,11 +375,7 @@ func Run(opts Options) (*Result, error) {
 	var emitted, dropped uint64
 	startWall := time.Now()
 	if opts.Progress != nil {
-		aux.Add(1)
-		go func() {
-			defer aux.Done()
-			progressLoop(opts.Progress, tracker, sched, startWall, &emitted, stop)
-		}()
+		every(time.Second, progressStep(opts.Progress, tracker, sched, startWall, &emitted))
 	}
 
 	for {
@@ -437,10 +446,13 @@ func Run(opts Options) (*Result, error) {
 	if len(tax) > 0 {
 		res.RecoveryTax = tax
 	}
-	for _, b := range tart.CriticalPathTable(spans) {
-		for phase, d := range b.ByPhase {
-			if d > 0 {
-				tracker.Observe("phase:"+phase.String(), d)
+	// Phases in their declared order: the tracker reports series in the
+	// order it first observes them.
+	table := tart.CriticalPathTable(spans)
+	for _, p := range span.Phases() {
+		for _, b := range table {
+			if d := b.ByPhase[p]; d > 0 {
+				tracker.Observe("phase:"+p.String(), d)
 			}
 		}
 	}
@@ -449,11 +461,10 @@ func Run(opts Options) (*Result, error) {
 		res.Failovers = st.Failovers
 	}
 	res.SampleEpochs = cluster.SampleEpochs()
-	if opts.Adapt {
+	if opts.AdaptiveBudget > 0 {
 		res.AdaptDecisions = cluster.AdaptStatus().Decisions
 		res.AdaptQuantum = AdaptQuantumVT
 	}
-	res.OTLP = cluster.OTLPStats()
 	if opts.Debug {
 		res.DebugAddrs = make(map[string]string)
 		for _, e := range cluster.Engines() {
@@ -463,49 +474,70 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 	res.Report = tracker.Report()
+	if ship != nil {
+		res.OTLP = ship.stop()
+	}
 	return res, nil
 }
 
-// chaosLoop crashes a random engine every ChaosEvery; the cluster's
-// supervisor detects the silence and drives recovery. Crashes prefer
-// non-gate engines so ingest unavailability does not dominate the signal,
-// falling back to the single engine in one-engine runs.
-func chaosLoop(cluster *tart.Cluster, opts Options, stop <-chan struct{}) {
-	rng := stats.NewRNG(opts.ChaosSeed)
-	engines := cluster.Engines()
-	victims := engines
-	if len(engines) > 1 {
-		victims = engines[1:]
-	}
-	t := time.NewTicker(opts.ChaosEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			v := victims[rng.Intn(len(victims))]
-			_ = cluster.Crash(v)
+// spanShipper hands an OTLP exporter every span the cluster recorded since
+// its last drain. Span IDs increase per collector, so one watermark per
+// engine exports each span once (modulo ring overwrite under extreme
+// backlog, which loses oldest-first, as the collector itself does).
+type spanShipper struct {
+	cluster  *tart.Cluster
+	exp      *otlp.Exporter
+	exported map[string]uint64 // engine -> highest span ID enqueued
+}
+
+func newSpanShipper(cluster *tart.Cluster, url string) *spanShipper {
+	return &spanShipper{cluster: cluster, exp: otlp.New(otlp.Config{URL: url}), exported: make(map[string]uint64)}
+}
+
+// stop stops the cluster, drains what the last periodic drain missed
+// (spans stay readable after Stop, and no engine can record another), and
+// closes the exporter, which flushes its queue.
+func (s *spanShipper) stop() otlp.Stats {
+	s.cluster.Stop()
+	s.drain()
+	s.exp.Close()
+	return s.exp.Stats()
+}
+
+func (s *spanShipper) drain() {
+	for _, e := range s.cluster.Engines() {
+		spans, _ := s.cluster.Spans(e) // errs only for an engine Engines does not name
+		for _, sp := range spans {
+			if sp.ID > s.exported[e] {
+				s.exp.Enqueue(sp)
+				s.exported[e] = sp.ID
+			}
 		}
 	}
 }
 
-// progressLoop prints one live status line per second: elapsed, the
+// chaosStep crashes a random engine per call; the cluster's supervisor
+// detects the silence and drives recovery. Crashes prefer non-gate engines
+// so ingest unavailability does not dominate the signal, falling back to
+// the single engine in one-engine runs.
+func chaosStep(cluster *tart.Cluster, opts Options) func() {
+	rng := stats.NewRNG(opts.ChaosSeed)
+	victims := cluster.Engines()
+	if len(victims) > 1 {
+		victims = victims[1:]
+	}
+	return func() { _ = cluster.Crash(victims[rng.Intn(len(victims))]) }
+}
+
+// progressStep prints one live status line per call: elapsed, the
 // schedule's current target rate, cumulative emits, and the live e2e tail.
-func progressLoop(w io.Writer, tracker *slo.Tracker, sched Schedule, start time.Time, emitted *uint64, stop <-chan struct{}) {
-	t := time.NewTicker(time.Second)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			el := time.Since(start)
-			s := tracker.SnapshotOf("e2e")
-			fmt.Fprintf(w, "t=%-6s target=%7.0f/s emitted=%-8d p50=%-10s p99=%-10s p999=%s\n",
-				el.Truncate(time.Second), sched.Rate(el), atomic.LoadUint64(emitted),
-				fmtShort(s.Quantile(0.50)), fmtShort(s.Quantile(0.99)), fmtShort(s.Quantile(0.999)))
-		}
+func progressStep(w io.Writer, tracker *slo.Tracker, sched Schedule, start time.Time, emitted *uint64) func() {
+	return func() {
+		el := time.Since(start)
+		s := tracker.SnapshotOf("e2e")
+		fmt.Fprintf(w, "t=%-6s target=%7.0f/s emitted=%-8d p50=%-10s p99=%-10s p999=%s\n",
+			el.Truncate(time.Second), sched.Rate(el), atomic.LoadUint64(emitted),
+			fmtShort(s.Quantile(0.50)), fmtShort(s.Quantile(0.99)), fmtShort(s.Quantile(0.999)))
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 	"unicode/utf8"
-
-	"repro/internal/trace"
 )
 
 // Objective is one declarative latency objective: the series' q-quantile
@@ -164,12 +162,11 @@ func (b *budgetWindow) rate(now time.Time) (float64, uint64) {
 }
 
 // Tracker aggregates latency observations per named series (end-to-end,
-// per-phase, per-scenario — the key is free-form), evaluates objectives
-// and the budget policy, and exports tart_slo_* metric families.
+// per-phase, per-scenario — the key is free-form) and evaluates objectives
+// and the budget policy.
 type Tracker struct {
 	objectives []Objective
 	budget     *BudgetPolicy
-	reg        *trace.Registry
 
 	mu     sync.Mutex
 	series map[string]*track
@@ -185,52 +182,11 @@ type track struct {
 // NewTracker creates a tracker evaluating the given objectives (at least
 // one) against every series; budget may be nil (no burn tracking).
 func NewTracker(objectives []Objective, budget *BudgetPolicy) *Tracker {
-	t := &Tracker{
+	return &Tracker{
 		objectives: append([]Objective(nil), objectives...),
 		budget:     budget,
-		reg:        trace.NewRegistry(),
 		series:     make(map[string]*track),
 	}
-	t.collect()
-	return t
-}
-
-// collect registers the tart_slo_* families as collectors over Report, so
-// every gather renders the live evaluation and nothing is stored between
-// scrapes.
-func (t *Tracker) collect() {
-	rows := func(emitRow func(emit trace.Emit, row Row, series trace.Label)) func(trace.Emit) {
-		return func(emit trace.Emit) {
-			for _, row := range t.Report().Rows {
-				emitRow(emit, row, trace.L("series", row.Series))
-			}
-		}
-	}
-	t.reg.Collect(trace.MetricSLOLatency, "HDR-estimated latency quantiles per SLO series.", "gauge",
-		rows(func(emit trace.Emit, row Row, series trace.Label) {
-			for _, q := range []struct {
-				name string
-				v    time.Duration
-			}{{"p50", row.P50}, {"p90", row.P90}, {"p99", row.P99}, {"p999", row.P999}, {"max", row.Max}} {
-				emit(q.v.Seconds(), series, trace.L("quantile", q.name))
-			}
-		}))
-	t.reg.Collect(trace.MetricSLOObservations, "Latency observations recorded per SLO series.", "counter",
-		rows(func(emit trace.Emit, row Row, series trace.Label) { emit(float64(row.Count), series) }))
-	t.reg.Collect(trace.MetricSLOBreaches, "Observations exceeding the error-budget threshold.", "counter",
-		rows(func(emit trace.Emit, row Row, series trace.Label) { emit(float64(row.Breaches), series) }))
-	t.reg.Collect(trace.MetricSLOBurn, "Error-budget burn rate over the policy window (1 = burning exactly the budget).", "gauge",
-		rows(func(emit trace.Emit, row Row, series trace.Label) { emit(row.BurnRate, series) }))
-	t.reg.Collect(trace.MetricSLOOk, "Whether the series currently meets the objective (1 = meeting).", "gauge",
-		rows(func(emit trace.Emit, row Row, series trace.Label) {
-			for _, v := range row.Verdicts {
-				ok := 0.0
-				if v.OK {
-					ok = 1
-				}
-				emit(ok, series, trace.L("objective", v.Objective.String()))
-			}
-		}))
 }
 
 // Objectives returns the tracker's objective list.
@@ -344,11 +300,6 @@ func (t *Tracker) Report() Report {
 	}
 	return rep
 }
-
-// WriteMetrics renders the tracker's tart_slo_* families, read from a live
-// Report, in Prometheus text exposition format (each family with its # HELP
-// and # TYPE lines).
-func (t *Tracker) WriteMetrics(w io.Writer) error { return t.reg.WritePrometheus(w) }
 
 // WriteTable renders the report as an aligned text table with one verdict
 // column per objective.

@@ -92,42 +92,3 @@ func TestTrackerBudgetBurn(t *testing.T) {
 		t.Fatal("budget burn should fail the row")
 	}
 }
-
-func TestWriteMetrics(t *testing.T) {
-	objs, _ := ParseObjectives("p99<10ms")
-	tr := NewTracker(objs, &BudgetPolicy{Threshold: 10 * time.Millisecond, Budget: 0.01, Window: time.Minute})
-	for i := 0; i < 100; i++ {
-		tr.Observe("e2e", 2*time.Millisecond)
-	}
-	var sb strings.Builder
-	if err := tr.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE tart_slo_latency_seconds gauge",
-		"# HELP tart_slo_latency_seconds",
-		"# TYPE tart_slo_observations_total counter",
-		"# TYPE tart_slo_breaches_total counter",
-		"# TYPE tart_slo_ok gauge",
-		"# TYPE tart_slo_error_budget_burn gauge",
-		`series="e2e"`,
-		`quantile="p99"`,
-		`objective="p99<10ms"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, out)
-		}
-	}
-	if !strings.Contains(out, `tart_slo_observations_total{series="e2e"} 100`) {
-		t.Fatalf("observation count wrong:\n%s", out)
-	}
-	// Second render must not double counters (delta export).
-	sb.Reset()
-	if err := tr.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `tart_slo_observations_total{series="e2e"} 100`) {
-		t.Fatalf("counter not monotone-stable:\n%s", sb.String())
-	}
-}

@@ -492,13 +492,6 @@ const (
 	// Adaptive span-sampling families (cluster controller, per-engine scrape).
 	MetricSampleN      = "tart_span_sample_n"
 	MetricSampleEpochs = "tart_span_sample_epochs_total"
-	// SLO families (internal/slo tracker, appended to engine /metrics and
-	// served by harness endpoints).
-	MetricSLOLatency      = "tart_slo_latency_seconds"
-	MetricSLOObservations = "tart_slo_observations_total"
-	MetricSLOBreaches     = "tart_slo_breaches_total"
-	MetricSLOOk           = "tart_slo_ok"
-	MetricSLOBurn         = "tart_slo_error_budget_burn"
 	// Supervisor-owned families (cluster failover supervisor, not per-engine).
 	MetricSuspicions    = "tart_supervisor_suspicions_total"
 	MetricSupFailovers  = "tart_supervisor_failovers_total"

@@ -1,7 +1,6 @@
 package tart_test
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -102,15 +101,7 @@ func TestIdleTailDrains(t *testing.T) {
 // lost to a link not yet up is re-issued by the ProbeRetry backstop.
 func TestBurstThenEndDrainsOverTCP(t *testing.T) {
 	const n = 21
-	addrs := make(map[string]string)
-	for _, engine := range []string{"e0", "e1", "e2"} {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[engine] = l.Addr().String()
-		l.Close()
-	}
+	addrs := map[string]string{"e0": freeLoopbackAddr(t), "e1": freeLoopbackAddr(t), "e2": freeLoopbackAddr(t)}
 	_, src, out := emitTail(t, n, tart.WithTCP(addrs))
 	src.End()
 	out.awaitWithin(t, n, 10*time.Second)

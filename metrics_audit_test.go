@@ -17,7 +17,6 @@ import (
 	"time"
 
 	tart "repro"
-	"repro/internal/slo"
 )
 
 // auditEcho forwards every input; a named struct so checkpoints can
@@ -30,8 +29,8 @@ func (e *auditEcho) OnMessage(ctx *tart.Context, _ string, p any) (any, error) {
 }
 
 // TestMetricsExpositionAudit drives a cluster with every metrics-producing
-// subsystem enabled (supervisor, SLO tracker, the closed-loop adaptive
-// runtime with a span budget) and audits the full /metrics exposition:
+// subsystem enabled (supervisor, the adaptive runtime with a span budget, a
+// calibrated estimator) and audits the full /metrics exposition:
 // the Prometheus text Content-Type, a # TYPE plus non-empty # HELP comment
 // for every family emitted — including the cluster-level families appended
 // after the engine's own — and the README type and label keys of each.
@@ -50,12 +49,10 @@ func TestMetricsExpositionAudit(t *testing.T) {
 	app.SinkFrom("out", "tally", "out")
 	app.PlaceAll("main")
 
-	tracker := tart.NewSLOTracker(mustObjectives(t, "p99<1s"), nil)
 	cluster, err := tart.Launch(app,
 		tart.WithDebugHTTP(map[string]string{"main": "127.0.0.1:0"}),
 		tart.WithFlightRecorder(""),
 		tart.WithSupervisor(tart.SupervisorConfig{SuspectAfter: time.Hour}),
-		tart.WithSLO(tracker),
 		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: time.Hour, SpansPerSec: 100}),
 	)
 	if err != nil {
@@ -87,7 +84,6 @@ func TestMetricsExpositionAudit(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("outputs did not arrive")
 	}
-	tracker.Observe("e2e", 3*time.Millisecond)
 
 	addr, err := cluster.DebugAddr("main")
 	if err != nil || addr == "" {
@@ -349,15 +345,6 @@ func sampleLabelKeys(line string) (string, error) {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, ","), nil
-}
-
-func mustObjectives(t *testing.T, spec string) []tart.SLOObjective {
-	t.Helper()
-	obj, err := slo.ParseObjectives(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return obj
 }
 
 // TestMetricFamilyCensus holds the README's *Metric families* table and the

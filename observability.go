@@ -5,68 +5,22 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/engine"
-	"repro/internal/slo"
 	"repro/internal/trace"
 	"repro/internal/trace/span"
-	"repro/internal/trace/span/otlp"
 	"repro/internal/vt"
 )
-
-// SLOTracker aggregates latency observations per named series into
-// HDR-style log-bucketed histograms and evaluates declarative objectives
-// live; see NewSLOTracker and WithSLO.
-type SLOTracker = slo.Tracker
-
-// SLOObjective is one declarative latency objective ("p99 < 50ms").
-type SLOObjective = slo.Objective
-
-// SLOBudgetPolicy is a windowed error-budget policy evaluated alongside
-// the latency objectives.
-type SLOBudgetPolicy = slo.BudgetPolicy
-
-// NewSLOTracker creates a tracker evaluating the given objectives against
-// every observed series; budget may be nil.
-func NewSLOTracker(objectives []SLOObjective, budget *SLOBudgetPolicy) *SLOTracker {
-	return slo.NewTracker(objectives, budget)
-}
-
-// WithSLO attaches a live SLO tracker to the cluster's debug surfaces:
-// every engine's /metrics exposition gains the tart_slo_* families and the
-// /slo endpoint serves the tracker's current report as JSON. The tracker
-// itself is fed by the harness (observe end-to-end latencies at the sink);
-// the cluster only publishes it.
-func WithSLO(t *SLOTracker) ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) { c.slo = t })
-}
-
-// OTLPStats counts an OTLP exporter's activity (see Cluster.OTLPStats).
-type OTLPStats = otlp.Stats
-
-// WithOTLPExport ships every engine's span trees to an OpenTelemetry
-// collector at url (OTLP/HTTP JSON, e.g. "http://localhost:4318/v1/traces"),
-// batched and gzipped. Implies span tracing. Origin IDs become 128-bit
-// trace IDs deterministically, so the same external input maps to the same
-// trace across the original run, a replay, and the recovered replica.
-// Export is fail-open: a slow or dead collector drops spans (counted in
-// OTLPStats) and can never block the scheduler or transport hot paths.
-func WithOTLPExport(url string) ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) {
-		c.otlpURL = url
-		c.spansOn = true
-	})
-}
 
 // AdaptDecision is one adaptive-runtime decision (see WithAdaptiveRuntime):
 // a span-sampling modulus switch, stamped with the VT epoch boundary it
 // takes effect at.
 type AdaptDecision = adapt.Decision
 
-// AdaptStatus is the adaptive runtime's live snapshot: whether SLO burn
-// degrades sampling, and the recent decision ring (served at /adapt and by
-// `tartctl adapt`).
+// AdaptStatus is the adaptive runtime's live snapshot: the recent decision
+// ring (served at /adapt and by `tartctl adapt`).
 type AdaptStatus = adapt.Status
 
-// AdaptiveRuntime tunes WithAdaptiveRuntime. Zero values pick defaults.
+// AdaptiveRuntime tunes WithAdaptiveRuntime. SpansPerSec is required;
+// zero values of the other fields pick defaults.
 type AdaptiveRuntime struct {
 	// PollEvery is the control loop's harvest cadence (default 250ms).
 	PollEvery time.Duration
@@ -75,7 +29,8 @@ type AdaptiveRuntime struct {
 	Quantum Ticks
 	// SpansPerSec is the span budget: the sampling modulus N follows the
 	// cluster's delivery rate so that deliveries/s / N stays under it,
-	// rounded up to a power of two. 0 keeps WithSpanTracing's modulus.
+	// rounded up to a power of two. Launch fails unless it is positive;
+	// WithSpanTracing's modulus holds until the first rate window.
 	SpansPerSec float64
 }
 
@@ -91,9 +46,9 @@ func (a AdaptiveRuntime) controllerConfig() adapt.Config {
 }
 
 // WithAdaptiveRuntime closes the observability loop on span sampling: a
-// per-cluster controller harvests the delivery rate and the SLO burn rate
-// and sets the span-sampling modulus — kept under the SpansPerSec budget,
-// and no denser than 1/64 while the SLO error budget burns. Silence
+// per-cluster controller harvests the delivery rate and sets the
+// span-sampling modulus so the span rate stays under the SpansPerSec
+// budget (EXPERIMENTS *Span sampling cost* prices what that saves). Silence
 // strategies stay with WithSilence and SetSilenceStrategy, estimator
 // coefficients with WithCalibration's scheduler-side regression.
 //
@@ -127,10 +82,6 @@ func (c *Cluster) SampleEpochs() []SampleRateEpoch {
 	return c.schedule.Epochs()
 }
 
-// OTLPStats reports the OTLP exporter's counters (zero without
-// WithOTLPExport).
-func (c *Cluster) OTLPStats() OTLPStats { return c.otlp.Stats() }
-
 // adaptStep is the adaptive runtime's tick: harvest an observation, step
 // the policy, route its decision. The whole tick holds adaptMu, so a reader
 // that takes it after seeing the VT frontier pass X finds every decision
@@ -138,20 +89,12 @@ func (c *Cluster) OTLPStats() OTLPStats { return c.otlp.Stats() }
 func (c *Cluster) adaptStep() {
 	c.adaptMu.Lock()
 	defer c.adaptMu.Unlock()
-	obs := adapt.Observation{
+	c.adaptCtl.Step(adapt.Observation{
 		Now:       c.maxNowVT(),
 		Wall:      time.Now(),
 		Delivered: c.totalDelivered(),
 		SampleN:   c.schedule.Current().N,
-	}
-	if tracker := c.cfg.slo; tracker != nil {
-		for _, row := range tracker.Report().Rows {
-			if row.BurnRate > obs.BurnRate {
-				obs.BurnRate = row.BurnRate
-			}
-		}
-	}
-	c.adaptCtl.Step(obs, c.applyAdaptDecision)
+	}, c.applyAdaptDecision)
 }
 
 // applyAdaptDecision appends one controller decision to the sampling
@@ -170,8 +113,8 @@ func (c *Cluster) applyAdaptDecision(d AdaptDecision) bool {
 	return true
 }
 
-// AdaptStatus snapshots the adaptive runtime: SLO-burn degradation and the
-// recent decision ring. Zero without WithAdaptiveRuntime.
+// AdaptStatus snapshots the adaptive runtime's recent decision ring. Zero
+// without WithAdaptiveRuntime.
 func (c *Cluster) AdaptStatus() AdaptStatus {
 	if c.adaptCtl == nil {
 		return AdaptStatus{}
@@ -211,19 +154,4 @@ func (c *Cluster) maxNowVT() vt.Time {
 // clock pinned while schedulers advance with processed messages.
 func frontierOf(eng *engine.Engine) vt.Time {
 	return max(eng.NowVT(), eng.MaxComponentClock())
-}
-
-// drainOTLP hands the exporter every span past each collector's watermark:
-// span IDs increase per collector, so each span is exported exactly once
-// (modulo ring overwrite under extreme backlog, which loses oldest-first —
-// matching the collector's own retention).
-func (c *Cluster) drainOTLP() {
-	for _, s := range c.slots() {
-		for _, sp := range s.slot.spans.Spans() {
-			if sp.ID > s.slot.exported {
-				c.otlp.Enqueue(sp)
-				s.slot.exported = sp.ID
-			}
-		}
-	}
 }

@@ -267,7 +267,7 @@ func TestTwoEngineClusterInproc(t *testing.T) {
 func TestTwoEngineClusterTCP(t *testing.T) {
 	out := newOutputs()
 	cluster, err := tart.Launch(fig1App("A", "B"),
-		tart.WithTCP(map[string]string{"A": "127.0.0.1:39401", "B": "127.0.0.1:39402"}),
+		tart.WithTCP(map[string]string{"A": freeLoopbackAddr(t), "B": freeLoopbackAddr(t)}),
 		tart.WithManualClock(func() tart.VirtualTime { return 0 }))
 	if err != nil {
 		t.Fatal(err)
