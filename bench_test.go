@@ -296,11 +296,10 @@ func BenchmarkSchedulerMerge(b *testing.B) {
 }
 
 // BenchmarkSchedulerMergeObserved is BenchmarkSchedulerMerge with
-// WithFlightRecorder: a flight recorder in every engine's observer and an
-// audit log beside it. Both benchmarks carry the registry a Cluster always
-// attaches, so the difference is the recorder and the audit log, not
-// instrumentation on vs off; for the observer off, see
-// BenchmarkEnginePipeline's nil lane (internal/engine).
+// WithFlightRecorder: a push consumer, so every engine gets an observer —
+// a flight recorder and the push-only families — and an audit log beside
+// it. BenchmarkSchedulerMerge asks for no push data, so its engines run
+// with no observer: the difference is instrumentation on vs off.
 func BenchmarkSchedulerMergeObserved(b *testing.B) {
 	var mean time.Duration
 	n := 2000

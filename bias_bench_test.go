@@ -96,7 +96,9 @@ func runBias(b *testing.B, seed uint64, delay, bias, d time.Duration) biasRun {
 	app.Place("merger", "B")
 	nc := NewNetworkChaos(seed)
 	nc.SetLinkPlan("A", "B", FaultPlan{Delay: delay})
-	c, err := Launch(app, WithNetworkChaos(nc))
+	// The pessimism and blame times read below are push-only distributions,
+	// so the run asks for push data.
+	c, err := Launch(app, WithNetworkChaos(nc), WithFlightRecorder(""))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -270,11 +270,11 @@ type engineSlot struct {
 	reached   vt.Time // VT frontier earlier incarnations reached (set by Recover)
 }
 
-// incarnation is one engine incarnation, the observer it reports to (its
-// own registry beside the slot's recorder and collector) and its listener.
+// incarnation is one engine incarnation, its own metric registry and its
+// listener.
 type incarnation struct {
 	eng      *engine.Engine
-	metrics  *trace.Metrics
+	reg      *trace.Registry
 	debug    *debugServer // nil without a WithDebugHTTP address
 	restored bool         // built from a checkpoint: Start replays
 	halted   sync.Once
@@ -536,7 +536,9 @@ func (c *Cluster) hosts(engineName string) bool {
 	return c.cfg.hostSet == nil || c.cfg.hostSet[engineName]
 }
 
-func (c *Cluster) engineConfig(slot *engineSlot, metrics *trace.Metrics) engine.Config {
+// engineConfig assembles an incarnation's engine configuration; obs is its
+// push observer, nil without a push consumer.
+func (c *Cluster) engineConfig(slot *engineSlot, obs *trace.Metrics) engine.Config {
 	comps := make(map[string]engine.ComponentSpec)
 	for _, id := range c.tp.ComponentsOn(slot.name) {
 		name := c.tp.Component(id).Name
@@ -547,21 +549,21 @@ func (c *Cluster) engineConfig(slot *engineSlot, metrics *trace.Metrics) engine.
 		silenceEvery = 0
 	}
 	tr := c.cfg.transport
-	if t, ok := tr.(transport.TCP); ok {
+	if t, ok := tr.(transport.TCP); ok && obs != nil {
 		// Per-engine transport copy so connections report their wire-level
 		// families into this incarnation's registry, where SetRegistry
 		// seeded them beside the engine's own series.
-		t.Meter = metrics
+		t.Meter = obs
 		tr = t
 	}
 	if c.cfg.netem != nil {
 		// Wrap after any TCP copy so fault decisions see finished frames.
 		tr = c.cfg.netem.For(slot.name, tr)
 	}
-	if slot.flog != nil {
+	if slot.flog != nil && obs != nil {
 		// Like the checkpoint store's, the log's commit accounting lands in
 		// this incarnation's registry.
-		m := metrics.Registry().WAL()
+		m := obs.Registry().WAL()
 		slot.flog.SetObserver(func(st wal.BatchStats) {
 			m.Inputs.Add(int64(st.Inputs))
 			m.Faults.Add(int64(st.Faults))
@@ -575,11 +577,10 @@ func (c *Cluster) engineConfig(slot *engineSlot, metrics *trace.Metrics) engine.
 		Name:               slot.name,
 		Topo:               c.tp,
 		Components:         comps,
-		Metrics:            metrics,
 		Transport:          tr,
 		Addrs:              c.cfg.addrs,
 		Log:                slot.log,
-		Backup:             c.backupFor(slot, metrics),
+		Backup:             c.backupFor(slot, obs),
 		CheckpointEvery:    c.cfg.checkpointEvery,
 		ShedBufferedLimit:  c.cfg.shedLimit,
 		SourceSilenceEvery: silenceEvery,
@@ -589,6 +590,11 @@ func (c *Cluster) engineConfig(slot *engineSlot, metrics *trace.Metrics) engine.
 		PeerGens:           c.peerGens(slot.name),
 		ReplayHorizon:      slot.reached,
 	}
+	if obs != nil {
+		// Only a non-nil pointer: a nil *trace.Metrics in the interface
+		// would read as an observer attached.
+		cfg.Metrics = obs
+	}
 	if c.arch != nil {
 		// Checkpoints tee into the rewind-point archive.
 		cfg.Backup = c.arch.Tee(slot.name, cfg.Backup)
@@ -597,15 +603,22 @@ func (c *Cluster) engineConfig(slot *engineSlot, metrics *trace.Metrics) engine.
 }
 
 // incarnate builds the slot's next incarnation, from its replica when
-// restore is set (cold: as a cold restart).
+// restore is set (cold: as a cold restart). Its engine gets a push observer
+// only if a consumer asked for push data — a flight recorder, a span
+// collector or a debug listener — and runs with none otherwise: the counts
+// MetricFamilies and Metrics answer with are pulled either way.
 func (c *Cluster) incarnate(slot *engineSlot, restore, cold bool) (*incarnation, error) {
-	metrics := &trace.Metrics{}
-	metrics.SetRegistry(trace.NewEngineRegistry(slot.name))
-	metrics.SetRecorder(slot.rec)
-	metrics.SetSpans(slot.spans)
-	cfg := c.engineConfig(slot, metrics)
+	reg := trace.NewRegistry(trace.L("engine", slot.name))
+	var obs *trace.Metrics
+	if slot.rec != nil || slot.spans != nil || c.cfg.debugAddrs[slot.name] != "" {
+		obs = &trace.Metrics{}
+		obs.SetRegistry(reg)
+		obs.SetRecorder(slot.rec)
+		obs.SetSpans(slot.spans)
+	}
+	cfg := c.engineConfig(slot, obs)
 	cfg.ColdStart = cold
-	in := &incarnation{metrics: metrics, restored: restore}
+	in := &incarnation{reg: reg, restored: restore}
 	var err error
 	if restore {
 		in.eng, err = engine.NewFromBackup(cfg, slot.store)
@@ -615,7 +628,7 @@ func (c *Cluster) incarnate(slot *engineSlot, restore, cold bool) (*incarnation,
 	if err != nil {
 		return nil, err
 	}
-	c.collect(metrics.Registry(), in.eng)
+	c.collect(reg, in.eng)
 	return in, nil
 }
 
@@ -706,22 +719,131 @@ func (c *Cluster) collect(reg *trace.Registry, eng *engine.Engine) {
 		last, _ := eng.LastCheckpoint()
 		emit(float64(max(0, int64(eng.MaxComponentClock())-int64(last))))
 	})
+	c.collectCounts(reg, eng)
+}
+
+// collectCounts registers the pulled count families: what the schedulers
+// and the engine count whether or not a push observer is attached, read
+// when something gathers. Every hosted wire, component and source has its
+// series from launch, at zero until something happens.
+func (c *Cluster) collectCounts(reg *trace.Registry, eng *engine.Engine) {
+	wire := func(id msg.WireID) trace.Label { return trace.L("wire", sched.WireName(c.tp, c.tp.Wire(id))) }
+	// eachScheduler visits the hosted components' counts in name order.
+	eachScheduler := func(visit func(component trace.Label, counts sched.Counts)) {
+		for _, name := range eng.Hosted() {
+			sch, _ := eng.Scheduler(name)
+			visit(trace.L("component", name), sch.Counts())
+		}
+	}
+	// Each per-wire family reads one field off the receiving (in) or the
+	// sending end of every wire.
+	wireFamilies := []struct {
+		name, help string
+		in         bool
+		read       func(w *sched.WireCounts) uint64
+	}{
+		{trace.MetricDelivered, "Messages delivered to handlers.", true, func(w *sched.WireCounts) uint64 { return w.Delivered }},
+		{trace.MetricOutOfOrder, "Messages delivered in VT order that arrived out of real-time order.", true, func(w *sched.WireCounts) uint64 { return w.OutOfOrder }},
+		{trace.MetricProbes, "Curiosity probes sent to the wire's sender.", true, func(w *sched.WireCounts) uint64 { return w.Probes }},
+		{trace.MetricHoldbackDrops, "Arrivals shed because the hold-back area was at its cap.", true, func(w *sched.WireCounts) uint64 { return w.HoldbackDrops }},
+		{trace.MetricBlame, "Pessimism episodes where this wire's silence frontier was the last holdout.", true, func(w *sched.WireCounts) uint64 { return w.Blame }},
+		{trace.MetricSent, "Data, call, and reply envelopes emitted on the wire.", false, func(w *sched.WireCounts) uint64 { return w.Sent }},
+	}
+	for _, f := range wireFamilies {
+		reg.Collect(f.name, f.help, "counter", func(emit trace.Emit) {
+			eachScheduler(func(comp trace.Label, counts sched.Counts) {
+				for i := range counts.Wires {
+					if w := &counts.Wires[i]; w.In == f.in {
+						emit(float64(f.read(w)), comp, wire(w.Wire))
+					}
+				}
+			})
+		})
+	}
+	reg.Collect(trace.MetricDuplicates, "Duplicate messages discarded by sequence/timestamp: on an input wire, or stale replies on a call-reply wire.", "counter", func(emit trace.Emit) {
+		eachScheduler(func(comp trace.Label, counts sched.Counts) {
+			for _, w := range counts.Wires {
+				if w.In {
+					emit(float64(w.Duplicates), comp, wire(w.Wire))
+				}
+			}
+			for id, n := range counts.ReplyDups {
+				emit(float64(n), comp, wire(id))
+			}
+		})
+	})
+	reg.Collect(trace.MetricSilences, "Silence promises emitted on the wire; a source's count under its own name.", "counter", func(emit trace.Emit) {
+		eachScheduler(func(comp trace.Label, counts sched.Counts) {
+			for _, w := range counts.Wires {
+				if !w.In {
+					emit(float64(w.Silences), comp, wire(w.Wire))
+				}
+			}
+		})
+		for _, src := range eng.Counts().Sources {
+			emit(float64(src.Silences), trace.L("component", src.Name), wire(src.Wire))
+		}
+	})
+	reg.Collect(trace.MetricDetFaults, "Determinism faults: estimator recalibrations and audit-chain divergences, by cause.", "counter", func(emit trace.Emit) {
+		eachScheduler(func(comp trace.Label, counts sched.Counts) {
+			emit(float64(counts.Recalibrations), comp, trace.L("cause", "recalibration"))
+			emit(float64(counts.Divergences), comp, trace.L("cause", "replay-divergence"))
+		})
+		for name, n := range eng.Counts().ChainMismatches {
+			emit(float64(n), trace.L("component", name), trace.L("cause", "checkpoint-chain"))
+		}
+	})
+	reg.Collect(trace.MetricCheckpoints, "Soft checkpoints applied to the backup, by kind: full if every component shipped its whole state, else a delta.", "counter", func(emit trace.Emit) {
+		counts := eng.Counts()
+		emit(float64(counts.FullCheckpoints), trace.L("kind", "full"))
+		emit(float64(counts.DeltaCheckpoints), trace.L("kind", "delta"))
+	})
+	reg.Collect(trace.MetricFailovers, "Passive-replica activations.", "counter", func(emit trace.Emit) {
+		emit(float64(eng.Counts().Failovers))
+	})
+	reg.Collect(trace.MetricReplayRequests, "Replay-range requests issued to senders.", "counter", func(emit trace.Emit) {
+		for id, n := range eng.Counts().ReplayRequests {
+			emit(float64(n), wire(id))
+		}
+	})
+	reg.Collect(trace.MetricReplayServes, "Replay-range requests served from replay buffers.", "counter", func(emit trace.Emit) {
+		for id, n := range eng.Counts().ReplayServes {
+			emit(float64(n), wire(id))
+		}
+	})
+	sourceFamilies := []struct {
+		name, help string
+		read       func(s *engine.SourceCounts) uint64
+	}{
+		{trace.MetricSourceEmits, "External messages logged and injected by a source.", func(s *engine.SourceCounts) uint64 { return s.Emits }},
+		{trace.MetricSourceShed, "External inputs refused at sources because buffered replay state hit its bound.", func(s *engine.SourceCounts) uint64 { return s.Shed }},
+		{trace.MetricColdstartReplayed, "Logged input records re-injected from the durable WAL suffix during a cold restart.", func(s *engine.SourceCounts) uint64 { return s.ColdStartReplayed }},
+	}
+	for _, f := range sourceFamilies {
+		reg.Collect(f.name, f.help, "counter", func(emit trace.Emit) {
+			for _, src := range eng.Counts().Sources {
+				emit(float64(f.read(&src)), trace.L("source", src.Name))
+			}
+		})
+	}
 }
 
 // backupFor assembles one engine's checkpoint destination: always the warm
 // in-process replica, teed into the durable file store when
-// WithDurableStore is configured. The file store's write/fsync accounting
-// lands in this incarnation's metric registry.
-func (c *Cluster) backupFor(slot *engineSlot, metrics *trace.Metrics) engine.Backup {
+// WithDurableStore is configured. With a push observer, the file store's
+// write/fsync accounting lands in this incarnation's metric registry.
+func (c *Cluster) backupFor(slot *engineSlot, obs *trace.Metrics) engine.Backup {
 	if slot.fstore == nil {
 		return slot.store
 	}
-	reg := metrics.Registry()
-	writes := reg.Counter(trace.MetricCkptStoreWrites,
-		"Checkpoints persisted by the durable checkpoint store.")
-	fsyncs := reg.Counter(trace.MetricCkptStoreFsyncs,
-		"fsync calls issued by the durable checkpoint store.")
-	slot.fstore.SetObserver(func(int64) { writes.Inc() }, fsyncs.Inc)
+	if obs != nil {
+		reg := obs.Registry()
+		writes := reg.Counter(trace.MetricCkptStoreWrites,
+			"Checkpoints persisted by the durable checkpoint store.")
+		fsyncs := reg.Counter(trace.MetricCkptStoreFsyncs,
+			"fsync calls issued by the durable checkpoint store.")
+		slot.fstore.SetObserver(func(int64) { writes.Inc() }, fsyncs.Inc)
+	}
 	return teeBackup{slot.store, slot.fstore}
 }
 
@@ -986,7 +1108,7 @@ func (c *Cluster) Metrics(engineName string) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	return v.metrics.Snapshot(), nil
+	return v.eng.Totals(), nil
 }
 
 // MetricFamilies returns the named engine's labeled metrics (per-wire and
@@ -996,7 +1118,7 @@ func (c *Cluster) MetricFamilies(engineName string) ([]MetricFamily, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.metrics.Registry().Gather(), nil
+	return v.reg.Gather(), nil
 }
 
 // TraceEvents returns the named engine's most recent flight-recorder

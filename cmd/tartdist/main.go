@@ -416,15 +416,16 @@ func runTART(w workload, addrs [4]string) (result, error) {
 		// leak silence lazily-configured components never send.
 		silenceEvery = 50 * time.Millisecond
 	}
+	// The flight recorder asks for push data: the per-wire table's
+	// pessimism and blame times are distributions only a push consumer
+	// gets, and with -debug it gives /trace its content.
 	opts := []tart.ClusterOption{
 		tart.WithTCP(map[string]string{"A": addrs[0], "B": addrs[1]}),
 		tart.WithSourceSilenceEvery(silenceEvery),
+		tart.WithFlightRecorder(""),
 	}
 	if w.debug {
-		// The ops surface plus the flight recorder, so /trace has content.
-		opts = append(opts,
-			tart.WithDebugHTTP(map[string]string{"A": addrs[2], "B": addrs[3]}),
-			tart.WithFlightRecorder(""))
+		opts = append(opts, tart.WithDebugHTTP(map[string]string{"A": addrs[2], "B": addrs[3]}))
 	}
 	if w.spans > 0 {
 		opts = append(opts, tart.WithSpanTracing(w.spans))

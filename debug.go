@@ -111,7 +111,7 @@ func statusHandler(on bool, off string, read func() any) http.HandlerFunc {
 // their own names, so the exposition stays well-formed.
 func (h debugHandlers) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = h.in.metrics.Registry().WritePrometheus(w)
+	_ = h.in.reg.WritePrometheus(w)
 	_ = h.c.ctl.reg.WritePrometheus(w)
 }
 

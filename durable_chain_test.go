@@ -249,7 +249,8 @@ func TestDurableCheckpointsShipDeltas(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	run := newChainRun(t, keys, tart.WithDurableStore(dir))
+	// tart_checkpoint_bytes is a push-only distribution: ask for push data.
+	run := newChainRun(t, keys, tart.WithDurableStore(dir), tart.WithFlightRecorder(""))
 	defer func() { run.cluster.Stop() }()
 	run.emit(keys/100, spread)
 	run.checkpoint() // seq 2: a delta over the launch base

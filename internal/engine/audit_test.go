@@ -152,7 +152,7 @@ func TestReplayDivergenceFaultsOnce(t *testing.T) {
 	if f.Component != "count" {
 		t.Errorf("fault component = %q", f.Component)
 	}
-	if got := metrics.Snapshot().DeterminismFaults; got != 1 {
+	if got := e2.Totals().DeterminismFaults; got != 1 {
 		t.Errorf("metrics determinism faults = %d, want 1", got)
 	}
 }
@@ -225,7 +225,7 @@ func TestCleanReplayNoFaults(t *testing.T) {
 	if faults := countFaults(rec.Events()); len(faults) != 0 {
 		t.Errorf("clean replay recorded %d determinism faults: %+v", len(faults), faults)
 	}
-	if got := metrics.Snapshot().DeterminismFaults; got != 0 {
+	if got := e2.Totals().DeterminismFaults; got != 0 {
 		t.Errorf("metrics determinism faults = %d, want 0", got)
 	}
 }

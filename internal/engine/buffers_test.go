@@ -6,11 +6,15 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/deque"
 	"repro/internal/msg"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/vt"
 )
+
+// chunkLen is the replay buffers' chunk size, the boundary these tests straddle.
+const chunkLen = deque.ChunkLen
 
 // bufferTopo builds caller -> callee with a two-way call between them and a
 // sink behind the callee, and returns the topology with its data wire, its

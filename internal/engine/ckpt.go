@@ -105,6 +105,14 @@ func (e *Engine) Checkpoint() (uint64, error) {
 	} else {
 		e.chainLen++
 	}
+	e.count(func(c *Counts) {
+		if ck.IsBase() {
+			c.FullCheckpoints++
+		} else {
+			c.DeltaCheckpoints++
+		}
+		c.CheckpointBytes += uint64(bytesTotal)
+	})
 	if e.obs != nil {
 		e.obs.Checkpointed(maxClock, ck.Seq, ck.IsBase(), bytesTotal, offLoop, time.Since(start))
 	}
@@ -229,8 +237,11 @@ func NewFromBackup(cfg Config, store *checkpoint.ReplicaStore) (*Engine, error) 
 		// A mismatch means the checkpointed prefix diverged from the run
 		// the replica witnessed — a determinism fault.
 		if audit := e.cfg.Audit; audit != nil && schedState.AuditCount > 0 {
-			if entry, ok := audit.At(h.name, schedState.AuditCount-1); ok && entry.Chain != schedState.AuditChain && e.obs != nil {
-				e.obs.ChainMismatch(h.name, schedState.Clock, schedState.AuditCount-1)
+			if entry, ok := audit.At(h.name, schedState.AuditCount-1); ok && entry.Chain != schedState.AuditChain {
+				e.count(func(c *Counts) { bump(&c.ChainMismatches, h.name) })
+				if e.obs != nil {
+					e.obs.ChainMismatch(h.name, schedState.Clock, schedState.AuditCount-1)
+				}
 			}
 		}
 		faults, err := e.log.Faults(h.name)
@@ -294,6 +305,7 @@ func lastEpochStart(cal *estimator.Calibrated) vt.Time {
 func (e *Engine) replayAfterRestore() error {
 	// Record activation before replay so the flight dump reads in causal
 	// order: checkpoint → failover → replay → duplicate drops.
+	e.count(func(c *Counts) { c.Failovers++ })
 	if e.obs != nil {
 		e.obs.Failover(e.ckptSeq)
 	}
@@ -313,7 +325,7 @@ func (e *Engine) replayAfterRestore() error {
 		}
 		buf := bufs[wid]
 		if len(buf) > 0 && e.obs != nil {
-			e.obs.ReplayServed(wid, "", buf[0].Seq, len(buf), true)
+			e.obs.ReplayServed(wid, buf[0].Seq, len(buf), true)
 		}
 		for _, env := range buf {
 			e.forward(w, env)

@@ -89,7 +89,9 @@ type Config struct {
 	HeartbeatEvery time.Duration
 	// RedialEvery is the reconnection retry cadence. Default 100ms.
 	RedialEvery time.Duration
-	// Metrics receives the engine's and its schedulers' reports; nil is off.
+	// Metrics receives the engine's and its schedulers' push reports (flight
+	// events, spans and distributions); nil is off, and the counts a reader
+	// pulls (Counts, Totals) are kept either way.
 	// Attach the same flight recorder and span collector to successive
 	// generations of an engine (the cluster does) so a post-failover dump and
 	// timeline show the pre-crash story beside the replayed re-deliveries.
@@ -162,8 +164,11 @@ type Engine struct {
 	peers   *peerSet
 	log     wal.Log
 	obs     Observer
-	ckptSeq uint64
-	ckptMu  sync.Mutex
+	// counts is what a reader pulls (Counts), guarded by countsMu.
+	countsMu sync.Mutex
+	counts   Counts
+	ckptSeq  uint64
+	ckptMu   sync.Mutex
 	// chainLen counts the checkpoints of the current chain the backup holds:
 	// the newest base and everything applied since. Zero — at birth, after a
 	// restore, after a failed checkpoint — makes the next one a base

@@ -135,11 +135,11 @@ func fig1Specs() map[string]ComponentSpec {
 	}
 }
 
-// registryMetrics is an observer with the registry a Cluster gives engine
-// name and no recorder or span collector.
+// registryMetrics is an observer with engine name's registry and no
+// recorder or span collector: only the push-only families to fill.
 func registryMetrics(name string) *trace.Metrics {
 	m := &trace.Metrics{}
-	m.SetRegistry(trace.NewEngineRegistry(name))
+	m.SetRegistry(trace.NewRegistry(trace.L("engine", name)))
 	return m
 }
 

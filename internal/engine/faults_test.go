@@ -89,7 +89,7 @@ func TestLossyLinkRecovered(t *testing.T) {
 			t.Fatalf("sink VT order violated at %d", i)
 		}
 	}
-	if snapB := metricsOf(engB).Snapshot(); snapB.Delivered != 2*n {
+	if snapB := engB.Totals(); snapB.Delivered != 2*n {
 		t.Errorf("merger delivered %d, want %d", snapB.Delivered, 2*n)
 	}
 	if st := nm.Stats(); st.Dropped == 0 {
@@ -290,7 +290,7 @@ func TestReissuedCallCountsOneDuplicate(t *testing.T) {
 
 	// The call may already have reached the callee twice (sent on a link that
 	// came up while the reconnect resend was running), so count the delta.
-	dups := func(e *Engine) int64 { return metricsOf(e).Snapshot().DuplicatesDropped }
+	dups := func(e *Engine) int64 { return e.Totals().DuplicatesDropped }
 	calleeBefore, callerBefore := dups(engB), dups(engA)
 	client, _ := tp.ComponentByName("client")
 	reqs := engA.buffers.from(client.Outputs["lookup"], 1)
@@ -358,7 +358,7 @@ func TestSourceProbeAnswering(t *testing.T) {
 	if got[0].Payload != "x" {
 		t.Errorf("payload = %v", got[0].Payload)
 	}
-	if snap := metricsOf(e).Snapshot(); snap.ProbesSent == 0 {
+	if snap := e.Totals(); snap.ProbesSent == 0 {
 		t.Error("no probes were needed?")
 	}
 }

@@ -31,12 +31,12 @@ type Observer interface {
 	Checkpointed(at vt.Time, seq uint64, base bool, bytes int, offLoop, took time.Duration)
 	ChainMismatch(component string, at vt.Time, delivery uint64)
 	// Failover reports a replica activated from checkpoint seq, before its
-	// replay. ReplayServed reports n buffered envelopes of wire w (labelled
-	// label) re-sent from seq on, to a peer's request or, local, after a
-	// restore; ReplayRequested a replay request for w from seq on.
+	// replay. ReplayServed reports n buffered envelopes of wire w re-sent
+	// from seq on, to a peer's request or, local, after a restore;
+	// ReplayRequested a replay request for w from seq on.
 	Failover(seq uint64)
-	ReplayServed(w msg.WireID, label string, seq uint64, n int, local bool)
-	ReplayRequested(w msg.WireID, label string, seq uint64)
+	ReplayServed(w msg.WireID, seq uint64, n int, local bool)
+	ReplayRequested(w msg.WireID, seq uint64)
 	// Dialer registers the dial loop to peer, which calls redial per
 	// attempt. PeerUp reports a connection to peer joining, PeerDown the
 	// live one dropped, and Fenced a handshake refused for its stale
@@ -48,16 +48,14 @@ type Observer interface {
 	// SilencesCoalesced reports n peer-bound silence promises absorbed by a
 	// newer one for the same wire while a flush was in progress.
 	SilencesCoalesced(n int)
-	// Source registers an external source feeding wire w (labelled label).
-	// Emitted reports a logged input, Shed one refused, SourceSilence a
-	// promise through VT promise (probe: answering a curiosity probe), and
-	// LogReplayed the n logged inputs from seq on re-injected after a
-	// restore (cold: by a cold restart).
-	Source(name, label string, w msg.WireID) any
+	// Source registers an external source feeding wire w. Emitted reports a
+	// logged input, SourceSilence a promise through VT promise answering a
+	// curiosity probe, and LogReplayed the logged inputs from seq on
+	// re-injected after a restore.
+	Source(name string, w msg.WireID) any
 	Emitted(src any, env msg.Envelope)
-	Shed(src any)
-	SourceSilence(src any, promise vt.Time, probe bool)
-	LogReplayed(src any, seq uint64, n int, cold bool)
+	SourceSilence(src any, promise vt.Time)
+	LogReplayed(src any, seq uint64)
 	// TraceMark is the span-sampling decision an input emitted at VT at
 	// carries: msg.TraceSampled, msg.TraceUnsampled, or zero (undecided).
 	TraceMark(origin msg.OriginID, at vt.Time) int8

@@ -5,8 +5,8 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/deque"
 	"repro/internal/msg"
-	"repro/internal/sched"
 	"repro/internal/topo"
 )
 
@@ -121,8 +121,9 @@ func (e *Engine) deliverInbound(env msg.Envelope) {
 // to resend the range of ticks for which there is a gap").
 func (e *Engine) serveReplay(req msg.Envelope) {
 	resent := e.buffers.from(req.Wire, req.Seq)
+	e.count(func(c *Counts) { bump(&c.ReplayServes, req.Wire) })
 	if e.obs != nil {
-		e.obs.ReplayServed(req.Wire, sched.WireName(e.tp, e.tp.Wire(req.Wire)), req.Seq, len(resent), false)
+		e.obs.ReplayServed(req.Wire, req.Seq, len(resent), false)
 	}
 	for _, env := range resent {
 		w := e.tp.Wire(env.Wire)
@@ -132,8 +133,9 @@ func (e *Engine) serveReplay(req msg.Envelope) {
 
 // noteReplayRequest accounts one replay-range request this engine issues.
 func (e *Engine) noteReplayRequest(wid msg.WireID, fromSeq uint64) {
+	e.count(func(c *Counts) { bump(&c.ReplayRequests, wid) })
 	if e.obs != nil {
-		e.obs.ReplayRequested(wid, sched.WireName(e.tp, e.tp.Wire(wid)), fromSeq)
+		e.obs.ReplayRequested(wid, fromSeq)
 	}
 }
 
@@ -218,24 +220,12 @@ type bufferSet struct {
 	n     int // envelopes buffered across all wires
 }
 
-// chunkLen is the number of envelopes per replay-buffer chunk (a power of
-// two; a chunk is ~26 KB, inside the allocator's small size classes).
-const chunkLen = 256
-
-// wireBuf is one wire's replay buffer: a deque of fixed-size chunks ordered
-// by key. Appending never moves or clears what is already buffered, and
-// trimming drops whole chunks and advances head instead of copying the
-// survivors.
+// wireBuf is one wire's replay buffer, ordered by key: a chunked deque, so
+// appending never moves what is already buffered and trimming drops whole
+// chunks instead of copying the survivors.
 type wireBuf struct {
-	chunks []*[chunkLen]msg.Envelope
-	head   int  // offset of the oldest envelope within chunks[0]
-	n      int  // buffered envelopes
+	deque.Deque[msg.Envelope]
 	byCall bool // a call-reply wire: keyed by CallID rather than Seq
-}
-
-func (wb *wireBuf) at(i int) *msg.Envelope {
-	i += wb.head
-	return &wb.chunks[i/chunkLen][i%chunkLen]
 }
 
 func (wb *wireBuf) key(env *msg.Envelope) uint64 {
@@ -248,54 +238,17 @@ func (wb *wireBuf) key(env *msg.Envelope) uint64 {
 // push appends env unless its key does not advance the buffer: a component
 // re-executing after a restore regenerates sends that are already buffered.
 func (wb *wireBuf) push(env msg.Envelope) bool {
-	if wb.n > 0 && wb.key(&env) <= wb.key(wb.at(wb.n-1)) {
+	if n := wb.Len(); n > 0 && wb.key(&env) <= wb.key(wb.At(n-1)) {
 		return false
 	}
-	if wb.head+wb.n == len(wb.chunks)*chunkLen {
-		wb.chunks = append(wb.chunks, new([chunkLen]msg.Envelope))
-	}
-	wb.n++
-	*wb.at(wb.n - 1) = env
+	wb.Push(env)
 	return true
 }
 
 // search returns the index of the first envelope whose key satisfies pred,
 // which must be monotone in the key.
 func (wb *wireBuf) search(pred func(key uint64) bool) int {
-	return sort.Search(wb.n, func(i int) bool { return pred(wb.key(wb.at(i))) })
-}
-
-// dropFront discards the oldest k <= n envelopes.
-func (wb *wireBuf) dropFront(k int) {
-	head := wb.head + k
-	whole := head / chunkLen // chunks entirely behind the new head
-	if whole < len(wb.chunks) {
-		// Release the payloads trimmed out of the chunk that stays in front.
-		from := 0
-		if whole == 0 {
-			from = wb.head
-		}
-		clear(wb.chunks[whole][from : head%chunkLen])
-	}
-	rest := copy(wb.chunks, wb.chunks[whole:])
-	clear(wb.chunks[rest:])
-	wb.chunks = wb.chunks[:rest]
-	wb.head = head % chunkLen
-	wb.n -= k
-}
-
-// appendTo appends the buffered envelopes from index i on to dst.
-func (wb *wireBuf) appendTo(dst []msg.Envelope, i int) []msg.Envelope {
-	for i < wb.n {
-		at := wb.head + i
-		c := wb.chunks[at/chunkLen][at%chunkLen:]
-		if len(c) > wb.n-i {
-			c = c[:wb.n-i]
-		}
-		dst = append(dst, c...)
-		i += len(c)
-	}
-	return dst
+	return wb.Search(func(env *msg.Envelope) bool { return pred(wb.key(env)) })
 }
 
 func newBufferSet() *bufferSet {
@@ -328,7 +281,7 @@ func (b *bufferSet) from(w msg.WireID, fromSeq uint64) []msg.Envelope {
 		return nil
 	}
 	i := wb.search(func(seq uint64) bool { return seq >= fromSeq })
-	return wb.appendTo(make([]msg.Envelope, 0, wb.n-i), i)
+	return wb.AppendTo(make([]msg.Envelope, 0, wb.Len()-i), i)
 }
 
 // unacked returns every buffered envelope of every wire (for full resend on
@@ -343,7 +296,7 @@ func (b *bufferSet) unacked() []msg.Envelope {
 	slices.Sort(wires)
 	out := make([]msg.Envelope, 0, b.n)
 	for _, w := range wires {
-		out = b.wires[w].appendTo(out, 0)
+		out = b.wires[w].AppendTo(out, 0)
 	}
 	return out
 }
@@ -355,8 +308,8 @@ func (b *bufferSet) replyByCallID(w msg.WireID, callID uint64) (msg.Envelope, bo
 	if wb == nil || !wb.byCall {
 		return msg.Envelope{}, false
 	}
-	if i := wb.search(func(id uint64) bool { return id >= callID }); i < wb.n && wb.at(i).CallID == callID {
-		return *wb.at(i), true
+	if i := wb.search(func(id uint64) bool { return id >= callID }); i < wb.Len() && wb.At(i).CallID == callID {
+		return *wb.At(i), true
 	}
 	return msg.Envelope{}, false
 }
@@ -370,7 +323,7 @@ func (b *bufferSet) count(w msg.WireID) int {
 
 func (b *bufferSet) countLocked(w msg.WireID) int {
 	if wb := b.wires[w]; wb != nil {
-		return wb.n
+		return wb.Len()
 	}
 	return 0
 }
@@ -394,7 +347,7 @@ func (b *bufferSet) trim(w msg.WireID, through uint64) {
 	}
 	k := wb.search(func(key uint64) bool { return key > through })
 	b.n -= k
-	wb.dropFront(k)
+	wb.DropFront(k)
 }
 
 // snapshot captures all buffers for inclusion in a checkpoint.
@@ -403,8 +356,8 @@ func (b *bufferSet) snapshot() map[msg.WireID][]msg.Envelope {
 	defer b.mu.Unlock()
 	out := make(map[msg.WireID][]msg.Envelope, len(b.wires))
 	for w, wb := range b.wires {
-		if wb.n > 0 {
-			out[w] = wb.appendTo(make([]msg.Envelope, 0, wb.n), 0)
+		if n := wb.Len(); n > 0 {
+			out[w] = wb.AppendTo(make([]msg.Envelope, 0, n), 0)
 		}
 	}
 	return out
@@ -422,7 +375,7 @@ func (b *bufferSet) restore(tp *topo.Topology, bufs map[msg.WireID][]msg.Envelop
 		for _, env := range buf {
 			wb.push(env)
 		}
-		b.n += wb.n - b.countLocked(w)
+		b.n += wb.Len() - b.countLocked(w)
 		b.wires[w] = wb
 	}
 }

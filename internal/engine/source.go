@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/msg"
-	"repro/internal/sched"
 	"repro/internal/topo"
 	"repro/internal/vt"
 	"repro/internal/wal"
@@ -30,13 +29,16 @@ type Source struct {
 	lastVT   vt.Time
 	promised vt.Time
 
+	counts SourceCounts // guarded by mu
+
 	obs any // the observer's handle (nil when unobserved)
 }
 
 func newSource(e *Engine, name string, w *topo.Wire, target *hosted) *Source {
-	s := &Source{e: e, name: name, wire: w, target: target, lastVT: vt.Never, promised: vt.Never}
+	s := &Source{e: e, name: name, wire: w, target: target, lastVT: vt.Never, promised: vt.Never,
+		counts: SourceCounts{Name: name, Wire: w.ID}}
 	if e.obs != nil {
-		s.obs = e.obs.Source(name, sched.WireName(e.tp, w), w.ID)
+		s.obs = e.obs.Source(name, w.ID)
 	}
 	return s
 }
@@ -81,9 +83,7 @@ var ErrShed = fmt.Errorf("engine: input shed: buffered replay state at limit")
 
 func (s *Source) emitLocked(t vt.Time, payload any) error {
 	if limit := s.e.cfg.ShedBufferedLimit; limit > 0 && s.e.buffers.total() >= limit {
-		if s.e.obs != nil {
-			s.e.obs.Shed(s.obs)
-		}
+		s.counts.Shed++
 		return fmt.Errorf("source %q: %w (%d buffered)", s.name, ErrShed, s.e.buffers.total())
 	}
 	seq := s.seq + 1
@@ -92,6 +92,7 @@ func (s *Source) emitLocked(t vt.Time, payload any) error {
 	}
 	s.seq = seq
 	s.lastVT = t
+	s.counts.Emits++
 	// Provenance: the origin of everything this input causes is the source
 	// wire plus the logged sequence number — both deterministic, so replayed
 	// injections (restoreCursor, repairGaps) recreate the identical origin.
@@ -139,12 +140,15 @@ func (s *Source) End() { s.Quiesce(vt.Max) }
 func (s *Source) restoreCursor(fromSeq uint64, lastVT vt.Time) error {
 	recs, err := s.e.log.Inputs(s.name, fromSeq)
 	if s.e.obs != nil {
-		s.e.obs.LogReplayed(s.obs, fromSeq, len(recs), s.e.cfg.ColdStart)
+		s.e.obs.LogReplayed(s.obs, fromSeq)
 	}
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
+	if s.e.cfg.ColdStart {
+		s.counts.ColdStartReplayed += uint64(len(recs))
+	}
 	if fromSeq > 0 && fromSeq-1 > s.seq {
 		s.seq = fromSeq - 1
 	}
@@ -191,10 +195,11 @@ func (e *Engine) answerSourceProbe(w *topo.Wire) {
 			return // nothing new to promise
 		}
 		s.promised = promise
+		s.counts.Silences++
 		seq := s.seq
 		s.mu.Unlock()
 		if e.obs != nil {
-			e.obs.SourceSilence(s.obs, promise, true)
+			e.obs.SourceSilence(s.obs, promise)
 		}
 		s.target.sch.Deliver(msg.NewSilenceAfter(w.ID, promise, seq))
 		return
@@ -216,11 +221,9 @@ func (e *Engine) advanceSourceSilence() {
 			continue
 		}
 		s.promised = promise
+		s.counts.Silences++
 		seq := s.seq
 		s.mu.Unlock()
-		if e.obs != nil {
-			e.obs.SourceSilence(s.obs, promise, false)
-		}
 		s.target.sch.Deliver(msg.NewSilenceAfter(s.wire.ID, promise, seq))
 	}
 }

@@ -168,7 +168,6 @@ func TestCallUnblocksOnStop(t *testing.T) {
 func TestDuplicateCallReplyDropped(t *testing.T) {
 	tp := callTopo(t)
 	f := newFabric(t, tp)
-	mm := registryMetrics()
 	client := HandlerFunc(func(ctx *Ctx, port string, payload any) (any, error) {
 		reply, err := ctx.Call("lookup", payload)
 		if err != nil {
@@ -176,7 +175,7 @@ func TestDuplicateCallReplyDropped(t *testing.T) {
 		}
 		return nil, ctx.Send("out", reply)
 	})
-	c := f.add("client", client, func(cfg *Config) { cfg.Metrics = mm })
+	c := f.add("client", client)
 	f.add("server", HandlerFunc(func(ctx *Ctx, port string, payload any) (any, error) {
 		return "ok", nil
 	}))
@@ -190,16 +189,14 @@ func TestDuplicateCallReplyDropped(t *testing.T) {
 	clientComp, _ := tp.ComponentByName("client")
 	replyWire := tp.Wire(clientComp.Outputs["lookup"]).Peer
 	c.Deliver(msg.NewCallReply(replyWire, 1, 5000, 1, "stale"))
-	if snap := mm.Snapshot(); snap.DuplicatesDropped != 1 {
-		t.Errorf("stale reply not dropped: %+v", snap)
+	if got := c.Counts().ReplyDups[replyWire]; got != 1 {
+		t.Errorf("stale replies dropped on the reply wire = %d, want 1", got)
 	}
 }
 
 func TestCalibrationCommitsDeterminismFault(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
-	mm := registryMetrics()
-
 	extract := func(any) estimator.Features { return estimator.Features{1} }
 	cal := estimator.NewCalibrated(
 		estimator.NewLinear(extract, []float64{1}, 1),
@@ -207,9 +204,8 @@ func TestCalibrationCommitsDeterminismFault(t *testing.T) {
 	)
 	var mu sync.Mutex
 	var committed []estimator.Fault
-	f.add("sender1", passthrough("out"), func(c *Config) {
+	sender1 := f.add("sender1", passthrough("out"), func(c *Config) {
 		c.Est = cal
-		c.Metrics = mm
 		c.Calibration = &Calibration{
 			Extract: extract,
 			Observe: cal.Observe,
@@ -240,7 +236,7 @@ func TestCalibrationCommitsDeterminismFault(t *testing.T) {
 	if committed[0].EffectiveVT <= 0 {
 		t.Errorf("fault effective VT = %v, want > 0", committed[0].EffectiveVT)
 	}
-	if snap := mm.Snapshot(); snap.DeterminismFaults == 0 {
+	if sender1.Counts().Recalibrations == 0 {
 		t.Error("determinism fault not counted")
 	}
 }

@@ -65,6 +65,7 @@ func (c *Ctx) Send(port string, payload any) error {
 		stamp = floor.Add(1)
 	}
 	seq, stamped := ow.next(stamp)
+	ow.counts.Sent++
 	s.gov.NoteData(ow.w.ID, stamped)
 	s.mu.Unlock()
 
@@ -98,6 +99,7 @@ func (c *Ctx) Call(port string, payload any) (any, error) {
 		stamp = floor.Add(1)
 	}
 	seq, stamped := ow.next(stamp)
+	ow.counts.Sent++
 	s.nextCall++
 	callID := s.nextCall
 	replyCh := make(chan msg.Envelope, 1)

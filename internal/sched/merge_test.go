@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/msg"
-	"repro/internal/trace"
 	"repro/internal/vt"
 )
 
@@ -68,9 +67,6 @@ func TestWithQuiescentSeesQuiescentState(t *testing.T) {
 func TestHoldbackCapSheds(t *testing.T) {
 	tp := fanInTopo(t, 1)
 	f := newFabric(t, tp)
-	reg := trace.NewRegistry()
-	metrics := &trace.Metrics{}
-	metrics.SetRegistry(reg)
 	var handled atomic.Int64
 	const cap = 4
 	f.add("sender0", passthrough("out"))
@@ -79,7 +75,6 @@ func TestHoldbackCapSheds(t *testing.T) {
 		return nil, ctx.Send("out", payload)
 	}), func(c *Config) {
 		c.HoldbackLimit = cap
-		c.Metrics = metrics
 	})
 	f.start()
 	defer f.stop()
@@ -93,7 +88,7 @@ func TestHoldbackCapSheds(t *testing.T) {
 	for seq := 2; seq <= total; seq++ {
 		m.Deliver(msg.NewData(wid, uint64(seq), vt.Time(seq*1000), seq))
 	}
-	if d := gatherValue(reg, trace.MetricHoldbackDrops); d != total-1-cap {
+	if d := totalOf(m).HoldbackDrops; d != total-1-cap {
 		t.Fatalf("holdback drops = %v, want %d", d, total-1-cap)
 	}
 	if from, ok := func() (uint64, bool) {
@@ -117,20 +112,6 @@ func TestHoldbackCapSheds(t *testing.T) {
 	if handled.Load() != total {
 		t.Fatalf("handled %d of %d after gap fill + replay", handled.Load(), total)
 	}
-}
-
-// gatherValue sums a metric family's series values.
-func gatherValue(reg *trace.Registry, name string) int64 {
-	var total int64
-	for _, mf := range reg.Gather() {
-		if mf.Name != name {
-			continue
-		}
-		for _, s := range mf.Series {
-			total += int64(s.Value)
-		}
-	}
-	return total
 }
 
 // TestRingQueue exercises the ring buffer across growth and wrap-around.

@@ -82,8 +82,8 @@ type Config struct {
 	// Silence configures the component's silence-propagation governor.
 	Silence silence.Config
 	Router  Router
-	// Metrics receives the scheduler's counters, flight events and spans;
-	// optional (nil is off).
+	// Metrics receives the scheduler's flight events, spans and sampled
+	// distributions; optional (nil is off). Counts are kept either way.
 	Metrics Observer
 	// Audit is the determinism audit log delivery chains are recorded in and
 	// verified against; optional (nil skips the chain, see OnDelivered).
@@ -182,6 +182,11 @@ type Scheduler struct {
 
 	obs Observer // Config.Metrics
 
+	// Counts a reader pulls (Counts) beside the per-wire ones: duplicate
+	// call replies by reply wire, and the determinism faults raised here.
+	replyDups                   map[msg.WireID]uint64
+	divergences, recalibrations uint64
+
 	poke    chan struct{}
 	stop    chan struct{}
 	done    chan struct{}
@@ -241,7 +246,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	for port, wid := range cfg.Comp.Outputs {
 		w := cfg.Topo.Wire(wid)
-		ow := &outWire{w: w, lastSentVT: vt.Never, obs: s.register(w, false)}
+		ow := newOutWire(w, s.register(w, false))
 		s.byPort[port] = ow
 		s.outputs[wid] = ow
 		s.silenceWires = append(s.silenceWires, wid)
@@ -376,8 +381,13 @@ func (s *Scheduler) deliverMessage(env msg.Envelope) {
 	}
 	s.arrival++
 	verdict := in.accept(env, s.arrival, enq, s.holdbackLimit)
-	if verdict == acceptQueued {
+	switch verdict {
+	case acceptQueued:
 		s.front.update(in)
+	case acceptDuplicate:
+		in.counts.Duplicates++
+	case acceptOverflow:
+		in.counts.HoldbackDrops++
 	}
 	s.mu.Unlock()
 	if verdict == acceptQueued {
@@ -447,9 +457,11 @@ func (s *Scheduler) deliverProbe(env msg.Envelope) {
 	// sends it now.
 	answer := p.Through >= env.Promise || !s.gov.Strategy().Probes()
 	sentSeq := ow.seq
-	s.mu.Unlock()
 	if answer {
 		s.noteSilence(ow, p.Through)
+	}
+	s.mu.Unlock()
+	if answer {
 		s.cfg.Router.Route(msg.NewSilenceAfter(p.Wire, p.Through, sentSeq))
 	}
 	s.wake()
@@ -460,12 +472,17 @@ func (s *Scheduler) deliverReply(env msg.Envelope) {
 	ch, ok := s.waiters[env.CallID]
 	if ok {
 		delete(s.waiters, env.CallID)
+	} else {
+		if s.replyDups == nil {
+			s.replyDups = make(map[msg.WireID]uint64)
+		}
+		s.replyDups[env.Wire]++
 	}
 	s.mu.Unlock()
 	if !ok {
 		// No waiter: a duplicate reply after replay. Discard.
 		if s.obs != nil {
-			s.obs.DroppedReply(s.comp.Name, WireName(s.cfg.Topo, s.cfg.Topo.Wire(env.Wire)), env)
+			s.obs.DroppedReply(s.comp.Name, env)
 		}
 		return
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/msg"
 	"repro/internal/silence"
-	"repro/internal/trace"
 	"repro/internal/vt"
 )
 
@@ -154,23 +153,33 @@ func TestTieBreakByWireID(t *testing.T) {
 	}
 }
 
-// registryMetrics returns a Metrics with a registry attached: Snapshot reads
-// the registry, so a bare Metrics would report zero for everything and make
-// assertions such as "no probes sent" pass vacuously.
-func registryMetrics() *trace.Metrics {
-	m := &trace.Metrics{}
-	m.SetRegistry(trace.NewRegistry())
-	return m
+// totalOf sums a scheduler's per-wire counts, duplicate replies folded into
+// Duplicates. The counts are kept with no observer attached, which is how
+// these tests run them.
+func totalOf(s *Scheduler) WireCounts {
+	c := s.Counts()
+	var t WireCounts
+	for _, w := range c.Wires {
+		t.Delivered += w.Delivered
+		t.OutOfOrder += w.OutOfOrder
+		t.Probes += w.Probes
+		t.Duplicates += w.Duplicates
+		t.HoldbackDrops += w.HoldbackDrops
+		t.PessimismNanos += w.PessimismNanos
+		t.PessimismEpisodes += w.PessimismEpisodes
+	}
+	for _, n := range c.ReplyDups {
+		t.Duplicates += n
+	}
+	return t
 }
 
 func TestPessimismDelayMeteredAndProbesSent(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
-	mergerMetrics := registryMetrics()
 	f.add("sender1", passthrough("out"))
 	f.add("sender2", passthrough("out"))
-	f.add("merger", passthrough("out"), func(c *Config) {
-		c.Metrics = mergerMetrics
+	merger := f.add("merger", passthrough("out"), func(c *Config) {
 		c.ProbeRetry = 10 * time.Millisecond
 	})
 	f.start()
@@ -182,11 +191,11 @@ func TestPessimismDelayMeteredAndProbesSent(t *testing.T) {
 	// candidate's VT (≈2100). The merger must stall, meter the pessimism
 	// delay, and send curiosity probes.
 	time.Sleep(80 * time.Millisecond)
-	snap := mergerMetrics.Snapshot()
+	snap := totalOf(merger)
 	if snap.Delivered != 0 {
 		t.Fatalf("merger delivered %d messages while blocked", snap.Delivered)
 	}
-	if snap.ProbesSent == 0 {
+	if snap.Probes == 0 {
 		t.Error("no curiosity probes sent during pessimism delay")
 	}
 
@@ -199,11 +208,11 @@ func TestPessimismDelayMeteredAndProbesSent(t *testing.T) {
 	f.quiesce("in1", 600_000)
 
 	f.awaitSink(2, 5*time.Second)
-	snap = mergerMetrics.Snapshot()
+	snap = totalOf(merger)
 	if snap.Delivered != 2 {
 		t.Errorf("delivered = %d, want 2", snap.Delivered)
 	}
-	if snap.PessimismDelay <= 0 {
+	if snap.PessimismNanos <= 0 || snap.PessimismEpisodes == 0 {
 		t.Error("pessimism delay not metered")
 	}
 }
@@ -211,21 +220,20 @@ func TestPessimismDelayMeteredAndProbesSent(t *testing.T) {
 func TestLazyStrategySendsNoProbes(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
-	mm := registryMetrics()
 	lazy := func(c *Config) {
 		c.Silence = silence.Config{Strategy: silence.Lazy}
 		c.ProbeRetry = 5 * time.Millisecond
 	}
 	f.add("sender1", passthrough("out"), lazy)
 	f.add("sender2", passthrough("out"), lazy)
-	f.add("merger", passthrough("out"), lazy, func(c *Config) { c.Metrics = mm })
+	merger := f.add("merger", passthrough("out"), lazy)
 	f.start()
 	defer f.stop()
 
 	f.emit("in1", 1000, "x")
 	time.Sleep(60 * time.Millisecond)
-	if snap := mm.Snapshot(); snap.ProbesSent != 0 {
-		t.Errorf("lazy merger sent %d probes", snap.ProbesSent)
+	if snap := totalOf(merger); snap.Probes != 0 {
+		t.Errorf("lazy merger sent %d probes", snap.Probes)
 	}
 	// Lazy silence: only the next data message on a wire reveals the
 	// silence before it. y's data message unblocks x at the merger, and a
@@ -233,16 +241,15 @@ func TestLazyStrategySendsNoProbes(t *testing.T) {
 	f.emit("in2", 400_000, "y")
 	f.emit("in1", 500_000, "z")
 	f.awaitSink(2, 5*time.Second)
-	if snap := mm.Snapshot(); snap.ProbesSent != 0 {
-		t.Errorf("lazy merger sent %d probes after unblocking", snap.ProbesSent)
+	if snap := totalOf(merger); snap.Probes != 0 {
+		t.Errorf("lazy merger sent %d probes after unblocking", snap.Probes)
 	}
 }
 
 func TestDuplicateSequencesDropped(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
-	mm := registryMetrics()
-	f.add("sender1", passthrough("out"), func(c *Config) { c.Metrics = mm })
+	sender1 := f.add("sender1", passthrough("out"))
 	f.add("sender2", passthrough("out"))
 	f.add("merger", passthrough("out"))
 	f.start()
@@ -260,8 +267,8 @@ func TestDuplicateSequencesDropped(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("sink got %d messages", len(got))
 	}
-	if snap := mm.Snapshot(); snap.DuplicatesDropped != 2 {
-		t.Errorf("duplicates dropped = %d, want 2", snap.DuplicatesDropped)
+	if snap := totalOf(sender1); snap.Duplicates != 2 {
+		t.Errorf("duplicates dropped = %d, want 2", snap.Duplicates)
 	}
 }
 
@@ -307,10 +314,9 @@ func TestSequenceGapHeldBackAndReleased(t *testing.T) {
 func TestOutOfRealTimeOrderCounted(t *testing.T) {
 	tp := fig1(t)
 	f := newFabric(t, tp)
-	mm := registryMetrics()
 	f.add("sender1", passthrough("out"))
 	f.add("sender2", passthrough("out"))
-	f.add("merger", passthrough("out"), func(c *Config) { c.Metrics = mm })
+	merger := f.add("merger", passthrough("out"))
 	f.start()
 	defer f.stop()
 
@@ -323,7 +329,7 @@ func TestOutOfRealTimeOrderCounted(t *testing.T) {
 	f.quiesce("in2", vt.Max)
 	f.awaitSink(2, 5*time.Second)
 
-	if snap := mm.Snapshot(); snap.OutOfOrder != 1 {
+	if snap := totalOf(merger); snap.OutOfOrder != 1 {
 		t.Errorf("out-of-order count = %d, want 1", snap.OutOfOrder)
 	}
 }

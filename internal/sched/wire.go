@@ -97,7 +97,8 @@ type inWire struct {
 	hpos int
 	hset int8
 
-	obs any // the observer's handle for the wire; nil when off
+	obs    any        // the observer's handle for the wire; nil when off
+	counts WireCounts // guarded by the scheduler lock
 }
 
 // queued pairs an envelope with its real-time arrival index (for
@@ -122,6 +123,7 @@ func newInWire(w *topo.Wire) *inWire {
 		pendPromise: vt.Never,
 		probe:       vt.Never,
 		hpos:        -1,
+		counts:      WireCounts{Wire: w.ID, In: true},
 	}
 }
 
@@ -251,7 +253,12 @@ type outWire struct {
 	seq        uint64
 	lastSentVT vt.Time
 
-	obs any // the observer's handle for the wire; nil when off
+	obs    any        // the observer's handle for the wire; nil when off
+	counts WireCounts // guarded by the scheduler lock
+}
+
+func newOutWire(w *topo.Wire, obs any) *outWire {
+	return &outWire{w: w, lastSentVT: vt.Never, obs: obs, counts: WireCounts{Wire: w.ID}}
 }
 
 // nextData stamps the next data (or call) envelope metadata on the wire.

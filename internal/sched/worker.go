@@ -147,6 +147,9 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 			wait = pop.Sub(s.pessStart)
 			if b, ok := s.inputs[s.pessBlame]; ok {
 				blamed = b.obs
+				b.counts.Blame++
+				in.counts.PessimismEpisodes++
+				in.counts.PessimismNanos += int64(wait)
 			}
 			s.pessStart = time.Time{}
 			s.pessBlame = -1
@@ -154,6 +157,10 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		outOfOrder := q.arrival < s.maxDlvd
 		if q.arrival > s.maxDlvd {
 			s.maxDlvd = q.arrival
+		}
+		in.counts.Delivered++
+		if outOfOrder {
+			in.counts.OutOfOrder++
 		}
 
 		d := vt.MaxOf(q.env.VT, s.clock)
@@ -185,6 +192,7 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 				}
 				if ok, want := s.audit.Check(s.comp.Name, idx, q.env.VT, s.auditChain); !ok {
 					s.auditChain, diverged = want, true
+					s.divergences++
 				}
 			}
 			if hook != nil {
@@ -195,21 +203,30 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		}
 		s.mu.Unlock()
 		if s.obs != nil {
-			s.obs.Delivered(in.obs, blamed, q.env, d, wait, outOfOrder, diverged)
+			s.obs.Delivered(in.obs, blamed, q.env, d, wait, diverged)
 			if q.enq != 0 {
 				s.obs.Waited(in.obs, blamed, q.env, d, wait, time.Unix(0, q.enq), pop, replayed)
 			}
 		}
 
 		// Run the handler without holding the lock: it may Send (which locks
-		// briefly) and Call (which blocks awaiting a reply).
+		// briefly) and Call (which blocks awaiting a reply). Its run is timed
+		// only for a reader of the measurement: calibration, or the observer
+		// when the delivery is span-sampled (q.enq, the head-sampling hash).
 		ctx := &s.ctx
 		*ctx = Ctx{s: s, dequeue: d, handlerVT: d.Add(cost), origin: q.env.Origin, hops: q.env.Hops, trace: q.env.Trace}
-		start := time.Now()
+		timed := q.enq != 0 || s.cfg.Calibration != nil
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
 		reply, err := s.cfg.Handler.OnMessage(ctx, port, q.env.Payload)
-		elapsed := time.Since(start)
+		var elapsed time.Duration
+		if timed {
+			elapsed = time.Since(start)
+		}
 		_ = err // handler errors are the application's concern; state advances regardless
-		if s.obs != nil {
+		if timed && s.obs != nil {
 			s.obs.Computed(in.obs, q.env, d, ctx.handlerVT, time.Duration(cost), start, elapsed, replayed)
 		}
 
@@ -288,6 +305,7 @@ func (s *Scheduler) probeLocked(in *inWire, t vt.Time, control []msg.Envelope) [
 		return control
 	}
 	in.probe = t
+	in.counts.Probes++
 	if s.obs != nil {
 		s.obs.Probe(in.obs, t)
 	}
@@ -367,6 +385,7 @@ func (s *Scheduler) sendReply(ctx *Ctx, req msg.Envelope, reply any) {
 	}
 	stampBase := ctx.handlerVT.Add(s.cfg.Topo.Wire(reqWire.Peer).Delay)
 	seq, stamped := ow.next(stampBase)
+	ow.counts.Sent++
 	s.gov.NoteData(reqWire.Peer, stamped)
 	s.mu.Unlock()
 	env := msg.NewCallReply(reqWire.Peer, seq, stamped, req.CallID, reply)
@@ -388,7 +407,7 @@ func (s *Scheduler) replyOut(id msg.WireID) (*outWire, bool) {
 	if w.From != s.comp.ID || w.Kind != topo.WireCallReply {
 		return nil, false
 	}
-	ow := &outWire{w: w, lastSentVT: vt.Never, obs: s.register(w, false)}
+	ow := newOutWire(w, s.register(w, false))
 	s.outputs[id] = ow
 	return ow, true
 }
@@ -412,6 +431,11 @@ func (s *Scheduler) observe(payload any, measured vt.Ticks) {
 	fault.EffectiveVT = s.clock.Add(1)
 	s.mu.Unlock()
 	err := cal.Commit(fault)
+	if err == nil {
+		s.mu.Lock()
+		s.recalibrations++
+		s.mu.Unlock()
+	}
 	if s.obs != nil {
 		s.obs.Recalibrated(s.comp.Name, fault.EffectiveVT, err)
 	}

@@ -11,19 +11,21 @@ import (
 
 // This file makes *Metrics the scheduler's observer (sched.Observer), the
 // engine's (engine.Observer, which embeds it) and the TCP transport's
-// (transport.Observer): each report updates the registry, the flight
-// recorder and the span collector, any of which may be absent.
+// (transport.Observer): each report updates the registry's push-only
+// families, the flight recorder and the span collector, any of which may be
+// absent. Counts are not reported here: the scheduler and the engine keep
+// them, and the cluster's collectors pull them at gather time. A report
+// whose only product is a flight event returns before building it when no
+// recorder is attached.
 
 // wireObs is the handle Wire hands out for one end of a wire: the names its
-// events carry and the handles its reports update. The other end's handles
-// stay nil, which are valid no-ops.
+// events carry and the distributions its reports fill. The sending end's
+// delivery-side handles stay nil, which are valid no-ops.
 type wireObs struct {
 	component string
 	wire      msg.WireID
 
-	delivered, outOfOrder, probes, duplicates, holdback, blame *Counter
-	sent, silences, divergence                                 *Counter
-	pessimism, blameSeconds, estErr                            *Histogram
+	pessimism, blameSeconds, estErr *Histogram
 }
 
 // event starts a flight event at VT t about message seq on o's wire.
@@ -36,89 +38,83 @@ func (o *wireObs) span(phase span.Phase, env msg.Envelope, replayed bool) span.S
 	return span.Span{Origin: env.Origin, Phase: phase, Component: o.component, Wire: o.wire, Seq: env.Seq, Hops: env.Hops, Replayed: replayed}
 }
 
-// Wire resolves one wire end's families: a receiver's delivery, queue,
-// pessimism, blame and probe series, or a sender's sent and silence series,
-// beside its component's estimator-error and replay-divergence series.
+// Wire resolves one wire end's distributions: a receiver's pessimism and
+// blame series, beside its component's estimator-error series.
 func (m *Metrics) Wire(component, label string, w msg.WireID, in bool) any {
 	r := m.reg
 	o := &wireObs{component: component, wire: w,
-		estErr:     r.Histogram(MetricEstErr, "Signed estimator error: predicted cost minus measured handler duration (negative = underestimate).", SignedSecondsBuckets, L("component", component)),
-		divergence: r.determinismFaults(component, "replay-divergence"),
+		estErr: r.Histogram(MetricEstErr, "Signed estimator error: predicted cost minus measured handler duration (negative = underestimate), over sampled handler runs.", SignedSecondsBuckets, L("component", component)),
 	}
-	lbls := []Label{L("component", component), L("wire", label)}
-	if !in {
-		o.sent = r.Counter(MetricSent, "Data, call, and reply envelopes emitted on the wire.", lbls...)
-		o.silences = r.silences(component, label)
-		return o
+	if in {
+		lbls := []Label{L("component", component), L("wire", label)}
+		o.pessimism = r.Histogram(MetricPessimism, "Pessimism delay: real time spent holding a deliverable message awaiting other senders' silence.", SecondsBuckets, lbls...)
+		o.blameSeconds = r.Histogram(MetricBlameSeconds, "Real time pessimism episodes blamed on this wire cost the receiver.", SecondsBuckets, lbls...)
 	}
-	o.delivered = r.Counter(MetricDelivered, "Messages delivered to handlers.", lbls...)
-	o.outOfOrder = r.Counter(MetricOutOfOrder, "Messages delivered in VT order that arrived out of real-time order.", lbls...)
-	o.probes = r.Counter(MetricProbes, "Curiosity probes sent to the wire's sender.", lbls...)
-	o.duplicates = r.duplicates(component, label)
-	o.pessimism = r.Histogram(MetricPessimism, "Pessimism delay: real time spent holding a deliverable message awaiting other senders' silence.", SecondsBuckets, lbls...)
-	o.blame = r.Counter(MetricBlame, "Pessimism episodes where this wire's silence frontier was the last holdout.", lbls...)
-	o.blameSeconds = r.Histogram(MetricBlameSeconds, "Real time pessimism episodes blamed on this wire cost the receiver.", SecondsBuckets, lbls...)
-	o.holdback = r.Counter(MetricHoldbackDrops, "Arrivals shed because the hold-back area was at its cap.", lbls...)
 	return o
 }
 
 // Traced resolves an envelope's trace mark against the span collector.
 func (m *Metrics) Traced(mark int8, origin msg.OriginID) bool { return m.spans.Decided(mark, origin) }
 
-// Dropped counts a duplicate or hold-back drop and records it.
+// Dropped records a duplicate or hold-back drop.
 func (m *Metrics) Dropped(in any, env msg.Envelope, overflow bool) {
-	o := in.(*wireObs)
-	ev := o.event(EvDuplicateDrop, env.VT, env.Seq)
+	if m.rec == nil {
+		return
+	}
+	ev := in.(*wireObs).event(EvDuplicateDrop, env.VT, env.Seq)
 	if overflow {
-		o.holdback.Inc()
 		ev.Note = "holdback overflow"
-	} else {
-		o.duplicates.Inc()
 	}
 	m.rec.Record(ev)
 }
 
-// DroppedReply counts a duplicate call reply and records it.
-func (m *Metrics) DroppedReply(component, label string, env msg.Envelope) {
-	m.reg.duplicates(component, label).Inc()
+// DroppedReply records a duplicate call reply.
+func (m *Metrics) DroppedReply(component string, env msg.Envelope) {
+	if m.rec == nil {
+		return
+	}
 	m.rec.Record(Event{Kind: EvDuplicateDrop, VT: env.VT, Component: component, Wire: env.Wire, MsgSeq: env.Seq, Note: "duplicate call reply"})
 }
 
 // Blocked records a pessimism episode's start.
 func (m *Metrics) Blocked(in any, env msg.Envelope) {
+	if m.rec == nil {
+		return
+	}
 	m.rec.Record(in.(*wireObs).event(EvPessimismStart, env.VT, env.Seq))
 }
 
-// Probe counts a curiosity probe and records it.
+// Probe records a curiosity probe.
 func (m *Metrics) Probe(in any, t vt.Time) {
-	o := in.(*wireObs)
-	o.probes.Inc()
-	m.rec.Record(o.event(EvProbe, t, 0))
+	if m.rec == nil {
+		return
+	}
+	m.rec.Record(in.(*wireObs).event(EvProbe, t, 0))
 }
 
-// Delivered accounts a delivery: the pessimism episode it ended, with its
-// blame (§II.H), a replay divergence, and the delivery itself.
-func (m *Metrics) Delivered(in, blamed any, env msg.Envelope, at vt.Time, wait time.Duration, outOfOrder, diverged bool) {
+// Delivered observes the pessimism episode a delivery ended, with its blame
+// (§II.H), and records the episode, a replay divergence and the delivery.
+func (m *Metrics) Delivered(in, blamed any, env msg.Envelope, at vt.Time, wait time.Duration, diverged bool) {
 	o := in.(*wireObs)
-	if b, ok := blamed.(*wireObs); ok {
+	b, episode := blamed.(*wireObs)
+	if episode {
 		o.pessimism.Observe(wait.Seconds())
-		b.blame.Inc()
 		b.blameSeconds.Observe(wait.Seconds())
+	}
+	if m.rec == nil {
+		return
+	}
+	if episode {
 		ev := o.event(EvPessimismEnd, env.VT, env.Seq)
 		ev.WaitNanos = int64(wait)
 		ev.SetBlame(b.wire)
 		m.rec.Record(ev)
 	}
 	if diverged {
-		o.divergence.Inc()
 		ev := o.event(EvDeterminismFault, env.VT, env.Seq)
 		ev.Origin, ev.Hops = env.Origin, env.Hops
 		ev.Note = "replay divergence: delivered payload differs from recorded chain"
 		m.rec.Record(ev)
-	}
-	o.delivered.Inc()
-	if outOfOrder {
-		o.outOfOrder.Inc()
 	}
 	ev := o.event(EvDeliver, at, env.Seq)
 	ev.Origin, ev.Hops = env.Origin, env.Hops
@@ -148,8 +144,8 @@ func (m *Metrics) Waited(in, blamed any, env msg.Envelope, at vt.Time, wait time
 	}
 }
 
-// Computed observes the estimator's error and records a sampled delivery's
-// compute span, whose VT extent is the charged cost (plus any Call
+// Computed observes a timed delivery's estimator error and records a
+// span-sampled one's compute span, whose VT extent is the charged cost (plus any Call
 // continuations), so EndVT−StartVT vs End−Start reads the estimator error
 // straight off the timeline.
 func (m *Metrics) Computed(in any, env msg.Envelope, at, end vt.Time, cost time.Duration, start time.Time, took time.Duration, replayed bool) {
@@ -162,24 +158,29 @@ func (m *Metrics) Computed(in any, env msg.Envelope, at, end vt.Time, cost time.
 	}
 }
 
-// Sent counts an emitted envelope and records it.
+// Sent records an emitted envelope.
 func (m *Metrics) Sent(out any, env msg.Envelope, note string) {
-	o := out.(*wireObs)
-	o.sent.Inc()
-	ev := o.event(EvSend, env.VT, env.Seq)
+	if m.rec == nil {
+		return
+	}
+	ev := out.(*wireObs).event(EvSend, env.VT, env.Seq)
 	ev.Origin, ev.Hops, ev.Note = env.Origin, env.Hops, note
 	m.rec.Record(ev)
 }
 
-// Silence counts a silence promise and records it.
+// Silence records a silence promise.
 func (m *Metrics) Silence(out any, through vt.Time) {
-	o := out.(*wireObs)
-	o.silences.Inc()
-	m.rec.Record(o.event(EvSilence, through, 0))
+	if m.rec == nil {
+		return
+	}
+	m.rec.Record(out.(*wireObs).event(EvSilence, through, 0))
 }
 
 // Curiosity records a standing curiosity's registration or satisfaction.
 func (m *Metrics) Curiosity(out any, target vt.Time, satisfied bool) {
+	if m.rec == nil {
+		return
+	}
 	kind := EvCuriosityStanding
 	if satisfied {
 		kind = EvCuriositySatisfied
@@ -187,14 +188,14 @@ func (m *Metrics) Curiosity(out any, target vt.Time, satisfied bool) {
 	m.rec.Record(out.(*wireObs).event(kind, target, 0))
 }
 
-// Recalibrated counts a logged recalibration and records it, or records
-// the engine's refusal.
+// Recalibrated records a logged recalibration, or the engine's refusal.
 func (m *Metrics) Recalibrated(component string, at vt.Time, err error) {
+	if m.rec == nil {
+		return
+	}
 	note := "estimator recalibration"
 	if err != nil {
 		note += " not committed: " + err.Error()
-	} else {
-		m.reg.determinismFaults(component, "recalibration").Inc()
 	}
 	m.rec.Record(Event{Kind: EvDeterminismFault, VT: at, Component: component, Wire: -1, Note: note})
 }
@@ -203,30 +204,25 @@ func (m *Metrics) Recalibrated(component string, at vt.Time, err error) {
 // full if every component shipped its whole state, else a delta.
 const (
 	coalesceHelp  = "Peer-bound silence promises absorbed by a newer promise during a flush."
-	ckptCountHelp = "Soft checkpoints applied to the backup, by kind."
 	ckptBytesHelp = "Encoded handler-state bytes per soft checkpoint, by kind."
 	ckptHoldHelp  = "Real time one component's delivery loop was held quiescent while a soft checkpoint staged its state."
 	ckptStoreHelp = "Real time per soft checkpoint spent encoding state and applying it to the backup (fsyncs included), after the delivery loops were released."
 )
 
-// NewEngineRegistry creates an engine incarnation's registry (const label
-// engine=<name>) with its label-free families seeded at zero, scrapeable
-// from launch even if the engine never checkpoints. A labeled family is
-// seeded where its label value becomes known: per source at Source, per
-// peer at Dialer.
-func NewEngineRegistry(engine string) *Registry {
-	r := NewRegistry(L("engine", engine))
+// seedEngine seeds the engine's label-free push families at zero, so they
+// are scrapeable from launch even if the engine never checkpoints. A
+// labeled family is seeded where its label value becomes known: per peer at
+// Dialer.
+func seedEngine(r *Registry) {
 	r.Counter(MetricCkptStoreWrites, "Checkpoints persisted by the durable checkpoint store.")
 	r.Counter(MetricCkptStoreFsyncs, "fsync calls issued by the durable checkpoint store.")
 	r.Counter(MetricSilenceCoalesce, coalesceHelp)
 	r.WAL()
 	for _, kind := range []string{"full", "delta"} {
-		r.Counter(MetricCheckpoints, ckptCountHelp, L("kind", kind))
 		r.Histogram(MetricCheckpointBytes, ckptBytesHelp, BytesBuckets, L("kind", kind))
 	}
 	r.Histogram(MetricCheckpointHold, ckptHoldHelp, SecondsBuckets)
 	r.Histogram(MetricCheckpointStore, ckptStoreHelp, SecondsBuckets)
-	return r
 }
 
 // CheckpointHeld observes the stall one component's loop saw.
@@ -234,47 +230,46 @@ func (m *Metrics) CheckpointHeld(held time.Duration) {
 	m.reg.Histogram(MetricCheckpointHold, ckptHoldHelp, SecondsBuckets).Observe(held.Seconds())
 }
 
-// Checkpointed accounts a checkpoint by kind and records it.
+// Checkpointed observes a checkpoint's size by kind and its off-loop time,
+// and records it.
 func (m *Metrics) Checkpointed(at vt.Time, seq uint64, base bool, bytes int, offLoop, took time.Duration) {
 	kind := L("kind", "delta")
 	if base {
 		kind = L("kind", "full")
 	}
-	m.reg.Counter(MetricCheckpoints, ckptCountHelp, kind).Inc()
 	m.reg.Histogram(MetricCheckpointBytes, ckptBytesHelp, BytesBuckets, kind).Observe(float64(bytes))
 	m.reg.Histogram(MetricCheckpointStore, ckptStoreHelp, SecondsBuckets).Observe(offLoop.Seconds())
 	m.rec.Record(Event{Kind: EvCheckpoint, VT: at, Wire: -1, MsgSeq: seq,
 		Note: fmt.Sprintf("%d bytes in %v", bytes, took.Round(time.Microsecond))})
 }
 
-// ChainMismatch counts a restored checkpoint's audit-chain divergence and
-// records it.
+// ChainMismatch records a restored checkpoint's audit-chain divergence.
 func (m *Metrics) ChainMismatch(component string, at vt.Time, delivery uint64) {
-	m.reg.determinismFaults(component, "checkpoint-chain").Inc()
 	m.rec.Record(Event{Kind: EvDeterminismFault, VT: at, Component: component, Wire: -1,
 		Note: fmt.Sprintf("checkpoint audit chain mismatch at delivery %d", delivery)})
 }
 
-// Failover counts a replica activation and records it.
+// Failover records a replica activation.
 func (m *Metrics) Failover(seq uint64) {
-	m.reg.Counter(MetricFailovers, "Passive-replica activations.").Inc()
 	m.rec.Record(Event{Kind: EvFailover, VT: vt.Never, Wire: -1, MsgSeq: seq,
 		Note: fmt.Sprintf("activated from checkpoint %d", seq)})
 }
 
-// ReplayServed records a buffer's replay, counting one a peer asked for.
-func (m *Metrics) ReplayServed(w msg.WireID, label string, seq uint64, n int, local bool) {
-	note := fmt.Sprintf("re-delivered %d buffered envelopes (local replay)", n)
-	if !local {
-		m.reg.Counter(MetricReplayServes, "Replay-range requests served from replay buffers.", L("wire", label)).Inc()
-		note = fmt.Sprintf("resent %d buffered envelopes", n)
+// ReplayServed records a buffer's replay: local after a restore, or at a
+// peer's request.
+func (m *Metrics) ReplayServed(w msg.WireID, seq uint64, n int, local bool) {
+	if m.rec == nil {
+		return
+	}
+	note := fmt.Sprintf("resent %d buffered envelopes", n)
+	if local {
+		note = fmt.Sprintf("re-delivered %d buffered envelopes (local replay)", n)
 	}
 	m.rec.Record(Event{Kind: EvReplayServe, VT: vt.Never, Wire: w, MsgSeq: seq, Note: note})
 }
 
-// ReplayRequested counts a replay request and records it.
-func (m *Metrics) ReplayRequested(w msg.WireID, label string, seq uint64) {
-	m.reg.Counter(MetricReplayRequests, "Replay-range requests issued to senders.", L("wire", label)).Inc()
+// ReplayRequested records a replay request.
+func (m *Metrics) ReplayRequested(w msg.WireID, seq uint64) {
 	m.rec.Record(Event{Kind: EvReplayRequest, VT: vt.Never, Wire: w, MsgSeq: seq})
 }
 
@@ -305,51 +300,39 @@ func (m *Metrics) SilencesCoalesced(n int) {
 	m.reg.Counter(MetricSilenceCoalesce, coalesceHelp).Add(int64(n))
 }
 
-// sourceObs is a source's handle: its events' names and its counters.
+// sourceObs is a source's handle: the names its events carry.
 type sourceObs struct {
-	name                             string
-	wire                             msg.WireID
-	emits, silences, shed, coldstart *Counter
+	name string
+	wire msg.WireID
 }
 
-// Source resolves a source's series, seeding its shed and cold-start
-// counters at zero.
-func (m *Metrics) Source(name, label string, w msg.WireID) any {
-	src := L("source", name)
-	return &sourceObs{name: name, wire: w,
-		emits:     m.reg.Counter(MetricSourceEmits, "External messages logged and injected by a source.", src),
-		silences:  m.reg.silences(name, label),
-		shed:      m.reg.Counter(MetricSourceShed, "External inputs refused at sources because buffered replay state hit its bound.", src),
-		coldstart: m.reg.Counter(MetricColdstartReplayed, "Logged input records re-injected from the durable WAL suffix during a cold restart.", src),
-	}
+// Source resolves a source's handle.
+func (m *Metrics) Source(name string, w msg.WireID) any {
+	return &sourceObs{name: name, wire: w}
 }
 
-// Emitted counts a logged input and records it.
+// Emitted records a logged input.
 func (m *Metrics) Emitted(src any, env msg.Envelope) {
+	if m.rec == nil {
+		return
+	}
 	o := src.(*sourceObs)
-	o.emits.Inc()
 	m.rec.Record(Event{Kind: EvSourceEmit, VT: env.VT, Component: o.name, Wire: o.wire, MsgSeq: env.Seq, Origin: env.Origin})
 }
 
-// Shed counts a refused input.
-func (m *Metrics) Shed(src any) { src.(*sourceObs).shed.Inc() }
-
-// SourceSilence counts a promise and records one answering a probe.
-func (m *Metrics) SourceSilence(src any, promise vt.Time, probe bool) {
-	o := src.(*sourceObs)
-	o.silences.Inc()
-	if probe {
-		m.rec.Record(Event{Kind: EvSilence, VT: promise, Component: o.name, Wire: o.wire, Note: "source probe answer"})
+// SourceSilence records a promise answering a probe.
+func (m *Metrics) SourceSilence(src any, promise vt.Time) {
+	if m.rec == nil {
+		return
 	}
+	o := src.(*sourceObs)
+	m.rec.Record(Event{Kind: EvSilence, VT: promise, Component: o.name, Wire: o.wire, Note: "source probe answer"})
 }
 
-// LogReplayed records a log replay and counts a cold restart's inputs.
-func (m *Metrics) LogReplayed(src any, seq uint64, n int, cold bool) {
+// LogReplayed records a log replay.
+func (m *Metrics) LogReplayed(src any, seq uint64) {
 	o := src.(*sourceObs)
 	m.rec.Record(Event{Kind: EvReplayRequest, VT: vt.Never, Component: o.name, Wire: o.wire, MsgSeq: seq, Note: "source log replay"})
-	if cold {
-		o.coldstart.Add(int64(n))
-	}
 }
 
 // TraceMark is the span collector's decision (zero without one).

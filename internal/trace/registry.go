@@ -327,31 +327,6 @@ func (r *Registry) collected(read func(Emit)) []Series {
 	return out
 }
 
-// Sum folds a pushed counter or histogram family across all of its label
-// sets: the total of the counters, or of the histograms' observation sums
-// plus, as count, the number of observations. An absent family, or a
-// collector's, sums to zero.
-func (r *Registry) Sum(name string) (sum float64, count int64) {
-	if r == nil {
-		return 0, 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fam := r.fams[name]
-	if fam == nil {
-		return 0, 0
-	}
-	for _, s := range fam.series {
-		if s.c != nil {
-			sum += float64(s.c.Value())
-		} else {
-			sum += math.Float64frombits(s.h.sumBits.Load())
-			count += s.h.count.Load()
-		}
-	}
-	return sum, count
-}
-
 // WritePrometheus renders the registry in Prometheus text exposition
 // format 0.0.4. Output is deterministic: families sorted by name, series
 // by label signature.
@@ -553,24 +528,4 @@ func (r *Registry) WAL() *WALMetrics {
 		FsyncSeconds: r.Histogram(MetricWALFsyncSeconds, "Duration of one file WAL fsync.", SecondsBuckets),
 		BatchRecords: r.Histogram(MetricWALBatchRecords, "Records covered by one file WAL fsync.", BatchRecordsBuckets),
 	}
-}
-
-// silences resolves the silence-promise counter for one sending (component,
-// wire); a source's promises count under its own name.
-func (r *Registry) silences(component, wire string) *Counter {
-	return r.Counter(MetricSilences, "Silence promises emitted on the wire.", L("component", component), L("wire", wire))
-}
-
-// duplicates resolves the duplicate-discard counter for one (component,
-// wire): an input wire's, or a call-reply wire's whose stale replies the
-// caller drops.
-func (r *Registry) duplicates(component, wire string) *Counter {
-	return r.Counter(MetricDuplicates, "Duplicate messages discarded by sequence/timestamp.", L("component", component), L("wire", wire))
-}
-
-// determinismFaults resolves the determinism-fault counter for one
-// component and cause ("recalibration", "replay-divergence", or
-// "checkpoint-chain").
-func (r *Registry) determinismFaults(component, cause string) *Counter {
-	return r.Counter(MetricDetFaults, "Determinism faults: estimator recalibrations and audit-chain divergences, by cause.", L("component", component), L("cause", cause))
 }

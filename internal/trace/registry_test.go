@@ -86,7 +86,7 @@ func TestRegistryNilSafe(t *testing.T) {
 	}
 	var m Metrics // no registry, recorder or collector: every report is inert
 	in, out := m.Wire("c", "w", 0, true), m.Wire("c", "w", 1, false)
-	m.Delivered(in, in, msg.Envelope{}, 0, time.Second, true, true)
+	m.Delivered(in, in, msg.Envelope{}, 0, time.Second, true)
 	m.Sent(out, msg.Envelope{}, "")
 	var rec *Recorder
 	rec.Record(Event{Kind: EvDeliver})

@@ -4,18 +4,14 @@
 // arriving out of real-time order, and recovery-related counters.
 package trace
 
-import (
-	"math"
-	"time"
+import "repro/internal/trace/span"
 
-	"repro/internal/trace/span"
-)
-
-// Metrics bundles an engine's observability attachments: the labeled
-// Registry every counter lives in, the flight Recorder and the span
-// Collector. The engine, its schedulers and its TCP connections report into
-// it as their observer (observe.go). The zero value has none attached, and
-// every report then updates nothing.
+// Metrics bundles an engine's push attachments: the labeled Registry its
+// push-only families live in, the flight Recorder and the span Collector.
+// The engine, its schedulers and its TCP connections report into it as
+// their observer (observe.go). The zero value has none attached, and every
+// report then updates nothing. Counts are not here: the scheduler and the
+// engine keep them, and a reader pulls them.
 type Metrics struct {
 	reg   *Registry
 	rec   *Recorder
@@ -23,11 +19,12 @@ type Metrics struct {
 	sock  socketObs
 }
 
-// SetRegistry attaches a labeled metrics registry and resolves the
-// transport's families in it. Attach before the engine starts; the fields
-// are read without synchronization afterwards.
+// SetRegistry attaches a labeled metrics registry and seeds the engine's
+// and the transport's push families in it. Attach before the engine starts;
+// the fields are read without synchronization afterwards.
 func (m *Metrics) SetRegistry(r *Registry) {
 	m.reg = r
+	seedEngine(r)
 	m.sock = newSocketObs(r)
 }
 
@@ -61,45 +58,4 @@ func (m *Metrics) SetSpans(c *span.Collector) {
 			h.Observe(seconds)
 		}
 	})
-}
-
-// Snapshot is the engine-wide fold of the registry's paper-level families:
-// each field sums one family over every label set (see Metrics.Snapshot).
-type Snapshot struct {
-	Delivered         int64         // tart_delivered_total
-	OutOfOrder        int64         // tart_out_of_rt_order_total
-	ProbesSent        int64         // tart_probes_total
-	SilencesSent      int64         // tart_silences_total
-	PessimismDelay    time.Duration // sum of tart_pessimism_delay_seconds
-	PessimismEpisodes int64         // count of tart_pessimism_delay_seconds
-	Checkpoints       int64         // tart_checkpoints_total
-	CheckpointBytes   int64         // sum of tart_checkpoint_bytes
-	ReplayRequests    int64         // tart_replay_serves_total
-	DuplicatesDropped int64         // tart_duplicates_dropped_total + tart_holdback_dropped_total
-	DeterminismFaults int64         // tart_determinism_faults_total, every cause
-	Failovers         int64         // tart_failovers_total
-}
-
-// Snapshot reads the attached registry (all zeros without one).
-func (m *Metrics) Snapshot() Snapshot {
-	r := m.Registry()
-	count := func(name string) int64 {
-		sum, _ := r.Sum(name)
-		return int64(sum)
-	}
-	pessimism, episodes := r.Sum(MetricPessimism)
-	return Snapshot{
-		Delivered:         count(MetricDelivered),
-		OutOfOrder:        count(MetricOutOfOrder),
-		ProbesSent:        count(MetricProbes),
-		SilencesSent:      count(MetricSilences),
-		PessimismDelay:    time.Duration(math.Round(pessimism * 1e9)),
-		PessimismEpisodes: episodes,
-		Checkpoints:       count(MetricCheckpoints),
-		CheckpointBytes:   count(MetricCheckpointBytes),
-		ReplayRequests:    count(MetricReplayServes),
-		DuplicatesDropped: count(MetricDuplicates) + count(MetricHoldbackDrops),
-		DeterminismFaults: count(MetricDetFaults),
-		Failovers:         count(MetricFailovers),
-	}
 }

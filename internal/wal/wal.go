@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/deque"
 	"repro/internal/estimator"
 	"repro/internal/msg"
 	"repro/internal/silence"
@@ -100,8 +101,11 @@ type Log interface {
 // MemLog is an in-memory Log, standing in for the paper's "backup machine"
 // stable store in tests and single-process experiments.
 type MemLog struct {
-	mu     sync.Mutex
-	inputs map[string][]InputRecord
+	mu sync.Mutex
+	// inputs holds each source's records in seq order, in a chunked deque:
+	// a checkpoint's trim drops whole chunks and the next append does not
+	// regrow a copy of the survivors.
+	inputs map[string]*deque.Deque[InputRecord]
 	// trimmed is, per source, the highest Seq TrimInputs has discarded
 	// through: what tells an emptied log from one that never held a range.
 	trimmed map[string]uint64
@@ -113,7 +117,7 @@ var _ Log = (*MemLog)(nil)
 
 // NewMemLog returns an empty in-memory log.
 func NewMemLog() *MemLog {
-	return &MemLog{inputs: make(map[string][]InputRecord), trimmed: make(map[string]uint64)}
+	return &MemLog{inputs: make(map[string]*deque.Deque[InputRecord]), trimmed: make(map[string]uint64)}
 }
 
 // AppendInput implements Log.
@@ -123,11 +127,27 @@ func (l *MemLog) AppendInput(rec InputRecord) error {
 	if l.closed {
 		return errLogClosed
 	}
-	recs := l.inputs[rec.Source]
-	if n := len(recs); n > 0 && rec.Seq <= recs[n-1].Seq {
-		return fmt.Errorf("wal: input seq %d for %q not increasing (last %d)", rec.Seq, rec.Source, recs[n-1].Seq)
+	if err := l.checkSeqLocked(rec); err != nil {
+		return err
 	}
-	l.inputs[rec.Source] = append(recs, rec)
+	recs := l.inputs[rec.Source]
+	if recs == nil {
+		recs = new(deque.Deque[InputRecord])
+		l.inputs[rec.Source] = recs
+	}
+	recs.Push(rec)
+	return nil
+}
+
+// checkSeqLocked refuses a record whose seq does not advance its source's.
+func (l *MemLog) checkSeqLocked(rec InputRecord) error {
+	recs := l.inputs[rec.Source]
+	if recs == nil || recs.Len() == 0 {
+		return nil
+	}
+	if last := recs.At(recs.Len() - 1).Seq; rec.Seq <= last {
+		return fmt.Errorf("wal: input seq %d for %q not increasing (last %d)", rec.Seq, rec.Source, last)
+	}
 	return nil
 }
 
@@ -151,10 +171,11 @@ func (l *MemLog) Inputs(source string, fromSeq uint64) ([]InputRecord, error) {
 			source, fromSeq, through, fromSeq)
 	}
 	recs := l.inputs[source]
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].Seq >= fromSeq })
-	out := make([]InputRecord, len(recs)-i)
-	copy(out, recs[i:])
-	return out, nil
+	if recs == nil {
+		return []InputRecord{}, nil
+	}
+	i := recs.Search(func(r *InputRecord) bool { return r.Seq >= fromSeq })
+	return recs.AppendTo(make([]InputRecord, 0, recs.Len()-i), i), nil
 }
 
 // Faults implements Log.
@@ -181,20 +202,16 @@ func (l *MemLog) validateInput(rec InputRecord) error {
 	if l.closed {
 		return errLogClosed
 	}
-	recs := l.inputs[rec.Source]
-	if n := len(recs); n > 0 && rec.Seq <= recs[n-1].Seq {
-		return fmt.Errorf("wal: input seq %d for %q not increasing (last %d)", rec.Seq, rec.Source, recs[n-1].Seq)
-	}
-	return nil
+	return l.checkSeqLocked(rec)
 }
 
 // TrimInputs implements Log.
 func (l *MemLog) TrimInputs(source string, throughSeq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	recs := l.inputs[source]
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].Seq > throughSeq })
-	l.inputs[source] = append([]InputRecord(nil), recs[i:]...)
+	if recs := l.inputs[source]; recs != nil {
+		recs.DropFront(recs.Search(func(r *InputRecord) bool { return r.Seq > throughSeq }))
+	}
 	l.trimmed[source] = max(l.trimmed[source], throughSeq)
 	return nil
 }
@@ -1025,9 +1042,11 @@ func (l *FileLog) writeLive(w io.Writer) (int64, error) {
 				return 0, err
 			}
 		}
-		for _, rec := range l.mem.inputs[s] {
-			if err := put(&fileEntry{Kind: entryInput, Input: rec}); err != nil {
-				return 0, err
+		if recs := l.mem.inputs[s]; recs != nil {
+			for i := range recs.Len() {
+				if err := put(&fileEntry{Kind: entryInput, Input: *recs.At(i)}); err != nil {
+					return 0, err
+				}
 			}
 		}
 	}

@@ -102,7 +102,6 @@ func TestMetricsExpositionAudit(t *testing.T) {
 		"tart_dial_breaker_state":          "no peer to dial",
 		"tart_replay_requests_total":       "no peer, no recovery",
 		"tart_replay_serves_total":         "no peer, no recovery",
-		"tart_failovers_total":             "no failover",
 		"tart_supervisor_suspicions_total": "no suspicion",
 		"tart_supervisor_failovers_total":  "no failover",
 		"tart_time_to_recover_seconds":     "no failover",

@@ -126,12 +126,12 @@ func (c *Cluster) AdaptStatus() AdaptStatus {
 
 // totalDelivered sums delivered-message counts across all engines. Each
 // count covers only the engine's current incarnation (Launch, Recover and
-// Reopen each start a fresh registry), so the total drops when a slot is
+// Reopen each start from zero), so the total drops when a slot is
 // recovered.
 func (c *Cluster) totalDelivered() int64 {
 	var total int64
 	for _, s := range c.slots() {
-		total += s.metrics.Snapshot().Delivered
+		total += s.eng.Totals().Delivered
 	}
 	return total
 }

@@ -116,25 +116,27 @@ type Output struct {
 	Payload any
 }
 
-// Metrics is a snapshot of an engine's runtime counters, folded from its
-// labeled metric registry: each field sums one family over every label set,
-// for the current engine incarnation only (Recover and Reopen start from
-// zero).
+// Metrics is a snapshot of an engine's runtime counts, pulled from the
+// engine and its schedulers, which keep them whether or not any push
+// consumer is attached, for the current engine incarnation only (Recover
+// and Reopen start from zero). A field sums one family over every label
+// set:
 //
 //   - Delivered: tart_delivered_total
 //   - OutOfOrder: tart_out_of_rt_order_total
 //   - ProbesSent: tart_probes_total
 //   - SilencesSent: tart_silences_total
-//   - PessimismDelay, PessimismEpisodes: the sum and the count of the
-//     tart_pessimism_delay_seconds histogram
+//   - PessimismDelay, PessimismEpisodes: the wait and the number of
+//     pessimism episodes (what tart_pessimism_delay_seconds sums and counts
+//     when a push consumer is attached)
 //   - Checkpoints: tart_checkpoints_total
-//   - CheckpointBytes: the sum of tart_checkpoint_bytes
+//   - CheckpointBytes: handler-state bytes over those checkpoints
 //   - ReplayRequests: tart_replay_serves_total (replay ranges served)
 //   - DuplicatesDropped: tart_duplicates_dropped_total plus
 //     tart_holdback_dropped_total
 //   - DeterminismFaults: tart_determinism_faults_total, every cause
 //   - Failovers: tart_failovers_total
-type Metrics = trace.Snapshot
+type Metrics = engine.Totals
 
 // TraceEvent is one flight-recorder record: an event kind plus virtual and
 // real timestamps, component, wire, and per-wire sequence number. Obtain

@@ -44,9 +44,10 @@ func readWALCounts(t *testing.T, cluster *tart.Cluster, engine string) walCounts
 // commit observer feeds the engine's registry — every logged input is
 // counted, two concurrent sources share fsyncs, each fsync has a duration
 // and a batch-size sample — and a recovered incarnation's fresh registry is
-// fed in turn.
+// fed in turn. The log is observed only for a push consumer, so the cluster
+// asks for one.
 func TestWALMetricsFedPerIncarnation(t *testing.T) {
-	cluster, err := tart.Launch(coldApp(), tart.WithDurableStore(t.TempDir()))
+	cluster, err := tart.Launch(coldApp(), tart.WithDurableStore(t.TempDir()), tart.WithFlightRecorder(""))
 	if err != nil {
 		t.Fatal(err)
 	}
