@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/adapt"
@@ -253,6 +254,10 @@ type Cluster struct {
 
 type engineSlot struct {
 	*incarnation // the current one; Recover swaps it under the cluster lock
+	// live publishes the current incarnation's engine while the slot is up
+	// (set at launch and by Recover, cleared by Fail), so a Source emits
+	// without the cluster lock.
+	live atomic.Pointer[engine.Engine]
 
 	name      string
 	store     *checkpoint.ReplicaStore
@@ -462,6 +467,7 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 			}
 			return nil, err
 		}
+		slot.live.Store(slot.eng)
 		c.engines[name] = slot
 	}
 	for _, slot := range c.engines {
@@ -897,7 +903,7 @@ func (c *Cluster) Source(name string) (*Source, error) {
 	if _, ok := c.engines[engName]; !ok {
 		return nil, fmt.Errorf("tart: source %q feeds engine %q, which this process does not host (WithEngines)", name, engName)
 	}
-	s := &Source{c: c, name: name, engine: engName}
+	s := &Source{c: c, name: name, engine: engName, slot: c.engines[engName]}
 	c.sources[name] = s
 	return s, nil
 }
@@ -963,6 +969,7 @@ func (c *Cluster) Fail(engineName string) error {
 	}
 	c.mu.Lock()
 	v.slot.failed = true
+	v.slot.live.Store(nil)
 	c.mu.Unlock()
 	c.halt(v.slot, v.incarnation, v.eng.Kill)
 	return nil
@@ -1051,6 +1058,7 @@ func (c *Cluster) Recover(engineName string) error {
 	c.mu.Lock()
 	slot.incarnation = in
 	slot.failed = false
+	slot.live.Store(in.eng)
 	slot.startedAt = time.Now()
 	c.mu.Unlock()
 	return nil
@@ -1299,9 +1307,16 @@ type Source struct {
 	c      *Cluster
 	name   string
 	engine string
+	slot   *engineSlot
 }
 
+// current resolves the live engine's source through the slot's published
+// engine, without the cluster lock; the locked lookup only builds the error
+// for a failed engine.
 func (s *Source) current() (*engine.Source, error) {
+	if e := s.slot.live.Load(); e != nil {
+		return e.Source(s.name)
+	}
 	v, err := s.c.liveEngine(s.engine)
 	if err != nil {
 		return nil, err

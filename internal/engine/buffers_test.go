@@ -168,6 +168,20 @@ func checkBuffers(t *testing.T, where string, b *bufferSet, m modelBuffers, data
 	}
 }
 
+// append and appendReply buffer one envelope, as Route's batch append does
+// for a data and a call-reply envelope.
+func (b *bufferSet) append(env msg.Envelope) {
+	b.mu.Lock()
+	b.pushLocked(env, false)
+	b.mu.Unlock()
+}
+
+func (b *bufferSet) appendReply(env msg.Envelope) {
+	b.mu.Lock()
+	b.pushLocked(env, true)
+	b.mu.Unlock()
+}
+
 // TestChunkedBufferMatchesModel drives the chunked replay buffer and the
 // naive model with the same seeded random history.
 func TestChunkedBufferMatchesModel(t *testing.T) {

@@ -147,11 +147,7 @@ func (e *Engine) MaxComponentClock() vt.Time {
 // remote senders so they can trim theirs (paper: checkpoints bound both
 // recovery time and replay-buffer growth).
 func (e *Engine) afterCheckpoint(ck *checkpoint.Checkpoint) {
-	type ackTarget struct {
-		engine string
-		env    msg.Envelope
-	}
-	var acks []ackTarget
+	var acks []msg.Envelope
 	for _, h := range e.sortedHosted() {
 		cs := ck.Components[h.name]
 		// Input wires: sorted for deterministic ack order.
@@ -175,10 +171,7 @@ func (e *Engine) afterCheckpoint(ck *checkpoint.Checkpoint) {
 			case e.tp.EngineOf(w.From) == e.name:
 				e.buffers.trim(wid, delivered)
 			default:
-				acks = append(acks, ackTarget{
-					engine: e.tp.EngineOf(w.From),
-					env:    msg.NewAck(wid, delivered),
-				})
+				acks = append(acks, msg.NewAck(wid, delivered))
 			}
 		}
 		// Reply wires: every call with ID <= NextCall completed before the
@@ -191,16 +184,11 @@ func (e *Engine) afterCheckpoint(ck *checkpoint.Checkpoint) {
 			if e.tp.EngineOf(w.From) == e.name {
 				e.buffers.trim(wid, cs.Sched.NextCall)
 			} else {
-				acks = append(acks, ackTarget{
-					engine: e.tp.EngineOf(w.From),
-					env:    msg.NewAck(wid, cs.Sched.NextCall),
-				})
+				acks = append(acks, msg.NewAck(wid, cs.Sched.NextCall))
 			}
 		}
 	}
-	for _, a := range acks {
-		e.peers.send(a.engine, a.env)
-	}
+	e.dispatch(acks)
 }
 
 func (e *Engine) sourceByWire(w msg.WireID) *Source {
@@ -327,9 +315,7 @@ func (e *Engine) replayAfterRestore() error {
 		if len(buf) > 0 && e.obs != nil {
 			e.obs.ReplayServed(wid, buf[0].Seq, len(buf), true)
 		}
-		for _, env := range buf {
-			e.forward(w, env)
-		}
+		e.dispatch(buf)
 	}
 	// Source logs: replay from each restored component's delivery cursor.
 	for _, h := range e.sortedHosted() {

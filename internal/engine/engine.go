@@ -11,10 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -155,11 +153,8 @@ type Engine struct {
 	comps   map[string]*hosted
 	byID    map[topo.ComponentID]*hosted
 	sources map[string]*Source
-	// sinks maps sink wires to their consumer callbacks, published
-	// copy-on-write (registrations serialize on sinksMu) so forward reads it
-	// without a lock on every output.
-	sinksMu sync.Mutex
-	sinks   atomic.Pointer[map[msg.WireID]func(env msg.Envelope)]
+	// routes is the route table, indexed by wire ID (see wireRoute).
+	routes  []wireRoute
 	buffers *bufferSet
 	peers   *peerSet
 	log     wal.Log
@@ -247,6 +242,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
+	e.resolveRoutes()
 	// Pre-create sources whose receiving component lives here.
 	for _, src := range cfg.Topo.Sources() {
 		w := cfg.Topo.Wire(src.Wire)
@@ -268,7 +264,7 @@ func (e *Engine) host(comp *topo.Component, spec ComponentSpec) error {
 		Handler:    spec.Handler,
 		Est:        spec.Est,
 		Silence:    spec.Silence,
-		Router:     e,
+		RouteBatch: e.Route,
 		Metrics:    e.obs,
 		Audit:      e.cfg.Audit,
 		Seed:       nameSeed(comp.Name),
@@ -372,14 +368,7 @@ func (e *Engine) Sink(name string, fn func(env msg.Envelope)) error {
 	if _, hostedHere := e.byID[w.From]; !hostedHere {
 		return fmt.Errorf("engine: sink %q feeds from a component not hosted on %q", name, e.name)
 	}
-	e.sinksMu.Lock()
-	defer e.sinksMu.Unlock()
-	next := map[msg.WireID]func(msg.Envelope){w.ID: fn}
-	if old := e.sinks.Load(); old != nil {
-		next = maps.Clone(*old)
-		next[w.ID] = fn
-	}
-	e.sinks.Store(&next)
+	e.routes[w.ID].sink.Store(&fn)
 	return nil
 }
 

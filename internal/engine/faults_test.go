@@ -297,7 +297,7 @@ func TestReissuedCallCountsOneDuplicate(t *testing.T) {
 	if len(reqs) != 1 {
 		t.Fatalf("caller buffered %d call requests, want 1", len(reqs))
 	}
-	engB.deliverInbound(reqs[0])
+	engB.dispatch(reqs[:1])
 	if got := dups(engB) - calleeBefore; got != 1 {
 		t.Errorf("callee counted %d duplicates for one re-issued call, want 1", got)
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,13 +20,10 @@ import (
 type peerSet struct {
 	e *Engine
 
-	// conns is the live connection per peer, published copy-on-write so
-	// send reads it without a lock on every outbound envelope; writers hold
-	// mu and swap in a modified clone.
-	conns atomic.Pointer[map[string]transport.Conn]
 	// needed maps each peer this engine shares wires with (fixed at
-	// construction) to what the set keeps about it.
-	needed map[string]*peerStat
+	// construction) to what the set keeps about it, its live connection
+	// included; the engine's route table points at the same records.
+	needed map[string]*peer
 	born   time.Time
 
 	mu       sync.Mutex
@@ -41,31 +37,42 @@ type peerSet struct {
 	// caller, and promises arriving during a flush wait in silPending, the
 	// newest per wire (promises are monotone, so the newest subsumes the
 	// rest), for the flusher's next pass. silCoalesced counts promises
-	// absorbed by a newer one; silOut is the flusher's scratch.
+	// absorbed by a newer one; silOut and silEnvs are the flusher's scratch.
 	silMu        sync.Mutex
 	silFlushing  bool
 	silPending   map[msg.WireID]pendingSilence
 	silOut       []pendingSilence
+	silEnvs      []msg.Envelope
 	silCoalesced int
 }
 
-// peerStat is what the peer set keeps about one peer beside its connection:
-// when a frame was last received from it, as nanoseconds since born (0:
-// never), the frames sent to and received from it over every connection,
-// and the dial loop's circuit breaker if this engine is the dialer. The
-// frame path pays plain atomic stores and adds; readers load them on
-// demand (health).
-type peerStat struct {
+// peer is what the peer set keeps about one peer engine: its live
+// connection (nil while down), when a frame was last received from it, as
+// nanoseconds since born (0: never), the frames sent to and received from
+// it over every connection, and the dial loop's circuit breaker if this
+// engine is the dialer. The frame path pays atomic loads, stores and adds;
+// readers load them on demand (health).
+type peer struct {
+	name       string
+	conn       atomic.Pointer[transport.Conn]
 	heard      atomic.Int64
 	sent, recv atomic.Uint64
 	breaker    *transport.Breaker // nil when the peer dials us
+}
+
+// live returns the peer's connection, or nil while it is down.
+func (pe *peer) live() transport.Conn {
+	if c := pe.conn.Load(); c != nil {
+		return *c
+	}
+	return nil
 }
 
 // pendingSilence is one coalesced peer-bound promise: the watermark plus the
 // sender's data-prefix attestation (both monotone per wire, so coalescing
 // keeps the max of each), and the peer it goes to.
 type pendingSilence struct {
-	peer    string
+	peer    *peer
 	wire    msg.WireID
 	promise vt.Time
 	seq     uint64
@@ -76,7 +83,7 @@ func newPeerSet(e *Engine) *peerSet {
 	for peer, g := range e.cfg.PeerGens {
 		gens[peer] = g
 	}
-	needed := make(map[string]*peerStat)
+	needed := make(map[string]*peer)
 	for _, w := range e.tp.Wires() {
 		if w.From == topo.External || w.To == topo.External {
 			continue
@@ -85,11 +92,11 @@ func newPeerSet(e *Engine) *peerSet {
 		if fromEng != e.name && toEng != e.name {
 			continue
 		}
-		for _, peer := range [2]string{fromEng, toEng} {
-			if peer != e.name && needed[peer] == nil {
-				needed[peer] = new(peerStat)
-				if e.name < peer { // the smaller name dials
-					needed[peer].breaker = &transport.Breaker{Threshold: 5, Cooldown: 8 * e.cfg.RedialEvery}
+		for _, name := range [2]string{fromEng, toEng} {
+			if name != e.name && needed[name] == nil {
+				needed[name] = &peer{name: name}
+				if e.name < name { // the smaller name dials
+					needed[name].breaker = &transport.Breaker{Threshold: 5, Cooldown: 8 * e.cfg.RedialEvery}
 				}
 			}
 		}
@@ -152,10 +159,10 @@ func (p *peerSet) start() error {
 	p.wg.Add(1)
 	go p.acceptLoop(l)
 
-	for peer, st := range p.needed {
-		if st.breaker != nil {
+	for _, pe := range p.needed {
+		if pe.breaker != nil {
 			p.wg.Add(1)
-			go p.dialLoop(peer, st.breaker)
+			go p.dialLoop(pe)
 		}
 	}
 	return nil
@@ -167,8 +174,12 @@ func (p *peerSet) stop() {
 	if p.listener != nil {
 		p.listener.Close()
 	}
-	conns := p.connTable()
-	p.conns.Store(nil)
+	var conns []transport.Conn
+	for _, pe := range p.needed {
+		if c := pe.conn.Swap(nil); c != nil {
+			conns = append(conns, *c)
+		}
+	}
 	p.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
@@ -176,42 +187,19 @@ func (p *peerSet) stop() {
 	p.wg.Wait()
 }
 
-// connTable returns the published connection table; it must not be
-// modified.
-func (p *peerSet) connTable() map[string]transport.Conn {
-	if m := p.conns.Load(); m != nil {
-		return *m
-	}
-	return nil
-}
-
-// setConnLocked publishes a connection table with peer bound to c, or
-// unbound when c is nil. The caller holds p.mu.
-func (p *peerSet) setConnLocked(peer string, c transport.Conn) {
-	next := maps.Clone(p.connTable())
-	if next == nil {
-		next = make(map[string]transport.Conn, 1)
-	}
-	if c != nil {
-		next[peer] = c
-	} else {
-		delete(next, peer)
-	}
-	p.conns.Store(&next)
-}
-
-// send transmits an envelope to a named peer engine, dropping it if the
-// link is down (replay buffers and retry loops provide recovery).
-func (p *peerSet) send(peer string, env msg.Envelope) {
-	c := p.connTable()[peer]
+// send transmits envelopes to a peer engine in one transport call,
+// dropping them if the link is down (replay buffers and retry loops
+// provide recovery).
+func (p *peerSet) send(pe *peer, envs []msg.Envelope) {
+	c := pe.live()
 	if c == nil {
 		return
 	}
-	if err := c.Send(env); err != nil {
-		p.dropConn(peer, c)
+	if err := c.SendBatch(envs); err != nil {
+		p.dropConn(pe, c)
 		return
 	}
-	p.needed[peer].sent.Add(1)
+	pe.sent.Add(uint64(len(envs)))
 }
 
 // sendSilence transmits a silence promise to a peer. With no flush in
@@ -219,8 +207,8 @@ func (p *peerSet) send(peer string, env msg.Envelope) {
 // table, merged with any older promise for its wire, and the flush in
 // progress sends it on its next pass. Lossless, because a newer promise on
 // the same wire strictly subsumes an older one.
-func (p *peerSet) sendSilence(peer string, env msg.Envelope) {
-	next := pendingSilence{peer: peer, wire: env.Wire, promise: env.Promise, seq: env.Seq}
+func (p *peerSet) sendSilence(pe *peer, env msg.Envelope) {
+	next := pendingSilence{peer: pe, wire: env.Wire, promise: env.Promise, seq: env.Seq}
 	p.silMu.Lock()
 	if old, ok := p.silPending[env.Wire]; ok {
 		p.silCoalesced++
@@ -241,8 +229,18 @@ func (p *peerSet) sendSilence(peer string, env msg.Envelope) {
 		if coalesced > 0 && p.e.obs != nil {
 			p.e.obs.SilencesCoalesced(coalesced)
 		}
+		envs := p.silEnvs[:0]
 		for _, ps := range out {
-			p.send(ps.peer, msg.NewSilenceAfter(ps.wire, ps.promise, ps.seq))
+			envs = append(envs, msg.NewSilenceAfter(ps.wire, ps.promise, ps.seq))
+		}
+		p.silEnvs = envs
+		for i := 0; i < len(out); {
+			n := 1 // a run of promises for one peer leaves in one send
+			for i+n < len(out) && out[i+n].peer == out[i].peer {
+				n++
+			}
+			p.send(out[i].peer, envs[i:i+n])
+			i += n
 		}
 		p.silMu.Lock()
 	}
@@ -264,12 +262,16 @@ func (p *peerSet) takeSilenceLocked() []pendingSilence {
 
 // heartbeat sends a hello on every live connection.
 func (p *peerSet) heartbeat() {
-	for peer, c := range p.connTable() {
-		if err := c.Send(p.hello()); err != nil {
-			p.dropConn(peer, c)
+	for _, pe := range p.needed {
+		c := pe.live()
+		if c == nil {
 			continue
 		}
-		p.needed[peer].sent.Add(1)
+		if err := c.Send(p.hello()); err != nil {
+			p.dropConn(pe, c)
+			continue
+		}
+		pe.sent.Add(1)
 	}
 }
 
@@ -299,12 +301,13 @@ func (p *peerSet) handleInbound(conn transport.Conn) {
 		conn.Close()
 		return
 	}
-	peer, ok := env.Payload.(string)
-	if !ok || !p.neededPeer(peer) {
+	name, ok := env.Payload.(string)
+	pe := p.needed[name]
+	if !ok || pe == nil {
 		conn.Close()
 		return
 	}
-	if !p.admit(peer, env.Seq) {
+	if !p.admit(name, env.Seq) {
 		conn.Close()
 		return
 	}
@@ -312,8 +315,8 @@ func (p *peerSet) handleInbound(conn transport.Conn) {
 		conn.Close()
 		return
 	}
-	p.register(peer, conn)
-	p.readLoop(peer, conn)
+	p.register(name, conn)
+	p.readLoop(pe, conn)
 }
 
 // dialLoop redials peer until the engine stops, pacing attempts with
@@ -321,13 +324,14 @@ func (p *peerSet) handleInbound(conn transport.Conn) {
 // does not thunder) and a per-peer circuit breaker that suppresses dials
 // entirely while the peer looks long-dead — then half-opens forever after,
 // so a cold-restarting peer is always rediscovered.
-func (p *peerSet) dialLoop(peer string, br *transport.Breaker) {
+func (p *peerSet) dialLoop(pe *peer) {
 	defer p.wg.Done()
+	br := pe.breaker
 	base := p.e.cfg.RedialEvery
 	bo := &transport.Backoff{Base: base, Max: 16 * base}
 	redial := func() {}
 	if obs := p.e.obs; obs != nil {
-		redial = obs.Dialer(peer)
+		redial = obs.Dialer(pe.name)
 	}
 	for {
 		if p.isStopped() {
@@ -344,7 +348,7 @@ func (p *peerSet) dialLoop(peer string, br *transport.Breaker) {
 			continue
 		}
 		redial()
-		conn := p.tryDial(peer)
+		conn := p.tryDial(pe.name)
 		if conn == nil {
 			br.Failure()
 			select {
@@ -356,8 +360,8 @@ func (p *peerSet) dialLoop(peer string, br *transport.Breaker) {
 		}
 		br.Success()
 		bo.Reset()
-		p.register(peer, conn)
-		p.readLoop(peer, conn)
+		p.register(pe.name, conn)
+		p.readLoop(pe, conn)
 		// Connection died; loop to redial.
 	}
 }
@@ -403,6 +407,7 @@ func boundHandshake(conn transport.Conn) (inTime func() bool) {
 // recovery protocol: resend every unacked buffered envelope headed to that
 // peer, and re-request replay for every remote input wire fed from it.
 func (p *peerSet) register(peer string, conn transport.Conn) {
+	pe := p.needed[peer]
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
@@ -412,46 +417,41 @@ func (p *peerSet) register(peer string, conn transport.Conn) {
 	if p.e.obs != nil {
 		p.e.obs.PeerUp(peer)
 	}
-	if old, ok := p.connTable()[peer]; ok && old != conn {
+	if old := pe.live(); old != nil && old != conn {
 		old.Close()
 	}
-	p.setConnLocked(peer, conn)
+	pe.conn.Store(&conn)
 	p.mu.Unlock()
-	p.e.onPeerConnected(peer)
+	p.e.onPeerConnected(pe)
 }
 
-func (p *peerSet) readLoop(peer string, conn transport.Conn) {
-	st := p.needed[peer]
+// readLoop delivers what conn receives, a batch at a time: one heard stamp
+// and one frame count per batch, and each run of messages for one hosted
+// scheduler under one lock (Engine.dispatch).
+func (p *peerSet) readLoop(pe *peer, conn transport.Conn) {
 	for {
-		env, err := conn.Recv()
+		envs, err := conn.RecvBatch()
 		if err != nil {
-			p.dropConn(peer, conn)
+			p.dropConn(pe, conn)
 			return
 		}
-		st.heard.Store(int64(time.Since(p.born)))
-		st.recv.Add(1)
-		if env.Kind == msg.KindHello {
-			continue
-		}
-		p.e.deliverInbound(env)
+		pe.heard.Store(int64(time.Since(p.born)))
+		pe.recv.Add(uint64(len(envs)))
+		p.e.dispatch(envs)
 	}
 }
 
-func (p *peerSet) dropConn(peer string, conn transport.Conn) {
+func (p *peerSet) dropConn(pe *peer, conn transport.Conn) {
 	conn.Close()
 	p.mu.Lock()
-	active := p.connTable()[peer] == conn
+	active := pe.live() == conn
 	if active {
-		p.setConnLocked(peer, nil)
+		pe.conn.Store(nil)
 	}
 	p.mu.Unlock()
 	if active && p.e.obs != nil {
-		p.e.obs.PeerDown(peer)
+		p.e.obs.PeerDown(pe.name)
 	}
-}
-
-func (p *peerSet) neededPeer(name string) bool {
-	return p.needed[name] != nil
 }
 
 func (p *peerSet) isStopped() bool {
@@ -462,35 +462,39 @@ func (p *peerSet) isStopped() bool {
 
 // health summarizes per-peer connectivity.
 func (p *peerSet) health() map[string]PeerHealth {
-	conns := p.connTable()
 	out := make(map[string]PeerHealth, len(p.needed))
-	for peer, st := range p.needed {
-		ph := PeerHealth{Connected: conns[peer] != nil, FramesSent: st.sent.Load(), FramesReceived: st.recv.Load()}
-		if since := st.heard.Load(); since != 0 {
+	for name, pe := range p.needed {
+		ph := PeerHealth{Connected: pe.live() != nil, FramesSent: pe.sent.Load(), FramesReceived: pe.recv.Load()}
+		if since := pe.heard.Load(); since != 0 {
 			ph.LastHeard = p.born.Add(time.Duration(since))
 		}
-		if st.breaker != nil {
-			ph.Dials, ph.Breaker = true, st.breaker.State()
+		if pe.breaker != nil {
+			ph.Dials, ph.Breaker = true, pe.breaker.State()
 		}
-		out[peer] = ph
+		out[name] = ph
 	}
 	return out
 }
 
 // onPeerConnected re-drives the recovery protocol after a (re)connect.
-func (e *Engine) onPeerConnected(peer string) {
+func (e *Engine) onPeerConnected(pe *peer) {
 	// Resend unacked buffered envelopes whose receiver lives on the peer:
 	// anything the peer missed while the link was down (or that a restored
 	// peer needs again) — duplicates are discarded by sequence number.
-	for _, env := range e.buffers.unacked() {
-		w := e.tp.Wire(env.Wire)
-		if w.To != topo.External && e.tp.EngineOf(w.To) == peer {
-			e.peers.send(peer, env)
+	resend := e.buffers.unacked()
+	kept := resend[:0]
+	for _, env := range resend {
+		if e.routes[env.Wire].toPeer == pe {
+			kept = append(kept, env)
 		}
+	}
+	if len(kept) > 0 {
+		e.peers.send(pe, kept)
 	}
 	// Ask the peer to replay every remote input wire it feeds, from our
 	// current delivery cursor (a fresh engine needs nothing; a restored one
 	// gets the suffix its checkpoint missed).
+	var reqs []msg.Envelope
 	for _, h := range e.sortedHosted() {
 		needs := h.sch.ReplayNeeds()
 		wires := make([]msg.WireID, 0, len(needs))
@@ -499,12 +503,14 @@ func (e *Engine) onPeerConnected(peer string) {
 		}
 		sort.Slice(wires, func(i, j int) bool { return wires[i] < wires[j] })
 		for _, wid := range wires {
-			w := e.tp.Wire(wid)
-			if w.From == topo.External || e.tp.EngineOf(w.From) != peer {
+			if e.routes[wid].fromPeer != pe {
 				continue
 			}
 			e.noteReplayRequest(wid, needs[wid])
-			e.peers.send(peer, msg.NewReplayRequest(wid, needs[wid]))
+			reqs = append(reqs, msg.NewReplayRequest(wid, needs[wid]))
 		}
+	}
+	if len(reqs) > 0 {
+		e.peers.send(pe, reqs)
 	}
 }

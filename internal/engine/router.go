@@ -4,115 +4,137 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/deque"
 	"repro/internal/msg"
 	"repro/internal/topo"
 )
 
-// Route implements sched.Router: it is the single egress point for every
-// envelope a hosted component (or the engine itself) produces.
-//
-// Forward traffic (data, silence, calls, replies) goes to the wire's
-// receiver; backward traffic (probes, replay requests, acks) goes to the
-// wire's sender. Data-bearing envelopes on wires between components are
-// appended to the wire's replay buffer before delivery, so replays and
-// reconnects can re-send them.
-func (e *Engine) Route(env msg.Envelope) {
-	w := e.tp.Wire(env.Wire)
+// wireRoute is where this engine sends one wire's traffic, resolved once in
+// New: the wire's receiver, for forward traffic (data, silence, calls,
+// replies), and its sender, for backward traffic (probes, replay requests,
+// acks) — each either a component hosted here or the peer engine hosting
+// it — and, on a sink wire, the consumer callback Sink registers.
+type wireRoute struct {
+	w                *topo.Wire
+	to, from         *hosted
+	toPeer, fromPeer *peer
+	sink             atomic.Pointer[func(msg.Envelope)]
+}
+
+// resolveRoutes builds the route table, one entry per wire.
+func (e *Engine) resolveRoutes() {
+	e.routes = make([]wireRoute, len(e.tp.Wires()))
+	end := func(id topo.ComponentID) (*hosted, *peer) {
+		if id == topo.External {
+			return nil, nil
+		}
+		if h, ok := e.byID[id]; ok {
+			return h, nil
+		}
+		return nil, e.peers.needed[e.tp.EngineOf(id)]
+	}
+	for i, w := range e.tp.Wires() {
+		r := &e.routes[i]
+		r.w = w
+		r.to, r.toPeer = end(w.To)
+		r.from, r.fromPeer = end(w.From)
+	}
+}
+
+// Route is every hosted scheduler's egress (sched.Config.RouteBatch): it
+// takes each batch a component's step produced. The batch's data-bearing
+// envelopes on wires between components join their replay buffers, under
+// one lock, before any of it is delivered, so replays and reconnects can
+// re-send them.
+func (e *Engine) Route(envs []msg.Envelope) {
+	e.buffers.appendBatch(e.tp, envs)
+	e.dispatch(envs)
+}
+
+// dispatch hands envelopes, in order, to the ends of their wires: forward
+// traffic to the receiver, backward traffic to the sender. Each run of
+// consecutive messages for one hosted scheduler is delivered under one
+// lock, and each run bound for one peer goes to the transport in one call.
+// It is the one path for routed batches and for what a peer connection
+// received.
+func (e *Engine) dispatch(envs []msg.Envelope) {
+	for len(envs) > 0 {
+		h, pe := e.runOf(&envs[0])
+		n := 1
+		for n < len(envs) && (h != nil || pe != nil) {
+			if h2, pe2 := e.runOf(&envs[n]); h2 != h || pe2 != pe {
+				break
+			}
+			n++
+		}
+		switch {
+		case h != nil:
+			h.sch.DeliverRun(envs[:n])
+		case pe != nil:
+			e.peers.send(pe, envs[:n])
+		default:
+			e.deliver(envs[0])
+		}
+		envs = envs[n:]
+	}
+}
+
+// runOf reports the run an envelope joins: messages (data and call
+// requests) for a scheduler hosted here, or anything but a silence promise
+// (which the peer set coalesces) bound for a peer engine. Neither (nil,
+// nil) leaves the envelope to deliver.
+func (e *Engine) runOf(env *msg.Envelope) (*hosted, *peer) {
+	if uint(env.Wire) >= uint(len(e.routes)) {
+		return nil, nil
+	}
+	r := &e.routes[env.Wire]
 	switch env.Kind {
 	case msg.KindData, msg.KindCallRequest:
-		if w.To != topo.External {
-			e.buffers.append(env)
-		}
-		e.forward(w, env)
+		return r.to, r.toPeer
 	case msg.KindCallReply:
-		e.buffers.appendReply(env)
-		e.forward(w, env)
-	case msg.KindSilence:
-		e.forward(w, env)
-	case msg.KindProbe:
-		e.backward(w, env)
-	case msg.KindReplayRequest, msg.KindAck:
-		e.backward(w, env)
+		return nil, r.toPeer
+	case msg.KindProbe, msg.KindReplayRequest, msg.KindAck:
+		return nil, r.fromPeer
 	}
+	return nil, nil
 }
 
-// forward delivers toward the wire's receiver.
-func (e *Engine) forward(w *topo.Wire, env msg.Envelope) {
-	if w.To == topo.External {
-		if w.Kind == topo.WireSink && env.IsMessage() {
-			if sinks := e.sinks.Load(); sinks != nil {
-				if fn := (*sinks)[w.ID]; fn != nil {
-					fn(env)
-				}
-			}
-		}
-		return
-	}
-	if h, ok := e.byID[w.To]; ok {
-		h.sch.Deliver(env)
-		return
-	}
-	if env.Kind == msg.KindSilence {
-		e.peers.sendSilence(e.tp.EngineOf(w.To), env)
-		return
-	}
-	e.peers.send(e.tp.EngineOf(w.To), env)
-}
-
-// backward delivers toward the wire's sender.
-func (e *Engine) backward(w *topo.Wire, env msg.Envelope) {
-	if w.From == topo.External {
-		// A probe for a source wire: the source answers with its current
-		// silence knowledge. (Replay of source wires is WAL-driven and
-		// handled at restore time, not via requests.)
-		if env.Kind == msg.KindProbe {
-			e.answerSourceProbe(w)
-		}
-		return
-	}
-	if _, ok := e.byID[w.From]; ok {
-		e.dispatchLocal(w, env)
-		return
-	}
-	e.peers.send(e.tp.EngineOf(w.From), env)
-}
-
-// dispatchLocal hands an envelope to its handler on this engine: schedulers
-// for wire traffic, the engine itself for recovery-protocol control.
-func (e *Engine) dispatchLocal(w *topo.Wire, env msg.Envelope) {
-	switch env.Kind {
-	case msg.KindReplayRequest:
-		e.serveReplay(env)
-	case msg.KindAck:
-		e.handleAck(env)
-	default: // probes
-		if h, ok := e.byID[w.From]; ok {
-			h.sch.Deliver(env)
-		}
-	}
-}
-
-// deliverInbound dispatches an envelope received from a peer connection.
-func (e *Engine) deliverInbound(env msg.Envelope) {
-	if int(env.Wire) < 0 || int(env.Wire) >= len(e.tp.Wires()) {
+// deliver hands one envelope that joins no run to the end of its wire on
+// this engine: a hosted scheduler, the engine's own recovery protocol, a
+// source answering a probe, a sink, or the peer set's promise coalescer.
+func (e *Engine) deliver(env msg.Envelope) {
+	if uint(env.Wire) >= uint(len(e.routes)) {
 		return // malformed
 	}
-	w := e.tp.Wire(env.Wire)
+	r := &e.routes[env.Wire]
 	switch env.Kind {
+	case msg.KindData, msg.KindCallRequest, msg.KindCallReply, msg.KindSilence:
+		switch {
+		case r.to != nil:
+			r.to.sch.Deliver(env)
+		case r.toPeer != nil:
+			e.peers.sendSilence(r.toPeer, env)
+		case env.IsMessage():
+			if fn := r.sink.Load(); fn != nil {
+				(*fn)(env)
+			}
+		}
 	case msg.KindProbe:
-		if h, ok := e.byID[w.From]; ok {
-			h.sch.Deliver(env)
+		switch {
+		case r.from != nil:
+			r.from.sch.Deliver(env)
+		case r.w.From == topo.External:
+			// A probe for a source wire: the source answers with its current
+			// silence knowledge. (Replay of source wires is WAL-driven and
+			// handled at restore time, not via requests.)
+			e.answerSourceProbe(r.w)
 		}
 	case msg.KindReplayRequest:
 		e.serveReplay(env)
 	case msg.KindAck:
 		e.handleAck(env)
-	case msg.KindData, msg.KindSilence, msg.KindCallRequest, msg.KindCallReply:
-		if h, ok := e.byID[w.To]; ok {
-			h.sch.Deliver(env)
-		}
 	}
 }
 
@@ -125,10 +147,7 @@ func (e *Engine) serveReplay(req msg.Envelope) {
 	if e.obs != nil {
 		e.obs.ReplayServed(req.Wire, req.Seq, len(resent), false)
 	}
-	for _, env := range resent {
-		w := e.tp.Wire(env.Wire)
-		e.forward(w, env)
-	}
+	e.dispatch(resent)
 }
 
 // noteReplayRequest accounts one replay-range request this engine issues.
@@ -153,7 +172,7 @@ func (e *Engine) resendBufferedReply(req msg.Envelope) {
 		return
 	}
 	if reply, ok := e.buffers.replyByCallID(w.Peer, req.CallID); ok {
-		e.forward(e.tp.Wire(reply.Wire), reply)
+		e.dispatch([]msg.Envelope{reply})
 	}
 }
 
@@ -181,16 +200,14 @@ func (e *Engine) repairGaps() {
 				}
 				continue
 			}
-			if local, ok := e.byID[w.From]; ok {
-				_ = local // local wires deliver synchronously; a local gap
-				// can only appear after a restore, repaired from buffers.
-				for _, env := range e.buffers.from(wid, fromSeq) {
-					e.forward(w, env)
-				}
+			if e.routes[wid].from != nil {
+				// Local wires deliver synchronously; a local gap can only
+				// appear after a restore, repaired from buffers.
+				e.dispatch(e.buffers.from(wid, fromSeq))
 				continue
 			}
 			e.noteReplayRequest(wid, fromSeq)
-			e.peers.send(e.tp.EngineOf(w.From), msg.NewReplayRequest(wid, fromSeq))
+			e.dispatch([]msg.Envelope{msg.NewReplayRequest(wid, fromSeq)})
 		}
 	}
 }
@@ -255,9 +272,29 @@ func newBufferSet() *bufferSet {
 	return &bufferSet{wires: make(map[msg.WireID]*wireBuf)}
 }
 
-func (b *bufferSet) push(env msg.Envelope, byCall bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// appendBatch buffers a routed batch's data-bearing envelopes under one
+// lock: data and call requests on wires between components by Seq, call
+// replies by CallID. Sink wires have no buffer.
+func (b *bufferSet) appendBatch(tp *topo.Topology, envs []msg.Envelope) {
+	locked := false
+	for i := range envs {
+		env := &envs[i]
+		byCall := env.Kind == msg.KindCallReply
+		if !byCall && (!env.IsMessage() || tp.Wire(env.Wire).To == topo.External) {
+			continue
+		}
+		if !locked {
+			b.mu.Lock()
+			locked = true
+		}
+		b.pushLocked(*env, byCall)
+	}
+	if locked {
+		b.mu.Unlock()
+	}
+}
+
+func (b *bufferSet) pushLocked(env msg.Envelope, byCall bool) {
 	wb := b.wires[env.Wire]
 	if wb == nil {
 		wb = &wireBuf{byCall: byCall}
@@ -267,10 +304,6 @@ func (b *bufferSet) push(env msg.Envelope, byCall bool) {
 		b.n++
 	}
 }
-
-func (b *bufferSet) append(env msg.Envelope) { b.push(env, false) }
-
-func (b *bufferSet) appendReply(env msg.Envelope) { b.push(env, true) }
 
 // from returns buffered envelopes of the wire with Seq >= fromSeq.
 func (b *bufferSet) from(w msg.WireID, fromSeq uint64) []msg.Envelope {

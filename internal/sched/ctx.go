@@ -47,7 +47,8 @@ func (c *Ctx) Rand() *stats.RNG { return c.s.rng }
 // Send emits a one-way message on the named output port. The message is
 // stamped with the deterministic virtual time at which it will arrive at
 // the receiver: the handler's estimated completion time plus the wire's
-// delay estimate (and past any hyper-aggressive silence floor).
+// delay estimate (and past any hyper-aggressive silence floor). It leaves
+// with the rest of the step's outputs when the step yields.
 func (c *Ctx) Send(port string, payload any) error {
 	s := c.s
 	s.mu.Lock()
@@ -74,7 +75,7 @@ func (c *Ctx) Send(port string, payload any) error {
 	if s.obs != nil {
 		s.obs.Sent(ow.obs, env, "")
 	}
-	s.cfg.Router.Route(env)
+	s.out = append(s.out, env)
 	return nil
 }
 
@@ -112,7 +113,10 @@ func (c *Ctx) Call(port string, payload any) (any, error) {
 	if s.obs != nil {
 		s.obs.Sent(ow.obs, env, "call request")
 	}
-	s.cfg.Router.Route(env)
+	// Everything staged before the request leaves with it before the
+	// caller blocks: the callee's merge may be waiting on that data.
+	s.out = append(s.out, env)
+	s.flush()
 
 	select {
 	case reply := <-replyCh:

@@ -25,6 +25,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/estimator"
@@ -35,10 +36,10 @@ import (
 	"repro/internal/vt"
 )
 
-// Router delivers envelopes produced by a component onto their wires. The
-// engine implements it: local wires are delivered in memory; remote wires
-// cross a transport. Route must not block indefinitely and must be safe for
-// concurrent use.
+// Router delivers envelopes produced by a component onto their wires, one
+// at a time. Route must not block indefinitely and must be safe for
+// concurrent use. A scheduler configured with only a Router hands it each
+// envelope of a routed batch in order (see Config.RouteBatch).
 type Router interface {
 	Route(env msg.Envelope)
 }
@@ -81,7 +82,12 @@ type Config struct {
 	Est estimator.Estimator
 	// Silence configures the component's silence-propagation governor.
 	Silence silence.Config
-	Router  Router
+	// RouteBatch is the component's egress (the engine's Route): the worker
+	// routes a step's outputs as one batch, in emission order, when the
+	// step yields. It must not retain envs or block indefinitely, and must
+	// be safe for concurrent use. Nil routes each envelope through Router.
+	RouteBatch func(envs []msg.Envelope)
+	Router     Router
 	// Metrics receives the scheduler's flight events, spans and sampled
 	// distributions; optional (nil is off). Counts are kept either way.
 	Metrics Observer
@@ -150,8 +156,8 @@ type Scheduler struct {
 	inputs           map[msg.WireID]*inWire
 	front            frontier // merge index over inputs (see merge.go)
 	holdbackLimit    int
-	quiet            *sync.Cond // signalled when inFlight returns to Never
-	quietWaiters     int
+	quiet            *sync.Cond   // signalled when inFlight returns to Never or staged outputs are routed
+	quietWaiters     atomic.Int32 // WithQuiescent callers waiting; read by the worker after a flush
 	byPort           map[string]*outWire
 	outputs          map[msg.WireID]*outWire
 	silenceWires     []msg.WireID      // Comp.Outputs' wires (never reply wires), ascending; fixed at New
@@ -182,6 +188,14 @@ type Scheduler struct {
 
 	obs Observer // Config.Metrics
 
+	// out stages one step's outputs for flush; only the worker touches it.
+	// unrouted is set while it is outside the lock with outputs staged.
+	// answer is the one-element batch a probe's answer is routed in.
+	out      []msg.Envelope
+	unrouted atomic.Bool
+	answerMu sync.Mutex
+	answer   [1]msg.Envelope
+
 	// Counts a reader pulls (Counts) beside the per-wire ones: duplicate
 	// call replies by reply wire, and the determinism faults raised here.
 	replyDups                   map[msg.WireID]uint64
@@ -205,8 +219,16 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Est == nil {
 		return nil, fmt.Errorf("sched: component %q has no estimator", cfg.Comp.Name)
 	}
-	if cfg.Router == nil {
-		return nil, errors.New("sched: Router is required")
+	if cfg.RouteBatch == nil && cfg.Router == nil {
+		return nil, errors.New("sched: RouteBatch or Router is required")
+	}
+	if cfg.RouteBatch == nil {
+		r := cfg.Router
+		cfg.RouteBatch = func(envs []msg.Envelope) {
+			for _, env := range envs {
+				r.Route(env)
+			}
+		}
 	}
 	if cfg.ProbeRetry <= 0 {
 		cfg.ProbeRetry = 50 * time.Millisecond
@@ -353,7 +375,7 @@ func (s *Scheduler) SilenceConfig() silence.Config {
 func (s *Scheduler) Deliver(env msg.Envelope) {
 	switch env.Kind {
 	case msg.KindData, msg.KindCallRequest:
-		s.deliverMessage(env)
+		s.DeliverRun([]msg.Envelope{env})
 	case msg.KindSilence:
 		s.deliverSilence(env)
 	case msg.KindProbe:
@@ -366,43 +388,55 @@ func (s *Scheduler) Deliver(env msg.Envelope) {
 	}
 }
 
-func (s *Scheduler) deliverMessage(env msg.Envelope) {
-	// Stamp the enqueue time for span-sampled origins before taking the
-	// lock; a zero stamp marks the delivery as untraced.
-	var enq int64
-	if s.obs != nil && s.obs.Traced(env.Trace, env.Origin) {
-		enq = time.Now().UnixNano()
-	}
+// DeliverRun hands a run of data and call-request envelopes to the logical
+// queue under one lock and one wake, reading the wall clock at most once
+// (for span-sampled origins): the batch form of Deliver.
+func (s *Scheduler) DeliverRun(envs []msg.Envelope) {
+	var now int64
+	queued := false
 	s.mu.Lock()
-	in, ok := s.inputs[env.Wire]
-	if !ok {
+	for i := range envs {
+		env := &envs[i]
+		in, ok := s.inputs[env.Wire]
+		if !ok {
+			continue // not one of our input wires; drop
+		}
+		// A non-zero enqueue stamp marks a span-sampled delivery.
+		var enq int64
+		if s.obs != nil && s.obs.Traced(env.Trace, env.Origin) {
+			if now == 0 {
+				now = time.Now().UnixNano()
+			}
+			enq = now
+		}
+		s.arrival++
+		verdict := in.accept(*env, s.arrival, enq, s.holdbackLimit)
+		switch verdict {
+		case acceptQueued:
+			s.front.update(in)
+			queued = true
+			continue
+		case acceptDuplicate:
+			in.counts.Duplicates++
+		case acceptOverflow:
+			in.counts.HoldbackDrops++
+		}
+		// An overflow is shed, not lost: the gap-repair loop will re-request
+		// everything from the delivery cursor once the gap persists.
 		s.mu.Unlock()
-		return // not one of our input wires; drop
-	}
-	s.arrival++
-	verdict := in.accept(env, s.arrival, enq, s.holdbackLimit)
-	switch verdict {
-	case acceptQueued:
-		s.front.update(in)
-	case acceptDuplicate:
-		in.counts.Duplicates++
-	case acceptOverflow:
-		in.counts.HoldbackDrops++
+		if s.obs != nil {
+			s.obs.Dropped(in.obs, *env, verdict == acceptOverflow)
+		}
+		if verdict == acceptDuplicate && env.Kind == msg.KindCallRequest && s.cfg.OnDuplicateCall != nil {
+			// A recovering caller re-issued a call this component already
+			// processed; let the engine re-send the buffered reply.
+			s.cfg.OnDuplicateCall(*env)
+		}
+		s.mu.Lock()
 	}
 	s.mu.Unlock()
-	if verdict == acceptQueued {
+	if queued {
 		s.wake()
-		return
-	}
-	// An overflow is shed, not lost: the gap-repair loop will re-request
-	// everything from the delivery cursor once the gap persists.
-	if s.obs != nil {
-		s.obs.Dropped(in.obs, env, verdict == acceptOverflow)
-	}
-	if verdict == acceptDuplicate && env.Kind == msg.KindCallRequest && s.cfg.OnDuplicateCall != nil {
-		// A recovering caller re-issued a call this component already
-		// processed; let the engine re-send the buffered reply.
-		s.cfg.OnDuplicateCall(env)
 	}
 }
 
@@ -462,7 +496,10 @@ func (s *Scheduler) deliverProbe(env msg.Envelope) {
 	}
 	s.mu.Unlock()
 	if answer {
-		s.cfg.Router.Route(msg.NewSilenceAfter(p.Wire, p.Through, sentSeq))
+		s.answerMu.Lock()
+		s.answer[0] = msg.NewSilenceAfter(p.Wire, p.Through, sentSeq)
+		s.cfg.RouteBatch(s.answer[:])
+		s.answerMu.Unlock()
 	}
 	s.wake()
 }

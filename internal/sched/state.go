@@ -55,18 +55,22 @@ type OutputState struct {
 // scheduler state — this is how the engine takes component checkpoints.
 // fn must not call methods of this Scheduler.
 //
+// It also waits for the worker's staged outputs to be routed: the state
+// must not count output seqs whose envelopes are not in the replay buffers.
+//
 // Quiescence is condition-variable based: the worker signals s.quiet when
-// a handler finishes, and its delivery batch yields whenever waiters are
-// registered, so a checkpoint blocks for at most one handler invocation
-// without any busy-wait.
+// a handler finishes or a staged batch is routed, and yields whenever
+// waiters are registered, so a checkpoint blocks for at most one handler
+// invocation and one flush without any busy-wait.
 func (s *Scheduler) WithQuiescent(fn func(st State)) {
+	defer s.wake() // the worker yields to waiters (step)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.quietWaiters++
-	for s.inFlight != vt.Never {
+	s.quietWaiters.Add(1)
+	for s.inFlight != vt.Never || s.unrouted.Load() {
 		s.quiet.Wait()
 	}
-	s.quietWaiters--
+	s.quietWaiters.Add(-1)
 	fn(s.snapshotLocked())
 }
 
@@ -104,7 +108,10 @@ func (s *Scheduler) Restore(st State) error {
 	s.clock = st.Clock
 	s.rng.SetState(st.RNG)
 	s.nextCall = st.NextCall
+	// Arrivals count on from the delivered prefix, so the first deliveries
+	// after a restore are not out of real-time order against it.
 	s.maxDlvd = st.MaxDlvd
+	s.arrival = st.MaxDlvd
 	if st.AuditCount > 0 || st.AuditChain != 0 {
 		s.auditChain = st.AuditChain
 		s.auditCount = st.AuditCount

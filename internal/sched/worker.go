@@ -23,13 +23,9 @@ func (s *Scheduler) loop() {
 	defer close(s.done)
 	retry := time.NewTicker(s.cfg.ProbeRetry)
 	defer retry.Stop()
-	var control []msg.Envelope // reused across steps; control envelopes carry no payload
 	for {
-		var delivered bool
-		delivered, control = s.step(control[:0])
-		for _, env := range control {
-			s.cfg.Router.Route(env)
-		}
+		delivered, _ := s.step(s.out[:0])
+		s.flush()
 		if delivered {
 			// Immediately try for the next message.
 			select {
@@ -56,18 +52,27 @@ func (s *Scheduler) loop() {
 }
 
 // step drains a batch of deliverable messages. It returns whether any
-// message was handled and any control envelopes (curiosity probes, silence
-// promises triggered by frontier advances) to send, appended to control.
+// message was handled and everything the step emitted, appended to out in
+// emission order: the handlers' data and call replies, and the control
+// envelopes (curiosity probes, silence promises triggered by frontier
+// advances). The worker routes the batch (flush) once the step yields.
 //
 // The lock is held across the per-delivery bookkeeping and the next
 // candidate selection — with the heap index both are O(log W) — and
 // released only around the handler itself, so draining an already-
 // deliverable run costs one lock round-trip per handler instead of the old
 // full frontier rescan.
-func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
+func (s *Scheduler) step(out []msg.Envelope) (bool, []msg.Envelope) {
+	s.out = out
 	delivered := false
 	n := 0
 	s.mu.Lock()
+	if s.quietWaiters.Load() > 0 {
+		// A checkpoint waits for quiescence, which holds between steps: let
+		// it in before the next delivery. WithQuiescent wakes the worker.
+		s.mu.Unlock()
+		return false, s.out
+	}
 	for {
 		// Advance the clock over known-silent input ticks first: like a
 		// discrete-event simulator, a component whose inputs are all silent
@@ -76,7 +81,7 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		s.applyDueSilenceLocked()
 		if s.advanceFrontierLocked() {
 			s.applyDueSilenceLocked()
-			control = s.promiseLocked(control)
+			s.out = s.promiseLocked(s.out)
 			// End of stream: when every input has promised silence forever,
 			// the component will never send again. Flush a final promise on
 			// every output wire regardless of strategy — even Lazy — so
@@ -88,7 +93,7 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 					ow := s.outputs[id]
 					s.gov.NoteData(id, vt.Max)
 					s.noteSilence(ow, vt.Max)
-					control = append(control, msg.NewSilenceAfter(id, vt.Max, ow.seq))
+					s.out = append(s.out, msg.NewSilenceAfter(id, vt.Max, ow.seq))
 				}
 			}
 		}
@@ -127,7 +132,7 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 					if in.probe < cand.env.VT {
 						in.probe = vt.Never
 					}
-					control = s.probeLocked(in, cand.env.VT, control)
+					s.out = s.probeLocked(in, cand.env.VT, s.out)
 				}
 			}
 			break
@@ -240,10 +245,10 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 		}
 		s.inFlight = vt.Never
 		s.applyDueSilenceLocked()
-		if s.quietWaiters > 0 {
+		if s.quietWaiters.Load() > 0 {
 			s.quiet.Broadcast()
 		}
-		control = s.promiseLocked(control)
+		s.out = s.promiseLocked(s.out)
 		delivered = true
 		n++
 
@@ -252,6 +257,7 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 			// IO), and OnDelivered reads handler state; both must run
 			// unlocked — fall back to one delivery per step.
 			hookD.ClockAfter = s.clock
+			s.unrouted.Store(len(s.out) > 0)
 			s.mu.Unlock()
 			if hook != nil {
 				hook(hookD)
@@ -259,9 +265,9 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 			if s.cfg.Calibration != nil {
 				s.observe(q.env.Payload, vt.FromDuration(elapsed))
 			}
-			return delivered, control
+			return delivered, s.out
 		}
-		if n >= maxDeliveryBatch || s.quietWaiters > 0 || s.stopped {
+		if n >= maxDeliveryBatch || s.quietWaiters.Load() > 0 || s.stopped {
 			// Yield: flush control traffic, let checkpoints in, honor Stop.
 			break
 		}
@@ -269,9 +275,28 @@ func (s *Scheduler) step(control []msg.Envelope) (bool, []msg.Envelope) {
 	// Standing curiosity the clock has not covered climbs on: a new probe,
 	// an answered forward that left the target short, or a forward the
 	// ProbeRetry backstop forgot.
-	control = s.forwardLocked(control)
+	s.out = s.forwardLocked(s.out)
+	s.unrouted.Store(len(s.out) > 0)
 	s.mu.Unlock()
-	return delivered, control
+	return delivered, s.out
+}
+
+// flush routes what the worker staged as one batch and empties the stage.
+// A WithQuiescent waiter registers before it reads unrouted, and flush
+// clears unrouted before it reads the waiter count, so one sees the other.
+func (s *Scheduler) flush() {
+	if len(s.out) == 0 {
+		return
+	}
+	s.cfg.RouteBatch(s.out)
+	clear(s.out) // the stage must not keep routed payloads reachable
+	s.out = s.out[:0]
+	s.unrouted.Store(false)
+	if s.quietWaiters.Load() > 0 {
+		s.mu.Lock()
+		s.quiet.Broadcast()
+		s.mu.Unlock()
+	}
 }
 
 // forwardLocked relays this component's standing curiosity upstream: a
@@ -370,7 +395,7 @@ func (v *outViews) View(w msg.WireID) (silence.View, bool) {
 	return s.viewLocked(ow), true
 }
 
-// sendReply emits the reply to a two-way call. The reply's virtual time is
+// sendReply stages the reply to a two-way call. The reply's virtual time is
 // the callee's handler completion time plus the reply wire's delay.
 func (s *Scheduler) sendReply(ctx *Ctx, req msg.Envelope, reply any) {
 	reqWire := s.cfg.Topo.Wire(req.Wire)
@@ -393,7 +418,7 @@ func (s *Scheduler) sendReply(ctx *Ctx, req msg.Envelope, reply any) {
 	if s.obs != nil {
 		s.obs.Sent(ow.obs, env, "call reply")
 	}
-	s.cfg.Router.Route(env)
+	s.out = append(s.out, env)
 }
 
 // replyOut returns (lazily creating) the out-wire state for a call-reply

@@ -190,6 +190,7 @@ func (v *netemView) Dial(addr string) (Conn, error) {
 		sendLane: faultLane{rng: stats.NewRNG(sendSeed)},
 		recvLane: faultLane{rng: stats.NewRNG(recvSeed)},
 	}
+	c.cursor.fill = c.fill
 
 	n.mu.Lock()
 	if n.cuts[key] {
@@ -231,10 +232,13 @@ type faultLane struct {
 	held *msg.Envelope
 }
 
-// decide rolls the fault schedule for one envelope, returning the
-// envelopes to deliver now (possibly none: dropped or held back) and a
-// delay to apply before delivery.
-func (l *faultLane) decide(env msg.Envelope, plan FaultPlan, st *netemCounters) ([]msg.Envelope, time.Duration) {
+// decide rolls the fault schedule for one envelope, appending the
+// envelopes to deliver now to dst (possibly none: dropped or held back) and
+// returning a delay to apply before delivery. Hellos pass unrolled.
+func (l *faultLane) decide(dst []msg.Envelope, env msg.Envelope, plan FaultPlan, st *netemCounters) ([]msg.Envelope, time.Duration) {
+	if env.Kind == msg.KindHello {
+		return append(dst, env), 0
+	}
 	roll := l.rng.Float64()
 	dup := l.rng.Float64() < plan.DupProb
 	reorder := l.rng.Float64() < plan.ReorderProb
@@ -244,27 +248,27 @@ func (l *faultLane) decide(env msg.Envelope, plan FaultPlan, st *netemCounters) 
 	}
 	if roll < plan.DropProb {
 		st.dropped.Add(1)
-		return nil, 0
+		return dst, 0
 	}
 	if reorder && l.held == nil {
 		held := env
 		l.held = &held
 		st.reordered.Add(1)
-		return nil, 0
+		return dst, 0
 	}
-	out := []msg.Envelope{env}
+	dst = append(dst, env)
 	if l.held != nil {
-		out = append(out, *l.held)
+		dst = append(dst, *l.held)
 		l.held = nil
 	}
 	if dup {
-		out = append(out, env)
+		dst = append(dst, env)
 		st.duplicated.Add(1)
 	}
 	if delay > 0 {
 		st.delayed.Add(1)
 	}
-	return out, delay
+	return dst, delay
 }
 
 // netemConn injects the link's fault plan into both directions of one
@@ -277,9 +281,10 @@ type netemConn struct {
 	sendMu   sync.Mutex
 	sendLane faultLane
 
-	recvMu      sync.Mutex
-	recvLane    faultLane
-	recvPending []msg.Envelope
+	// The receive side belongs to the one receiving goroutine; the cursor
+	// holds what the last fill let through.
+	recvLane faultLane
+	cursor
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -289,64 +294,60 @@ type netemConn struct {
 var _ Conn = (*netemConn)(nil)
 
 func (c *netemConn) Send(env msg.Envelope) error {
+	return c.SendBatch([]msg.Envelope{env})
+}
+
+// SendBatch rolls the fault schedule per envelope and passes what survives
+// on in order; an envelope drawn a delay waits for it after everything
+// before it has been passed on.
+func (c *netemConn) SendBatch(envs []msg.Envelope) error {
 	// A severed connection refuses traffic deterministically, whatever the
 	// inner transport's own close semantics are.
 	if c.closed.Load() {
 		return fmt.Errorf("netem: connection severed: %w", ErrClosed)
 	}
-	if env.Kind == msg.KindHello {
-		return c.inner.Send(env)
-	}
 	plan := c.n.planFor(c.key)
-	c.sendMu.Lock()
-	out, delay := c.sendLane.decide(env, plan, &c.n.stats)
-	c.sendMu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
+	out := make([]msg.Envelope, 0, len(envs))
+	for _, env := range envs {
+		var delay time.Duration
+		mark := len(out)
+		c.sendMu.Lock()
+		out, delay = c.sendLane.decide(out, env, plan, &c.n.stats)
+		c.sendMu.Unlock()
+		if delay > 0 {
+			if err := c.inner.SendBatch(out[:mark]); err != nil {
+				return err
+			}
+			out = append(out[:0], out[mark:]...)
+			time.Sleep(delay)
+		}
 	}
-	for _, e := range out {
-		if err := c.inner.Send(e); err != nil {
+	return c.inner.SendBatch(out)
+}
+
+// fill receives inner batches until the fault schedule lets at least one
+// envelope through, rolling it per envelope.
+func (c *netemConn) fill() error {
+	clear(c.batch)
+	c.batch, c.next = c.batch[:0], 0
+	for len(c.batch) == 0 {
+		if c.closed.Load() {
+			return fmt.Errorf("netem: connection severed: %w", ErrClosed)
+		}
+		in, err := c.inner.RecvBatch()
+		if err != nil {
 			return err
+		}
+		plan := c.n.planFor(c.key)
+		for _, env := range in {
+			var delay time.Duration
+			c.batch, delay = c.recvLane.decide(c.batch, env, plan, &c.n.stats)
+			if delay > 0 {
+				time.Sleep(delay)
+			}
 		}
 	}
 	return nil
-}
-
-func (c *netemConn) Recv() (msg.Envelope, error) {
-	for {
-		if c.closed.Load() {
-			return msg.Envelope{}, fmt.Errorf("netem: connection severed: %w", ErrClosed)
-		}
-		c.recvMu.Lock()
-		if len(c.recvPending) > 0 {
-			env := c.recvPending[0]
-			c.recvPending = c.recvPending[1:]
-			c.recvMu.Unlock()
-			return env, nil
-		}
-		c.recvMu.Unlock()
-		env, err := c.inner.Recv()
-		if err != nil {
-			return msg.Envelope{}, err
-		}
-		if env.Kind == msg.KindHello {
-			return env, nil
-		}
-		plan := c.n.planFor(c.key)
-		c.recvMu.Lock()
-		out, delay := c.recvLane.decide(env, plan, &c.n.stats)
-		if len(out) > 1 {
-			c.recvPending = append(c.recvPending, out[1:]...)
-		}
-		c.recvMu.Unlock()
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		if len(out) == 0 {
-			continue // dropped or held back for reordering
-		}
-		return out[0], nil
-	}
 }
 
 func (c *netemConn) Close() error {

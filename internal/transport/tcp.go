@@ -106,7 +106,7 @@ func (l *tcpListener) Close() error { return l.nl.Close() }
 
 // tcpConn frames envelopes with the msg binary codec over one socket.
 //
-// Writes scatter-gather and clock themselves: each Send appends its frame to
+// Writes scatter-gather and clock themselves: each send appends its frames to
 // a pooled chunk, chunks accumulate into a batch, and a write ships the
 // whole batch in one writev, outside the lock Sends append under. A Send
 // that finds the connection idle — no write in flight and none started in
@@ -116,9 +116,9 @@ func (l *tcpListener) Close() error { return l.nl.Close() }
 // write is in flight join the next one, so under load batches grow on
 // their own and no frame waits for a timer.
 //
-// Reads are bulk: the socket fills a growable buffer and frames decode
-// straight out of it (msg.DecodeFrame never retains the buffer), so one
-// read syscall typically yields many envelopes.
+// Reads are bulk: the socket fills a growable buffer and every whole frame
+// in it decodes into one received batch (msg.DecodeFrame never retains the
+// buffer), so one read syscall typically yields many envelopes.
 type tcpConn struct {
 	nc  net.Conn
 	obs Observer // nil is off
@@ -140,9 +140,11 @@ type tcpConn struct {
 	flushKick chan struct{}
 	flushDone chan struct{}
 
-	// Reader state; Recv is single-goroutine per the Conn contract.
+	// Reader state; Recv is single-goroutine per the Conn contract. batch
+	// holds the frames the last RecvBatch decoded.
 	rbuf         []byte
 	rstart, rend int
+	batch        []msg.Envelope
 
 	closeOnce sync.Once
 	closeErr  error
@@ -171,41 +173,74 @@ func (c *tcpConn) tailChunk() *[]byte {
 }
 
 func (c *tcpConn) Send(env msg.Envelope) error {
+	for {
+		if n, err := c.sendSome([]msg.Envelope{env}); n == 1 || err != nil {
+			return err
+		}
+	}
+}
+
+func (c *tcpConn) SendBatch(envs []msg.Envelope) error {
+	for len(envs) > 0 {
+		n, err := c.sendSome(envs)
+		if err != nil {
+			return err
+		}
+		envs = envs[n:]
+	}
+	return nil
+}
+
+// sendSome frames a prefix of envs into the pending batch under one sendMu
+// acquisition and one idle-gap clock read — all of them, unless the batch
+// fills first — and sees it written, returning how many it took.
+func (c *tcpConn) sendSome(envs []msg.Envelope) (int, error) {
 	c.sendMu.Lock()
 	if c.sendErr != nil {
 		err := c.sendErr
 		c.sendMu.Unlock()
-		return err
+		return 0, err
 	}
-	tail := c.tailChunk()
-	out, fellBack, err := msg.AppendFrame(*tail, env)
-	if err != nil {
-		// AppendFrame returns the buffer unchanged on error: the frame
-		// boundary is intact and the stream is not poisoned, so an
-		// unencodable payload fails only its own Send.
-		c.sendMu.Unlock()
-		return err
+	n, fellBack := 0, 0
+	var encErr error
+	for n < len(envs) && c.pendingBytes < maxPendingBytes {
+		tail := c.tailChunk()
+		out, fb, err := msg.AppendFrame(*tail, envs[n])
+		if err != nil {
+			// AppendFrame returns the buffer unchanged on error: the frame
+			// boundary is intact and the stream is not poisoned, so an
+			// unencodable payload fails only its own send.
+			encErr = err
+			break
+		}
+		if fb {
+			fellBack++
+		}
+		c.pendingBytes += len(out) - len(*tail)
+		*tail = out
+		c.pendingFrames++
+		n++
 	}
-	c.pendingBytes += len(out) - len(*tail)
-	*tail = out
-	c.pendingFrames++
 	full := c.pendingBytes >= maxPendingBytes
 	inline := full || !c.kicked && time.Since(c.lastWrite) >= idleGap
 	c.sendMu.Unlock()
-	if fellBack && c.obs != nil {
+	for ; fellBack > 0 && c.obs != nil; fellBack-- {
 		c.obs.CodecFallback()
 	}
 	switch {
+	case encErr != nil:
+		c.handOff() // what the batch framed before the failure still leaves
+		return n, encErr
 	case full:
 		// Back-pressure: wait for the writer rather than grow the batch.
 		c.writeMu.Lock()
 	case !inline || !c.writeMu.TryLock():
 		c.handOff()
-		return nil
+		return n, nil
 	}
 	c.writeLocked()
 	c.writeMu.Unlock()
-	return c.writeErr()
+	return n, c.writeErr()
 }
 
 // handOff leaves the pending batch to the flusher, waking it unless it is
@@ -297,10 +332,7 @@ func (c *tcpConn) Recv() (msg.Envelope, error) {
 		if c.rend > c.rstart {
 			env, n, fellBack, err := msg.DecodeFrame(c.rbuf[c.rstart:c.rend])
 			if err == nil {
-				c.rstart += n
-				if fellBack && c.obs != nil {
-					c.obs.CodecFallback()
-				}
+				c.took(n, fellBack)
 				return env, nil
 			}
 			if !errors.Is(err, msg.ErrShortFrame) {
@@ -336,6 +368,34 @@ func (c *tcpConn) Recv() (msg.Envelope, error) {
 		}
 		// Bytes alongside an error: decode what arrived; the error
 		// resurfaces on the next empty read.
+	}
+}
+
+// RecvBatch receives one frame as Recv does, then decodes every further
+// whole frame already in the read buffer into the same batch.
+func (c *tcpConn) RecvBatch() ([]msg.Envelope, error) {
+	env, err := c.Recv()
+	if err != nil {
+		return nil, err
+	}
+	clear(c.batch) // drop the payloads handed out last time
+	c.batch = append(c.batch[:0], env)
+	for c.rend > c.rstart {
+		env, n, fellBack, err := msg.DecodeFrame(c.rbuf[c.rstart:c.rend])
+		if err != nil {
+			break // a short frame waits for the next read, a bad one for the next call
+		}
+		c.took(n, fellBack)
+		c.batch = append(c.batch, env)
+	}
+	return c.batch, nil
+}
+
+// took consumes a decoded frame of n bytes from the read buffer.
+func (c *tcpConn) took(n int, fellBack bool) {
+	c.rstart += n
+	if fellBack && c.obs != nil {
+		c.obs.CodecFallback()
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package transport moves envelopes between TART engines.
 //
 // Three implementations are provided: an in-process transport (a
-// swap-buffer link per connection, one lock round-trip per receiver wake,
-// for single-process clusters and tests), a TCP transport
+// swap-buffer link per connection, one lock round-trip per batch in each
+// direction, for single-process clusters and tests), a TCP transport
 // (length-prefixed binary frames over sockets, used by the distributed
 // experiments), and Netem, a network emulator over either that drops,
 // duplicates, delays, and reorders frames and partitions links to exercise
@@ -23,12 +23,17 @@ import (
 )
 
 // Conn is one bidirectional envelope stream between two engines.
-// Send is safe for concurrent use; Recv must be called from one goroutine.
+// Send and SendBatch are safe for concurrent use; Recv and RecvBatch must be
+// called from one goroutine.
 type Conn interface {
-	// Send transmits one envelope. It returns ErrClosed after Close.
+	// SendBatch transmits envs in order without retaining them; Send is its
+	// one-element case. Both return ErrClosed after Close.
+	SendBatch(envs []msg.Envelope) error
 	Send(env msg.Envelope) error
-	// Recv blocks for the next envelope. It returns ErrClosed when the
-	// connection shuts down.
+	// RecvBatch blocks for the envelopes that arrived and were not yet
+	// received, valid until the next receive; Recv takes one. Both return
+	// ErrClosed when the connection shuts down.
+	RecvBatch() ([]msg.Envelope, error)
 	Recv() (msg.Envelope, error)
 	// Close shuts the connection down, unblocking Recv on both ends.
 	Close() error
@@ -54,6 +59,36 @@ type Transport interface {
 
 // ErrClosed is returned by operations on closed connections or listeners.
 var ErrClosed = errors.New("transport: closed")
+
+// cursor is a receiving end's current batch, and its Conn's Recv and
+// RecvBatch: RecvBatch takes the rest of the batch and Recv one envelope,
+// and either has fill replace it once it is used up.
+type cursor struct {
+	batch []msg.Envelope
+	next  int
+	fill  func() error
+}
+
+func (c *cursor) Recv() (msg.Envelope, error) {
+	if c.next == len(c.batch) {
+		if err := c.fill(); err != nil {
+			return msg.Envelope{}, err
+		}
+	}
+	c.next++
+	return c.batch[c.next-1], nil
+}
+
+func (c *cursor) RecvBatch() ([]msg.Envelope, error) {
+	if c.next == len(c.batch) {
+		if err := c.fill(); err != nil {
+			return nil, err
+		}
+	}
+	rest := c.batch[c.next:]
+	c.next = len(c.batch)
+	return rest, nil
+}
 
 // Inproc is an in-process Transport: addresses are arbitrary strings in a
 // shared registry. The zero value is not usable; create with NewInproc.
@@ -175,14 +210,13 @@ type inprocQueue struct {
 	ready sync.Cond // on the link's mu
 }
 
-// inprocConn is one endpoint of an in-process connection. Recv swaps the
-// whole queued slice for its drained batch under one lock acquisition and
-// hands the batch out without the lock.
+// inprocConn is one endpoint of an in-process connection. A receive swaps
+// the whole queued slice for its drained batch under one lock acquisition
+// and hands the batch out without the lock.
 type inprocConn struct {
 	link    *inprocLink
 	in, out *inprocQueue
-	batch   []msg.Envelope // taken from in, owned by the Recv goroutine
-	next    int            // first undelivered index of batch
+	cursor  // the batch taken from in, owned by the receiving goroutine
 }
 
 func newInprocPair() (a, b *inprocConn) {
@@ -192,33 +226,49 @@ func newInprocPair() (a, b *inprocConn) {
 	}
 	a = &inprocConn{link: l, out: &l.dir[0], in: &l.dir[1]}
 	b = &inprocConn{link: l, out: &l.dir[1], in: &l.dir[0]}
+	a.cursor.fill, b.cursor.fill = a.fill, b.fill
 	return a, b
 }
 
 func (c *inprocConn) Send(env msg.Envelope) error {
+	c.link.mu.Lock()
+	err := c.put(&env)
+	c.link.mu.Unlock()
+	return err
+}
+
+// SendBatch appends envs to the queue under one lock acquisition per fill:
+// a batch larger than the room left waits for the receiver between fills.
+func (c *inprocConn) SendBatch(envs []msg.Envelope) error {
+	c.link.mu.Lock()
+	defer c.link.mu.Unlock()
+	for i := range envs {
+		if err := c.put(&envs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// put appends one envelope to the sending direction, waiting while it is
+// full. The caller holds the link's lock.
+func (c *inprocConn) put(env *msg.Envelope) error {
 	l, d := c.link, c.out
-	l.mu.Lock()
 	for len(d.q) >= inprocDepth && !l.closed {
 		d.ready.Wait()
 	}
 	if l.closed {
-		l.mu.Unlock()
 		return ErrClosed
 	}
-	d.q = append(d.q, env)
-	if len(d.q) == 1 {
+	if len(d.q) == 0 {
 		d.ready.Signal() // the receiver waits only on an empty queue
 	}
-	l.mu.Unlock()
+	d.q = append(d.q, *env)
 	return nil
 }
 
-func (c *inprocConn) Recv() (msg.Envelope, error) {
-	if c.next < len(c.batch) {
-		env := c.batch[c.next]
-		c.next++
-		return env, nil
-	}
+// fill waits for queued envelopes and swaps the queue for the drained batch.
+func (c *inprocConn) fill() error {
 	// Drop the delivered payloads before the slice goes back to the
 	// senders, so the queue does not keep them reachable.
 	clear(c.batch)
@@ -230,15 +280,16 @@ func (c *inprocConn) Recv() (msg.Envelope, error) {
 	if len(d.q) == 0 {
 		// Closed, and everything queued before the close was delivered.
 		l.mu.Unlock()
-		return msg.Envelope{}, ErrClosed
+		c.batch, c.next = c.batch[:0], 0
+		return ErrClosed
 	}
 	if len(d.q) >= inprocDepth {
 		d.ready.Broadcast() // wake every sender blocked on the full queue
 	}
 	c.batch, d.q = d.q, c.batch[:0]
 	l.mu.Unlock()
-	c.next = 1
-	return c.batch[0], nil
+	c.next = 0
+	return nil
 }
 
 func (c *inprocConn) Close() error {

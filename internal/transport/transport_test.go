@@ -377,6 +377,29 @@ func TestInprocPairAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, round) / burst; allocs != 0 {
 		t.Errorf("Send+Recv: %.3f allocs/envelope, want 0", allocs)
 	}
+
+	// The batch lane: one SendBatch of the burst from a reused slice,
+	// drained with RecvBatch.
+	batch := make([]msg.Envelope, burst)
+	for i := range batch {
+		batch[i] = env
+	}
+	batchRound := func() {
+		if err := a.SendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < burst; {
+			envs, err := b.RecvBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += len(envs)
+		}
+	}
+	batchRound()
+	if allocs := testing.AllocsPerRun(100, batchRound) / burst; allocs != 0 {
+		t.Errorf("SendBatch+RecvBatch: %.3f allocs/envelope, want 0", allocs)
+	}
 }
 
 type sentence struct{ Words []string }

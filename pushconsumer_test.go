@@ -109,6 +109,12 @@ func TestPushConsumerChangesNothingPulled(t *testing.T) {
 		if off.Delivered == 0 || off.Failovers != 1 || off.DuplicatesDropped == 0 {
 			t.Errorf("engine %s: the workload did not exercise delivery, recovery and replay: %+v", e, off)
 		}
+		// Every stage has one input, so nothing can arrive out of real-time
+		// order — not even the first deliveries after the restore, whose
+		// arrival count resumes from the checkpointed prefix.
+		if off.OutOfOrder != 0 {
+			t.Errorf("engine %s: %d deliveries out of real-time order on a single-input chain, want 0", e, off.OutOfOrder)
+		}
 	}
 	rows := censusRows(t)
 	for e, names := range offFamilies {
