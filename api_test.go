@@ -444,77 +444,62 @@ func (r *spinRelay) OnMessage(ctx *tart.Context, port string, payload any) (any,
 // exactly. The handler runs five times slower while a replacement replays,
 // so the refit the replay proposes differs from the predecessor's: it must
 // take effect only past the VT frontier the predecessor reached, and it
-// must never log a fault that a later recovery would reject. The adaptive
-// runtime row checks that a runtime proposing sampling epochs (a budget of
-// one span a second asks for a sparser modulus in any poll window with a
-// delivery) leaves the scheduler's refit on.
+// must never log a fault that a later recovery would reject.
 func TestCalibratedComponentRecoversExactly(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []tart.ClusterOption
-	}{
-		{"scheduler refit", nil},
-		{"adaptive runtime", []tart.ClusterOption{tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: 5 * time.Millisecond, SpansPerSec: 1})}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			spinSlow.Store(false)
-			defer spinSlow.Store(false)
-			app := tart.NewApp()
-			app.Register("worker", &spinRelay{}, tart.WithLinearCost(func(any) tart.Features { return tart.Features{1} }, []float64{1}, time.Microsecond),
-				tart.WithCalibration(5))
-			app.SourceInto("in", "worker", "in")
-			app.SinkFrom("out", "worker", "out")
-			app.PlaceAll("main")
+	t.Run("scheduler refit", func(t *testing.T) {
+		spinSlow.Store(false)
+		defer spinSlow.Store(false)
+		app := tart.NewApp()
+		app.Register("worker", &spinRelay{}, tart.WithLinearCost(func(any) tart.Features { return tart.Features{1} }, []float64{1}, time.Microsecond),
+			tart.WithCalibration(5))
+		app.SourceInto("in", "worker", "in")
+		app.SinkFrom("out", "worker", "out")
+		app.PlaceAll("main")
 
-			opts := append([]tart.ClusterOption{tart.WithManualClock(func() tart.VirtualTime { return 0 })}, tc.opts...)
-			cluster, err := tart.Launch(app, opts...)
-			if err != nil {
+		cluster, err := tart.Launch(app, tart.WithManualClock(func() tart.VirtualTime { return 0 }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Stop()
+		out := newOutputs()
+		if err := cluster.Sink("out", out.fn); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cluster.Checkpoint("main"); err != nil {
+			t.Fatal(err)
+		}
+		src, _ := cluster.Source("in")
+		const n = 40
+		for i := 1; i <= n; i++ {
+			if err := src.EmitAt(tart.VirtualTime(i*1_000_000), i); err != nil {
 				t.Fatal(err)
 			}
-			defer cluster.Stop()
-			out := newOutputs()
-			if err := cluster.Sink("out", out.fn); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cluster.Checkpoint("main"); err != nil {
-				t.Fatal(err)
-			}
-			src, _ := cluster.Source("in")
-			const n = 40
-			for i := 1; i <= n; i++ {
-				if err := src.EmitAt(tart.VirtualTime(i*1_000_000), i); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := out.await(t, n)
-			if m, _ := cluster.Metrics("main"); m.DeterminismFaults == 0 {
-				t.Fatal("no determinism fault committed despite a wildly wrong estimator")
-			}
+		}
+		want := out.await(t, n)
+		if m, _ := cluster.Metrics("main"); m.DeterminismFaults == 0 {
+			t.Fatal("no determinism fault committed despite a wildly wrong estimator")
+		}
 
-			spinSlow.Store(true)
-			for round := 1; round <= 2; round++ {
-				if err := cluster.Fail("main"); err != nil {
-					t.Fatal(err)
-				}
-				replay := newOutputs()
-				if err := cluster.Sink("out", replay.fn); err != nil {
-					t.Fatal(err)
-				}
-				if err := cluster.Recover("main"); err != nil {
-					t.Fatalf("recovery %d: %v", round, err)
-				}
-				got := replay.await(t, n)
-				for i := range n {
-					if got[i].Seq != want[i].Seq || got[i].VT != want[i].VT || got[i].Payload != want[i].Payload {
-						t.Fatalf("recovery %d: replayed output %d = %+v, want %+v", round, i, got[i], want[i])
-					}
+		spinSlow.Store(true)
+		for round := 1; round <= 2; round++ {
+			if err := cluster.Fail("main"); err != nil {
+				t.Fatal(err)
+			}
+			replay := newOutputs()
+			if err := cluster.Sink("out", replay.fn); err != nil {
+				t.Fatal(err)
+			}
+			if err := cluster.Recover("main"); err != nil {
+				t.Fatalf("recovery %d: %v", round, err)
+			}
+			got := replay.await(t, n)
+			for i := range n {
+				if got[i].Seq != want[i].Seq || got[i].VT != want[i].VT || got[i].Payload != want[i].Payload {
+					t.Fatalf("recovery %d: replayed output %d = %+v, want %+v", round, i, got[i], want[i])
 				}
 			}
-			if tc.opts != nil && len(cluster.AdaptStatus().Decisions) == 0 {
-				t.Error("the adaptive runtime proposed no sampling epoch")
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSourceHandleSurvivesFailover verifies the user-held Source facade

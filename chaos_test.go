@@ -73,32 +73,17 @@ func TestChaosOracleMultiSeed(t *testing.T) {
 	}
 }
 
-// TestChaosOracleAdaptiveRuntime reruns the chaos soak with the adaptive
-// runtime enabled on every engine. Its span budget is small enough that
-// the sampling modulus follows the workload's bursts, so epochs commit
-// throughout the crash–restart chaos. Sampling changes which origins are
-// traced, never what the application computes: every chaotic adaptive tape
+// TestChaosOracleTraced reruns the chaos soak with span tracing on every
+// engine, one origin in two sampled. Sampling changes which origins are
+// traced, never what the application computes: every chaotic traced tape
 // must stay byte-identical to the plain clean reference, across
-// supervisor-driven failovers whose recovered incarnations count
-// deliveries from zero.
-func TestChaosOracleAdaptiveRuntime(t *testing.T) {
+// supervisor-driven failovers whose recovered incarnations re-stamp each
+// replayed input's trace mark from its logged origin.
+func TestChaosOracleTraced(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-seed adaptive chaos soak")
+		t.Skip("multi-seed traced chaos soak")
 	}
 	const rounds = 12
-	adaptive := func() []tart.ClusterOption {
-		return []tart.ClusterOption{tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{
-			PollEvery: 25 * time.Millisecond,
-			// Small VT quantum so decision epochs land inside the
-			// workload's 1..13ms virtual span and actually apply.
-			Quantum: 1_000_000,
-			// A round's four deliveries in one 25ms poll are 160/s; at
-			// three spans each, the budget asks for up to 1/32 there and
-			// 1/1 between rounds.
-			SpansPerSec: 20,
-		})}
-	}
-
 	clean, err := chaos.Run(chaos.RunOptions{Rounds: rounds})
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
@@ -110,7 +95,7 @@ func TestChaosOracleAdaptiveRuntime(t *testing.T) {
 			res, err := chaos.Run(chaos.RunOptions{
 				Rounds:       rounds,
 				RoundEvery:   200 * time.Millisecond,
-				ExtraOptions: adaptive(),
+				ExtraOptions: []tart.ClusterOption{tart.WithSpanTracing(2)},
 				Chaos: &chaos.Config{
 					Seed:            seed,
 					Crashes:         2,
@@ -123,17 +108,17 @@ func TestChaosOracleAdaptiveRuntime(t *testing.T) {
 				},
 			})
 			if err != nil {
-				t.Fatalf("adaptive chaotic run (events so far %+v): %v", eventsOf(res), err)
+				t.Fatalf("traced chaotic run (events so far %+v): %v", eventsOf(res), err)
 			}
 			if d := chaos.Diff(clean.Tape, res.Tape); d != "" {
-				t.Errorf("adaptive oracle violated:\n%s\nevents: %+v", d, res.Events)
+				t.Errorf("traced oracle violated:\n%s\nevents: %+v", d, res.Events)
 			}
 			if res.Supervised < 1 {
 				t.Errorf("no supervisor-driven failover completed; events: %+v, status: %+v",
 					res.Events, res.Status)
 			}
-			if len(res.SampleEpochs) < 2 {
-				t.Errorf("no sampling epoch committed: %v", res.SampleEpochs)
+			if res.Spans == 0 {
+				t.Error("span tracing on, but no engine's collector holds a span")
 			}
 		})
 	}

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/inspect"
@@ -49,7 +48,6 @@ type clusterConfig struct {
 	netem              *transport.Netem
 	walInject          *wal.Injector
 	supervisor         *SupervisorConfig
-	adaptRuntime       *AdaptiveRuntime
 	timetravel         *TimeTravel
 	durableDir         string
 	hostSet            map[string]bool
@@ -131,7 +129,7 @@ func WithManualClock(clock func() VirtualTime) ClusterOption {
 
 // WithDebugHTTP has the cluster bind a debug HTTP listener per engine
 // incarnation serving /metrics (Prometheus text), /healthz, /trace?last=N,
-// /spans, /topology, /supervisor, /adapt and /rewind; addrs maps
+// /spans, /topology, /supervisor and /rewind; addrs maps
 // engine names to listen addresses ("127.0.0.1:0" binds an ephemeral port,
 // discover it with Cluster.DebugAddr). Engines absent from the map get no
 // listener. Off by default.
@@ -233,23 +231,16 @@ type Cluster struct {
 	sup     *supervisor
 	closed  bool
 
-	// The control plane (see control.go): the loops started by every, the
-	// registry of their metric families and the adaptive span-sampling
-	// schedule.
-	ctl      *controlMetrics
-	bg       sync.WaitGroup
-	bgStop   chan struct{}
-	schedule *span.Schedule
+	// The control plane (see control.go): the supervisor loop's stop signal
+	// and wait group, and the registry of its metric families.
+	ctl    *controlMetrics
+	bg     sync.WaitGroup
+	bgStop chan struct{}
 
 	// Time travel (see timetravel.go): the rewind-point archive and the
 	// sandboxed replay inspector built over it.
 	arch *inspect.Archive
 	insp *inspect.Inspector
-
-	// Adaptive runtime (see observability.go): the sampling controller and
-	// its serialization (the loop, /adapt, and tartctl all read it).
-	adaptCtl *adapt.Controller
-	adaptMu  sync.Mutex
 }
 
 type engineSlot struct {
@@ -317,9 +308,6 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 	if reopen && cfg.durableDir == "" {
 		return nil, errors.New("tart: Reopen requires WithDurableStore")
 	}
-	if cfg.adaptRuntime != nil && !(cfg.adaptRuntime.SpansPerSec > 0) {
-		return nil, errors.New("tart: WithAdaptiveRuntime requires a positive SpansPerSec budget")
-	}
 	if cfg.hostSet != nil {
 		known := make(map[string]bool)
 		for _, e := range tp.Engines() {
@@ -353,11 +341,7 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 		peers:   peersOf(tp),
 		bgStop:  make(chan struct{}),
 	}
-	if cfg.adaptRuntime != nil {
-		c.schedule = span.NewSchedule(cfg.spanSample)
-		c.adaptCtl = adapt.New(cfg.adaptRuntime.controllerConfig(), c.schedule.Current().N)
-	}
-	c.ctl = newControlMetrics(c.schedule)
+	c.ctl = &controlMetrics{reg: trace.NewRegistry()}
 	if cfg.supervisor != nil {
 		// Created before the engines so their debug surfaces (/supervisor,
 		// appended /metrics families) can reference it; started after.
@@ -420,11 +404,6 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 		}
 		if cfg.spansOn {
 			slot.spans = span.NewCollector(name, 0, cfg.spanSample)
-			if c.schedule != nil {
-				// One shared epoch schedule: every engine's sources stamp
-				// sampling decisions from the same append-only rate history.
-				slot.spans.SetSchedule(c.schedule)
-			}
 		}
 		slot.log, err = c.newLog(name)
 		if err != nil {
@@ -992,6 +971,13 @@ func (c *Cluster) Crash(engineName string) error {
 	return nil
 }
 
+// frontierOf is an engine's virtual-time frontier. Component scheduler
+// clocks are included because manual-clock deployments keep the engine
+// clock pinned while schedulers advance with processed messages.
+func frontierOf(eng *engine.Engine) vt.Time {
+	return max(eng.NowVT(), eng.MaxComponentClock())
+}
+
 // Recover activates the named engine's passive replica: a replacement
 // engine restores every component from the latest checkpoint, replays the
 // stable input log's suffix, reconnects to its peers (which re-drives
@@ -1240,12 +1226,11 @@ func (c *Cluster) DumpFlightRecorders(dir string) error {
 type slotView struct {
 	slot *engineSlot
 	*incarnation
-	failed  bool
-	reached vt.Time
+	failed bool
 }
 
 func viewOf(s *engineSlot) slotView {
-	return slotView{slot: s, incarnation: s.incarnation, failed: s.failed, reached: s.reached}
+	return slotView{slot: s, incarnation: s.incarnation, failed: s.failed}
 }
 
 // slot looks up one hosted engine.
@@ -1268,18 +1253,6 @@ func (c *Cluster) slots() []slotView {
 		views = append(views, viewOf(s))
 	}
 	return views
-}
-
-// liveSlots is slots without the failed ones.
-func (c *Cluster) liveSlots() []slotView {
-	views := c.slots()
-	live := views[:0]
-	for _, v := range views {
-		if !v.failed {
-			live = append(live, v)
-		}
-	}
-	return live
 }
 
 // liveEngine is slot for an engine that must be running: while the slot is

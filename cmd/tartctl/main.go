@@ -9,7 +9,6 @@
 //	tartctl trace -file f.json   causal chains from a flight-recorder dump
 //	tartctl trace -addr H:P -origin w0#3   one input's chain from a live engine
 //	tartctl timeline -addr H:P   per-origin critical-path table from /spans
-//	tartctl adapt -addr H:P      adaptive-runtime sampling decisions from /adapt
 //	tartctl timeline -file s.json -origin w0#3 -chrome t.json   span tree + Perfetto export
 //	tartctl rewind -addr H:P -component c -vt T       reconstruct c's state at virtual time T
 //	tartctl rewind -addr H:P -component c -diff T1,T2 diff c's state between two virtual times
@@ -70,13 +69,6 @@ func main() {
 		chrome := fs.String("chrome", "", "also write Chrome trace_event JSON to this file (Perfetto-loadable)")
 		_ = fs.Parse(os.Args[2:])
 		err = timelineCmd(*file, *addr, *origin, *chrome)
-	case "adapt":
-		fs := flag.NewFlagSet("adapt", flag.ExitOnError)
-		addr := fs.String("addr", "", "engine debug HTTP address (host:port)")
-		last := fs.Int("last", 16, "print the last N adaptive decisions")
-		asJSON := fs.Bool("json", false, "print the raw /adapt JSON instead of the decision list")
-		_ = fs.Parse(os.Args[2:])
-		err = adaptCmd(*addr, *last, *asJSON)
 	case "rewind":
 		fs := flag.NewFlagSet("rewind", flag.ExitOnError)
 		addr := fs.String("addr", "", "engine debug HTTP address (host:port)")
@@ -102,7 +94,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: tartctl <topo|wal|demo|status|trace|timeline|adapt|rewind|bisect> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: tartctl <topo|wal|demo|status|trace|timeline|rewind|bisect> [flags]")
 }
 
 func fig1Topology() (*topo.Topology, error) {

@@ -7,18 +7,16 @@
 //	tartload -scenario diurnal -rate 800 -duration 30s -users 1e6
 //	tartload -scenario constant -rate 500 -slo 'p99<20ms,p999<100ms'
 //	tartload -scenario slowconsumer -chaos 7         crash an engine every 5s
-//	tartload -scenario burst -adaptive-budget 2000   adaptive runtime with a span budget
 //	tartload -scenario hotkey -otlp http://localhost:4318/v1/traces
 //	tartload -list                                   describe the scenarios
 //
-// -adaptive-budget turns the adaptive runtime on with that span budget: one
-// controller steers the span-sampling modulus, and the run exits 1 if any
-// decision lands off its VT epoch grid. The SLO tracker and the OTLP
-// exporter are the harness's own: it measures end-to-end latency at the
-// sink and ships what the cluster's Spans hold.
+// -spans sets the span head-sampling modulus, the one sampling rule: an
+// origin is traced when hash(origin) % N == 0. The SLO tracker and the
+// OTLP exporter are the harness's own: it measures end-to-end latency at
+// the sink and ships what the cluster's Spans hold.
 //
 // With TART_ARTIFACT_DIR set, the full machine-readable result (report,
-// failovers, recovery tax, sampling epochs) is written there as
+// failovers, recovery tax, OTLP counts) is written there as
 // tartload-<scenario>.json.
 package main
 
@@ -50,8 +48,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "arrival/skew RNG seed")
 		sloSpec  = flag.String("slo", "p50<5ms,p99<50ms,p999<250ms", "latency objectives")
 		budget   = flag.String("budget", "", "error-budget policy: threshold,percent,window (e.g. 50ms,1%,10s)")
-		spans    = flag.Int("spans", 0, "static span head-sampling modulus (0: default 1/64)")
-		adaptive = flag.Float64("adaptive-budget", 0, "span budget of the adaptive runtime, spans/sec (0: off); -spans only seeds the modulus; exit 1 if any decision lands off its VT epoch grid")
+		spans    = flag.Int("spans", 0, "span head-sampling modulus: one traced origin in N (0: default 1/64)")
 		otlpURL  = flag.String("otlp", "", "export spans OTLP/HTTP to this URL")
 		chaos    = flag.Uint64("chaos", 0, "chaos seed: crash engines under a failover supervisor (0: off)")
 		chaosGap = flag.Duration("chaos-every", 5*time.Second, "crash cadence with -chaos")
@@ -70,14 +67,14 @@ func main() {
 		return
 	}
 	if err := run(*scenario, *rate, *duration, *users, *engines, *seed, *sloSpec, *budget,
-		*spans, *adaptive, *otlpURL, *chaos, *chaosGap, *tcp, *basePort, *debug, *quiet); err != nil {
+		*spans, *otlpURL, *chaos, *chaosGap, *tcp, *basePort, *debug, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "tartload:", err)
 		os.Exit(1)
 	}
 }
 
 func run(scenario string, rate float64, duration time.Duration, usersStr string, engines int,
-	seed uint64, sloSpec, budgetSpec string, spans int, adaptive float64, otlpURL string,
+	seed uint64, sloSpec, budgetSpec string, spans int, otlpURL string,
 	chaos uint64, chaosGap time.Duration, tcp bool, basePort int, debug, quiet bool) error {
 
 	sc, err := load.Lookup(scenario)
@@ -98,22 +95,21 @@ func run(scenario string, rate float64, duration time.Duration, usersStr string,
 	}
 
 	opts := load.Options{
-		Scenario:       sc,
-		Rate:           rate,
-		Duration:       duration,
-		Users:          users,
-		Engines:        engines,
-		Seed:           seed,
-		Objectives:     objectives,
-		Budget:         policy,
-		SpanSampleN:    spans,
-		AdaptiveBudget: adaptive,
-		OTLPURL:        otlpURL,
-		ChaosSeed:      chaos,
-		ChaosEvery:     chaosGap,
-		TCP:            tcp,
-		BasePort:       basePort,
-		Debug:          debug,
+		Scenario:    sc,
+		Rate:        rate,
+		Duration:    duration,
+		Users:       users,
+		Engines:     engines,
+		Seed:        seed,
+		Objectives:  objectives,
+		Budget:      policy,
+		SpanSampleN: spans,
+		OTLPURL:     otlpURL,
+		ChaosSeed:   chaos,
+		ChaosEvery:  chaosGap,
+		TCP:         tcp,
+		BasePort:    basePort,
+		Debug:       debug,
 	}
 	// SIGTERM/SIGINT mid-run: persist the flight recorders before dying, so
 	// an operator (or CI timeout) killing the harness still gets the last
@@ -157,39 +153,9 @@ func run(scenario string, rate float64, duration time.Duration, usersStr string,
 			fmt.Fprintln(os.Stderr, "tartload: artifact:", err)
 		}
 	}
-	if adaptive > 0 {
-		if err := validateAdaptDecisions(res); err != nil {
-			return err
-		}
-	}
 	if !res.Report.OK {
 		return fmt.Errorf("SLO violated")
 	}
-	return nil
-}
-
-// validateAdaptDecisions enforces the adaptive runtime's determinism
-// contract on the finished run: every decision the controller took must be
-// pinned to a strictly-positive boundary on the configured VT epoch grid.
-// An off-grid decision would not re-derive identically under replay, so it
-// fails the run (exit 1).
-func validateAdaptDecisions(res *load.Result) error {
-	q := res.AdaptQuantum
-	if q <= 0 {
-		return fmt.Errorf("adapt: result carries no epoch quantum")
-	}
-	bad := 0
-	for _, d := range res.AdaptDecisions {
-		if d.EffectiveVT <= 0 || int64(d.EffectiveVT)%q != 0 {
-			fmt.Fprintf(os.Stderr, "tartload: OFF-GRID decision: %s (vt %d %% %d = %d)\n",
-				d, int64(d.EffectiveVT), q, int64(d.EffectiveVT)%q)
-			bad++
-		}
-	}
-	if bad > 0 {
-		return fmt.Errorf("adapt: %d of %d decisions off the %dns epoch grid", bad, len(res.AdaptDecisions), q)
-	}
-	fmt.Printf("adapt: %d decisions, all on the %dns epoch grid\n", len(res.AdaptDecisions), q)
 	return nil
 }
 
@@ -226,18 +192,6 @@ func printResult(res *load.Result) {
 		}
 		if len(res.RecoveryTax) == 0 {
 			fmt.Println("  (no replayed spans sampled)")
-		}
-	}
-	if len(res.SampleEpochs) > 0 {
-		fmt.Printf("\nadaptive sampling epochs (%d):\n", len(res.SampleEpochs))
-		for _, ep := range res.SampleEpochs {
-			fmt.Printf("  from vt=%-14d 1/%d\n", int64(ep.Start), ep.N)
-		}
-	}
-	if len(res.AdaptDecisions) > 0 {
-		fmt.Printf("\nadaptive-runtime decisions (%d):\n", len(res.AdaptDecisions))
-		for _, d := range res.AdaptDecisions {
-			fmt.Printf("  %s\n", d)
 		}
 	}
 	if res.OTLP.Enqueued > 0 || res.OTLP.Errors > 0 {

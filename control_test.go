@@ -11,13 +11,12 @@ import (
 	tart "repro"
 )
 
-// controlPlaneOptions turns on every control-plane loop: the supervisor
-// and the adaptive runtime with a span budget.
+// controlPlaneOptions turns on the control-plane loop, the supervisor,
+// and span tracing of every origin.
 func controlPlaneOptions() []tart.ClusterOption {
 	return []tart.ClusterOption{
 		tart.WithSpanTracing(1),
 		tart.WithSupervisor(tart.SupervisorConfig{SuspectAfter: time.Hour, PollEvery: 5 * time.Millisecond}),
-		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: 5 * time.Millisecond, SpansPerSec: 1e6}),
 	}
 }
 
@@ -58,8 +57,8 @@ func requireControlPlaneGone(t *testing.T, when string) {
 	}
 }
 
-// TestStopStopsControlPlane launches with every control-plane loop on and
-// checks that Stop ends all of them, leaves every span readable, and is a
+// TestStopStopsControlPlane launches with the control-plane loop on and
+// checks that Stop ends it, leaves every span readable, and is a
 // no-op when repeated — and that a Launch that fails halfway leaves no loop
 // behind either.
 func TestStopStopsControlPlane(t *testing.T) {
@@ -103,14 +102,6 @@ func TestStopStopsControlPlane(t *testing.T) {
 		t.Fatal("no spans retained after Stop")
 	}
 	cluster.Stop() // a second Stop is a no-op
-
-	// An adaptive runtime without a span budget would poll and never
-	// propose: Launch refuses it.
-	if c, err := tart.Launch(app, tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{})); err == nil {
-		c.Stop()
-		t.Fatal("WithAdaptiveRuntime without SpansPerSec launched")
-	}
-	requireControlPlaneGone(t, "after a Launch without a span budget")
 
 	// A Launch that fails after starting one engine stops it again itself
 	// and never starts the control plane. The squatter on the second

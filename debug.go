@@ -17,8 +17,8 @@ import (
 
 // debugServer is one engine incarnation's ops surface (WithDebugHTTP): live
 // metrics, health, the flight recorder, spans, the topology and the
-// cluster's supervisor, adaptive-runtime and time-travel state, for
-// operators and tooling (tartctl status). Nothing in the data path uses it.
+// cluster's supervisor and time-travel state, for operators and tooling
+// (tartctl status). Nothing in the data path uses it.
 type debugServer struct {
 	ln   net.Listener
 	srv  *http.Server
@@ -41,10 +41,7 @@ func (c *Cluster) serveDebug(addr string, slot *engineSlot, in *incarnation) (*d
 	mux.HandleFunc("/trace", h.trace)
 	mux.HandleFunc("/spans", h.spans)
 	mux.HandleFunc("/topology", h.topology)
-	mux.HandleFunc("/supervisor", statusHandler(c.sup != nil, "no failover supervisor (enable with WithSupervisor)",
-		func() any { return c.sup.status() }))
-	mux.HandleFunc("/adapt", statusHandler(c.adaptCtl != nil, "no adaptive runtime attached (enable with WithAdaptiveRuntime)",
-		func() any { return c.AdaptStatus() }))
+	mux.HandleFunc("/supervisor", h.supervisor)
 	mux.HandleFunc("/rewind", h.rewind)
 	if c.cfg.pprofOn {
 		// Off by default: pprof endpoints can stop the world (heap dumps,
@@ -94,20 +91,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// statusHandler serves a cluster component's status as JSON, or 404 with
-// off's text when the cluster runs without it (on false).
-func statusHandler(on bool, off string, read func() any) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !on {
-			http.Error(w, off, http.StatusNotFound)
-			return
-		}
-		writeJSON(w, read())
+// supervisor serves the failover supervisor's status as JSON; 404 when
+// the cluster runs without one.
+func (h debugHandlers) supervisor(w http.ResponseWriter, r *http.Request) {
+	if h.c.sup == nil {
+		http.Error(w, "no failover supervisor (enable with WithSupervisor)", http.StatusNotFound)
+		return
 	}
+	writeJSON(w, h.c.sup.status())
 }
 
 // metrics serves the incarnation's registry as Prometheus text, followed
-// by the cluster-level families (supervisor, adaptive sampling) under
+// by the cluster-level families (the supervisor's) under
 // their own names, so the exposition stays well-formed.
 func (h debugHandlers) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -58,7 +58,7 @@ type RunOptions struct {
 	// Timeout bounds the whole run (default 60s).
 	Timeout time.Duration
 	// ExtraOptions appends cluster options to the standard set — e.g.
-	// WithAdaptiveRuntime for the adaptive chaos soak. Options that change
+	// WithSpanTracing for the traced chaos soak. Options that change
 	// virtual-time stamps would break the oracle.
 	ExtraOptions []tart.ClusterOption
 }
@@ -72,9 +72,9 @@ type Result struct {
 	Status     tart.SupervisorStatus // full supervisor history
 	WALFaults  uint64                // injected disk faults that fired
 	NetStats   tart.NetworkChaosStats
-	// SampleEpochs is the adaptive-sampling rate history (nil without
-	// WithAdaptiveRuntime among ExtraOptions).
-	SampleEpochs []tart.SampleRateEpoch
+	// Spans counts the spans every engine's collector holds at the end
+	// (zero without WithSpanTracing among ExtraOptions).
+	Spans int
 }
 
 // Engines and links of the standard workload topology.
@@ -265,7 +265,10 @@ func Run(opts RunOptions) (*Result, error) {
 		res.Events = ctrl.Events()
 	}
 	res.Status = cluster.SupervisorStatus()
-	res.SampleEpochs = cluster.SampleEpochs()
+	for _, e := range cluster.Engines() {
+		spans, _ := cluster.Spans(e)
+		res.Spans += len(spans)
+	}
 	for _, f := range res.Status.Failovers {
 		if f.Err == "" {
 			res.Supervised++

@@ -480,9 +480,8 @@ func (e *Engine) Alive() bool {
 }
 
 // NowVT reads the engine's source clock: the virtual time a real-time
-// source would stamp on an input emitted now. The adaptive span-sampling
-// controller proposes epoch boundaries relative to the max of the live
-// engines' clocks.
+// source would stamp on an input emitted now. Recover reads a dead
+// incarnation's frontier from it (the cluster's replay horizon).
 func (e *Engine) NowVT() vt.Time { return e.clock() }
 
 // Stop shuts the engine down gracefully (schedulers drained of their

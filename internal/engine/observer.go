@@ -56,7 +56,7 @@ type Observer interface {
 	Emitted(src any, env msg.Envelope)
 	SourceSilence(src any, promise vt.Time)
 	LogReplayed(src any, seq uint64)
-	// TraceMark is the span-sampling decision an input emitted at VT at
+	// TraceMark is the span-sampling decision an input from origin
 	// carries: msg.TraceSampled, msg.TraceUnsampled, or zero (undecided).
-	TraceMark(origin msg.OriginID, at vt.Time) int8
+	TraceMark(origin msg.OriginID) int8
 }

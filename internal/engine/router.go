@@ -192,7 +192,7 @@ func (e *Engine) repairGaps() {
 							env := msg.NewData(wid, r.Seq, r.VT, r.Payload)
 							env.Origin = msg.NewOrigin(wid, r.Seq)
 							if e.obs != nil {
-								env.Trace = e.obs.TraceMark(env.Origin, r.VT)
+								env.Trace = e.obs.TraceMark(env.Origin)
 							}
 							src.target.sch.Deliver(env)
 						}

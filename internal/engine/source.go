@@ -99,7 +99,7 @@ func (s *Source) emitLocked(t vt.Time, payload any) error {
 	env := msg.NewData(s.wire.ID, seq, t, payload)
 	env.Origin = msg.NewOrigin(s.wire.ID, seq)
 	if s.e.obs != nil {
-		env.Trace = s.e.obs.TraceMark(env.Origin, t)
+		env.Trace = s.e.obs.TraceMark(env.Origin)
 		s.e.obs.Emitted(s.obs, env)
 	}
 	s.target.sch.Deliver(env)
@@ -167,11 +167,11 @@ func (s *Source) restoreCursor(fromSeq uint64, lastVT vt.Time) error {
 	for _, r := range recs {
 		env := msg.NewData(s.wire.ID, r.Seq, r.VT, r.Payload)
 		env.Origin = msg.NewOrigin(s.wire.ID, r.Seq)
-		// Re-stamp the sampling decision from the logged (origin, VT) pair;
-		// the append-only schedule yields the same answer the original
-		// emission stamped, so replayed envelopes stay consistently traced.
+		// Re-stamp the sampling decision from the logged origin: the same
+		// answer the original emission stamped, so replayed envelopes stay
+		// consistently traced.
 		if s.e.obs != nil {
-			env.Trace = s.e.obs.TraceMark(env.Origin, r.VT)
+			env.Trace = s.e.obs.TraceMark(env.Origin)
 		}
 		s.target.sch.Deliver(env)
 	}

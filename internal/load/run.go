@@ -29,11 +29,6 @@ type Req struct {
 // and wire frames, never renumber.
 const reqPayloadID = tart.FirstUserPayloadID
 
-// AdaptQuantumVT is the VT epoch quantum (1ms of virtual time) the adaptive
-// runtime quantizes decision boundaries to; the harness validates every
-// decision against this grid after the run.
-const AdaptQuantumVT = 1_000_000
-
 var registerOnce sync.Once
 
 func registerReq() {
@@ -119,11 +114,6 @@ type Options struct {
 	Budget *slo.BudgetPolicy
 	// SpanSampleN is the static head-sampling modulus (<=0: default 1/64).
 	SpanSampleN int
-	// AdaptiveBudget, when > 0, turns the adaptive runtime on with this
-	// span budget: the sampling modulus follows the delivery rate to keep
-	// this many spans/sec, with decisions quantized to AdaptQuantumVT
-	// boundaries.
-	AdaptiveBudget float64
 	// OTLPURL, when non-empty, exports spans OTLP/HTTP to this endpoint.
 	OTLPURL string
 	// ChaosSeed, when non-zero, crashes a random engine every ChaosEvery
@@ -190,12 +180,6 @@ type Result struct {
 	// origins. Zero-length map when no failover happened.
 	RecoveryTax   map[string]time.Duration `json:"recoveryTax,omitempty"`
 	ReplayedSpans int                      `json:"replayedSpans,omitempty"`
-	// SampleEpochs is the adaptive-sampling rate history (adaptive runs).
-	SampleEpochs []tart.SampleRateEpoch `json:"sampleEpochs,omitempty"`
-	// AdaptDecisions is the controller's decision log (adaptive runs);
-	// every EffectiveVT must sit on the AdaptQuantum grid.
-	AdaptDecisions []tart.AdaptDecision `json:"adaptDecisions,omitempty"`
-	AdaptQuantum   int64                `json:"adaptQuantum,omitempty"`
 	// OTLP counts the span exporter's activity (zero without OTLPURL).
 	OTLP       otlp.Stats        `json:"otlp"`
 	DebugAddrs map[string]string `json:"debugAddrs,omitempty"`
@@ -283,13 +267,6 @@ func Run(opts Options) (*Result, error) {
 	copts := []tart.ClusterOption{
 		tart.WithFlightRecorder(""),
 		tart.WithSpanTracing(opts.SpanSampleN),
-	}
-	if opts.AdaptiveBudget > 0 {
-		copts = append(copts, tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{
-			PollEvery:   200 * time.Millisecond,
-			Quantum:     AdaptQuantumVT,
-			SpansPerSec: opts.AdaptiveBudget,
-		}))
 	}
 	if opts.ChaosSeed != 0 {
 		copts = append(copts, tart.WithSupervisor(tart.SupervisorConfig{}))
@@ -459,11 +436,6 @@ func Run(opts Options) (*Result, error) {
 
 	if st := cluster.SupervisorStatus(); st.Enabled {
 		res.Failovers = st.Failovers
-	}
-	res.SampleEpochs = cluster.SampleEpochs()
-	if opts.AdaptiveBudget > 0 {
-		res.AdaptDecisions = cluster.AdaptStatus().Decisions
-		res.AdaptQuantum = AdaptQuantumVT
 	}
 	if opts.Debug {
 		res.DebugAddrs = make(map[string]string)

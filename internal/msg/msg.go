@@ -182,13 +182,12 @@ type Envelope struct {
 	// stamped at the source and inherited by every derived envelope:
 	// TraceSampled marks a traced origin, TraceUnsampled an untraced one,
 	// and zero means "undecided" — consumers fall back to the static
-	// hash(origin) rule. Carrying the decision in the envelope is what
-	// makes adaptive sampling safe: the rate in force at the origin's
-	// emission VT travels with its whole causal tree, so a mid-journey
-	// rate change can never half-trace an origin. Re-stamping sites
-	// (WAL re-injection, gap repair) recompute the decision from the
-	// logged (origin, VT) pair against the same append-only rate
-	// schedule, so replayed envelopes carry the identical decision.
+	// hash(origin) rule. Carrying the decision in the envelope lets every
+	// hop and transport read the source's decision without sharing its
+	// collector, so an origin's whole causal tree is traced or none of it.
+	// Re-stamping sites (WAL re-injection, gap repair) recompute the
+	// decision from the logged origin, so replayed envelopes carry the
+	// identical decision.
 	Trace int8
 }
 

@@ -62,11 +62,6 @@ const (
 	EvPeerUp
 	// EvPeerDown marks an inter-engine connection lost.
 	EvPeerDown
-	// EvAdaptDecision is one committed adaptive-runtime decision: a
-	// span-sampling modulus switch. VT is the quantized strictly-future
-	// epoch boundary the decision takes effect at, and Note carries the
-	// old and new 1/N moduli and the burn and traffic that motivated it.
-	EvAdaptDecision
 )
 
 var eventKindNames = [...]string{
@@ -87,7 +82,6 @@ var eventKindNames = [...]string{
 	EvSourceEmit:         "source-emit",
 	EvPeerUp:             "peer-up",
 	EvPeerDown:           "peer-down",
-	EvAdaptDecision:      "adapt-decision",
 }
 
 // String renders the kind name.

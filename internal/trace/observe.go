@@ -336,8 +336,8 @@ func (m *Metrics) LogReplayed(src any, seq uint64) {
 }
 
 // TraceMark is the span collector's decision (zero without one).
-func (m *Metrics) TraceMark(origin msg.OriginID, at vt.Time) int8 {
-	return m.spans.DecideAt(origin, at)
+func (m *Metrics) TraceMark(origin msg.OriginID) int8 {
+	return m.spans.DecideAt(origin)
 }
 
 // socketObs is the transport's handles, resolved with the registry so a

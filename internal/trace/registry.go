@@ -464,9 +464,6 @@ const (
 	MetricSilenceCoalesce = "tart_silences_coalesced_total"
 	MetricCriticalPath    = "tart_critical_path_seconds"
 	MetricFencedHellos    = "tart_fenced_hellos_total"
-	// Adaptive span-sampling families (cluster controller, per-engine scrape).
-	MetricSampleN      = "tart_span_sample_n"
-	MetricSampleEpochs = "tart_span_sample_epochs_total"
 	// Supervisor-owned families (cluster failover supervisor, not per-engine).
 	MetricSuspicions    = "tart_supervisor_suspicions_total"
 	MetricSupFailovers  = "tart_supervisor_failovers_total"

@@ -178,9 +178,6 @@ const DefaultCollectorCapacity = 16384
 type Collector struct {
 	engine  string
 	sampleN uint64
-	// schedule, when set, replaces the static sampleN with VT-quantized
-	// rate epochs (see adaptive.go). Set before traffic flows.
-	schedule *Schedule
 
 	mu    sync.Mutex
 	buf   []Span
@@ -229,6 +226,42 @@ func (c *Collector) Sampled(o msg.OriginID) bool {
 	}
 	return originHash(uint64(o))%c.sampleN == 0
 }
+
+// DecideAt computes an origin's head-sampling decision as an envelope
+// mark: msg.TraceSampled or msg.TraceUnsampled. A nil collector or a zero
+// origin yields zero ("undecided"), which consumers resolve with the
+// static fallback. Sources call this once per external input and stamp the
+// result into the envelope, so downstream hops and transports read the
+// source's decision instead of re-deriving it; replay recomputes the
+// identical mark from the logged origin.
+func (c *Collector) DecideAt(o msg.OriginID) int8 {
+	if c == nil || o == 0 {
+		return 0
+	}
+	if c.Sampled(o) {
+		return msg.TraceSampled
+	}
+	return msg.TraceUnsampled
+}
+
+// Decided resolves an envelope's carried trace mark against this
+// collector: an explicit mark wins; an undecided (zero) mark falls back to
+// the static Sampled rule so hand-built envelopes and pre-upgrade traffic
+// keep their old behaviour. A nil collector samples nothing.
+func (c *Collector) Decided(mark int8, o msg.OriginID) bool {
+	if c == nil {
+		return false
+	}
+	if mark != 0 {
+		return mark > 0
+	}
+	return c.Sampled(o)
+}
+
+// OriginHash exposes the sampling hash (splitmix64 finalizer) so external
+// consumers — the OTLP exporter derives 128-bit trace IDs from it — agree
+// with the sampler's view of an origin's identity.
+func OriginHash(o msg.OriginID) uint64 { return originHash(uint64(o)) }
 
 // originHash mixes an OriginID's bits (splitmix64 finalizer) so the modulo
 // samples uniformly even though sequence numbers are dense in the low bits.

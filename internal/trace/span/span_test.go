@@ -309,3 +309,66 @@ func TestPhaseJSONStableNames(t *testing.T) {
 		}
 	}
 }
+
+// TestDecideAtDeterministic verifies the no-half-tracing contract: the mark
+// a source stamps is a pure function of the origin, so a re-stamp during
+// WAL replay, or on another engine's collector with the same modulus,
+// reproduces the original decision, and resolving the mark agrees with
+// the static rule. A nil collector or a zero origin leaves it undecided.
+func TestDecideAtDeterministic(t *testing.T) {
+	var nilC *Collector
+	if nilC.DecideAt(msg.NewOrigin(3, 1)) != 0 {
+		t.Fatal("nil collector must leave the mark undecided")
+	}
+	c := NewCollector("e0", 0, 4)
+	replica := NewCollector("e1", 0, 4)
+	sampled := 0
+	for seq := uint64(1); seq <= 400; seq++ {
+		o := msg.NewOrigin(3, seq)
+		d := c.DecideAt(o)
+		if d != msg.TraceSampled && d != msg.TraceUnsampled {
+			t.Fatalf("origin %v: mark %d is neither sampled nor unsampled", o, d)
+		}
+		if got := replica.DecideAt(o); got != d {
+			t.Fatalf("origin %v: replay decided %d, original %d", o, got, d)
+		}
+		if c.Decided(d, o) != c.Sampled(o) {
+			t.Fatalf("origin %v: mark %d disagrees with Sampled", o, d)
+		}
+		if d == msg.TraceSampled {
+			sampled++
+		}
+	}
+	if sampled == 0 || sampled == 400 {
+		t.Fatalf("1/4 sampling picked %d of 400 origins", sampled)
+	}
+}
+
+func TestDecidedResolution(t *testing.T) {
+	c := NewCollector("e0", 0, 2)
+	var nilC *Collector
+	if nilC.Decided(msg.TraceSampled, msg.NewOrigin(1, 1)) {
+		t.Fatal("nil collector must sample nothing")
+	}
+	o := msg.NewOrigin(1, 1)
+	if !c.Decided(msg.TraceSampled, o) || c.Decided(msg.TraceUnsampled, o) {
+		t.Fatal("explicit marks must win")
+	}
+	// Undecided falls back to the static hash rule.
+	if c.Decided(0, o) != c.Sampled(o) {
+		t.Fatal("undecided mark must fall back to Sampled")
+	}
+	if c.DecideAt(0) != 0 {
+		t.Fatal("zero origin stays undecided")
+	}
+}
+
+func TestOriginHashMatchesSampler(t *testing.T) {
+	c := NewCollector("e0", 0, 8)
+	for seq := uint64(1); seq <= 64; seq++ {
+		o := msg.NewOrigin(2, seq)
+		if (OriginHash(o)%8 == 0) != c.Sampled(o) {
+			t.Fatalf("OriginHash disagrees with Sampled for %v", o)
+		}
+	}
+}

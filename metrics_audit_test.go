@@ -29,16 +29,15 @@ func (e *auditEcho) OnMessage(ctx *tart.Context, _ string, p any) (any, error) {
 }
 
 // TestMetricsExpositionAudit drives a cluster with every metrics-producing
-// subsystem enabled (supervisor, the adaptive runtime with a span budget, a
-// calibrated estimator) and audits the full /metrics exposition:
+// subsystem enabled (supervisor, span tracing, a calibrated estimator) and audits the full /metrics exposition:
 // the Prometheus text Content-Type, a # TYPE plus non-empty # HELP comment
 // for every family emitted — including the cluster-level families appended
 // after the engine's own — and the README type and label keys of each.
 func TestMetricsExpositionAudit(t *testing.T) {
 	app := tart.NewApp()
-	// A calibrated linear estimator plus an inter-component wire give the
-	// adaptive runtime both of its per-entity gauge families (estimator
-	// residual per component, silence strategy per wire) something to seed.
+	// A calibrated linear estimator plus an inter-component wire give both
+	// per-entity gauge families (estimator residual per component, silence
+	// strategy per wire) something to seed.
 	app.Register("echo", &auditEcho{},
 		tart.WithLinearCost(func(any) tart.Features { return tart.Features{1} },
 			[]float64{5_000}, time.Microsecond),
@@ -53,7 +52,7 @@ func TestMetricsExpositionAudit(t *testing.T) {
 		tart.WithDebugHTTP(map[string]string{"main": "127.0.0.1:0"}),
 		tart.WithFlightRecorder(""),
 		tart.WithSupervisor(tart.SupervisorConfig{SuspectAfter: time.Hour}),
-		tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{PollEvery: time.Hour, SpansPerSec: 100}),
+		tart.WithSpanTracing(1),
 	)
 	if err != nil {
 		t.Fatal(err)

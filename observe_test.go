@@ -709,70 +709,3 @@ func payloadsOf(outs []tart.Output) []string {
 	}
 	return ps
 }
-
-// TestAdaptiveSamplingSurvivesFailover holds traffic far above the span
-// budget across a Fail/Recover. Delivery counts restart with every engine
-// incarnation, so the controller must read the recovered slot's lower count
-// as a restart: taken as a negative rate, it would drop the modulus to 1/1
-// and trace every origin.
-func TestAdaptiveSamplingSurvivesFailover(t *testing.T) {
-	app := tart.NewApp()
-	app.Register("echo", &auditEcho{}, tart.WithConstantCost(time.Microsecond))
-	app.SourceInto("in", "echo", "in")
-	app.SinkFrom("out", "echo", "out")
-	app.PlaceAll("main")
-	// Half a span a second: any poll window with a delivery in it needs N > 1.
-	cluster, err := tart.Launch(app, tart.WithAdaptiveRuntime(tart.AdaptiveRuntime{
-		SpansPerSec: 0.5,
-		PollEvery:   50 * time.Millisecond,
-		Quantum:     tart.Ticks(time.Millisecond),
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Stop()
-	src, err := cluster.Source("in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitFor := func(d time.Duration) {
-		for end := time.Now().Add(d); time.Now().Before(end); {
-			for i := 0; i < 4; i++ {
-				if _, err := src.Emit(i); err != nil {
-					t.Fatal(err)
-				}
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	emitFor(400 * time.Millisecond)
-	// A fresh checkpoint keeps the replay short, so the recovered engine's
-	// count starts well below the failed one's.
-	if _, err := cluster.Checkpoint("main"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Fail("main"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Recover("main"); err != nil {
-		t.Fatal(err)
-	}
-	emitFor(400 * time.Millisecond)
-
-	epochs := cluster.SampleEpochs()
-	first := -1
-	for i, ep := range epochs {
-		if ep.N > 1 {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
-		t.Fatalf("controller never raised the modulus above 1: %+v", epochs)
-	}
-	for _, ep := range epochs[first+1:] {
-		if ep.N == 1 {
-			t.Fatalf("controller proposed MinN under load above budget: %+v", epochs)
-		}
-	}
-}

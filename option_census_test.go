@@ -12,7 +12,7 @@ import (
 )
 
 // optionStructs are the option structs whose exported fields are knobs.
-var optionStructs = []string{"SupervisorConfig", "AdaptiveRuntime", "TimeTravel"}
+var optionStructs = []string{"SupervisorConfig", "TimeTravel"}
 
 // optionKnobs parses the package's non-test files and returns every knob:
 // each exported function returning a ClusterOption or ComponentOption, and

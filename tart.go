@@ -32,7 +32,7 @@
 // The README's API table lists every export with its methods: App
 // assembles the application, Launch and Reopen start a Cluster, Source and
 // Sink carry external I/O, and the Cluster's reads (MetricFamilies,
-// TraceEvents, Spans, AdaptStatus, RewindRun, Bisect) are the one
+// TraceEvents, Spans, RewindRun, Bisect) are the one
 // programmatic read of each signal the debug listener also serves.
 //
 // See the examples directory for failover, pipelines with two-way calls,
@@ -56,9 +56,6 @@ import (
 
 // VirtualTime is a virtual-time instant in ticks (1 tick = 1 ns).
 type VirtualTime = vt.Time
-
-// Ticks is a span of virtual time.
-type Ticks = vt.Ticks
 
 // Context is the deterministic execution context handed to a component for
 // each message: virtual time (Now), deterministic randomness (Rand), and
@@ -223,7 +220,6 @@ const (
 	EvSourceEmit         = trace.EvSourceEmit
 	EvPeerUp             = trace.EvPeerUp
 	EvPeerDown           = trace.EvPeerDown
-	EvAdaptDecision      = trace.EvAdaptDecision
 )
 
 // MetricFamily is one gathered labeled metric with all of its series; see
