@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // BenchmarkBiasAlgorithm measures the paper's §II.G.1 bias algorithm on
@@ -94,11 +96,11 @@ func runBias(b *testing.B, seed uint64, delay, bias, d time.Duration) biasRun {
 	app.Place("sender1", "A")
 	app.Place("sender2", "A")
 	app.Place("merger", "B")
-	nc := NewNetworkChaos(seed)
-	nc.SetLinkPlan("A", "B", FaultPlan{Delay: delay})
+	nc := transport.NewNetem(seed)
+	nc.SetLinkPlan("A", "B", transport.FaultPlan{Delay: delay})
 	// The pessimism and blame times read below are push-only distributions,
 	// so the run asks for push data.
-	c, err := Launch(app, WithNetworkChaos(nc), WithFlightRecorder(""))
+	c, err := Launch(app, faults.WithFaults(nc, nil).(ClusterOption), WithFlightRecorder(""))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 
 	tart "repro"
 	"repro/internal/chaos"
+	"repro/internal/faults"
+	"repro/internal/transport"
 )
 
 // TestChaosOracleMultiSeed is the capstone robustness check: the same
@@ -235,7 +237,7 @@ func runReplayCrashWorkload(t *testing.T, doubleCrash bool) []string {
 func TestPartitionHealResendDedup(t *testing.T) {
 	reference := runPartitionWorkload(t, nil)
 
-	nc := tart.NewNetworkChaos(11)
+	nc := transport.NewNetem(11)
 	got := runPartitionWorkload(t, nc)
 	if !reflect.DeepEqual(reference, got) {
 		t.Fatalf("partitioned run diverged:\n  want %v\n  got  %v", reference, got)
@@ -245,7 +247,7 @@ func TestPartitionHealResendDedup(t *testing.T) {
 	}
 }
 
-func runPartitionWorkload(t *testing.T, nc *tart.NetworkChaos) []string {
+func runPartitionWorkload(t *testing.T, nc *transport.Netem) []string {
 	t.Helper()
 	const messages = 10
 
@@ -262,7 +264,7 @@ func runPartitionWorkload(t *testing.T, nc *tart.NetworkChaos) []string {
 
 	opts := []tart.ClusterOption{tart.WithManualClock(func() tart.VirtualTime { return 0 })}
 	if nc != nil {
-		opts = append(opts, tart.WithNetworkChaos(nc))
+		opts = append(opts, faults.WithFaults(nc, nil).(tart.ClusterOption))
 	}
 	cluster, err := tart.Launch(app, opts...)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/inspect"
 	"repro/internal/msg"
 	"repro/internal/sched"
@@ -44,7 +45,6 @@ type clusterConfig struct {
 	flightDir          string
 	spansOn            bool
 	spanSample         int
-	pprofOn            bool
 	netem              *transport.Netem
 	walInject          *wal.Injector
 	supervisor         *SupervisorConfig
@@ -172,30 +172,20 @@ func WithSpanTracing(sampleN int) ClusterOption {
 	})
 }
 
-// WithDebugPprof mounts net/http/pprof under /debug/pprof/ on every debug
-// HTTP listener (requires WithDebugHTTP). Off by default.
-func WithDebugPprof() ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) { c.pprofOn = true })
+func init() {
+	faults.WithFaults = func(nc *transport.Netem, inj *wal.Injector) any { return withFaults(nc, inj) }
 }
 
-// WithNetworkChaos threads a link-fault emulator into every inter-engine
-// connection: per-link fault plans (drop, duplicate, reorder, delay) and
-// partitions with timed heals, all seeded and deterministic per
-// connection. The same NetworkChaos handle is used afterwards to cut and
-// heal links while the cluster runs. Control-plane hellos (handshakes,
-// heartbeats) are exempt from probabilistic faults — partitions are
-// modeled by cutting the link, which severs them too.
-func WithNetworkChaos(nc *NetworkChaos) ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) { c.netem = nc })
-}
-
-// WithWALFaults wires a disk-fault injector in front of every engine's
-// stable log. Armed faults make appends fail with wal.ErrInjected before
-// anything is written, modeling a full disk or a dying device; sources
-// surface the error to the emitter without advancing their sequence, so a
-// retry after the fault clears is exactly-once.
-func WithWALFaults(inj *WALFaultInjector) ClusterOption {
-	return clusterOptionFunc(func(c *clusterConfig) { c.walInject = inj })
+// withFaults threads a link-fault emulator into every inter-engine
+// connection and a disk-fault injector in front of every engine's stable
+// log; either may be nil. Control-plane hellos (handshakes, heartbeats) are
+// exempt from probabilistic link faults: a partition cuts the link, which
+// severs them too. An armed disk fault fails an append with wal.ErrInjected
+// before anything is written, and a source surfaces it without advancing
+// its sequence, so a retry after the fault clears is exactly-once. Only the
+// chaos oracle and tests reach it, through faults.WithFaults.
+func withFaults(nc *transport.Netem, inj *wal.Injector) ClusterOption {
+	return clusterOptionFunc(func(c *clusterConfig) { c.netem, c.walInject = nc, inj })
 }
 
 // WithSupervisor runs an automatic failover supervisor alongside the
@@ -308,6 +298,13 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 	if reopen && cfg.durableDir == "" {
 		return nil, errors.New("tart: Reopen requires WithDurableStore")
 	}
+	if cfg.flightDir != "" {
+		// Every dump is written where an error is ignored (a shutdown, a
+		// recovery), so a directory that cannot be made fails the launch.
+		if err := os.MkdirAll(cfg.flightDir, 0o755); err != nil {
+			return nil, fmt.Errorf("tart: flight recorder dir: %w", err)
+		}
+	}
 	if cfg.hostSet != nil {
 		known := make(map[string]bool)
 		for _, e := range tp.Engines() {
@@ -371,82 +368,15 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 		if !c.hosts(name) {
 			continue
 		}
-		slot := &engineSlot{
-			name:      name,
-			store:     checkpoint.NewReplicaStore(),
-			sinks:     make(map[string]func(Output)),
-			gen:       1,
-			startedAt: time.Now(),
-		}
-		if cfg.durableDir != "" {
-			// Generations must be durable before they are visible: the bumped
-			// token is persisted in the manifest before the engine dials a
-			// single peer, so even a crash mid-rejoin leaves the fencing
-			// ratchet intact for the next restart.
-			slot.fstore, err = checkpoint.OpenFileStore(
-				filepath.Join(cfg.durableDir, name, "checkpoints"))
-			if err != nil {
-				return nil, err
-			}
-			slot.gen = slot.fstore.Generation() + 1
-			if err := slot.fstore.SetGeneration(slot.gen); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.flightOn {
-			// The flight recorder and the determinism audit log share a
-			// lifecycle: both outlive engine generations so a recovered
-			// engine's replay is checked against the pre-crash record, and
-			// both stay off (nil — zero hot-path cost) without
-			// WithFlightRecorder.
-			slot.rec = trace.NewRecorder(0)
-			slot.audit = sched.NewAuditLog()
-		}
-		if cfg.spansOn {
-			slot.spans = span.NewCollector(name, 0, cfg.spanSample)
-		}
-		slot.log, err = c.newLog(name)
+		slot, err := c.openSlot(name, reopen)
 		if err != nil {
-			return nil, err
-		}
-		slot.flog, _ = slot.log.(*wal.FileLog)
-		if c.arch != nil {
-			// Inside the fault injector: what the injector admits (or
-			// corrupts) is what both the base log and the archive persist,
-			// so replays read exactly what a recovery would.
-			slot.log = c.arch.WrapLog(name, slot.log)
-		}
-		if cfg.walInject != nil {
-			slot.log = cfg.walInject.Wrap(name, slot.log)
-		}
-		// Without a durable checkpoint this is the first launch of the state
-		// dir (or a reopen that beat the very first checkpoint — the durable
-		// launch checkpoint below closes that window for every completed
-		// Launch).
-		cold := reopen && slot.fstore != nil && slot.fstore.Seq() > 0
-		if cold {
-			// Cold restart: seed the in-process replica from the newest
-			// durable chain (a full capture and the deltas since), then build
-			// the replacement engine from it exactly as a warm failover would —
-			// Start replays the WAL suffix past the newest entry's cursors and
-			// re-drives remote replay.
-			chain, err := slot.fstore.Chain()
-			if err != nil {
-				return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
-			}
-			for _, ck := range chain {
-				if err := slot.store.Apply(ck); err != nil {
-					return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
-				}
-			}
-		}
-		if slot.incarnation, err = c.incarnate(slot, cold, cold); err != nil {
-			if cold {
-				err = fmt.Errorf("tart: reopen %q: %w", name, err)
+			// Nothing has started yet: closing what the earlier slots opened
+			// (their file logs) is the whole cleanup.
+			for _, s := range c.engines {
+				s.release()
 			}
 			return nil, err
 		}
-		slot.live.Store(slot.eng)
 		c.engines[name] = slot
 	}
 	for _, slot := range c.engines {
@@ -473,6 +403,109 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 	}
 	c.startControlPlane()
 	return c, nil
+}
+
+// openSlot opens one hosted engine's slot: its durable store and bumped
+// generation, its recorders, its stable log and its first incarnation,
+// restored from the durable chain on a cold restart. On error it closes
+// what it opened.
+func (c *Cluster) openSlot(name string, reopen bool) (_ *engineSlot, err error) {
+	cfg := c.cfg
+	slot := &engineSlot{
+		name:      name,
+		store:     checkpoint.NewReplicaStore(),
+		sinks:     make(map[string]func(Output)),
+		gen:       1,
+		startedAt: time.Now(),
+	}
+	defer func() {
+		if err != nil {
+			slot.release()
+		}
+	}()
+	if cfg.durableDir != "" {
+		// Generations must be durable before they are visible: the bumped
+		// token is persisted in the manifest before the engine dials a
+		// single peer, so even a crash mid-rejoin leaves the fencing
+		// ratchet intact for the next restart.
+		slot.fstore, err = checkpoint.OpenFileStore(
+			filepath.Join(cfg.durableDir, name, "checkpoints"))
+		if err != nil {
+			return nil, err
+		}
+		slot.gen = slot.fstore.Generation() + 1
+		if err := slot.fstore.SetGeneration(slot.gen); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.flightOn {
+		// The flight recorder and the determinism audit log share a
+		// lifecycle: both outlive engine generations so a recovered
+		// engine's replay is checked against the pre-crash record, and
+		// both stay off (nil — zero hot-path cost) without
+		// WithFlightRecorder.
+		slot.rec = trace.NewRecorder(0)
+		slot.audit = sched.NewAuditLog()
+	}
+	if cfg.spansOn {
+		slot.spans = span.NewCollector(name, 0, cfg.spanSample)
+	}
+	log, err := c.newLog(name)
+	if err != nil {
+		return nil, err
+	}
+	slot.log = log
+	slot.flog, _ = log.(*wal.FileLog)
+	if c.arch != nil {
+		// Inside the fault injector: what the injector admits (or
+		// corrupts) is what both the base log and the archive persist,
+		// so replays read exactly what a recovery would.
+		slot.log = c.arch.WrapLog(name, slot.log)
+	}
+	if cfg.walInject != nil {
+		slot.log = cfg.walInject.Wrap(name, slot.log)
+	}
+	// Without a durable checkpoint this is the first launch of the state
+	// dir (or a reopen that beat the very first checkpoint — the durable
+	// launch checkpoint below closes that window for every completed
+	// Launch).
+	cold := reopen && slot.fstore != nil && slot.fstore.Seq() > 0
+	if cold {
+		// Cold restart: seed the in-process replica from the newest
+		// durable chain (a full capture and the deltas since), then build
+		// the replacement engine from it exactly as a warm failover would —
+		// Start replays the WAL suffix past the newest entry's cursors and
+		// re-drives remote replay.
+		chain, err := slot.fstore.Chain()
+		if err != nil {
+			return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
+		}
+		for _, ck := range chain {
+			if err := slot.store.Apply(ck); err != nil {
+				return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
+			}
+		}
+	}
+	if slot.incarnation, err = c.incarnate(slot, cold, cold); err != nil {
+		if cold {
+			err = fmt.Errorf("tart: reopen %q: %w", name, err)
+		}
+		return nil, err
+	}
+	slot.live.Store(slot.eng)
+	return slot, nil
+}
+
+// release closes the slot's stable log and durable store: Stop does it
+// once the engine has halted, and a launch that fails before any engine
+// starts does it in Stop's place.
+func (s *engineSlot) release() {
+	if s.log != nil {
+		_ = s.log.Close()
+	}
+	if s.fstore != nil {
+		_ = s.fstore.Close()
+	}
 }
 
 // peersOf maps each engine to the engines it shares at least one remote
@@ -1194,29 +1227,8 @@ func (c *Cluster) Stop() {
 	c.bg.Wait()
 	for _, s := range c.slots() {
 		c.halt(s.slot, s.incarnation, s.eng.Stop) // a no-op for an incarnation Fail or Crash stopped
-		_ = s.slot.log.Close()
-		if s.slot.fstore != nil {
-			_ = s.slot.fstore.Close()
-		}
+		s.slot.release()
 	}
-}
-
-// DumpFlightRecorders writes every hosted engine's flight-recorder ring to
-// <dir>/<engine>-flight.jsonl (requires WithFlightRecorder; engines
-// without a recorder are skipped). Signal handlers use it to persist the
-// last seconds of structured history on SIGTERM — the post-mortem story a
-// cold restart would otherwise lose with the process.
-func (c *Cluster) DumpFlightRecorders(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	var firstErr error
-	for _, v := range c.slots() {
-		if err := v.slot.writeFlight(dir); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // slotView is one engine slot with its current incarnation (the engine and

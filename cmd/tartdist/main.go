@@ -418,11 +418,13 @@ func runTART(w workload, addrs [4]string) (result, error) {
 	}
 	// The flight recorder asks for push data: the per-wire table's
 	// pessimism and blame times are distributions only a push consumer
-	// gets, and with -debug it gives /trace its content.
+	// gets, and with -debug it gives /trace its content. With
+	// TART_ARTIFACT_DIR set the cluster dumps it there when it stops.
+	flightDir := os.Getenv("TART_ARTIFACT_DIR")
 	opts := []tart.ClusterOption{
 		tart.WithTCP(map[string]string{"A": addrs[0], "B": addrs[1]}),
 		tart.WithSourceSilenceEvery(silenceEvery),
-		tart.WithFlightRecorder(""),
+		tart.WithFlightRecorder(flightDir),
 	}
 	if w.debug {
 		opts = append(opts, tart.WithDebugHTTP(map[string]string{"A": addrs[2], "B": addrs[3]}))
@@ -435,9 +437,8 @@ func runTART(w workload, addrs [4]string) (result, error) {
 		return result{}, err
 	}
 	defer cluster.Stop()
-	// SIGTERM/SIGINT mid-run: persist the flight recorders (a no-op without
-	// -debug, which is what enables them) before dying, so a killed run
-	// still leaves a post-mortem artifact.
+	// SIGTERM/SIGINT mid-run: stop the cluster before dying, so a killed
+	// run still leaves its flight dumps as a post-mortem artifact.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	defer signal.Stop(sig)
@@ -446,12 +447,9 @@ func runTART(w workload, addrs [4]string) (result, error) {
 		if !ok {
 			return
 		}
-		dir := os.Getenv("TART_ARTIFACT_DIR")
-		if dir == "" {
-			dir = "."
-		}
-		if err := cluster.DumpFlightRecorders(dir); err == nil {
-			fmt.Fprintf(os.Stderr, "tartdist: %v: flight recorders dumped to %s\n", s, dir)
+		cluster.Stop()
+		if flightDir != "" {
+			fmt.Fprintf(os.Stderr, "tartdist: %v: flight recorders dumped to %s\n", s, flightDir)
 		}
 		os.Exit(130)
 	}()

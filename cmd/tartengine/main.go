@@ -17,7 +17,9 @@
 //     or timeout.
 //
 // Both roles dump their flight recorders to -flight-dir (default
-// $TART_ARTIFACT_DIR or ".") on SIGTERM/SIGINT.
+// $TART_ARTIFACT_DIR or ".") whenever their cluster stops: on SIGTERM or
+// SIGINT, on a finished tape, on an error. A reopened sender also dumps
+// once its replay is done.
 //
 // Example (three shells, or the ci process-restart job):
 //
@@ -44,7 +46,7 @@ func main() {
 		rounds    = flag.Int("rounds", 16, "workload rounds (tape has 2x this many outputs)")
 		reopen    = flag.Bool("reopen", false, "cold-restart the sender over an existing -dir")
 		timeout   = flag.Duration("timeout", 60*time.Second, "collector: bound on waiting for the full tape")
-		flightDir = flag.String("flight-dir", "", "flight-recorder dump directory on SIGTERM (default $TART_ARTIFACT_DIR or \".\")")
+		flightDir = flag.String("flight-dir", "", "flight-recorder dump directory, written when the cluster stops (default $TART_ARTIFACT_DIR or \".\")")
 	)
 	flag.Parse()
 	if *flightDir == "" {

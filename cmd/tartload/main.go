@@ -17,7 +17,9 @@
 //
 // With TART_ARTIFACT_DIR set, the full machine-readable result (report,
 // failovers, recovery tax, OTLP counts) is written there as
-// tartload-<scenario>.json.
+// tartload-<scenario>.json, and every engine's flight recorder is dumped
+// there as <engine>-flight.jsonl when the cluster stops, a SIGTERM or
+// SIGINT included. Without it a killed run leaves no dump.
 package main
 
 import (
@@ -94,6 +96,7 @@ func run(scenario string, rate float64, duration time.Duration, usersStr string,
 		return err
 	}
 
+	artifactDir := os.Getenv("TART_ARTIFACT_DIR")
 	opts := load.Options{
 		Scenario:    sc,
 		Rate:        rate,
@@ -110,10 +113,12 @@ func run(scenario string, rate float64, duration time.Duration, usersStr string,
 		TCP:         tcp,
 		BasePort:    basePort,
 		Debug:       debug,
+		FlightDir:   artifactDir,
 	}
-	// SIGTERM/SIGINT mid-run: persist the flight recorders before dying, so
-	// an operator (or CI timeout) killing the harness still gets the last
-	// seconds of structured history as a post-mortem artifact.
+	// SIGTERM/SIGINT mid-run: stop the cluster before dying, which with
+	// TART_ARTIFACT_DIR set dumps the flight recorders there, so an operator
+	// (or CI timeout) killing the harness still gets the last seconds of
+	// structured history as a post-mortem artifact.
 	opts.OnLaunch = func(cluster *tart.Cluster) {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
@@ -122,12 +127,9 @@ func run(scenario string, rate float64, duration time.Duration, usersStr string,
 			if !ok {
 				return
 			}
-			dir := os.Getenv("TART_ARTIFACT_DIR")
-			if dir == "" {
-				dir = "."
-			}
-			if err := cluster.DumpFlightRecorders(dir); err == nil {
-				fmt.Fprintf(os.Stderr, "tartload: %v: flight recorders dumped to %s\n", s, dir)
+			cluster.Stop()
+			if artifactDir != "" {
+				fmt.Fprintf(os.Stderr, "tartload: %v: flight recorders dumped to %s\n", s, artifactDir)
 			}
 			os.Exit(130)
 		}()
@@ -148,8 +150,8 @@ func run(scenario string, rate float64, duration time.Duration, usersStr string,
 		return err
 	}
 	printResult(res)
-	if dir := os.Getenv("TART_ARTIFACT_DIR"); dir != "" {
-		if err := writeArtifact(dir, res); err != nil {
+	if artifactDir != "" {
+		if err := writeArtifact(artifactDir, res); err != nil {
 			fmt.Fprintln(os.Stderr, "tartload: artifact:", err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strconv"
 	"time"
@@ -43,15 +42,6 @@ func (c *Cluster) serveDebug(addr string, slot *engineSlot, in *incarnation) (*d
 	mux.HandleFunc("/topology", h.topology)
 	mux.HandleFunc("/supervisor", h.supervisor)
 	mux.HandleFunc("/rewind", h.rewind)
-	if c.cfg.pprofOn {
-		// Off by default: pprof endpoints can stop the world (heap dumps,
-		// full goroutine stacks), so operators opt in.
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	d := &debugServer{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}, done: make(chan struct{})}
 	go func() {
 		defer close(d.done)

@@ -1,11 +1,12 @@
 // The chaos example runs a three-engine pipeline under an automatic
 // failover supervisor and a seeded chaos schedule: an engine is
 // fail-stopped without telling anyone, the supervisor's failure detector
-// notices the heartbeat silence and drives Fail→Recover on its own, a
-// network partition cuts and heals a link mid-stream, and the consumer —
-// wrapped in DedupOutputs — observes an exactly-once stream identical to
-// a fault-free run. Nothing in the driver below ever calls Fail or
-// Recover: detection and recovery are entirely the supervisor's.
+// notices the heartbeat silence and drives Fail→Recover on its own, and
+// the consumer — wrapped in DedupOutputs — observes an exactly-once stream
+// identical to a fault-free run. Nothing in the driver below ever calls
+// Fail or Recover: detection and recovery are entirely the supervisor's.
+// Link partitions and disk faults are the chaos oracle's
+// (go test -run TestChaosOracleMultiSeed .), not the public API's.
 package main
 
 import (
@@ -61,11 +62,9 @@ func run() error {
 
 	// The supervisor polls peer health; 300ms of heartbeat silence from
 	// every peer condemns an engine, and recovery runs without an operator.
-	nc := tart.NewNetworkChaos(7)
 	cluster, err := tart.Launch(app,
 		tart.WithManualClock(func() tart.VirtualTime { return 0 }),
 		tart.WithCheckpointEvery(20*time.Millisecond),
-		tart.WithNetworkChaos(nc),
 		tart.WithSupervisor(tart.SupervisorConfig{
 			SuspectAfter: 300 * time.Millisecond,
 			PollEvery:    50 * time.Millisecond,
@@ -113,7 +112,9 @@ func run() error {
 			return err
 		}
 	}
-	drain(outputs, 4)
+	if err := drain(outputs, 4); err != nil {
+		return err
+	}
 
 	fmt.Println("\n== phase 2: silent crash of engine alpha (nobody calls Recover) ==")
 	if err := cluster.Crash("alpha"); err != nil {
@@ -124,38 +125,26 @@ func run() error {
 			return err
 		}
 	}
-	drain(outputs, 4)
+	if err := drain(outputs, 4); err != nil {
+		return err
+	}
 	for _, f := range cluster.SupervisorStatus().Failovers {
 		fmt.Printf("   supervisor: %s suspected (%s), recovered as generation %d in %s\n",
 			f.Engine, f.Cause, f.Generation, f.TimeToRecover.Round(10*time.Microsecond))
 	}
 
-	fmt.Println("\n== phase 3: partition alpha|beta, emit into the cut, heal ==")
-	nc.Cut("alpha", "beta")
-	for i := 8; i < 12; i++ {
-		if err := emit(i); err != nil {
-			return err
-		}
-	}
-	time.Sleep(200 * time.Millisecond) // let sends fail and redials bounce off the cut
-	nc.Heal("alpha", "beta")
-	drain(outputs, 4)
-	st := nc.Stats()
-	fmt.Printf("   partition: %d conns severed, %d dials refused, healed and re-delivered\n",
-		st.Severed, st.CutDials)
-
-	fmt.Println("\nexactly-once stream survived a silent crash and a partition.")
+	fmt.Println("\nexactly-once stream survived a silent crash.")
 	return nil
 }
 
-func drain(outputs <-chan string, n int) {
+func drain(outputs <-chan string, n int) error {
 	for i := 0; i < n; i++ {
 		select {
 		case s := <-outputs:
 			fmt.Printf("   %s\n", s)
 		case <-time.After(20 * time.Second):
-			fmt.Println("   (timed out)")
-			return
+			return fmt.Errorf("timed out after %d of %d outputs", i, n)
 		}
 	}
+	return nil
 }

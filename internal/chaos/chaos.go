@@ -16,6 +16,8 @@ import (
 	tart "repro"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/transport"
+	"repro/internal/wal"
 )
 
 // Config parameterizes a chaos schedule. The schedule — which faults hit
@@ -88,8 +90,8 @@ const (
 type Controller struct {
 	cfg     Config
 	cluster *tart.Cluster
-	nc      *tart.NetworkChaos
-	inj     *tart.WALFaultInjector
+	nc      *transport.Netem
+	inj     *wal.Injector
 	reg     *trace.Registry
 
 	plan []Event // the schedule, fixed at construction
@@ -104,7 +106,7 @@ type Controller struct {
 
 // NewController builds the controller and fixes the schedule. nc and inj
 // may be nil when the config injects no faults of that class.
-func NewController(cfg Config, cluster *tart.Cluster, nc *tart.NetworkChaos, inj *tart.WALFaultInjector) (*Controller, error) {
+func NewController(cfg Config, cluster *tart.Cluster, nc *transport.Netem, inj *wal.Injector) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Crashes > 0 && len(cfg.Engines) == 0 {
 		return nil, fmt.Errorf("chaos: crashes requested but no engines given")
@@ -182,7 +184,7 @@ func (c *Controller) Start() {
 	if c.cfg.LinkFaults && c.nc != nil {
 		rng := stats.NewRNG(c.cfg.Seed ^ 0x9e3779b97f4a7c15)
 		for _, l := range c.cfg.Links {
-			c.nc.SetLinkPlan(l[0], l[1], tart.FaultPlan{
+			c.nc.SetLinkPlan(l[0], l[1], transport.FaultPlan{
 				DupProb: 0.05 + 0.10*rng.Float64(),
 				Delay:   time.Duration(1+rng.Intn(2)) * time.Millisecond,
 			})

@@ -8,6 +8,9 @@ import (
 	"time"
 
 	tart "repro"
+	"repro/internal/faults"
+	"repro/internal/transport"
+	"repro/internal/wal"
 )
 
 // OutputRecord is one deduplicated sink delivery — the unit the oracle
@@ -71,7 +74,7 @@ type Result struct {
 	Recoveries []time.Duration       // time-to-recover per completed failover
 	Status     tart.SupervisorStatus // full supervisor history
 	WALFaults  uint64                // injected disk faults that fired
-	NetStats   tart.NetworkChaosStats
+	NetStats   transport.NetemStats
 	// Spans counts the spans every engine's collector holds at the end
 	// (zero without WithSpanTracing among ExtraOptions).
 	Spans int
@@ -160,13 +163,12 @@ func Run(opts RunOptions) (*Result, error) {
 		}),
 	}
 	clusterOpts = append(clusterOpts, opts.ExtraOptions...)
-	var nc *tart.NetworkChaos
-	var inj *tart.WALFaultInjector
+	var nc *transport.Netem
+	var inj *wal.Injector
 	if opts.Chaos != nil {
-		nc = tart.NewNetworkChaos(opts.Chaos.Seed)
-		inj = tart.NewWALFaultInjector()
-		clusterOpts = append(clusterOpts,
-			tart.WithNetworkChaos(nc), tart.WithWALFaults(inj))
+		nc = transport.NewNetem(opts.Chaos.Seed)
+		inj = wal.NewInjector()
+		clusterOpts = append(clusterOpts, faults.WithFaults(nc, inj).(tart.ClusterOption))
 	}
 
 	cluster, err := tart.Launch(app, clusterOpts...)
@@ -299,7 +301,7 @@ func emitWithRetry(src *tart.Source, t tart.VirtualTime, payload any, deadline t
 			return nil
 		case strings.Contains(err.Error(), "not after last emit"):
 			return nil
-		case errors.Is(err, tart.ErrEngineDown) || errors.Is(err, tart.ErrWALFault):
+		case errors.Is(err, tart.ErrEngineDown) || errors.Is(err, wal.ErrInjected):
 			if time.Now().After(deadline) {
 				return fmt.Errorf("chaos: emit %v gave up: %w", t, err)
 			}

@@ -31,8 +31,9 @@ type ProcConfig struct {
 	// Reopen cold-restarts the sender over an existing Dir instead of
 	// launching fresh.
 	Reopen bool
-	// FlightDir, when non-empty, receives flight-recorder dumps on
-	// SIGTERM/SIGINT (<FlightDir>/<engine>-flight.jsonl).
+	// FlightDir, when non-empty, receives the flight-recorder dumps
+	// (<FlightDir>/<engine>-flight.jsonl) the cluster writes when it stops,
+	// SIGTERM/SIGINT included, and after a reopened engine's replay.
 	FlightDir string
 	// Timeout bounds the collector's wait for the full tape (default 60s).
 	Timeout time.Duration
@@ -70,7 +71,7 @@ func RunSender(cfg ProcConfig) error {
 		tart.WithEngines("left"),
 		tart.WithDurableStore(cfg.Dir),
 		tart.WithCheckpointEvery(15 * time.Millisecond),
-		tart.WithFlightRecorder(""),
+		tart.WithFlightRecorder(cfg.FlightDir),
 	}
 	var cluster *tart.Cluster
 	var err error
@@ -87,12 +88,6 @@ func RunSender(cfg ProcConfig) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	defer signal.Stop(sig)
-	dumpAndStop := func() error {
-		if cfg.FlightDir != "" {
-			return cluster.DumpFlightRecorders(cfg.FlightDir)
-		}
-		return nil
-	}
 
 	in1, err := cluster.Source("in1")
 	if err != nil {
@@ -103,7 +98,7 @@ func RunSender(cfg ProcConfig) error {
 	for r := 0; r < cfg.Rounds; r++ {
 		select {
 		case <-sig:
-			return dumpAndStop()
+			return nil
 		default:
 		}
 		vtBase := tart.VirtualTime((r + 1) * 1_000_000)
@@ -122,7 +117,7 @@ func RunSender(cfg ProcConfig) error {
 	for {
 		select {
 		case <-sig:
-			return dumpAndStop()
+			return nil
 		case <-t.C:
 			_ = in1.Quiesce(q)
 		}
@@ -142,7 +137,7 @@ func RunCollector(cfg ProcConfig) (Tape, error) {
 		tart.WithTCP(cfg.Addrs),
 		tart.WithEngines("mid", "right"),
 		tart.WithCheckpointEvery(15*time.Millisecond),
-		tart.WithFlightRecorder(""),
+		tart.WithFlightRecorder(cfg.FlightDir),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: collector launch: %w", err)
@@ -192,16 +187,10 @@ func RunCollector(cfg ProcConfig) (Tape, error) {
 		case <-pump.C:
 			_ = in2.Quiesce(q)
 		case <-sig:
-			if cfg.FlightDir != "" {
-				_ = cluster.DumpFlightRecorders(cfg.FlightDir)
-			}
 			return tape, fmt.Errorf("chaos: collector interrupted at %d of %d outputs", len(tape), want)
 		case <-timer.C:
 			return tape, fmt.Errorf("chaos: collector timed out at %d of %d outputs", len(tape), want)
 		}
-	}
-	if cfg.FlightDir != "" {
-		_ = cluster.DumpFlightRecorders(cfg.FlightDir)
 	}
 	return tape, nil
 }

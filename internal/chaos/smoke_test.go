@@ -4,7 +4,8 @@ import (
 	"testing"
 	"time"
 
-	tart "repro"
+	"repro/internal/transport"
+	"repro/internal/wal"
 )
 
 // TestOracleCleanRun sanity-checks the workload driver: a supervised but
@@ -34,11 +35,11 @@ func TestControllerScheduleDeterminism(t *testing.T) {
 		Seed: 42, Engines: ScenarioEngines, Links: ScenarioLinks,
 		Crashes: 2, Partitions: 2, WALFaults: 1, DoubleCrashProb: 0.5,
 	}
-	a, err := NewController(cfg, nil, tart.NewNetworkChaos(42), tart.NewWALFaultInjector())
+	a, err := NewController(cfg, nil, transport.NewNetem(42), wal.NewInjector())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewController(cfg, nil, tart.NewNetworkChaos(42), tart.NewWALFaultInjector())
+	b, err := NewController(cfg, nil, transport.NewNetem(42), wal.NewInjector())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,11 +125,14 @@ type Options struct {
 	BasePort int
 	// Debug binds an ephemeral debug HTTP listener per engine.
 	Debug bool
+	// FlightDir, when non-empty, receives every engine's flight-recorder
+	// dump (<FlightDir>/<engine>-flight.jsonl) when the cluster stops.
+	FlightDir string
 	// Progress receives live status lines (nil: silent).
 	Progress io.Writer
 	// OnLaunch, when set, is handed the live cluster right after Launch —
-	// the CLI uses it to wire signal handlers (flight-recorder dumps on
-	// SIGTERM/SIGINT) to the run in flight.
+	// the CLI uses it to stop the cluster, and so write the flight dumps,
+	// on SIGTERM/SIGINT.
 	OnLaunch func(*tart.Cluster)
 }
 
@@ -265,7 +268,7 @@ func Run(opts Options) (*Result, error) {
 	app := buildApp(sc, opts.Engines)
 
 	copts := []tart.ClusterOption{
-		tart.WithFlightRecorder(""),
+		tart.WithFlightRecorder(opts.FlightDir),
 		tart.WithSpanTracing(opts.SpanSampleN),
 	}
 	if opts.ChaosSeed != 0 {

@@ -397,15 +397,14 @@ func TestFailoverReplayedSpansAndCausalChain(t *testing.T) {
 	}
 }
 
-// TestSpansEndpointAndPprof exercises the new ops surfaces: /spans in both
-// formats with origin filtering, its 404 when tracing is off, and the
-// opt-in pprof mount.
-func TestSpansEndpointAndPprof(t *testing.T) {
+// TestSpansEndpointAndNoPprof exercises /spans in both formats with origin
+// filtering and its 404 when tracing is off, and checks that no debug
+// listener serves /debug/pprof/, traced or not.
+func TestSpansEndpointAndNoPprof(t *testing.T) {
 	out := newOutputs()
 	cluster, err := tart.Launch(fig1App(),
 		tart.WithManualClock(func() tart.VirtualTime { return 0 }),
 		tart.WithSpanTracing(1),
-		tart.WithDebugPprof(),
 		tart.WithDebugHTTP(map[string]string{"main": "127.0.0.1:0"}))
 	if err != nil {
 		t.Fatal(err)
@@ -504,11 +503,11 @@ func TestSpansEndpointAndPprof(t *testing.T) {
 		t.Error("/metrics missing tart_critical_path_seconds")
 	}
 
-	if _, code := get("/debug/pprof/cmdline"); code != http.StatusOK {
-		t.Errorf("/debug/pprof/cmdline status = %d with WithDebugPprof", code)
+	if _, code := get("/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("/debug/pprof/ status = %d, want 404", code)
 	}
 
-	// A cluster without the opt-ins must not expose either surface.
+	// A cluster without span tracing serves neither surface.
 	plain, err := tart.Launch(fig1App("bare"),
 		tart.WithManualClock(func() tart.VirtualTime { return 0 }),
 		tart.WithDebugHTTP(map[string]string{"bare": "127.0.0.1:0"}))
@@ -527,7 +526,7 @@ func TestSpansEndpointAndPprof(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s status = %d without opt-in, want 404", path, resp.StatusCode)
+			t.Errorf("%s status = %d untraced, want 404", path, resp.StatusCode)
 		}
 	}
 }

@@ -49,9 +49,7 @@ import (
 	"repro/internal/silence"
 	"repro/internal/trace"
 	"repro/internal/trace/span"
-	"repro/internal/transport"
 	"repro/internal/vt"
-	"repro/internal/wal"
 )
 
 // VirtualTime is a virtual-time instant in ticks (1 tick = 1 ns).
@@ -250,38 +248,6 @@ const FirstUserPayloadID = msg.FirstUserPayloadID
 // through the self-describing gob fallback (RegisterPayload), at gob
 // prices, visible in the tart_codec_fallbacks_total counter.
 func RegisterBinaryPayload(pc PayloadCodec) error { return msg.RegisterBinaryPayload(pc) }
-
-// FaultPlan describes probabilistic per-link faults (drop, duplicate,
-// reorder, delay) applied by a NetworkChaos emulator; see
-// NetworkChaos.SetLinkPlan.
-type FaultPlan = transport.FaultPlan
-
-// NetworkChaos is a deterministic link-fault emulator threaded into every
-// inter-engine connection via WithNetworkChaos: per-link fault plans,
-// partitions (Cut/Heal), and fault statistics. Fault decisions are seeded
-// per connection, so the same seed yields the same fault schedule.
-type NetworkChaos = transport.Netem
-
-// NewNetworkChaos creates a link-fault emulator; pass it to
-// WithNetworkChaos at Launch and keep the handle to cut and heal links at
-// runtime.
-func NewNetworkChaos(seed uint64) *NetworkChaos { return transport.NewNetem(seed) }
-
-// NetworkChaosStats counts the fault decisions a NetworkChaos has made.
-type NetworkChaosStats = transport.NetemStats
-
-// WALFaultInjector arms transient stable-log append failures per engine;
-// see WithWALFaults. Armed appends fail with ErrWALFault before writing
-// anything, and sources do not advance their sequence on a failed append,
-// so emitters retry safely.
-type WALFaultInjector = wal.Injector
-
-// NewWALFaultInjector creates a disk-fault injector for WithWALFaults.
-func NewWALFaultInjector() *WALFaultInjector { return wal.NewInjector() }
-
-// ErrWALFault reports a stable-log append rejected by an armed
-// WALFaultInjector fault (errors.Is-matchable through Source.Emit/EmitAt).
-var ErrWALFault = wal.ErrInjected
 
 // ErrSourceShed reports an external input refused because the hosting
 // engine's buffered replay state hit the WithShedLimit bound — typically

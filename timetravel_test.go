@@ -13,7 +13,9 @@ import (
 	"time"
 
 	tart "repro"
+	"repro/internal/faults"
 	"repro/internal/inspect"
+	"repro/internal/wal"
 )
 
 // ttCounter accumulates per-key counts; the checkpointable state the
@@ -246,9 +248,9 @@ func compareStates(t *testing.T, fromSeq uint64, at tart.RewindPoint, want, got 
 // not) and asserts bisection pins the first divergent delivery to the
 // exact (wire, seq, VT) — through the Go API and the /rewind endpoint.
 func TestBisectPinsSeededCorruption(t *testing.T) {
-	inj := tart.NewWALFaultInjector()
+	inj := wal.NewInjector()
 	cluster, await := ttHarness(t,
-		tart.WithWALFaults(inj),
+		faults.WithFaults(nil, inj).(tart.ClusterOption),
 		tart.WithDebugHTTP(map[string]string{"main": "127.0.0.1:0"}),
 	)
 	src, err := cluster.Source("in")
